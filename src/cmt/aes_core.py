@@ -1,19 +1,25 @@
 """AES-128 block cipher built from first principles.
 
 No crypto libraries: GF(2^8) arithmetic, a computed S-box, Rijndael key
-expansion, the four round transforms and their inverses, and single-block
-encrypt/decrypt. A numpy-vectorised ECB path exists purely for throughput
-measurement; the scalar implementation is the authoritative one.
+expansion, and one cipher core in two shapes that share a key schedule:
 
-The 16-byte block is viewed as the usual 4x4 column-major state: input
-byte i sits at row (i % 4), column (i // 4), i.e. a flat list in input
-order is already column-major.
+- `encrypt_block`/`decrypt_block` take one 16-byte block and run the rounds
+  on four 32-bit column words, each round four T-table lookups per column
+  (Daemen & Rijmen, *The Design of Rijndael*, section 4.2). Decryption is
+  the equivalent inverse cipher, so it has the same shape as encryption
+  with its own tables and pre-mixed round keys.
+- `encrypt_ecb`/`decrypt_ecb` run the same rounds on an (n, 16) numpy array
+  of states, all lanes in lockstep. numpy is imported on their first call,
+  so a program that never takes this path never loads it.
+
+A block is read as four big-endian column words: input byte i sits at row
+i % 4 of column i // 4. The tables are indexed by secret bytes, so the
+cipher leaks through cache timing; constant-time hardening is a non-goal.
 """
 
+import struct
 from dataclasses import dataclass
-from typing import List, Sequence
-
-import numpy as np
+from typing import List
 
 BLOCK_SIZE = 16
 KEY_SIZE = 16
@@ -89,175 +95,196 @@ if SBOX[0x00] != 0x63 or SBOX[0x53] != 0xED:
 if sorted(SBOX) != list(range(256)):
     raise AssertionError("S-box is not a permutation")
 
-# multiplication tables for the MixColumns coefficients
-MUL2 = [gf_mul(x, 0x02) for x in range(256)]
-MUL3 = [gf_mul(x, 0x03) for x in range(256)]
-MUL9 = [gf_mul(x, 0x09) for x in range(256)]
-MUL11 = [gf_mul(x, 0x0B) for x in range(256)]
-MUL13 = [gf_mul(x, 0x0D) for x in range(256)]
-MUL14 = [gf_mul(x, 0x0E) for x in range(256)]
-
 RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36]
 
-State = List[int]  # 16 bytes, column-major
+# First column of the MixColumns and InvMixColumns matrices: what a byte in
+# row 0 contributes to rows 0..3 of its output column.
+_ENC_MIX = (0x02, 0x01, 0x01, 0x03)
+_DEC_MIX = (0x0E, 0x09, 0x0D, 0x0B)
 
 
-def state_from_block(block: bytes) -> State:
-    if len(block) != BLOCK_SIZE:
-        raise ValueError(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
-    return list(block)
+def _round_tables(box: List[int], mix: tuple) -> tuple:
+    """T0..T3: byte x in row r -> the column word box[x] contributes after
+    the mix. Row r's table is row 0's rotated right by 8r bits."""
+    t0 = [
+        (gf_mul(s, mix[0]) << 24) | (gf_mul(s, mix[1]) << 16)
+        | (gf_mul(s, mix[2]) << 8) | gf_mul(s, mix[3])
+        for s in box
+    ]
+    tables = [t0]
+    for _ in range(3):
+        tables.append([((w >> 8) | (w << 24)) & 0xFFFFFFFF for w in tables[-1]])
+    return tuple(tables)
 
 
-def block_from_state(state: Sequence[int]) -> bytes:
-    return bytes(state)
+_TE = _round_tables(SBOX, _ENC_MIX)
+_TD = _round_tables(INV_SBOX, _DEC_MIX)
 
-
-def sub_bytes(state: Sequence[int]) -> State:
-    return [SBOX[b] for b in state]
-
-
-def inv_sub_bytes(state: Sequence[int]) -> State:
-    return [INV_SBOX[b] for b in state]
-
-
-def shift_rows(state: Sequence[int]) -> State:
-    # row r rotates left by r; flat index 4*c + r
-    out = [0] * 16
-    for r in range(4):
-        for c in range(4):
-            out[4 * c + r] = state[4 * ((c + r) % 4) + r]
-    return out
-
-
-def inv_shift_rows(state: Sequence[int]) -> State:
-    out = [0] * 16
-    for r in range(4):
-        for c in range(4):
-            out[4 * ((c + r) % 4) + r] = state[4 * c + r]
-    return out
-
-
-def mix_columns(state: Sequence[int]) -> State:
-    out = [0] * 16
-    for c in range(4):
-        i = 4 * c
-        a0, a1, a2, a3 = state[i], state[i + 1], state[i + 2], state[i + 3]
-        out[i] = MUL2[a0] ^ MUL3[a1] ^ a2 ^ a3
-        out[i + 1] = a0 ^ MUL2[a1] ^ MUL3[a2] ^ a3
-        out[i + 2] = a0 ^ a1 ^ MUL2[a2] ^ MUL3[a3]
-        out[i + 3] = MUL3[a0] ^ a1 ^ a2 ^ MUL2[a3]
-    return out
-
-
-def inv_mix_columns(state: Sequence[int]) -> State:
-    out = [0] * 16
-    for c in range(4):
-        i = 4 * c
-        a0, a1, a2, a3 = state[i], state[i + 1], state[i + 2], state[i + 3]
-        out[i] = MUL14[a0] ^ MUL11[a1] ^ MUL13[a2] ^ MUL9[a3]
-        out[i + 1] = MUL9[a0] ^ MUL14[a1] ^ MUL11[a2] ^ MUL13[a3]
-        out[i + 2] = MUL13[a0] ^ MUL9[a1] ^ MUL14[a2] ^ MUL11[a3]
-        out[i + 3] = MUL11[a0] ^ MUL13[a1] ^ MUL9[a2] ^ MUL14[a3]
-    return out
-
-
-def add_round_key(state: Sequence[int], round_key: bytes) -> State:
-    if len(round_key) != BLOCK_SIZE:
-        raise ValueError("round key must be 16 bytes")
-    return [b ^ k for b, k in zip(state, round_key)]
+_WORDS = struct.Struct(">4I")
 
 
 @dataclass(frozen=True)
 class KeySchedule:
-    """The 11 expanded round keys for AES-128 (176 bytes total)."""
+    """An AES-128 key expanded once for both directions.
 
-    round_keys: tuple  # 11 x bytes(16)
-    rounds: int = NUM_ROUNDS
+    `enc_words` are the 44 words of the key expansion; `dec_words` are the
+    44 round-key words of the equivalent inverse cipher, in the order
+    decryption uses them, with InvMixColumns applied to rounds 1..9;
+    `round_keys` are the encryption round keys as 11 blocks of 16 bytes.
+    """
 
-    def __post_init__(self):
-        if len(self.round_keys) != self.rounds + 1:
-            raise ValueError("schedule must hold rounds+1 round keys")
+    enc_words: tuple
+    dec_words: tuple
+    round_keys: tuple
+
+
+def _sub_rot_word(w: int) -> int:
+    # SubWord(RotWord(w))
+    return (
+        (SBOX[(w >> 16) & 0xFF] << 24) | (SBOX[(w >> 8) & 0xFF] << 16)
+        | (SBOX[w & 0xFF] << 8) | SBOX[w >> 24]
+    )
+
+
+def _inv_mix_word(w: int) -> int:
+    # the tables apply INV_SBOX first, so feed them SBOX[b] to mix b itself
+    td0, td1, td2, td3 = _TD
+    return (
+        td0[SBOX[w >> 24]] ^ td1[SBOX[(w >> 16) & 0xFF]]
+        ^ td2[SBOX[(w >> 8) & 0xFF]] ^ td3[SBOX[w & 0xFF]]
+    )
 
 
 def expand_key(key: bytes) -> KeySchedule:
-    """Rijndael key expansion: 16-byte key -> 44 words -> 11 round keys."""
+    """Rijndael key expansion: 16-byte key -> 44 words -> 11 round keys,
+    plus the decryption words of the equivalent inverse cipher."""
     if len(key) != KEY_SIZE:
         raise ValueError(f"key must be {KEY_SIZE} bytes, got {len(key)}")
-    words = [list(key[4 * i : 4 * i + 4]) for i in range(4)]
-    for i in range(4, 44):
-        t = list(words[i - 1])
+    w = list(_WORDS.unpack(key))
+    for i in range(4, 4 * (NUM_ROUNDS + 1)):
+        t = w[i - 1]
         if i % 4 == 0:
-            t = t[1:] + t[:1]  # RotWord
-            t = [SBOX[b] for b in t]  # SubWord
-            t[0] ^= RCON[i // 4 - 1]
-        words.append([a ^ b for a, b in zip(words[i - 4], t)])
-    round_keys = tuple(
-        bytes(b for w in words[4 * r : 4 * r + 4] for b in w) for r in range(11)
-    )
-    return KeySchedule(round_keys)
+            t = _sub_rot_word(t) ^ (RCON[i // 4 - 1] << 24)
+        w.append(w[i - 4] ^ t)
+    dec = w[40:44]
+    for r in range(NUM_ROUNDS - 1, 0, -1):
+        dec += [_inv_mix_word(x) for x in w[4 * r : 4 * r + 4]]
+    dec += w[0:4]
+    raw = struct.pack(">44I", *w)
+    round_keys = tuple(raw[16 * r : 16 * r + 16] for r in range(NUM_ROUNDS + 1))
+    return KeySchedule(tuple(w), tuple(dec), round_keys)
+
+
+def _check_block(block: bytes) -> None:
+    if len(block) != BLOCK_SIZE:
+        raise ValueError(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
 
 
 def encrypt_block(block: bytes, schedule: KeySchedule) -> bytes:
-    """Encrypt one 16-byte block: initial key add, 9 full rounds, final
-    round without MixColumns."""
-    s = state_from_block(block)
-    s = add_round_key(s, schedule.round_keys[0])
-    for r in range(1, NUM_ROUNDS):
-        s = sub_bytes(s)
-        s = shift_rows(s)
-        s = mix_columns(s)
-        s = add_round_key(s, schedule.round_keys[r])
-    s = sub_bytes(s)
-    s = shift_rows(s)
-    s = add_round_key(s, schedule.round_keys[NUM_ROUNDS])
-    return block_from_state(s)
+    """Encrypt one 16-byte block: initial key add, 9 T-table rounds (SubBytes,
+    ShiftRows and MixColumns in one lookup per byte), and a final round of
+    S-box lookups."""
+    _check_block(block)
+    te0, te1, te2, te3 = _TE
+    rk = schedule.enc_words
+    s0, s1, s2, s3 = _WORDS.unpack(block)
+    s0 ^= rk[0]
+    s1 ^= rk[1]
+    s2 ^= rk[2]
+    s3 ^= rk[3]
+    for k in range(4, 4 * NUM_ROUNDS, 4):
+        s0, s1, s2, s3 = (
+            te0[s0 >> 24] ^ te1[(s1 >> 16) & 0xFF] ^ te2[(s2 >> 8) & 0xFF] ^ te3[s3 & 0xFF] ^ rk[k],
+            te0[s1 >> 24] ^ te1[(s2 >> 16) & 0xFF] ^ te2[(s3 >> 8) & 0xFF] ^ te3[s0 & 0xFF] ^ rk[k + 1],
+            te0[s2 >> 24] ^ te1[(s3 >> 16) & 0xFF] ^ te2[(s0 >> 8) & 0xFF] ^ te3[s1 & 0xFF] ^ rk[k + 2],
+            te0[s3 >> 24] ^ te1[(s0 >> 16) & 0xFF] ^ te2[(s1 >> 8) & 0xFF] ^ te3[s2 & 0xFF] ^ rk[k + 3],
+        )
+    sb = SBOX
+    return _WORDS.pack(
+        ((sb[s0 >> 24] << 24) | (sb[(s1 >> 16) & 0xFF] << 16) | (sb[(s2 >> 8) & 0xFF] << 8) | sb[s3 & 0xFF]) ^ rk[40],
+        ((sb[s1 >> 24] << 24) | (sb[(s2 >> 16) & 0xFF] << 16) | (sb[(s3 >> 8) & 0xFF] << 8) | sb[s0 & 0xFF]) ^ rk[41],
+        ((sb[s2 >> 24] << 24) | (sb[(s3 >> 16) & 0xFF] << 16) | (sb[(s0 >> 8) & 0xFF] << 8) | sb[s1 & 0xFF]) ^ rk[42],
+        ((sb[s3 >> 24] << 24) | (sb[(s0 >> 16) & 0xFF] << 16) | (sb[(s1 >> 8) & 0xFF] << 8) | sb[s2 & 0xFF]) ^ rk[43],
+    )
 
 
 def decrypt_block(block: bytes, schedule: KeySchedule) -> bytes:
-    """Exact inverse of encrypt_block; round keys applied in reverse."""
-    s = state_from_block(block)
-    s = add_round_key(s, schedule.round_keys[NUM_ROUNDS])
-    s = inv_shift_rows(s)
-    s = inv_sub_bytes(s)
-    for r in range(NUM_ROUNDS - 1, 0, -1):
-        s = add_round_key(s, schedule.round_keys[r])
-        s = inv_mix_columns(s)
-        s = inv_shift_rows(s)
-        s = inv_sub_bytes(s)
-    s = add_round_key(s, schedule.round_keys[0])
-    return block_from_state(s)
+    """Exact inverse of encrypt_block, as the equivalent inverse cipher: the
+    same round shape with the inverse tables, rows shifted right, and the
+    schedule's decryption words."""
+    _check_block(block)
+    td0, td1, td2, td3 = _TD
+    dk = schedule.dec_words
+    s0, s1, s2, s3 = _WORDS.unpack(block)
+    s0 ^= dk[0]
+    s1 ^= dk[1]
+    s2 ^= dk[2]
+    s3 ^= dk[3]
+    for k in range(4, 4 * NUM_ROUNDS, 4):
+        s0, s1, s2, s3 = (
+            td0[s0 >> 24] ^ td1[(s3 >> 16) & 0xFF] ^ td2[(s2 >> 8) & 0xFF] ^ td3[s1 & 0xFF] ^ dk[k],
+            td0[s1 >> 24] ^ td1[(s0 >> 16) & 0xFF] ^ td2[(s3 >> 8) & 0xFF] ^ td3[s2 & 0xFF] ^ dk[k + 1],
+            td0[s2 >> 24] ^ td1[(s1 >> 16) & 0xFF] ^ td2[(s0 >> 8) & 0xFF] ^ td3[s3 & 0xFF] ^ dk[k + 2],
+            td0[s3 >> 24] ^ td1[(s2 >> 16) & 0xFF] ^ td2[(s1 >> 8) & 0xFF] ^ td3[s0 & 0xFF] ^ dk[k + 3],
+        )
+    ib = INV_SBOX
+    return _WORDS.pack(
+        ((ib[s0 >> 24] << 24) | (ib[(s3 >> 16) & 0xFF] << 16) | (ib[(s2 >> 8) & 0xFF] << 8) | ib[s1 & 0xFF]) ^ dk[40],
+        ((ib[s1 >> 24] << 24) | (ib[(s0 >> 16) & 0xFF] << 16) | (ib[(s3 >> 8) & 0xFF] << 8) | ib[s2 & 0xFF]) ^ dk[41],
+        ((ib[s2 >> 24] << 24) | (ib[(s1 >> 16) & 0xFF] << 16) | (ib[(s0 >> 8) & 0xFF] << 8) | ib[s3 & 0xFF]) ^ dk[42],
+        ((ib[s3 >> 24] << 24) | (ib[(s2 >> 16) & 0xFF] << 16) | (ib[(s1 >> 8) & 0xFF] << 8) | ib[s0 & 0xFF]) ^ dk[43],
+    )
 
 
-# flat index i = 4*c + r; shift_rows moves old index 4*((c+r)%4)+r there
-_SHIFT_ROWS_PERM = np.array(
-    [4 * (((i // 4) + (i % 4)) % 4) + (i % 4) for i in range(16)], dtype=np.intp
-)
-_XTIME_TABLE = np.array([xtime(x) for x in range(256)], dtype=np.uint8)
+# --- multi-lane kernel ---------------------------------------------------
+
+_LANES = None  # (numpy, encrypt constants, decrypt constants), built on first use
+
+
+def _lanes():
+    global _LANES
+    if _LANES is None:
+        import numpy as np
+
+        def direction(box, tables, shift):
+            # gathers the shifted state row by row: index 4*r + c reads row r
+            # of column (c + shift*r) % 4
+            perm = np.array(
+                [4 * ((c + shift * r) % 4) + r for r in range(4) for c in range(4)],
+                dtype=np.intp,
+            )
+            # memory order of each word is its big-endian bytes, rows 0..3
+            words = [np.array(t, dtype=">u4").view(np.uint32) for t in tables]
+            return np.array(box, dtype=np.uint8), perm, words
+
+        _LANES = (np, direction(SBOX, _TE, 1), direction(INV_SBOX, _TD, -1))
+    return _LANES
+
+
+def _ecb(data: bytes, words: tuple, backward: bool) -> bytes:
+    """The rounds of one direction on every block of `data` at once."""
+    if len(data) % BLOCK_SIZE != 0:
+        raise ValueError("data length must be a multiple of 16")
+    np, enc, dec = _lanes()
+    box, perm, (t0, t1, t2, t3) = dec if backward else enc
+    n = len(data) // BLOCK_SIZE
+    rk = np.array(words, dtype=">u4").view(np.uint8).reshape(NUM_ROUNDS + 1, BLOCK_SIZE)
+    s = np.frombuffer(data, dtype=np.uint8).reshape(n, BLOCK_SIZE) ^ rk[0]
+    for r in range(1, NUM_ROUNDS):
+        rows = s.take(perm, axis=1).reshape(n, 4, 4)
+        cols = t0[rows[:, 0]] ^ t1[rows[:, 1]] ^ t2[rows[:, 2]] ^ t3[rows[:, 3]]
+        s = cols.view(np.uint8).reshape(n, BLOCK_SIZE) ^ rk[r]
+    last = box[s.take(perm, axis=1)].reshape(n, 4, 4).transpose(0, 2, 1)
+    return (last.reshape(n, BLOCK_SIZE) ^ rk[NUM_ROUNDS]).tobytes()
 
 
 def encrypt_ecb(data: bytes, schedule: KeySchedule) -> bytes:
-    """Encrypt a block-aligned buffer in ECB, vectorised across blocks.
+    """Encrypt a block-aligned buffer in ECB, all blocks in lockstep;
+    bit-identical to mapping encrypt_block over it."""
+    return _ecb(data, schedule.enc_words, backward=False)
 
-    Used by the throughput self-test; bit-identical to mapping
-    encrypt_block over each block (asserted in tests).
-    """
-    if len(data) % BLOCK_SIZE != 0:
-        raise ValueError("data length must be a multiple of 16")
-    n = len(data) // BLOCK_SIZE
-    sbox = np.array(SBOX, dtype=np.uint8)
-    rks = [np.frombuffer(rk, dtype=np.uint8) for rk in schedule.round_keys]
-    s = np.frombuffer(data, dtype=np.uint8).reshape(n, BLOCK_SIZE) ^ rks[0]
-    for r in range(1, NUM_ROUNDS):
-        s = sbox[s][:, _SHIFT_ROWS_PERM]
-        cols = s.reshape(n, 4, 4)
-        t = cols[:, :, 0] ^ cols[:, :, 1] ^ cols[:, :, 2] ^ cols[:, :, 3]
-        mixed = np.empty_like(cols)
-        for i in range(4):
-            mixed[:, :, i] = (
-                cols[:, :, i]
-                ^ t
-                ^ _XTIME_TABLE[cols[:, :, i] ^ cols[:, :, (i + 1) % 4]]
-            )
-        s = mixed.reshape(n, BLOCK_SIZE) ^ rks[r]
-    s = sbox[s][:, _SHIFT_ROWS_PERM] ^ rks[NUM_ROUNDS]
-    return s.tobytes()
+
+def decrypt_ecb(data: bytes, schedule: KeySchedule) -> bytes:
+    """Decrypt a block-aligned buffer in ECB, all blocks in lockstep;
+    bit-identical to mapping decrypt_block over it."""
+    return _ecb(data, schedule.dec_words, backward=True)

@@ -8,7 +8,7 @@ never collide with each other.
 
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import aes_core
 from .crypto_codec import cbc_mac, pad
@@ -25,16 +25,27 @@ _MAC_CONST = bytes([0x02]) * 16
 @dataclass(frozen=True)
 class MasterKey:
     key: bytes
+    schedule: aes_core.KeySchedule = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.key) != aes_core.KEY_SIZE:
             raise MalformedKey("master key must be exactly 16 bytes")
+        object.__setattr__(self, "schedule", aes_core.expand_key(self.key))
 
 
 @dataclass(frozen=True)
 class TenantKeySet:
+    """A tenant's two keys, each expanded once, here, for every value the
+    codec encrypts or decrypts under them."""
+
     enc_key: bytes
     mac_key: bytes
+    enc_schedule: aes_core.KeySchedule = field(init=False, repr=False, compare=False)
+    mac_schedule: aes_core.KeySchedule = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "enc_schedule", aes_core.expand_key(self.enc_key))
+        object.__setattr__(self, "mac_schedule", aes_core.expand_key(self.mac_key))
 
 
 def validate_tenant_id(tenant_id: str) -> str:
@@ -71,8 +82,7 @@ def load_master_key(key_file: str = None, env_var: str = MASTER_KEY_ENV) -> Mast
 def derive_tenant_keys(master: MasterKey, tenant_id: str) -> TenantKeySet:
     """Deterministically derive the per-tenant encryption and MAC keys."""
     validate_tenant_id(tenant_id)
-    master_schedule = aes_core.expand_key(master.key)
-    root = cbc_mac(pad(tenant_id.encode("utf-8")), master_schedule)
+    root = cbc_mac(pad(tenant_id.encode("utf-8")), master.schedule)
     root_schedule = aes_core.expand_key(root)
     return TenantKeySet(
         enc_key=aes_core.encrypt_block(_ENC_CONST, root_schedule),

@@ -1,8 +1,8 @@
 """Known-answer and sanity self-test suite, exposed via `cmt selftest`.
 
 Needs no store and no master key. Covers the published AES-128 vectors,
-S-box structure, codec round trips, and a loose throughput bound on bulk
-block encryption.
+S-box structure, codec round trips, and a loose throughput bound on the
+multi-lane kernel that CBC-decrypts stored values.
 """
 
 import os
@@ -65,16 +65,16 @@ def _check_codec_round_trip() -> bool:
 
 def _check_throughput(report) -> bool:
     ks = aes_core.expand_key(os.urandom(16))
-    # bulk path must agree with the scalar cipher before we trust its speed
+    # the kernel must agree with the scalar cipher before we trust its speed
     sample = os.urandom(16 * 32)
     scalar = b"".join(
-        aes_core.encrypt_block(sample[i : i + 16], ks) for i in range(0, len(sample), 16)
+        aes_core.decrypt_block(sample[i : i + 16], ks) for i in range(0, len(sample), 16)
     )
-    if aes_core.encrypt_ecb(sample, ks) != scalar:
+    if aes_core.decrypt_ecb(sample, ks) != scalar:
         return False
     buf = os.urandom(THROUGHPUT_BUFFER_BYTES)
     start = time.perf_counter()
-    aes_core.encrypt_ecb(buf, ks)
+    aes_core.decrypt_ecb(buf, ks)
     elapsed = time.perf_counter() - start
     mbps = THROUGHPUT_BUFFER_BYTES / (1024 * 1024) / elapsed
     report(f"  throughput: {mbps:.1f} MB/s over {THROUGHPUT_BUFFER_BYTES // (1024 * 1024)} MB")

@@ -5,7 +5,8 @@ clear for addressing; every field value is encrypted under the owning
 tenant's derived keys before it touches disk. Persistence is an
 append-only JSON-lines log replayed in full on open; each mutation is
 flushed and fsynced before the call returns. A trailing torn line (crash
-mid-write) is truncated on open with a warning.
+mid-write) is truncated on open with a warning, once the opener holds the
+store's lock.
 
 File format (UTF-8, newline-delimited):
   line 1: {"v":1,"table":"<name>","fields":["f1",...]}
@@ -73,12 +74,29 @@ class Record:
     fields: Dict[str, str]
 
 
+def _lock(path: str):
+    """Take the advisory flock on <path>.lock; the returned file holds it."""
+    lock_fh = open(path + ".lock", "a")
+    try:
+        fcntl.flock(lock_fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except OSError:
+        lock_fh.close()
+        raise StoreLocked(f"store is locked by another process: {path}") from None
+    return lock_fh
+
+
+def _unlock(lock_fh) -> None:
+    fcntl.flock(lock_fh, fcntl.LOCK_UN)
+    lock_fh.close()
+
+
 class Store:
     """Handle over one store file. Single writer per process; mutations
     serialize through an internal lock. One process per file, enforced by
-    an advisory flock on <path>.lock."""
+    an advisory flock on <path>.lock, which the handle takes over from
+    `create_store`/`open_store` and releases on close."""
 
-    def __init__(self, path: str, schema: TableSchema, master: Optional[MasterKey]):
+    def __init__(self, path: str, schema: TableSchema, master: Optional[MasterKey], lock_fh):
         self.path = path
         self.schema = schema
         self._master = master
@@ -86,20 +104,14 @@ class Store:
         self._max_row_id = 0
         self._mutex = threading.Lock()
         self._key_cache: Dict[str, TenantKeySet] = {}
-        self._lock_fh = open(path + ".lock", "a")
-        try:
-            fcntl.flock(self._lock_fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except OSError:
-            self._lock_fh.close()
-            raise StoreLocked(f"store is locked by another process: {path}") from None
         self._fh = open(path, "a", encoding="utf-8")
+        self._lock_fh = lock_fh
 
     # -- lifecycle -----------------------------------------------------
 
     def close(self) -> None:
         self._fh.close()
-        fcntl.flock(self._lock_fh, fcntl.LOCK_UN)
-        self._lock_fh.close()
+        _unlock(self._lock_fh)
 
     def __enter__(self) -> "Store":
         return self
@@ -116,24 +128,24 @@ class Store:
             self._key_cache[tenant] = derive_tenant_keys(self._master, tenant)
         return self._key_cache[tenant]
 
-    def _append_event(self, event: dict) -> None:
-        line = json.dumps(event, separators=(",", ":"))
-        self._fh.write(line + "\n")
+    def _commit(self, op: str, tenant: str, row_id: int, fields=None) -> None:
+        """Append one event, fsync it, then apply it to the live rows."""
+        event = {"op": op, "t": tenant, "r": row_id, "ts": int(time.time())}
+        if fields is not None:
+            event["f"] = {
+                name: base64.b64encode(cv.to_bytes()).decode("ascii")
+                for name, cv in fields.items()
+            }
+        self._fh.write(json.dumps(event, separators=(",", ":")) + "\n")
         self._fh.flush()
         os.fsync(self._fh.fileno())
+        self._apply(op, tenant, row_id, fields)
 
-    def _apply(self, event: dict) -> None:
-        op, tenant, row_id = event["op"], event["t"], event["r"]
-        if op in ("ins", "upd"):
-            fields = {
-                name: CipherValue.from_bytes(base64.b64decode(b64))
-                for name, b64 in event["f"].items()
-            }
-            self._live[row_id] = (tenant, fields)
-        elif op == "del":
+    def _apply(self, op: str, tenant: str, row_id: int, fields) -> None:
+        if op == "del":
             self._live.pop(row_id, None)
         else:
-            raise CorruptLog(f"unknown op {op!r}")
+            self._live[row_id] = (tenant, fields)
         self._max_row_id = max(self._max_row_id, row_id)
 
     def _live_row(self, tenant: str, row_id: int) -> Dict[str, CipherValue]:
@@ -146,16 +158,14 @@ class Store:
             raise IsolationDenied(f"row {row_id} belongs to another tenant")
         return fields
 
-    def _encrypt_fields(self, tenant: str, values: Dict[str, str]) -> Dict[str, str]:
+    def _encrypt_fields(self, tenant: str, values: Dict[str, str]) -> Dict[str, CipherValue]:
         if set(values) != set(self.schema.field_names):
             missing = set(self.schema.field_names) - set(values)
             extra = set(values) - set(self.schema.field_names)
             raise SchemaMismatch(f"missing={sorted(missing)} extra={sorted(extra)}")
         keys = self._keys_for(tenant)
         return {
-            name: base64.b64encode(
-                encrypt_value(values[name].encode("utf-8"), keys).to_bytes()
-            ).decode("ascii")
+            name: encrypt_value(values[name].encode("utf-8"), keys)
             for name in self.schema.field_names
         }
 
@@ -166,15 +176,7 @@ class Store:
         with self._mutex:
             encrypted = self._encrypt_fields(tenant, values)
             row_id = self._max_row_id + 1
-            event = {
-                "op": "ins",
-                "t": tenant,
-                "r": row_id,
-                "ts": int(time.time()),
-                "f": encrypted,
-            }
-            self._append_event(event)
-            self._apply(event)
+            self._commit("ins", tenant, row_id, encrypted)
         return row_id
 
     def get(self, tenant: str, row_id: int) -> Record:
@@ -198,22 +200,12 @@ class Store:
     def update(self, tenant: str, row_id: int, values: Dict[str, str]) -> None:
         with self._mutex:
             self._live_row(tenant, row_id)
-            event = {
-                "op": "upd",
-                "t": tenant,
-                "r": row_id,
-                "ts": int(time.time()),
-                "f": self._encrypt_fields(tenant, values),
-            }
-            self._append_event(event)
-            self._apply(event)
+            self._commit("upd", tenant, row_id, self._encrypt_fields(tenant, values))
 
     def delete(self, tenant: str, row_id: int) -> None:
         with self._mutex:
             self._live_row(tenant, row_id)
-            event = {"op": "del", "t": tenant, "r": row_id, "ts": int(time.time())}
-            self._append_event(event)
-            self._apply(event)
+            self._commit("del", tenant, row_id)
 
 
 def create_store(path: str, schema: TableSchema, master: Optional[MasterKey] = None) -> Store:
@@ -228,12 +220,47 @@ def create_store(path: str, schema: TableSchema, master: Optional[MasterKey] = N
         fh.write(json.dumps(header, separators=(",", ":")) + "\n")
         fh.flush()
         os.fsync(fh.fileno())
-    return Store(path, schema, master)
+    return Store(path, schema, master, _lock(path))
+
+
+def _decode_event(event) -> tuple:
+    """(op, tenant, row_id, fields) of one parsed log line, fields None for
+    a delete. A malformed line raises ValueError or TypeError."""
+    if not isinstance(event, dict):
+        raise ValueError("event is not a JSON object")
+    op, tenant, row_id = event.get("op"), event.get("t"), event.get("r")
+    if op not in ("ins", "upd", "del"):
+        raise ValueError(f"unknown op {op!r}")
+    if not isinstance(tenant, str):
+        raise ValueError('"t" must be a string')
+    if type(row_id) is not int or row_id < 1:
+        raise ValueError('"r" must be a positive integer')
+    if op == "del":
+        return op, tenant, row_id, None
+    encoded = event.get("f")
+    if not isinstance(encoded, dict):
+        raise ValueError('"f" must map field names to base64 strings')
+    # b64decode raises TypeError for a value that is not a string
+    fields = {
+        name: CipherValue.from_bytes(base64.b64decode(b64, validate=True))
+        for name, b64 in encoded.items()
+    }
+    return op, tenant, row_id, fields
 
 
 def open_store(path: str, master: Optional[MasterKey] = None) -> Store:
     with open(path, "rb") as fh:
-        raw = fh.read()
+        # lock before reading: a live writer's half-written line is not torn
+        lock_fh = _lock(path)
+        try:
+            store = _load(path, fh.read(), master, lock_fh)
+        except BaseException:
+            _unlock(lock_fh)
+            raise
+    return store
+
+
+def _load(path: str, raw: bytes, master: Optional[MasterKey], lock_fh) -> Store:
     lines = raw.split(b"\n")
     if not lines or not lines[0]:
         raise CorruptHeader(f"empty store file: {path}")
@@ -249,18 +276,18 @@ def open_store(path: str, master: Optional[MasterKey] = None) -> Store:
     # a trailing chunk without its newline is a torn write: drop it
     complete, torn = lines[1:-1], lines[-1]
     events = []
-    for i, line in enumerate(complete):
+    for number, line in enumerate(complete, start=2):
         try:
-            events.append(json.loads(line.decode("utf-8")))
-        except ValueError:
-            raise CorruptLog(f"corrupt event at line {i + 2} of {path}") from None
+            events.append(_decode_event(json.loads(line.decode("utf-8"))))
+        except (ValueError, TypeError) as exc:
+            raise CorruptLog(f"corrupt event at line {number} of {path}: {exc}") from None
     if torn:
         logger.warning("truncating torn trailing write in %s (%d bytes)", path, len(torn))
         keep = len(raw) - len(torn)
         with open(path, "r+b") as fh:
             fh.truncate(keep)
 
-    store = Store(path, schema, master)
+    store = Store(path, schema, master, lock_fh)
     for event in events:
-        store._apply(event)
+        store._apply(*event)
     return store

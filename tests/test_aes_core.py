@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the implementation's own code paths:
 GF(2^8) multiplication is done with plain integer polynomial arithmetic,
 the S-box is rebuilt from a brute-force inverse search, and block
-encryption is cross-checked against the `cryptography` library.
+encryption is cross-checked against the `cryptography` library. The round
+transforms are tested in `aes_reference`, the step-by-step cipher that the
+table-driven one in `aes_core` is then checked against.
 """
 
 import os
@@ -11,6 +13,7 @@ import os
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
+import aes_reference
 from cmt import aes_core
 
 
@@ -50,6 +53,11 @@ def sbox_oracle(a: int) -> int:
 def aes_library_encrypt(key: bytes, block: bytes) -> bytes:
     enc = Cipher(algorithms.AES(key), modes.ECB()).encryptor()
     return enc.update(block) + enc.finalize()
+
+
+def aes_library_decrypt(key: bytes, block: bytes) -> bytes:
+    dec = Cipher(algorithms.AES(key), modes.ECB()).decryptor()
+    return dec.update(block) + dec.finalize()
 
 
 # --- GF(2^8) -------------------------------------------------------------
@@ -100,13 +108,13 @@ def test_sbox_spot_values():
 
 
 def test_sub_bytes_all_zero_state():
-    assert aes_core.sub_bytes([0] * 16) == [0x63] * 16
+    assert aes_reference.sub_bytes([0] * 16) == [0x63] * 16
 
 
 def test_sub_bytes_round_trip_random():
     for _ in range(100):
         s = list(os.urandom(16))
-        assert aes_core.inv_sub_bytes(aes_core.sub_bytes(s)) == s
+        assert aes_reference.inv_sub_bytes(aes_reference.sub_bytes(s)) == s
 
 
 # --- ShiftRows -----------------------------------------------------------
@@ -114,12 +122,12 @@ def test_sub_bytes_round_trip_random():
 def test_shift_rows_constant_rows_fixed_point():
     # state with every row constant: flat index 4c+r -> value r
     s = [i % 4 for i in range(16)]
-    assert aes_core.shift_rows(s) == s
+    assert aes_reference.shift_rows(s) == s
 
 
 def test_shift_rows_row_rotations():
     s = list(range(16))
-    out = aes_core.shift_rows(s)
+    out = aes_reference.shift_rows(s)
     row1 = [out[4 * c + 1] for c in range(4)]
     row3 = [out[4 * c + 3] for c in range(4)]
     assert row1 == [5, 9, 13, 1]  # [a,b,c,d] -> [b,c,d,a]
@@ -130,7 +138,7 @@ def test_shift_rows_row_rotations():
 def test_shift_rows_round_trip_random():
     for _ in range(100):
         s = list(os.urandom(16))
-        assert aes_core.inv_shift_rows(aes_core.shift_rows(s)) == s
+        assert aes_reference.inv_shift_rows(aes_reference.shift_rows(s)) == s
 
 
 # --- MixColumns ----------------------------------------------------------
@@ -156,7 +164,7 @@ def test_mix_columns_worked_column():
     # frozen from mix_column_oracle; also the standard's worked example
     assert mix_column_oracle([0xDB, 0x13, 0x53, 0x45]) == [0x8E, 0x4D, 0xA1, 0xBC]
     s = [0xDB, 0x13, 0x53, 0x45] + [0] * 12
-    assert aes_core.mix_columns(s)[:4] == [0x8E, 0x4D, 0xA1, 0xBC]
+    assert aes_reference.mix_columns(s)[:4] == [0x8E, 0x4D, 0xA1, 0xBC]
 
 
 def test_mix_columns_matches_oracle_random():
@@ -165,36 +173,36 @@ def test_mix_columns_matches_oracle_random():
         expected = []
         for c in range(4):
             expected += mix_column_oracle(s[4 * c : 4 * c + 4])
-        assert aes_core.mix_columns(s) == expected
+        assert aes_reference.mix_columns(s) == expected
 
 
 def test_mix_columns_is_linear():
     for _ in range(100):
         a, b = list(os.urandom(16)), list(os.urandom(16))
         xored = [x ^ y for x, y in zip(a, b)]
-        lhs = aes_core.mix_columns(xored)
-        rhs = [x ^ y for x, y in zip(aes_core.mix_columns(a), aes_core.mix_columns(b))]
+        lhs = aes_reference.mix_columns(xored)
+        rhs = [x ^ y for x, y in zip(aes_reference.mix_columns(a), aes_reference.mix_columns(b))]
         assert lhs == rhs
 
 
 def test_mix_columns_zero_column():
-    assert aes_core.mix_columns([0] * 16) == [0] * 16
+    assert aes_reference.mix_columns([0] * 16) == [0] * 16
 
 
 def test_mix_columns_round_trip_random():
     for _ in range(100):
         s = list(os.urandom(16))
-        assert aes_core.inv_mix_columns(aes_core.mix_columns(s)) == s
+        assert aes_reference.inv_mix_columns(aes_reference.mix_columns(s)) == s
 
 
 # --- AddRoundKey ---------------------------------------------------------
 
 def test_add_round_key_identity_and_involution():
     s = list(os.urandom(16))
-    assert aes_core.add_round_key(s, bytes(16)) == s
+    assert aes_reference.add_round_key(s, bytes(16)) == s
     rk = os.urandom(16)
-    assert aes_core.add_round_key(aes_core.add_round_key(s, rk), rk) == s
-    assert aes_core.add_round_key([0xFF] * 16, b"\xff" * 16) == [0] * 16
+    assert aes_reference.add_round_key(aes_reference.add_round_key(s, rk), rk) == s
+    assert aes_reference.add_round_key([0xFF] * 16, b"\xff" * 16) == [0] * 16
 
 
 # --- key expansion -------------------------------------------------------
@@ -253,6 +261,34 @@ def test_encrypt_block_matches_library_reference():
         assert aes_core.encrypt_block(block, ks) == aes_library_encrypt(key, block)
 
 
+def test_reference_cipher_matches_library():
+    for _ in range(50):
+        key, block = os.urandom(16), os.urandom(16)
+        round_keys = aes_core.expand_key(key).round_keys
+        ct = aes_library_encrypt(key, block)
+        assert aes_reference.encrypt_block(block, round_keys) == ct
+        assert aes_reference.decrypt_block(ct, round_keys) == block
+
+
+def test_table_cipher_matches_reference_and_library():
+    for _ in range(200):
+        key, block = os.urandom(16), os.urandom(16)
+        ks = aes_core.expand_key(key)
+        expected_ct = aes_reference.encrypt_block(block, ks.round_keys)
+        assert aes_core.encrypt_block(block, ks) == expected_ct
+        assert aes_core.decrypt_block(block, ks) == aes_reference.decrypt_block(block, ks.round_keys)
+        assert aes_core.decrypt_block(block, ks) == aes_library_decrypt(key, block)
+
+
+def test_block_functions_reject_bad_length():
+    ks = aes_core.expand_key(os.urandom(16))
+    for bad in (b"", os.urandom(15), os.urandom(17)):
+        with pytest.raises(ValueError):
+            aes_core.encrypt_block(bad, ks)
+        with pytest.raises(ValueError):
+            aes_core.decrypt_block(bad, ks)
+
+
 def test_block_round_trip_random():
     for _ in range(500):
         key, block = os.urandom(16), os.urandom(16)
@@ -273,7 +309,20 @@ def test_encrypt_ecb_matches_scalar():
     assert aes_core.encrypt_ecb(data, ks) == scalar
 
 
+def test_decrypt_ecb_matches_scalar():
+    ks = aes_core.expand_key(os.urandom(16))
+    for blocks in (1, 2, 7, 100):
+        data = os.urandom(16 * blocks)
+        scalar = b"".join(
+            aes_core.decrypt_block(data[i : i + 16], ks) for i in range(0, len(data), 16)
+        )
+        assert aes_core.decrypt_ecb(data, ks) == scalar
+        assert aes_core.encrypt_ecb(aes_core.decrypt_ecb(data, ks), ks) == data
+
+
 def test_encrypt_ecb_rejects_misaligned():
     ks = aes_core.expand_key(os.urandom(16))
     with pytest.raises(ValueError):
         aes_core.encrypt_ecb(b"123", ks)
+    with pytest.raises(ValueError):
+        aes_core.decrypt_ecb(b"123", ks)

@@ -1,5 +1,6 @@
 """CLI tests: the Student Entry flow, exit-code contract, stream discipline."""
 
+import os
 import subprocess
 import sys
 
@@ -135,6 +136,46 @@ def test_invalid_tenant_exit_2(store_path):
     assert main(["--store", store_path, "--tenant", "BAD ID", "list"]) == 2
 
 
+def test_non_utf8_value_exit_2(store_path):
+    # a raw 0xff byte in argv, as a shell passes $'name=\xff'
+    result = run_cmt([
+        "--store", store_path, "--tenant", "uni_a", "insert",
+        b"--set", b"name=\xff", "--set", "contact=C", "--set", "department=D",
+    ])
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert "UTF-8" in result.stderr
+
+
+def test_malformed_event_exit_3(store_path):
+    main(insert_args(store_path, "uni_a"))
+    with open(store_path, "a", encoding="utf-8") as fh:
+        fh.write('{"op":"ins","t":"x","ts":1,"f":{}}\n')
+    result = run_cmt(["--store", store_path, "--tenant", "uni_a", "get", "--row", "1"])
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert "line 3" in result.stderr
+
+
+def test_short_values_never_load_numpy(tmp_path):
+    # numpy is imported on the first use of the multi-lane kernel only
+    script = (
+        "import sys\n"
+        "from cmt.cli import main\n"
+        f"path = {str(tmp_path / 's.cmt')!r}\n"
+        f"main(['--store', path, 'init', '--table', 't', '--fields', {FIELDS!r}])\n"
+        "main(['--store', path, '--tenant', 'uni_a', 'insert', '--set', 'name=Asha',"
+        " '--set', 'contact=98765', '--set', 'department=cs'])\n"
+        "main(['--store', path, '--tenant', 'uni_a', 'get', '--row', '1'])\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, **{MASTER_KEY_ENV: HEX_KEY})
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"
+
+
 def test_bad_subcommand_exit_2(capsys):
     assert main(["frobnicate"]) == 2
 
@@ -179,11 +220,19 @@ def test_selftest_fails_on_corrupted_sbox(monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_selftest_times_only_a_kernel_that_matches_the_scalar_cipher(monkeypatch, capsys):
+    from cmt import aes_core
+
+    monkeypatch.setattr(aes_core, "decrypt_ecb", lambda data, schedule: bytes(len(data)))
+    assert main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL block-throughput" in out
+    assert "throughput:" not in out
+
+
 # --- restart durability (real separate processes) ------------------------------
 
 def run_cmt(args, env_key=HEX_KEY):
-    import os
-
     env = dict(os.environ)
     env[MASTER_KEY_ENV] = env_key
     return subprocess.run(

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cmt import aes_core
 from cmt.crypto_codec import (
+    LANE_MIN_BLOCKS,
     CipherValue,
     cbc_decrypt,
     cbc_encrypt,
@@ -71,6 +72,27 @@ def test_cbc_matches_library():
     expected = enc.update(data) + enc.finalize()
     assert cbc_encrypt(data, ks, iv) == expected
     assert cbc_decrypt(expected, ks, iv) == data
+
+
+@pytest.mark.parametrize("blocks", [1, LANE_MIN_BLOCKS - 1, LANE_MIN_BLOCKS, 257])
+def test_cbc_decrypt_matches_library_on_both_paths(blocks):
+    # below LANE_MIN_BLOCKS the per-block chain runs, from it the lane kernel
+    key, iv = os.urandom(16), os.urandom(16)
+    data = os.urandom(16 * blocks)
+    enc = Cipher(algorithms.AES(key), modes.CBC(iv)).encryptor()
+    ct = enc.update(data) + enc.finalize()
+    assert cbc_decrypt(ct, aes_core.expand_key(key), iv) == data
+
+
+def test_codec_uses_the_cached_key_schedules(monkeypatch):
+    keys = random_keys()
+    calls = []
+    expand_key = aes_core.expand_key
+    monkeypatch.setattr(aes_core, "expand_key", lambda key: calls.append(key) or expand_key(key))
+    for n in (0, 20, 16 * LANE_MIN_BLOCKS, 2500):
+        p = os.urandom(n)
+        assert decrypt_value(encrypt_value(p, keys), keys) == p
+    assert calls == []
 
 
 def test_cbc_mac_is_last_cbc_block():

@@ -10,6 +10,7 @@ from cmt.errors import (
     AlreadyExists,
     AuthError,
     CorruptHeader,
+    CorruptLog,
     InvalidSchema,
     IsolationDenied,
     MissingKey,
@@ -91,6 +92,56 @@ def test_advisory_lock_blocks_second_handle(tmp_path):
             open_store(path, MASTER)
     # released on close
     open_store(path, MASTER).close()
+
+
+def test_locked_open_leaves_a_live_writers_tail_alone(tmp_path):
+    path = str(tmp_path / "s.cmt")
+    with create_store(path, SCHEMA, MASTER) as s:
+        s.insert("uni_a", row())
+        # the live writer is part-way through its next append
+        with open(path, "ab") as fh:
+            fh.write(b'{"op":"ins","t":"uni_a","r":2,')
+        with open(path, "rb") as fh:
+            before = fh.read()
+        with pytest.raises(StoreLocked):
+            open_store(path, MASTER)
+        with open(path, "rb") as fh:
+            assert fh.read() == before
+    # the lock was released by the failed open too: the tail is torn now
+    with open_store(path, MASTER) as s:
+        assert [r.row_id for r in s.list("uni_a")] == [1]
+
+
+@pytest.mark.parametrize(
+    "event",
+    [
+        '{"op":"ins","t":"x","ts":1,"f":{}}',  # no "r"
+        '{"t":"x","r":5,"ts":1}',  # no "op"
+        '{"op":"drop","t":"x","r":5,"ts":1}',
+        '{"op":"del","r":5,"ts":1}',  # no "t"
+        '{"op":"del","t":7,"r":5,"ts":1}',
+        '{"op":"del","t":"x","r":"5","ts":1}',
+        '{"op":"del","t":"x","r":true,"ts":1}',
+        '{"op":"del","t":"x","r":2.5,"ts":1}',
+        '{"op":"ins","t":"x","r":5,"ts":1}',  # no "f"
+        '{"op":"upd","t":"x","r":5,"ts":1,"f":["a"]}',
+        '{"op":"ins","t":"x","r":5,"ts":1,"f":{"name":7}}',
+        '{"op":"ins","t":"x","r":5,"ts":1,"f":{"name":"not base64!"}}',
+        '{"op":"ins","t":"x","r":5,"ts":1,"f":{"name":"AAAA"}}',  # too short a value
+        "[1,2]",
+    ],
+)
+def test_malformed_event_is_corrupt_log_with_line_number(tmp_path, event):
+    path = str(tmp_path / "s.cmt")
+    with create_store(path, SCHEMA, MASTER) as s:
+        s.insert("uni_a", row())
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(event + "\n")
+    with pytest.raises(CorruptLog, match="line 3 "):
+        open_store(path, MASTER)
+    # the failed open released the lock
+    with pytest.raises(CorruptLog):
+        open_store(path, MASTER)
 
 
 # --- CRUD -------------------------------------------------------------------
