@@ -3,11 +3,12 @@
 No crypto libraries: GF(2^8) arithmetic, a computed S-box, Rijndael key
 expansion, and one cipher core in two shapes that share a key schedule:
 
-- `encrypt_block`/`decrypt_block` take one 16-byte block and run the rounds
-  on four 32-bit column words, each round four T-table lookups per column
-  (Daemen & Rijmen, *The Design of Rijndael*, section 4.2). Decryption is
-  the equivalent inverse cipher, so it has the same shape as encryption
-  with its own tables and pre-mixed round keys.
+- `encrypt_block`/`decrypt_block` take one 16-byte block and run one round
+  function on four 32-bit column words, each round four T-table lookups
+  per column (Daemen & Rijmen, *The Design of Rijndael*, section 4.2).
+  Decryption is the equivalent inverse cipher (FIPS-197 section 5.3.5):
+  with the state's columns 1 and 3 exchanged it is the encryption round
+  code with the inverse tables and pre-mixed round keys.
 - `encrypt_ecb`/`decrypt_ecb` run the same rounds on an (n, 16) numpy array
   of states, all lanes in lockstep. numpy is imported on their first call,
   so a program that never takes this path never loads it.
@@ -29,21 +30,15 @@ NUM_ROUNDS = 10
 _POLY = 0x11B
 
 
-def xtime(a: int) -> int:
-    """Multiply by x (0x02) in GF(2^8)."""
-    a <<= 1
-    if a & 0x100:
-        a ^= _POLY
-    return a & 0xFF
-
-
 def gf_mul(a: int, b: int) -> int:
     """Multiply two field elements, shift-and-reduce."""
     result = 0
     while b:
         if b & 1:
             result ^= a
-        a = xtime(a)
+        a <<= 1
+        if a & 0x100:
+            a ^= _POLY
         b >>= 1
     return result
 
@@ -97,15 +92,11 @@ if sorted(SBOX) != list(range(256)):
 
 RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36]
 
-# First column of the MixColumns and InvMixColumns matrices: what a byte in
-# row 0 contributes to rows 0..3 of its output column.
-_ENC_MIX = (0x02, 0x01, 0x01, 0x03)
-_DEC_MIX = (0x0E, 0x09, 0x0D, 0x0B)
-
 
 def _round_tables(box: List[int], mix: tuple) -> tuple:
     """T0..T3: byte x in row r -> the column word box[x] contributes after
-    the mix. Row r's table is row 0's rotated right by 8r bits."""
+    the mix, whose matrix has `mix` as its first column (what a byte in row 0
+    gives rows 0..3). Row r's table is row 0's rotated right by 8r bits."""
     t0 = [
         (gf_mul(s, mix[0]) << 24) | (gf_mul(s, mix[1]) << 16)
         | (gf_mul(s, mix[2]) << 8) | gf_mul(s, mix[3])
@@ -117,8 +108,8 @@ def _round_tables(box: List[int], mix: tuple) -> tuple:
     return tuple(tables)
 
 
-_TE = _round_tables(SBOX, _ENC_MIX)
-_TD = _round_tables(INV_SBOX, _DEC_MIX)
+_TE = _round_tables(SBOX, (0x02, 0x01, 0x01, 0x03))  # MixColumns
+_TD = _round_tables(INV_SBOX, (0x0E, 0x09, 0x0D, 0x0B))  # InvMixColumns
 
 _WORDS = struct.Struct(">4I")
 
@@ -127,15 +118,14 @@ _WORDS = struct.Struct(">4I")
 class KeySchedule:
     """An AES-128 key expanded once for both directions.
 
-    `enc_words` are the 44 words of the key expansion; `dec_words` are the
+    `enc_words` are the 44 words of the key expansion. `dec_words` are the
     44 round-key words of the equivalent inverse cipher, in the order
-    decryption uses them, with InvMixColumns applied to rounds 1..9;
-    `round_keys` are the encryption round keys as 11 blocks of 16 bytes.
+    decryption uses them, with InvMixColumns applied to rounds 1..9 and
+    words 1 and 3 of every round exchanged (see `decrypt_block`).
     """
 
     enc_words: tuple
     dec_words: tuple
-    round_keys: tuple
 
 
 def _sub_rot_word(w: int) -> int:
@@ -155,9 +145,14 @@ def _inv_mix_word(w: int) -> int:
     )
 
 
+def _swap_columns(words) -> tuple:
+    """Exchange words 1 and 3 of every round key; its own inverse."""
+    return tuple(words[i ^ 2 if i & 1 else i] for i in range(len(words)))
+
+
 def expand_key(key: bytes) -> KeySchedule:
-    """Rijndael key expansion: 16-byte key -> 44 words -> 11 round keys,
-    plus the decryption words of the equivalent inverse cipher."""
+    """Rijndael key expansion: 16-byte key -> 44 words, plus the decryption
+    words of the equivalent inverse cipher."""
     if len(key) != KEY_SIZE:
         raise ValueError(f"key must be {KEY_SIZE} bytes, got {len(key)}")
     w = list(_WORDS.unpack(key))
@@ -170,70 +165,53 @@ def expand_key(key: bytes) -> KeySchedule:
     for r in range(NUM_ROUNDS - 1, 0, -1):
         dec += [_inv_mix_word(x) for x in w[4 * r : 4 * r + 4]]
     dec += w[0:4]
-    raw = struct.pack(">44I", *w)
-    round_keys = tuple(raw[16 * r : 16 * r + 16] for r in range(NUM_ROUNDS + 1))
-    return KeySchedule(tuple(w), tuple(dec), round_keys)
+    return KeySchedule(tuple(w), _swap_columns(dec))
 
 
-def _check_block(block: bytes) -> None:
+def _columns(block: bytes) -> tuple:
     if len(block) != BLOCK_SIZE:
         raise ValueError(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
+    return _WORDS.unpack(block)
 
 
-def encrypt_block(block: bytes, schedule: KeySchedule) -> bytes:
-    """Encrypt one 16-byte block: initial key add, 9 T-table rounds (SubBytes,
-    ShiftRows and MixColumns in one lookup per byte), and a final round of
-    S-box lookups."""
-    _check_block(block)
-    te0, te1, te2, te3 = _TE
-    rk = schedule.enc_words
-    s0, s1, s2, s3 = _WORDS.unpack(block)
+def _rounds(s0: int, s1: int, s2: int, s3: int, rk: tuple, tables: tuple, box: List[int]) -> tuple:
+    """Initial key add, 9 T-table rounds (SubBytes, ShiftRows and MixColumns
+    in one lookup per byte) and a final round of S-box lookups on four
+    column words; column c reads row r from column (c + r) % 4."""
+    t0, t1, t2, t3 = tables
     s0 ^= rk[0]
     s1 ^= rk[1]
     s2 ^= rk[2]
     s3 ^= rk[3]
     for k in range(4, 4 * NUM_ROUNDS, 4):
         s0, s1, s2, s3 = (
-            te0[s0 >> 24] ^ te1[(s1 >> 16) & 0xFF] ^ te2[(s2 >> 8) & 0xFF] ^ te3[s3 & 0xFF] ^ rk[k],
-            te0[s1 >> 24] ^ te1[(s2 >> 16) & 0xFF] ^ te2[(s3 >> 8) & 0xFF] ^ te3[s0 & 0xFF] ^ rk[k + 1],
-            te0[s2 >> 24] ^ te1[(s3 >> 16) & 0xFF] ^ te2[(s0 >> 8) & 0xFF] ^ te3[s1 & 0xFF] ^ rk[k + 2],
-            te0[s3 >> 24] ^ te1[(s0 >> 16) & 0xFF] ^ te2[(s1 >> 8) & 0xFF] ^ te3[s2 & 0xFF] ^ rk[k + 3],
+            t0[s0 >> 24] ^ t1[(s1 >> 16) & 0xFF] ^ t2[(s2 >> 8) & 0xFF] ^ t3[s3 & 0xFF] ^ rk[k],
+            t0[s1 >> 24] ^ t1[(s2 >> 16) & 0xFF] ^ t2[(s3 >> 8) & 0xFF] ^ t3[s0 & 0xFF] ^ rk[k + 1],
+            t0[s2 >> 24] ^ t1[(s3 >> 16) & 0xFF] ^ t2[(s0 >> 8) & 0xFF] ^ t3[s1 & 0xFF] ^ rk[k + 2],
+            t0[s3 >> 24] ^ t1[(s0 >> 16) & 0xFF] ^ t2[(s1 >> 8) & 0xFF] ^ t3[s2 & 0xFF] ^ rk[k + 3],
         )
-    sb = SBOX
-    return _WORDS.pack(
-        ((sb[s0 >> 24] << 24) | (sb[(s1 >> 16) & 0xFF] << 16) | (sb[(s2 >> 8) & 0xFF] << 8) | sb[s3 & 0xFF]) ^ rk[40],
-        ((sb[s1 >> 24] << 24) | (sb[(s2 >> 16) & 0xFF] << 16) | (sb[(s3 >> 8) & 0xFF] << 8) | sb[s0 & 0xFF]) ^ rk[41],
-        ((sb[s2 >> 24] << 24) | (sb[(s3 >> 16) & 0xFF] << 16) | (sb[(s0 >> 8) & 0xFF] << 8) | sb[s1 & 0xFF]) ^ rk[42],
-        ((sb[s3 >> 24] << 24) | (sb[(s0 >> 16) & 0xFF] << 16) | (sb[(s1 >> 8) & 0xFF] << 8) | sb[s2 & 0xFF]) ^ rk[43],
+    return (
+        ((box[s0 >> 24] << 24) | (box[(s1 >> 16) & 0xFF] << 16) | (box[(s2 >> 8) & 0xFF] << 8) | box[s3 & 0xFF]) ^ rk[40],
+        ((box[s1 >> 24] << 24) | (box[(s2 >> 16) & 0xFF] << 16) | (box[(s3 >> 8) & 0xFF] << 8) | box[s0 & 0xFF]) ^ rk[41],
+        ((box[s2 >> 24] << 24) | (box[(s3 >> 16) & 0xFF] << 16) | (box[(s0 >> 8) & 0xFF] << 8) | box[s1 & 0xFF]) ^ rk[42],
+        ((box[s3 >> 24] << 24) | (box[(s0 >> 16) & 0xFF] << 16) | (box[(s1 >> 8) & 0xFF] << 8) | box[s2 & 0xFF]) ^ rk[43],
     )
+
+
+def encrypt_block(block: bytes, schedule: KeySchedule) -> bytes:
+    """Encrypt one 16-byte block."""
+    c0, c1, c2, c3 = _columns(block)
+    o0, o1, o2, o3 = _rounds(c0, c1, c2, c3, schedule.enc_words, _TE, SBOX)
+    return _WORDS.pack(o0, o1, o2, o3)
 
 
 def decrypt_block(block: bytes, schedule: KeySchedule) -> bytes:
-    """Exact inverse of encrypt_block, as the equivalent inverse cipher: the
-    same round shape with the inverse tables, rows shifted right, and the
-    schedule's decryption words."""
-    _check_block(block)
-    td0, td1, td2, td3 = _TD
-    dk = schedule.dec_words
-    s0, s1, s2, s3 = _WORDS.unpack(block)
-    s0 ^= dk[0]
-    s1 ^= dk[1]
-    s2 ^= dk[2]
-    s3 ^= dk[3]
-    for k in range(4, 4 * NUM_ROUNDS, 4):
-        s0, s1, s2, s3 = (
-            td0[s0 >> 24] ^ td1[(s3 >> 16) & 0xFF] ^ td2[(s2 >> 8) & 0xFF] ^ td3[s1 & 0xFF] ^ dk[k],
-            td0[s1 >> 24] ^ td1[(s0 >> 16) & 0xFF] ^ td2[(s3 >> 8) & 0xFF] ^ td3[s2 & 0xFF] ^ dk[k + 1],
-            td0[s2 >> 24] ^ td1[(s1 >> 16) & 0xFF] ^ td2[(s0 >> 8) & 0xFF] ^ td3[s3 & 0xFF] ^ dk[k + 2],
-            td0[s3 >> 24] ^ td1[(s2 >> 16) & 0xFF] ^ td2[(s1 >> 8) & 0xFF] ^ td3[s0 & 0xFF] ^ dk[k + 3],
-        )
-    ib = INV_SBOX
-    return _WORDS.pack(
-        ((ib[s0 >> 24] << 24) | (ib[(s3 >> 16) & 0xFF] << 16) | (ib[(s2 >> 8) & 0xFF] << 8) | ib[s1 & 0xFF]) ^ dk[40],
-        ((ib[s1 >> 24] << 24) | (ib[(s0 >> 16) & 0xFF] << 16) | (ib[(s3 >> 8) & 0xFF] << 8) | ib[s2 & 0xFF]) ^ dk[41],
-        ((ib[s2 >> 24] << 24) | (ib[(s1 >> 16) & 0xFF] << 16) | (ib[(s0 >> 8) & 0xFF] << 8) | ib[s3 & 0xFF]) ^ dk[42],
-        ((ib[s3 >> 24] << 24) | (ib[(s2 >> 16) & 0xFF] << 16) | (ib[(s1 >> 8) & 0xFF] << 8) | ib[s0 & 0xFF]) ^ dk[43],
-    )
+    """Exact inverse of encrypt_block. Its rows shift right, reading column
+    (c - r) % 4; with columns 1 and 3 exchanged that is (c + r) % 4 again,
+    the order in which `dec_words` are stored."""
+    c0, c1, c2, c3 = _columns(block)
+    o0, o3, o2, o1 = _rounds(c0, c3, c2, c1, schedule.dec_words, _TD, INV_SBOX)
+    return _WORDS.pack(o0, o1, o2, o3)
 
 
 # --- multi-lane kernel ---------------------------------------------------
@@ -246,7 +224,7 @@ def _lanes():
     if _LANES is None:
         import numpy as np
 
-        def direction(box, tables, shift):
+        def direction(box, tables, shift, key_order):
             # gathers the shifted state row by row: index 4*r + c reads row r
             # of column (c + shift*r) % 4
             perm = np.array(
@@ -255,9 +233,11 @@ def _lanes():
             )
             # memory order of each word is its big-endian bytes, rows 0..3
             words = [np.array(t, dtype=">u4").view(np.uint32) for t in tables]
-            return np.array(box, dtype=np.uint8), perm, words
+            return np.array(box, dtype=np.uint8), perm, words, np.array(key_order, dtype=np.intp)
 
-        _LANES = (np, direction(SBOX, _TE, 1), direction(INV_SBOX, _TD, -1))
+        # the lanes keep columns in place: undo the exchange in `dec_words`
+        order = range(4 * (NUM_ROUNDS + 1))
+        _LANES = (np, direction(SBOX, _TE, 1, order), direction(INV_SBOX, _TD, -1, _swap_columns(order)))
     return _LANES
 
 
@@ -266,9 +246,9 @@ def _ecb(data: bytes, words: tuple, backward: bool) -> bytes:
     if len(data) % BLOCK_SIZE != 0:
         raise ValueError("data length must be a multiple of 16")
     np, enc, dec = _lanes()
-    box, perm, (t0, t1, t2, t3) = dec if backward else enc
+    box, perm, (t0, t1, t2, t3), key_order = dec if backward else enc
     n = len(data) // BLOCK_SIZE
-    rk = np.array(words, dtype=">u4").view(np.uint8).reshape(NUM_ROUNDS + 1, BLOCK_SIZE)
+    rk = np.array(words, dtype=">u4")[key_order].view(np.uint8).reshape(NUM_ROUNDS + 1, BLOCK_SIZE)
     s = np.frombuffer(data, dtype=np.uint8).reshape(n, BLOCK_SIZE) ^ rk[0]
     for r in range(1, NUM_ROUNDS):
         rows = s.take(perm, axis=1).reshape(n, 4, 4)

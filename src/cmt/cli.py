@@ -1,8 +1,8 @@
 """Command-line front end: `cmt init|insert|get|list|update|delete|selftest`.
 
-Exit codes are a stable contract:
-  0 ok, 1 selftest failure, 2 usage/schema error, 3 key/store access error,
-  4 row not found, 5 isolation denied, 6 authentication failure.
+Exit codes are a stable contract: 0 ok, 1 selftest failure, 2 a command
+line argparse rejects, 3 an i/o error, and for a `CmtError` its
+`exit_code` (2..6, listed in `cmt.errors`).
 
 Decrypted data goes to stdout only; all diagnostics go to stderr.
 """
@@ -11,17 +11,7 @@ import argparse
 import sys
 
 from . import tenant_store
-from .errors import (
-    AlreadyExists,
-    AuthError,
-    CmtError,
-    FieldTooLarge,
-    InvalidSchema,
-    InvalidTenantId,
-    IsolationDenied,
-    NotFound,
-    SchemaMismatch,
-)
+from .errors import CmtError, InvalidSchema
 from .key_service import load_master_key
 from .selftest import run_selftest
 from .tenant_store import TableSchema, create_store, open_store
@@ -32,23 +22,6 @@ EXIT_OK = 0
 EXIT_SELFTEST = 1
 EXIT_USAGE = 2
 EXIT_ACCESS = 3
-EXIT_NOT_FOUND = 4
-EXIT_ISOLATION = 5
-EXIT_AUTH = 6
-
-
-def _exit_code(err: CmtError) -> int:
-    if isinstance(err, NotFound):
-        return EXIT_NOT_FOUND
-    if isinstance(err, IsolationDenied):
-        return EXIT_ISOLATION
-    if isinstance(err, AuthError):
-        return EXIT_AUTH
-    if isinstance(
-        err, (SchemaMismatch, InvalidSchema, AlreadyExists, InvalidTenantId, FieldTooLarge)
-    ):
-        return EXIT_USAGE
-    return EXIT_ACCESS
 
 
 def _parse_sets(pairs) -> dict:
@@ -154,7 +127,7 @@ def main(argv=None) -> int:
 
     except CmtError as err:
         print(f"cmt: error: {err}", file=sys.stderr)
-        return _exit_code(err)
+        return err.exit_code
     except OSError as err:
         print(f"cmt: i/o error: {err}", file=sys.stderr)
         return EXIT_ACCESS

@@ -1,8 +1,13 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the exit code the
+`cmt` command returns for each error: 2 usage or schema error, 3 key or
+store access error, 4 row not found, 5 isolation denied, 6 authentication
+failure. (0 is success and 1 a failed selftest.)"""
 
 
 class CmtError(Exception):
     """Base class for every error this package raises deliberately."""
+
+    exit_code = 3
 
 
 class MissingKey(CmtError):
@@ -16,6 +21,8 @@ class MalformedKey(CmtError):
 class InvalidTenantId(CmtError):
     """Tenant id is empty, too long, or contains forbidden characters."""
 
+    exit_code = 2
+
 
 class PaddingError(CmtError):
     """PKCS#7 padding structure is invalid."""
@@ -24,9 +31,13 @@ class PaddingError(CmtError):
 class FieldTooLarge(CmtError):
     """A field plaintext exceeds the store-level size cap."""
 
+    exit_code = 2
+
 
 class AuthError(CmtError):
     """Authentication tag mismatch: wrong key or tampered ciphertext."""
+
+    exit_code = 6
 
 
 class StoreError(CmtError):
@@ -36,9 +47,13 @@ class StoreError(CmtError):
 class AlreadyExists(StoreError):
     """Store file already exists at the given path."""
 
+    exit_code = 2
+
 
 class InvalidSchema(StoreError):
     """Table schema violates naming or uniqueness rules."""
+
+    exit_code = 2
 
 
 class CorruptHeader(StoreError):
@@ -56,13 +71,19 @@ class CorruptLog(StoreError):
 class SchemaMismatch(StoreError):
     """Supplied field set does not match the table schema exactly."""
 
+    exit_code = 2
+
 
 class NotFound(StoreError):
     """No live row with the requested id."""
 
+    exit_code = 4
+
 
 class IsolationDenied(StoreError):
     """The row exists but belongs to a different tenant."""
+
+    exit_code = 5
 
 
 class StoreLocked(StoreError):

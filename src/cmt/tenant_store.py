@@ -4,9 +4,10 @@ One logical table holds every tenant's rows. Tenant id and row id stay in
 clear for addressing; every field value is encrypted under the owning
 tenant's derived keys before it touches disk. Persistence is an
 append-only JSON-lines log replayed in full on open; each mutation is
-flushed and fsynced before the call returns. A trailing torn line (crash
-mid-write) is truncated on open with a warning, once the opener holds the
-store's lock.
+written and fsynced before the call returns, and an append that fails is
+cut back off the file before the error is raised. A trailing torn line
+(crash mid-write) is truncated on open with a warning, once the opener
+holds the store's lock.
 
 File format (UTF-8, newline-delimited):
   line 1: {"v":1,"table":"<name>","fields":["f1",...]}
@@ -104,7 +105,7 @@ class Store:
         self._max_row_id = 0
         self._mutex = threading.Lock()
         self._key_cache: Dict[str, TenantKeySet] = {}
-        self._fh = open(path, "a", encoding="utf-8")
+        self._fh = open(path, "ab", buffering=0)
         self._lock_fh = lock_fh
 
     # -- lifecycle -----------------------------------------------------
@@ -129,16 +130,24 @@ class Store:
         return self._key_cache[tenant]
 
     def _commit(self, op: str, tenant: str, row_id: int, fields=None) -> None:
-        """Append one event, fsync it, then apply it to the live rows."""
+        """Append one event, fsync it, then apply it to the live rows. If
+        the write or the fsync fails, the file is cut back to its length
+        before the event, so the log holds no event the caller saw fail."""
         event = {"op": op, "t": tenant, "r": row_id, "ts": int(time.time())}
         if fields is not None:
             event["f"] = {
                 name: base64.b64encode(cv.to_bytes()).decode("ascii")
                 for name, cv in fields.items()
             }
-        self._fh.write(json.dumps(event, separators=(",", ":")) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+        line = memoryview((json.dumps(event, separators=(",", ":")) + "\n").encode("ascii"))
+        offset = self._fh.seek(0, os.SEEK_END)
+        try:
+            while line:
+                line = line[self._fh.write(line) :]
+            os.fsync(self._fh.fileno())
+        except OSError:
+            self._fh.truncate(offset)
+            raise
         self._apply(op, tenant, row_id, fields)
 
     def _apply(self, op: str, tenant: str, row_id: int, fields) -> None:
@@ -149,6 +158,7 @@ class Store:
         self._max_row_id = max(self._max_row_id, row_id)
 
     def _live_row(self, tenant: str, row_id: int) -> Dict[str, CipherValue]:
+        # callers hold _mutex
         validate_tenant_id(tenant)
         if row_id not in self._live:
             raise NotFound(f"no live row {row_id}")
@@ -179,8 +189,10 @@ class Store:
             self._commit("ins", tenant, row_id, encrypted)
         return row_id
 
-    def get(self, tenant: str, row_id: int) -> Record:
-        fields = self._live_row(tenant, row_id)
+    def _decrypt(self, tenant: str, row_id: int, fields: Dict[str, CipherValue]) -> Record:
+        # runs outside _mutex: get and list copy the rows they need under it,
+        # so a concurrent mutation neither waits on the decryption nor
+        # changes the row map under the reader
         keys = self._keys_for(tenant)
         plain = {
             name: decrypt_value(cv, keys).decode("utf-8")
@@ -188,14 +200,20 @@ class Store:
         }
         return Record(row_id=row_id, tenant=tenant, fields=plain)
 
+    def get(self, tenant: str, row_id: int) -> Record:
+        with self._mutex:
+            fields = self._live_row(tenant, row_id)
+        return self._decrypt(tenant, row_id, fields)
+
     def list(self, tenant: str) -> List[Record]:
         validate_tenant_id(tenant)
-        out = []
-        for row_id in sorted(self._live):
-            owner, _ = self._live[row_id]
-            if owner == tenant:
-                out.append(self.get(tenant, row_id))
-        return out
+        with self._mutex:
+            rows = []
+            for row_id in sorted(self._live):
+                owner, fields = self._live[row_id]
+                if owner == tenant:
+                    rows.append((row_id, fields))
+        return [self._decrypt(tenant, row_id, fields) for row_id, fields in rows]
 
     def update(self, tenant: str, row_id: int, values: Dict[str, str]) -> None:
         with self._mutex:
@@ -220,6 +238,12 @@ def create_store(path: str, schema: TableSchema, master: Optional[MasterKey] = N
         fh.write(json.dumps(header, separators=(",", ":")) + "\n")
         fh.flush()
         os.fsync(fh.fileno())
+    # the new file's directory entry is durable only once its directory is
+    dir_fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
     return Store(path, schema, master, _lock(path))
 
 

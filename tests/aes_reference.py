@@ -3,17 +3,18 @@
 The straightforward form of the cipher, one 16-item state list per step:
 SubBytes, ShiftRows, MixColumns and AddRoundKey and their inverses. The
 tests check the table-driven cipher in `cmt.aes_core` against it, and it
-against published vectors. Only the S-boxes and the round keys come from
-`aes_core`; both are checked against independent oracles in the tests.
+against published vectors. Only the S-boxes and the key expansion come
+from `aes_core`; both are checked against independent oracles in the tests.
 
 The 16-byte block is the usual 4x4 column-major state: input byte i sits
 at row (i % 4), column (i // 4), so a flat list in input order is already
 column-major.
 """
 
+import struct
 from typing import List, Sequence
 
-from cmt.aes_core import INV_SBOX, NUM_ROUNDS, SBOX, gf_mul
+from cmt.aes_core import INV_SBOX, NUM_ROUNDS, SBOX, KeySchedule, gf_mul
 
 State = List[int]  # 16 bytes, column-major
 
@@ -80,8 +81,16 @@ def add_round_key(state: Sequence[int], round_key: bytes) -> State:
     return [b ^ k for b, k in zip(state, round_key)]
 
 
-def encrypt_block(block: bytes, round_keys: Sequence[bytes]) -> bytes:
+def _round_keys(schedule: KeySchedule) -> List[bytes]:
+    # the 11 round keys as 16-byte blocks, packed from the 44 words of the
+    # key expansion
+    raw = struct.pack(">44I", *schedule.enc_words)
+    return [raw[16 * r : 16 * r + 16] for r in range(NUM_ROUNDS + 1)]
+
+
+def encrypt_block(block: bytes, schedule: KeySchedule) -> bytes:
     """Initial key add, 9 full rounds, final round without MixColumns."""
+    round_keys = _round_keys(schedule)
     s = add_round_key(list(block), round_keys[0])
     for r in range(1, NUM_ROUNDS):
         s = add_round_key(mix_columns(shift_rows(sub_bytes(s))), round_keys[r])
@@ -89,8 +98,9 @@ def encrypt_block(block: bytes, round_keys: Sequence[bytes]) -> bytes:
     return bytes(s)
 
 
-def decrypt_block(block: bytes, round_keys: Sequence[bytes]) -> bytes:
+def decrypt_block(block: bytes, schedule: KeySchedule) -> bytes:
     """The inverse cipher: round keys applied in reverse."""
+    round_keys = _round_keys(schedule)
     s = inv_sub_bytes(inv_shift_rows(add_round_key(list(block), round_keys[NUM_ROUNDS])))
     for r in range(NUM_ROUNDS - 1, 0, -1):
         s = inv_sub_bytes(inv_shift_rows(inv_mix_columns(add_round_key(s, round_keys[r]))))

@@ -9,6 +9,7 @@ table-driven one in `aes_core` is then checked against.
 """
 
 import os
+import struct
 
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -210,23 +211,24 @@ def test_add_round_key_identity_and_involution():
 def test_expand_key_appendix_example():
     key = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
     ks = aes_core.expand_key(key)
-    assert ks.round_keys[0] == key
-    assert ks.round_keys[1][:4] == bytes.fromhex("a0fafe17")
+    assert struct.pack(">4I", *ks.enc_words[:4]) == key
+    assert ks.enc_words[4].to_bytes(4, "big") == bytes.fromhex("a0fafe17")
 
 
 def test_expand_key_all_zero_key():
     # SubWord(RotWord(0)) ^ Rcon[1] = 63636363 ^ 01000000
     ks = aes_core.expand_key(bytes(16))
-    assert ks.round_keys[1][:4] == bytes.fromhex("62636363")
+    assert ks.enc_words[4].to_bytes(4, "big") == bytes.fromhex("62636363")
 
 
 def test_expand_key_structure():
     for _ in range(20):
         key = os.urandom(16)
         ks = aes_core.expand_key(key)
-        assert len(ks.round_keys) == 11
-        assert sum(len(rk) for rk in ks.round_keys) == 176
-        assert ks.round_keys[0] == key
+        # 11 round keys of 16 bytes: 44 words of 32 bits
+        assert len(ks.enc_words) == 44
+        assert all(0 <= w < 2**32 for w in ks.enc_words)
+        assert struct.pack(">4I", *ks.enc_words[:4]) == key
 
 
 def test_expand_key_rejects_bad_length():
@@ -264,19 +266,19 @@ def test_encrypt_block_matches_library_reference():
 def test_reference_cipher_matches_library():
     for _ in range(50):
         key, block = os.urandom(16), os.urandom(16)
-        round_keys = aes_core.expand_key(key).round_keys
+        ks = aes_core.expand_key(key)
         ct = aes_library_encrypt(key, block)
-        assert aes_reference.encrypt_block(block, round_keys) == ct
-        assert aes_reference.decrypt_block(ct, round_keys) == block
+        assert aes_reference.encrypt_block(block, ks) == ct
+        assert aes_reference.decrypt_block(ct, ks) == block
 
 
 def test_table_cipher_matches_reference_and_library():
     for _ in range(200):
         key, block = os.urandom(16), os.urandom(16)
         ks = aes_core.expand_key(key)
-        expected_ct = aes_reference.encrypt_block(block, ks.round_keys)
+        expected_ct = aes_reference.encrypt_block(block, ks)
         assert aes_core.encrypt_block(block, ks) == expected_ct
-        assert aes_core.decrypt_block(block, ks) == aes_reference.decrypt_block(block, ks.round_keys)
+        assert aes_core.decrypt_block(block, ks) == aes_reference.decrypt_block(block, ks)
         assert aes_core.decrypt_block(block, ks) == aes_library_decrypt(key, block)
 
 

@@ -6,8 +6,11 @@ import sys
 
 import pytest
 
+from cmt import errors
 from cmt.cli import main
-from cmt.key_service import MASTER_KEY_ENV
+from cmt.crypto_codec import MAX_FIELD_BYTES
+from cmt.key_service import MASTER_KEY_ENV, MasterKey
+from cmt.tenant_store import open_store
 
 HEX_KEY = "000102030405060708090a0b0c0d0e0f"
 FIELDS = "name,contact,department"
@@ -156,6 +159,44 @@ def test_malformed_event_exit_3(store_path):
     assert result.stdout == ""
     assert "Traceback" not in result.stderr
     assert "line 3" in result.stderr
+
+
+def test_oversized_value_exit_2(store_path):
+    args = insert_args(store_path, "uni_a", name="x" * (MAX_FIELD_BYTES + 1))
+    assert main(args) == 2
+
+
+def test_locked_store_exit_3(store_path, capsys):
+    with open_store(store_path, MasterKey(bytes.fromhex(HEX_KEY))):
+        assert main(["--store", store_path, "--tenant", "uni_a", "list"]) == 3
+    assert "locked" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "header",
+    ['{"v":99,"table":"t","fields":["a"]}', "not json"],
+    ids=["VersionMismatch", "CorruptHeader"],
+)
+def test_unreadable_header_exit_3(tmp_path, monkeypatch, header):
+    monkeypatch.setenv(MASTER_KEY_ENV, HEX_KEY)
+    path = tmp_path / "s.cmt"
+    path.write_text(header + "\n")
+    assert main(["--store", str(path), "--tenant", "uni_a", "list"]) == 3
+
+
+def test_every_error_class_carries_its_exit_code():
+    codes = {
+        cls.__name__: cls.exit_code
+        for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.CmtError)
+    }
+    assert codes == {
+        "CmtError": 3, "MissingKey": 3, "MalformedKey": 3, "InvalidTenantId": 2,
+        "PaddingError": 3, "FieldTooLarge": 2, "AuthError": 6, "StoreError": 3,
+        "AlreadyExists": 2, "InvalidSchema": 2, "CorruptHeader": 3,
+        "VersionMismatch": 3, "CorruptLog": 3, "SchemaMismatch": 2, "NotFound": 4,
+        "IsolationDenied": 5, "StoreLocked": 3,
+    }
 
 
 def test_short_values_never_load_numpy(tmp_path):

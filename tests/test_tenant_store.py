@@ -1,8 +1,10 @@
 """Record store tests: CRUD, isolation, replay, crash recovery, at-rest scan."""
 
+import errno
 import json
 import os
 import random
+import stat
 
 import pytest
 
@@ -19,6 +21,7 @@ from cmt.errors import (
     StoreLocked,
     VersionMismatch,
 )
+from cmt import tenant_store
 from cmt.key_service import MasterKey
 from cmt.tenant_store import TableSchema, create_store, open_store
 
@@ -195,6 +198,25 @@ def test_list_filters_by_tenant(store):
     assert store.list("uni_c") == []
 
 
+def test_list_survives_a_row_deleted_while_it_decrypts(store, monkeypatch):
+    store.insert("uni_a", row("first"))
+    store.insert("uni_a", row("second"))
+    decrypt_value = tenant_store.decrypt_value
+    deleted = []
+
+    def delete_row_2_then_decrypt(cv, keys):
+        if not deleted:
+            store.delete("uni_a", 2)
+            deleted.append(2)
+        return decrypt_value(cv, keys)
+
+    monkeypatch.setattr(tenant_store, "decrypt_value", delete_row_2_then_decrypt)
+    # the list reads the rows live when it starts
+    assert [r.fields["name"] for r in store.list("uni_a")] == ["first", "second"]
+    assert deleted == [2]
+    assert [r.row_id for r in store.list("uni_a")] == [1]
+
+
 def test_update_replaces_whole_row(store):
     rid = store.insert("uni_a", row("old"))
     store.update("uni_a", rid, row("new", "c2", "d2"))
@@ -239,6 +261,69 @@ def test_monotonic_ids_across_restart(tmp_path):
         s.delete("uni_a", 2)
     with open_store(path, MASTER) as s:
         assert s.insert("uni_a", row()) == 3
+
+
+def test_create_store_fsyncs_its_directory(tmp_path, monkeypatch):
+    fsync = os.fsync
+    modes = []
+
+    def recording_fsync(fd):
+        modes.append(os.fstat(fd).st_mode)
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    create_store(str(tmp_path / "s.cmt"), SCHEMA, MASTER).close()
+    assert any(stat.S_ISDIR(mode) for mode in modes)
+
+
+class _FailingLog:
+    """The store's log file, but the next write puts only its first 10 bytes
+    in the file and then fails as a full disk would."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self.armed = True
+
+    def write(self, data):
+        if not self.armed:
+            return self._fh.write(data)
+        self.armed = False
+        self._fh.write(data[:10])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+@pytest.mark.parametrize("fault", ["write", "fsync"])
+def test_failed_append_leaves_the_log_as_it_was(tmp_path, monkeypatch, fault):
+    path = str(tmp_path / "s.cmt")
+    with create_store(path, SCHEMA, MASTER) as s:
+        s.insert("uni_a", row("kept"))
+        with open(path, "rb") as fh:
+            before = fh.read()
+        if fault == "write":
+            s._fh = _FailingLog(s._fh)
+        else:
+            fsync = os.fsync
+            failures = [OSError(errno.EIO, "Input/output error")]
+
+            def failing_fsync(fd):
+                if failures:
+                    raise failures.pop()
+                fsync(fd)
+
+            monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError):
+            s.insert("uni_a", row("lost"))
+        with open(path, "rb") as fh:
+            assert fh.read() == before
+        assert s.insert("uni_b", row("next")) == 2
+    with open_store(path, MASTER) as s:
+        assert [r.fields["name"] for r in s.list("uni_a")] == ["kept"]
+        assert [(r.row_id, r.fields["name"]) for r in s.list("uni_b")] == [(2, "next")]
+    with open(path, "rb") as fh:
+        assert fh.read().count(b'"r":2') == 1
 
 
 def test_torn_write_recovery(tmp_path):
