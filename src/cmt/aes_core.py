@@ -9,9 +9,13 @@ expansion, and one cipher core in two shapes that share a key schedule:
   Decryption is the equivalent inverse cipher (FIPS-197 section 5.3.5):
   with the state's columns 1 and 3 exchanged it is the encryption round
   code with the inverse tables and pre-mixed round keys.
-- `encrypt_ecb`/`decrypt_ecb` run the same rounds on an (n, 16) numpy array
-  of states, all lanes in lockstep. numpy is imported on their first call,
-  so a program that never takes this path never loads it.
+- The multi-lane kernel runs the same rounds on an (n, 16) uint8 numpy array
+  of states, all lanes in lockstep. `encrypt_ecb`/`decrypt_ecb` wrap it for
+  block-aligned bytes; `encrypt_lanes` takes and returns the array, so a
+  caller stepping many CBC-MAC chains keeps them in numpy between steps.
+  numpy is imported on the kernel's first call, so a program that never
+  takes this path never loads it; `lanes_loaded` tells whether a call would
+  have to import it first.
 
 A block is read as four big-endian column words: input byte i sits at row
 i % 4 of column i // 4. The tables are indexed by secret bytes, so the
@@ -19,6 +23,7 @@ cipher leaks through cache timing; constant-time hardening is a non-goal.
 """
 
 import struct
+import sys
 from dataclasses import dataclass
 from typing import List
 
@@ -241,21 +246,39 @@ def _lanes():
     return _LANES
 
 
-def _ecb(data: bytes, words: tuple, backward: bool) -> bytes:
-    """The rounds of one direction on every block of `data` at once."""
-    if len(data) % BLOCK_SIZE != 0:
-        raise ValueError("data length must be a multiple of 16")
+def lanes_loaded() -> bool:
+    """Whether the kernel can run without paying for the numpy import."""
+    return _LANES is not None or "numpy" in sys.modules
+
+
+def _lane_rounds(s, words: tuple, backward: bool):
+    """The rounds of one direction on an (n, 16) uint8 array of states, all
+    lanes at once; returns a new array of the same shape."""
     np, enc, dec = _lanes()
     box, perm, (t0, t1, t2, t3), key_order = dec if backward else enc
-    n = len(data) // BLOCK_SIZE
+    n = len(s)
     rk = np.array(words, dtype=">u4")[key_order].view(np.uint8).reshape(NUM_ROUNDS + 1, BLOCK_SIZE)
-    s = np.frombuffer(data, dtype=np.uint8).reshape(n, BLOCK_SIZE) ^ rk[0]
+    s = s ^ rk[0]
     for r in range(1, NUM_ROUNDS):
         rows = s.take(perm, axis=1).reshape(n, 4, 4)
         cols = t0[rows[:, 0]] ^ t1[rows[:, 1]] ^ t2[rows[:, 2]] ^ t3[rows[:, 3]]
         s = cols.view(np.uint8).reshape(n, BLOCK_SIZE) ^ rk[r]
     last = box[s.take(perm, axis=1)].reshape(n, 4, 4).transpose(0, 2, 1)
-    return (last.reshape(n, BLOCK_SIZE) ^ rk[NUM_ROUNDS]).tobytes()
+    return last.reshape(n, BLOCK_SIZE) ^ rk[NUM_ROUNDS]
+
+
+def _ecb(data: bytes, words: tuple, backward: bool) -> bytes:
+    if len(data) % BLOCK_SIZE != 0:
+        raise ValueError("data length must be a multiple of 16")
+    np = _lanes()[0]
+    states = np.frombuffer(data, dtype=np.uint8).reshape(-1, BLOCK_SIZE)
+    return _lane_rounds(states, words, backward).tobytes()
+
+
+def encrypt_lanes(states, schedule: KeySchedule):
+    """Encrypt an (n, 16) uint8 array of states, one block per lane, so a
+    caller that chains blocks keeps its states in numpy between calls."""
+    return _lane_rounds(states, schedule.enc_words, backward=False)
 
 
 def encrypt_ecb(data: bytes, schedule: KeySchedule) -> bytes:

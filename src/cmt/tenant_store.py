@@ -5,9 +5,12 @@ clear for addressing; every field value is encrypted under the owning
 tenant's derived keys before it touches disk. Persistence is an
 append-only JSON-lines log replayed in full on open; each mutation is
 written and fsynced before the call returns, and an append that fails is
-cut back off the file before the error is raised. A trailing torn line
-(crash mid-write) is truncated on open with a warning, once the opener
-holds the store's lock.
+cut back off the file before the error is raised; if that cut fails too,
+the handle refuses every later mutation until the store is reopened. A
+trailing torn line (crash mid-write) is truncated on open with a warning,
+once the opener holds the store's lock. `list` verifies and decrypts all
+of a tenant's values as one batch (`crypto_codec.decrypt_values`), `get`
+one value at a time.
 
 File format (UTF-8, newline-delimited):
   line 1: {"v":1,"table":"<name>","fields":["f1",...]}
@@ -27,7 +30,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .crypto_codec import CipherValue, decrypt_value, encrypt_value
+from .crypto_codec import CipherValue, decrypt_value, decrypt_values, encrypt_value
 from .errors import (
     AlreadyExists,
     CorruptHeader,
@@ -37,6 +40,7 @@ from .errors import (
     NotFound,
     SchemaMismatch,
     MissingKey,
+    StoreError,
     StoreLocked,
     VersionMismatch,
 )
@@ -107,6 +111,7 @@ class Store:
         self._key_cache: Dict[str, TenantKeySet] = {}
         self._fh = open(path, "ab", buffering=0)
         self._lock_fh = lock_fh
+        self._broken: Optional[str] = None  # why no mutation may append any more
 
     # -- lifecycle -----------------------------------------------------
 
@@ -132,7 +137,12 @@ class Store:
     def _commit(self, op: str, tenant: str, row_id: int, fields=None) -> None:
         """Append one event, fsync it, then apply it to the live rows. If
         the write or the fsync fails, the file is cut back to its length
-        before the event, so the log holds no event the caller saw fail."""
+        before the event, so the log holds no event the caller saw fail. If
+        that cut fails too, the handle refuses every later mutation: the
+        file may hold the failed event, and an append after it could reuse
+        its row id or glue onto a fragment."""
+        if self._broken:
+            raise StoreError(f"{self._broken}; reopen the store: {self.path}")
         event = {"op": op, "t": tenant, "r": row_id, "ts": int(time.time())}
         if fields is not None:
             event["f"] = {
@@ -145,8 +155,11 @@ class Store:
             while line:
                 line = line[self._fh.write(line) :]
             os.fsync(self._fh.fileno())
-        except OSError:
-            self._fh.truncate(offset)
+        except OSError as exc:
+            try:
+                self._fh.truncate(offset)
+            except OSError as cut:
+                self._broken = f"a failed append ({exc}) could not be cut off the log ({cut})"
             raise
         self._apply(op, tenant, row_id, fields)
 
@@ -189,23 +202,19 @@ class Store:
             self._commit("ins", tenant, row_id, encrypted)
         return row_id
 
-    def _decrypt(self, tenant: str, row_id: int, fields: Dict[str, CipherValue]) -> Record:
-        # runs outside _mutex: get and list copy the rows they need under it,
-        # so a concurrent mutation neither waits on the decryption nor
-        # changes the row map under the reader
-        keys = self._keys_for(tenant)
-        plain = {
-            name: decrypt_value(cv, keys).decode("utf-8")
-            for name, cv in fields.items()
-        }
-        return Record(row_id=row_id, tenant=tenant, fields=plain)
-
     def get(self, tenant: str, row_id: int) -> Record:
+        # get and list copy the rows they need under _mutex and decrypt after
+        # releasing it, so a concurrent mutation neither waits on the
+        # decryption nor changes the row map under the reader
         with self._mutex:
             fields = self._live_row(tenant, row_id)
-        return self._decrypt(tenant, row_id, fields)
+        keys = self._keys_for(tenant)
+        plain = {name: decrypt_value(cv, keys).decode("utf-8") for name, cv in fields.items()}
+        return Record(row_id=row_id, tenant=tenant, fields=plain)
 
     def list(self, tenant: str) -> List[Record]:
+        """The tenant's rows by row id; every value of every row is verified
+        before any is decrypted, in one batch."""
         validate_tenant_id(tenant)
         with self._mutex:
             rows = []
@@ -213,7 +222,15 @@ class Store:
                 owner, fields = self._live[row_id]
                 if owner == tenant:
                     rows.append((row_id, fields))
-        return [self._decrypt(tenant, row_id, fields) for row_id, fields in rows]
+        if not rows:
+            return []
+        values = [cv for _, fields in rows for cv in fields.values()]
+        plain = iter(decrypt_values(values, self._keys_for(tenant)))
+        return [
+            Record(row_id=row_id, tenant=tenant,
+                   fields={name: next(plain).decode("utf-8") for name in fields})
+            for row_id, fields in rows
+        ]
 
     def update(self, tenant: str, row_id: int, values: Dict[str, str]) -> None:
         with self._mutex:

@@ -146,7 +146,8 @@ def test_criterion_6_ciphertext_at_rest(tmp_path):
     with create_store(path, SCHEMA, MasterKey(bytes.fromhex(HEX_KEY))) as s:
         for sv in sentinels:
             s.insert("uni_a", {"name": sv, "contact": sv, "department": sv})
-    raw = open(path, "rb").read()
+    with open(path, "rb") as fh:
+        raw = fh.read()
     leaks = sum(1 for sv in sentinels if sv.encode() in raw)
     assert leaks == 0
     report("PASS 6: 0/100 sentinel plaintexts found in the store file")

@@ -217,6 +217,29 @@ def test_short_values_never_load_numpy(tmp_path):
     assert result.stdout.splitlines()[-1] == "False"
 
 
+def test_one_shot_get_and_list_never_load_numpy(tmp_path):
+    # a `cmt get` of a 4 KB value or a `cmt list` of 20 rows is cheaper on
+    # the block chain than the kernel's numpy import
+    path = str(tmp_path / "s.cmt")
+    main(["--store", path, "init", "--table", "t", "--fields", FIELDS])
+    with open_store(path, MasterKey(bytes.fromhex(HEX_KEY))) as s:
+        big = s.insert("uni_a", {"name": "x" * 4096, "contact": "c", "department": "d"})
+        for i in range(20):
+            s.insert("uni_b", {"name": f"n{i}", "contact": "c" * 40, "department": "d" * i})
+    env = dict(os.environ, **{MASTER_KEY_ENV: HEX_KEY})
+    for tenant, command in (("uni_a", ["get", "--row", str(big)]), ("uni_b", ["list"])):
+        script = (
+            "import sys\n"
+            "from cmt.cli import main\n"
+            f"code = main(['--store', {path!r}, '--tenant', {tenant!r}] + {command!r})\n"
+            "print(code, 'numpy' in sys.modules, file=sys.stderr)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr.splitlines()[-1] == "0 False"
+        assert result.stdout.count("\n") >= (1 if tenant == "uni_a" else 20)
+
+
 def test_bad_subcommand_exit_2(capsys):
     assert main(["frobnicate"]) == 2
 

@@ -2,20 +2,22 @@
 tamper detection, and the serialized-length formula."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmt import aes_core
+from cmt import aes_core, crypto_codec
 from cmt.crypto_codec import (
     LANE_MIN_BLOCKS,
     CipherValue,
-    cbc_decrypt,
     cbc_encrypt,
     cbc_mac,
     decrypt_value,
+    decrypt_values,
     encrypt_value,
     pad,
     unpad,
@@ -26,6 +28,14 @@ from cmt.key_service import TenantKeySet
 
 def random_keys() -> TenantKeySet:
     return TenantKeySet(enc_key=os.urandom(16), mac_key=os.urandom(16))
+
+
+def spy(monkeypatch, module, name):
+    """Count the calls to module.name; returns the list of calls."""
+    calls = []
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(a) or fn(*a))
+    return calls
 
 
 # --- padding -------------------------------------------------------------
@@ -64,6 +74,14 @@ def test_pad_unpad_round_trip(data):
 
 # --- CBC against library reference ----------------------------------------
 
+def library_value(plaintext: bytes, enc_key: bytes, keys: TenantKeySet) -> CipherValue:
+    """A value whose CBC ciphertext the library made, tagged by the codec."""
+    iv = os.urandom(16)
+    enc = Cipher(algorithms.AES(enc_key), modes.CBC(iv)).encryptor()
+    ct = enc.update(pad(plaintext)) + enc.finalize()
+    return CipherValue(iv=iv, ct=ct, tag=cbc_mac(iv + ct, keys.mac_schedule))
+
+
 def test_cbc_matches_library():
     key, iv = os.urandom(16), os.urandom(16)
     data = os.urandom(16 * 9)
@@ -71,17 +89,20 @@ def test_cbc_matches_library():
     enc = Cipher(algorithms.AES(key), modes.CBC(iv)).encryptor()
     expected = enc.update(data) + enc.finalize()
     assert cbc_encrypt(data, ks, iv) == expected
-    assert cbc_decrypt(expected, ks, iv) == data
+    keys = TenantKeySet(enc_key=key, mac_key=os.urandom(16))
+    assert decrypt_value(library_value(data, key, keys), keys) == data
 
 
 @pytest.mark.parametrize("blocks", [1, LANE_MIN_BLOCKS - 1, LANE_MIN_BLOCKS, 257])
-def test_cbc_decrypt_matches_library_on_both_paths(blocks):
+def test_cbc_decrypt_matches_library_on_both_paths(blocks, monkeypatch):
     # below LANE_MIN_BLOCKS the per-block chain runs, from it the lane kernel
-    key, iv = os.urandom(16), os.urandom(16)
-    data = os.urandom(16 * blocks)
-    enc = Cipher(algorithms.AES(key), modes.CBC(iv)).encryptor()
-    ct = enc.update(data) + enc.finalize()
-    assert cbc_decrypt(ct, aes_core.expand_key(key), iv) == data
+    monkeypatch.setattr(crypto_codec, "_use_lanes", lambda blocks: True)
+    kernel_calls = spy(monkeypatch, aes_core, "decrypt_ecb")
+    key = os.urandom(16)
+    keys = TenantKeySet(enc_key=key, mac_key=os.urandom(16))
+    data = os.urandom(16 * blocks - 1)
+    assert decrypt_value(library_value(data, key, keys), keys) == data
+    assert len(kernel_calls) == (blocks >= LANE_MIN_BLOCKS)
 
 
 def test_codec_uses_the_cached_key_schedules(monkeypatch):
@@ -130,6 +151,73 @@ def test_round_trip_identity():
 def test_round_trip_property(data):
     keys = TenantKeySet(enc_key=b"\x0a" * 16, mac_key=b"\x0b" * 16)
     assert decrypt_value(encrypt_value(data, keys), keys) == data
+
+
+# --- batches ---------------------------------------------------------------
+
+BATCH_KEYS = TenantKeySet(enc_key=b"\x0c" * 16, mac_key=b"\x0d" * 16)
+
+
+@pytest.mark.parametrize("lanes", [False, True])
+@given(st.lists(st.binary(max_size=300), max_size=40))
+@settings(max_examples=25, deadline=None)
+def test_decrypt_values_equals_one_by_one(lanes, plaintexts):
+    values = [encrypt_value(p, BATCH_KEYS) for p in plaintexts]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(crypto_codec, "_use_lanes", lambda blocks: lanes)
+        batch = decrypt_values(values, BATCH_KEYS)
+    assert batch == [decrypt_value(v, BATCH_KEYS) for v in values] == plaintexts
+
+
+@pytest.mark.parametrize("lanes", [False, True])
+@pytest.mark.parametrize("count", [LANE_MIN_BLOCKS - 1, LANE_MIN_BLOCKS, LANE_MIN_BLOCKS + 1])
+def test_mac_chains_step_in_lockstep_from_lane_min_blocks(count, lanes, monkeypatch):
+    # lengths 0..299 B: the lanes drop out at different steps and the longest
+    # chains finish on the scalar chain
+    plaintexts = [os.urandom((37 * i) % 300) for i in range(1, count + 1)]
+    values = [encrypt_value(p, BATCH_KEYS) for p in plaintexts]
+    monkeypatch.setattr(crypto_codec, "_use_lanes", lambda blocks: lanes)
+    steps = spy(monkeypatch, aes_core, "encrypt_lanes")
+    assert decrypt_values(values, BATCH_KEYS) == plaintexts
+    assert bool(steps) == (lanes and count >= LANE_MIN_BLOCKS)
+
+
+@pytest.mark.parametrize("lanes", [False, True])
+@pytest.mark.parametrize("forged", ["first", "middle", "last"])
+def test_one_forged_tag_refuses_the_batch_before_any_decryption(forged, lanes, monkeypatch):
+    values = [encrypt_value(os.urandom(20 * i), BATCH_KEYS) for i in range(9)]
+    at = {"first": 0, "middle": 4, "last": 8}[forged]
+    tag = bytearray(values[at].tag)
+    tag[-1] ^= 0x80
+    values[at] = CipherValue(iv=values[at].iv, ct=values[at].ct, tag=bytes(tag))
+    monkeypatch.setattr(crypto_codec, "_use_lanes", lambda blocks: lanes)
+    blocks = spy(monkeypatch, aes_core, "decrypt_block")
+    kernel = spy(monkeypatch, aes_core, "decrypt_ecb")
+    with pytest.raises(AuthError):
+        decrypt_values(values, BATCH_KEYS)
+    assert blocks == kernel == []
+
+
+def test_numpy_is_loaded_once_the_chain_has_paid_for_it():
+    # a fresh process: the kernel's work runs on the chain until that work
+    # reaches IMPORT_BLOCKS blocks, and the next call loads numpy
+    script = (
+        "import sys\n"
+        "from cmt.crypto_codec import IMPORT_BLOCKS, decrypt_value, encrypt_value\n"
+        "from cmt.key_service import TenantKeySet\n"
+        "keys = TenantKeySet(enc_key=bytes(16), mac_key=bytes(16))\n"
+        "cv = encrypt_value(bytes(1024), keys)\n"
+        "calls = 0\n"
+        "while 'numpy' not in sys.modules:\n"
+        "    assert decrypt_value(cv, keys) == bytes(1024)\n"
+        "    calls += 1\n"
+        "print(calls, IMPORT_BLOCKS)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    calls, import_blocks = map(int, result.stdout.split())
+    # 1,024 B pad to 65 blocks: each call before the import ran 65 on the chain
+    assert calls == -(-import_blocks // 65) + 1
 
 
 def test_empty_plaintext_sizes():
