@@ -5,12 +5,11 @@ keys derived from one master key before they are written to a shared,
 append-only, row-per-tenant store file.
 """
 
-from .crypto_codec import CipherValue, decrypt_value, encrypt_value
+from .crypto_codec import decrypt_value, encrypt_value
 from .key_service import MasterKey, TenantKeySet, derive_tenant_keys, load_master_key
 from .tenant_store import Record, TableSchema, create_store, open_store
 
 __all__ = [
-    "CipherValue",
     "MasterKey",
     "Record",
     "TableSchema",

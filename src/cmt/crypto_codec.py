@@ -3,8 +3,11 @@
 Encrypt-then-MAC over CBC: fresh random IV per value, PKCS#7 padding,
 CBC encryption under the tenant's encryption key, then a CBC-MAC tag
 (zero IV, last block kept) over IV || ciphertext under the separate MAC
-key. The tag is always verified before any decryption happens, so the
-only failure a caller ever sees for wrong keys or tampering is AuthError.
+key. A value is the bytes IV || ciphertext || tag, and this module alone
+knows that layout: `check_value` is its one length rule. The tag is always
+verified before any decryption happens, and a value whose tag verifies but
+whose padding does not is refused too, so the only failure a caller ever
+sees for wrong keys or tampering is AuthError.
 
 `decrypt_values` verifies and decrypts a batch, such as every value a
 `list` returns: all tags are checked before any block is decrypted. The
@@ -21,11 +24,10 @@ a row of more than IMPORT_BLOCKS blocks.
 
 import hmac
 import os
-from dataclasses import dataclass
 from typing import Callable, List, Sequence
 
 from . import aes_core
-from .errors import AuthError, FieldTooLarge, PaddingError
+from .errors import AuthError, FieldTooLarge
 
 BLOCK_SIZE = aes_core.BLOCK_SIZE
 MAX_FIELD_BYTES = 65536
@@ -39,10 +41,10 @@ def pad(data: bytes) -> bytes:
 
 def unpad(data: bytes) -> bytes:
     if len(data) == 0 or len(data) % BLOCK_SIZE != 0:
-        raise PaddingError("padded data must be a positive multiple of 16")
+        raise ValueError("padded data must be a positive multiple of 16")
     n = data[-1]
     if n < 1 or n > BLOCK_SIZE or data[-n:] != bytes([n]) * n:
-        raise PaddingError("invalid PKCS#7 padding")
+        raise ValueError("invalid PKCS#7 padding")
     return data[:-n]
 
 
@@ -99,39 +101,22 @@ def cbc_mac(data: bytes, schedule: aes_core.KeySchedule) -> bytes:
     return cbc_encrypt(data, schedule, bytes(BLOCK_SIZE))[-BLOCK_SIZE:]
 
 
-@dataclass(frozen=True)
-class CipherValue:
-    """Self-contained encrypted field value: IV || ciphertext || tag."""
-
-    iv: bytes
-    ct: bytes
-    tag: bytes
-
-    def __post_init__(self):
-        if len(self.iv) != BLOCK_SIZE or len(self.tag) != BLOCK_SIZE:
-            raise ValueError("iv and tag must be 16 bytes")
-        if len(self.ct) < BLOCK_SIZE or len(self.ct) % BLOCK_SIZE != 0:
-            raise ValueError("ciphertext must be a positive multiple of 16")
-
-    def to_bytes(self) -> bytes:
-        return self.iv + self.ct + self.tag
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "CipherValue":
-        if len(raw) < 3 * BLOCK_SIZE or len(raw) % BLOCK_SIZE != 0:
-            raise ValueError("serialized CipherValue has invalid length")
-        return cls(raw[:BLOCK_SIZE], raw[BLOCK_SIZE:-BLOCK_SIZE], raw[-BLOCK_SIZE:])
+def check_value(raw: bytes) -> bytes:
+    """`raw` if its length is that of a value, IV || ciphertext || tag with
+    a ciphertext of one block or more; ValueError otherwise."""
+    if len(raw) < 3 * BLOCK_SIZE or len(raw) % BLOCK_SIZE != 0:
+        raise ValueError(f"a value of {len(raw)} bytes is not IV || ciphertext || tag")
+    return raw
 
 
-def encrypt_value(plaintext: bytes, keys, rng: Callable[[int], bytes] = os.urandom) -> CipherValue:
-    """Encrypt one field value under a TenantKeySet, whose key schedules
-    were expanded when it was built."""
+def encrypt_value(plaintext: bytes, keys, rng: Callable[[int], bytes] = os.urandom) -> bytes:
+    """IV || ciphertext || tag of one field value under a TenantKeySet,
+    whose key schedules were expanded when it was built."""
     if len(plaintext) > MAX_FIELD_BYTES:
         raise FieldTooLarge(f"field of {len(plaintext)} bytes exceeds cap of {MAX_FIELD_BYTES}")
     iv = rng(BLOCK_SIZE)
-    ct = cbc_encrypt(pad(plaintext), keys.enc_schedule, iv)
-    tag = cbc_mac(iv + ct, keys.mac_schedule)
-    return CipherValue(iv=iv, ct=ct, tag=tag)
+    message = iv + cbc_encrypt(pad(plaintext), keys.enc_schedule, iv)
+    return message + cbc_mac(message, keys.mac_schedule)
 
 
 def _cbc_macs(messages: List[bytes], schedule: aes_core.KeySchedule, steps: int) -> List[bytes]:
@@ -161,16 +146,19 @@ def _cbc_macs(messages: List[bytes], schedule: aes_core.KeySchedule, steps: int)
     return tags
 
 
-def decrypt_values(values: Sequence[CipherValue], keys) -> List[bytes]:
+def decrypt_values(values: Sequence[bytes], keys) -> List[bytes]:
     """Verify every tag, then decrypt every value. A tag failure raises
-    AuthError before any block of the batch is decrypted.
+    AuthError before any block of the batch is decrypted, and so does a
+    value whose tag verifies but whose padding is invalid: CBC-MAC tags of
+    different lengths are not independent, so a forger can build one.
+    A value of a length `check_value` refuses raises ValueError.
 
     The values are independent: their MAC chains step side by side as the
     kernel's lanes while at least LANE_MIN_BLOCKS of them are running, and
     all their ciphertexts are CBC-decrypted in one call, since no block's
     decryption waits on another's (NIST SP 800-38A section 6.2)."""
-    messages = [v.iv + v.ct for v in values]
-    data = b"".join([v.ct for v in values])
+    messages = [check_value(v)[:-BLOCK_SIZE] for v in values]
+    data = b"".join([m[BLOCK_SIZE:] for m in messages])
     blocks = len(data) // BLOCK_SIZE
     lane_blocks = blocks if blocks >= LANE_MIN_BLOCKS else 0
     steps = 0
@@ -181,7 +169,7 @@ def decrypt_values(values: Sequence[CipherValue], keys) -> List[bytes]:
     lanes = lane_blocks > 0 and _use_lanes(lane_blocks)
     tags = _cbc_macs(messages, keys.mac_schedule, steps if lanes else 0)
     for value, tag in zip(values, tags):
-        if not hmac.compare_digest(tag, value.tag):
+        if not hmac.compare_digest(tag, value[-BLOCK_SIZE:]):
             raise AuthError("authentication tag mismatch")
     schedule = keys.enc_schedule
     if lanes:
@@ -195,15 +183,14 @@ def decrypt_values(values: Sequence[CipherValue], keys) -> List[bytes]:
     plain = _xor(plain, b"".join([m[:-BLOCK_SIZE] for m in messages]))
     out, end = [], 0
     try:
-        for value in values:
-            start, end = end, end + len(value.ct)
+        for m in messages:
+            start, end = end, end + len(m) - BLOCK_SIZE
             out.append(unpad(plain[start:end]))
-    except PaddingError as exc:
-        # unreachable after a valid tag unless the codec itself is broken
-        raise AssertionError("padding invalid despite valid tag") from exc
+    except ValueError:
+        raise AuthError("a value whose tag verifies has invalid padding") from None
     return out
 
 
-def decrypt_value(value: CipherValue, keys) -> bytes:
+def decrypt_value(value: bytes, keys) -> bytes:
     """decrypt_values of one value."""
     return decrypt_values([value], keys)[0]

@@ -24,10 +24,6 @@ class InvalidTenantId(CmtError):
     exit_code = 2
 
 
-class PaddingError(CmtError):
-    """PKCS#7 padding structure is invalid."""
-
-
 class FieldTooLarge(CmtError):
     """A field plaintext exceeds the store-level size cap."""
 

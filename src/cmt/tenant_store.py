@@ -2,7 +2,8 @@
 
 One logical table holds every tenant's rows. Tenant id and row id stay in
 clear for addressing; every field value is encrypted under the owning
-tenant's derived keys before it touches disk. Persistence is an
+tenant's derived keys before it touches disk, as opaque bytes whose layout
+only `crypto_codec` knows. Persistence is an
 append-only JSON-lines log replayed in full on open; each mutation is
 written and fsynced before the call returns, and an append that fails is
 cut back off the file before the error is raised; if that cut fails too,
@@ -10,7 +11,7 @@ the handle refuses every later mutation until the store is reopened. A
 trailing torn line (crash mid-write) is truncated on open with a warning,
 once the opener holds the store's lock. `list` verifies and decrypts all
 of a tenant's values as one batch (`crypto_codec.decrypt_values`), `get`
-one value at a time.
+one value at a time; a value that verifies but is not UTF-8 is AuthError.
 
 File format (UTF-8, newline-delimited):
   line 1: {"v":1,"table":"<name>","fields":["f1",...]}
@@ -30,9 +31,10 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .crypto_codec import CipherValue, decrypt_value, decrypt_values, encrypt_value
+from .crypto_codec import check_value, decrypt_value, decrypt_values, encrypt_value
 from .errors import (
     AlreadyExists,
+    AuthError,
     CorruptHeader,
     CorruptLog,
     InvalidSchema,
@@ -95,6 +97,15 @@ def _unlock(lock_fh) -> None:
     lock_fh.close()
 
 
+def _utf8(plains: List[bytes]) -> List[str]:
+    """Decrypted values as text. The store writes only UTF-8, so a value
+    that verified and does not decode is a forgery."""
+    try:
+        return [plain.decode("utf-8") for plain in plains]
+    except UnicodeDecodeError:
+        raise AuthError("a value whose tag verifies is not UTF-8 text") from None
+
+
 class Store:
     """Handle over one store file. Single writer per process; mutations
     serialize through an internal lock. One process per file, enforced by
@@ -105,7 +116,7 @@ class Store:
         self.path = path
         self.schema = schema
         self._master = master
-        self._live: Dict[int, Tuple[str, Dict[str, CipherValue]]] = {}
+        self._live: Dict[int, Tuple[str, Dict[str, bytes]]] = {}
         self._max_row_id = 0
         self._mutex = threading.Lock()
         self._key_cache: Dict[str, TenantKeySet] = {}
@@ -146,8 +157,8 @@ class Store:
         event = {"op": op, "t": tenant, "r": row_id, "ts": int(time.time())}
         if fields is not None:
             event["f"] = {
-                name: base64.b64encode(cv.to_bytes()).decode("ascii")
-                for name, cv in fields.items()
+                name: base64.b64encode(value).decode("ascii")
+                for name, value in fields.items()
             }
         line = memoryview((json.dumps(event, separators=(",", ":")) + "\n").encode("ascii"))
         offset = self._fh.seek(0, os.SEEK_END)
@@ -170,7 +181,7 @@ class Store:
             self._live[row_id] = (tenant, fields)
         self._max_row_id = max(self._max_row_id, row_id)
 
-    def _live_row(self, tenant: str, row_id: int) -> Dict[str, CipherValue]:
+    def _live_row(self, tenant: str, row_id: int) -> Dict[str, bytes]:
         # callers hold _mutex
         validate_tenant_id(tenant)
         if row_id not in self._live:
@@ -181,7 +192,7 @@ class Store:
             raise IsolationDenied(f"row {row_id} belongs to another tenant")
         return fields
 
-    def _encrypt_fields(self, tenant: str, values: Dict[str, str]) -> Dict[str, CipherValue]:
+    def _encrypt_fields(self, tenant: str, values: Dict[str, str]) -> Dict[str, bytes]:
         if set(values) != set(self.schema.field_names):
             missing = set(self.schema.field_names) - set(values)
             extra = set(values) - set(self.schema.field_names)
@@ -209,8 +220,8 @@ class Store:
         with self._mutex:
             fields = self._live_row(tenant, row_id)
         keys = self._keys_for(tenant)
-        plain = {name: decrypt_value(cv, keys).decode("utf-8") for name, cv in fields.items()}
-        return Record(row_id=row_id, tenant=tenant, fields=plain)
+        texts = _utf8([decrypt_value(value, keys) for value in fields.values()])
+        return Record(row_id=row_id, tenant=tenant, fields=dict(zip(fields, texts)))
 
     def list(self, tenant: str) -> List[Record]:
         """The tenant's rows by row id; every value of every row is verified
@@ -224,11 +235,11 @@ class Store:
                     rows.append((row_id, fields))
         if not rows:
             return []
-        values = [cv for _, fields in rows for cv in fields.values()]
-        plain = iter(decrypt_values(values, self._keys_for(tenant)))
+        values = [value for _, fields in rows for value in fields.values()]
+        texts = iter(_utf8(decrypt_values(values, self._keys_for(tenant))))
         return [
             Record(row_id=row_id, tenant=tenant,
-                   fields={name: next(plain).decode("utf-8") for name in fields})
+                   fields={name: next(texts) for name in fields})
             for row_id, fields in rows
         ]
 
@@ -283,7 +294,7 @@ def _decode_event(event) -> tuple:
         raise ValueError('"f" must map field names to base64 strings')
     # b64decode raises TypeError for a value that is not a string
     fields = {
-        name: CipherValue.from_bytes(base64.b64decode(b64, validate=True))
+        name: check_value(base64.b64decode(b64, validate=True))
         for name, b64 in encoded.items()
     }
     return op, tenant, row_id, fields

@@ -1,5 +1,7 @@
 """CLI tests: the Student Entry flow, exit-code contract, stream discipline."""
 
+import base64
+import json
 import os
 import subprocess
 import sys
@@ -192,7 +194,7 @@ def test_every_error_class_carries_its_exit_code():
     }
     assert codes == {
         "CmtError": 3, "MissingKey": 3, "MalformedKey": 3, "InvalidTenantId": 2,
-        "PaddingError": 3, "FieldTooLarge": 2, "AuthError": 6, "StoreError": 3,
+        "FieldTooLarge": 2, "AuthError": 6, "StoreError": 3,
         "AlreadyExists": 2, "InvalidSchema": 2, "CorruptHeader": 3,
         "VersionMismatch": 3, "CorruptLog": 3, "SchemaMismatch": 2, "NotFound": 4,
         "IsolationDenied": 5, "StoreLocked": 3,
@@ -313,3 +315,42 @@ def test_values_survive_process_restart(tmp_path):
     got = run_cmt(["--store", path, "--tenant", "uni_a", "get", "--row", "1"])
     assert got.returncode == 0
     assert "name=Alice" in got.stdout
+
+
+# --- forged values ----------------------------------------------------------------
+
+def _forge(values, kind):
+    """The target row's fields after one forgery, built the way the
+    benchmark's tamper set builds it; `values` are rows 1..3's raw fields."""
+    fields = dict(values[1])
+    if kind == "bit_flip":
+        raw = bytearray(fields["name"])
+        raw[20] ^= 0x01  # a bit of the first ciphertext block
+        fields["name"] = bytes(raw)
+    elif kind == "cross_tenant_value":
+        fields["name"] = values[3]["name"]
+    elif kind == "cbc_mac_length_extension":
+        raw = fields["name"]
+        iv, ct, tag = raw[:16], raw[16:-16], raw[-16:]
+        # CBC-MAC(IV || ct) = tag, so the chain restarts at IV ^ tag
+        fields["name"] = iv + ct + bytes(a ^ b for a, b in zip(iv, tag)) + ct + tag
+    return fields
+
+
+@pytest.mark.parametrize("kind", ["bit_flip", "cross_tenant_value", "cbc_mac_length_extension"])
+def test_forged_value_exit_6(store_path, kind):
+    # a name of two blocks or more: a length extension keeps valid padding
+    # and fails only on the UTF-8 of its spliced blocks
+    main(insert_args(store_path, "uni_a", name="Tamper Target Name 01"))
+    main(insert_args(store_path, "uni_a", name="Second Row Of Tenant A"))
+    main(insert_args(store_path, "uni_b", name="Row Of The Other Tenant"))
+    with open(store_path, encoding="ascii") as fh:
+        events = [json.loads(line) for line in fh.read().splitlines()[1:]]
+    values = {e["r"]: {k: base64.b64decode(v) for k, v in e["f"].items()} for e in events}
+    forged = {k: base64.b64encode(v).decode("ascii") for k, v in _forge(values, kind).items()}
+    with open(store_path, "a", encoding="ascii") as fh:
+        fh.write(json.dumps({"op": "upd", "t": "uni_a", "r": 1, "ts": 0, "f": forged}) + "\n")
+    result = run_cmt(["--store", store_path, "--tenant", "uni_a", "get", "--row", "1"])
+    assert result.returncode == 6
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr

@@ -1,6 +1,8 @@
 """Codec tests: padding, CBC against a library reference, round trips,
 tamper detection, and the serialized-length formula."""
 
+import base64
+import json
 import os
 import subprocess
 import sys
@@ -13,17 +15,18 @@ from hypothesis import strategies as st
 from cmt import aes_core, crypto_codec
 from cmt.crypto_codec import (
     LANE_MIN_BLOCKS,
-    CipherValue,
     cbc_encrypt,
     cbc_mac,
+    check_value,
     decrypt_value,
     decrypt_values,
     encrypt_value,
     pad,
     unpad,
 )
-from cmt.errors import AuthError, FieldTooLarge, PaddingError
+from cmt.errors import AuthError, CorruptLog, FieldTooLarge
 from cmt.key_service import TenantKeySet
+from cmt.tenant_store import TableSchema, create_store, open_store
 
 
 def random_keys() -> TenantKeySet:
@@ -54,14 +57,14 @@ def test_pad_block_aligned_adds_full_block():
 
 def test_unpad_rejects_inconsistent_padding():
     block = b"\x00" * 13 + b"\x03\x02\x03"
-    with pytest.raises(PaddingError):
+    with pytest.raises(ValueError):
         unpad(block)
 
 
 def test_unpad_rejects_bad_lengths():
-    with pytest.raises(PaddingError):
+    with pytest.raises(ValueError):
         unpad(b"")
-    with pytest.raises(PaddingError):
+    with pytest.raises(ValueError):
         unpad(b"123")
 
 
@@ -74,12 +77,12 @@ def test_pad_unpad_round_trip(data):
 
 # --- CBC against library reference ----------------------------------------
 
-def library_value(plaintext: bytes, enc_key: bytes, keys: TenantKeySet) -> CipherValue:
+def library_value(plaintext: bytes, enc_key: bytes, keys: TenantKeySet) -> bytes:
     """A value whose CBC ciphertext the library made, tagged by the codec."""
     iv = os.urandom(16)
     enc = Cipher(algorithms.AES(enc_key), modes.CBC(iv)).encryptor()
     ct = enc.update(pad(plaintext)) + enc.finalize()
-    return CipherValue(iv=iv, ct=ct, tag=cbc_mac(iv + ct, keys.mac_schedule))
+    return iv + ct + cbc_mac(iv + ct, keys.mac_schedule)
 
 
 def test_cbc_matches_library():
@@ -123,18 +126,32 @@ def test_cbc_mac_is_last_cbc_block():
     assert cbc_mac(data, ks) == cbc_encrypt(data, ks, bytes(16))[-16:]
 
 
-# --- CipherValue structure -------------------------------------------------
+# --- value layout ------------------------------------------------------------
 
-def test_cipher_value_serialization_round_trip():
-    cv = CipherValue(iv=os.urandom(16), ct=os.urandom(48), tag=os.urandom(16))
-    assert CipherValue.from_bytes(cv.to_bytes()) == cv
-
-
-def test_cipher_value_rejects_bad_shapes():
+@pytest.mark.parametrize(
+    "b64",
+    [
+        base64.b64encode(bytes(47)).decode(),
+        base64.b64encode(bytes(49)).decode(),
+        base64.b64encode(bytes(32)).decode(),  # an IV and a tag around no ciphertext
+        "not base64!",
+    ],
+    ids=["47 bytes", "49 bytes", "empty ciphertext", "undecodable"],
+)
+def test_value_length_rule(tmp_path, b64):
+    # the codec refuses the value, in check_value and in decrypt_values
+    # (binascii.Error, which b64decode raises, is a ValueError)
     with pytest.raises(ValueError):
-        CipherValue(iv=b"short", ct=os.urandom(16), tag=os.urandom(16))
+        check_value(base64.b64decode(b64, validate=True))
     with pytest.raises(ValueError):
-        CipherValue(iv=os.urandom(16), ct=b"", tag=os.urandom(16))
+        decrypt_values([base64.b64decode(b64, validate=True)], random_keys())
+    # and a store whose log holds it does not open
+    path = str(tmp_path / "s.cmt")
+    create_store(path, TableSchema("t", ("name",))).close()
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"op": "ins", "t": "x", "r": 1, "ts": 1, "f": {"name": b64}}) + "\n")
+    with pytest.raises(CorruptLog, match="line 2 "):
+        open_store(path)
 
 
 # --- encrypt/decrypt -------------------------------------------------------
@@ -187,15 +204,31 @@ def test_mac_chains_step_in_lockstep_from_lane_min_blocks(count, lanes, monkeypa
 def test_one_forged_tag_refuses_the_batch_before_any_decryption(forged, lanes, monkeypatch):
     values = [encrypt_value(os.urandom(20 * i), BATCH_KEYS) for i in range(9)]
     at = {"first": 0, "middle": 4, "last": 8}[forged]
-    tag = bytearray(values[at].tag)
-    tag[-1] ^= 0x80
-    values[at] = CipherValue(iv=values[at].iv, ct=values[at].ct, tag=bytes(tag))
+    forgery = bytearray(values[at])
+    forgery[-1] ^= 0x80  # the tag's last byte
+    values[at] = bytes(forgery)
     monkeypatch.setattr(crypto_codec, "_use_lanes", lambda blocks: lanes)
     blocks = spy(monkeypatch, aes_core, "decrypt_block")
     kernel = spy(monkeypatch, aes_core, "decrypt_ecb")
     with pytest.raises(AuthError):
         decrypt_values(values, BATCH_KEYS)
     assert blocks == kernel == []
+
+
+@pytest.mark.parametrize("lanes", [False, True])
+def test_a_verified_value_with_bad_padding_is_auth_error(lanes, monkeypatch):
+    # a CBC-MAC length extension of a one-block value: the chain restarts at
+    # IV ^ tag, so the tag verifies, and the last block decrypts to the
+    # padded plaintext XOR the tag, whose padding is invalid for these keys
+    value = encrypt_value(b"x", BATCH_KEYS, rng=bytes)  # an all-zero IV
+    iv, ct, tag = value[:16], value[16:-16], value[-16:]
+    forged = iv + ct + bytes(a ^ b for a, b in zip(iv, tag)) + ct + tag
+    assert cbc_mac(forged[:-16], BATCH_KEYS.mac_schedule) == tag
+    with pytest.raises(ValueError):
+        unpad(bytes(a ^ b for a, b in zip(pad(b"x"), tag)))
+    monkeypatch.setattr(crypto_codec, "_use_lanes", lambda blocks: lanes)
+    with pytest.raises(AuthError, match="padding"):
+        decrypt_values([forged] * LANE_MIN_BLOCKS, BATCH_KEYS)
 
 
 def test_numpy_is_loaded_once_the_chain_has_paid_for_it():
@@ -222,23 +255,23 @@ def test_numpy_is_loaded_once_the_chain_has_paid_for_it():
 
 def test_empty_plaintext_sizes():
     cv = encrypt_value(b"", random_keys())
-    assert len(cv.ct) == 16
-    assert len(cv.to_bytes()) == 48
+    assert len(cv[16:-16]) == 16
+    assert len(cv) == 48
 
 
 def test_serialized_length_formula():
     keys = random_keys()
     for n in (0, 1, 15, 16, 17, 100, 255, 256, 1024):
         cv = encrypt_value(os.urandom(n), keys)
-        assert len(cv.to_bytes()) == 32 + 16 * ((n + 1 + 15) // 16)
+        assert len(cv) == 32 + 16 * ((n + 1 + 15) // 16)
 
 
 def test_fresh_iv_per_encryption():
     keys = random_keys()
     a = encrypt_value(b"same plaintext", keys)
     b = encrypt_value(b"same plaintext", keys)
-    assert a.iv != b.iv
-    assert a.ct != b.ct
+    assert a[:16] != b[:16]
+    assert a[16:-16] != b[16:-16]
 
 
 def test_field_size_cap():
@@ -259,16 +292,16 @@ def test_wrong_keys_always_auth_error():
 def test_tampering_detected():
     keys = random_keys()
     cv = encrypt_value(b"some protected bytes", keys)
-    for victim in ("iv", "ct", "tag"):
-        raw = bytearray(getattr(cv, victim))
-        raw[0] ^= 0x01
-        mutated = CipherValue(**{**cv.__dict__, victim: bytes(raw)})
+    # the first byte of the IV, of the ciphertext and of the tag
+    for victim in (0, 16, len(cv) - 16):
+        raw = bytearray(cv)
+        raw[victim] ^= 0x01
         with pytest.raises(AuthError):
-            decrypt_value(mutated, keys)
+            decrypt_value(bytes(raw), keys)
 
 
 def test_ciphertext_never_contains_plaintext():
     keys = random_keys()
     for _ in range(200):
         p = os.urandom(16)
-        assert p not in encrypt_value(p, keys).to_bytes()
+        assert p not in encrypt_value(p, keys)

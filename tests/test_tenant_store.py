@@ -1,5 +1,6 @@
 """Record store tests: CRUD, isolation, replay, crash recovery, at-rest scan."""
 
+import base64
 import errno
 import functools
 import json
@@ -9,7 +10,7 @@ import stat
 import tempfile
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cmt.errors import (
@@ -28,7 +29,7 @@ from cmt.errors import (
     VersionMismatch,
 )
 from cmt import aes_core, crypto_codec, tenant_store
-from cmt.key_service import MasterKey
+from cmt.key_service import MasterKey, derive_tenant_keys
 from cmt.tenant_store import TableSchema, create_store, open_store
 
 MASTER = MasterKey(bytes.fromhex("000102030405060708090a0b0c0d0e0f"))
@@ -437,6 +438,28 @@ def test_wrong_master_key_fails_closed(tmp_path):
             s.get("uni_a", rid)
 
 
+def test_a_verified_value_that_is_not_utf8_is_auth_error(tmp_path):
+    # a CBC-MAC length extension of a two-block value verifies and unpads,
+    # but its spliced blocks decrypt to bytes the store never writes
+    path = str(tmp_path / "s.cmt")
+    with create_store(path, SCHEMA, MASTER) as s:
+        rid = s.insert("uni_a", row("a name of two AES blocks"))
+        value = s._live[rid][1]["name"]
+    iv, ct, tag = value[:16], value[16:-16], value[-16:]
+    forged = iv + ct + bytes(a ^ b for a, b in zip(iv, tag)) + ct + tag
+    assert crypto_codec.cbc_mac(forged[:-16], derive_tenant_keys(MASTER, "uni_a").mac_schedule) == tag
+    with open(path, "rb") as fh:
+        event = json.loads(fh.read().split(b"\n")[1])
+    event["op"], event["f"]["name"] = "upd", base64.b64encode(forged).decode("ascii")
+    with open(path, "a", encoding="ascii") as fh:
+        fh.write(json.dumps(event) + "\n")
+    with open_store(path, MASTER) as s:
+        with pytest.raises(AuthError, match="UTF-8"):
+            s.get("uni_a", rid)
+        with pytest.raises(AuthError, match="UTF-8"):
+            s.list("uni_a")
+
+
 def test_store_file_format(tmp_path):
     path = str(tmp_path / "s.cmt")
     with create_store(path, SCHEMA, MASTER) as s:
@@ -532,7 +555,8 @@ def _edit(lines, at, edit):
     i = at % len(lines)
     line = lines[i]
     if edit[0] == "byte":
-        pos = edit[1] % len(line)
+        # a byte edit of a line an earlier cut emptied writes that one byte
+        pos = edit[1] % max(len(line), 1)
         lines[i] = line[:pos] + bytes([edit[2]]) + line[pos + 1 :]
     elif edit[0] == "cut":
         lines[i] = line[: edit[1] % (len(line) + 1)]
@@ -560,6 +584,7 @@ def _edit(lines, at, edit):
 
 
 @given(edits=st.lists(_LINE_EDITS, min_size=1, max_size=4), torn=st.booleans(), lanes=st.booleans())
+@example(edits=[(0, ("cut", 0)), (0, ("byte", 0, 0))], torn=False, lanes=False)
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_fuzzed_log_lines_raise_only_cmt_errors(tmp_path, monkeypatch, edits, torn, lanes):
     # mutated, cut, spliced, dropped and repeated event lines: opening the
