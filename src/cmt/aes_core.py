@@ -1,7 +1,10 @@
 """AES-128 block cipher built from first principles.
 
-No crypto libraries: GF(2^8) arithmetic, a computed S-box, Rijndael key
-expansion, and one cipher core in two shapes that share a key schedule:
+No crypto libraries: GF(2^8) arithmetic on log/antilog tables of the
+generator 3, from which the S-box (the field inverse and the affine map of
+FIPS-197 section 5.1.1) and the round tables are computed at import,
+Rijndael key expansion, and one cipher core in two shapes that share a key
+schedule:
 
 - `encrypt_block`/`decrypt_block` take one 16-byte block and run one round
   function on four 32-bit column words, each round four T-table lookups
@@ -24,8 +27,7 @@ cipher leaks through cache timing; constant-time hardening is a non-goal.
 
 import struct
 import sys
-from dataclasses import dataclass
-from typing import List
+from collections import namedtuple
 
 BLOCK_SIZE = 16
 KEY_SIZE = 16
@@ -34,53 +36,35 @@ NUM_ROUNDS = 10
 # GF(2^8) reduction polynomial x^8 + x^4 + x^3 + x + 1
 _POLY = 0x11B
 
+# Powers of the generator 3 and their logarithms: _EXP[i] = 3^i, written
+# out twice so that _EXP[_LOG[a] + _LOG[b]] needs no reduction mod 255.
+_EXP = [0] * 510
+_LOG = [0] * 256
+_x = 1
+for _i in range(255):
+    _EXP[_i] = _EXP[_i + 255] = _x
+    _LOG[_x] = _i
+    _x ^= _x << 1  # times 3 = times 2 (xtime, FIPS-197 section 4.2.1) plus 1
+    if _x & 0x100:
+        _x ^= _POLY
+
 
 def gf_mul(a: int, b: int) -> int:
-    """Multiply two field elements, shift-and-reduce."""
-    result = 0
-    while b:
-        if b & 1:
-            result ^= a
-        a <<= 1
-        if a & 0x100:
-            a ^= _POLY
-        b >>= 1
-    return result
+    """Multiply two field elements as 3^(log a + log b)."""
+    if a and b:
+        return _EXP[_LOG[a] + _LOG[b]]
+    return 0
 
 
-def _gf_inv(a: int) -> int:
-    # a^254 = a^-1 in GF(2^8); square-and-multiply keeps this independent
-    # of any table.
-    if a == 0:
-        return 0
-    result = 1
-    power = a
-    exp = 254
-    while exp:
-        if exp & 1:
-            result = gf_mul(result, power)
-        power = gf_mul(power, power)
-        exp >>= 1
-    return result
-
-
-def _build_sbox() -> List[int]:
+def _build_sbox() -> list:
+    """The multiplicative inverse 3^(255 - log a) (0 for 0), then the affine
+    transform over GF(2) (FIPS-197 section 5.1.1): the inverse XOR its
+    left rotations by 1..4 bits, XOR 0x63."""
     box = []
     for a in range(256):
-        x = _gf_inv(a)
-        # standard affine transform over GF(2)
-        y = 0
-        for bit in range(8):
-            b = (
-                (x >> bit)
-                ^ (x >> ((bit + 4) % 8))
-                ^ (x >> ((bit + 5) % 8))
-                ^ (x >> ((bit + 6) % 8))
-                ^ (x >> ((bit + 7) % 8))
-                ^ (0x63 >> bit)
-            ) & 1
-            y |= b << bit
-        box.append(y)
+        x = _EXP[255 - _LOG[a]] if a else 0
+        rotations = x << 1 ^ x << 2 ^ x << 3 ^ x << 4
+        box.append((x ^ rotations ^ rotations >> 8 ^ 0x63) & 0xFF)
     return box
 
 
@@ -98,7 +82,7 @@ if sorted(SBOX) != list(range(256)):
 RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36]
 
 
-def _round_tables(box: List[int], mix: tuple) -> tuple:
+def _round_tables(box: list, mix: tuple) -> tuple:
     """T0..T3: byte x in row r -> the column word box[x] contributes after
     the mix, whose matrix has `mix` as its first column (what a byte in row 0
     gives rows 0..3). Row r's table is row 0's rotated right by 8r bits."""
@@ -119,8 +103,7 @@ _TD = _round_tables(INV_SBOX, (0x0E, 0x09, 0x0D, 0x0B))  # InvMixColumns
 _WORDS = struct.Struct(">4I")
 
 
-@dataclass(frozen=True)
-class KeySchedule:
+class KeySchedule(namedtuple("KeySchedule", "enc_words dec_words")):
     """An AES-128 key expanded once for both directions.
 
     `enc_words` are the 44 words of the key expansion. `dec_words` are the
@@ -129,8 +112,7 @@ class KeySchedule:
     words 1 and 3 of every round exchanged (see `decrypt_block`).
     """
 
-    enc_words: tuple
-    dec_words: tuple
+    __slots__ = ()
 
 
 def _sub_rot_word(w: int) -> int:
@@ -179,7 +161,7 @@ def _columns(block: bytes) -> tuple:
     return _WORDS.unpack(block)
 
 
-def _rounds(s0: int, s1: int, s2: int, s3: int, rk: tuple, tables: tuple, box: List[int]) -> tuple:
+def _rounds(s0: int, s1: int, s2: int, s3: int, rk: tuple, tables: tuple, box: list) -> tuple:
     """Initial key add, 9 T-table rounds (SubBytes, ShiftRows and MixColumns
     in one lookup per byte) and a final round of S-box lookups on four
     column words; column c reads row r from column (c + r) % 4."""

@@ -13,7 +13,6 @@ import sys
 from . import tenant_store
 from .errors import CmtError, InvalidSchema
 from .key_service import load_master_key
-from .selftest import run_selftest
 from .tenant_store import TableSchema, create_store, open_store
 
 DEFAULT_STORE = "./studententry.cmt"
@@ -91,6 +90,8 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "selftest":
+            from .selftest import run_selftest  # the one command that needs it
+
             return EXIT_OK if run_selftest() else EXIT_SELFTEST
 
         if args.command == "init":

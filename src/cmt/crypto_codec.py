@@ -22,9 +22,11 @@ one batch, therefore never imports numpy, and a one-shot `cmt get` only for
 a row of more than IMPORT_BLOCKS blocks.
 """
 
-import hmac
 import os
-from typing import Callable, List, Sequence
+from collections.abc import Callable, Sequence
+
+# hmac.compare_digest's own constant-time fallback, without loading OpenSSL
+from _operator import _compare_digest as compare_digest
 
 from . import aes_core
 from .errors import AuthError, FieldTooLarge
@@ -119,7 +121,7 @@ def encrypt_value(plaintext: bytes, keys, rng: Callable[[int], bytes] = os.urand
     return message + cbc_mac(message, keys.mac_schedule)
 
 
-def _cbc_macs(messages: List[bytes], schedule: aes_core.KeySchedule, steps: int) -> List[bytes]:
+def _cbc_macs(messages: list[bytes], schedule: aes_core.KeySchedule, steps: int) -> list[bytes]:
     """CBC-MAC of every message. The first `steps` blocks run on the kernel
     with one lane per message that is still running, longest messages first,
     so the running lanes are always a prefix; the rest runs on the chain."""
@@ -146,7 +148,7 @@ def _cbc_macs(messages: List[bytes], schedule: aes_core.KeySchedule, steps: int)
     return tags
 
 
-def decrypt_values(values: Sequence[bytes], keys) -> List[bytes]:
+def decrypt_values(values: Sequence[bytes], keys) -> list[bytes]:
     """Verify every tag, then decrypt every value. A tag failure raises
     AuthError before any block of the batch is decrypted, and so does a
     value whose tag verifies but whose padding is invalid: CBC-MAC tags of
@@ -169,7 +171,7 @@ def decrypt_values(values: Sequence[bytes], keys) -> List[bytes]:
     lanes = lane_blocks > 0 and _use_lanes(lane_blocks)
     tags = _cbc_macs(messages, keys.mac_schedule, steps if lanes else 0)
     for value, tag in zip(values, tags):
-        if not hmac.compare_digest(tag, value[-BLOCK_SIZE:]):
+        if not compare_digest(tag, value[-BLOCK_SIZE:]):
             raise AuthError("authentication tag mismatch")
     schedule = keys.enc_schedule
     if lanes:

@@ -8,7 +8,7 @@ never collide with each other.
 
 import os
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import aes_core
 from .crypto_codec import cbc_mac, pad
@@ -22,30 +22,33 @@ _ENC_CONST = bytes([0x01]) * 16
 _MAC_CONST = bytes([0x02]) * 16
 
 
-@dataclass(frozen=True)
-class MasterKey:
-    key: bytes
-    schedule: aes_core.KeySchedule = field(init=False, repr=False, compare=False)
+class MasterKey(namedtuple("MasterKey", "key schedule")):
+    """The 16-byte master key and its schedule, expanded once, here."""
 
-    def __post_init__(self):
-        if len(self.key) != aes_core.KEY_SIZE:
+    __slots__ = ()
+
+    def __new__(cls, key: bytes):
+        if len(key) != aes_core.KEY_SIZE:
             raise MalformedKey("master key must be exactly 16 bytes")
-        object.__setattr__(self, "schedule", aes_core.expand_key(self.key))
+        return super().__new__(cls, key, aes_core.expand_key(key))
+
+    def __getnewargs__(self):  # copy and pickle rebuild it from the key
+        return (self.key,)
 
 
-@dataclass(frozen=True)
-class TenantKeySet:
+class TenantKeySet(namedtuple("TenantKeySet", "enc_key mac_key enc_schedule mac_schedule")):
     """A tenant's two keys, each expanded once, here, for every value the
     codec encrypts or decrypts under them."""
 
-    enc_key: bytes
-    mac_key: bytes
-    enc_schedule: aes_core.KeySchedule = field(init=False, repr=False, compare=False)
-    mac_schedule: aes_core.KeySchedule = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "enc_schedule", aes_core.expand_key(self.enc_key))
-        object.__setattr__(self, "mac_schedule", aes_core.expand_key(self.mac_key))
+    def __new__(cls, enc_key: bytes, mac_key: bytes):
+        return super().__new__(
+            cls, enc_key, mac_key, aes_core.expand_key(enc_key), aes_core.expand_key(mac_key)
+        )
+
+    def __getnewargs__(self):  # copy and pickle rebuild it from the keys
+        return (self.enc_key, self.mac_key)
 
 
 def validate_tenant_id(tenant_id: str) -> str:
@@ -71,6 +74,8 @@ def load_master_key(key_file: str = None, env_var: str = MASTER_KEY_ENV) -> Mast
                 return _parse_hex_key(fh.read())
         except FileNotFoundError:
             raise MissingKey(f"master key file not found: {key_file}") from None
+        except UnicodeDecodeError:
+            raise MalformedKey(f"master key file is not 32 hex characters: {key_file}") from None
     value = os.environ.get(env_var)
     if value is None:
         raise MissingKey(

@@ -8,10 +8,12 @@ append-only JSON-lines log replayed in full on open; each mutation is
 written and fsynced before the call returns, and an append that fails is
 cut back off the file before the error is raised; if that cut fails too,
 the handle refuses every later mutation until the store is reopened. A
-trailing torn line (crash mid-write) is truncated on open with a warning,
-once the opener holds the store's lock. `list` verifies and decrypts all
-of a tenant's values as one batch (`crypto_codec.decrypt_values`), `get`
-one value at a time; a value that verifies but is not UTF-8 is AuthError.
+trailing torn line (crash mid-write) is truncated on open, once the opener
+holds the store's lock, with a `logging` warning (on stderr unless logging
+is configured); `logging` is imported on that path only. `list` verifies
+and decrypts all of a tenant's values as one batch
+(`crypto_codec.decrypt_values`), `get` one value at a time; a value that
+verifies but is not UTF-8 is AuthError.
 
 File format (UTF-8, newline-delimited):
   line 1: {"v":1,"table":"<name>","fields":["f1",...]}
@@ -23,13 +25,11 @@ File format (UTF-8, newline-delimited):
 import base64
 import fcntl
 import json
-import logging
 import os
 import re
 import threading
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from collections import namedtuple
 
 from .crypto_codec import check_value, decrypt_value, decrypt_values, encrypt_value
 from .errors import (
@@ -48,37 +48,34 @@ from .errors import (
 )
 from .key_service import MasterKey, TenantKeySet, derive_tenant_keys, validate_tenant_id
 
-logger = logging.getLogger(__name__)
-
 FORMAT_VERSION = 1
 
 _NAME_RE = re.compile(r"^[a-z0-9_]{1,64}$")
 
 
-@dataclass(frozen=True)
-class TableSchema:
-    table_name: str
-    field_names: Tuple[str, ...]
+class TableSchema(namedtuple("TableSchema", "table_name field_names")):
+    """The table's name and its field names, in order."""
 
-    def __post_init__(self):
-        if not _NAME_RE.match(self.table_name):
-            raise InvalidSchema(f"bad table name: {self.table_name!r}")
-        if not 1 <= len(self.field_names) <= 32:
+    __slots__ = ()
+
+    def __new__(cls, table_name: str, field_names: tuple):
+        if not _NAME_RE.match(table_name):
+            raise InvalidSchema(f"bad table name: {table_name!r}")
+        if not 1 <= len(field_names) <= 32:
             raise InvalidSchema("schema must have 1..32 fields")
-        for name in self.field_names:
+        for name in field_names:
             if not _NAME_RE.match(name):
                 raise InvalidSchema(f"bad field name: {name!r}")
-        if len(set(self.field_names)) != len(self.field_names):
+        if len(set(field_names)) != len(field_names):
             raise InvalidSchema("duplicate field names")
+        return super().__new__(cls, table_name, field_names)
 
 
-@dataclass(frozen=True)
-class Record:
-    """A decrypted row as returned to an authorized caller."""
+class Record(namedtuple("Record", "row_id tenant fields")):
+    """A decrypted row as returned to an authorized caller: its row id,
+    tenant and a dict of field name to text."""
 
-    row_id: int
-    tenant: str
-    fields: Dict[str, str]
+    __slots__ = ()
 
 
 def _lock(path: str):
@@ -97,7 +94,7 @@ def _unlock(lock_fh) -> None:
     lock_fh.close()
 
 
-def _utf8(plains: List[bytes]) -> List[str]:
+def _utf8(plains: list[bytes]) -> list[str]:
     """Decrypted values as text. The store writes only UTF-8, so a value
     that verified and does not decode is a forgery."""
     try:
@@ -112,17 +109,17 @@ class Store:
     an advisory flock on <path>.lock, which the handle takes over from
     `create_store`/`open_store` and releases on close."""
 
-    def __init__(self, path: str, schema: TableSchema, master: Optional[MasterKey], lock_fh):
+    def __init__(self, path: str, schema: TableSchema, master: MasterKey | None, lock_fh):
         self.path = path
         self.schema = schema
         self._master = master
-        self._live: Dict[int, Tuple[str, Dict[str, bytes]]] = {}
+        self._live: dict[int, tuple[str, dict[str, bytes]]] = {}
         self._max_row_id = 0
         self._mutex = threading.Lock()
-        self._key_cache: Dict[str, TenantKeySet] = {}
+        self._key_cache: dict[str, TenantKeySet] = {}
         self._fh = open(path, "ab", buffering=0)
         self._lock_fh = lock_fh
-        self._broken: Optional[str] = None  # why no mutation may append any more
+        self._broken: str | None = None  # why no mutation may append any more
 
     # -- lifecycle -----------------------------------------------------
 
@@ -181,7 +178,7 @@ class Store:
             self._live[row_id] = (tenant, fields)
         self._max_row_id = max(self._max_row_id, row_id)
 
-    def _live_row(self, tenant: str, row_id: int) -> Dict[str, bytes]:
+    def _live_row(self, tenant: str, row_id: int) -> dict[str, bytes]:
         # callers hold _mutex
         validate_tenant_id(tenant)
         if row_id not in self._live:
@@ -192,7 +189,7 @@ class Store:
             raise IsolationDenied(f"row {row_id} belongs to another tenant")
         return fields
 
-    def _encrypt_fields(self, tenant: str, values: Dict[str, str]) -> Dict[str, bytes]:
+    def _encrypt_fields(self, tenant: str, values: dict[str, str]) -> dict[str, bytes]:
         if set(values) != set(self.schema.field_names):
             missing = set(self.schema.field_names) - set(values)
             extra = set(values) - set(self.schema.field_names)
@@ -205,7 +202,7 @@ class Store:
 
     # -- operations ----------------------------------------------------
 
-    def insert(self, tenant: str, values: Dict[str, str]) -> int:
+    def insert(self, tenant: str, values: dict[str, str]) -> int:
         validate_tenant_id(tenant)
         with self._mutex:
             encrypted = self._encrypt_fields(tenant, values)
@@ -223,7 +220,7 @@ class Store:
         texts = _utf8([decrypt_value(value, keys) for value in fields.values()])
         return Record(row_id=row_id, tenant=tenant, fields=dict(zip(fields, texts)))
 
-    def list(self, tenant: str) -> List[Record]:
+    def list(self, tenant: str) -> "list[Record]":
         """The tenant's rows by row id; every value of every row is verified
         before any is decrypted, in one batch."""
         validate_tenant_id(tenant)
@@ -243,7 +240,7 @@ class Store:
             for row_id, fields in rows
         ]
 
-    def update(self, tenant: str, row_id: int, values: Dict[str, str]) -> None:
+    def update(self, tenant: str, row_id: int, values: dict[str, str]) -> None:
         with self._mutex:
             self._live_row(tenant, row_id)
             self._commit("upd", tenant, row_id, self._encrypt_fields(tenant, values))
@@ -254,7 +251,7 @@ class Store:
             self._commit("del", tenant, row_id)
 
 
-def create_store(path: str, schema: TableSchema, master: Optional[MasterKey] = None) -> Store:
+def create_store(path: str, schema: TableSchema, master: MasterKey | None = None) -> Store:
     if os.path.exists(path):
         raise AlreadyExists(f"store file already exists: {path}")
     header = {
@@ -300,7 +297,7 @@ def _decode_event(event) -> tuple:
     return op, tenant, row_id, fields
 
 
-def open_store(path: str, master: Optional[MasterKey] = None) -> Store:
+def open_store(path: str, master: MasterKey | None = None) -> Store:
     with open(path, "rb") as fh:
         # lock before reading: a live writer's half-written line is not torn
         lock_fh = _lock(path)
@@ -312,16 +309,26 @@ def open_store(path: str, master: Optional[MasterKey] = None) -> Store:
     return store
 
 
-def _load(path: str, raw: bytes, master: Optional[MasterKey], lock_fh) -> Store:
+def _load(path: str, raw: bytes, master: MasterKey | None, lock_fh) -> Store:
     lines = raw.split(b"\n")
     if not lines or not lines[0]:
         raise CorruptHeader(f"empty store file: {path}")
     try:
         header = json.loads(lines[0].decode("utf-8"))
-        version = header["v"]
-        schema = TableSchema(header["table"], tuple(header["fields"]))
+        version, table, fields = header["v"], header["table"], header["fields"]
     except (ValueError, KeyError, TypeError) as exc:
         raise CorruptHeader(f"unparseable header in {path}: {exc}") from None
+    # json gives True for `true`, and True == 1; a string would split into letters
+    if (
+        type(version) is not int or not isinstance(table, str)
+        or not isinstance(fields, list) or not all(isinstance(f, str) for f in fields)
+    ):
+        raise CorruptHeader(f'header of {path} needs an integer "v", a string "table" '
+                            'and a list of strings "fields"')
+    try:
+        schema = TableSchema(table, tuple(fields))
+    except InvalidSchema as exc:  # a usage error at init, a corrupt file here
+        raise CorruptHeader(f"header of {path}: {exc}") from None
     if version != FORMAT_VERSION:
         raise VersionMismatch(f"unsupported store version {version}")
 
@@ -334,7 +341,11 @@ def _load(path: str, raw: bytes, master: Optional[MasterKey], lock_fh) -> Store:
         except (ValueError, TypeError) as exc:
             raise CorruptLog(f"corrupt event at line {number} of {path}: {exc}") from None
     if torn:
-        logger.warning("truncating torn trailing write in %s (%d bytes)", path, len(torn))
+        import logging  # loaded only here, so a process that never tears pays nothing
+
+        logging.getLogger(__name__).warning(
+            "truncating torn trailing write in %s (%d bytes)", path, len(torn)
+        )
         keep = len(raw) - len(torn)
         with open(path, "r+b") as fh:
             fh.truncate(keep)

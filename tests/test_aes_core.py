@@ -108,6 +108,39 @@ def test_sbox_spot_values():
     assert aes_core.SBOX[0x53] == 0xED
 
 
+def test_gf_mul_matches_oracle_on_every_pair():
+    # gf_mul builds the round tables, so every product is checked
+    for a in range(256):
+        assert [aes_core.gf_mul(a, b) for b in range(256)] == [gf_mul_oracle(a, b) for b in range(256)]
+
+
+# (Inv)MixColumns as printed in FIPS-197 sections 5.1.3 and 5.3.3
+MIX_MATRIX = ((0x02, 0x03, 0x01, 0x01), (0x01, 0x02, 0x03, 0x01),
+              (0x01, 0x01, 0x02, 0x03), (0x03, 0x01, 0x01, 0x02))
+INV_MIX_MATRIX = ((0x0E, 0x0B, 0x0D, 0x09), (0x09, 0x0E, 0x0B, 0x0D),
+                  (0x0D, 0x09, 0x0E, 0x0B), (0x0B, 0x0D, 0x09, 0x0E))
+
+
+def oracle_round_tables(box, matrix):
+    """Table r maps byte x in row r to the column word box[x] adds after the
+    mix: row i of that word is matrix[i][r] * box[x]."""
+    return tuple(
+        [
+            sum(gf_mul_oracle(matrix[i][r], box[x]) << (24 - 8 * i) for i in range(4))
+            for x in range(256)
+        ]
+        for r in range(4)
+    )
+
+
+def test_round_tables_match_oracle_tables():
+    sbox = [sbox_oracle(a) for a in range(256)]
+    inv_sbox = [sbox.index(a) for a in range(256)]
+    assert aes_core.INV_SBOX == inv_sbox
+    assert tuple(map(list, aes_core._TE)) == oracle_round_tables(sbox, MIX_MATRIX)
+    assert tuple(map(list, aes_core._TD)) == oracle_round_tables(inv_sbox, INV_MIX_MATRIX)
+
+
 def test_sub_bytes_all_zero_state():
     assert aes_reference.sub_bytes([0] * 16) == [0x63] * 16
 

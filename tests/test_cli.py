@@ -242,6 +242,24 @@ def test_one_shot_get_and_list_never_load_numpy(tmp_path):
         assert result.stdout.count("\n") >= (1 if tenant == "uni_a" else 20)
 
 
+def test_import_loads_only_what_a_command_uses():
+    # a one-shot process pays for every module it imports
+    unused = ["dataclasses", "inspect", "logging", "hashlib", "_hashlib", "numpy", "cmt.selftest"]
+    script = f"import sys\nimport cmt.cli\nprint([m for m in {unused!r} if m in sys.modules])\n"
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+
+
+def test_selftest_passes_in_a_fresh_process(monkeypatch):
+    monkeypatch.delenv(MASTER_KEY_ENV, raising=False)
+    result = subprocess.run(
+        [sys.executable, "-m", "cmt.cli", "selftest"], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "FAIL" not in result.stdout
+
+
 def test_bad_subcommand_exit_2(capsys):
     assert main(["frobnicate"]) == 2
 
@@ -315,6 +333,33 @@ def test_values_survive_process_restart(tmp_path):
     got = run_cmt(["--store", path, "--tenant", "uni_a", "get", "--row", "1"])
     assert got.returncode == 0
     assert "name=Alice" in got.stdout
+
+
+def test_master_key_file_not_utf8_exit_3(store_path, tmp_path):
+    key_file = tmp_path / "master.key"
+    key_file.write_bytes(bytes(range(216, 256)))  # 40 bytes that are not UTF-8
+    result = run_cmt([
+        "--store", store_path, "--master-key-file", str(key_file),
+        "--tenant", "uni_a", "get", "--row", "1",
+    ])
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+
+
+def test_torn_tail_warns_once_on_stderr(store_path):
+    main(insert_args(store_path, "uni_a", name="Kept"))
+    with open(store_path, "ab") as fh:
+        fh.write(b'{"op":"ins","t":"uni_a","r":2,')  # a crash mid-append
+    get = ["--store", store_path, "--tenant", "uni_a", "get", "--row", "1"]
+    first = run_cmt(get)
+    assert first.returncode == 0, first.stderr
+    assert first.stdout == "row=1\nname=Kept\ncontact=C\ndepartment=D\n"
+    assert "truncating torn trailing write" in first.stderr
+    second = run_cmt(get)
+    assert second.returncode == 0, second.stderr
+    assert second.stdout == first.stdout
+    assert "truncating" not in second.stderr
 
 
 # --- forged values ----------------------------------------------------------------

@@ -5,7 +5,9 @@ The derivation oracle reimplements the whole construction on top of the
 expansion get an independent check.
 """
 
+import copy
 import os
+import pickle
 
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -100,6 +102,14 @@ def test_derivation_deterministic():
     for _ in range(50):
         again = derive_tenant_keys(master, "alpha")
         assert again == first
+
+
+def test_keys_survive_copy_and_pickle():
+    master = MasterKey(os.urandom(16))
+    keys = derive_tenant_keys(master, "alpha")
+    for record in (master, keys):
+        assert copy.copy(record) == record
+        assert pickle.loads(pickle.dumps(record)) == record
 
 
 def test_distinct_tenants_distinct_keys():

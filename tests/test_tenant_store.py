@@ -95,6 +95,22 @@ def test_open_version_mismatch(tmp_path):
         open_store(path, MASTER)
 
 
+@pytest.mark.parametrize(
+    "header",
+    [
+        '{"v":1,"table":"t","fields":"ab"}',  # would split into ("a", "b")
+        '{"v":true,"table":"t","fields":["a"]}',  # True == 1
+        '{"v":1,"table":"t","fields":{"a":1}}',  # would read as ("a",)
+        '{"v":1,"table":"T","fields":["a"]}',  # InvalidSchema, exit 2, at init
+    ],
+)
+def test_open_malformed_header_is_corrupt_header(tmp_path, header):
+    path = tmp_path / "s.cmt"
+    path.write_text(header + "\n")
+    with pytest.raises(CorruptHeader):
+        open_store(str(path), MASTER)
+
+
 def test_advisory_lock_blocks_second_handle(tmp_path):
     path = str(tmp_path / "s.cmt")
     with create_store(path, SCHEMA, MASTER):
