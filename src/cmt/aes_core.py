@@ -114,6 +114,9 @@ class KeySchedule(namedtuple("KeySchedule", "enc_words dec_words")):
 
     __slots__ = ()
 
+    def __repr__(self) -> str:  # enc_words[0:4] is the key itself
+        return "KeySchedule(<redacted>)"
+
 
 def _sub_rot_word(w: int) -> int:
     # SubWord(RotWord(w))

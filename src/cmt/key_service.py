@@ -35,6 +35,9 @@ class MasterKey(namedtuple("MasterKey", "key schedule")):
     def __getnewargs__(self):  # copy and pickle rebuild it from the key
         return (self.key,)
 
+    def __repr__(self) -> str:  # also str() and f-strings: no key material
+        return "MasterKey(key=<redacted>)"
+
 
 class TenantKeySet(namedtuple("TenantKeySet", "enc_key mac_key enc_schedule mac_schedule")):
     """A tenant's two keys, each expanded once, here, for every value the
@@ -49,6 +52,9 @@ class TenantKeySet(namedtuple("TenantKeySet", "enc_key mac_key enc_schedule mac_
 
     def __getnewargs__(self):  # copy and pickle rebuild it from the keys
         return (self.enc_key, self.mac_key)
+
+    def __repr__(self) -> str:  # also str() and f-strings: no key material
+        return "TenantKeySet(enc_key=<redacted>, mac_key=<redacted>)"
 
 
 def validate_tenant_id(tenant_id: str) -> str:

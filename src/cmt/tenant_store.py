@@ -4,8 +4,11 @@ One logical table holds every tenant's rows. Tenant id and row id stay in
 clear for addressing; every field value is encrypted under the owning
 tenant's derived keys before it touches disk, as opaque bytes whose layout
 only `crypto_codec` knows. Persistence is an
-append-only JSON-lines log replayed in full on open; each mutation is
-written and fsynced before the call returns, and an append that fails is
+append-only JSON-lines log replayed in full on open, in one pass: each line
+is decoded (`json.JSONDecoder.raw_decode`, then strict base64 by
+`binascii`), checked, and put straight into the live row map, and a bad
+line is CorruptLog with its line number. Each mutation is written and
+fsynced before the call returns, and an append that fails is
 cut back off the file before the error is raised; if that cut fails too,
 the handle refuses every later mutation until the store is reopened. A
 trailing torn line (crash mid-write) is truncated on open, once the opener
@@ -22,7 +25,7 @@ File format (UTF-8, newline-delimited):
      "f":{"<field>":"<base64 IV||ct||tag>",...}}   ("f" omitted for del)
 """
 
-import base64
+import binascii
 import fcntl
 import json
 import os
@@ -51,6 +54,9 @@ from .key_service import MasterKey, TenantKeySet, derive_tenant_keys, validate_t
 FORMAT_VERSION = 1
 
 _NAME_RE = re.compile(r"^[a-z0-9_]{1,64}$")
+
+# json.loads' own decoder, called without its wrapper (see _decode_event)
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 class TableSchema(namedtuple("TableSchema", "table_name field_names")):
@@ -154,7 +160,7 @@ class Store:
         event = {"op": op, "t": tenant, "r": row_id, "ts": int(time.time())}
         if fields is not None:
             event["f"] = {
-                name: base64.b64encode(value).decode("ascii")
+                name: binascii.b2a_base64(value, newline=False).decode("ascii")
                 for name, value in fields.items()
             }
         line = memoryview((json.dumps(event, separators=(",", ":")) + "\n").encode("ascii"))
@@ -169,10 +175,7 @@ class Store:
             except OSError as cut:
                 self._broken = f"a failed append ({exc}) could not be cut off the log ({cut})"
             raise
-        self._apply(op, tenant, row_id, fields)
-
-    def _apply(self, op: str, tenant: str, row_id: int, fields) -> None:
-        if op == "del":
+        if fields is None:
             self._live.pop(row_id, None)
         else:
             self._live[row_id] = (tenant, fields)
@@ -252,14 +255,18 @@ class Store:
 
 
 def create_store(path: str, schema: TableSchema, master: MasterKey | None = None) -> Store:
-    if os.path.exists(path):
-        raise AlreadyExists(f"store file already exists: {path}")
     header = {
         "v": FORMAT_VERSION,
         "table": schema.table_name,
         "fields": list(schema.field_names),
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    # "x" creates the file or fails: an existing store, even one another
+    # process created a moment ago, is never truncated
+    try:
+        fh = open(path, "x", encoding="utf-8")
+    except FileExistsError:
+        raise AlreadyExists(f"store file already exists: {path}") from None
+    with fh:
         fh.write(json.dumps(header, separators=(",", ":")) + "\n")
         fh.flush()
         os.fsync(fh.fileno())
@@ -272,9 +279,20 @@ def create_store(path: str, schema: TableSchema, master: MasterKey | None = None
     return Store(path, schema, master, _lock(path))
 
 
-def _decode_event(event) -> tuple:
-    """(op, tenant, row_id, fields) of one parsed log line, fields None for
-    a delete. A malformed line raises ValueError or TypeError."""
+def _decode_event(line: bytes) -> tuple:
+    """(op, tenant, row_id, fields) of one log line, fields None for a
+    delete. A malformed line raises ValueError or TypeError.
+
+    It accepts exactly the lines `json.loads` accepts: JSON whitespace
+    around the object is stripped and nothing may follow it (a BOM fails
+    `raw_decode` as it fails `json.loads`). A value is decoded by the call
+    `base64.b64decode(validate=True)` wraps, which refuses a non-string
+    with TypeError and a non-ASCII string with ValueError, as the wrapper
+    does."""
+    text = line.decode("utf-8").strip(" \t\r")
+    event, end = _raw_decode(text)
+    if end != len(text):
+        raise ValueError("extra data after the event")
     if not isinstance(event, dict):
         raise ValueError("event is not a JSON object")
     op, tenant, row_id = event.get("op"), event.get("t"), event.get("r")
@@ -289,9 +307,8 @@ def _decode_event(event) -> tuple:
     encoded = event.get("f")
     if not isinstance(encoded, dict):
         raise ValueError('"f" must map field names to base64 strings')
-    # b64decode raises TypeError for a value that is not a string
     fields = {
-        name: check_value(base64.b64decode(b64, validate=True))
+        name: check_value(binascii.a2b_base64(b64, strict_mode=True))
         for name, b64 in encoded.items()
     }
     return op, tenant, row_id, fields
@@ -311,8 +328,12 @@ def open_store(path: str, master: MasterKey | None = None) -> Store:
 
 def _load(path: str, raw: bytes, master: MasterKey | None, lock_fh) -> Store:
     lines = raw.split(b"\n")
-    if not lines or not lines[0]:
+    if not lines[0]:
         raise CorruptHeader(f"empty store file: {path}")
+    # a header without its newline is not a torn event: truncating it as one
+    # would leave an empty file that the next append makes headerless
+    if len(lines) == 1:
+        raise CorruptHeader(f"header of {path} does not end in a newline")
     try:
         header = json.loads(lines[0].decode("utf-8"))
         version, table, fields = header["v"], header["table"], header["fields"]
@@ -333,13 +354,20 @@ def _load(path: str, raw: bytes, master: MasterKey | None, lock_fh) -> Store:
         raise VersionMismatch(f"unsupported store version {version}")
 
     # a trailing chunk without its newline is a torn write: drop it
-    complete, torn = lines[1:-1], lines[-1]
-    events = []
-    for number, line in enumerate(complete, start=2):
+    torn = lines.pop()
+    live = {}
+    max_row_id = 0
+    for number, line in enumerate(lines[1:], start=2):
         try:
-            events.append(_decode_event(json.loads(line.decode("utf-8"))))
+            _, tenant, row_id, fields = _decode_event(line)
         except (ValueError, TypeError) as exc:
             raise CorruptLog(f"corrupt event at line {number} of {path}: {exc}") from None
+        if fields is None:
+            live.pop(row_id, None)
+        else:
+            live[row_id] = (tenant, fields)
+        if row_id > max_row_id:
+            max_row_id = row_id
     if torn:
         import logging  # loaded only here, so a process that never tears pays nothing
 
@@ -351,6 +379,5 @@ def _load(path: str, raw: bytes, master: MasterKey | None, lock_fh) -> Store:
             fh.truncate(keep)
 
     store = Store(path, schema, master, lock_fh)
-    for event in events:
-        store._apply(*event)
+    store._live, store._max_row_id = live, max_row_id
     return store

@@ -1,0 +1,37 @@
+"""The log-line decoder of store format v1 in its first form: `json.loads`,
+then the event checks, with each value decoded by
+`base64.b64decode(validate=True)`. The tests hold
+`tenant_store._decode_event` to it: both must accept the same lines and
+decode them to the same fields.
+"""
+
+import base64
+import json
+
+from cmt.crypto_codec import check_value
+
+
+def decode_event(line: bytes) -> tuple:
+    """(op, tenant, row_id, fields) of one log line, fields None for a
+    delete. A malformed line raises ValueError or TypeError."""
+    event = json.loads(line.decode("utf-8"))
+    if not isinstance(event, dict):
+        raise ValueError("event is not a JSON object")
+    op, tenant, row_id = event.get("op"), event.get("t"), event.get("r")
+    if op not in ("ins", "upd", "del"):
+        raise ValueError(f"unknown op {op!r}")
+    if not isinstance(tenant, str):
+        raise ValueError('"t" must be a string')
+    if type(row_id) is not int or row_id < 1:
+        raise ValueError('"r" must be a positive integer')
+    if op == "del":
+        return op, tenant, row_id, None
+    encoded = event.get("f")
+    if not isinstance(encoded, dict):
+        raise ValueError('"f" must map field names to base64 strings')
+    # b64decode raises TypeError for a value that is not a string
+    fields = {
+        name: check_value(base64.b64decode(b64, validate=True))
+        for name, b64 in encoded.items()
+    }
+    return op, tenant, row_id, fields

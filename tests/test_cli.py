@@ -244,7 +244,10 @@ def test_one_shot_get_and_list_never_load_numpy(tmp_path):
 
 def test_import_loads_only_what_a_command_uses():
     # a one-shot process pays for every module it imports
-    unused = ["dataclasses", "inspect", "logging", "hashlib", "_hashlib", "numpy", "cmt.selftest"]
+    unused = [
+        "dataclasses", "inspect", "logging", "hashlib", "_hashlib", "numpy", "cmt.selftest",
+        "base64",
+    ]
     script = f"import sys\nimport cmt.cli\nprint([m for m in {unused!r} if m in sys.modules])\n"
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr

@@ -144,3 +144,21 @@ def test_master_key_bit_flips_change_derivation():
         flipped = bytearray(base)
         flipped[bit // 8] ^= 1 << (bit % 8)
         assert derive_tenant_keys(MasterKey(bytes(flipped)), "alpha").enc_key != reference
+
+
+def test_repr_shows_no_key_material():
+    master = MasterKey(bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c"))
+    keys = derive_tenant_keys(master, "alpha")
+    secrets = [
+        (master, [master.key], master.schedule),
+        (master.schedule, [master.key], master.schedule),
+        (keys, [keys.enc_key, keys.mac_key], keys.enc_schedule + keys.mac_schedule),
+    ]
+    for record, key_bytes, schedules in secrets:
+        words = {w for schedule in schedules for w in schedule}
+        for text in (repr(record), str(record), f"{record}", f"{record!r}", repr([record])):
+            assert "redacted" in text
+            for key in key_bytes:
+                assert repr(key)[2:-1] not in text and key.hex() not in text
+            for w in words:
+                assert str(w) not in text and f"{w:08x}" not in text

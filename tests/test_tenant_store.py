@@ -32,6 +32,8 @@ from cmt import aes_core, crypto_codec, tenant_store
 from cmt.key_service import MasterKey, derive_tenant_keys
 from cmt.tenant_store import TableSchema, create_store, open_store
 
+import replay_reference
+
 MASTER = MasterKey(bytes.fromhex("000102030405060708090a0b0c0d0e0f"))
 SCHEMA = TableSchema("student_entry", ("name", "contact", "department"))
 
@@ -77,6 +79,32 @@ def test_create_existing_path(tmp_path):
     create_store(path, SCHEMA, MASTER).close()
     with pytest.raises(AlreadyExists):
         create_store(path, SCHEMA, MASTER)
+
+
+def test_create_never_truncates_a_store_made_after_its_check(tmp_path, monkeypatch):
+    # a creator racing another: the store appears after any existence check
+    path = str(tmp_path / "s.cmt")
+    with create_store(path, SCHEMA, MASTER) as live:
+        live.insert("uni_a", row())
+        with open(path, "rb") as fh:
+            before = fh.read()
+        monkeypatch.setattr(os.path, "exists", lambda p: False)
+        with pytest.raises(AlreadyExists):
+            create_store(path, SCHEMA, MASTER)
+        monkeypatch.undo()
+        with open(path, "rb") as fh:
+            assert fh.read() == before
+
+
+def test_header_without_its_newline_is_refused_untouched(tmp_path):
+    path = tmp_path / "s.cmt"
+    create_store(str(path), SCHEMA, MASTER).close()
+    path.write_bytes(path.read_bytes().rstrip(b"\n"))
+    before = path.read_bytes()
+    for _ in range(2):  # the failed open wrote nothing and released the lock
+        with pytest.raises(CorruptHeader, match="newline"):
+            open_store(str(path), MASTER)
+        assert path.read_bytes() == before
 
 
 def test_open_bad_header(tmp_path):
@@ -155,6 +183,9 @@ def test_locked_open_leaves_a_live_writers_tail_alone(tmp_path):
         '{"op":"ins","t":"x","r":5,"ts":1,"f":{"name":"not base64!"}}',
         '{"op":"ins","t":"x","r":5,"ts":1,"f":{"name":"AAAA"}}',  # too short a value
         "[1,2]",
+        '{"op":"del","t":"x","r":5,"ts":1}{"op":"del","t":"x","r":6,"ts":1}',  # extra data
+        '{"op":"del","t":"x","r":5,"ts":1} x',
+        '{"op":"del","t":"x",\n"r":5,"ts":1}',  # one event split over two lines
     ],
 )
 def test_malformed_event_is_corrupt_log_with_line_number(tmp_path, event):
@@ -624,3 +655,83 @@ def test_fuzzed_log_lines_raise_only_cmt_errors(tmp_path, monkeypatch, edits, to
                     read()
                 except CmtError:
                     pass
+
+
+# --- the log-line decoder against its reference ---------------------------------
+
+def _decoded(decode, line):
+    try:
+        return decode(line)
+    except (ValueError, TypeError):
+        return "refused"
+
+
+def _same_decoding(line):
+    ours = _decoded(tenant_store._decode_event, line)
+    assert ours == _decoded(replay_reference.decode_event, line), line
+    return ours
+
+
+# bytes that JSON or strict base64 treat specially, inserted anywhere
+_TOKENS = [
+    b" ", b"\t", b"\r", b"\xef\xbb\xbf", b"=", b"====", b"AAAA", "é".encode(), b"\x00",
+    b"}", b"{}", b"\\u0041",
+]
+_INSERTS = st.tuples(
+    st.integers(0, 50), st.tuples(st.just("insert"), _POS, st.sampled_from(_TOKENS))
+)
+
+
+@given(edits=st.lists(st.one_of(_LINE_EDITS, _INSERTS), min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_decoder_agrees_with_reference_on_edited_lines(edits):
+    _, events = _fuzz_base()
+    lines = list(events)
+    for at, edit in edits:
+        if not lines:
+            break
+        if edit[0] == "insert":
+            i = at % len(lines)
+            pos = edit[1] % (len(lines[i]) + 1)
+            lines[i] = lines[i][:pos] + edit[2] + lines[i][pos:]
+        else:
+            _edit(lines, at, edit)
+    for line in lines:
+        _same_decoding(line)
+
+
+def _base_lines():
+    """An insert event, the base64 of its first value, and a delete event."""
+    _, events = _fuzz_base()
+    ins = events[0]
+    b64 = json.loads(ins)["f"]["name"].encode()
+    return ins, b64, next(e for e in events if b'"op":"del"' in e)
+
+
+_REFUSED = {
+    "object then object": lambda ins, b64, dele: ins + dele,
+    "object then text": lambda ins, b64, dele: ins + b" x",
+    "split first half": lambda ins, b64, dele: ins[: len(ins) // 2],
+    "split second half": lambda ins, b64, dele: ins[len(ins) // 2 :],
+    "leading BOM": lambda ins, b64, dele: b"\xef\xbb\xbf" + ins,
+    "BOM after space": lambda ins, b64, dele: b" \xef\xbb\xbf" + ins,
+    # one character for one: only the character's range is wrong
+    "non-ASCII in base64": lambda ins, b64, dele: ins.replace(b64, b64[:8] + "é".encode() + b64[9:]),
+    "AAAA==== value": lambda ins, b64, dele: ins.replace(b64, b"AAAA===="),
+    "padding inside a value": lambda ins, b64, dele: ins.replace(b64, b64[:4] + b"==" + b64[4:]),
+    "empty line": lambda ins, b64, dele: b"",
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSED))
+def test_decoder_agrees_with_reference_on_refused_lines(case):
+    assert _same_decoding(_REFUSED[case](*_base_lines())) == "refused"
+
+
+@pytest.mark.parametrize(
+    "before, after", [(b" ", b""), (b"\t", b"\r"), (b"", b" \t"), (b" \t\r ", b"\r \t")]
+)
+def test_decoder_agrees_with_reference_around_whitespace(before, after):
+    ins, _, dele = _base_lines()
+    for line in (ins, dele):
+        assert _same_decoding(before + line + after) == tenant_store._decode_event(line)
