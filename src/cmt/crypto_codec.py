@@ -16,14 +16,15 @@ at least LANE_MIN_BLOCKS of them are running, and its ciphertexts are
 CBC-decrypted in one call; smaller work runs on the per-block chain.
 `decrypt_value` is a batch of one. The kernel needs numpy, whose import
 costs as much as thousands of chain blocks: until numpy is loaded, work the
-kernel would take runs on the chain, and the kernel is loaded once that
-work reaches IMPORT_BLOCKS blocks (rent or buy). A one-shot `cmt list`,
-one batch, therefore never imports numpy, and a one-shot `cmt get` only for
-a row of more than IMPORT_BLOCKS blocks.
+kernel would take runs on the chain, and the kernel is loaded for a batch
+of at least IMPORT_BLOCKS such blocks, or once the blocks run on the chain
+instead have reached that count (rent or buy). A one-shot `cmt get` or
+`cmt list` therefore imports numpy only if the work it would hand the
+kernel comes to IMPORT_BLOCKS blocks or more.
 """
 
 import os
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 # hmac.compare_digest's own constant-time fallback, without loading OpenSSL
 from _operator import _compare_digest as compare_digest
@@ -59,9 +60,11 @@ def unpad(data: bytes) -> bytes:
 LANE_MIN_BLOCKS = 7
 
 # The kernel's numpy import, counted in chain blocks. Until numpy is loaded,
-# work the kernel would take runs on the chain; once the blocks run that way
-# reach this count, the kernel is loaded (rent or buy: a process then spends
-# at most about twice what the better choice in hindsight would have cost).
+# work the kernel would take runs on the chain; a batch this large, or any
+# batch once the blocks run that way reach this count, loads the kernel (rent
+# or buy: a process then spends at most about twice what the better choice
+# in hindsight would have cost, and a batch that alone costs the purchase
+# buys at once).
 # Measured three times: numpy import and table build 71 ms of thread CPU
 # time (median of 9 fresh processes each), the chain 15.5-22.6 us a block
 # and the kernel 1.1-1.4, so the import pays for itself after 3,300-4,900
@@ -75,7 +78,7 @@ _chain_blocks = 0  # blocks the kernel would have taken, run on the chain instea
 def _use_lanes(blocks: int) -> bool:
     """Whether `blocks` blocks of work the kernel would take run there."""
     global _chain_blocks  # a lost update between threads only delays the import
-    if aes_core.lanes_loaded() or _chain_blocks >= IMPORT_BLOCKS:
+    if aes_core.lanes_loaded() or _chain_blocks >= IMPORT_BLOCKS or blocks >= IMPORT_BLOCKS:
         return True
     _chain_blocks += blocks
     return False
@@ -111,12 +114,12 @@ def check_value(raw: bytes) -> bytes:
     return raw
 
 
-def encrypt_value(plaintext: bytes, keys, rng: Callable[[int], bytes] = os.urandom) -> bytes:
+def encrypt_value(plaintext: bytes, keys) -> bytes:
     """IV || ciphertext || tag of one field value under a TenantKeySet,
     whose key schedules were expanded when it was built."""
     if len(plaintext) > MAX_FIELD_BYTES:
         raise FieldTooLarge(f"field of {len(plaintext)} bytes exceeds cap of {MAX_FIELD_BYTES}")
-    iv = rng(BLOCK_SIZE)
+    iv = os.urandom(BLOCK_SIZE)
     message = iv + cbc_encrypt(pad(plaintext), keys.enc_schedule, iv)
     return message + cbc_mac(message, keys.mac_schedule)
 

@@ -72,7 +72,7 @@ def _parse_hex_key(text: str) -> MasterKey:
     return MasterKey(bytes.fromhex(text))
 
 
-def load_master_key(key_file: str = None, env_var: str = MASTER_KEY_ENV) -> MasterKey:
+def load_master_key(key_file: str = None) -> MasterKey:
     """Load the master key from a file (takes precedence) or the environment."""
     if key_file is not None:
         try:
@@ -82,11 +82,9 @@ def load_master_key(key_file: str = None, env_var: str = MASTER_KEY_ENV) -> Mast
             raise MissingKey(f"master key file not found: {key_file}") from None
         except UnicodeDecodeError:
             raise MalformedKey(f"master key file is not 32 hex characters: {key_file}") from None
-    value = os.environ.get(env_var)
+    value = os.environ.get(MASTER_KEY_ENV)
     if value is None:
-        raise MissingKey(
-            f"set {env_var} (32 hex chars) or pass --master-key-file"
-        )
+        raise MissingKey(f"set {MASTER_KEY_ENV} (32 hex chars) or pass --master-key-file")
     return _parse_hex_key(value)
 
 

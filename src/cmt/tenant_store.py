@@ -3,20 +3,21 @@
 One logical table holds every tenant's rows. Tenant id and row id stay in
 clear for addressing; every field value is encrypted under the owning
 tenant's derived keys before it touches disk, as opaque bytes whose layout
-only `crypto_codec` knows. Persistence is an
-append-only JSON-lines log replayed in full on open, in one pass: each line
-is decoded (`json.JSONDecoder.raw_decode`, then strict base64 by
-`binascii`), checked, and put straight into the live row map, and a bad
-line is CorruptLog with its line number. Each mutation is written and
-fsynced before the call returns, and an append that fails is
-cut back off the file before the error is raised; if that cut fails too,
-the handle refuses every later mutation until the store is reopened. A
-trailing torn line (crash mid-write) is truncated on open, once the opener
-holds the store's lock, with a `logging` warning (on stderr unless logging
-is configured); `logging` is imported on that path only. `list` verifies
-and decrypts all of a tenant's values as one batch
-(`crypto_codec.decrypt_values`), `get` one value at a time; a value that
-verifies but is not UTF-8 is AuthError.
+only `crypto_codec` knows. Persistence is an append-only JSON-lines log
+replayed in full on open, in one pass: each line is decoded
+(`json.JSONDecoder.raw_decode`, then strict base64 by `binascii`),
+checked, and put straight into the live row map, and a bad line is
+CorruptLog with its line number. Each mutation is written and fsynced
+before the call returns, and an append that fails is cut back off the file
+before the error is raised; if that cut fails too, the handle refuses every
+later mutation until the store is reopened. A handle is one open file,
+locked by an advisory `flock` on that file itself, so the lock is the
+inode's and a symlink or hard link meets it too. The opener locks before it
+reads and cuts a trailing torn line (crash mid-write) through the same
+file, with a `logging` warning (on stderr unless logging is configured);
+`logging` is imported on that path only. `list` verifies and decrypts all
+of a tenant's values as one batch (`crypto_codec.decrypt_values`), `get`
+one value at a time; a value that verifies but is not UTF-8 is AuthError.
 
 File format (UTF-8, newline-delimited):
   line 1: {"v":1,"table":"<name>","fields":["f1",...]}
@@ -84,20 +85,19 @@ class Record(namedtuple("Record", "row_id tenant fields")):
     __slots__ = ()
 
 
-def _lock(path: str):
-    """Take the advisory flock on <path>.lock; the returned file holds it."""
-    lock_fh = open(path + ".lock", "a")
+def _flock(fh, path: str) -> None:
+    """Take the store's advisory lock on its open file `fh`."""
     try:
-        fcntl.flock(lock_fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
     except OSError:
-        lock_fh.close()
         raise StoreLocked(f"store is locked by another process: {path}") from None
-    return lock_fh
 
 
-def _unlock(lock_fh) -> None:
-    fcntl.flock(lock_fh, fcntl.LOCK_UN)
-    lock_fh.close()
+def _write_all(fh, data: bytes) -> None:
+    """Write all of `data`; an unbuffered write may take only part of it."""
+    data = memoryview(data)
+    while data:
+        data = data[fh.write(data) :]
 
 
 def _utf8(plains: list[bytes]) -> list[str]:
@@ -111,27 +111,27 @@ def _utf8(plains: list[bytes]) -> list[str]:
 
 class Store:
     """Handle over one store file. Single writer per process; mutations
-    serialize through an internal lock. One process per file, enforced by
-    an advisory flock on <path>.lock, which the handle takes over from
-    `create_store`/`open_store` and releases on close."""
+    serialize through an internal lock. One handle per file across
+    processes: `fh`, the store's one open file, carries the advisory flock
+    that `create_store`/`open_store` took on it, and `close` releases the
+    lock by closing the file."""
 
-    def __init__(self, path: str, schema: TableSchema, master: MasterKey | None, lock_fh):
+    def __init__(self, path: str, schema: TableSchema, master: MasterKey | None,
+                 fh, live: dict, max_row_id: int):
         self.path = path
         self.schema = schema
         self._master = master
-        self._live: dict[int, tuple[str, dict[str, bytes]]] = {}
-        self._max_row_id = 0
+        self._fh = fh
+        self._live: dict[int, tuple[str, dict[str, bytes]]] = live
+        self._max_row_id = max_row_id
         self._mutex = threading.Lock()
         self._key_cache: dict[str, TenantKeySet] = {}
-        self._fh = open(path, "ab", buffering=0)
-        self._lock_fh = lock_fh
         self._broken: str | None = None  # why no mutation may append any more
 
     # -- lifecycle -----------------------------------------------------
 
     def close(self) -> None:
         self._fh.close()
-        _unlock(self._lock_fh)
 
     def __enter__(self) -> "Store":
         return self
@@ -163,11 +163,11 @@ class Store:
                 name: binascii.b2a_base64(value, newline=False).decode("ascii")
                 for name, value in fields.items()
             }
-        line = memoryview((json.dumps(event, separators=(",", ":")) + "\n").encode("ascii"))
+        line = (json.dumps(event, separators=(",", ":")) + "\n").encode("ascii")
+        # not O_APPEND, and a cut torn tail leaves the position past the end
         offset = self._fh.seek(0, os.SEEK_END)
         try:
-            while line:
-                line = line[self._fh.write(line) :]
+            _write_all(self._fh, line)
             os.fsync(self._fh.fileno())
         except OSError as exc:
             try:
@@ -255,28 +255,29 @@ class Store:
 
 
 def create_store(path: str, schema: TableSchema, master: MasterKey | None = None) -> Store:
-    header = {
-        "v": FORMAT_VERSION,
-        "table": schema.table_name,
-        "fields": list(schema.field_names),
-    }
+    header = {"v": FORMAT_VERSION, "table": schema.table_name, "fields": list(schema.field_names)}
     # "x" creates the file or fails: an existing store, even one another
     # process created a moment ago, is never truncated
     try:
-        fh = open(path, "x", encoding="utf-8")
+        fh = open(path, "xb", buffering=0)
     except FileExistsError:
         raise AlreadyExists(f"store file already exists: {path}") from None
-    with fh:
-        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    # the new file's directory entry is durable only once its directory is
-    dir_fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
     try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
-    return Store(path, schema, master, _lock(path))
+        _flock(fh, path)
+        _write_all(fh, (json.dumps(header, separators=(",", ":")) + "\n").encode("utf-8"))
+        os.fsync(fh.fileno())
+        # the new file's directory entry is durable only once its directory is
+        dir_fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
+    except BaseException:
+        # O_EXCL made the file ours: a half-made store would block a retry
+        with fh:
+            os.unlink(path)
+        raise
+    return Store(path, schema, master, fh, {}, 0)
 
 
 def _decode_event(line: bytes) -> tuple:
@@ -315,18 +316,18 @@ def _decode_event(line: bytes) -> tuple:
 
 
 def open_store(path: str, master: MasterKey | None = None) -> Store:
-    with open(path, "rb") as fh:
+    fh = open(path, "r+b", buffering=0)
+    try:
         # lock before reading: a live writer's half-written line is not torn
-        lock_fh = _lock(path)
-        try:
-            store = _load(path, fh.read(), master, lock_fh)
-        except BaseException:
-            _unlock(lock_fh)
-            raise
-    return store
+        _flock(fh, path)
+        return _load(path, fh, master)
+    except BaseException:
+        fh.close()
+        raise
 
 
-def _load(path: str, raw: bytes, master: MasterKey | None, lock_fh) -> Store:
+def _load(path: str, fh, master: MasterKey | None) -> Store:
+    raw = fh.read()
     lines = raw.split(b"\n")
     if not lines[0]:
         raise CorruptHeader(f"empty store file: {path}")
@@ -374,10 +375,5 @@ def _load(path: str, raw: bytes, master: MasterKey | None, lock_fh) -> Store:
         logging.getLogger(__name__).warning(
             "truncating torn trailing write in %s (%d bytes)", path, len(torn)
         )
-        keep = len(raw) - len(torn)
-        with open(path, "r+b") as fh:
-            fh.truncate(keep)
-
-    store = Store(path, schema, master, lock_fh)
-    store._live, store._max_row_id = live, max_row_id
-    return store
+        fh.truncate(len(raw) - len(torn))
+    return Store(path, schema, master, fh, live, max_row_id)

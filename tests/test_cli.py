@@ -174,6 +174,26 @@ def test_locked_store_exit_3(store_path, capsys):
     assert "locked" in capsys.readouterr().err
 
 
+def test_locked_store_through_a_symlink_exit_3(store_path, tmp_path, capsys):
+    link = str(tmp_path / "link.cmt")
+    os.symlink(store_path, link)
+    with open_store(store_path, MasterKey(bytes.fromhex(HEX_KEY))):
+        assert main(["--store", link, "--tenant", "uni_a", "list"]) == 3
+    assert "locked" in capsys.readouterr().err
+
+
+def test_commands_leave_only_the_store_file(store_path, tmp_path):
+    assert main(insert_args(store_path, "uni_a")) == 0
+    for command in (
+        ["get", "--row", "1"],
+        ["list"],
+        ["update", "--row", "1", "--set", "name=M", "--set", "contact=C", "--set", "department=D"],
+        ["delete", "--row", "1"],
+    ):
+        assert main(["--store", store_path, "--tenant", "uni_a"] + command) == 0
+    assert os.listdir(tmp_path) == [os.path.basename(store_path)]
+
+
 @pytest.mark.parametrize(
     "header",
     ['{"v":99,"table":"t","fields":["a"]}', "not json"],

@@ -220,7 +220,9 @@ def test_a_verified_value_with_bad_padding_is_auth_error(lanes, monkeypatch):
     # a CBC-MAC length extension of a one-block value: the chain restarts at
     # IV ^ tag, so the tag verifies, and the last block decrypts to the
     # padded plaintext XOR the tag, whose padding is invalid for these keys
-    value = encrypt_value(b"x", BATCH_KEYS, rng=bytes)  # an all-zero IV
+    with monkeypatch.context() as mp:
+        mp.setattr(os, "urandom", bytes)  # an all-zero IV
+        value = encrypt_value(b"x", BATCH_KEYS)
     iv, ct, tag = value[:16], value[16:-16], value[-16:]
     forged = iv + ct + bytes(a ^ b for a, b in zip(iv, tag)) + ct + tag
     assert cbc_mac(forged[:-16], BATCH_KEYS.mac_schedule) == tag
@@ -251,6 +253,29 @@ def test_numpy_is_loaded_once_the_chain_has_paid_for_it():
     calls, import_blocks = map(int, result.stdout.split())
     # 1,024 B pad to 65 blocks: each call before the import ran 65 on the chain
     assert calls == -(-import_blocks // 65) + 1
+
+
+def test_a_batch_that_costs_the_import_loads_numpy_at_once():
+    # a fresh process: a batch of IMPORT_BLOCKS blocks or more would cost
+    # the chain more than the import, so it does not run there first
+    script = (
+        "import sys\n"
+        "from cmt.crypto_codec import IMPORT_BLOCKS, MAX_FIELD_BYTES\n"
+        "from cmt.crypto_codec import decrypt_values, encrypt_value\n"
+        "from cmt.key_service import TenantKeySet\n"
+        "keys = TenantKeySet(enc_key=bytes(16), mac_key=bytes(16))\n"
+        "plains = [bytes([i]) * MAX_FIELD_BYTES for i in range(2)]\n"
+        "values = [encrypt_value(p, keys) for p in plains]\n"
+        "print(sum(len(v) // 16 - 2 for v in values), IMPORT_BLOCKS, 'numpy' in sys.modules)\n"
+        "assert decrypt_values(values, keys) == plains\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    first, after = result.stdout.splitlines()
+    blocks, import_blocks, loaded = first.split()
+    assert int(blocks) == 8194 >= int(import_blocks)
+    assert (loaded, after) == ("False", "True")
 
 
 def test_empty_plaintext_sizes():

@@ -3,6 +3,7 @@
 import base64
 import errno
 import functools
+import io
 import json
 import os
 import random
@@ -146,6 +147,69 @@ def test_advisory_lock_blocks_second_handle(tmp_path):
             open_store(path, MASTER)
     # released on close
     open_store(path, MASTER).close()
+
+
+@pytest.mark.parametrize("link", [os.symlink, os.link], ids=["symlink", "hard_link"])
+def test_lock_holds_through_any_path_to_the_file(tmp_path, link):
+    # the lock is the file's, not a name's: a second path meets it too
+    path = str(tmp_path / "s.cmt")
+    other = str(tmp_path / "other.cmt")
+    with create_store(path, SCHEMA, MASTER) as s:
+        s.insert("uni_a", row("first"))
+        link(path, other)
+        with pytest.raises(StoreLocked):
+            open_store(other, MASTER)
+        s.insert("uni_a", row("second"))
+    with open_store(other, MASTER) as s:
+        assert [r.fields["name"] for r in s.list("uni_a")] == ["first", "second"]
+
+
+def test_create_holds_the_lock_before_its_header_is_durable(tmp_path, monkeypatch):
+    path = str(tmp_path / "s.cmt")
+    fsync = os.fsync
+    outcomes = []
+
+    def opening_fsync(fd):
+        if stat.S_ISREG(os.fstat(fd).st_mode) and not outcomes:
+            try:
+                open_store(path, MASTER).close()
+                outcomes.append("opened")
+            except StoreLocked:
+                outcomes.append("locked")
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", opening_fsync)
+    create_store(path, SCHEMA, MASTER).close()
+    assert outcomes == ["locked"]
+
+
+class _FullDisk(io.FileIO):
+    """A file whose writes put 10 bytes in it and then fail as a full disk
+    would."""
+
+    def write(self, data):
+        super().write(bytes(data[:10]))
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("fault", ["write", "fsync"])
+def test_failed_create_leaves_no_file(tmp_path, monkeypatch, fault):
+    path = str(tmp_path / "s.cmt")
+    with monkeypatch.context() as mp:
+        if fault == "write":
+            mp.setattr(tenant_store, "open", lambda p, mode, buffering: _FullDisk(p, mode),
+                       raising=False)
+        else:
+            def failing_fsync(fd):
+                raise OSError(errno.EIO, "Input/output error")
+
+            mp.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError):
+            create_store(path, SCHEMA, MASTER)
+    assert os.listdir(tmp_path) == []
+    create_store(path, SCHEMA, MASTER).close()
+    with open_store(path, MASTER) as s:
+        assert s.schema == SCHEMA
 
 
 def test_locked_open_leaves_a_live_writers_tail_alone(tmp_path):
@@ -458,7 +522,12 @@ def test_torn_write_recovery(tmp_path):
     with open_store(path, MASTER) as s:
         assert [(r.row_id, r.fields) for r in s.list("uni_a")] == before[:1]
         # the torn id was never durable, so reuse of id 2 is correct here
-        assert s.insert("uni_a", row()) == 2
+        assert s.insert("uni_a", row("after")) == 2
+    # the insert went to the cut end of the file, leaving no hole behind it
+    with open(path, "rb") as fh:
+        assert b"\0" not in fh.read()
+    with open_store(path, MASTER) as s:
+        assert [r.fields["name"] for r in s.list("uni_a")] == ["kept", "after"]
 
 
 def test_ciphertext_at_rest(tmp_path):
