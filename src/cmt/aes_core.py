@@ -6,12 +6,16 @@ FIPS-197 section 5.1.1) and the round tables are computed at import,
 Rijndael key expansion, and one cipher core in two shapes that share a key
 schedule:
 
-- `encrypt_block`/`decrypt_block` take one 16-byte block and run one round
-  function on four 32-bit column words, each round four T-table lookups
-  per column (Daemen & Rijmen, *The Design of Rijndael*, section 4.2).
-  Decryption is the equivalent inverse cipher (FIPS-197 section 5.3.5):
-  with the state's columns 1 and 3 exchanged it is the encryption round
-  code with the inverse tables and pre-mixed round keys.
+- The scalar chain runs blocks one after another: `encrypt_cbc` is CBC
+  encryption under an IV, `decrypt_blocks` decrypts every block of a
+  buffer, and `encrypt_block`/`decrypt_block` are one-block calls of the
+  two. The state is one 128-bit int. A round unpacks its 16 bytes, builds
+  each column word from four T-table lookups (Daemen & Rijmen, *The Design
+  of Rijndael*, section 4.2), joins the words with shifts and adds the
+  128-bit round key; the final round is a fixed byte permutation and
+  `bytes.translate` through the S-box. Decryption is the equivalent inverse
+  cipher (FIPS-197 section 5.3.5): the same rounds with the inverse tables,
+  rows shifted right, and pre-mixed round keys.
 - The multi-lane kernel runs the same rounds on an (n, 16) uint8 numpy array
   of states, all lanes in lockstep. `encrypt_ecb`/`decrypt_ecb` wrap it for
   block-aligned bytes; `encrypt_lanes` takes and returns the array, so a
@@ -20,14 +24,18 @@ schedule:
   takes this path never loads it; `lanes_loaded` tells whether a call would
   have to import it first.
 
-A block is read as four big-endian column words: input byte i sits at row
-i % 4 of column i // 4. The tables are indexed by secret bytes, so the
-cipher leaks through cache timing; constant-time hardening is a non-goal.
+`expand_key` builds the round keys of both directions once; a key that only
+ever encrypts (a CBC-MAC key, a key-derivation key) is expanded with
+`decrypt=False` and skips the inverse schedule. Input byte i of a block sits
+at row i % 4 of column i // 4, and a column word is its four bytes read
+big-endian. The tables are indexed by secret bytes, so the cipher leaks
+through cache timing; constant-time hardening is a non-goal.
 """
 
 import struct
 import sys
 from collections import namedtuple
+from operator import itemgetter
 
 BLOCK_SIZE = 16
 KEY_SIZE = 16
@@ -103,27 +111,20 @@ _TD = _round_tables(INV_SBOX, (0x0E, 0x09, 0x0D, 0x0B))  # InvMixColumns
 _WORDS = struct.Struct(">4I")
 
 
-class KeySchedule(namedtuple("KeySchedule", "enc_words dec_words")):
-    """An AES-128 key expanded once for both directions.
+class KeySchedule(namedtuple("KeySchedule", "enc_words enc_keys dec_keys")):
+    """An AES-128 key expanded once.
 
-    `enc_words` are the 44 words of the key expansion. `dec_words` are the
-    44 round-key words of the equivalent inverse cipher, in the order
-    decryption uses them, with InvMixColumns applied to rounds 1..9 and
-    words 1 and 3 of every round exchanged (see `decrypt_block`).
+    `enc_words` are the 44 words of the key expansion; `enc_keys` are the
+    same 11 round keys as 128-bit ints, the block's bytes read big-endian.
+    `dec_keys` are the 11 round keys of the equivalent inverse cipher, in
+    the order decryption uses them, with InvMixColumns applied to rounds
+    1..9; None for a schedule expanded for encryption only.
     """
 
     __slots__ = ()
 
     def __repr__(self) -> str:  # enc_words[0:4] is the key itself
         return "KeySchedule(<redacted>)"
-
-
-def _sub_rot_word(w: int) -> int:
-    # SubWord(RotWord(w))
-    return (
-        (SBOX[(w >> 16) & 0xFF] << 24) | (SBOX[(w >> 8) & 0xFF] << 16)
-        | (SBOX[w & 0xFF] << 8) | SBOX[w >> 24]
-    )
 
 
 def _inv_mix_word(w: int) -> int:
@@ -135,73 +136,111 @@ def _inv_mix_word(w: int) -> int:
     )
 
 
-def _swap_columns(words) -> tuple:
-    """Exchange words 1 and 3 of every round key; its own inverse."""
-    return tuple(words[i ^ 2 if i & 1 else i] for i in range(len(words)))
-
-
-def expand_key(key: bytes) -> KeySchedule:
-    """Rijndael key expansion: 16-byte key -> 44 words, plus the decryption
-    words of the equivalent inverse cipher."""
+def expand_key(key: bytes, decrypt: bool = True) -> KeySchedule:
+    """Rijndael key expansion: 16-byte key -> 44 words and 11 round keys,
+    plus the round keys of the equivalent inverse cipher unless `decrypt`
+    is false."""
     if len(key) != KEY_SIZE:
         raise ValueError(f"key must be {KEY_SIZE} bytes, got {len(key)}")
-    w = list(_WORDS.unpack(key))
-    for i in range(4, 4 * (NUM_ROUNDS + 1)):
-        t = w[i - 1]
-        if i % 4 == 0:
-            t = _sub_rot_word(t) ^ (RCON[i // 4 - 1] << 24)
-        w.append(w[i - 4] ^ t)
-    dec = w[40:44]
-    for r in range(NUM_ROUNDS - 1, 0, -1):
-        dec += [_inv_mix_word(x) for x in w[4 * r : 4 * r + 4]]
-    dec += w[0:4]
-    return KeySchedule(tuple(w), _swap_columns(dec))
+    w0, w1, w2, w3 = _WORDS.unpack(key)
+    words = [w0, w1, w2, w3]
+    enc = [w0 << 96 | w1 << 64 | w2 << 32 | w3]
+    for rcon in RCON:
+        # SubWord(RotWord(w3)) and the round constant
+        w0 ^= (
+            (SBOX[(w3 >> 16) & 0xFF] ^ rcon) << 24 | SBOX[(w3 >> 8) & 0xFF] << 16
+            | SBOX[w3 & 0xFF] << 8 | SBOX[w3 >> 24]
+        )
+        w1 ^= w0
+        w2 ^= w1
+        w3 ^= w2
+        words += (w0, w1, w2, w3)
+        enc.append(w0 << 96 | w1 << 64 | w2 << 32 | w3)
+    dec = None
+    if decrypt:
+        dec = enc[NUM_ROUNDS:]
+        for i in range(4 * NUM_ROUNDS - 4, 0, -4):
+            w0, w1, w2, w3 = map(_inv_mix_word, words[i : i + 4])
+            dec.append(w0 << 96 | w1 << 64 | w2 << 32 | w3)
+        dec = tuple(dec + enc[:1])
+    return KeySchedule(tuple(words), tuple(enc), dec)
 
 
-def _columns(block: bytes) -> tuple:
+# ShiftRows and InvShiftRows of a 16-byte state: byte 4c + r comes from
+# column (c + r) % 4, or (c - r) % 4, of row r
+_SHIFT_ROWS = itemgetter(0, 5, 10, 15, 4, 9, 14, 3, 8, 13, 2, 7, 12, 1, 6, 11)
+_INV_SHIFT_ROWS = itemgetter(0, 13, 10, 7, 4, 1, 14, 11, 8, 5, 2, 15, 12, 9, 6, 3)
+# the S-boxes as translation tables for the final round
+_SBOX_BYTES = bytes(SBOX)
+_INV_SBOX_BYTES = bytes(INV_SBOX)
+
+
+def encrypt_cbc(data: bytes, schedule: KeySchedule, iv: bytes) -> bytes:
+    """CBC encryption of a block-aligned buffer under `iv`, one block after
+    another; ValueError for any other length. Each of the 9 T-table rounds
+    builds column c from row r of column (c + r) % 4; the final round is
+    ShiftRows on the bytes and SubBytes by `bytes.translate`."""
+    if len(data) % BLOCK_SIZE != 0:
+        raise ValueError("data length must be a multiple of 16")
+    t0, t1, t2, t3 = _TE
+    k0, *rounds, k10 = schedule.enc_keys
+    box, shift = _SBOX_BYTES, _SHIFT_ROWS
+    c = int.from_bytes(iv, "big")
+    out = []
+    for i in range(0, len(data), BLOCK_SIZE):
+        x = int.from_bytes(data[i : i + BLOCK_SIZE], "big") ^ c ^ k0
+        for k in rounds:
+            b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = x.to_bytes(16, "big")
+            x = (
+                (t0[b0] ^ t1[b5] ^ t2[b10] ^ t3[b15]) << 96
+                | (t0[b4] ^ t1[b9] ^ t2[b14] ^ t3[b3]) << 64
+                | (t0[b8] ^ t1[b13] ^ t2[b2] ^ t3[b7]) << 32
+                | (t0[b12] ^ t1[b1] ^ t2[b6] ^ t3[b11])
+            ) ^ k
+        c = int.from_bytes(bytes(shift(x.to_bytes(16, "big").translate(box))), "big") ^ k10
+        out.append(c)
+    return b"".join([x.to_bytes(16, "big") for x in out])
+
+
+def decrypt_blocks(data: bytes, schedule: KeySchedule) -> bytes:
+    """Decrypt every block of a block-aligned buffer, one after another;
+    ValueError for any other length. The rounds of `encrypt_cbc` with the
+    inverse tables, the pre-mixed `dec_keys` and rows shifted right (row r
+    from column (c - r) % 4). Bit-identical to `decrypt_ecb`."""
+    if len(data) % BLOCK_SIZE != 0:
+        raise ValueError("data length must be a multiple of 16")
+    t0, t1, t2, t3 = _TD
+    k0, *rounds, k10 = schedule.dec_keys
+    box, shift = _INV_SBOX_BYTES, _INV_SHIFT_ROWS
+    out = []
+    for i in range(0, len(data), BLOCK_SIZE):
+        x = int.from_bytes(data[i : i + BLOCK_SIZE], "big") ^ k0
+        for k in rounds:
+            b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = x.to_bytes(16, "big")
+            x = (
+                (t0[b0] ^ t1[b13] ^ t2[b10] ^ t3[b7]) << 96
+                | (t0[b4] ^ t1[b1] ^ t2[b14] ^ t3[b11]) << 64
+                | (t0[b8] ^ t1[b5] ^ t2[b2] ^ t3[b15]) << 32
+                | (t0[b12] ^ t1[b9] ^ t2[b6] ^ t3[b3])
+            ) ^ k
+        out.append(int.from_bytes(bytes(shift(x.to_bytes(16, "big").translate(box))), "big") ^ k10)
+    return b"".join([x.to_bytes(16, "big") for x in out])
+
+
+def _check_block(block: bytes) -> bytes:
     if len(block) != BLOCK_SIZE:
         raise ValueError(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
-    return _WORDS.unpack(block)
-
-
-def _rounds(s0: int, s1: int, s2: int, s3: int, rk: tuple, tables: tuple, box: list) -> tuple:
-    """Initial key add, 9 T-table rounds (SubBytes, ShiftRows and MixColumns
-    in one lookup per byte) and a final round of S-box lookups on four
-    column words; column c reads row r from column (c + r) % 4."""
-    t0, t1, t2, t3 = tables
-    s0 ^= rk[0]
-    s1 ^= rk[1]
-    s2 ^= rk[2]
-    s3 ^= rk[3]
-    for k in range(4, 4 * NUM_ROUNDS, 4):
-        s0, s1, s2, s3 = (
-            t0[s0 >> 24] ^ t1[(s1 >> 16) & 0xFF] ^ t2[(s2 >> 8) & 0xFF] ^ t3[s3 & 0xFF] ^ rk[k],
-            t0[s1 >> 24] ^ t1[(s2 >> 16) & 0xFF] ^ t2[(s3 >> 8) & 0xFF] ^ t3[s0 & 0xFF] ^ rk[k + 1],
-            t0[s2 >> 24] ^ t1[(s3 >> 16) & 0xFF] ^ t2[(s0 >> 8) & 0xFF] ^ t3[s1 & 0xFF] ^ rk[k + 2],
-            t0[s3 >> 24] ^ t1[(s0 >> 16) & 0xFF] ^ t2[(s1 >> 8) & 0xFF] ^ t3[s2 & 0xFF] ^ rk[k + 3],
-        )
-    return (
-        ((box[s0 >> 24] << 24) | (box[(s1 >> 16) & 0xFF] << 16) | (box[(s2 >> 8) & 0xFF] << 8) | box[s3 & 0xFF]) ^ rk[40],
-        ((box[s1 >> 24] << 24) | (box[(s2 >> 16) & 0xFF] << 16) | (box[(s3 >> 8) & 0xFF] << 8) | box[s0 & 0xFF]) ^ rk[41],
-        ((box[s2 >> 24] << 24) | (box[(s3 >> 16) & 0xFF] << 16) | (box[(s0 >> 8) & 0xFF] << 8) | box[s1 & 0xFF]) ^ rk[42],
-        ((box[s3 >> 24] << 24) | (box[(s0 >> 16) & 0xFF] << 16) | (box[(s1 >> 8) & 0xFF] << 8) | box[s2 & 0xFF]) ^ rk[43],
-    )
+    return block
 
 
 def encrypt_block(block: bytes, schedule: KeySchedule) -> bytes:
-    """Encrypt one 16-byte block."""
-    c0, c1, c2, c3 = _columns(block)
-    o0, o1, o2, o3 = _rounds(c0, c1, c2, c3, schedule.enc_words, _TE, SBOX)
-    return _WORDS.pack(o0, o1, o2, o3)
+    """Encrypt one 16-byte block: `encrypt_cbc` of one block under a zero IV."""
+    return encrypt_cbc(_check_block(block), schedule, bytes(BLOCK_SIZE))
 
 
 def decrypt_block(block: bytes, schedule: KeySchedule) -> bytes:
-    """Exact inverse of encrypt_block. Its rows shift right, reading column
-    (c - r) % 4; with columns 1 and 3 exchanged that is (c + r) % 4 again,
-    the order in which `dec_words` are stored."""
-    c0, c1, c2, c3 = _columns(block)
-    o0, o3, o2, o1 = _rounds(c0, c3, c2, c1, schedule.dec_words, _TD, INV_SBOX)
-    return _WORDS.pack(o0, o1, o2, o3)
+    """Exact inverse of encrypt_block: `decrypt_blocks` of one block."""
+    return decrypt_blocks(_check_block(block), schedule)
 
 
 # --- multi-lane kernel ---------------------------------------------------
@@ -214,7 +253,7 @@ def _lanes():
     if _LANES is None:
         import numpy as np
 
-        def direction(box, tables, shift, key_order):
+        def direction(box, tables, shift):
             # gathers the shifted state row by row: index 4*r + c reads row r
             # of column (c + shift*r) % 4
             perm = np.array(
@@ -223,11 +262,9 @@ def _lanes():
             )
             # memory order of each word is its big-endian bytes, rows 0..3
             words = [np.array(t, dtype=">u4").view(np.uint32) for t in tables]
-            return np.array(box, dtype=np.uint8), perm, words, np.array(key_order, dtype=np.intp)
+            return np.array(box, dtype=np.uint8), perm, words
 
-        # the lanes keep columns in place: undo the exchange in `dec_words`
-        order = range(4 * (NUM_ROUNDS + 1))
-        _LANES = (np, direction(SBOX, _TE, 1, order), direction(INV_SBOX, _TD, -1, _swap_columns(order)))
+        _LANES = (np, direction(SBOX, _TE, 1), direction(INV_SBOX, _TD, -1))
     return _LANES
 
 
@@ -236,13 +273,14 @@ def lanes_loaded() -> bool:
     return _LANES is not None or "numpy" in sys.modules
 
 
-def _lane_rounds(s, words: tuple, backward: bool):
+def _lane_rounds(s, keys: tuple, backward: bool):
     """The rounds of one direction on an (n, 16) uint8 array of states, all
     lanes at once; returns a new array of the same shape."""
     np, enc, dec = _lanes()
-    box, perm, (t0, t1, t2, t3), key_order = dec if backward else enc
+    box, perm, (t0, t1, t2, t3) = dec if backward else enc
     n = len(s)
-    rk = np.array(words, dtype=">u4")[key_order].view(np.uint8).reshape(NUM_ROUNDS + 1, BLOCK_SIZE)
+    rk = np.frombuffer(b"".join([k.to_bytes(16, "big") for k in keys]), dtype=np.uint8)
+    rk = rk.reshape(NUM_ROUNDS + 1, BLOCK_SIZE)
     s = s ^ rk[0]
     for r in range(1, NUM_ROUNDS):
         rows = s.take(perm, axis=1).reshape(n, 4, 4)
@@ -252,27 +290,27 @@ def _lane_rounds(s, words: tuple, backward: bool):
     return last.reshape(n, BLOCK_SIZE) ^ rk[NUM_ROUNDS]
 
 
-def _ecb(data: bytes, words: tuple, backward: bool) -> bytes:
+def _ecb(data: bytes, keys: tuple, backward: bool) -> bytes:
     if len(data) % BLOCK_SIZE != 0:
         raise ValueError("data length must be a multiple of 16")
     np = _lanes()[0]
     states = np.frombuffer(data, dtype=np.uint8).reshape(-1, BLOCK_SIZE)
-    return _lane_rounds(states, words, backward).tobytes()
+    return _lane_rounds(states, keys, backward).tobytes()
 
 
 def encrypt_lanes(states, schedule: KeySchedule):
     """Encrypt an (n, 16) uint8 array of states, one block per lane, so a
     caller that chains blocks keeps its states in numpy between calls."""
-    return _lane_rounds(states, schedule.enc_words, backward=False)
+    return _lane_rounds(states, schedule.enc_keys, backward=False)
 
 
 def encrypt_ecb(data: bytes, schedule: KeySchedule) -> bytes:
     """Encrypt a block-aligned buffer in ECB, all blocks in lockstep;
     bit-identical to mapping encrypt_block over it."""
-    return _ecb(data, schedule.enc_words, backward=False)
+    return _ecb(data, schedule.enc_keys, backward=False)
 
 
 def decrypt_ecb(data: bytes, schedule: KeySchedule) -> bytes:
     """Decrypt a block-aligned buffer in ECB, all blocks in lockstep;
     bit-identical to mapping decrypt_block over it."""
-    return _ecb(data, schedule.dec_words, backward=True)
+    return _ecb(data, schedule.dec_keys, backward=True)

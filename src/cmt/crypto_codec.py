@@ -13,7 +13,7 @@ sees for wrong keys or tampering is AuthError.
 `list` returns: all tags are checked before any block is decrypted. The
 batch's MAC chains step in lockstep as lanes of the multi-lane kernel while
 at least LANE_MIN_BLOCKS of them are running, and its ciphertexts are
-CBC-decrypted in one call; smaller work runs on the per-block chain.
+CBC-decrypted in one call; smaller work runs on the scalar chain.
 `decrypt_value` is a batch of one. The kernel needs numpy, whose import
 costs as much as thousands of chain blocks: until numpy is loaded, work the
 kernel would take runs on the chain, and the kernel is loaded for a batch
@@ -52,12 +52,13 @@ def unpad(data: bytes) -> bytes:
 
 
 # Work of at least this many blocks runs on the multi-lane kernel, once it
-# is loaded; below it the per-block chain is faster. Measured on CBC
-# decryption (the kernel's fixed cost about 70 us, a block on the chain
-# about 12 us) and on lockstep CBC-MAC steps (a step of 7 lanes took 0.93
-# times as long as 7 chain blocks, of 6 lanes 1.08 times): the kernel wins
-# from 7 blocks on.
-LANE_MIN_BLOCKS = 7
+# is loaded; below it the chain is faster. Measured in 61 alternating pairs
+# of thread CPU time, three runs: CBC decryption of 9 blocks took 0.98-1.04
+# times as long on the kernel as on the chain, of 10 blocks 0.90-0.94, and
+# a lockstep CBC-MAC step of 9 lanes 0.96-1.04 times as long as 9 chain
+# blocks, of 10 lanes 0.87-0.94 (a chain block 10-16 us, a kernel call on
+# 10 blocks 85-155 us): the kernel wins from 10 blocks on.
+LANE_MIN_BLOCKS = 10
 
 # The kernel's numpy import, counted in chain blocks. Until numpy is loaded,
 # work the kernel would take runs on the chain; a batch this large, or any
@@ -65,12 +66,12 @@ LANE_MIN_BLOCKS = 7
 # or buy: a process then spends at most about twice what the better choice
 # in hindsight would have cost, and a batch that alone costs the purchase
 # buys at once).
-# Measured three times: numpy import and table build 71 ms of thread CPU
-# time (median of 9 fresh processes each), the chain 15.5-22.6 us a block
-# and the kernel 1.1-1.4, so the import pays for itself after 3,300-4,900
-# blocks. 5,000 errs toward buying late, which spares the processes that
+# Measured three times: numpy import and table build 95-96 ms of thread CPU
+# time (median of 9 fresh processes each), the chain 17.1-17.7 us a block
+# and the kernel 1.3, so the import pays for itself after 5,800-6,100
+# blocks. 6,500 errs toward buying late, which spares the processes that
 # stop soon after the count and would never repay the import.
-IMPORT_BLOCKS = 5000
+IMPORT_BLOCKS = 6500
 
 _chain_blocks = 0  # blocks the kernel would have taken, run on the chain instead
 
@@ -88,22 +89,11 @@ def _xor(a: bytes, b: bytes) -> bytes:
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
-def cbc_encrypt(data: bytes, schedule: aes_core.KeySchedule, iv: bytes) -> bytes:
-    if len(data) % BLOCK_SIZE != 0:
-        raise ValueError("CBC input must be block-aligned")
-    out = []
-    prev = iv
-    for i in range(0, len(data), BLOCK_SIZE):
-        prev = aes_core.encrypt_block(_xor(data[i : i + BLOCK_SIZE], prev), schedule)
-        out.append(prev)
-    return b"".join(out)
-
-
 def cbc_mac(data: bytes, schedule: aes_core.KeySchedule) -> bytes:
     """CBC-MAC with zero IV over block-aligned input; last block is the tag."""
     if len(data) == 0 or len(data) % BLOCK_SIZE != 0:
         raise ValueError("CBC-MAC input must be a positive multiple of 16")
-    return cbc_encrypt(data, schedule, bytes(BLOCK_SIZE))[-BLOCK_SIZE:]
+    return aes_core.encrypt_cbc(data, schedule, bytes(BLOCK_SIZE))[-BLOCK_SIZE:]
 
 
 def check_value(raw: bytes) -> bytes:
@@ -120,7 +110,7 @@ def encrypt_value(plaintext: bytes, keys) -> bytes:
     if len(plaintext) > MAX_FIELD_BYTES:
         raise FieldTooLarge(f"field of {len(plaintext)} bytes exceeds cap of {MAX_FIELD_BYTES}")
     iv = os.urandom(BLOCK_SIZE)
-    message = iv + cbc_encrypt(pad(plaintext), keys.enc_schedule, iv)
+    message = iv + aes_core.encrypt_cbc(pad(plaintext), keys.enc_schedule, iv)
     return message + cbc_mac(message, keys.mac_schedule)
 
 
@@ -147,7 +137,7 @@ def _cbc_macs(messages: list[bytes], schedule: aes_core.KeySchedule, steps: int)
         state = aes_core.encrypt_lanes(state[:running] ^ blocks[firsts[:running] + j], schedule)
     for lane, i in enumerate(order[:running]):
         rest, start = messages[i][steps * BLOCK_SIZE :], state[lane].tobytes()
-        tags[i] = cbc_encrypt(rest, schedule, start)[-BLOCK_SIZE:] if rest else start
+        tags[i] = aes_core.encrypt_cbc(rest, schedule, start)[-BLOCK_SIZE:] if rest else start
     return tags
 
 
@@ -180,10 +170,7 @@ def decrypt_values(values: Sequence[bytes], keys) -> list[bytes]:
     if lanes:
         plain = aes_core.decrypt_ecb(data, schedule)
     else:
-        plain = b"".join(
-            aes_core.decrypt_block(data[i : i + BLOCK_SIZE], schedule)
-            for i in range(0, len(data), BLOCK_SIZE)
-        )
+        plain = aes_core.decrypt_blocks(data, schedule)
     # CBC: each block XORed with the one before it in IV || ct
     plain = _xor(plain, b"".join([m[:-BLOCK_SIZE] for m in messages]))
     out, end = [], 0

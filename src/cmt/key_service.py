@@ -23,14 +23,15 @@ _MAC_CONST = bytes([0x02]) * 16
 
 
 class MasterKey(namedtuple("MasterKey", "key schedule")):
-    """The 16-byte master key and its schedule, expanded once, here."""
+    """The 16-byte master key and its schedule, expanded once, here, for
+    encryption only: the master key only ever computes CBC-MACs."""
 
     __slots__ = ()
 
     def __new__(cls, key: bytes):
         if len(key) != aes_core.KEY_SIZE:
             raise MalformedKey("master key must be exactly 16 bytes")
-        return super().__new__(cls, key, aes_core.expand_key(key))
+        return super().__new__(cls, key, aes_core.expand_key(key, decrypt=False))
 
     def __getnewargs__(self):  # copy and pickle rebuild it from the key
         return (self.key,)
@@ -41,14 +42,14 @@ class MasterKey(namedtuple("MasterKey", "key schedule")):
 
 class TenantKeySet(namedtuple("TenantKeySet", "enc_key mac_key enc_schedule mac_schedule")):
     """A tenant's two keys, each expanded once, here, for every value the
-    codec encrypts or decrypts under them."""
+    codec encrypts or decrypts under them. Only the encryption key
+    decrypts; the MAC key's schedule has no inverse half."""
 
     __slots__ = ()
 
     def __new__(cls, enc_key: bytes, mac_key: bytes):
-        return super().__new__(
-            cls, enc_key, mac_key, aes_core.expand_key(enc_key), aes_core.expand_key(mac_key)
-        )
+        enc, mac = aes_core.expand_key(enc_key), aes_core.expand_key(mac_key, decrypt=False)
+        return super().__new__(cls, enc_key, mac_key, enc, mac)
 
     def __getnewargs__(self):  # copy and pickle rebuild it from the keys
         return (self.enc_key, self.mac_key)
@@ -92,7 +93,7 @@ def derive_tenant_keys(master: MasterKey, tenant_id: str) -> TenantKeySet:
     """Deterministically derive the per-tenant encryption and MAC keys."""
     validate_tenant_id(tenant_id)
     root = cbc_mac(pad(tenant_id.encode("utf-8")), master.schedule)
-    root_schedule = aes_core.expand_key(root)
+    root_schedule = aes_core.expand_key(root, decrypt=False)  # it only encrypts
     return TenantKeySet(
         enc_key=aes_core.encrypt_block(_ENC_CONST, root_schedule),
         mac_key=aes_core.encrypt_block(_MAC_CONST, root_schedule),

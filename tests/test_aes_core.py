@@ -264,6 +264,28 @@ def test_expand_key_structure():
         assert struct.pack(">4I", *ks.enc_words[:4]) == key
 
 
+def test_round_keys_of_both_directions():
+    # enc_keys are the expansion's words four at a time; dec_keys run them
+    # backwards with InvMixColumns (the reference's) on rounds 1..9
+    for _ in range(20):
+        key = os.urandom(16)
+        ks = aes_core.expand_key(key)
+        raw = struct.pack(">44I", *ks.enc_words)
+        round_keys = [raw[i : i + 16] for i in range(0, 176, 16)]
+        assert ks.enc_keys == tuple(int.from_bytes(k, "big") for k in round_keys)
+        mixed = [bytes(aes_reference.inv_mix_columns(list(k))) for k in round_keys]
+        inverse = [round_keys[10]] + mixed[9:0:-1] + [round_keys[0]]
+        assert ks.dec_keys == tuple(int.from_bytes(k, "big") for k in inverse)
+
+
+def test_expand_key_for_encryption_only():
+    for _ in range(20):
+        key, block = os.urandom(16), os.urandom(16)
+        ks, enc_only = aes_core.expand_key(key), aes_core.expand_key(key, decrypt=False)
+        assert enc_only == (ks.enc_words, ks.enc_keys, None)
+        assert aes_core.encrypt_block(block, enc_only) == aes_core.encrypt_block(block, ks)
+
+
 def test_expand_key_rejects_bad_length():
     with pytest.raises(ValueError):
         aes_core.expand_key(b"short")
@@ -353,6 +375,18 @@ def test_decrypt_ecb_matches_scalar():
         )
         assert aes_core.decrypt_ecb(data, ks) == scalar
         assert aes_core.encrypt_ecb(aes_core.decrypt_ecb(data, ks), ks) == data
+
+
+def test_chain_matches_kernel():
+    ks = aes_core.expand_key(os.urandom(16))
+    for blocks in (1, 2, 9, 257):
+        data = os.urandom(16 * blocks)
+        assert aes_core.decrypt_blocks(data, ks) == aes_core.decrypt_ecb(data, ks)
+        # CBC under a zero IV of blocks XORed with the ECB ciphertext block
+        # before them is that ECB ciphertext
+        ct = aes_core.encrypt_ecb(data, ks)
+        chained = bytes(a ^ b for a, b in zip(data, bytes(16) + ct))
+        assert aes_core.encrypt_cbc(chained, ks, bytes(16)) == ct
 
 
 def test_encrypt_ecb_rejects_misaligned():

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from cmt import aes_core, crypto_codec
 from cmt.crypto_codec import (
     LANE_MIN_BLOCKS,
-    cbc_encrypt,
     cbc_mac,
     check_value,
     decrypt_value,
@@ -86,14 +85,23 @@ def library_value(plaintext: bytes, enc_key: bytes, keys: TenantKeySet) -> bytes
 
 
 def test_cbc_matches_library():
-    key, iv = os.urandom(16), os.urandom(16)
-    data = os.urandom(16 * 9)
-    ks = aes_core.expand_key(key)
-    enc = Cipher(algorithms.AES(key), modes.CBC(iv)).encryptor()
-    expected = enc.update(data) + enc.finalize()
-    assert cbc_encrypt(data, ks, iv) == expected
-    keys = TenantKeySet(enc_key=key, mac_key=os.urandom(16))
-    assert decrypt_value(library_value(data, key, keys), keys) == data
+    for blocks in (1, 2, 9, 257):
+        key, iv = os.urandom(16), os.urandom(16)
+        data = os.urandom(16 * blocks)
+        ks = aes_core.expand_key(key)
+        enc = Cipher(algorithms.AES(key), modes.CBC(iv)).encryptor()
+        expected = enc.update(data) + enc.finalize()
+        assert aes_core.encrypt_cbc(data, ks, iv) == expected
+        # the chain's decryption of every block on its own, against ECB
+        dec = Cipher(algorithms.AES(key), modes.ECB()).decryptor()
+        assert aes_core.decrypt_blocks(expected, ks) == dec.update(expected) + dec.finalize()
+        keys = TenantKeySet(enc_key=key, mac_key=os.urandom(16))
+        assert decrypt_value(library_value(data, key, keys), keys) == data
+    for misaligned in (os.urandom(15), os.urandom(17), os.urandom(16 * 9 - 1)):
+        with pytest.raises(ValueError):
+            aes_core.encrypt_cbc(misaligned, ks, iv)
+        with pytest.raises(ValueError):
+            aes_core.decrypt_blocks(misaligned, ks)
 
 
 @pytest.mark.parametrize("blocks", [1, LANE_MIN_BLOCKS - 1, LANE_MIN_BLOCKS, 257])
@@ -123,7 +131,7 @@ def test_cbc_mac_is_last_cbc_block():
     key = os.urandom(16)
     data = os.urandom(16 * 5)
     ks = aes_core.expand_key(key)
-    assert cbc_mac(data, ks) == cbc_encrypt(data, ks, bytes(16))[-16:]
+    assert cbc_mac(data, ks) == aes_core.encrypt_cbc(data, ks, bytes(16))[-16:]
 
 
 # --- value layout ------------------------------------------------------------
@@ -202,17 +210,25 @@ def test_mac_chains_step_in_lockstep_from_lane_min_blocks(count, lanes, monkeypa
 @pytest.mark.parametrize("lanes", [False, True])
 @pytest.mark.parametrize("forged", ["first", "middle", "last"])
 def test_one_forged_tag_refuses_the_batch_before_any_decryption(forged, lanes, monkeypatch):
-    values = [encrypt_value(os.urandom(20 * i), BATCH_KEYS) for i in range(9)]
-    at = {"first": 0, "middle": 4, "last": 8}[forged]
-    forgery = bytearray(values[at])
+    # enough values for the MAC chains to step as lanes when `lanes` is set
+    count = LANE_MIN_BLOCKS + 2
+    values = [encrypt_value(os.urandom(20 * i), BATCH_KEYS) for i in range(count)]
+    at = {"first": 0, "middle": count // 2, "last": count - 1}[forged]
+    genuine = values[at]
+    forgery = bytearray(genuine)
     forgery[-1] ^= 0x80  # the tag's last byte
     values[at] = bytes(forgery)
     monkeypatch.setattr(crypto_codec, "_use_lanes", lambda blocks: lanes)
-    blocks = spy(monkeypatch, aes_core, "decrypt_block")
+    # what each path decrypts with: the scalar chain, or the lane kernel
+    chain = spy(monkeypatch, aes_core, "decrypt_blocks")
     kernel = spy(monkeypatch, aes_core, "decrypt_ecb")
     with pytest.raises(AuthError):
         decrypt_values(values, BATCH_KEYS)
-    assert blocks == kernel == []
+    assert chain == kernel == []
+    # the spies see the decryption of the same batch once every tag verifies
+    values[at] = genuine
+    decrypt_values(values, BATCH_KEYS)
+    assert (len(chain), len(kernel)) == ((0, 1) if lanes else (1, 0))
 
 
 @pytest.mark.parametrize("lanes", [False, True])

@@ -12,6 +12,7 @@ import pickle
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
+from cmt import aes_core
 from cmt.errors import InvalidTenantId, MalformedKey, MissingKey
 from cmt.key_service import (
     MASTER_KEY_ENV,
@@ -150,15 +151,45 @@ def test_repr_shows_no_key_material():
     master = MasterKey(bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c"))
     keys = derive_tenant_keys(master, "alpha")
     secrets = [
-        (master, [master.key], master.schedule),
-        (master.schedule, [master.key], master.schedule),
-        (keys, [keys.enc_key, keys.mac_key], keys.enc_schedule + keys.mac_schedule),
+        (master, [master.key], [master.schedule]),
+        (master.schedule, [master.key], [master.schedule]),
+        (keys, [keys.enc_key, keys.mac_key], [keys.enc_schedule, keys.mac_schedule]),
+        (keys.enc_schedule, [keys.enc_key], [keys.enc_schedule]),
+        (keys.mac_schedule, [keys.mac_key], [keys.mac_schedule]),
     ]
+    # schedules with and without the inverse half are both covered
+    assert master.schedule.dec_keys is None and keys.mac_schedule.dec_keys is None
+    assert keys.enc_schedule.dec_keys is not None
     for record, key_bytes, schedules in secrets:
-        words = {w for schedule in schedules for w in schedule}
+        # every key-derived value of every field: 32-bit expansion words and
+        # 128-bit round keys of both directions
+        values = set()
+        for schedule in schedules:
+            for name in schedule._fields:
+                field = getattr(schedule, name)
+                if field is None:
+                    assert name == "dec_keys"
+                    continue
+                assert field and all(type(v) is int for v in field)
+                values.update(field)
         for text in (repr(record), str(record), f"{record}", f"{record!r}", repr([record])):
             assert "redacted" in text
             for key in key_bytes:
                 assert repr(key)[2:-1] not in text and key.hex() not in text
-            for w in words:
-                assert str(w) not in text and f"{w:08x}" not in text
+            for v in values:
+                raw = v.to_bytes(4 if v < 2**32 else 16, "big")
+                assert str(v) not in text and f"{v:x}" not in text
+                assert raw.hex() not in text and repr(raw)[2:-1] not in text
+
+
+def test_one_derivation_builds_one_inverse_schedule(monkeypatch):
+    # only the tenant's encryption key ever decrypts: the root and the MAC
+    # key are expanded without InvMixColumns, 4 words for each of rounds 1..9
+    master = MasterKey(bytes(range(16)))
+    calls = []
+    inv_mix_word = aes_core._inv_mix_word
+    monkeypatch.setattr(aes_core, "_inv_mix_word", lambda w: calls.append(w) or inv_mix_word(w))
+    keys = derive_tenant_keys(master, "alpha")
+    assert len(calls) == 4 * (aes_core.NUM_ROUNDS - 1)
+    assert keys.mac_schedule.dec_keys is None
+    assert aes_core.decrypt_block(aes_core.encrypt_block(bytes(16), keys.enc_schedule), keys.enc_schedule) == bytes(16)
