@@ -1,9 +1,9 @@
-"""AES-128 block cipher built from first principles.
+"""AES-128 built from first principles, and the choice of engine to run it.
 
 No crypto libraries: GF(2^8) arithmetic on log/antilog tables of the
 generator 3, from which the S-box (the field inverse and the affine map of
 FIPS-197 section 5.1.1) and the round tables are computed at import,
-Rijndael key expansion, and one cipher core in two shapes that share a key
+Rijndael key expansion, and one cipher core in two engines that share a key
 schedule:
 
 - The scalar chain runs blocks one after another: `encrypt_cbc` is CBC
@@ -18,11 +18,17 @@ schedule:
   rows shifted right, and pre-mixed round keys.
 - The multi-lane kernel runs the same rounds on an (n, 16) uint8 numpy array
   of states, all lanes in lockstep. `encrypt_ecb`/`decrypt_ecb` wrap it for
-  block-aligned bytes; `encrypt_lanes` takes and returns the array, so a
-  caller stepping many CBC-MAC chains keeps them in numpy between steps.
-  numpy is imported on the kernel's first call, so a program that never
-  takes this path never loads it; `lanes_loaded` tells whether a call would
-  have to import it first.
+  block-aligned bytes, and `cbc_macs` steps many CBC-MAC chains as its
+  lanes, keeping their states in numpy between steps.
+
+The kernel wins from LANE_MIN_BLOCKS blocks of work on, but it needs numpy,
+whose import costs as much as thousands of chain blocks. numpy is imported
+on the kernel's first call only, and `use_lanes` rents before it buys:
+until numpy is loaded, work the kernel would take runs on the chain, and
+the kernel is loaded for a batch of at least IMPORT_BLOCKS such blocks, or
+once the blocks run on the chain instead have reached that count. A
+one-shot `cmt get` or `cmt list` therefore imports numpy only if the work
+it would hand the kernel comes to IMPORT_BLOCKS blocks or more.
 
 `expand_key` builds the round keys of both directions once; a key that only
 ever encrypts (a CBC-MAC key, a key-derivation key) is expanded with
@@ -245,7 +251,39 @@ def decrypt_block(block: bytes, schedule: KeySchedule) -> bytes:
 
 # --- multi-lane kernel ---------------------------------------------------
 
+# Work of at least this many blocks runs on the multi-lane kernel, once it
+# is loaded; below it the chain is faster. Measured in 61 alternating pairs
+# of thread CPU time, three runs: CBC decryption of 9 blocks took 0.98-1.04
+# times as long on the kernel as on the chain, of 10 blocks 0.90-0.94, and
+# a lockstep CBC-MAC step of 9 lanes 0.96-1.04 times as long as 9 chain
+# blocks, of 10 lanes 0.87-0.94 (a chain block 10-16 us, a kernel call on
+# 10 blocks 85-155 us): the kernel wins from 10 blocks on.
+LANE_MIN_BLOCKS = 10
+
+# The kernel's numpy import, counted in chain blocks. Until numpy is loaded,
+# work the kernel would take runs on the chain; a batch this large, or any
+# batch once the blocks run that way reach this count, loads the kernel (rent
+# or buy: a process then spends at most about twice what the better choice
+# in hindsight would have cost, and a batch that alone costs the purchase
+# buys at once).
+# Measured three times: numpy import and table build 95-96 ms of thread CPU
+# time (median of 9 fresh processes each), the chain 17.1-17.7 us a block
+# and the kernel 1.3, so the import pays for itself after 5,800-6,100
+# blocks. 6,500 errs toward buying late, which spares the processes that
+# stop soon after the count and would never repay the import.
+IMPORT_BLOCKS = 6500
+
 _LANES = None  # (numpy, encrypt constants, decrypt constants), built on first use
+_chain_blocks = 0  # blocks the kernel would have taken, run on the chain instead
+
+
+def use_lanes(blocks: int) -> bool:
+    """Whether `blocks` blocks of work the kernel would take run there."""
+    global _chain_blocks  # a lost update between threads only delays the import
+    if _LANES or "numpy" in sys.modules or max(_chain_blocks, blocks) >= IMPORT_BLOCKS:
+        return True
+    _chain_blocks += blocks
+    return False
 
 
 def _lanes():
@@ -266,11 +304,6 @@ def _lanes():
 
         _LANES = (np, direction(SBOX, _TE, 1), direction(INV_SBOX, _TD, -1))
     return _LANES
-
-
-def lanes_loaded() -> bool:
-    """Whether the kernel can run without paying for the numpy import."""
-    return _LANES is not None or "numpy" in sys.modules
 
 
 def _lane_rounds(s, keys: tuple, backward: bool):
@@ -298,12 +331,6 @@ def _ecb(data: bytes, keys: tuple, backward: bool) -> bytes:
     return _lane_rounds(states, keys, backward).tobytes()
 
 
-def encrypt_lanes(states, schedule: KeySchedule):
-    """Encrypt an (n, 16) uint8 array of states, one block per lane, so a
-    caller that chains blocks keeps its states in numpy between calls."""
-    return _lane_rounds(states, schedule.enc_keys, backward=False)
-
-
 def encrypt_ecb(data: bytes, schedule: KeySchedule) -> bytes:
     """Encrypt a block-aligned buffer in ECB, all blocks in lockstep;
     bit-identical to mapping encrypt_block over it."""
@@ -314,3 +341,31 @@ def decrypt_ecb(data: bytes, schedule: KeySchedule) -> bytes:
     """Decrypt a block-aligned buffer in ECB, all blocks in lockstep;
     bit-identical to mapping decrypt_block over it."""
     return _ecb(data, schedule.dec_keys, backward=True)
+
+
+def cbc_macs(messages: list[bytes], schedule: KeySchedule, steps: int) -> list[bytes]:
+    """The CBC-MAC tag (zero IV, last block kept) of every block-aligned
+    message. The first `steps` blocks, at most the longest message's, run
+    on the kernel with one lane per message that is still running, longest
+    messages first, so the running lanes are always a prefix; the rest, and
+    all of it when `steps` is 0, runs on the chain."""
+    if not steps:
+        return [encrypt_cbc(m, schedule, bytes(BLOCK_SIZE))[-BLOCK_SIZE:] for m in messages]
+    np = _lanes()[0]
+    tags = [b""] * len(messages)
+    order = sorted(range(len(messages)), key=lambda i: len(messages[i]), reverse=True)
+    sizes = [len(messages[i]) // BLOCK_SIZE for i in order]
+    blocks = np.frombuffer(b"".join([messages[i] for i in order]), dtype=np.uint8)
+    blocks = blocks.reshape(-1, BLOCK_SIZE)
+    firsts = np.cumsum([0] + sizes[:-1])
+    running = len(order)
+    state = np.zeros((running, BLOCK_SIZE), dtype=np.uint8)
+    for j in range(steps):
+        while sizes[running - 1] == j:  # this message's tag is its state
+            running -= 1
+            tags[order[running]] = state[running].tobytes()
+        state = _lane_rounds(state[:running] ^ blocks[firsts[:running] + j], schedule.enc_keys, False)
+    for lane, i in enumerate(order[:running]):
+        rest, start = messages[i][steps * BLOCK_SIZE :], state[lane].tobytes()
+        tags[i] = encrypt_cbc(rest, schedule, start)[-BLOCK_SIZE:] if rest else start
+    return tags

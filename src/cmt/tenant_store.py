@@ -6,8 +6,9 @@ tenant's derived keys before it touches disk, as opaque bytes whose layout
 only `crypto_codec` knows. Persistence is an append-only JSON-lines log
 replayed in full on open, in one pass: each line is decoded
 (`json.JSONDecoder.raw_decode`, then strict base64 by `binascii`),
-checked, and put straight into the live row map, and a bad line is
-CorruptLog with its line number. Each mutation is written and fsynced
+checked (an insert or update carries exactly the header's fields), and
+put straight into the live row map, and a bad line is CorruptLog with
+its line number. Each mutation is written and fsynced
 before the call returns, and an append that fails is cut back off the file
 before the error is raised; if that cut fails too, the handle refuses every
 later mutation until the store is reopened. A handle is one open file,
@@ -23,7 +24,7 @@ File format (UTF-8, newline-delimited):
   line 1: {"v":1,"table":"<name>","fields":["f1",...]}
   then one event per line:
     {"op":"ins"|"upd"|"del","t":"<tenant>","r":<row_id>,"ts":<unix s>,
-     "f":{"<field>":"<base64 IV||ct||tag>",...}}   ("f" omitted for del)
+     "f":{"<field>":"<base64 IV||ct||tag>",...}}   (every header field; no "f" for del)
 """
 
 import binascii
@@ -280,9 +281,10 @@ def create_store(path: str, schema: TableSchema, master: MasterKey | None = None
     return Store(path, schema, master, fh, {}, 0)
 
 
-def _decode_event(line: bytes) -> tuple:
+def _decode_event(line: bytes, names: tuple) -> tuple:
     """(op, tenant, row_id, fields) of one log line, fields None for a
-    delete. A malformed line raises ValueError or TypeError.
+    delete, else the values of exactly the header's field `names`, in
+    their order. A malformed line raises ValueError or TypeError.
 
     It accepts exactly the lines `json.loads` accepts: JSON whitespace
     around the object is stripped and nothing may follow it (a BOM fails
@@ -308,10 +310,15 @@ def _decode_event(line: bytes) -> tuple:
     encoded = event.get("f")
     if not isinstance(encoded, dict):
         raise ValueError('"f" must map field names to base64 strings')
-    fields = {
-        name: check_value(binascii.a2b_base64(b64, strict_mode=True))
-        for name, b64 in encoded.items()
-    }
+    if len(encoded) != len(names):
+        raise ValueError(f'"f" holds {len(encoded)} fields, the header {len(names)}')
+    try:
+        fields = {
+            name: check_value(binascii.a2b_base64(encoded[name], strict_mode=True))
+            for name in names
+        }
+    except KeyError as exc:
+        raise ValueError(f'"f" has no field {exc}') from None
     return op, tenant, row_id, fields
 
 
@@ -360,7 +367,7 @@ def _load(path: str, fh, master: MasterKey | None) -> Store:
     max_row_id = 0
     for number, line in enumerate(lines[1:], start=2):
         try:
-            _, tenant, row_id, fields = _decode_event(line)
+            _, tenant, row_id, fields = _decode_event(line, schema.field_names)
         except (ValueError, TypeError) as exc:
             raise CorruptLog(f"corrupt event at line {number} of {path}: {exc}") from None
         if fields is None:

@@ -1,6 +1,7 @@
 """The log-line decoder of store format v1 in its first form: `json.loads`,
 then the event checks, with each value decoded by
-`base64.b64decode(validate=True)`. The tests hold
+`base64.b64decode(validate=True)` and the set of an event's field names
+compared with the header's. The tests hold
 `tenant_store._decode_event` to it: both must accept the same lines and
 decode them to the same fields.
 """
@@ -11,9 +12,10 @@ import json
 from cmt.crypto_codec import check_value
 
 
-def decode_event(line: bytes) -> tuple:
+def decode_event(line: bytes, names: tuple) -> tuple:
     """(op, tenant, row_id, fields) of one log line, fields None for a
-    delete. A malformed line raises ValueError or TypeError."""
+    delete. A malformed line, or one whose field names are not the
+    header's `names`, raises ValueError or TypeError."""
     event = json.loads(line.decode("utf-8"))
     if not isinstance(event, dict):
         raise ValueError("event is not a JSON object")
@@ -29,6 +31,8 @@ def decode_event(line: bytes) -> tuple:
     encoded = event.get("f")
     if not isinstance(encoded, dict):
         raise ValueError('"f" must map field names to base64 strings')
+    if set(encoded) != set(names):
+        raise ValueError('"f" must hold the header\'s fields')
     # b64decode raises TypeError for a value that is not a string
     fields = {
         name: check_value(base64.b64decode(b64, validate=True))

@@ -395,3 +395,21 @@ def test_encrypt_ecb_rejects_misaligned():
         aes_core.encrypt_ecb(b"123", ks)
     with pytest.raises(ValueError):
         aes_core.decrypt_ecb(b"123", ks)
+
+
+# --- the engines' one owner ------------------------------------------------
+
+def test_numpy_stays_behind_aes_core():
+    # no other module of the package imports or names numpy, and the lane
+    # kernel's CBC-MAC tags come back as bytes
+    package = os.path.dirname(aes_core.__file__)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py") and name != "aes_core.py":
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                assert "numpy" not in fh.read(), name
+    ks = aes_core.expand_key(os.urandom(16))
+    messages = [os.urandom(16 * n) for n in (12, 1, 3, 5, 3)]
+    tags = aes_core.cbc_macs(messages, ks, 3)  # lanes end before, at and after step 3
+    assert [type(tag) for tag in tags] == [bytes] * len(messages)
+    assert tags == [aes_core.encrypt_cbc(m, ks, bytes(16))[-16:] for m in messages]
+    assert aes_core.cbc_macs(messages, ks, 0) == tags

@@ -163,6 +163,25 @@ def test_malformed_event_exit_3(store_path):
     assert "line 3" in result.stderr
 
 
+@pytest.mark.parametrize("names", [("name", "contact", "zzz"), ("name", "contact"),
+                                   ("name", "contact", "department", "zzz")])
+def test_event_fields_other_than_the_header_exit_3(store_path, names):
+    # genuine values under field names the header does not list, or a row
+    # short of one field or with one too many
+    main(insert_args(store_path, "uni_a"))
+    with open(store_path, encoding="ascii") as fh:
+        value = json.loads(fh.read().splitlines()[1])["f"]["name"]
+    with open(store_path, "a", encoding="ascii") as fh:
+        fh.write(json.dumps({"op": "upd", "t": "uni_a", "r": 1, "ts": 0,
+                             "f": dict.fromkeys(names, value)}) + "\n")
+    for command in (["get", "--row", "1"], ["list"]):
+        result = run_cmt(["--store", store_path, "--tenant", "uni_a"] + command)
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert "line 3" in result.stderr
+
+
 def test_oversized_value_exit_2(store_path):
     args = insert_args(store_path, "uni_a", name="x" * (MAX_FIELD_BYTES + 1))
     assert main(args) == 2

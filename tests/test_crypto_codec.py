@@ -12,9 +12,9 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmt import aes_core, crypto_codec
+from cmt import aes_core
+from cmt.aes_core import LANE_MIN_BLOCKS
 from cmt.crypto_codec import (
-    LANE_MIN_BLOCKS,
     cbc_mac,
     check_value,
     decrypt_value,
@@ -107,7 +107,7 @@ def test_cbc_matches_library():
 @pytest.mark.parametrize("blocks", [1, LANE_MIN_BLOCKS - 1, LANE_MIN_BLOCKS, 257])
 def test_cbc_decrypt_matches_library_on_both_paths(blocks, monkeypatch):
     # below LANE_MIN_BLOCKS the per-block chain runs, from it the lane kernel
-    monkeypatch.setattr(crypto_codec, "_use_lanes", lambda blocks: True)
+    monkeypatch.setattr(aes_core, "use_lanes", lambda blocks: True)
     kernel_calls = spy(monkeypatch, aes_core, "decrypt_ecb")
     key = os.urandom(16)
     keys = TenantKeySet(enc_key=key, mac_key=os.urandom(16))
@@ -189,7 +189,7 @@ BATCH_KEYS = TenantKeySet(enc_key=b"\x0c" * 16, mac_key=b"\x0d" * 16)
 def test_decrypt_values_equals_one_by_one(lanes, plaintexts):
     values = [encrypt_value(p, BATCH_KEYS) for p in plaintexts]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(crypto_codec, "_use_lanes", lambda blocks: lanes)
+        mp.setattr(aes_core, "use_lanes", lambda blocks: lanes)
         batch = decrypt_values(values, BATCH_KEYS)
     assert batch == [decrypt_value(v, BATCH_KEYS) for v in values] == plaintexts
 
@@ -201,9 +201,10 @@ def test_mac_chains_step_in_lockstep_from_lane_min_blocks(count, lanes, monkeypa
     # chains finish on the scalar chain
     plaintexts = [os.urandom((37 * i) % 300) for i in range(1, count + 1)]
     values = [encrypt_value(p, BATCH_KEYS) for p in plaintexts]
-    monkeypatch.setattr(crypto_codec, "_use_lanes", lambda blocks: lanes)
-    steps = spy(monkeypatch, aes_core, "encrypt_lanes")
+    monkeypatch.setattr(aes_core, "use_lanes", lambda blocks: lanes)
+    rounds = spy(monkeypatch, aes_core, "_lane_rounds")
     assert decrypt_values(values, BATCH_KEYS) == plaintexts
+    steps = [a for a in rounds if not a[2]]  # MAC steps encrypt; decrypt_ecb does not
     assert bool(steps) == (lanes and count >= LANE_MIN_BLOCKS)
 
 
@@ -218,7 +219,7 @@ def test_one_forged_tag_refuses_the_batch_before_any_decryption(forged, lanes, m
     forgery = bytearray(genuine)
     forgery[-1] ^= 0x80  # the tag's last byte
     values[at] = bytes(forgery)
-    monkeypatch.setattr(crypto_codec, "_use_lanes", lambda blocks: lanes)
+    monkeypatch.setattr(aes_core, "use_lanes", lambda blocks: lanes)
     # what each path decrypts with: the scalar chain, or the lane kernel
     chain = spy(monkeypatch, aes_core, "decrypt_blocks")
     kernel = spy(monkeypatch, aes_core, "decrypt_ecb")
@@ -244,7 +245,7 @@ def test_a_verified_value_with_bad_padding_is_auth_error(lanes, monkeypatch):
     assert cbc_mac(forged[:-16], BATCH_KEYS.mac_schedule) == tag
     with pytest.raises(ValueError):
         unpad(bytes(a ^ b for a, b in zip(pad(b"x"), tag)))
-    monkeypatch.setattr(crypto_codec, "_use_lanes", lambda blocks: lanes)
+    monkeypatch.setattr(aes_core, "use_lanes", lambda blocks: lanes)
     with pytest.raises(AuthError, match="padding"):
         decrypt_values([forged] * LANE_MIN_BLOCKS, BATCH_KEYS)
 
@@ -254,7 +255,8 @@ def test_numpy_is_loaded_once_the_chain_has_paid_for_it():
     # reaches IMPORT_BLOCKS blocks, and the next call loads numpy
     script = (
         "import sys\n"
-        "from cmt.crypto_codec import IMPORT_BLOCKS, decrypt_value, encrypt_value\n"
+        "from cmt.aes_core import IMPORT_BLOCKS\n"
+        "from cmt.crypto_codec import decrypt_value, encrypt_value\n"
         "from cmt.key_service import TenantKeySet\n"
         "keys = TenantKeySet(enc_key=bytes(16), mac_key=bytes(16))\n"
         "cv = encrypt_value(bytes(1024), keys)\n"
@@ -276,7 +278,8 @@ def test_a_batch_that_costs_the_import_loads_numpy_at_once():
     # the chain more than the import, so it does not run there first
     script = (
         "import sys\n"
-        "from cmt.crypto_codec import IMPORT_BLOCKS, MAX_FIELD_BYTES\n"
+        "from cmt.aes_core import IMPORT_BLOCKS\n"
+        "from cmt.crypto_codec import MAX_FIELD_BYTES\n"
         "from cmt.crypto_codec import decrypt_values, encrypt_value\n"
         "from cmt.key_service import TenantKeySet\n"
         "keys = TenantKeySet(enc_key=bytes(16), mac_key=bytes(16))\n"
@@ -291,6 +294,30 @@ def test_a_batch_that_costs_the_import_loads_numpy_at_once():
     first, after = result.stdout.splitlines()
     blocks, import_blocks, loaded = first.split()
     assert int(blocks) == 8194 >= int(import_blocks)
+    assert (loaded, after) == ("False", "True")
+
+
+def test_a_batch_decides_once_for_its_macs_and_its_decryption():
+    # a fresh process: 40 values of 2,500 B give 40 x 158 MAC lane blocks
+    # and 40 x 157 decryption blocks, each under IMPORT_BLOCKS and together
+    # over it, so the one batch buys the kernel for both
+    script = (
+        "import sys\n"
+        "from cmt.aes_core import IMPORT_BLOCKS\n"
+        "from cmt.crypto_codec import decrypt_values, encrypt_value\n"
+        "from cmt.key_service import TenantKeySet\n"
+        "keys = TenantKeySet(enc_key=bytes(16), mac_key=bytes(16))\n"
+        "plains = [bytes([i]) * 2500 for i in range(40)]\n"
+        "values = [encrypt_value(p, keys) for p in plains]\n"
+        "print(IMPORT_BLOCKS, 'numpy' in sys.modules)\n"
+        "assert decrypt_values(values, keys) == plains\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    first, after = result.stdout.splitlines()
+    import_blocks, loaded = first.split()
+    assert 40 * 157 < 40 * 158 < int(import_blocks) <= 40 * (158 + 157)
     assert (loaded, after) == ("False", "True")
 
 

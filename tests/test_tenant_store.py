@@ -336,10 +336,10 @@ def test_list_survives_a_row_deleted_while_it_decrypts(store, monkeypatch):
 
 
 def test_list_matches_get_row_for_row_on_the_lanes(store, monkeypatch):
-    monkeypatch.setattr(crypto_codec, "_use_lanes", lambda blocks: True)
-    encrypt_lanes = aes_core.encrypt_lanes
-    steps = []
-    monkeypatch.setattr(aes_core, "encrypt_lanes", lambda *a: steps.append(1) or encrypt_lanes(*a))
+    monkeypatch.setattr(aes_core, "use_lanes", lambda blocks: True)
+    lane_rounds = aes_core._lane_rounds
+    rounds = []
+    monkeypatch.setattr(aes_core, "_lane_rounds", lambda *a: rounds.append(a) or lane_rounds(*a))
     rng = random.Random(7)
 
     def text():
@@ -352,7 +352,8 @@ def test_list_matches_get_row_for_row_on_the_lanes(store, monkeypatch):
     listed = store.list("uni_a")
     assert [r.row_id for r in listed] == own
     assert listed == [store.get("uni_a", rid) for rid in own]
-    assert steps  # the 36 MAC chains stepped in lockstep
+    # the 36 MAC chains stepped in lockstep (MAC steps encrypt; decrypt_ecb does not)
+    assert [a for a in rounds if not a[2]]
 
 
 def test_update_replaces_whole_row(store):
@@ -712,7 +713,7 @@ def test_fuzzed_log_lines_raise_only_cmt_errors(tmp_path, monkeypatch, edits, to
             _edit(lines, at, edit)
     path = tmp_path / "fuzz.cmt"
     path.write_bytes(b"\n".join([header] + lines) + (b"" if torn else b"\n"))
-    monkeypatch.setattr(crypto_codec, "_use_lanes", lambda blocks: lanes)
+    monkeypatch.setattr(aes_core, "use_lanes", lambda blocks: lanes)
     try:
         s = open_store(str(path), MASTER)
     except CmtError:
@@ -730,7 +731,7 @@ def test_fuzzed_log_lines_raise_only_cmt_errors(tmp_path, monkeypatch, edits, to
 
 def _decoded(decode, line):
     try:
-        return decode(line)
+        return decode(line, SCHEMA.field_names)
     except (ValueError, TypeError):
         return "refused"
 
@@ -789,6 +790,10 @@ _REFUSED = {
     "AAAA==== value": lambda ins, b64, dele: ins.replace(b64, b"AAAA===="),
     "padding inside a value": lambda ins, b64, dele: ins.replace(b64, b64[:4] + b"==" + b64[4:]),
     "empty line": lambda ins, b64, dele: b"",
+    # the header lists name, contact and department
+    "field not in the header": lambda ins, b64, dele: ins.replace(b'"contact"', b'"zzz"'),
+    "field missing": lambda ins, b64, dele: ins.replace(b'"name":"' + b64 + b'",', b""),
+    "extra field": lambda ins, b64, dele: ins.replace(b'"f":{', b'"f":{"zzz":"' + b64 + b'",'),
 }
 
 
@@ -803,4 +808,6 @@ def test_decoder_agrees_with_reference_on_refused_lines(case):
 def test_decoder_agrees_with_reference_around_whitespace(before, after):
     ins, _, dele = _base_lines()
     for line in (ins, dele):
-        assert _same_decoding(before + line + after) == tenant_store._decode_event(line)
+        assert _same_decoding(before + line + after) == tenant_store._decode_event(
+            line, SCHEMA.field_names
+        )
