@@ -21,6 +21,9 @@ schedule:
   block-aligned bytes, and `cbc_macs` steps many CBC-MAC chains as its
   lanes, keeping their states in numpy between steps.
 
+`cbc_macs` is the one CBC-MAC function: with `steps` 0 every message runs
+on the chain, which is how a value is tagged and a tenant root derived.
+
 The kernel wins from LANE_MIN_BLOCKS blocks of work on, but it needs numpy,
 whose import costs as much as thousands of chain blocks. numpy is imported
 on the kernel's first call only, and `use_lanes` rents before it buys:
@@ -117,19 +120,20 @@ _TD = _round_tables(INV_SBOX, (0x0E, 0x09, 0x0D, 0x0B))  # InvMixColumns
 _WORDS = struct.Struct(">4I")
 
 
-class KeySchedule(namedtuple("KeySchedule", "enc_words enc_keys dec_keys")):
+class KeySchedule(namedtuple("KeySchedule", "enc_keys dec_keys")):
     """An AES-128 key expanded once.
 
-    `enc_words` are the 44 words of the key expansion; `enc_keys` are the
-    same 11 round keys as 128-bit ints, the block's bytes read big-endian.
-    `dec_keys` are the 11 round keys of the equivalent inverse cipher, in
-    the order decryption uses them, with InvMixColumns applied to rounds
-    1..9; None for a schedule expanded for encryption only.
+    `enc_keys` are the 11 round keys as 128-bit ints, the block's bytes
+    read big-endian: round key r is words 4r..4r+3 of the key expansion,
+    most significant first. `dec_keys` are the 11 round keys of the
+    equivalent inverse cipher, in the order decryption uses them, with
+    InvMixColumns applied to rounds 1..9; None for a schedule expanded for
+    encryption only.
     """
 
     __slots__ = ()
 
-    def __repr__(self) -> str:  # enc_words[0:4] is the key itself
+    def __repr__(self) -> str:  # enc_keys[0] is the key itself
         return "KeySchedule(<redacted>)"
 
 
@@ -143,13 +147,12 @@ def _inv_mix_word(w: int) -> int:
 
 
 def expand_key(key: bytes, decrypt: bool = True) -> KeySchedule:
-    """Rijndael key expansion: 16-byte key -> 44 words and 11 round keys,
-    plus the round keys of the equivalent inverse cipher unless `decrypt`
-    is false."""
+    """Rijndael key expansion: 16-byte key -> 11 round keys, plus the round
+    keys of the equivalent inverse cipher unless `decrypt` is false."""
     if len(key) != KEY_SIZE:
         raise ValueError(f"key must be {KEY_SIZE} bytes, got {len(key)}")
     w0, w1, w2, w3 = _WORDS.unpack(key)
-    words = [w0, w1, w2, w3]
+    words = [w0, w1, w2, w3]  # the 44 words, kept for the inverse schedule
     enc = [w0 << 96 | w1 << 64 | w2 << 32 | w3]
     for rcon in RCON:
         # SubWord(RotWord(w3)) and the round constant
@@ -169,7 +172,7 @@ def expand_key(key: bytes, decrypt: bool = True) -> KeySchedule:
             w0, w1, w2, w3 = map(_inv_mix_word, words[i : i + 4])
             dec.append(w0 << 96 | w1 << 64 | w2 << 32 | w3)
         dec = tuple(dec + enc[:1])
-    return KeySchedule(tuple(words), tuple(enc), dec)
+    return KeySchedule(tuple(enc), dec)
 
 
 # ShiftRows and InvShiftRows of a 16-byte state: byte 4c + r comes from

@@ -2,12 +2,12 @@
 
 Encrypt-then-MAC over CBC: fresh random IV per value, PKCS#7 padding,
 CBC encryption under the tenant's encryption key, then a CBC-MAC tag
-(zero IV, last block kept) over IV || ciphertext under the separate MAC
-key. A value is the bytes IV || ciphertext || tag, and this module alone
-knows that layout: `check_value` is its one length rule. The tag is always
-verified before any decryption happens, and a value whose tag verifies but
-whose padding does not is refused too, so the only failure a caller ever
-sees for wrong keys or tampering is AuthError.
+(`aes_core.cbc_macs`: zero IV, last block kept) over IV || ciphertext
+under the separate MAC key. A value is the bytes IV || ciphertext || tag,
+and this module alone knows that layout: `check_value` is its one length
+rule. The tag is always verified before any decryption happens, and a
+value whose tag verifies but whose padding does not is refused too, so the
+only failure a caller ever sees for wrong keys or tampering is AuthError.
 
 `decrypt_values` verifies and decrypts a batch, such as every value a
 `list` returns: all tags are checked before any block is decrypted. It
@@ -50,13 +50,6 @@ def _xor(a: bytes, b: bytes) -> bytes:
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
-def cbc_mac(data: bytes, schedule: aes_core.KeySchedule) -> bytes:
-    """CBC-MAC with zero IV over block-aligned input; last block is the tag."""
-    if len(data) == 0 or len(data) % BLOCK_SIZE != 0:
-        raise ValueError("CBC-MAC input must be a positive multiple of 16")
-    return aes_core.encrypt_cbc(data, schedule, bytes(BLOCK_SIZE))[-BLOCK_SIZE:]
-
-
 def check_value(raw: bytes) -> bytes:
     """`raw` if its length is that of a value, IV || ciphertext || tag with
     a ciphertext of one block or more; ValueError otherwise."""
@@ -72,7 +65,7 @@ def encrypt_value(plaintext: bytes, keys) -> bytes:
         raise FieldTooLarge(f"field of {len(plaintext)} bytes exceeds cap of {MAX_FIELD_BYTES}")
     iv = os.urandom(BLOCK_SIZE)
     message = iv + aes_core.encrypt_cbc(pad(plaintext), keys.enc_schedule, iv)
-    return message + cbc_mac(message, keys.mac_schedule)
+    return message + aes_core.cbc_macs([message], keys.mac_schedule, 0)[0]
 
 
 def decrypt_values(values: Sequence[bytes], keys) -> list[bytes]:

@@ -1,9 +1,9 @@
 """Master key loading and AES-only per-tenant key derivation.
 
-The tenant root is the CBC-MAC (zero IV, PKCS#7-padded tenant id bytes)
-of the tenant id under the master key. The two subkeys are AES
-encryptions of distinct constant blocks under that root, so they can
-never collide with each other.
+The tenant root is the CBC-MAC (`aes_core.cbc_macs`: zero IV, last block
+kept) of the PKCS#7-padded tenant id bytes under the master key. The two
+subkeys are AES encryptions of distinct constant blocks under that root,
+so they can never collide with each other.
 """
 
 import os
@@ -11,7 +11,7 @@ import re
 from collections import namedtuple
 
 from . import aes_core
-from .crypto_codec import cbc_mac, pad
+from .crypto_codec import pad
 from .errors import InvalidTenantId, MalformedKey, MissingKey
 
 MASTER_KEY_ENV = "CMT_MASTER_KEY"
@@ -92,7 +92,7 @@ def load_master_key(key_file: str = None) -> MasterKey:
 def derive_tenant_keys(master: MasterKey, tenant_id: str) -> TenantKeySet:
     """Deterministically derive the per-tenant encryption and MAC keys."""
     validate_tenant_id(tenant_id)
-    root = cbc_mac(pad(tenant_id.encode("utf-8")), master.schedule)
+    root = aes_core.cbc_macs([pad(tenant_id.encode("utf-8"))], master.schedule, 0)[0]
     root_schedule = aes_core.expand_key(root, decrypt=False)  # it only encrypts
     return TenantKeySet(
         enc_key=aes_core.encrypt_block(_ENC_CONST, root_schedule),

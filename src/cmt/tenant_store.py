@@ -23,8 +23,10 @@ one value at a time; a value that verifies but is not UTF-8 is AuthError.
 File format (UTF-8, newline-delimited):
   line 1: {"v":1,"table":"<name>","fields":["f1",...]}
   then one event per line:
-    {"op":"ins"|"upd"|"del","t":"<tenant>","r":<row_id>,"ts":<unix s>,
+    {"op":"ins"|"upd"|"del","t":"<tenant>","r":<row_id>,
      "f":{"<field>":"<base64 IV||ct||tag>",...}}   (every header field; no "f" for del)
+  Replay reads only "op", "t", "r" and "f": the "ts" (unix seconds) that
+  earlier versions wrote into every event is read and ignored.
 """
 
 import binascii
@@ -33,7 +35,6 @@ import json
 import os
 import re
 import threading
-import time
 from collections import namedtuple
 
 from .crypto_codec import check_value, decrypt_value, decrypt_values, encrypt_value
@@ -158,7 +159,7 @@ class Store:
         its row id or glue onto a fragment."""
         if self._broken:
             raise StoreError(f"{self._broken}; reopen the store: {self.path}")
-        event = {"op": op, "t": tenant, "r": row_id, "ts": int(time.time())}
+        event = {"op": op, "t": tenant, "r": row_id}
         if fields is not None:
             event["f"] = {
                 name: binascii.b2a_base64(value, newline=False).decode("ascii")

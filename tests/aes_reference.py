@@ -11,7 +11,6 @@ at row (i % 4), column (i // 4), so a flat list in input order is already
 column-major.
 """
 
-import struct
 from typing import List, Sequence
 
 from cmt.aes_core import INV_SBOX, NUM_ROUNDS, SBOX, KeySchedule, gf_mul
@@ -82,10 +81,8 @@ def add_round_key(state: Sequence[int], round_key: bytes) -> State:
 
 
 def _round_keys(schedule: KeySchedule) -> List[bytes]:
-    # the 11 round keys as 16-byte blocks, packed from the 44 words of the
-    # key expansion
-    raw = struct.pack(">44I", *schedule.enc_words)
-    return [raw[16 * r : 16 * r + 16] for r in range(NUM_ROUNDS + 1)]
+    # the 11 round keys as 16-byte blocks, each 128-bit int read big-endian
+    return [k.to_bytes(16, "big") for k in schedule.enc_keys]
 
 
 def encrypt_block(block: bytes, schedule: KeySchedule) -> bytes:

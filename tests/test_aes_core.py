@@ -9,7 +9,6 @@ table-driven one in `aes_core` is then checked against.
 """
 
 import os
-import struct
 
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -49,6 +48,22 @@ def sbox_oracle(a: int) -> int:
         ) & 1
         out |= bit << i
     return out
+
+
+def round_keys_oracle(key: bytes) -> list:
+    """FIPS-197 section 5.2 on bytes: w[i] = w[i-4] ^ w[i-1], the latter
+    rotated, substituted by the oracle S-box and XORed with Rcon when i is
+    a multiple of 4. Returns the 11 round keys as 16-byte blocks."""
+    words = [list(key[i : i + 4]) for i in range(0, 16, 4)]
+    rcon = 1
+    for i in range(4, 44):
+        temp = list(words[i - 1])
+        if i % 4 == 0:
+            temp = [sbox_oracle(b) for b in temp[1:] + temp[:1]]
+            temp[0] ^= rcon
+            rcon = gf_mul_oracle(rcon, 2)
+        words.append([a ^ b for a, b in zip(words[i - 4], temp)])
+    return [bytes(sum(words[4 * r : 4 * r + 4], [])) for r in range(11)]
 
 
 def aes_library_encrypt(key: bytes, block: bytes) -> bytes:
@@ -244,14 +259,14 @@ def test_add_round_key_identity_and_involution():
 def test_expand_key_appendix_example():
     key = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
     ks = aes_core.expand_key(key)
-    assert struct.pack(">4I", *ks.enc_words[:4]) == key
-    assert ks.enc_words[4].to_bytes(4, "big") == bytes.fromhex("a0fafe17")
+    assert ks.enc_keys[0].to_bytes(16, "big") == key
+    assert (ks.enc_keys[1] >> 96).to_bytes(4, "big") == bytes.fromhex("a0fafe17")
 
 
 def test_expand_key_all_zero_key():
     # SubWord(RotWord(0)) ^ Rcon[1] = 63636363 ^ 01000000
     ks = aes_core.expand_key(bytes(16))
-    assert ks.enc_words[4].to_bytes(4, "big") == bytes.fromhex("62636363")
+    assert (ks.enc_keys[1] >> 96).to_bytes(4, "big") == bytes.fromhex("62636363")
 
 
 def test_expand_key_structure():
@@ -259,9 +274,9 @@ def test_expand_key_structure():
         key = os.urandom(16)
         ks = aes_core.expand_key(key)
         # 11 round keys of 16 bytes: 44 words of 32 bits
-        assert len(ks.enc_words) == 44
-        assert all(0 <= w < 2**32 for w in ks.enc_words)
-        assert struct.pack(">4I", *ks.enc_words[:4]) == key
+        assert len(ks.enc_keys) == 11
+        assert all(0 <= k < 2**128 for k in ks.enc_keys)
+        assert ks.enc_keys[0].to_bytes(16, "big") == key
 
 
 def test_round_keys_of_both_directions():
@@ -270,8 +285,7 @@ def test_round_keys_of_both_directions():
     for _ in range(20):
         key = os.urandom(16)
         ks = aes_core.expand_key(key)
-        raw = struct.pack(">44I", *ks.enc_words)
-        round_keys = [raw[i : i + 16] for i in range(0, 176, 16)]
+        round_keys = round_keys_oracle(key)
         assert ks.enc_keys == tuple(int.from_bytes(k, "big") for k in round_keys)
         mixed = [bytes(aes_reference.inv_mix_columns(list(k))) for k in round_keys]
         inverse = [round_keys[10]] + mixed[9:0:-1] + [round_keys[0]]
@@ -282,7 +296,7 @@ def test_expand_key_for_encryption_only():
     for _ in range(20):
         key, block = os.urandom(16), os.urandom(16)
         ks, enc_only = aes_core.expand_key(key), aes_core.expand_key(key, decrypt=False)
-        assert enc_only == (ks.enc_words, ks.enc_keys, None)
+        assert enc_only == (ks.enc_keys, None)
         assert aes_core.encrypt_block(block, enc_only) == aes_core.encrypt_block(block, ks)
 
 

@@ -1,14 +1,19 @@
-"""The benchmark's tracer still finds the names it wraps and the row map it
-probes. A rename in the program fails here instead of in a traced run."""
+"""The benchmark still finds the names it reaches in the program: the ones
+its files import and use, and the ones the tracer wraps and the row map it
+probes. A rename in the program fails here instead of in a benchmark run."""
 
+import ast
 import importlib.util
+import sys
 from pathlib import Path
+from types import ModuleType
 
 from cmt import crypto_codec, tenant_store
 from cmt.key_service import MasterKey
 from cmt.tenant_store import TableSchema, create_store
 
-TRACE_PY = Path(__file__).resolve().parents[1] / "bench" / "trace.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACE_PY = BENCH / "trace.py"
 
 
 def load_trace():
@@ -40,3 +45,52 @@ def test_tracer_records_codec_spans_and_restores_the_program(tmp_path):
     assert tracer.row_lookups["tenant_store.Store.list"] == 1
     assert tenant_store.encrypt_value is crypto_codec.encrypt_value
     assert tenant_store.decrypt_value is crypto_codec.decrypt_value
+
+
+def _cmt_names(tree) -> tuple:
+    """What a bench file reaches in `cmt`: (missing, checked), each a list of
+    (line, dotted name). It takes the names bound to `cmt` modules from the
+    file's own imports, checks every name a `from cmt...` import takes and
+    every `module.attr` read off a bound module."""
+    bound, missing, checked = {}, [], []
+
+    def reach(node, module, name):
+        checked.append((node.lineno, f"{module.__name__}.{name}"))
+        if hasattr(module, name):
+            return getattr(module, name)
+        try:  # a submodule not imported yet
+            return importlib.import_module(f"{module.__name__}.{name}")
+        except ImportError:
+            missing.append(checked[-1])
+            return None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "cmt":
+                    module = importlib.import_module(alias.name)
+                    # `import cmt.m` binds cmt, `import cmt.m as y` binds cmt.m
+                    bound[alias.asname or "cmt"] = module if alias.asname else sys.modules["cmt"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "cmt":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                value = reach(node, module, alias.name)
+                if isinstance(value, ModuleType):
+                    bound[alias.asname or alias.name] = value
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in bound):
+            reach(node, bound[node.value.id], node.attr)
+    return missing, checked
+
+
+def test_bench_files_reach_only_names_the_program_has():
+    missing, checked = [], []
+    for path in sorted(BENCH.glob("*.py")):
+        lost, seen = _cmt_names(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        missing += [f"{path.name}:{line} {name}" for line, name in lost]
+        checked += [name for _, name in seen]
+    assert missing == []
+    # the walk sees the names the benchmark is known to use
+    assert {"cmt.aes_core.encrypt_ecb", "cmt.tenant_store.open_store",
+            "cmt.errors.AuthError", "cmt.key_service.MASTER_KEY_ENV"} <= set(checked)

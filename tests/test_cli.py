@@ -12,7 +12,7 @@ from cmt import errors
 from cmt.cli import main
 from cmt.crypto_codec import MAX_FIELD_BYTES
 from cmt.key_service import MASTER_KEY_ENV, MasterKey
-from cmt.tenant_store import open_store
+from cmt.tenant_store import TableSchema, create_store, open_store
 
 HEX_KEY = "000102030405060708090a0b0c0d0e0f"
 FIELDS = "name,contact,department"
@@ -375,6 +375,39 @@ def test_values_survive_process_restart(tmp_path):
     got = run_cmt(["--store", path, "--tenant", "uni_a", "get", "--row", "1"])
     assert got.returncode == 0
     assert "name=Alice" in got.stdout
+
+
+def test_a_log_whose_events_carry_ts_still_opens(tmp_path):
+    # every earlier version wrote a never-read "ts" (unix seconds) after "r"
+    path = str(tmp_path / "s.cmt")
+    master = MasterKey(bytes.fromhex(HEX_KEY))
+    with create_store(path, TableSchema("t", tuple(FIELDS.split(","))), master) as s:
+        for tenant, name in (("uni_a", "Asha"), ("uni_a", "Ravi"), ("uni_b", "Mei")):
+            s.insert(tenant, {"name": name, "contact": "C", "department": "D"})
+        s.update("uni_a", 2, {"name": "Ravi K", "contact": "C2", "department": "D"})
+        s.delete("uni_b", 3)
+        expected = {t: s.list(t) for t in ("uni_a", "uni_b")}
+    with open(path, encoding="ascii") as fh:
+        header, *events = fh.read().splitlines()
+    old = [header]
+    for ts, line in enumerate(events, start=1_700_000_000):
+        event = json.loads(line)
+        stamped = {"op": event["op"], "t": event["t"], "r": event["r"], "ts": ts}
+        stamped.update({"f": event["f"]} if "f" in event else {})
+        old.append(json.dumps(stamped, separators=(",", ":")))
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(old) + "\n")
+    with open_store(path, master) as s:
+        assert {t: s.list(t) for t in expected} == expected
+        assert s.get("uni_a", 2) == expected["uni_a"][1]
+        assert s.insert("uni_b", {"name": "Lin", "contact": "C", "department": "D"}) == 4
+    with open(path, encoding="ascii") as fh:
+        assert fh.read().splitlines()[:-1] == old
+    got = run_cmt(["--store", path, "--tenant", "uni_a", "get", "--row", "2"])
+    assert got.returncode == 0
+    assert "name=Ravi K" in got.stdout
+    got = run_cmt(["--store", path, "--tenant", "uni_b", "get", "--row", "4"])
+    assert got.returncode == 0 and "name=Lin" in got.stdout
 
 
 def test_master_key_file_not_utf8_exit_3(store_path, tmp_path):

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from cmt import aes_core
 from cmt.aes_core import LANE_MIN_BLOCKS
 from cmt.crypto_codec import (
-    cbc_mac,
     check_value,
     decrypt_value,
     decrypt_values,
@@ -81,7 +80,7 @@ def library_value(plaintext: bytes, enc_key: bytes, keys: TenantKeySet) -> bytes
     iv = os.urandom(16)
     enc = Cipher(algorithms.AES(enc_key), modes.CBC(iv)).encryptor()
     ct = enc.update(pad(plaintext)) + enc.finalize()
-    return iv + ct + cbc_mac(iv + ct, keys.mac_schedule)
+    return iv + ct + aes_core.cbc_macs([iv + ct], keys.mac_schedule, 0)[0]
 
 
 def test_cbc_matches_library():
@@ -127,11 +126,24 @@ def test_codec_uses_the_cached_key_schedules(monkeypatch):
     assert calls == []
 
 
+def library_cbc_mac(key: bytes, message: bytes) -> bytes:
+    """The last block of the library's AES-CBC of `message` under a zero IV."""
+    enc = Cipher(algorithms.AES(key), modes.CBC(bytes(16))).encryptor()
+    return (enc.update(message) + enc.finalize())[-16:]
+
+
 def test_cbc_mac_is_last_cbc_block():
-    key = os.urandom(16)
-    data = os.urandom(16 * 5)
-    ks = aes_core.expand_key(key)
-    assert cbc_mac(data, ks) == aes_core.encrypt_cbc(data, ks, bytes(16))[-16:]
+    # a value's tag is the library's CBC-MAC of IV || ct under the MAC key
+    keys = random_keys()
+    for n in (0, 20, 16 * LANE_MIN_BLOCKS):
+        value = encrypt_value(os.urandom(n), keys)
+        assert value[-16:] == library_cbc_mac(keys.mac_key, value[:-16])
+    # cbc_macs on the chain alone, and with lanes that end before, at and
+    # after the last kernel step; messages of 1..7 blocks
+    messages = [os.urandom(16 * (5 * i % 7 + 1)) for i in range(LANE_MIN_BLOCKS + 1)]
+    expected = [library_cbc_mac(keys.mac_key, m) for m in messages]
+    for steps in (0, 1, 3, 7):
+        assert aes_core.cbc_macs(messages, keys.mac_schedule, steps) == expected
 
 
 # --- value layout ------------------------------------------------------------
@@ -242,7 +254,7 @@ def test_a_verified_value_with_bad_padding_is_auth_error(lanes, monkeypatch):
         value = encrypt_value(b"x", BATCH_KEYS)
     iv, ct, tag = value[:16], value[16:-16], value[-16:]
     forged = iv + ct + bytes(a ^ b for a, b in zip(iv, tag)) + ct + tag
-    assert cbc_mac(forged[:-16], BATCH_KEYS.mac_schedule) == tag
+    assert aes_core.cbc_macs([forged[:-16]], BATCH_KEYS.mac_schedule, 0)[0] == tag
     with pytest.raises(ValueError):
         unpad(bytes(a ^ b for a, b in zip(pad(b"x"), tag)))
     monkeypatch.setattr(aes_core, "use_lanes", lambda blocks: lanes)
