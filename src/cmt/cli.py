@@ -33,6 +33,8 @@ def _parse_sets(pairs) -> dict:
             value.encode("utf-8")
         except UnicodeEncodeError:
             raise InvalidSchema(f"--set value of {field!r} is not valid UTF-8") from None
+        if field in values:
+            raise InvalidSchema(f"--set gives field {field!r} more than once")
         values[field] = value
     return values
 

@@ -4,6 +4,12 @@ The tenant root is the CBC-MAC (`aes_core.cbc_macs`: zero IV, last block
 kept) of the PKCS#7-padded tenant id bytes under the master key. The two
 subkeys are AES encryptions of distinct constant blocks under that root,
 so they can never collide with each other.
+
+`derive_tenant_keys` always derives. Each `MasterKey` keeps the tenants
+derived under it in `derived`, which `tenant_store` reads, so a tenant is
+derived once per `MasterKey` object, whatever the number of store handles
+opened with it. The memo is the object's own: a copy, an unpickled
+master or another object of the same key starts empty.
 """
 
 import os
@@ -24,17 +30,22 @@ _MAC_CONST = bytes([0x02]) * 16
 
 class MasterKey(namedtuple("MasterKey", "key schedule")):
     """The 16-byte master key and its schedule, expanded once, here, for
-    encryption only: the master key only ever computes CBC-MACs."""
-
-    __slots__ = ()
+    encryption only: the master key only ever computes CBC-MACs.
+    `derived` maps each tenant id derived under it to its `TenantKeySet`;
+    it grows by one entry per tenant and is never evicted."""
 
     def __new__(cls, key: bytes):
         if len(key) != aes_core.KEY_SIZE:
             raise MalformedKey("master key must be exactly 16 bytes")
-        return super().__new__(cls, key, aes_core.expand_key(key, decrypt=False))
+        self = super().__new__(cls, key, aes_core.expand_key(key, decrypt=False))
+        self.derived = {}
+        return self
 
     def __getnewargs__(self):  # copy and pickle rebuild it from the key
         return (self.key,)
+
+    def __getstate__(self):  # and with an empty memo: no derived key is copied
+        return None
 
     def __repr__(self) -> str:  # also str() and f-strings: no key material
         return "MasterKey(key=<redacted>)"

@@ -3,12 +3,14 @@
 One logical table holds every tenant's rows. Tenant id and row id stay in
 clear for addressing; every field value is encrypted under the owning
 tenant's derived keys before it touches disk, as opaque bytes whose layout
-only `crypto_codec` knows. Persistence is an append-only JSON-lines log
-replayed in full on open, in one pass: each line is decoded
-(`json.JSONDecoder.raw_decode`, then strict base64 by `binascii`),
-checked (an insert or update carries exactly the header's fields), and
-put straight into the live row map, and a bad line is CorruptLog with
-its line number. Each mutation is written and fsynced
+only `crypto_codec` knows. A tenant's keys come from the master key's
+memo (`MasterKey.derived`), derived there on the first use under that
+`MasterKey` object; a handle keeps no key cache of its own. Persistence
+is an append-only JSON-lines log replayed in full on open, in one pass:
+each line is decoded (`json.JSONDecoder.raw_decode`, then strict base64
+by `binascii`), checked (an insert or update carries exactly the
+header's fields), and put straight into the live row map, and a bad line
+is CorruptLog with its line number. Each mutation is written and fsynced
 before the call returns, and an append that fails is cut back off the file
 before the error is raised; if that cut fails too, the handle refuses every
 later mutation until the store is reopened. A handle is one open file,
@@ -127,7 +129,6 @@ class Store:
         self._live: dict[int, tuple[str, dict[str, bytes]]] = live
         self._max_row_id = max_row_id
         self._mutex = threading.Lock()
-        self._key_cache: dict[str, TenantKeySet] = {}
         self._broken: str | None = None  # why no mutation may append any more
 
     # -- lifecycle -----------------------------------------------------
@@ -146,9 +147,10 @@ class Store:
     def _keys_for(self, tenant: str) -> TenantKeySet:
         if self._master is None:
             raise MissingKey("store was opened without a master key")
-        if tenant not in self._key_cache:
-            self._key_cache[tenant] = derive_tenant_keys(self._master, tenant)
-        return self._key_cache[tenant]
+        derived = self._master.derived
+        if tenant not in derived:
+            derived[tenant] = derive_tenant_keys(self._master, tenant)
+        return derived[tenant]
 
     def _commit(self, op: str, tenant: str, row_id: int, fields=None) -> None:
         """Append one event, fsync it, then apply it to the live rows. If

@@ -123,6 +123,25 @@ def test_missing_field_exit_2(store_path):
     assert code == 2
 
 
+def test_repeated_set_field_on_insert_exit_2(store_path, capsys):
+    args = insert_args(store_path, "uni_a", name="p") + ["--set", "name=q"]
+    assert main(args) == 2
+    assert "'name'" in capsys.readouterr().err
+    assert main(["--store", store_path, "--tenant", "uni_a", "list"]) == 0
+    assert capsys.readouterr().out == ""  # nothing was stored
+
+
+def test_repeated_set_field_on_update_exit_2(store_path, capsys):
+    main(insert_args(store_path, "uni_a", contact="c"))
+    args = insert_args(store_path, "uni_a", contact="p") + ["--set", "contact=q", "--row", "1"]
+    args[args.index("insert")] = "update"
+    capsys.readouterr()
+    assert main(args) == 2
+    assert "'contact'" in capsys.readouterr().err
+    main(["--store", store_path, "--tenant", "uni_a", "get", "--row", "1"])
+    assert "contact=c\n" in capsys.readouterr().out  # the row is unchanged
+
+
 def test_missing_master_key_exit_3(store_path, monkeypatch):
     monkeypatch.delenv(MASTER_KEY_ENV)
     assert main(insert_args(store_path, "uni_a")) == 3

@@ -113,6 +113,19 @@ def test_keys_survive_copy_and_pickle():
         assert pickle.loads(pickle.dumps(record)) == record
 
 
+def test_copy_and_pickle_of_a_master_start_with_an_empty_memo():
+    master = MasterKey(os.urandom(16))
+    tenants = {t: derive_tenant_keys(master, t) for t in ("alpha", "beta")}
+    master.derived.update(tenants)  # as a store fills it
+    for twin in (copy.copy(master), copy.deepcopy(master), pickle.loads(pickle.dumps(master))):
+        assert twin == master and twin is not master
+        assert twin.derived == {}
+    assert master.derived == tenants  # the original keeps its own
+    data = pickle.dumps(master)
+    for keys in tenants.values():
+        assert keys.enc_key not in data and keys.mac_key not in data
+
+
 def test_distinct_tenants_distinct_keys():
     master = MasterKey(bytes.fromhex(HEX_KEY))
     a = derive_tenant_keys(master, "alpha")
@@ -150,8 +163,10 @@ def test_master_key_bit_flips_change_derivation():
 def test_repr_shows_no_key_material():
     master = MasterKey(bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c"))
     keys = derive_tenant_keys(master, "alpha")
+    master.derived["alpha"] = keys  # a master whose memo holds a tenant
     secrets = [
-        (master, [master.key], [master.schedule]),
+        (master, [master.key, keys.enc_key, keys.mac_key],
+         [master.schedule, keys.enc_schedule, keys.mac_schedule]),
         (master.schedule, [master.key], [master.schedule]),
         (keys, [keys.enc_key, keys.mac_key], [keys.enc_schedule, keys.mac_schedule]),
         (keys.enc_schedule, [keys.enc_key], [keys.enc_schedule]),

@@ -555,6 +555,59 @@ def test_wrong_master_key_fails_closed(tmp_path):
             s.get("uni_a", rid)
 
 
+# --- derived keys: one memo per MasterKey object ----------------------------
+
+def spy_on_derivation(monkeypatch) -> list:
+    calls = []
+
+    def spy(master, tenant):
+        calls.append((master, tenant))
+        return derive_tenant_keys(master, tenant)
+
+    monkeypatch.setattr(tenant_store, "derive_tenant_keys", spy)
+    return calls
+
+
+def test_a_tenant_is_derived_once_across_handles(tmp_path, monkeypatch):
+    calls = spy_on_derivation(monkeypatch)
+    master, path = MasterKey(os.urandom(16)), str(tmp_path / "s.cmt")
+    with create_store(path, SCHEMA, master) as s:
+        rid = s.insert("uni_a", row("first"))
+        assert s.get("uni_a", rid).fields["name"] == "first"
+    with open_store(path, master) as s:
+        assert s.get("uni_a", rid).fields["name"] == "first"
+        assert [r.row_id for r in s.list("uni_a")] == [rid]
+    assert calls == [(master, "uni_a")]
+    assert list(master.derived) == ["uni_a"]
+
+
+def test_the_memo_never_crosses_master_keys(tmp_path):
+    right, path = MasterKey(os.urandom(16)), str(tmp_path / "s.cmt")
+    with create_store(path, SCHEMA, right) as s:
+        rid = s.insert("uni_a", row("secret"))
+        assert s.get("uni_a", rid).fields["name"] == "secret"
+    wrong = MasterKey(os.urandom(16))
+    with open_store(path, wrong) as s:
+        with pytest.raises(AuthError):
+            s.get("uni_a", rid)
+        with pytest.raises(AuthError):
+            s.list("uni_a")
+    assert wrong.derived["uni_a"] != right.derived["uni_a"]
+
+
+def test_another_master_key_object_of_the_same_key_derives_again(tmp_path, monkeypatch):
+    calls = spy_on_derivation(monkeypatch)
+    key, path = os.urandom(16), str(tmp_path / "s.cmt")
+    first, second = MasterKey(key), MasterKey(key)
+    with create_store(path, SCHEMA, first) as s:
+        rid = s.insert("uni_a", row("again"))
+    with open_store(path, second) as s:
+        assert s.get("uni_a", rid).fields["name"] == "again"
+    assert [m is first for m, _ in calls] == [True, False]
+    assert [t for _, t in calls] == ["uni_a", "uni_a"]
+    assert second.derived == first.derived  # same key, same derived keys
+
+
 def test_a_verified_value_that_is_not_utf8_is_auth_error(tmp_path):
     # a CBC-MAC length extension of a two-block value verifies and unpads,
     # but its spliced blocks decrypt to bytes the store never writes
