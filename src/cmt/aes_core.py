@@ -9,36 +9,46 @@ schedule:
 - The scalar chain runs blocks one after another: `encrypt_cbc` is CBC
   encryption under an IV, `decrypt_blocks` decrypts every block of a
   buffer, and `encrypt_block`/`decrypt_block` are one-block calls of the
-  two. The state is one 128-bit int. A round unpacks its 16 bytes, builds
-  each column word from four T-table lookups (Daemen & Rijmen, *The Design
-  of Rijndael*, section 4.2), joins the words with shifts and adds the
-  128-bit round key; the final round is a fixed byte permutation and
-  `bytes.translate` through the S-box. Decryption is the equivalent inverse
-  cipher (FIPS-197 section 5.3.5): the same rounds with the inverse tables,
-  rows shifted right, and pre-mixed round keys.
+  two. The state is one 128-bit int, and a round has one of two forms.
+  On the row tables, the four T-tables of a direction (Daemen & Rijmen,
+  *The Design of Rijndael*, section 4.2), a round unpacks the 16 bytes,
+  builds each column word from four lookups, joins the words with shifts
+  and adds the round key. On the placed tables, one per state byte and
+  direction, each entry is the T-table word of the byte's row already
+  shifted to the output column that (Inv)ShiftRows sends the byte to, so
+  a round is one lookup and one XOR per byte plus the round key, and one
+  loop, `_chain`, serves both directions. The placed round does less
+  work, but its 32 tables take about 0.4 MB, five times the row tables,
+  so it pays only once its tables are in cache: buffers of
+  PLACED_MIN_BLOCKS (64) blocks or more run on it, shorter ones on the row
+  tables. The placed tables are built on the first such buffer. The final
+  round is a fixed byte permutation and `bytes.translate` through the
+  S-box. Decryption is the equivalent inverse cipher (FIPS-197 section
+  5.3.5): the inverse tables, rows shifted right, and pre-mixed round keys.
 - The multi-lane kernel runs the same rounds on an (n, 16) uint8 numpy array
-  of states, all lanes in lockstep. `encrypt_ecb`/`decrypt_ecb` wrap it for
-  block-aligned bytes, and `cbc_macs` steps many CBC-MAC chains as its
-  lanes, keeping their states in numpy between steps.
+  of states, all lanes in lockstep, on the row tables. `encrypt_ecb` and
+  `decrypt_ecb` wrap it for block-aligned bytes, and `cbc_macs` steps many
+  CBC-MAC chains as its lanes, keeping their states in numpy between steps.
 
 `cbc_macs` is the one CBC-MAC function: with `steps` 0 every message runs
 on the chain, which is how a value is tagged and a tenant root derived.
 
-The kernel wins from LANE_MIN_BLOCKS blocks of work on, but it needs numpy,
-whose import costs as much as thousands of chain blocks. numpy is imported
-on the kernel's first call only, and `use_lanes` rents before it buys:
-until numpy is loaded, work the kernel would take runs on the chain, and
-the kernel is loaded for a batch of at least IMPORT_BLOCKS such blocks, or
-once the blocks run on the chain instead have reached that count. A
-one-shot `cmt get` or `cmt list` therefore imports numpy only if the work
-it would hand the kernel comes to IMPORT_BLOCKS blocks or more.
+The kernel wins from LANE_MIN_BLOCKS (10) blocks of work on, but it needs
+numpy, whose import costs as much as thousands of chain blocks. numpy is
+imported on the kernel's first call only, and `use_lanes` rents before it
+buys: until numpy is loaded, work the kernel would take runs on the chain,
+and the kernel is loaded for a batch of at least IMPORT_BLOCKS (7,000) such
+blocks, or once the blocks run on the chain instead have reached that
+count. A one-shot `cmt get` or `cmt list` therefore imports numpy only if
+the work it would hand the kernel comes to IMPORT_BLOCKS blocks or more.
 
 `expand_key` builds the round keys of both directions once; a key that only
 ever encrypts (a CBC-MAC key, a key-derivation key) is expanded with
 `decrypt=False` and skips the inverse schedule. Input byte i of a block sits
 at row i % 4 of column i // 4, and a column word is its four bytes read
-big-endian. The tables are indexed by secret bytes, so the cipher leaks
-through cache timing; constant-time hardening is a non-goal.
+big-endian. The placed tables, the row tables and the S-boxes are indexed
+by secret bytes, so the cipher leaks through cache timing; constant-time
+hardening is a non-goal.
 """
 
 import struct
@@ -114,8 +124,32 @@ def _round_tables(box: list, mix: tuple) -> tuple:
     return tuple(tables)
 
 
+def _placed(tables: tuple, shift: int) -> tuple:
+    """The 16 placed tables of one direction: table i maps byte x at input
+    position i (row r = i % 4, column i // 4) to row r's word of x, moved
+    to the column (i // 4 - shift * r) % 4 that (Inv)ShiftRows sends the
+    byte to, within the 128-bit state. The four that land in column 3 are
+    the row tables themselves."""
+    placed = []
+    for i in range(BLOCK_SIZE):
+        r = i % 4
+        left = 32 * (3 - (i // 4 - shift * r) % 4)
+        placed.append([w << left for w in tables[r]] if left else tables[r])
+    return tuple(placed)
+
+
 _TE = _round_tables(SBOX, (0x02, 0x01, 0x01, 0x03))  # MixColumns
 _TD = _round_tables(INV_SBOX, (0x0E, 0x09, 0x0D, 0x0B))  # InvMixColumns
+_PLACED = None  # (encryption, decryption) placed tables, built on first use
+
+
+def _placed_tables() -> tuple:
+    """The placed tables of both directions. A process that never chains a
+    buffer of PLACED_MIN_BLOCKS blocks never builds them (about 0.5 ms)."""
+    global _PLACED
+    if _PLACED is None:  # a race between threads only builds them twice
+        _PLACED = (_placed(_TE, 1), _placed(_TD, -1))  # rows left, or right, by r
+    return _PLACED
 
 _WORDS = struct.Struct(">4I")
 
@@ -184,31 +218,73 @@ _SBOX_BYTES = bytes(SBOX)
 _INV_SBOX_BYTES = bytes(INV_SBOX)
 
 
-def encrypt_cbc(data: bytes, schedule: KeySchedule, iv: bytes) -> bytes:
-    """CBC encryption of a block-aligned buffer under `iv`, one block after
-    another; ValueError for any other length. Each of the 9 T-table rounds
-    builds column c from row r of column (c + r) % 4; the final round is
-    ShiftRows on the bytes and SubBytes by `bytes.translate`."""
-    if len(data) % BLOCK_SIZE != 0:
-        raise ValueError("data length must be a multiple of 16")
-    t0, t1, t2, t3 = _TE
-    k0, *rounds, k10 = schedule.enc_keys
-    box, shift = _SBOX_BYTES, _SHIFT_ROWS
-    c = int.from_bytes(iv, "big")
+# Buffers of at least this many blocks run on the placed tables, shorter
+# ones on the row tables. A placed round does less work, but the 32 placed
+# tables (about 0.4 MB) span five times the memory of the 8 row tables, so
+# a buffer that starts with them out of cache pays more misses before they
+# are warm. Measured in 41 alternating pairs of thread CPU time, three runs,
+# each call right after a 16 MB read that evicts L1 and L2: CBC encryption
+# and decryption on the placed tables took 1.16-1.25 times as long as on
+# the row tables at 32 blocks, 1.06-1.13 at 48, 1.01-1.05 at 64, 0.95-1.02
+# at 96 and 128, and 0.88-0.92 at 256 (two runs); called again at once,
+# 0.73-0.93 at every size. From 64 blocks on a cold start costs the placed
+# tables at most about 5 % and a warm one saves 12-18 %.
+PLACED_MIN_BLOCKS = 64
+
+
+def _chain(data: bytes, placed: tuple, keys: tuple, box: bytes, shift, c: int, cbc: bool) -> bytes:
+    """The rounds of one direction on every block of a block-aligned buffer,
+    one after another, on the placed tables: each of the 9 table rounds
+    XORs the placed word of each of the state's 16 bytes and the round
+    key. Each block is XORed with `c` first; with `cbc`, `c` is then the
+    block's output, so the buffer is CBC-encrypted under the IV `c`."""
+    p0, p1, p2, p3, p4, p5, p6, p7, p8, p9, p10, p11, p12, p13, p14, p15 = placed
+    k0, *rounds, k10 = keys
     out = []
     for i in range(0, len(data), BLOCK_SIZE):
-        x = int.from_bytes(data[i : i + BLOCK_SIZE], "big") ^ c ^ k0
+        x = int.from_bytes(data[i : i + BLOCK_SIZE]) ^ c ^ k0
         for k in rounds:
-            b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = x.to_bytes(16, "big")
+            b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = x.to_bytes(16)
+            x = (
+                p0[b0] ^ p1[b1] ^ p2[b2] ^ p3[b3] ^ p4[b4] ^ p5[b5] ^ p6[b6] ^ p7[b7]
+                ^ p8[b8] ^ p9[b9] ^ p10[b10] ^ p11[b11] ^ p12[b12] ^ p13[b13] ^ p14[b14] ^ p15[b15]
+                ^ k
+            )
+        x = int.from_bytes(bytes(shift(x.to_bytes(16).translate(box)))) ^ k10
+        out.append(x)
+        if cbc:
+            c = x
+    return b"".join([x.to_bytes(16) for x in out])
+
+
+def encrypt_cbc(data: bytes, schedule: KeySchedule, iv: bytes) -> bytes:
+    """CBC encryption of a block-aligned buffer under `iv`, one block after
+    another; ValueError for any other length. From PLACED_MIN_BLOCKS blocks
+    on this is `_chain`; below, each of the 9 row-table rounds builds
+    column c from row r of column (c + r) % 4 and joins the four column
+    words. The final round is ShiftRows on the bytes and SubBytes by
+    `bytes.translate`."""
+    if len(data) % BLOCK_SIZE != 0:
+        raise ValueError("data length must be a multiple of 16")
+    box, shift, c = _SBOX_BYTES, _SHIFT_ROWS, int.from_bytes(iv)
+    if len(data) >= PLACED_MIN_BLOCKS * BLOCK_SIZE:
+        return _chain(data, _placed_tables()[0], schedule.enc_keys, box, shift, c, True)
+    t0, t1, t2, t3 = _TE
+    k0, *rounds, k10 = schedule.enc_keys
+    out = []
+    for i in range(0, len(data), BLOCK_SIZE):
+        x = int.from_bytes(data[i : i + BLOCK_SIZE]) ^ c ^ k0
+        for k in rounds:
+            b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = x.to_bytes(16)
             x = (
                 (t0[b0] ^ t1[b5] ^ t2[b10] ^ t3[b15]) << 96
                 | (t0[b4] ^ t1[b9] ^ t2[b14] ^ t3[b3]) << 64
                 | (t0[b8] ^ t1[b13] ^ t2[b2] ^ t3[b7]) << 32
                 | (t0[b12] ^ t1[b1] ^ t2[b6] ^ t3[b11])
             ) ^ k
-        c = int.from_bytes(bytes(shift(x.to_bytes(16, "big").translate(box))), "big") ^ k10
+        c = int.from_bytes(bytes(shift(x.to_bytes(16).translate(box)))) ^ k10
         out.append(c)
-    return b"".join([x.to_bytes(16, "big") for x in out])
+    return b"".join([x.to_bytes(16) for x in out])
 
 
 def decrypt_blocks(data: bytes, schedule: KeySchedule) -> bytes:
@@ -218,22 +294,24 @@ def decrypt_blocks(data: bytes, schedule: KeySchedule) -> bytes:
     from column (c - r) % 4). Bit-identical to `decrypt_ecb`."""
     if len(data) % BLOCK_SIZE != 0:
         raise ValueError("data length must be a multiple of 16")
+    box, shift = _INV_SBOX_BYTES, _INV_SHIFT_ROWS
+    if len(data) >= PLACED_MIN_BLOCKS * BLOCK_SIZE:
+        return _chain(data, _placed_tables()[1], schedule.dec_keys, box, shift, 0, False)
     t0, t1, t2, t3 = _TD
     k0, *rounds, k10 = schedule.dec_keys
-    box, shift = _INV_SBOX_BYTES, _INV_SHIFT_ROWS
     out = []
     for i in range(0, len(data), BLOCK_SIZE):
-        x = int.from_bytes(data[i : i + BLOCK_SIZE], "big") ^ k0
+        x = int.from_bytes(data[i : i + BLOCK_SIZE]) ^ k0
         for k in rounds:
-            b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = x.to_bytes(16, "big")
+            b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = x.to_bytes(16)
             x = (
                 (t0[b0] ^ t1[b13] ^ t2[b10] ^ t3[b7]) << 96
                 | (t0[b4] ^ t1[b1] ^ t2[b14] ^ t3[b11]) << 64
                 | (t0[b8] ^ t1[b5] ^ t2[b2] ^ t3[b15]) << 32
                 | (t0[b12] ^ t1[b9] ^ t2[b6] ^ t3[b3])
             ) ^ k
-        out.append(int.from_bytes(bytes(shift(x.to_bytes(16, "big").translate(box))), "big") ^ k10)
-    return b"".join([x.to_bytes(16, "big") for x in out])
+        out.append(int.from_bytes(bytes(shift(x.to_bytes(16).translate(box)))) ^ k10)
+    return b"".join([x.to_bytes(16) for x in out])
 
 
 def _check_block(block: bytes) -> bytes:
@@ -260,7 +338,8 @@ def decrypt_block(block: bytes, schedule: KeySchedule) -> bytes:
 # times as long on the kernel as on the chain, of 10 blocks 0.90-0.94, and
 # a lockstep CBC-MAC step of 9 lanes 0.96-1.04 times as long as 9 chain
 # blocks, of 10 lanes 0.87-0.94 (a chain block 10-16 us, a kernel call on
-# 10 blocks 85-155 us): the kernel wins from 10 blocks on.
+# 10 blocks 85-155 us): the kernel wins from 10 blocks on. Buffers this
+# short run on the row tables (PLACED_MIN_BLOCKS).
 LANE_MIN_BLOCKS = 10
 
 # The kernel's numpy import, counted in chain blocks. Until numpy is loaded,
@@ -269,12 +348,15 @@ LANE_MIN_BLOCKS = 10
 # or buy: a process then spends at most about twice what the better choice
 # in hindsight would have cost, and a batch that alone costs the purchase
 # buys at once).
-# Measured three times: numpy import and table build 95-96 ms of thread CPU
-# time (median of 9 fresh processes each), the chain 17.1-17.7 us a block
-# and the kernel 1.3, so the import pays for itself after 5,800-6,100
-# blocks. 6,500 errs toward buying late, which spares the processes that
-# stop soon after the count and would never repay the import.
-IMPORT_BLOCKS = 6500
+# Measured three times, each the median of 9 fresh processes that time the
+# numpy import and table build and then the chain on 64-block buffers (the
+# placed tables) and the kernel a block, in thread CPU time: the import
+# 82-93 ms, the chain 15.0-16.0 us a block and the kernel 1.2, so the
+# import pays for itself after 6,100-6,700 blocks (5,700-6,300 for the row
+# tables alone, which run 1.15-1.2 times as long a block when warm). 7,000
+# errs toward buying late, which spares the processes that stop soon after
+# the count and would never repay the import.
+IMPORT_BLOCKS = 7000
 
 _LANES = None  # (numpy, encrypt constants, decrypt constants), built on first use
 _chain_blocks = 0  # blocks the kernel would have taken, run on the chain instead
@@ -315,7 +397,7 @@ def _lane_rounds(s, keys: tuple, backward: bool):
     np, enc, dec = _lanes()
     box, perm, (t0, t1, t2, t3) = dec if backward else enc
     n = len(s)
-    rk = np.frombuffer(b"".join([k.to_bytes(16, "big") for k in keys]), dtype=np.uint8)
+    rk = np.frombuffer(b"".join([k.to_bytes(16) for k in keys]), dtype=np.uint8)
     rk = rk.reshape(NUM_ROUNDS + 1, BLOCK_SIZE)
     s = s ^ rk[0]
     for r in range(1, NUM_ROUNDS):

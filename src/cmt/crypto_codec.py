@@ -47,7 +47,7 @@ def unpad(data: bytes) -> bytes:
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
-    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
+    return (int.from_bytes(a) ^ int.from_bytes(b)).to_bytes(len(a))
 
 
 def check_value(raw: bytes) -> bytes:

@@ -9,7 +9,7 @@ so they can never collide with each other.
 derived under it in `derived`, which `tenant_store` reads, so a tenant is
 derived once per `MasterKey` object, whatever the number of store handles
 opened with it. The memo is the object's own: a copy, an unpickled
-master or another object of the same key starts empty.
+master, a `_replace`d one or another object of the same key starts empty.
 """
 
 import os
@@ -41,6 +41,11 @@ class MasterKey(namedtuple("MasterKey", "key schedule")):
         self.derived = {}
         return self
 
+    @classmethod
+    def _make(cls, fields):  # also _replace's: through __new__, the schedule recomputed
+        key, _schedule = fields
+        return cls(key)
+
     def __getnewargs__(self):  # copy and pickle rebuild it from the key
         return (self.key,)
 
@@ -61,6 +66,11 @@ class TenantKeySet(namedtuple("TenantKeySet", "enc_key mac_key enc_schedule mac_
     def __new__(cls, enc_key: bytes, mac_key: bytes):
         enc, mac = aes_core.expand_key(enc_key), aes_core.expand_key(mac_key, decrypt=False)
         return super().__new__(cls, enc_key, mac_key, enc, mac)
+
+    @classmethod
+    def _make(cls, fields):  # also _replace's: through __new__, the schedules recomputed
+        enc_key, mac_key, _enc_schedule, _mac_schedule = fields
+        return cls(enc_key, mac_key)
 
     def __getnewargs__(self):  # copy and pickle rebuild it from the keys
         return (self.enc_key, self.mac_key)

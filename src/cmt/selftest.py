@@ -64,9 +64,17 @@ def _check_codec_round_trip() -> bool:
 
 def _check_throughput(report) -> bool:
     ks = aes_core.expand_key(os.urandom(16))
-    # the kernel must agree with the scalar cipher before we trust its speed
-    sample = os.urandom(16 * 32)
+    # the kernel must agree with the scalar cipher, in both directions and
+    # on the placed tables too, before we trust its speed: LANE_MIN_BLOCKS
+    # MAC chains step as lanes that end before, at and after the last step,
+    # and the longest runs on the placed tables when on the chain alone
+    sample = os.urandom(16 * aes_core.PLACED_MIN_BLOCKS)
     if aes_core.decrypt_ecb(sample, ks) != aes_core.decrypt_blocks(sample, ks):
+        return False
+    sizes = [*range(1, aes_core.LANE_MIN_BLOCKS), aes_core.PLACED_MIN_BLOCKS]
+    messages = [os.urandom(16 * n) for n in sizes]
+    steps = aes_core.LANE_MIN_BLOCKS // 2
+    if aes_core.cbc_macs(messages, ks, steps) != aes_core.cbc_macs(messages, ks, 0):
         return False
     buf = os.urandom(THROUGHPUT_BUFFER_BYTES)
     start = time.perf_counter()

@@ -156,6 +156,26 @@ def test_round_tables_match_oracle_tables():
     assert tuple(map(list, aes_core._TD)) == oracle_round_tables(inv_sbox, INV_MIX_MATRIX)
 
 
+def test_placed_tables_match_oracle_tables():
+    # table i holds the oracle word of byte i's row r = i % 4, moved to the
+    # column that ShiftRows (FIPS-197 section 5.1.2) or InvShiftRows
+    # (section 5.3.1) sends byte i to; column c is bits 96 - 32c and up of
+    # the 128-bit state
+    sbox = [sbox_oracle(a) for a in range(256)]
+    inv_sbox = [sbox.index(a) for a in range(256)]
+    encrypt, decrypt = aes_core._placed_tables()
+    directions = (
+        (encrypt, oracle_round_tables(sbox, MIX_MATRIX), aes_reference.shift_rows),
+        (decrypt, oracle_round_tables(inv_sbox, INV_MIX_MATRIX), aes_reference.inv_shift_rows),
+    )
+    for placed, tables, shift in directions:
+        sources = shift(list(range(16)))  # output position -> input byte
+        assert len(placed) == 16
+        for i, table in enumerate(placed):
+            column = sources.index(i) // 4
+            assert table == [w << (96 - 32 * column) for w in tables[i % 4]]
+
+
 def test_sub_bytes_all_zero_state():
     assert aes_reference.sub_bytes([0] * 16) == [0x63] * 16
 
@@ -349,6 +369,20 @@ def test_table_cipher_matches_reference_and_library():
         assert aes_core.encrypt_block(block, ks) == expected_ct
         assert aes_core.decrypt_block(block, ks) == aes_reference.decrypt_block(block, ks)
         assert aes_core.decrypt_block(block, ks) == aes_library_decrypt(key, block)
+
+
+@pytest.mark.parametrize("placed_min_blocks", [1, 10**9])  # placed or row tables only
+def test_encrypt_cbc_matches_library_under_random_ivs(placed_min_blocks, monkeypatch):
+    # a random IV: non-zero but with probability 2^-128
+    monkeypatch.setattr(aes_core, "PLACED_MIN_BLOCKS", placed_min_blocks)
+    for blocks in range(1, 41):
+        key, iv, data = os.urandom(16), os.urandom(16), os.urandom(16 * blocks)
+        ks = aes_core.expand_key(key)
+        enc = Cipher(algorithms.AES(key), modes.CBC(iv)).encryptor()
+        ct = enc.update(data) + enc.finalize()
+        assert aes_core.encrypt_cbc(data, ks, iv) == ct
+        dec = Cipher(algorithms.AES(key), modes.ECB()).decryptor()
+        assert aes_core.decrypt_blocks(ct, ks) == dec.update(ct) + dec.finalize()
 
 
 def test_block_functions_reject_bad_length():

@@ -260,21 +260,23 @@ def test_every_error_class_carries_its_exit_code():
 
 
 def test_short_values_never_load_numpy(tmp_path):
-    # numpy is imported on the first use of the multi-lane kernel only
+    # numpy is imported on the first use of the multi-lane kernel only, and
+    # the placed tables are built for the first long buffer only
     script = (
         "import sys\n"
+        "from cmt import aes_core\n"
         "from cmt.cli import main\n"
         f"path = {str(tmp_path / 's.cmt')!r}\n"
         f"main(['--store', path, 'init', '--table', 't', '--fields', {FIELDS!r}])\n"
         "main(['--store', path, '--tenant', 'uni_a', 'insert', '--set', 'name=Asha',"
         " '--set', 'contact=98765', '--set', 'department=cs'])\n"
         "main(['--store', path, '--tenant', 'uni_a', 'get', '--row', '1'])\n"
-        "print('numpy' in sys.modules)\n"
+        "print('numpy' in sys.modules, aes_core._PLACED is None)\n"
     )
     env = dict(os.environ, **{MASTER_KEY_ENV: HEX_KEY})
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "False"
+    assert result.stdout.splitlines()[-1] == "False True"
 
 
 def test_one_shot_get_and_list_never_load_numpy(tmp_path):

@@ -17,6 +17,7 @@ from cmt.errors import InvalidTenantId, MalformedKey, MissingKey
 from cmt.key_service import (
     MASTER_KEY_ENV,
     MasterKey,
+    TenantKeySet,
     derive_tenant_keys,
     load_master_key,
     validate_tenant_id,
@@ -124,6 +125,35 @@ def test_copy_and_pickle_of_a_master_start_with_an_empty_memo():
     data = pickle.dumps(master)
     for keys in tenants.values():
         assert keys.enc_key not in data and keys.mac_key not in data
+
+
+def test_replace_of_a_master_rebuilds_it_from_the_new_key():
+    old, new = bytes(16), bytes([1]) * 16
+    master = MasterKey(old)
+    master.derived["alpha"] = derive_tenant_keys(master, "alpha")
+    replaced = master._replace(key=new)
+    assert type(replaced) is MasterKey and replaced == MasterKey(new)
+    assert replaced.schedule == aes_core.expand_key(new, decrypt=False)
+    assert replaced.derived == {}  # a memo of its own, not the old key's
+    assert derive_tenant_keys(replaced, "alpha") == derive_tenant_keys(MasterKey(new), "alpha")
+    assert master == MasterKey(old) and "alpha" in master.derived
+    # a schedule passed in is recomputed from the key, never taken over
+    assert master._replace(schedule=None) == master
+    made = MasterKey._make([new, None])
+    assert made == MasterKey(new) and made.derived == {}
+
+
+def test_replace_and_make_of_a_key_set_rebuild_its_schedules():
+    a, b, c = (bytes([i]) * 16 for i in range(3))
+    replaced = TenantKeySet(a, b)._replace(enc_key=c)
+    assert type(replaced) is TenantKeySet and replaced == TenantKeySet(c, b)
+    assert replaced.enc_schedule == aes_core.expand_key(c)
+    assert replaced.mac_schedule == aes_core.expand_key(b, decrypt=False)
+    made = TenantKeySet._make([a, a, None, None])
+    assert made == TenantKeySet(a, a)
+    assert made.enc_schedule == aes_core.expand_key(a)
+    assert made.mac_schedule == aes_core.expand_key(a, decrypt=False)
+    assert made._replace(mac_schedule=None) == made
 
 
 def test_distinct_tenants_distinct_keys():
