@@ -6,14 +6,20 @@ tenant's derived keys before it touches disk, as opaque bytes whose layout
 only `crypto_codec` knows. A tenant's keys come from the master key's
 memo (`MasterKey.derived`), derived there on the first use under that
 `MasterKey` object; a handle keeps no key cache of its own. Persistence
-is an append-only JSON-lines log replayed in full on open, in one pass:
-each line is decoded (`json.JSONDecoder.raw_decode`, then strict base64
-by `binascii`), checked (an insert or update carries exactly the
-header's fields), and put straight into the live row map, and a bad line
-is CorruptLog with its line number. Each mutation is written and fsynced
-before the call returns, and an append that fails is cut back off the file
-before the error is raised; if that cut fails too, the handle refuses every
-later mutation until the store is reopened. A handle is one open file,
+is an append-only JSON-lines log replayed on open, in one pass: each line
+is decoded (`json.JSONDecoder.raw_decode`, then strict base64 by
+`binascii`), checked (an insert or update carries exactly the header's
+fields), and put straight into the live row map, and a bad line is
+CorruptLog with its line number. The first open of a file in a process
+replays it from the header. Each successful open leaves in `_replayed`,
+keyed by the file's inode, the bytes of the complete lines it replayed and
+the state they gave; a later open whose file still starts with exactly
+those bytes (compared in full) starts from that state and replays only the
+lines after them, and any other file is replayed from the header. Each
+mutation is written and fsynced before the call returns, and an append
+that fails is cut back off the file before the error is raised; if that
+cut fails too, the handle refuses every later mutation until the store is
+reopened, as a closed handle does. A handle is one open file,
 locked by an advisory `flock` on that file itself, so the lock is the
 inode's and a symlink or hard link meets it too. The opener locks before it
 reads and cuts a trailing torn line (crash mid-write) through the same
@@ -134,6 +140,7 @@ class Store:
     # -- lifecycle -----------------------------------------------------
 
     def close(self) -> None:
+        self._broken = "the store handle is closed"
         self._fh.close()
 
     def __enter__(self) -> "Store":
@@ -188,8 +195,9 @@ class Store:
     def _live_row(self, tenant: str, row_id: int) -> dict[str, bytes]:
         # callers hold _mutex
         validate_tenant_id(tenant)
-        if row_id not in self._live:
-            raise NotFound(f"no live row {row_id}")
+        # 1.0 and True equal the key 1 but are no row id the log could hold
+        if type(row_id) is not int or row_id not in self._live:
+            raise NotFound(f"no live row {row_id!r}")
         owner, fields = self._live[row_id]
         # ownership is checked on the clear tenant column, never by decrypting
         if owner != tenant:
@@ -336,9 +344,8 @@ def open_store(path: str, master: MasterKey | None = None) -> Store:
         raise
 
 
-def _load(path: str, fh, master: MasterKey | None) -> Store:
-    raw = fh.read()
-    lines = raw.split(b"\n")
+def _read_header(path: str, lines: list) -> TableSchema:
+    """The schema of the header `lines[0]` of a file split at newlines."""
     if not lines[0]:
         raise CorruptHeader(f"empty store file: {path}")
     # a header without its newline is not a torn event: truncating it as one
@@ -363,12 +370,40 @@ def _load(path: str, fh, master: MasterKey | None) -> Store:
         raise CorruptHeader(f"header of {path}: {exc}") from None
     if version != FORMAT_VERSION:
         raise VersionMismatch(f"unsupported store version {version}")
+    return schema
+
+
+# (st_dev, st_ino) -> (done, lines, schema, live, max_row_id): what the
+# last successful open in this process replayed of that file. `done` is the
+# bytes of its complete lines (header included), `lines` their count, `live`
+# a copy of the live row map. Only what is on disk: no key, no plaintext.
+# Never updated by a mutation, never evicted. A handle and its entry share
+# no mutable dict; the (tenant, fields) tuples and their field dicts are
+# shared, and nothing mutates them in place.
+_replayed: dict = {}
+
+
+def _load(path: str, fh, master: MasterKey | None) -> Store:
+    raw = fh.read()
+    stat = os.fstat(fh.fileno())
+    inode = (stat.st_dev, stat.st_ino)
+    last = _replayed.get(inode)
+    if last is not None and raw.startswith(last[0]):
+        # replay is a pure function of the file's bytes, so a file that
+        # still starts with the bytes the last open replayed starts from
+        # that open's state and replays only the lines after them
+        done, number, schema, live, max_row_id = last
+        live = dict(live)
+        lines = raw[len(done):].split(b"\n")
+    else:
+        lines = raw.split(b"\n")
+        schema = _read_header(path, lines)
+        del lines[0]
+        live, max_row_id, number = {}, 0, 1
 
     # a trailing chunk without its newline is a torn write: drop it
     torn = lines.pop()
-    live = {}
-    max_row_id = 0
-    for number, line in enumerate(lines[1:], start=2):
+    for number, line in enumerate(lines, start=number + 1):
         try:
             _, tenant, row_id, fields = _decode_event(line, schema.field_names)
         except (ValueError, TypeError) as exc:
@@ -385,5 +420,7 @@ def _load(path: str, fh, master: MasterKey | None) -> Store:
         logging.getLogger(__name__).warning(
             "truncating torn trailing write in %s (%d bytes)", path, len(torn)
         )
-        fh.truncate(len(raw) - len(torn))
+        raw = raw[: len(raw) - len(torn)]
+        fh.truncate(len(raw))
+    _replayed[inode] = (raw, number, schema, dict(live), max_row_id)
     return Store(path, schema, master, fh, live, max_row_id)

@@ -371,6 +371,45 @@ def test_update_deleted_row(store):
         store.delete("uni_a", rid)
 
 
+@pytest.mark.parametrize("row_id", [True, 1.0])
+def test_a_row_id_that_only_equals_an_int_is_not_found(tmp_path, row_id):
+    # True and 1.0 equal live row 1; written, they would be a line that
+    # replay refuses, and no later open would succeed
+    path = str(tmp_path / "s.cmt")
+    with create_store(path, SCHEMA, MASTER) as s:
+        s.insert("uni_a", row())
+        with open(path, "rb") as fh:
+            before = fh.read()
+        for call in (
+            lambda: s.get("uni_a", row_id),
+            lambda: s.update("uni_a", row_id, row("x")),
+            lambda: s.delete("uni_a", row_id),
+        ):
+            with pytest.raises(NotFound):
+                call()
+    with open(path, "rb") as fh:
+        assert fh.read() == before
+    with open_store(path, MASTER) as s:
+        assert s.get("uni_a", 1).fields == row()
+
+
+def test_a_closed_handle_refuses_mutations_with_store_error(tmp_path):
+    path = str(tmp_path / "s.cmt")
+    s = create_store(path, SCHEMA, MASTER)
+    rid = s.insert("uni_a", row())
+    s.close()
+    size = os.path.getsize(path)
+    for mutate in (
+        lambda: s.insert("uni_a", row("next")),
+        lambda: s.update("uni_a", rid, row("changed")),
+        lambda: s.delete("uni_a", rid),
+    ):
+        with pytest.raises(StoreError, match="closed") as refused:
+            mutate()
+        assert refused.value.exit_code == 3
+    assert os.path.getsize(path) == size
+
+
 def test_operations_without_master_key(tmp_path):
     path = str(tmp_path / "s.cmt")
     create_store(path, SCHEMA, MASTER).close()
@@ -529,6 +568,140 @@ def test_torn_write_recovery(tmp_path):
         assert b"\0" not in fh.read()
     with open_store(path, MASTER) as s:
         assert [r.fields["name"] for r in s.list("uni_a")] == ["kept", "after"]
+
+
+# --- reopening from the last open's replay -------------------------------------
+
+def _outcome(path):
+    """What an open of `path` gives: the error's class and message, or the
+    live rows and the largest row id."""
+    try:
+        s = open_store(str(path), MASTER)
+    except CmtError as exc:
+        return type(exc), str(exc)
+    with s:
+        return s._live, s._max_row_id
+
+
+def _full_replay(path, monkeypatch):
+    """`_outcome` of an open that starts from an empty memo."""
+    with monkeypatch.context() as m:
+        m.setattr(tenant_store, "_replayed", {})
+        return _outcome(path)
+
+
+@pytest.fixture
+def decoded(monkeypatch):
+    """The lines `_decode_event` is called on."""
+    lines = []
+    decode = tenant_store._decode_event
+
+    def spy(line, names):
+        lines.append(line)
+        return decode(line, names)
+
+    monkeypatch.setattr(tenant_store, "_decode_event", spy)
+    return lines
+
+
+@pytest.fixture
+def replayed(tmp_path):
+    """A store of three rows that one open has replayed, and its bytes."""
+    path = tmp_path / "s.cmt"
+    with create_store(str(path), SCHEMA, MASTER) as s:
+        for name in ("a", "b", "c"):
+            s.insert("uni_a", row(name))
+    open_store(str(path), MASTER).close()
+    return path, path.read_bytes()
+
+
+def test_a_reopen_decodes_only_the_appended_lines(replayed, decoded):
+    path, _ = replayed
+    with open_store(str(path), MASTER) as s:
+        s.insert("uni_a", row("d"))
+        s.insert("uni_b", row("e"))
+    assert decoded == []  # nothing was appended since the fixture's open
+    with open_store(str(path), MASTER) as s:
+        assert decoded == path.read_bytes().split(b"\n")[4:6]
+        assert [r.fields["name"] for r in s.list("uni_a")] == ["a", "b", "c", "d"]
+        assert s.insert("uni_b", row("f")) == 6
+
+
+def test_a_handles_mutations_stay_out_of_the_memo(replayed):
+    path, before = replayed
+    with open_store(str(path), MASTER) as s:
+        s.delete("uni_a", 3)
+        s.update("uni_a", 2, row("changed"))
+        s.insert("uni_a", row("d"))
+    path.write_bytes(before)  # the same inode, back to what the memo holds
+    with open_store(str(path), MASTER) as s:
+        assert [(r.row_id, r.fields["name"]) for r in s.list("uni_a")] == [
+            (1, "a"), (2, "b"), (3, "c")]
+
+
+@pytest.mark.parametrize("marker, caught", [(b'"op":"in', CorruptLog), (b'"name":"', AuthError)])
+def test_a_flipped_byte_in_the_replayed_prefix_is_caught(replayed, marker, caught):
+    path, before = replayed
+    # the byte after the last event's marker: a bad op, or a value whose
+    # first IV byte changed
+    at = before.rindex(marker) + len(marker)
+    path.write_bytes(before[:at] + (b"B" if before[at] == ord("A") else b"A") + before[at + 1 :])
+    with pytest.raises(caught, match="line 4 " if caught is CorruptLog else None):
+        with open_store(str(path), MASTER) as s:
+            s.get("uni_a", 3)
+
+
+def test_a_file_cut_short_of_the_prefix_replays_in_full(replayed, decoded, monkeypatch):
+    path, before = replayed
+    path.write_bytes(before[: before.rstrip(b"\n").rindex(b"\n") + 1])  # drop row 3
+    with open_store(str(path), MASTER) as s:
+        assert sorted(s._live) == [1, 2]
+        assert s.insert("uni_a", row("x")) == 3
+    assert len(decoded) == 2
+    decoded.clear()
+    assert _outcome(path) == _full_replay(path, monkeypatch)
+    assert len(decoded) == 1 + 3  # the line appended since, then a full replay
+
+
+def test_a_replaced_file_replays_in_full(replayed, decoded):
+    path, before = replayed
+    other = path.with_name("other.cmt")
+    other.write_bytes(before)
+    os.replace(other, path)
+    with open_store(str(path), MASTER) as s:
+        assert sorted(s._live) == [1, 2, 3]
+    assert len(decoded) == 3
+
+
+def test_a_corrupt_line_after_a_hit_names_its_line_in_the_file(replayed, decoded):
+    path, before = replayed
+    with open(path, "ab") as fh:
+        fh.write(b'{"op":"del","t":"uni_a","r":3}\n{"op":"del","t":"uni_a","r":0}\n')
+    with pytest.raises(CorruptLog, match="at line 6 of"):
+        open_store(str(path), MASTER)
+    assert len(decoded) == 2
+    # the failed open applied the delete to its own copy of the memo's rows
+    path.write_bytes(before)
+    with open_store(str(path), MASTER) as s:
+        assert sorted(s._live) == [1, 2, 3]
+
+
+def test_a_torn_tail_after_a_hit_is_cut_as_in_a_full_replay(replayed, decoded, monkeypatch, caplog):
+    path, _ = replayed
+    with open_store(str(path), MASTER) as s:
+        s.insert("uni_b", row("d"))
+        s.delete("uni_a", 1)
+    whole = path.read_bytes()
+    with open(path, "ab") as fh:
+        fh.write(b'{"op":"del","t":"uni_b"')
+    with open_store(str(path), MASTER) as s:
+        assert sorted(s._live) == [2, 3, 4]
+    assert len(decoded) == 2
+    assert "truncating torn trailing write" in caplog.text
+    assert path.read_bytes() == whole
+    decoded.clear()
+    assert _outcome(path) == _full_replay(path, monkeypatch)
+    assert len(decoded) == 5  # none on the reopen: the memo holds the cut file
 
 
 def test_ciphertext_at_rest(tmp_path):
@@ -767,7 +940,13 @@ def test_fuzzed_log_lines_raise_only_cmt_errors(tmp_path, monkeypatch, edits, to
         if lines:
             _edit(lines, at, edit)
     path = tmp_path / "fuzz.cmt"
-    path.write_bytes(b"\n".join([header] + lines) + (b"" if torn else b"\n"))
+    data = b"\n".join([header] + lines) + (b"" if torn else b"\n")
+    # one inode across the examples: an open may start from what the open
+    # of an earlier example replayed, and must end as a full replay does
+    path.write_bytes(data)
+    outcome = _outcome(path)
+    path.write_bytes(data)
+    assert outcome == _full_replay(path, monkeypatch)
     monkeypatch.setattr(aes_core, "use_lanes", lambda blocks: lanes)
     try:
         s = open_store(str(path), MASTER)
