@@ -10,12 +10,13 @@ is an append-only JSON-lines log replayed on open, in one pass: each line
 is decoded (`json.JSONDecoder.raw_decode`, then strict base64 by
 `binascii`), checked (an insert or update carries exactly the header's
 fields), and put straight into the live row map, and a bad line is
-CorruptLog with its line number. The first open of a file in a process
-replays it from the header. Each successful open leaves in `_replayed`,
-keyed by the file's inode, the bytes of the complete lines it replayed and
-the state they gave; a later open whose file still starts with exactly
-those bytes (compared in full) starts from that state and replays only the
-lines after them, and any other file is replayed from the header. Each
+CorruptLog with its line number. A live row is its tenant and a tuple of
+its values in the header's field order; the field names live only in the
+schema. Each successful open leaves in `_replayed`, keyed by the file's
+inode, the bytes of the complete lines it replayed and the state they
+gave. An open starts from one state: that entry's if the file still starts
+with exactly its bytes (compared in full), else the header's, the state
+before the first event; from it, it replays the lines that follow. Each
 mutation is written and fsynced before the call returns, and an append
 that fails is cut back off the file before the error is raised; if that
 cut fails too, the handle refuses every later mutation until the store is
@@ -132,7 +133,7 @@ class Store:
         self.schema = schema
         self._master = master
         self._fh = fh
-        self._live: dict[int, tuple[str, dict[str, bytes]]] = live
+        self._live: dict[int, tuple[str, tuple[bytes, ...]]] = live
         self._max_row_id = max_row_id
         self._mutex = threading.Lock()
         self._broken: str | None = None  # why no mutation may append any more
@@ -159,7 +160,7 @@ class Store:
             derived[tenant] = derive_tenant_keys(self._master, tenant)
         return derived[tenant]
 
-    def _commit(self, op: str, tenant: str, row_id: int, fields=None) -> None:
+    def _commit(self, op: str, tenant: str, row_id: int, values=None) -> None:
         """Append one event, fsync it, then apply it to the live rows. If
         the write or the fsync fails, the file is cut back to its length
         before the event, so the log holds no event the caller saw fail. If
@@ -169,10 +170,10 @@ class Store:
         if self._broken:
             raise StoreError(f"{self._broken}; reopen the store: {self.path}")
         event = {"op": op, "t": tenant, "r": row_id}
-        if fields is not None:
+        if values is not None:
             event["f"] = {
                 name: binascii.b2a_base64(value, newline=False).decode("ascii")
-                for name, value in fields.items()
+                for name, value in zip(self.schema.field_names, values)
             }
         line = (json.dumps(event, separators=(",", ":")) + "\n").encode("ascii")
         # not O_APPEND, and a cut torn tail leaves the position past the end
@@ -186,34 +187,32 @@ class Store:
             except OSError as cut:
                 self._broken = f"a failed append ({exc}) could not be cut off the log ({cut})"
             raise
-        if fields is None:
+        if values is None:
             self._live.pop(row_id, None)
         else:
-            self._live[row_id] = (tenant, fields)
+            self._live[row_id] = (tenant, values)
         self._max_row_id = max(self._max_row_id, row_id)
 
-    def _live_row(self, tenant: str, row_id: int) -> dict[str, bytes]:
+    def _live_row(self, tenant: str, row_id: int) -> tuple[bytes, ...]:
         # callers hold _mutex
         validate_tenant_id(tenant)
         # 1.0 and True equal the key 1 but are no row id the log could hold
         if type(row_id) is not int or row_id not in self._live:
             raise NotFound(f"no live row {row_id!r}")
-        owner, fields = self._live[row_id]
+        owner, values = self._live[row_id]
         # ownership is checked on the clear tenant column, never by decrypting
         if owner != tenant:
             raise IsolationDenied(f"row {row_id} belongs to another tenant")
-        return fields
+        return values
 
-    def _encrypt_fields(self, tenant: str, values: dict[str, str]) -> dict[str, bytes]:
+    def _encrypt_fields(self, tenant: str, values: dict[str, str]) -> tuple[bytes, ...]:
         if set(values) != set(self.schema.field_names):
             missing = set(self.schema.field_names) - set(values)
             extra = set(values) - set(self.schema.field_names)
             raise SchemaMismatch(f"missing={sorted(missing)} extra={sorted(extra)}")
         keys = self._keys_for(tenant)
-        return {
-            name: encrypt_value(values[name].encode("utf-8"), keys)
-            for name in self.schema.field_names
-        }
+        return tuple([encrypt_value(values[name].encode("utf-8"), keys)
+                      for name in self.schema.field_names])
 
     # -- operations ----------------------------------------------------
 
@@ -230,10 +229,11 @@ class Store:
         # releasing it, so a concurrent mutation neither waits on the
         # decryption nor changes the row map under the reader
         with self._mutex:
-            fields = self._live_row(tenant, row_id)
+            values = self._live_row(tenant, row_id)
         keys = self._keys_for(tenant)
-        texts = _utf8([decrypt_value(value, keys) for value in fields.values()])
-        return Record(row_id=row_id, tenant=tenant, fields=dict(zip(fields, texts)))
+        texts = _utf8([decrypt_value(value, keys) for value in values])
+        return Record(row_id=row_id, tenant=tenant,
+                      fields=dict(zip(self.schema.field_names, texts)))
 
     def list(self, tenant: str) -> "list[Record]":
         """The tenant's rows by row id; every value of every row is verified
@@ -242,18 +242,18 @@ class Store:
         with self._mutex:
             rows = []
             for row_id in sorted(self._live):
-                owner, fields = self._live[row_id]
+                owner, values = self._live[row_id]
                 if owner == tenant:
-                    rows.append((row_id, fields))
+                    rows.append((row_id, values))
         if not rows:
             return []
-        values = [value for _, fields in rows for value in fields.values()]
+        values = [value for _, row in rows for value in row]
         texts = iter(_utf8(decrypt_values(values, self._keys_for(tenant))))
-        return [
-            Record(row_id=row_id, tenant=tenant,
-                   fields={name: next(texts) for name in fields})
-            for row_id, fields in rows
-        ]
+        names = self.schema.field_names
+        # zip stops at the last name before it draws on `texts`, so each row
+        # takes the next len(names) texts
+        return [Record(row_id=row_id, tenant=tenant, fields=dict(zip(names, texts)))
+                for row_id, _ in rows]
 
     def update(self, tenant: str, row_id: int, values: dict[str, str]) -> None:
         with self._mutex:
@@ -293,9 +293,10 @@ def create_store(path: str, schema: TableSchema, master: MasterKey | None = None
 
 
 def _decode_event(line: bytes, names: tuple) -> tuple:
-    """(op, tenant, row_id, fields) of one log line, fields None for a
-    delete, else the values of exactly the header's field `names`, in
-    their order. A malformed line raises ValueError or TypeError.
+    """(tenant, row_id, values) of one log line, values None for a delete,
+    else a tuple of the values of exactly the header's field `names`, in
+    their order. A malformed line raises ValueError or TypeError, and one
+    nested too deep for `json`'s scanner RecursionError.
 
     It accepts exactly the lines `json.loads` accepts: JSON whitespace
     around the object is stripped and nothing may follow it (a BOM fails
@@ -317,20 +318,18 @@ def _decode_event(line: bytes, names: tuple) -> tuple:
     if type(row_id) is not int or row_id < 1:
         raise ValueError('"r" must be a positive integer')
     if op == "del":
-        return op, tenant, row_id, None
+        return tenant, row_id, None
     encoded = event.get("f")
     if not isinstance(encoded, dict):
         raise ValueError('"f" must map field names to base64 strings')
     if len(encoded) != len(names):
         raise ValueError(f'"f" holds {len(encoded)} fields, the header {len(names)}')
     try:
-        fields = {
-            name: check_value(binascii.a2b_base64(encoded[name], strict_mode=True))
-            for name in names
-        }
+        values = tuple([check_value(binascii.a2b_base64(encoded[name], strict_mode=True))
+                        for name in names])
     except KeyError as exc:
         raise ValueError(f'"f" has no field {exc}') from None
-    return op, tenant, row_id, fields
+    return tenant, row_id, values
 
 
 def open_store(path: str, master: MasterKey | None = None) -> Store:
@@ -344,18 +343,21 @@ def open_store(path: str, master: MasterKey | None = None) -> Store:
         raise
 
 
-def _read_header(path: str, lines: list) -> TableSchema:
-    """The schema of the header `lines[0]` of a file split at newlines."""
-    if not lines[0]:
+def _read_header(path: str, raw: bytes) -> tuple:
+    """The state before the first event of the store file `raw`: (its header
+    line with the newline, 1, schema, {}, 0), in the shape of a `_replayed`
+    entry."""
+    end = raw.find(b"\n")
+    if end == 0 or not raw:
         raise CorruptHeader(f"empty store file: {path}")
     # a header without its newline is not a torn event: truncating it as one
     # would leave an empty file that the next append makes headerless
-    if len(lines) == 1:
+    if end < 0:
         raise CorruptHeader(f"header of {path} does not end in a newline")
     try:
-        header = json.loads(lines[0].decode("utf-8"))
+        header = json.loads(raw[:end].decode("utf-8"))
         version, table, fields = header["v"], header["table"], header["fields"]
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise CorruptHeader(f"unparseable header in {path}: {exc}") from None
     # json gives True for `true`, and True == 1; a string would split into letters
     if (
@@ -370,7 +372,7 @@ def _read_header(path: str, lines: list) -> TableSchema:
         raise CorruptHeader(f"header of {path}: {exc}") from None
     if version != FORMAT_VERSION:
         raise VersionMismatch(f"unsupported store version {version}")
-    return schema
+    return raw[: end + 1], 1, schema, {}, 0
 
 
 # (st_dev, st_ino) -> (done, lines, schema, live, max_row_id): what the
@@ -378,8 +380,7 @@ def _read_header(path: str, lines: list) -> TableSchema:
 # bytes of its complete lines (header included), `lines` their count, `live`
 # a copy of the live row map. Only what is on disk: no key, no plaintext.
 # Never updated by a mutation, never evicted. A handle and its entry share
-# no mutable dict; the (tenant, fields) tuples and their field dicts are
-# shared, and nothing mutates them in place.
+# no dict; they share the (tenant, values) rows, which are tuples of bytes.
 _replayed: dict = {}
 
 
@@ -387,31 +388,26 @@ def _load(path: str, fh, master: MasterKey | None) -> Store:
     raw = fh.read()
     stat = os.fstat(fh.fileno())
     inode = (stat.st_dev, stat.st_ino)
-    last = _replayed.get(inode)
-    if last is not None and raw.startswith(last[0]):
-        # replay is a pure function of the file's bytes, so a file that
-        # still starts with the bytes the last open replayed starts from
-        # that open's state and replays only the lines after them
-        done, number, schema, live, max_row_id = last
-        live = dict(live)
-        lines = raw[len(done):].split(b"\n")
-    else:
-        lines = raw.split(b"\n")
-        schema = _read_header(path, lines)
-        del lines[0]
-        live, max_row_id, number = {}, 0, 1
-
+    # replay is a pure function of the file's bytes, so a file that still
+    # starts with the bytes the last open replayed starts from that open's
+    # state, and any other from its header's
+    start = _replayed.get(inode)
+    if start is None or not raw.startswith(start[0]):
+        start = _read_header(path, raw)
+    done, number, schema, live, max_row_id = start
+    live = dict(live)
+    lines = raw[len(done):].split(b"\n")
     # a trailing chunk without its newline is a torn write: drop it
     torn = lines.pop()
     for number, line in enumerate(lines, start=number + 1):
         try:
-            _, tenant, row_id, fields = _decode_event(line, schema.field_names)
-        except (ValueError, TypeError) as exc:
+            tenant, row_id, values = _decode_event(line, schema.field_names)
+        except (ValueError, TypeError, RecursionError) as exc:
             raise CorruptLog(f"corrupt event at line {number} of {path}: {exc}") from None
-        if fields is None:
+        if values is None:
             live.pop(row_id, None)
         else:
-            live[row_id] = (tenant, fields)
+            live[row_id] = (tenant, values)
         if row_id > max_row_id:
             max_row_id = row_id
     if torn:

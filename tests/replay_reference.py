@@ -3,7 +3,7 @@ then the event checks, with each value decoded by
 `base64.b64decode(validate=True)` and the set of an event's field names
 compared with the header's. The tests hold
 `tenant_store._decode_event` to it: both must accept the same lines and
-decode them to the same fields.
+decode them to the same values.
 """
 
 import base64
@@ -13,9 +13,10 @@ from cmt.crypto_codec import check_value
 
 
 def decode_event(line: bytes, names: tuple) -> tuple:
-    """(op, tenant, row_id, fields) of one log line, fields None for a
-    delete. A malformed line, or one whose field names are not the
-    header's `names`, raises ValueError or TypeError."""
+    """(tenant, row_id, values) of one log line, values None for a delete,
+    else a tuple of the values in the order of the header's `names`. A
+    malformed line, or one whose field names are not the header's `names`,
+    raises ValueError or TypeError."""
     event = json.loads(line.decode("utf-8"))
     if not isinstance(event, dict):
         raise ValueError("event is not a JSON object")
@@ -27,7 +28,7 @@ def decode_event(line: bytes, names: tuple) -> tuple:
     if type(row_id) is not int or row_id < 1:
         raise ValueError('"r" must be a positive integer')
     if op == "del":
-        return op, tenant, row_id, None
+        return tenant, row_id, None
     encoded = event.get("f")
     if not isinstance(encoded, dict):
         raise ValueError('"f" must map field names to base64 strings')
@@ -38,4 +39,4 @@ def decode_event(line: bytes, names: tuple) -> tuple:
         name: check_value(base64.b64decode(b64, validate=True))
         for name, b64 in encoded.items()
     }
-    return op, tenant, row_id, fields
+    return tenant, row_id, tuple(fields[name] for name in names)

@@ -8,9 +8,11 @@ import sys
 from pathlib import Path
 from types import ModuleType
 
+import pytest
+
 from cmt import crypto_codec, tenant_store
 from cmt.key_service import MasterKey
-from cmt.tenant_store import TableSchema, create_store
+from cmt.tenant_store import TableSchema, create_store, open_store
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACE_PY = BENCH / "trace.py"
@@ -45,6 +47,40 @@ def test_tracer_records_codec_spans_and_restores_the_program(tmp_path):
     assert tracer.row_lookups["tenant_store.Store.list"] == 1
     assert tenant_store.encrypt_value is crypto_codec.encrypt_value
     assert tenant_store.decrypt_value is crypto_codec.decrypt_value
+
+
+@pytest.mark.parametrize("memo_hit", [False, True], ids=["full_replay", "memo_hit"])
+def test_row_map_probe_counts_a_list_on_an_opened_store(tmp_path, monkeypatch, memo_hit):
+    monkeypatch.setattr(tenant_store, "_replayed", {})
+    decoded = []
+    decode = tenant_store._decode_event
+
+    def spy(line, names):
+        decoded.append(line)
+        return decode(line, names)
+
+    monkeypatch.setattr(tenant_store, "_decode_event", spy)
+    path, master = str(tmp_path / "s.cmt"), MasterKey(bytes(16))
+    with create_store(path, TableSchema("t", ("name", "contact")), master) as s:
+        for tenant in ("uni_a", "uni_b", "uni_a"):
+            s.insert(tenant, {"name": tenant, "contact": "98765"})
+    if memo_hit:
+        open_store(path, master).close()
+        decoded.clear()
+    tracer = load_trace().Tracer()
+    tracer.install()
+    try:
+        tracer.on = True
+        with tenant_store.open_store(path, master) as s:
+            tracer.probe_rows(s)
+            assert [r.row_id for r in s.list("uni_a")] == [1, 3]
+        tracer.on = False
+    finally:
+        tracer.remove()
+    assert len(decoded) == (0 if memo_hit else 3)
+    assert "tenant_store.open_store" in {span[0] for span in tracer.spans}
+    # one read of the row map per live row, whoever owns it
+    assert tracer.row_lookups["tenant_store.Store.list"] == 3
 
 
 def _cmt_names(tree) -> tuple:

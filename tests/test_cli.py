@@ -388,6 +388,20 @@ def run_cmt(args, env_key=HEX_KEY):
     )
 
 
+@pytest.mark.parametrize("where", ["header", "event"])
+def test_a_line_nested_too_deep_exits_3_without_a_traceback(tmp_path, where):
+    # json's scanner raises RecursionError on it, which is no ValueError
+    nested = "[" * 100_000 + "]" * 100_000 + "\n"
+    path = tmp_path / "s.cmt"
+    header = '{"v":1,"table":"t","fields":["a"]}\n'
+    path.write_text(nested if where == "header" else header + nested)
+    result = run_cmt(["--store", str(path), "--tenant", "uni_a", "list"])
+    assert result.returncode == 3
+    assert result.stderr.startswith("cmt: error: ")
+    assert result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr
+
+
 def test_values_survive_process_restart(tmp_path):
     path = str(tmp_path / "s.cmt")
     assert run_cmt(["--store", path, "init", "--table", "t", "--fields", FIELDS]).returncode == 0

@@ -124,6 +124,10 @@ def test_open_version_mismatch(tmp_path):
         open_store(path, MASTER)
 
 
+# deeper than `json`'s scanner recurses: it raises RecursionError, not ValueError
+NESTED = "[" * 100_000 + "]" * 100_000
+
+
 @pytest.mark.parametrize(
     "header",
     [
@@ -131,6 +135,7 @@ def test_open_version_mismatch(tmp_path):
         '{"v":true,"table":"t","fields":["a"]}',  # True == 1
         '{"v":1,"table":"t","fields":{"a":1}}',  # would read as ("a",)
         '{"v":1,"table":"T","fields":["a"]}',  # InvalidSchema, exit 2, at init
+        pytest.param(NESTED, id="nested_too_deep"),
     ],
 )
 def test_open_malformed_header_is_corrupt_header(tmp_path, header):
@@ -250,6 +255,7 @@ def test_locked_open_leaves_a_live_writers_tail_alone(tmp_path):
         '{"op":"del","t":"x","r":5,"ts":1}{"op":"del","t":"x","r":6,"ts":1}',  # extra data
         '{"op":"del","t":"x","r":5,"ts":1} x',
         '{"op":"del","t":"x",\n"r":5,"ts":1}',  # one event split over two lines
+        pytest.param(NESTED, id="nested_too_deep"),
     ],
 )
 def test_malformed_event_is_corrupt_log_with_line_number(tmp_path, event):
@@ -686,6 +692,15 @@ def test_a_corrupt_line_after_a_hit_names_its_line_in_the_file(replayed, decoded
         assert sorted(s._live) == [1, 2, 3]
 
 
+def test_a_line_nested_too_deep_after_a_hit_is_corrupt_log(replayed, decoded):
+    path, _ = replayed
+    with open(path, "a", encoding="ascii") as fh:
+        fh.write(NESTED + "\n")
+    with pytest.raises(CorruptLog, match="at line 5 of"):
+        open_store(str(path), MASTER)
+    assert len(decoded) == 1
+
+
 def test_a_torn_tail_after_a_hit_is_cut_as_in_a_full_replay(replayed, decoded, monkeypatch, caplog):
     path, _ = replayed
     with open_store(str(path), MASTER) as s:
@@ -702,6 +717,53 @@ def test_a_torn_tail_after_a_hit_is_cut_as_in_a_full_replay(replayed, decoded, m
     decoded.clear()
     assert _outcome(path) == _full_replay(path, monkeypatch)
     assert len(decoded) == 5  # none on the reopen: the memo holds the cut file
+
+
+def _assert_value_rows(s, path):
+    """Every live row of `s` is (tenant, tuple of value bytes in schema
+    order), and its values are the "f" of the row's last event in the file."""
+    last = {}
+    for line in path.read_bytes().split(b"\n")[1:-1]:
+        event = json.loads(line)
+        last[event["r"]] = event
+    assert set(s._live) == {r for r, event in last.items() if event["op"] != "del"}
+    for row_id, live_row in s._live.items():
+        assert type(live_row) is tuple and len(live_row) == 2
+        tenant, values = live_row
+        assert type(tenant) is str and type(values) is tuple
+        assert [type(value) for value in values] == [bytes] * len(SCHEMA.field_names)
+        event = last[row_id]
+        assert tenant == event["t"]
+        assert values == tuple(base64.b64decode(event["f"][name]) for name in SCHEMA.field_names)
+
+
+def test_live_rows_are_value_tuples_in_schema_order_on_every_path(tmp_path, decoded, monkeypatch):
+    monkeypatch.setattr(tenant_store, "_replayed", {})
+    path = tmp_path / "s.cmt"
+    with create_store(str(path), SCHEMA, MASTER) as s:
+        for name in ("a", "b", "c"):
+            s.insert("uni_a", row(name, f"c-{name}", f"d-{name}"))
+        s.insert("uni_b", row("e"))
+        s.update("uni_a", 2, row("b2", "c2", "d2"))
+        s.delete("uni_a", 3)
+        _assert_value_rows(s, path)
+    with open_store(str(path), MASTER) as s:  # a full replay
+        assert len(decoded) == 6
+        _assert_value_rows(s, path)
+        s.insert("uni_b", row("f"))
+        s.update("uni_b", 4, row("e2", "c3", "d3"))
+        _assert_value_rows(s, path)
+    decoded.clear()
+    with open_store(str(path), MASTER) as s:  # a hit that replays two lines
+        assert len(decoded) == 2
+        _assert_value_rows(s, path)
+    with open(path, "ab") as fh:
+        fh.write(b'{"op":"del","t":"uni_a","r":1')
+    decoded.clear()
+    with open_store(str(path), MASTER) as s:  # a hit that cuts a torn tail
+        assert decoded == []
+        assert path.read_bytes().endswith(b"\n")
+        _assert_value_rows(s, path)
 
 
 def test_ciphertext_at_rest(tmp_path):
@@ -787,7 +849,7 @@ def test_a_verified_value_that_is_not_utf8_is_auth_error(tmp_path):
     path = str(tmp_path / "s.cmt")
     with create_store(path, SCHEMA, MASTER) as s:
         rid = s.insert("uni_a", row("a name of two AES blocks"))
-        value = s._live[rid][1]["name"]
+        value = s._live[rid][1][0]  # "name", the schema's first field
     iv, ct, tag = value[:16], value[16:-16], value[-16:]
     forged = iv + ct + bytes(a ^ b for a, b in zip(iv, tag)) + ct + tag
     mac_schedule = derive_tenant_keys(MASTER, "uni_a").mac_schedule
