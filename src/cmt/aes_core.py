@@ -25,10 +25,13 @@ schedule:
   round is a fixed byte permutation and `bytes.translate` through the
   S-box. Decryption is the equivalent inverse cipher (FIPS-197 section
   5.3.5): the inverse tables, rows shifted right, and pre-mixed round keys.
-- The multi-lane kernel runs the same rounds on an (n, 16) uint8 numpy array
-  of states, all lanes in lockstep, on the row tables. `encrypt_ecb` and
-  `decrypt_ecb` wrap it for block-aligned bytes, and `cbc_macs` steps many
-  CBC-MAC chains as its lanes, keeping their states in numpy between steps.
+- The multi-lane kernel runs the same rounds on byte-sliced states, a
+  (16, n) uint8 numpy array whose row i is byte i of every lane, all lanes
+  in lockstep, on the row tables. `encrypt_ecb` and `decrypt_ecb` wrap it
+  for block-aligned bytes, transposing at their edges, and `cbc_macs` steps
+  many CBC-MAC chains as its lanes, keeping their states byte-sliced in
+  numpy between steps. A call takes about half the time the (n, 16) states
+  it replaced took from 300 lanes on (BENCH_17.json).
 
 `cbc_macs` is the one CBC-MAC function: with `steps` 0 every message runs
 on the chain, which is how a value is tagged and a tenant root derived.
@@ -332,14 +335,25 @@ def decrypt_block(block: bytes, schedule: KeySchedule) -> bytes:
 
 # --- multi-lane kernel ---------------------------------------------------
 
+# The kernel's states are byte-sliced: a (16, n) uint8 array, row i holding
+# byte i of every lane, so each step of a round reads and writes contiguous
+# (4, n) slabs instead of striding across lanes. Against the (n, 16) states
+# it replaced, `_lane_rounds` took 0.78-0.80 times as long at 1 lane,
+# 0.76-0.78 at 55, 0.53-0.56 at 300, 0.49-0.50 at 543 and 0.36-0.39 at
+# 4,096 (medians of 61 alternating calls, thread CPU, three runs), and
+# `scan_replay`'s `list_ms_p50` fell from 2.73 to 2.08 ms (ten
+# alternating benchmark pairs; BENCH_17.json).
+
 # Work of at least this many blocks runs on the multi-lane kernel, once it
-# is loaded; below it the chain is faster. Measured in 61 alternating pairs
-# of thread CPU time, three runs: CBC decryption of 9 blocks took 0.98-1.04
-# times as long on the kernel as on the chain, of 10 blocks 0.90-0.94, and
-# a lockstep CBC-MAC step of 9 lanes 0.96-1.04 times as long as 9 chain
-# blocks, of 10 lanes 0.87-0.94 (a chain block 10-16 us, a kernel call on
-# 10 blocks 85-155 us): the kernel wins from 10 blocks on. Buffers this
-# short run on the row tables (PLACED_MIN_BLOCKS).
+# is loaded; below it the chain is faster. Measured on the byte-sliced
+# kernel in 61 alternating pairs of thread CPU time, three runs: CBC
+# decryption of 8 blocks took 1.15-1.17 times as long on the kernel as on
+# the chain, of 9 blocks 1.00-1.04 and of 10 blocks 0.86-0.94, and a
+# lockstep CBC-MAC step of 9 lanes 0.96-1.00 times as long as 9 chain
+# blocks, of 10 lanes 0.87-0.97 (a chain block 15-18 us, a kernel
+# decryption of 10 blocks 148-161 us): at 9 blocks the kernel only breaks
+# even, so it wins from 10 blocks on. Buffers this short run on the row
+# tables (PLACED_MIN_BLOCKS).
 LANE_MIN_BLOCKS = 10
 
 # The kernel's numpy import, counted in chain blocks. Until numpy is loaded,
@@ -349,13 +363,14 @@ LANE_MIN_BLOCKS = 10
 # in hindsight would have cost, and a batch that alone costs the purchase
 # buys at once).
 # Measured three times, each the median of 9 fresh processes that time the
-# numpy import and table build and then the chain on 64-block buffers (the
-# placed tables) and the kernel a block, in thread CPU time: the import
-# 82-93 ms, the chain 15.0-16.0 us a block and the kernel 1.2, so the
-# import pays for itself after 6,100-6,700 blocks (5,700-6,300 for the row
-# tables alone, which run 1.15-1.2 times as long a block when warm). 7,000
-# errs toward buying late, which spares the processes that stop soon after
-# the count and would never repay the import.
+# numpy import and table build and then, in thread CPU time, the chain a
+# block on 64-block buffers (the placed tables) and the byte-sliced kernel
+# a block on 543-block buffers (a 150-row list's decryption): the import
+# 80-102 ms, the chain 15.1 us a block (9.2 in one run) and the kernel
+# 0.7-0.8 us, so the import pays for itself after 6,800-7,100 blocks
+# (9,400 in the run of the fast chain). The kernel's cost is so far below
+# the chain's that halving it barely moves the count: 7,000 stays inside
+# that range, and the three runs do not agree on another value.
 IMPORT_BLOCKS = 7000
 
 _LANES = None  # (numpy, encrypt constants, decrypt constants), built on first use
@@ -392,28 +407,37 @@ def _lanes():
 
 
 def _lane_rounds(s, keys: tuple, backward: bool):
-    """The rounds of one direction on an (n, 16) uint8 array of states, all
-    lanes at once; returns a new array of the same shape."""
+    """The rounds of one direction on a (16, n) uint8 array of byte-sliced
+    states, row i holding byte i of every lane, all lanes at once; returns
+    a new (16, n) array. A table round gathers the shifted state, looks up
+    each row table on a (4, n) slab of it and XORs the (4, n) column words
+    in place, then turns them back into bytes with one transposed copy and
+    adds the round key: about half the time of the (n, 16) layout from 300
+    lanes on, and 0.8 of it at one lane."""
     np, enc, dec = _lanes()
     box, perm, (t0, t1, t2, t3) = dec if backward else enc
-    n = len(s)
+    n = s.shape[1]
     rk = np.frombuffer(b"".join([k.to_bytes(16) for k in keys]), dtype=np.uint8)
-    rk = rk.reshape(NUM_ROUNDS + 1, BLOCK_SIZE)
+    rk = rk.reshape(NUM_ROUNDS + 1, BLOCK_SIZE, 1)
     s = s ^ rk[0]
     for r in range(1, NUM_ROUNDS):
-        rows = s.take(perm, axis=1).reshape(n, 4, 4)
-        cols = t0[rows[:, 0]] ^ t1[rows[:, 1]] ^ t2[rows[:, 2]] ^ t3[rows[:, 3]]
-        s = cols.view(np.uint8).reshape(n, BLOCK_SIZE) ^ rk[r]
-    last = box[s.take(perm, axis=1)].reshape(n, 4, 4).transpose(0, 2, 1)
-    return last.reshape(n, BLOCK_SIZE) ^ rk[NUM_ROUNDS]
+        g = s.take(perm, axis=0)
+        w = t0.take(g[0:4])
+        w ^= t1.take(g[4:8])
+        w ^= t2.take(g[8:12])
+        w ^= t3.take(g[12:16])
+        s = w.view(np.uint8).reshape(4, n, 4).transpose(0, 2, 1).reshape(BLOCK_SIZE, n)
+        s ^= rk[r]
+    last = box.take(s.take(perm, axis=0)).reshape(4, 4, n).transpose(1, 0, 2)
+    return last.reshape(BLOCK_SIZE, n) ^ rk[NUM_ROUNDS]
 
 
 def _ecb(data: bytes, keys: tuple, backward: bool) -> bytes:
     if len(data) % BLOCK_SIZE != 0:
         raise ValueError("data length must be a multiple of 16")
     np = _lanes()[0]
-    states = np.frombuffer(data, dtype=np.uint8).reshape(-1, BLOCK_SIZE)
-    return _lane_rounds(states, keys, backward).tobytes()
+    states = np.frombuffer(data, dtype=np.uint8).reshape(-1, BLOCK_SIZE).T
+    return _lane_rounds(states, keys, backward).T.tobytes()
 
 
 def encrypt_ecb(data: bytes, schedule: KeySchedule) -> bytes:
@@ -444,13 +468,19 @@ def cbc_macs(messages: list[bytes], schedule: KeySchedule, steps: int) -> list[b
     blocks = blocks.reshape(-1, BLOCK_SIZE)
     firsts = np.cumsum([0] + sizes[:-1])
     running = len(order)
-    state = np.zeros((running, BLOCK_SIZE), dtype=np.uint8)
+    state = np.zeros((BLOCK_SIZE, running), dtype=np.uint8)  # byte-sliced
     for j in range(steps):
-        while sizes[running - 1] == j:  # this message's tag is its state
+        ended = running
+        while sizes[running - 1] == j:  # these messages' tags are their states
             running -= 1
-            tags[order[running]] = state[running].tobytes()
-        state = _lane_rounds(state[:running] ^ blocks[firsts[:running] + j], schedule.enc_keys, False)
-    for lane, i in enumerate(order[:running]):
-        rest, start = messages[i][steps * BLOCK_SIZE :], state[lane].tobytes()
+        if running < ended:
+            done = state[:, running:ended].T.tobytes()
+            for k, i in enumerate(order[running:ended]):
+                tags[i] = done[k * BLOCK_SIZE : (k + 1) * BLOCK_SIZE]
+        step = blocks.take(firsts[:running] + j, axis=0).T
+        state = _lane_rounds(state[:, :running] ^ step, schedule.enc_keys, False)
+    starts = state[:, :running].T.tobytes()
+    for k, i in enumerate(order[:running]):
+        rest, start = messages[i][steps * BLOCK_SIZE :], starts[k * BLOCK_SIZE : (k + 1) * BLOCK_SIZE]
         tags[i] = encrypt_cbc(rest, schedule, start)[-BLOCK_SIZE:] if rest else start
     return tags

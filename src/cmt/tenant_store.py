@@ -347,9 +347,11 @@ def _read_header(path: str, raw: bytes) -> tuple:
     """The state before the first event of the store file `raw`: (its header
     line with the newline, 1, schema, {}, 0), in the shape of a `_replayed`
     entry."""
-    end = raw.find(b"\n")
-    if end == 0 or not raw:
+    if not raw:
         raise CorruptHeader(f"empty store file: {path}")
+    end = raw.find(b"\n")
+    if end == 0:
+        raise CorruptHeader(f"empty header line in {path}")
     # a header without its newline is not a torn event: truncating it as one
     # would leave an empty file that the next append makes headerless
     if end < 0:

@@ -445,6 +445,64 @@ def test_encrypt_ecb_rejects_misaligned():
         aes_core.decrypt_ecb(b"123", ks)
 
 
+# --- the kernel's byte-sliced states ----------------------------------------
+# The kernel holds its states as a (16, n) array, byte position by lane, and
+# transposes at its edges: a swapped axis would still give the right answer
+# at one block, or wherever n happens to equal 16 or 4, so these cover sizes
+# around those.
+
+@pytest.mark.parametrize("blocks", [0, 1, 3, 4, 5, 16, 17, 63, 64, 300, 4097])
+def test_ecb_matches_the_library_and_the_chain(blocks):
+    key = os.urandom(16)
+    ks = aes_core.expand_key(key)
+    data = os.urandom(16 * blocks)
+    assert aes_core.encrypt_ecb(data, ks) == aes_library_encrypt(key, data)
+    assert aes_core.decrypt_ecb(data, ks) == aes_library_decrypt(key, data)
+    assert aes_core.decrypt_ecb(data, ks) == aes_core.decrypt_blocks(data, ks)
+
+
+def test_decrypt_ecb_splits_anywhere():
+    ks = aes_core.expand_key(os.urandom(16))
+    a, b = os.urandom(16 * 5), os.urandom(16 * 12)
+    assert aes_core.decrypt_ecb(a + b, ks) == aes_core.decrypt_ecb(a, ks) + aes_core.decrypt_ecb(b, ks)
+    assert aes_core.encrypt_ecb(b + a, ks) == aes_core.encrypt_ecb(b, ks) + aes_core.encrypt_ecb(a, ks)
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        [6, 2, 2, 2, 9, 2, 4, 4, 1, 4],  # three lanes end at step 2, two at 4
+        [5] * 12,  # every lane ends at the last step
+        [3],
+        [1 + i % 7 for i in range(300)],
+    ],
+    ids=["lanes_end_together", "equal_lengths", "one_message", "300_messages"],
+)
+def test_cbc_macs_on_the_lanes_match_the_chain(sizes):
+    ks = aes_core.expand_key(os.urandom(16))
+    messages = [os.urandom(16 * n) for n in sizes]
+    expected = aes_core.cbc_macs(messages, ks, 0)
+    for steps in range(1, max(sizes) + 1):
+        assert aes_core.cbc_macs(messages, ks, steps) == expected
+
+
+def test_lane_rounds_keep_the_byte_sliced_shape():
+    # row i of the input and of the output is byte i of every lane, also
+    # for a view that is not contiguous
+    np = aes_core._lanes()[0]
+    key = os.urandom(16)
+    ks = aes_core.expand_key(key)
+    rows = np.frombuffer(os.urandom(16 * 10), dtype=np.uint8).reshape(10, 16)
+    for states in (np.ascontiguousarray(rows.T), rows.T, rows.T[:, 1::3]):
+        lanes = states.T.tobytes()
+        for backward, keys, library in (
+            (False, ks.enc_keys, aes_library_encrypt), (True, ks.dec_keys, aes_library_decrypt)
+        ):
+            out = aes_core._lane_rounds(states, keys, backward)
+            assert out.shape == states.shape
+            assert out.T.tobytes() == library(key, lanes)
+
+
 # --- the engines' one owner ------------------------------------------------
 
 def test_numpy_stays_behind_aes_core():

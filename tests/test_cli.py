@@ -402,6 +402,19 @@ def test_a_line_nested_too_deep_exits_3_without_a_traceback(tmp_path, where):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [("", "empty store file: {}"), ('\n{"v":1,"table":"t","fields":["a"]}\n', "empty header line in {}")],
+    ids=["empty_file", "leading_newline"],
+)
+def test_an_empty_header_line_exits_3_with_its_own_message(tmp_path, content, message):
+    path = tmp_path / "s.cmt"
+    path.write_text(content)
+    result = run_cmt(["--store", str(path), "--tenant", "uni_a", "list"])
+    assert result.returncode == 3
+    assert result.stderr == f"cmt: error: {message.format(path)}\n"
+
+
 def test_values_survive_process_restart(tmp_path):
     path = str(tmp_path / "s.cmt")
     assert run_cmt(["--store", path, "init", "--table", "t", "--fields", FIELDS]).returncode == 0

@@ -145,6 +145,18 @@ def test_open_malformed_header_is_corrupt_header(tmp_path, header):
         open_store(str(path), MASTER)
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [(b"", "empty store file"), (b'\n{"v":1,"table":"t","fields":["a"]}\n', "empty header line")],
+    ids=["empty_file", "leading_newline"],
+)
+def test_an_empty_header_line_is_not_called_an_empty_file(tmp_path, content, message):
+    path = tmp_path / "s.cmt"
+    path.write_bytes(content)
+    with pytest.raises(CorruptHeader, match=message):
+        open_store(str(path), MASTER)
+
+
 def test_advisory_lock_blocks_second_handle(tmp_path):
     path = str(tmp_path / "s.cmt")
     with create_store(path, SCHEMA, MASTER):
