@@ -33,8 +33,14 @@ schedule:
   numpy between steps. A call takes about half the time the (n, 16) states
   it replaced took from 300 lanes on (BENCH_17.json).
 
-`cbc_macs` is the one CBC-MAC function: with `steps` 0 every message runs
-on the chain, which is how a value is tagged and a tenant root derived.
+Two batch functions run on either engine: `cbc_macs`, the one CBC-MAC
+function, and `decrypt_cbc`, which CBC-decrypts messages IV || ciphertext
+with every block of the batch in one call. Without `lanes` both run on
+the chain, which is how a value is tagged and a tenant root derived; with
+it, `cbc_macs` steps the chains as the kernel's lanes while at least
+LANE_MIN_BLOCKS of them are running, and `decrypt_cbc` decrypts on the
+kernel. `use_lanes` makes that choice once for a batch, from the lengths
+of its MAC chains and of its decryption.
 
 The kernel wins from LANE_MIN_BLOCKS (10) blocks of work on, but it needs
 numpy, whose import costs as much as thousands of chain blocks. numpy is
@@ -377,12 +383,27 @@ _LANES = None  # (numpy, encrypt constants, decrypt constants), built on first u
 _chain_blocks = 0  # blocks the kernel would have taken, run on the chain instead
 
 
-def use_lanes(blocks: int) -> bool:
-    """Whether `blocks` blocks of work the kernel would take run there."""
+def _lane_steps(sizes: list[int]) -> int:
+    """How many steps CBC-MAC chains of `sizes` blocks, longest first, take
+    as the kernel's lanes: those while at least LANE_MIN_BLOCKS of them are
+    running."""
+    return sizes[LANE_MIN_BLOCKS - 1] if len(sizes) >= LANE_MIN_BLOCKS else 0
+
+
+def use_lanes(chains: list[int], blocks: int) -> bool:
+    """Whether a batch runs on the kernel: CBC-MAC chains of `chains`
+    blocks and a CBC decryption of `blocks` blocks. The kernel's work is
+    the chains' lane steps (`_lane_steps`) and the decryption if it has
+    LANE_MIN_BLOCKS blocks or more; a batch with none runs on the chain and
+    counts nothing toward the import."""
     global _chain_blocks  # a lost update between threads only delays the import
-    if _LANES or "numpy" in sys.modules or max(_chain_blocks, blocks) >= IMPORT_BLOCKS:
+    if len(chains) < LANE_MIN_BLOCKS and blocks < LANE_MIN_BLOCKS:
+        return False
+    steps = _lane_steps(sorted(chains, reverse=True))
+    work = sum([min(n, steps) for n in chains]) + (blocks if blocks >= LANE_MIN_BLOCKS else 0)
+    if _LANES or "numpy" in sys.modules or max(_chain_blocks, work) >= IMPORT_BLOCKS:
         return True
-    _chain_blocks += blocks
+    _chain_blocks += work
     return False
 
 
@@ -452,18 +473,41 @@ def decrypt_ecb(data: bytes, schedule: KeySchedule) -> bytes:
     return _ecb(data, schedule.dec_keys, backward=True)
 
 
-def cbc_macs(messages: list[bytes], schedule: KeySchedule, steps: int) -> list[bytes]:
+def decrypt_cbc(messages: list[bytes], schedule: KeySchedule, lanes: bool = False) -> list[bytes]:
+    """The CBC decryption of every message IV || ciphertext, each an IV and
+    whole blocks (`crypto_codec.check_value` holds values to that); ValueError
+    if the ciphertexts do not join into whole blocks. Every ciphertext block
+    of the batch is decrypted in one call, on the kernel with `lanes` and on
+    the chain without, since no block's decryption waits on another's (NIST
+    SP 800-38A section 6.2); each is then XORed with the block before it in
+    its message."""
+    data = b"".join([m[BLOCK_SIZE:] for m in messages])
+    plain = (decrypt_ecb if lanes else decrypt_blocks)(data, schedule)
+    before = int.from_bytes(b"".join([m[:-BLOCK_SIZE] for m in messages]))
+    plain = (int.from_bytes(plain) ^ before).to_bytes(len(plain))
+    out, end = [], 0
+    for m in messages:
+        start, end = end, end + len(m) - BLOCK_SIZE
+        out.append(plain[start:end])
+    return out
+
+
+def cbc_macs(messages: list[bytes], schedule: KeySchedule, lanes: bool = False) -> list[bytes]:
     """The CBC-MAC tag (zero IV, last block kept) of every block-aligned
-    message. The first `steps` blocks, at most the longest message's, run
-    on the kernel with one lane per message that is still running, longest
-    messages first, so the running lanes are always a prefix; the rest, and
-    all of it when `steps` is 0, runs on the chain."""
+    message. With `lanes`, the first `_lane_steps` blocks run on the kernel
+    with one lane per message that is still running, longest messages
+    first, so the running lanes are always a prefix; the rest, and all of
+    it without `lanes` or with fewer than LANE_MIN_BLOCKS messages, runs on
+    the chain."""
+    steps = 0
+    if lanes:
+        order = sorted(range(len(messages)), key=lambda i: len(messages[i]), reverse=True)
+        sizes = [len(messages[i]) // BLOCK_SIZE for i in order]
+        steps = _lane_steps(sizes)
     if not steps:
         return [encrypt_cbc(m, schedule, bytes(BLOCK_SIZE))[-BLOCK_SIZE:] for m in messages]
     np = _lanes()[0]
     tags = [b""] * len(messages)
-    order = sorted(range(len(messages)), key=lambda i: len(messages[i]), reverse=True)
-    sizes = [len(messages[i]) // BLOCK_SIZE for i in order]
     blocks = np.frombuffer(b"".join([messages[i] for i in order]), dtype=np.uint8)
     blocks = blocks.reshape(-1, BLOCK_SIZE)
     firsts = np.cumsum([0] + sizes[:-1])

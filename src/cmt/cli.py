@@ -29,10 +29,6 @@ def _parse_sets(pairs) -> dict:
         field, sep, value = pair.partition("=")
         if not sep or not field:
             raise InvalidSchema(f"--set expects field=value, got {pair!r}")
-        try:
-            value.encode("utf-8")
-        except UnicodeEncodeError:
-            raise InvalidSchema(f"--set value of {field!r} is not valid UTF-8") from None
         if field in values:
             raise InvalidSchema(f"--set gives field {field!r} more than once")
         values[field] = value

@@ -11,11 +11,12 @@ only failure a caller ever sees for wrong keys or tampering is AuthError.
 
 `decrypt_values` verifies and decrypts a batch, such as every value a
 `list` returns: all tags are checked before any block is decrypted. It
-counts the batch's work for the multi-lane kernel (the steps of its MAC
-chains while at least `aes_core.LANE_MIN_BLOCKS` of them are running, and
-the CBC decryption of all its ciphertexts in one call) and asks
-`aes_core.use_lanes` once whether the whole batch runs on the kernel or on
-the scalar chain. `decrypt_value` is a batch of one.
+asks `aes_core.use_lanes` once, from the lengths of the batch's MAC chains
+and of its ciphertexts, whether the whole batch runs on the multi-lane
+kernel or on the scalar chain; `aes_core.cbc_macs` then tags it and
+`aes_core.decrypt_cbc` decrypts it. `decrypt_value` is a batch of one.
+This module holds the value layout, the tag comparison and the padding;
+CBC, CBC-MAC and the choice of engine are `aes_core`'s.
 """
 
 import os
@@ -46,10 +47,6 @@ def unpad(data: bytes) -> bytes:
     return data[:-n]
 
 
-def _xor(a: bytes, b: bytes) -> bytes:
-    return (int.from_bytes(a) ^ int.from_bytes(b)).to_bytes(len(a))
-
-
 def check_value(raw: bytes) -> bytes:
     """`raw` if its length is that of a value, IV || ciphertext || tag with
     a ciphertext of one block or more; ValueError otherwise."""
@@ -65,7 +62,7 @@ def encrypt_value(plaintext: bytes, keys) -> bytes:
         raise FieldTooLarge(f"field of {len(plaintext)} bytes exceeds cap of {MAX_FIELD_BYTES}")
     iv = os.urandom(BLOCK_SIZE)
     message = iv + aes_core.encrypt_cbc(pad(plaintext), keys.enc_schedule, iv)
-    return message + aes_core.cbc_macs([message], keys.mac_schedule, 0)[0]
+    return message + aes_core.cbc_macs([message], keys.mac_schedule)[0]
 
 
 def decrypt_values(values: Sequence[bytes], keys) -> list[bytes]:
@@ -73,42 +70,20 @@ def decrypt_values(values: Sequence[bytes], keys) -> list[bytes]:
     AuthError before any block of the batch is decrypted, and so does a
     value whose tag verifies but whose padding is invalid: CBC-MAC tags of
     different lengths are not independent, so a forger can build one.
-    A value of a length `check_value` refuses raises ValueError.
-
-    The values are independent: their MAC chains step side by side as the
-    kernel's lanes while at least LANE_MIN_BLOCKS of them are running, and
-    all their ciphertexts are CBC-decrypted in one call, since no block's
-    decryption waits on another's (NIST SP 800-38A section 6.2)."""
+    A value of a length `check_value` refuses raises ValueError."""
     messages = [check_value(v)[:-BLOCK_SIZE] for v in values]
-    data = b"".join([m[BLOCK_SIZE:] for m in messages])
-    blocks = len(data) // BLOCK_SIZE
-    lane_blocks = blocks if blocks >= aes_core.LANE_MIN_BLOCKS else 0
-    steps = 0
-    if len(values) >= aes_core.LANE_MIN_BLOCKS:
-        sizes = [len(m) // BLOCK_SIZE for m in messages]
-        steps = sorted(sizes, reverse=True)[aes_core.LANE_MIN_BLOCKS - 1]
-        lane_blocks += sum(min(n, steps) for n in sizes)
+    chains = [len(m) // BLOCK_SIZE for m in messages]
     # one decision: the MAC steps and the decryption may buy the kernel together
-    lanes = lane_blocks > 0 and aes_core.use_lanes(lane_blocks)
-    tags = aes_core.cbc_macs(messages, keys.mac_schedule, steps if lanes else 0)
+    lanes = aes_core.use_lanes(chains, sum(chains) - len(chains))
+    tags = aes_core.cbc_macs(messages, keys.mac_schedule, lanes)
     for value, tag in zip(values, tags):
         if not compare_digest(tag, value[-BLOCK_SIZE:]):
             raise AuthError("authentication tag mismatch")
-    schedule = keys.enc_schedule
-    if lanes:
-        plain = aes_core.decrypt_ecb(data, schedule)
-    else:
-        plain = aes_core.decrypt_blocks(data, schedule)
-    # CBC: each block XORed with the one before it in IV || ct
-    plain = _xor(plain, b"".join([m[:-BLOCK_SIZE] for m in messages]))
-    out, end = [], 0
+    plains = aes_core.decrypt_cbc(messages, keys.enc_schedule, lanes)
     try:
-        for m in messages:
-            start, end = end, end + len(m) - BLOCK_SIZE
-            out.append(unpad(plain[start:end]))
+        return list(map(unpad, plains))
     except ValueError:
         raise AuthError("a value whose tag verifies has invalid padding") from None
-    return out
 
 
 def decrypt_value(value: bytes, keys) -> bytes:

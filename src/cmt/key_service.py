@@ -113,7 +113,7 @@ def load_master_key(key_file: str = None) -> MasterKey:
 def derive_tenant_keys(master: MasterKey, tenant_id: str) -> TenantKeySet:
     """Deterministically derive the per-tenant encryption and MAC keys."""
     validate_tenant_id(tenant_id)
-    root = aes_core.cbc_macs([pad(tenant_id.encode("utf-8"))], master.schedule, 0)[0]
+    root = aes_core.cbc_macs([pad(tenant_id.encode("utf-8"))], master.schedule)[0]
     root_schedule = aes_core.expand_key(root, decrypt=False)  # it only encrypts
     return TenantKeySet(
         enc_key=aes_core.encrypt_block(_ENC_CONST, root_schedule),

@@ -38,8 +38,9 @@ def _check_sbox() -> bool:
 
 
 def _check_kat(key: bytes, pt: bytes, ct: bytes) -> bool:
-    ks = aes_core.expand_key(key)
-    return aes_core.encrypt_block(pt, ks) == ct and aes_core.decrypt_block(ct, ks) == pt
+    # a one-block CBC message under a zero IV, on the functions that carry data
+    ks, iv = aes_core.expand_key(key), bytes(aes_core.BLOCK_SIZE)
+    return aes_core.encrypt_cbc(pt, ks, iv) == ct and aes_core.decrypt_cbc([iv + ct], ks) == [pt]
 
 
 def _check_key_expansion() -> bool:
@@ -64,18 +65,15 @@ def _check_codec_round_trip() -> bool:
 
 def _check_throughput(report) -> bool:
     ks = aes_core.expand_key(os.urandom(16))
-    # the kernel must agree with the scalar cipher, in both directions and
-    # on the placed tables too, before we trust its speed: LANE_MIN_BLOCKS
-    # MAC chains step as lanes that end before, at and after the last step,
-    # and the longest runs on the placed tables when on the chain alone
-    sample = os.urandom(16 * aes_core.PLACED_MIN_BLOCKS)
-    if aes_core.decrypt_ecb(sample, ks) != aes_core.decrypt_blocks(sample, ks):
-        return False
-    sizes = [*range(1, aes_core.LANE_MIN_BLOCKS), aes_core.PLACED_MIN_BLOCKS]
+    # the kernel must agree with the scalar cipher before we trust its speed:
+    # CBC-MACs and CBC decryptions of 1..19 blocks and of PLACED_MIN_BLOCKS,
+    # so the lanes end before, at and after the last lane step, and the
+    # chain runs on the row tables and on the placed tables
+    sizes = [*range(1, 2 * aes_core.LANE_MIN_BLOCKS), aes_core.PLACED_MIN_BLOCKS]
     messages = [os.urandom(16 * n) for n in sizes]
-    steps = aes_core.LANE_MIN_BLOCKS // 2
-    if aes_core.cbc_macs(messages, ks, steps) != aes_core.cbc_macs(messages, ks, 0):
-        return False
+    for batch in (aes_core.cbc_macs, aes_core.decrypt_cbc):
+        if batch(messages, ks, True) != batch(messages, ks):
+            return False
     buf = os.urandom(THROUGHPUT_BUFFER_BYTES)
     start = time.perf_counter()
     aes_core.decrypt_ecb(buf, ks)

@@ -20,7 +20,9 @@ before the first event; from it, it replays the lines that follow. Each
 mutation is written and fsynced before the call returns, and an append
 that fails is cut back off the file before the error is raised; if that
 cut fails too, the handle refuses every later mutation until the store is
-reopened, as a closed handle does. A handle is one open file,
+reopened, as a closed handle does; such a handle still reads, but a closed
+one, whose lock is gone and whose rows may be stale, refuses reads too.
+Values must be `str`, encodable as UTF-8. A handle is one open file,
 locked by an advisory `flock` on that file itself, so the lock is the
 inode's and a symlink or hard link meets it too. The opener locks before it
 reads and cuts a trailing torn line (crash mid-write) through the same
@@ -193,8 +195,14 @@ class Store:
             self._live[row_id] = (tenant, values)
         self._max_row_id = max(self._max_row_id, row_id)
 
+    def _refuse_if_closed(self) -> None:
+        # another handle may have written since this one let its lock go
+        if self._fh.closed:
+            raise StoreError(f"the store handle is closed; reopen the store: {self.path}")
+
     def _live_row(self, tenant: str, row_id: int) -> tuple[bytes, ...]:
         # callers hold _mutex
+        self._refuse_if_closed()
         validate_tenant_id(tenant)
         # 1.0 and True equal the key 1 but are no row id the log could hold
         if type(row_id) is not int or row_id not in self._live:
@@ -210,9 +218,17 @@ class Store:
             missing = set(self.schema.field_names) - set(values)
             extra = set(values) - set(self.schema.field_names)
             raise SchemaMismatch(f"missing={sorted(missing)} extra={sorted(extra)}")
+        plains = []
+        for name in self.schema.field_names:
+            value = values[name]
+            if not isinstance(value, str):
+                raise InvalidSchema(f"value of {name!r} is not a str but {type(value).__name__}")
+            try:
+                plains.append(value.encode("utf-8"))
+            except UnicodeEncodeError:
+                raise InvalidSchema(f"value of {name!r} is not valid UTF-8") from None
         keys = self._keys_for(tenant)
-        return tuple([encrypt_value(values[name].encode("utf-8"), keys)
-                      for name in self.schema.field_names])
+        return tuple([encrypt_value(plain, keys) for plain in plains])
 
     # -- operations ----------------------------------------------------
 
@@ -240,6 +256,7 @@ class Store:
         before any is decrypted, in one batch."""
         validate_tenant_id(tenant)
         with self._mutex:
+            self._refuse_if_closed()
             rows = []
             for row_id in sorted(self._live):
                 owner, values = self._live[row_id]

@@ -9,9 +9,13 @@ table-driven one in `aes_core` is then checked against.
 """
 
 import os
+import random
+import sys
 
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aes_reference
 from cmt import aes_core
@@ -471,7 +475,7 @@ def test_decrypt_ecb_splits_anywhere():
 @pytest.mark.parametrize(
     "sizes",
     [
-        [6, 2, 2, 2, 9, 2, 4, 4, 1, 4],  # three lanes end at step 2, two at 4
+        [6, 2, 2, 2, 9, 2, 4, 4, 1, 4],  # ten lanes take one step together
         [5] * 12,  # every lane ends at the last step
         [3],
         [1 + i % 7 for i in range(300)],
@@ -481,9 +485,84 @@ def test_decrypt_ecb_splits_anywhere():
 def test_cbc_macs_on_the_lanes_match_the_chain(sizes):
     ks = aes_core.expand_key(os.urandom(16))
     messages = [os.urandom(16 * n) for n in sizes]
-    expected = aes_core.cbc_macs(messages, ks, 0)
-    for steps in range(1, max(sizes) + 1):
-        assert aes_core.cbc_macs(messages, ks, steps) == expected
+    assert aes_core.cbc_macs(messages, ks, True) == aes_core.cbc_macs(messages, ks)
+
+
+def library_cbc_mac(key: bytes, message: bytes) -> bytes:
+    enc = Cipher(algorithms.AES(key), modes.CBC(bytes(16))).encryptor()
+    return (enc.update(message) + enc.finalize())[-16:]
+
+
+def library_cbc_decrypt(key: bytes, message: bytes) -> bytes:
+    dec = Cipher(algorithms.AES(key), modes.CBC(message[:16])).decryptor()
+    return dec.update(message[16:]) + dec.finalize()
+
+
+@given(
+    st.lists(st.integers(1, 20), max_size=40),
+    st.integers(0, 40),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_batches_on_the_lanes_match_the_chain_and_the_library(sizes, at, seed):
+    # lanes end before, at and after the last lane step, or none run (fewer
+    # than LANE_MIN_BLOCKS messages); the longest message also puts the
+    # chain on the placed tables
+    rng = random.Random(seed)
+    key = rng.randbytes(16)
+    ks = aes_core.expand_key(key)
+    sizes.insert(at, aes_core.PLACED_MIN_BLOCKS)
+    messages = [rng.randbytes(16 * n) for n in sizes]
+    macs = [library_cbc_mac(key, m) for m in messages]
+    assert aes_core.cbc_macs(messages, ks, True) == aes_core.cbc_macs(messages, ks) == macs
+    plains = [library_cbc_decrypt(key, m) for m in messages]
+    assert aes_core.decrypt_cbc(messages, ks, True) == aes_core.decrypt_cbc(messages, ks) == plains
+
+
+def test_decrypt_cbc_of_no_messages_and_of_misaligned_ciphertext():
+    ks = aes_core.expand_key(os.urandom(16))
+    assert aes_core.decrypt_cbc([], ks) == aes_core.decrypt_cbc([], ks, True) == []
+    for bad in ([os.urandom(17)], [os.urandom(32), os.urandom(47)]):
+        for lanes in (False, True):
+            with pytest.raises(ValueError):
+                aes_core.decrypt_cbc(bad, ks, lanes)
+
+
+@pytest.fixture
+def kernel_unloaded(monkeypatch):
+    """The rent-or-buy state of a process that has not loaded the kernel."""
+    monkeypatch.setattr(aes_core, "_LANES", None)
+    monkeypatch.delitem(sys.modules, "numpy", raising=False)
+    monkeypatch.setattr(aes_core, "_chain_blocks", 0)
+
+
+def test_use_lanes_without_kernel_work_counts_nothing(kernel_unloaded):
+    # fewer than LANE_MIN_BLOCKS chains and a decryption shorter than that:
+    # no lane step and no kernel decryption
+    for chains, blocks in (([], 0), ([2], 1), ([1] * 9, 0), ([300] * 9, 9)):
+        assert aes_core.use_lanes(chains, blocks) is False
+        assert aes_core._chain_blocks == 0
+
+
+def test_a_loaded_kernel_takes_only_kernel_work():
+    aes_core._lanes()
+    assert aes_core.use_lanes([300] * 9, 9) is False
+    assert aes_core.use_lanes([300] * 9, 10) is True
+    assert aes_core.use_lanes([1] * 10, 0) is True
+
+
+def test_use_lanes_counts_a_batchs_kernel_work_exactly(kernel_unloaded):
+    # 13 chains: the 10th longest has 5 blocks, so the lanes take 5 steps,
+    # 5 + 10 x 5 + 1 + 1 blocks; the decryption adds its 48 blocks
+    chains = [1, *[5] * 10, 9, 1]
+    assert aes_core.use_lanes(chains, sum(chains) - len(chains)) is False
+    assert aes_core._chain_blocks == 57 + 48
+    # a decryption alone, of LANE_MIN_BLOCKS blocks
+    assert aes_core.use_lanes([11], 10) is False
+    assert aes_core._chain_blocks == 57 + 48 + 10
+    # the blocks run on the chain reach the import, so the next batch buys it
+    assert aes_core.use_lanes([11], aes_core.IMPORT_BLOCKS - aes_core._chain_blocks) is False
+    assert aes_core.use_lanes([11], 10) is True
 
 
 def test_lane_rounds_keep_the_byte_sliced_shape():
@@ -514,8 +593,20 @@ def test_numpy_stays_behind_aes_core():
             with open(os.path.join(package, name), encoding="utf-8") as fh:
                 assert "numpy" not in fh.read(), name
     ks = aes_core.expand_key(os.urandom(16))
-    messages = [os.urandom(16 * n) for n in (12, 1, 3, 5, 3)]
-    tags = aes_core.cbc_macs(messages, ks, 3)  # lanes end before, at and after step 3
+    messages = [os.urandom(16 * n) for n in (12, 1, 3, 5, 3) * 3]
+    tags = aes_core.cbc_macs(messages, ks, True)  # lanes end before, at and after step 3
     assert [type(tag) for tag in tags] == [bytes] * len(messages)
     assert tags == [aes_core.encrypt_cbc(m, ks, bytes(16))[-16:] for m in messages]
-    assert aes_core.cbc_macs(messages, ks, 0) == tags
+    assert aes_core.cbc_macs(messages, ks) == tags
+    plains = aes_core.decrypt_cbc(messages, ks, True)
+    assert [type(plain) for plain in plains] == [bytes] * len(messages)
+
+
+def test_the_codec_leaves_cbc_and_the_lane_plan_to_aes_core():
+    # crypto_codec asks use_lanes and calls the batch functions; which
+    # engine runs, and from how many blocks, is aes_core's alone
+    with open(os.path.join(os.path.dirname(aes_core.__file__), "crypto_codec.py"),
+              encoding="utf-8") as fh:
+        source = fh.read()
+    for name in ("LANE_MIN_BLOCKS", "decrypt_ecb", "decrypt_blocks"):
+        assert name not in source

@@ -80,7 +80,7 @@ def library_value(plaintext: bytes, enc_key: bytes, keys: TenantKeySet) -> bytes
     iv = os.urandom(16)
     enc = Cipher(algorithms.AES(enc_key), modes.CBC(iv)).encryptor()
     ct = enc.update(pad(plaintext)) + enc.finalize()
-    return iv + ct + aes_core.cbc_macs([iv + ct], keys.mac_schedule, 0)[0]
+    return iv + ct + aes_core.cbc_macs([iv + ct], keys.mac_schedule)[0]
 
 
 def test_cbc_matches_library():
@@ -105,8 +105,9 @@ def test_cbc_matches_library():
 
 @pytest.mark.parametrize("blocks", [1, LANE_MIN_BLOCKS - 1, LANE_MIN_BLOCKS, 257])
 def test_cbc_decrypt_matches_library_on_both_paths(blocks, monkeypatch):
-    # below LANE_MIN_BLOCKS the per-block chain runs, from it the lane kernel
-    monkeypatch.setattr(aes_core, "use_lanes", lambda blocks: True)
+    # with the kernel loaded, below LANE_MIN_BLOCKS the per-block chain runs,
+    # from it the lane kernel
+    aes_core._lanes()
     kernel_calls = spy(monkeypatch, aes_core, "decrypt_ecb")
     key = os.urandom(16)
     keys = TenantKeySet(enc_key=key, mac_key=os.urandom(16))
@@ -138,12 +139,6 @@ def test_cbc_mac_is_last_cbc_block():
     for n in (0, 20, 16 * LANE_MIN_BLOCKS):
         value = encrypt_value(os.urandom(n), keys)
         assert value[-16:] == library_cbc_mac(keys.mac_key, value[:-16])
-    # cbc_macs on the chain alone, and with lanes that end before, at and
-    # after the last kernel step; messages of 1..7 blocks
-    messages = [os.urandom(16 * (5 * i % 7 + 1)) for i in range(LANE_MIN_BLOCKS + 1)]
-    expected = [library_cbc_mac(keys.mac_key, m) for m in messages]
-    for steps in (0, 1, 3, 7):
-        assert aes_core.cbc_macs(messages, keys.mac_schedule, steps) == expected
 
 
 # --- value layout ------------------------------------------------------------
@@ -201,7 +196,7 @@ BATCH_KEYS = TenantKeySet(enc_key=b"\x0c" * 16, mac_key=b"\x0d" * 16)
 def test_decrypt_values_equals_one_by_one(lanes, plaintexts):
     values = [encrypt_value(p, BATCH_KEYS) for p in plaintexts]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(aes_core, "use_lanes", lambda blocks: lanes)
+        mp.setattr(aes_core, "use_lanes", lambda *_: lanes)
         batch = decrypt_values(values, BATCH_KEYS)
     assert batch == [decrypt_value(v, BATCH_KEYS) for v in values] == plaintexts
 
@@ -213,7 +208,7 @@ def test_mac_chains_step_in_lockstep_from_lane_min_blocks(count, lanes, monkeypa
     # chains finish on the scalar chain
     plaintexts = [os.urandom((37 * i) % 300) for i in range(1, count + 1)]
     values = [encrypt_value(p, BATCH_KEYS) for p in plaintexts]
-    monkeypatch.setattr(aes_core, "use_lanes", lambda blocks: lanes)
+    monkeypatch.setattr(aes_core, "use_lanes", lambda *_: lanes)
     rounds = spy(monkeypatch, aes_core, "_lane_rounds")
     assert decrypt_values(values, BATCH_KEYS) == plaintexts
     steps = [a for a in rounds if not a[2]]  # MAC steps encrypt; decrypt_ecb does not
@@ -231,7 +226,7 @@ def test_one_forged_tag_refuses_the_batch_before_any_decryption(forged, lanes, m
     forgery = bytearray(genuine)
     forgery[-1] ^= 0x80  # the tag's last byte
     values[at] = bytes(forgery)
-    monkeypatch.setattr(aes_core, "use_lanes", lambda blocks: lanes)
+    monkeypatch.setattr(aes_core, "use_lanes", lambda *_: lanes)
     # what each path decrypts with: the scalar chain, or the lane kernel
     chain = spy(monkeypatch, aes_core, "decrypt_blocks")
     kernel = spy(monkeypatch, aes_core, "decrypt_ecb")
@@ -254,10 +249,10 @@ def test_a_verified_value_with_bad_padding_is_auth_error(lanes, monkeypatch):
         value = encrypt_value(b"x", BATCH_KEYS)
     iv, ct, tag = value[:16], value[16:-16], value[-16:]
     forged = iv + ct + bytes(a ^ b for a, b in zip(iv, tag)) + ct + tag
-    assert aes_core.cbc_macs([forged[:-16]], BATCH_KEYS.mac_schedule, 0)[0] == tag
+    assert aes_core.cbc_macs([forged[:-16]], BATCH_KEYS.mac_schedule)[0] == tag
     with pytest.raises(ValueError):
         unpad(bytes(a ^ b for a, b in zip(pad(b"x"), tag)))
-    monkeypatch.setattr(aes_core, "use_lanes", lambda blocks: lanes)
+    monkeypatch.setattr(aes_core, "use_lanes", lambda *_: lanes)
     with pytest.raises(AuthError, match="padding"):
         decrypt_values([forged] * LANE_MIN_BLOCKS, BATCH_KEYS)
 

@@ -307,6 +307,24 @@ def test_insert_schema_mismatch(store):
         store.insert("uni_a", {**row(), "extra": "z"})
 
 
+@pytest.mark.parametrize(
+    "value, reason",
+    [("\ud800", "not valid UTF-8"), (5, "not a str but int"), (b"x", "not a str but bytes")],
+    ids=["lone_surrogate", "int", "bytes"],
+)
+def test_a_value_that_is_not_utf8_text_is_invalid_schema(store, value, reason):
+    rid = store.insert("uni_a", row())
+    size = os.path.getsize(store.path)
+    for write in (
+        lambda: store.insert("uni_a", {**row(), "contact": value}),
+        lambda: store.update("uni_a", rid, {**row(), "contact": value}),
+    ):
+        with pytest.raises(InvalidSchema, match=f"'contact' is {reason}") as refused:
+            write()
+        assert refused.value.exit_code == 2
+    assert os.path.getsize(store.path) == size
+
+
 def test_get_not_found(store):
     with pytest.raises(NotFound):
         store.get("uni_a", 999)
@@ -354,7 +372,7 @@ def test_list_survives_a_row_deleted_while_it_decrypts(store, monkeypatch):
 
 
 def test_list_matches_get_row_for_row_on_the_lanes(store, monkeypatch):
-    monkeypatch.setattr(aes_core, "use_lanes", lambda blocks: True)
+    monkeypatch.setattr(aes_core, "use_lanes", lambda *_: True)
     lane_rounds = aes_core._lane_rounds
     rounds = []
     monkeypatch.setattr(aes_core, "_lane_rounds", lambda *a: rounds.append(a) or lane_rounds(*a))
@@ -414,13 +432,18 @@ def test_a_row_id_that_only_equals_an_int_is_not_found(tmp_path, row_id):
 def test_a_closed_handle_refuses_mutations_with_store_error(tmp_path):
     path = str(tmp_path / "s.cmt")
     s = create_store(path, SCHEMA, MASTER)
-    rid = s.insert("uni_a", row())
+    rid = s.insert("uni_a", row("one"))
     s.close()
+    # its lock is gone: another handle may change the rows it still holds
+    with open_store(path, MASTER) as other:
+        other.update("uni_a", rid, row("two"))
     size = os.path.getsize(path)
     for mutate in (
         lambda: s.insert("uni_a", row("next")),
         lambda: s.update("uni_a", rid, row("changed")),
         lambda: s.delete("uni_a", rid),
+        lambda: s.get("uni_a", rid),
+        lambda: s.list("uni_a"),
     ):
         with pytest.raises(StoreError, match="closed") as refused:
             mutate()
@@ -561,9 +584,11 @@ def test_failed_rollback_refuses_every_later_mutation(tmp_path, monkeypatch):
             with pytest.raises(StoreError, match="reopen the store") as refused:
                 mutate()
             assert refused.value.exit_code == 3
-        # nothing was appended after the failed event; reads still answer
+        # nothing was appended after the failed event; the handle still holds
+        # its lock, so reads still answer
         assert os.path.getsize(path) == size
         assert s.get("uni_a", rid).fields["name"] == "kept"
+        assert [r.fields["name"] for r in s.list("uni_a")] == ["kept"]
 
 
 def test_torn_write_recovery(tmp_path):
@@ -865,7 +890,7 @@ def test_a_verified_value_that_is_not_utf8_is_auth_error(tmp_path):
     iv, ct, tag = value[:16], value[16:-16], value[-16:]
     forged = iv + ct + bytes(a ^ b for a, b in zip(iv, tag)) + ct + tag
     mac_schedule = derive_tenant_keys(MASTER, "uni_a").mac_schedule
-    assert aes_core.cbc_macs([forged[:-16]], mac_schedule, 0)[0] == tag
+    assert aes_core.cbc_macs([forged[:-16]], mac_schedule)[0] == tag
     with open(path, "rb") as fh:
         event = json.loads(fh.read().split(b"\n")[1])
     event["op"], event["f"]["name"] = "upd", base64.b64encode(forged).decode("ascii")
@@ -1021,7 +1046,7 @@ def test_fuzzed_log_lines_raise_only_cmt_errors(tmp_path, monkeypatch, edits, to
     outcome = _outcome(path)
     path.write_bytes(data)
     assert outcome == _full_replay(path, monkeypatch)
-    monkeypatch.setattr(aes_core, "use_lanes", lambda blocks: lanes)
+    monkeypatch.setattr(aes_core, "use_lanes", lambda *_: lanes)
     try:
         s = open_store(str(path), MASTER)
     except CmtError:
