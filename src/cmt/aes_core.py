@@ -9,11 +9,12 @@ schedule:
 - The scalar chain runs blocks one after another: `encrypt_cbc` is CBC
   encryption under an IV, `decrypt_blocks` decrypts every block of a
   buffer, and `encrypt_block`/`decrypt_block` are one-block calls of the
-  two. The state is one 128-bit int, and a round has one of two forms.
-  On the row tables, the four T-tables of a direction (Daemen & Rijmen,
-  *The Design of Rijndael*, section 4.2), a round unpacks the 16 bytes,
-  builds each column word from four lookups, joins the words with shifts
-  and adds the round key. On the placed tables, one per state byte and
+  two, which no other module of the package makes. The state is one
+  128-bit int, and a round has one of two forms. On the row tables, the
+  four T-tables of a direction (Daemen & Rijmen, *The Design of
+  Rijndael*, section 4.2), a round unpacks the 16 bytes, builds each
+  column word from four lookups, joins the words with shifts and adds the
+  round key. On the placed tables, one per state byte and
   direction, each entry is the T-table word of the byte's row already
   shifted to the output column that (Inv)ShiftRows sends the byte to, so
   a round is one lookup and one XOR per byte plus the round key, and one
@@ -36,11 +37,11 @@ schedule:
 Two batch functions run on either engine: `cbc_macs`, the one CBC-MAC
 function, and `decrypt_cbc`, which CBC-decrypts messages IV || ciphertext
 with every block of the batch in one call. Without `lanes` both run on
-the chain, which is how a value is tagged and a tenant root derived; with
-it, `cbc_macs` steps the chains as the kernel's lanes while at least
+the chain, which is how a value is tagged and a tenant's keys derived;
+with it, `cbc_macs` steps the chains as the kernel's lanes while at least
 LANE_MIN_BLOCKS of them are running, and `decrypt_cbc` decrypts on the
-kernel. `use_lanes` makes that choice once for a batch, from the lengths
-of its MAC chains and of its decryption.
+kernel. `use_lanes` makes that choice once for a batch, from the same
+messages: it works out their MAC chains and decryption blocks itself.
 
 The kernel wins from LANE_MIN_BLOCKS (10) blocks of work on, but it needs
 numpy, whose import costs as much as thousands of chain blocks. numpy is
@@ -51,13 +52,11 @@ blocks, or once the blocks run on the chain instead have reached that
 count. A one-shot `cmt get` or `cmt list` therefore imports numpy only if
 the work it would hand the kernel comes to IMPORT_BLOCKS blocks or more.
 
-`expand_key` builds the round keys of both directions once; a key that only
-ever encrypts (a CBC-MAC key, a key-derivation key) is expanded with
-`decrypt=False` and skips the inverse schedule. Input byte i of a block sits
-at row i % 4 of column i // 4, and a column word is its four bytes read
-big-endian. The placed tables, the row tables and the S-boxes are indexed
-by secret bytes, so the cipher leaks through cache timing; constant-time
-hardening is a non-goal.
+`expand_key` builds the round keys of both directions once, for every key.
+Input byte i of a block sits at row i % 4 of column i // 4, and a column
+word is its four bytes read big-endian. The placed tables, the row tables
+and the S-boxes are indexed by secret bytes, so the cipher leaks through
+cache timing; constant-time hardening is a non-goal.
 """
 
 import struct
@@ -170,8 +169,7 @@ class KeySchedule(namedtuple("KeySchedule", "enc_keys dec_keys")):
     read big-endian: round key r is words 4r..4r+3 of the key expansion,
     most significant first. `dec_keys` are the 11 round keys of the
     equivalent inverse cipher, in the order decryption uses them, with
-    InvMixColumns applied to rounds 1..9; None for a schedule expanded for
-    encryption only.
+    InvMixColumns applied to rounds 1..9.
     """
 
     __slots__ = ()
@@ -189,9 +187,9 @@ def _inv_mix_word(w: int) -> int:
     )
 
 
-def expand_key(key: bytes, decrypt: bool = True) -> KeySchedule:
-    """Rijndael key expansion: 16-byte key -> 11 round keys, plus the round
-    keys of the equivalent inverse cipher unless `decrypt` is false."""
+def expand_key(key: bytes) -> KeySchedule:
+    """Rijndael key expansion: 16-byte key -> 11 round keys, and the round
+    keys of the equivalent inverse cipher."""
     if len(key) != KEY_SIZE:
         raise ValueError(f"key must be {KEY_SIZE} bytes, got {len(key)}")
     w0, w1, w2, w3 = _WORDS.unpack(key)
@@ -208,14 +206,11 @@ def expand_key(key: bytes, decrypt: bool = True) -> KeySchedule:
         w3 ^= w2
         words += (w0, w1, w2, w3)
         enc.append(w0 << 96 | w1 << 64 | w2 << 32 | w3)
-    dec = None
-    if decrypt:
-        dec = enc[NUM_ROUNDS:]
-        for i in range(4 * NUM_ROUNDS - 4, 0, -4):
-            w0, w1, w2, w3 = map(_inv_mix_word, words[i : i + 4])
-            dec.append(w0 << 96 | w1 << 64 | w2 << 32 | w3)
-        dec = tuple(dec + enc[:1])
-    return KeySchedule(tuple(enc), dec)
+    dec = enc[NUM_ROUNDS:]
+    for i in range(4 * NUM_ROUNDS - 4, 0, -4):
+        w0, w1, w2, w3 = map(_inv_mix_word, words[i : i + 4])
+        dec.append(w0 << 96 | w1 << 64 | w2 << 32 | w3)
+    return KeySchedule(tuple(enc), tuple(dec + enc[:1]))
 
 
 # ShiftRows and InvShiftRows of a 16-byte state: byte 4c + r comes from
@@ -390,15 +385,18 @@ def _lane_steps(sizes: list[int]) -> int:
     return sizes[LANE_MIN_BLOCKS - 1] if len(sizes) >= LANE_MIN_BLOCKS else 0
 
 
-def use_lanes(chains: list[int], blocks: int) -> bool:
-    """Whether a batch runs on the kernel: CBC-MAC chains of `chains`
-    blocks and a CBC decryption of `blocks` blocks. The kernel's work is
-    the chains' lane steps (`_lane_steps`) and the decryption if it has
-    LANE_MIN_BLOCKS blocks or more; a batch with none runs on the chain and
-    counts nothing toward the import."""
+def use_lanes(messages: list[bytes]) -> bool:
+    """Whether a batch of block-aligned messages IV || ciphertext, the list
+    that `cbc_macs` and `decrypt_cbc` then take, runs on the kernel. Each
+    message is one CBC-MAC chain, and the decryption is every block but the
+    IVs. The kernel's work is the chains' lane steps (`_lane_steps`) and the
+    decryption if it has LANE_MIN_BLOCKS blocks or more; a batch with none
+    runs on the chain and counts nothing toward the import."""
     global _chain_blocks  # a lost update between threads only delays the import
-    if len(chains) < LANE_MIN_BLOCKS and blocks < LANE_MIN_BLOCKS:
+    blocks = sum(map(len, messages)) // BLOCK_SIZE - len(messages)
+    if len(messages) < LANE_MIN_BLOCKS and blocks < LANE_MIN_BLOCKS:
         return False
+    chains = [len(m) // BLOCK_SIZE for m in messages]
     steps = _lane_steps(sorted(chains, reverse=True))
     work = sum([min(n, steps) for n in chains]) + (blocks if blocks >= LANE_MIN_BLOCKS else 0)
     if _LANES or "numpy" in sys.modules or max(_chain_blocks, work) >= IMPORT_BLOCKS:

@@ -11,10 +11,10 @@ only failure a caller ever sees for wrong keys or tampering is AuthError.
 
 `decrypt_values` verifies and decrypts a batch, such as every value a
 `list` returns: all tags are checked before any block is decrypted. It
-asks `aes_core.use_lanes` once, from the lengths of the batch's MAC chains
-and of its ciphertexts, whether the whole batch runs on the multi-lane
-kernel or on the scalar chain; `aes_core.cbc_macs` then tags it and
-`aes_core.decrypt_cbc` decrypts it. `decrypt_value` is a batch of one.
+hands the batch's messages IV || ciphertext once to `aes_core.use_lanes`,
+which decides whether the whole batch runs on the multi-lane kernel or on
+the scalar chain; `aes_core.cbc_macs` then tags them and
+`aes_core.decrypt_cbc` decrypts them. `decrypt_value` is a batch of one.
 This module holds the value layout, the tag comparison and the padding;
 CBC, CBC-MAC and the choice of engine are `aes_core`'s.
 """
@@ -72,9 +72,8 @@ def decrypt_values(values: Sequence[bytes], keys) -> list[bytes]:
     different lengths are not independent, so a forger can build one.
     A value of a length `check_value` refuses raises ValueError."""
     messages = [check_value(v)[:-BLOCK_SIZE] for v in values]
-    chains = [len(m) // BLOCK_SIZE for m in messages]
     # one decision: the MAC steps and the decryption may buy the kernel together
-    lanes = aes_core.use_lanes(chains, sum(chains) - len(chains))
+    lanes = aes_core.use_lanes(messages)
     tags = aes_core.cbc_macs(messages, keys.mac_schedule, lanes)
     for value, tag in zip(values, tags):
         if not compare_digest(tag, value[-BLOCK_SIZE:]):

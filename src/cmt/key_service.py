@@ -2,8 +2,9 @@
 
 The tenant root is the CBC-MAC (`aes_core.cbc_macs`: zero IV, last block
 kept) of the PKCS#7-padded tenant id bytes under the master key. The two
-subkeys are AES encryptions of distinct constant blocks under that root,
-so they can never collide with each other.
+subkeys are the CBC-MACs of two distinct constant blocks under that root,
+from one `cbc_macs` call; the CBC-MAC of one block is its AES encryption,
+so the subkeys can never collide with each other.
 
 `derive_tenant_keys` always derives. Each `MasterKey` keeps the tenants
 derived under it in `derived`, which `tenant_store` reads, so a tenant is
@@ -29,15 +30,14 @@ _MAC_CONST = bytes([0x02]) * 16
 
 
 class MasterKey(namedtuple("MasterKey", "key schedule")):
-    """The 16-byte master key and its schedule, expanded once, here, for
-    encryption only: the master key only ever computes CBC-MACs.
+    """The 16-byte master key and its schedule, expanded once, here.
     `derived` maps each tenant id derived under it to its `TenantKeySet`;
     it grows by one entry per tenant and is never evicted."""
 
     def __new__(cls, key: bytes):
         if len(key) != aes_core.KEY_SIZE:
             raise MalformedKey("master key must be exactly 16 bytes")
-        self = super().__new__(cls, key, aes_core.expand_key(key, decrypt=False))
+        self = super().__new__(cls, key, aes_core.expand_key(key))
         self.derived = {}
         return self
 
@@ -58,13 +58,12 @@ class MasterKey(namedtuple("MasterKey", "key schedule")):
 
 class TenantKeySet(namedtuple("TenantKeySet", "enc_key mac_key enc_schedule mac_schedule")):
     """A tenant's two keys, each expanded once, here, for every value the
-    codec encrypts or decrypts under them. Only the encryption key
-    decrypts; the MAC key's schedule has no inverse half."""
+    codec encrypts or decrypts under them."""
 
     __slots__ = ()
 
     def __new__(cls, enc_key: bytes, mac_key: bytes):
-        enc, mac = aes_core.expand_key(enc_key), aes_core.expand_key(mac_key, decrypt=False)
+        enc, mac = aes_core.expand_key(enc_key), aes_core.expand_key(mac_key)
         return super().__new__(cls, enc_key, mac_key, enc, mac)
 
     @classmethod
@@ -114,8 +113,5 @@ def derive_tenant_keys(master: MasterKey, tenant_id: str) -> TenantKeySet:
     """Deterministically derive the per-tenant encryption and MAC keys."""
     validate_tenant_id(tenant_id)
     root = aes_core.cbc_macs([pad(tenant_id.encode("utf-8"))], master.schedule)[0]
-    root_schedule = aes_core.expand_key(root, decrypt=False)  # it only encrypts
-    return TenantKeySet(
-        enc_key=aes_core.encrypt_block(_ENC_CONST, root_schedule),
-        mac_key=aes_core.encrypt_block(_MAC_CONST, root_schedule),
-    )
+    enc_key, mac_key = aes_core.cbc_macs([_ENC_CONST, _MAC_CONST], aes_core.expand_key(root))
+    return TenantKeySet(enc_key, mac_key)

@@ -25,9 +25,10 @@ one, whose lock is gone and whose rows may be stale, refuses reads too.
 Values must be `str`, encodable as UTF-8. A handle is one open file,
 locked by an advisory `flock` on that file itself, so the lock is the
 inode's and a symlink or hard link meets it too. The opener locks before it
-reads and cuts a trailing torn line (crash mid-write) through the same
-file, with a `logging` warning (on stderr unless logging is configured);
-`logging` is imported on that path only. `list` verifies and decrypts all
+reads, refuses a file that is not a regular one (a FIFO or a device, whose
+read would block or never end), and cuts a trailing torn line (crash
+mid-write) through the same file, with a `logging` warning (on stderr
+unless logging is configured); `logging` is imported on that path only. `list` verifies and decrypts all
 of a tenant's values as one batch (`crypto_codec.decrypt_values`), `get`
 one value at a time; a value that verifies but is not UTF-8 is AuthError.
 
@@ -45,6 +46,7 @@ import fcntl
 import json
 import os
 import re
+import stat
 import threading
 from collections import namedtuple
 
@@ -138,12 +140,11 @@ class Store:
         self._live: dict[int, tuple[str, tuple[bytes, ...]]] = live
         self._max_row_id = max_row_id
         self._mutex = threading.Lock()
-        self._broken: str | None = None  # why no mutation may append any more
+        self._broken: str | None = None  # why a failed cut-back poisoned the handle
 
     # -- lifecycle -----------------------------------------------------
 
     def close(self) -> None:
-        self._broken = "the store handle is closed"
         self._fh.close()
 
     def __enter__(self) -> "Store":
@@ -169,6 +170,7 @@ class Store:
         that cut fails too, the handle refuses every later mutation: the
         file may hold the failed event, and an append after it could reuse
         its row id or glue onto a fragment."""
+        self._refuse_if_closed()
         if self._broken:
             raise StoreError(f"{self._broken}; reopen the store: {self.path}")
         event = {"op": op, "t": tenant, "r": row_id}
@@ -404,9 +406,12 @@ _replayed: dict = {}
 
 
 def _load(path: str, fh, master: MasterKey | None) -> Store:
+    info = os.fstat(fh.fileno())
+    # a FIFO would block the read below, and a device could feed it forever
+    if not stat.S_ISREG(info.st_mode):
+        raise StoreError(f"not a regular file: {path}")
     raw = fh.read()
-    stat = os.fstat(fh.fileno())
-    inode = (stat.st_dev, stat.st_ino)
+    inode = (info.st_dev, info.st_ino)
     # replay is a pure function of the file's bytes, so a file that still
     # starts with the bytes the last open replayed starts from that open's
     # state, and any other from its header's

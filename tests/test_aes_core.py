@@ -316,14 +316,6 @@ def test_round_keys_of_both_directions():
         assert ks.dec_keys == tuple(int.from_bytes(k, "big") for k in inverse)
 
 
-def test_expand_key_for_encryption_only():
-    for _ in range(20):
-        key, block = os.urandom(16), os.urandom(16)
-        ks, enc_only = aes_core.expand_key(key), aes_core.expand_key(key, decrypt=False)
-        assert enc_only == (ks.enc_keys, None)
-        assert aes_core.encrypt_block(block, enc_only) == aes_core.encrypt_block(block, ks)
-
-
 def test_expand_key_rejects_bad_length():
     with pytest.raises(ValueError):
         aes_core.expand_key(b"short")
@@ -528,41 +520,78 @@ def test_decrypt_cbc_of_no_messages_and_of_misaligned_ciphertext():
                 aes_core.decrypt_cbc(bad, ks, lanes)
 
 
+def _unload_kernel(mp):
+    mp.setattr(aes_core, "_LANES", None)
+    mp.delitem(sys.modules, "numpy", raising=False)
+    mp.setattr(aes_core, "_chain_blocks", 0)
+
+
 @pytest.fixture
 def kernel_unloaded(monkeypatch):
     """The rent-or-buy state of a process that has not loaded the kernel."""
-    monkeypatch.setattr(aes_core, "_LANES", None)
-    monkeypatch.delitem(sys.modules, "numpy", raising=False)
-    monkeypatch.setattr(aes_core, "_chain_blocks", 0)
+    _unload_kernel(monkeypatch)
+
+
+def messages_of(*chains: int) -> list[bytes]:
+    """Messages IV || ciphertext of `chains` blocks each, as the codec hands
+    them to use_lanes: an IV and a ciphertext of one block or more."""
+    return [bytes(16 * n) for n in chains]
 
 
 def test_use_lanes_without_kernel_work_counts_nothing(kernel_unloaded):
-    # fewer than LANE_MIN_BLOCKS chains and a decryption shorter than that:
+    # fewer than LANE_MIN_BLOCKS messages and a decryption shorter than that:
     # no lane step and no kernel decryption
-    for chains, blocks in (([], 0), ([2], 1), ([1] * 9, 0), ([300] * 9, 9)):
-        assert aes_core.use_lanes(chains, blocks) is False
+    for chains in ((), (2,), (10,), (2,) * 9, (3, 2, 2, 2, 2, 2, 2, 2)):
+        assert aes_core.use_lanes(messages_of(*chains)) is False
         assert aes_core._chain_blocks == 0
 
 
 def test_a_loaded_kernel_takes_only_kernel_work():
     aes_core._lanes()
-    assert aes_core.use_lanes([300] * 9, 9) is False
-    assert aes_core.use_lanes([300] * 9, 10) is True
-    assert aes_core.use_lanes([1] * 10, 0) is True
+    assert aes_core.use_lanes(messages_of(*[2] * 9)) is False  # 9 chains, 9 blocks
+    assert aes_core.use_lanes(messages_of(300, *[2] * 8)) is True  # 9 chains, 307 blocks
+    assert aes_core.use_lanes(messages_of(11)) is True  # 1 chain, 10 blocks
+    assert aes_core.use_lanes(messages_of(*[2] * 10)) is True  # 10 chains
 
 
 def test_use_lanes_counts_a_batchs_kernel_work_exactly(kernel_unloaded):
     # 13 chains: the 10th longest has 5 blocks, so the lanes take 5 steps,
-    # 5 + 10 x 5 + 1 + 1 blocks; the decryption adds its 48 blocks
-    chains = [1, *[5] * 10, 9, 1]
-    assert aes_core.use_lanes(chains, sum(chains) - len(chains)) is False
-    assert aes_core._chain_blocks == 57 + 48
+    # 2 + 10 x 5 + 5 + 2 blocks; the decryption adds its 63 - 13 blocks
+    assert aes_core.use_lanes(messages_of(2, *[5] * 10, 9, 2)) is False
+    assert aes_core._chain_blocks == 59 + 50
     # a decryption alone, of LANE_MIN_BLOCKS blocks
-    assert aes_core.use_lanes([11], 10) is False
-    assert aes_core._chain_blocks == 57 + 48 + 10
+    assert aes_core.use_lanes(messages_of(11)) is False
+    assert aes_core._chain_blocks == 59 + 50 + 10
     # the blocks run on the chain reach the import, so the next batch buys it
-    assert aes_core.use_lanes([11], aes_core.IMPORT_BLOCKS - aes_core._chain_blocks) is False
-    assert aes_core.use_lanes([11], 10) is True
+    short = aes_core.IMPORT_BLOCKS - aes_core._chain_blocks
+    assert aes_core.use_lanes(messages_of(short // 2 + 1, short - short // 2 + 1)) is False
+    assert aes_core._chain_blocks == aes_core.IMPORT_BLOCKS
+    assert aes_core.use_lanes(messages_of(11)) is True
+
+
+def use_lanes_by_chains(chains: list[int], blocks: int, chain_blocks: int) -> tuple:
+    """The decision and the count `use_lanes` leaves, from the MAC chain
+    lengths and the decryption's block count, in a process with the kernel
+    unloaded: the rule stated on lengths, as the codec once computed them."""
+    n = aes_core.LANE_MIN_BLOCKS
+    if len(chains) < n and blocks < n:
+        return False, chain_blocks
+    steps = sorted(chains, reverse=True)[n - 1] if len(chains) >= n else 0
+    work = sum(min(c, steps) for c in chains) + (blocks if blocks >= n else 0)
+    if max(chain_blocks, work) >= aes_core.IMPORT_BLOCKS:
+        return True, chain_blocks
+    return False, chain_blocks + work
+
+
+@given(st.lists(st.lists(st.integers(2, 300), max_size=40), min_size=1, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_use_lanes_on_messages_matches_the_rule_on_lengths(batches):
+    # batches one after another, so the count of one is the start of the next
+    with pytest.MonkeyPatch.context() as mp:
+        _unload_kernel(mp)
+        for chains in batches:
+            expected = use_lanes_by_chains(chains, sum(chains) - len(chains), aes_core._chain_blocks)
+            assert (aes_core.use_lanes(messages_of(*chains)), aes_core._chain_blocks) == expected
 
 
 def test_lane_rounds_keep_the_byte_sliced_shape():
@@ -610,3 +639,15 @@ def test_the_codec_leaves_cbc_and_the_lane_plan_to_aes_core():
         source = fh.read()
     for name in ("LANE_MIN_BLOCKS", "decrypt_ecb", "decrypt_blocks"):
         assert name not in source
+
+
+def test_only_aes_core_names_the_block_and_ecb_wrappers():
+    # the package reaches the cipher through CBC and CBC-MAC on messages;
+    # the one-block calls and ECB are kept for the tests and the benchmark
+    package = os.path.dirname(aes_core.__file__)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py") and name != "aes_core.py":
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                source = fh.read()
+            for wrapper in ("encrypt_block", "decrypt_block", "encrypt_ecb"):
+                assert wrapper not in source, (name, wrapper)

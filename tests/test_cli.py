@@ -379,12 +379,12 @@ def test_selftest_times_only_a_kernel_that_matches_the_scalar_cipher(monkeypatch
 
 # --- restart durability (real separate processes) ------------------------------
 
-def run_cmt(args, env_key=HEX_KEY):
+def run_cmt(args, env_key=HEX_KEY, timeout=None):
     env = dict(os.environ)
     env[MASTER_KEY_ENV] = env_key
     return subprocess.run(
         [sys.executable, "-m", "cmt.cli", *args],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
 
 
@@ -413,6 +413,16 @@ def test_an_empty_header_line_exits_3_with_its_own_message(tmp_path, content, me
     result = run_cmt(["--store", str(path), "--tenant", "uni_a", "list"])
     assert result.returncode == 3
     assert result.stderr == f"cmt: error: {message.format(path)}\n"
+
+
+def test_a_store_that_is_not_a_regular_file_exits_3(tmp_path):
+    # a FIFO would block `list` in the replay's read until killed
+    path = tmp_path / "s.cmt"
+    os.mkfifo(path)
+    result = run_cmt(["--store", str(path), "--tenant", "uni_a", "list"], timeout=60)
+    assert result.returncode == 3
+    assert result.stderr == f"cmt: error: not a regular file: {path}\n"
+    assert result.stdout == ""
 
 
 def test_values_survive_process_restart(tmp_path):

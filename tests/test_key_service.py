@@ -133,7 +133,7 @@ def test_replace_of_a_master_rebuilds_it_from_the_new_key():
     master.derived["alpha"] = derive_tenant_keys(master, "alpha")
     replaced = master._replace(key=new)
     assert type(replaced) is MasterKey and replaced == MasterKey(new)
-    assert replaced.schedule == aes_core.expand_key(new, decrypt=False)
+    assert replaced.schedule == aes_core.expand_key(new)
     assert replaced.derived == {}  # a memo of its own, not the old key's
     assert derive_tenant_keys(replaced, "alpha") == derive_tenant_keys(MasterKey(new), "alpha")
     assert master == MasterKey(old) and "alpha" in master.derived
@@ -148,11 +148,11 @@ def test_replace_and_make_of_a_key_set_rebuild_its_schedules():
     replaced = TenantKeySet(a, b)._replace(enc_key=c)
     assert type(replaced) is TenantKeySet and replaced == TenantKeySet(c, b)
     assert replaced.enc_schedule == aes_core.expand_key(c)
-    assert replaced.mac_schedule == aes_core.expand_key(b, decrypt=False)
+    assert replaced.mac_schedule == aes_core.expand_key(b)
     made = TenantKeySet._make([a, a, None, None])
     assert made == TenantKeySet(a, a)
     assert made.enc_schedule == aes_core.expand_key(a)
-    assert made.mac_schedule == aes_core.expand_key(a, decrypt=False)
+    assert made.mac_schedule == aes_core.expand_key(a)
     assert made._replace(mac_schedule=None) == made
 
 
@@ -202,19 +202,12 @@ def test_repr_shows_no_key_material():
         (keys.enc_schedule, [keys.enc_key], [keys.enc_schedule]),
         (keys.mac_schedule, [keys.mac_key], [keys.mac_schedule]),
     ]
-    # schedules with and without the inverse half are both covered
-    assert master.schedule.dec_keys is None and keys.mac_schedule.dec_keys is None
-    assert keys.enc_schedule.dec_keys is not None
     for record, key_bytes, schedules in secrets:
         # every key-derived value of every field: 32-bit expansion words and
         # 128-bit round keys of both directions
         values = set()
         for schedule in schedules:
-            for name in schedule._fields:
-                field = getattr(schedule, name)
-                if field is None:
-                    assert name == "dec_keys"
-                    continue
+            for field in schedule:
                 assert field and all(type(v) is int for v in field)
                 values.update(field)
         for text in (repr(record), str(record), f"{record}", f"{record!r}", repr([record])):
@@ -225,16 +218,3 @@ def test_repr_shows_no_key_material():
                 raw = v.to_bytes(4 if v < 2**32 else 16, "big")
                 assert str(v) not in text and f"{v:x}" not in text
                 assert raw.hex() not in text and repr(raw)[2:-1] not in text
-
-
-def test_one_derivation_builds_one_inverse_schedule(monkeypatch):
-    # only the tenant's encryption key ever decrypts: the root and the MAC
-    # key are expanded without InvMixColumns, 4 words for each of rounds 1..9
-    master = MasterKey(bytes(range(16)))
-    calls = []
-    inv_mix_word = aes_core._inv_mix_word
-    monkeypatch.setattr(aes_core, "_inv_mix_word", lambda w: calls.append(w) or inv_mix_word(w))
-    keys = derive_tenant_keys(master, "alpha")
-    assert len(calls) == 4 * (aes_core.NUM_ROUNDS - 1)
-    assert keys.mac_schedule.dec_keys is None
-    assert aes_core.decrypt_block(aes_core.encrypt_block(bytes(16), keys.enc_schedule), keys.enc_schedule) == bytes(16)

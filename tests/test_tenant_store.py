@@ -9,6 +9,7 @@ import os
 import random
 import stat
 import tempfile
+import threading
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -449,6 +450,26 @@ def test_a_closed_handle_refuses_mutations_with_store_error(tmp_path):
             mutate()
         assert refused.value.exit_code == 3
     assert os.path.getsize(path) == size
+
+
+def test_a_store_path_that_is_not_a_regular_file_is_store_error(tmp_path):
+    # replay reads the whole file: a FIFO would block it for good
+    path = str(tmp_path / "s.cmt")
+    os.mkfifo(path)
+    refused = []
+
+    def opener():
+        try:
+            open_store(path, MASTER)
+        except StoreError as exc:
+            refused.append(exc)
+
+    thread = threading.Thread(target=opener, daemon=True)
+    thread.start()
+    thread.join(30)
+    assert not thread.is_alive(), "open_store blocked on a FIFO"
+    [exc] = refused
+    assert str(exc) == f"not a regular file: {path}" and exc.exit_code == 3
 
 
 def test_operations_without_master_key(tmp_path):
