@@ -41,12 +41,6 @@ def _print_record(record: tenant_store.Record, schema: TableSchema) -> None:
         print(f"{name}={record.fields[name]}")
 
 
-def _require(args, *names) -> None:
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise InvalidSchema(f"--{name} is required for this command")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cmt", description="Encrypted multi-tenant record store."
@@ -64,16 +58,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_insert.add_argument("--set", action="append", metavar="FIELD=VALUE")
 
     p_get = sub.add_parser("get", help="fetch and decrypt one row")
-    p_get.add_argument("--row", type=int)
+    p_get.add_argument("--row", type=int, required=True)
 
     sub.add_parser("list", help="list all of a tenant's rows")
 
     p_update = sub.add_parser("update", help="replace all fields of a row")
-    p_update.add_argument("--row", type=int)
+    p_update.add_argument("--row", type=int, required=True)
     p_update.add_argument("--set", action="append", metavar="FIELD=VALUE")
 
     p_delete = sub.add_parser("delete", help="delete a row")
-    p_delete.add_argument("--row", type=int)
+    p_delete.add_argument("--row", type=int, required=True)
 
     sub.add_parser("selftest", help="run cipher and codec known-answer checks")
     return parser
@@ -93,7 +87,7 @@ def main(argv=None) -> int:
             return EXIT_OK if run_selftest() else EXIT_SELFTEST
 
         if args.command == "init":
-            fields = tuple(f for f in args.fields.split(",") if f)
+            fields = tuple(args.fields.split(","))
             store = create_store(args.store, TableSchema(args.table, fields))
             store.close()
             print(
@@ -104,23 +98,21 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         # data commands need a key and a tenant
-        _require(args, "tenant")
+        if args.tenant is None:
+            raise InvalidSchema("--tenant is required for this command")
         master = load_master_key(key_file=args.master_key_file)
         with open_store(args.store, master) as store:
             if args.command == "insert":
                 row_id = store.insert(args.tenant, _parse_sets(args.set))
                 print(row_id)
             elif args.command == "get":
-                _require(args, "row")
                 _print_record(store.get(args.tenant, args.row), store.schema)
             elif args.command == "list":
                 for record in store.list(args.tenant):
                     _print_record(record, store.schema)
             elif args.command == "update":
-                _require(args, "row")
                 store.update(args.tenant, args.row, _parse_sets(args.set))
             elif args.command == "delete":
-                _require(args, "row")
                 store.delete(args.tenant, args.row)
         return EXIT_OK
 

@@ -10,12 +10,11 @@ so the subkeys can never collide with each other.
 derived under it in `derived`, which `tenant_store` reads, so a tenant is
 derived once per `MasterKey` object, whatever the number of store handles
 opened with it. The memo is the object's own: a copy, an unpickled
-master, a `_replace`d one or another object of the same key starts empty.
+master or another object of the same key starts empty.
 """
 
 import os
 import re
-from collections import namedtuple
 
 from . import aes_core
 from .crypto_codec import pad
@@ -28,51 +27,40 @@ _TENANT_ID_RE = re.compile(r"^[a-z0-9_-]{1,64}$")
 _ENC_CONST = bytes([0x01]) * 16
 _MAC_CONST = bytes([0x02]) * 16
 
+# a key is 32 hex characters and some whitespace: a longer text is refused, and
+# a key file is read only one character past it, so that a pipe or a device
+# cannot feed the read forever
+_KEY_TEXT_MAX = 1024
 
-class MasterKey(namedtuple("MasterKey", "key schedule")):
+
+class MasterKey:
     """The 16-byte master key and its schedule, expanded once, here.
     `derived` maps each tenant id derived under it to its `TenantKeySet`;
     it grows by one entry per tenant and is never evicted."""
 
-    def __new__(cls, key: bytes):
+    __slots__ = ("key", "schedule", "derived")
+
+    def __init__(self, key: bytes):
         if len(key) != aes_core.KEY_SIZE:
             raise MalformedKey("master key must be exactly 16 bytes")
-        self = super().__new__(cls, key, aes_core.expand_key(key))
-        self.derived = {}
-        return self
+        self.key, self.schedule, self.derived = key, aes_core.expand_key(key), {}
 
-    @classmethod
-    def _make(cls, fields):  # also _replace's: through __new__, the schedule recomputed
-        key, _schedule = fields
-        return cls(key)
-
-    def __getnewargs__(self):  # copy and pickle rebuild it from the key
-        return (self.key,)
-
-    def __getstate__(self):  # and with an empty memo: no derived key is copied
-        return None
+    def __reduce__(self):  # copy and pickle rebuild it from the key, with an empty memo
+        return MasterKey, (self.key,)
 
     def __repr__(self) -> str:  # also str() and f-strings: no key material
         return "MasterKey(key=<redacted>)"
 
 
-class TenantKeySet(namedtuple("TenantKeySet", "enc_key mac_key enc_schedule mac_schedule")):
+class TenantKeySet:
     """A tenant's two keys, each expanded once, here, for every value the
     codec encrypts or decrypts under them."""
 
-    __slots__ = ()
+    __slots__ = ("enc_key", "mac_key", "enc_schedule", "mac_schedule")
 
-    def __new__(cls, enc_key: bytes, mac_key: bytes):
-        enc, mac = aes_core.expand_key(enc_key), aes_core.expand_key(mac_key)
-        return super().__new__(cls, enc_key, mac_key, enc, mac)
-
-    @classmethod
-    def _make(cls, fields):  # also _replace's: through __new__, the schedules recomputed
-        enc_key, mac_key, _enc_schedule, _mac_schedule = fields
-        return cls(enc_key, mac_key)
-
-    def __getnewargs__(self):  # copy and pickle rebuild it from the keys
-        return (self.enc_key, self.mac_key)
+    def __init__(self, enc_key: bytes, mac_key: bytes):
+        self.enc_key, self.enc_schedule = enc_key, aes_core.expand_key(enc_key)
+        self.mac_key, self.mac_schedule = mac_key, aes_core.expand_key(mac_key)
 
     def __repr__(self) -> str:  # also str() and f-strings: no key material
         return "TenantKeySet(enc_key=<redacted>, mac_key=<redacted>)"
@@ -87,10 +75,10 @@ def validate_tenant_id(tenant_id: str) -> str:
 
 
 def _parse_hex_key(text: str) -> MasterKey:
-    text = text.strip()
-    if not re.fullmatch(r"[0-9a-fA-F]{32}", text):
+    key = text.strip()
+    if len(text) > _KEY_TEXT_MAX or not re.fullmatch(r"[0-9a-fA-F]{32}", key):
         raise MalformedKey("master key must be 32 hex characters")
-    return MasterKey(bytes.fromhex(text))
+    return MasterKey(bytes.fromhex(key))
 
 
 def load_master_key(key_file: str = None) -> MasterKey:
@@ -98,7 +86,7 @@ def load_master_key(key_file: str = None) -> MasterKey:
     if key_file is not None:
         try:
             with open(key_file, "r", encoding="utf-8") as fh:
-                return _parse_hex_key(fh.read())
+                return _parse_hex_key(fh.read(_KEY_TEXT_MAX + 1))
         except FileNotFoundError:
             raise MissingKey(f"master key file not found: {key_file}") from None
         except UnicodeDecodeError:

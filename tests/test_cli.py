@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,8 @@ from cmt.cli import main
 from cmt.crypto_codec import MAX_FIELD_BYTES
 from cmt.key_service import MASTER_KEY_ENV, MasterKey
 from cmt.tenant_store import TableSchema, create_store, open_store
+
+from test_key_service import a_fifo_held_open
 
 HEX_KEY = "000102030405060708090a0b0c0d0e0f"
 FIELDS = "name,contact,department"
@@ -44,6 +47,13 @@ def test_init_repeated_fails(store_path):
 def test_init_duplicate_fields(tmp_path):
     code = main(["--store", str(tmp_path / "x.cmt"), "init", "--table", "t", "--fields", "a,a"])
     assert code == 2
+
+
+@pytest.mark.parametrize("fields", ["a,,b", "a,", ",a"])
+def test_init_refuses_an_empty_field_name(tmp_path, fields):
+    path = tmp_path / "x.cmt"
+    assert main(["--store", str(path), "init", "--table", "t", "--fields", fields]) == 2
+    assert not path.exists()
 
 
 def test_init_confirmation_goes_to_stderr(tmp_path, capsys):
@@ -493,6 +503,34 @@ def test_torn_tail_warns_once_on_stderr(store_path):
     assert second.returncode == 0, second.stderr
     assert second.stdout == first.stdout
     assert "truncating" not in second.stderr
+
+
+@pytest.mark.parametrize(
+    "command", [["get"], ["update", "--set", "name=N"], ["delete"]], ids=lambda c: c[0]
+)
+def test_a_command_without_row_exits_2_before_the_store_is_opened(
+    store_path, monkeypatch, capsys, command
+):
+    main(insert_args(store_path, "uni_a"))
+    with open(store_path, "ab") as fh:
+        fh.write(b'{"op":"ins","t":"uni_a","r":2,')  # a torn tail that an open would cut
+    before = Path(store_path).read_bytes()
+    monkeypatch.delenv(MASTER_KEY_ENV)  # refused before any key is loaded
+    capsys.readouterr()
+    assert main(["--store", store_path, "--tenant", "uni_a", *command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "--row" in err
+    assert Path(store_path).read_bytes() == before
+
+
+def test_a_key_fifo_whose_writer_holds_it_open_exits_3(tmp_path):
+    key_file = str(tmp_path / "master.key")
+    args = ["--store", str(tmp_path / "s.cmt"), "--master-key-file", key_file, "--tenant", "uni_a"]
+    with a_fifo_held_open(key_file, HEX_KEY + "\n" * 10_000):
+        result = run_cmt([*args, "list"], timeout=60)
+    assert result.returncode == 3
+    assert result.stderr == "cmt: error: master key must be 32 hex characters\n"
+    assert result.stdout == ""
 
 
 # --- forged values ----------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Source-level checks on the package: every module uses what it imports."""
+"""Source-level checks on the package: every module uses what it imports,
+and every private module-level definition is read somewhere in it."""
 
 import ast
 from pathlib import Path
@@ -28,6 +29,36 @@ def unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
     return [(line, name) for line, name in bound if name not in used]
 
 
+def unread_private_definitions(modules: dict[str, ast.Module]) -> list[str]:
+    """`module:line name` of each `_`-prefixed function, class or constant
+    defined at a module's top level whose name no module reads: as a name,
+    an attribute or an imported name."""
+    read = set()
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    unread = []
+    for module, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            unread += [
+                f"{module}:{node.lineno} {name}" for name in defined
+                if name.startswith("_") and not name.startswith("__") and name not in read
+            ]
+    return unread
+
+
 def test_the_check_finds_an_unused_import():
     source = "import os, json\nimport a.b\nfrom x import y as z, w\n__all__ = ['w']\njson.dumps(a)\n"
     assert unused_imports(ast.parse(source)) == [(1, "os"), (3, "z")]
@@ -41,3 +72,17 @@ def test_every_module_uses_what_it_imports():
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         unused += [f"{path.name}:{line} {name}" for line, name in unused_imports(tree)]
     assert unused == []
+
+
+def test_the_check_finds_an_unread_private_definition():
+    modules = {
+        "a": ast.parse("_A, _B = 1, 2\n_C: int = 3\ndef _f():\n    return _A\nclass _K: pass\n__all__ = []\n"),
+        "b": ast.parse("from a import _f\nimport a\nx = a._C\n"),
+    }
+    assert unread_private_definitions(modules) == ["a:1 _B", "a:5 _K"]
+
+
+def test_every_private_definition_is_read():
+    modules = {p.name: ast.parse(p.read_text(encoding="utf-8"), str(p)) for p in PACKAGE.glob("*.py")}
+    assert {"aes_core.py", "cli.py", "key_service.py", "tenant_store.py"} <= set(modules)
+    assert unread_private_definitions(modules) == []

@@ -885,7 +885,8 @@ def test_the_memo_never_crosses_master_keys(tmp_path):
             s.get("uni_a", rid)
         with pytest.raises(AuthError):
             s.list("uni_a")
-    assert wrong.derived["uni_a"] != right.derived["uni_a"]
+    assert wrong.derived["uni_a"].enc_key != right.derived["uni_a"].enc_key
+    assert wrong.derived["uni_a"].mac_key != right.derived["uni_a"].mac_key
 
 
 def test_another_master_key_object_of_the_same_key_derives_again(tmp_path, monkeypatch):
@@ -898,7 +899,10 @@ def test_another_master_key_object_of_the_same_key_derives_again(tmp_path, monke
         assert s.get("uni_a", rid).fields["name"] == "again"
     assert [m is first for m, _ in calls] == [True, False]
     assert [t for _, t in calls] == ["uni_a", "uni_a"]
-    assert second.derived == first.derived  # same key, same derived keys
+    # same key, same derived keys, in a memo of each object's own
+    assert list(first.derived) == list(second.derived) == ["uni_a"]
+    keys, again = first.derived["uni_a"], second.derived["uni_a"]
+    assert keys is not again and (keys.enc_key, keys.mac_key) == (again.enc_key, again.mac_key)
 
 
 def test_a_verified_value_that_is_not_utf8_is_auth_error(tmp_path):
