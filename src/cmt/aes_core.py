@@ -22,7 +22,7 @@ schedule:
   work, but its 32 tables take about 0.4 MB, five times the row tables,
   so it pays only once its tables are in cache: buffers of
   PLACED_MIN_BLOCKS (64) blocks or more run on it, shorter ones on the row
-  tables. The placed tables are built on the first such buffer. The final
+  tables. Both table forms are built at import. The final
   round is a fixed byte permutation and `bytes.translate` through the
   S-box. Decryption is the equivalent inverse cipher (FIPS-197 section
   5.3.5): the inverse tables, rows shifted right, and pre-mixed round keys.
@@ -148,16 +148,8 @@ def _placed(tables: tuple, shift: int) -> tuple:
 
 _TE = _round_tables(SBOX, (0x02, 0x01, 0x01, 0x03))  # MixColumns
 _TD = _round_tables(INV_SBOX, (0x0E, 0x09, 0x0D, 0x0B))  # InvMixColumns
-_PLACED = None  # (encryption, decryption) placed tables, built on first use
-
-
-def _placed_tables() -> tuple:
-    """The placed tables of both directions. A process that never chains a
-    buffer of PLACED_MIN_BLOCKS blocks never builds them (about 0.5 ms)."""
-    global _PLACED
-    if _PLACED is None:  # a race between threads only builds them twice
-        _PLACED = (_placed(_TE, 1), _placed(_TD, -1))  # rows left, or right, by r
-    return _PLACED
+_PLACED_ENC = _placed(_TE, 1)  # rows shifted left by r
+_PLACED_DEC = _placed(_TD, -1)  # rows shifted right by r
 
 _WORDS = struct.Struct(">4I")
 
@@ -232,7 +224,11 @@ _INV_SBOX_BYTES = bytes(INV_SBOX)
 # the row tables at 32 blocks, 1.06-1.13 at 48, 1.01-1.05 at 64, 0.95-1.02
 # at 96 and 128, and 0.88-0.92 at 256 (two runs); called again at once,
 # 0.73-0.93 at every size. From 64 blocks on a cold start costs the placed
-# tables at most about 5 % and a warm one saves 12-18 %.
+# tables at most about 5 % and a warm one saves 12-18 %. One form for every
+# buffer loses a benchmark workload (ten pairs each, BENCH_21.json): on the
+# placed tables `scan_replay`'s get_ms_tail rose 34 %, as its short gets
+# often start cold after a `cmt` child process, and on the row tables
+# `bulk_values`' insert_ms_p50 rose 15 %.
 PLACED_MIN_BLOCKS = 64
 
 
@@ -272,7 +268,7 @@ def encrypt_cbc(data: bytes, schedule: KeySchedule, iv: bytes) -> bytes:
         raise ValueError("data length must be a multiple of 16")
     box, shift, c = _SBOX_BYTES, _SHIFT_ROWS, int.from_bytes(iv)
     if len(data) >= PLACED_MIN_BLOCKS * BLOCK_SIZE:
-        return _chain(data, _placed_tables()[0], schedule.enc_keys, box, shift, c, True)
+        return _chain(data, _PLACED_ENC, schedule.enc_keys, box, shift, c, True)
     t0, t1, t2, t3 = _TE
     k0, *rounds, k10 = schedule.enc_keys
     out = []
@@ -300,7 +296,7 @@ def decrypt_blocks(data: bytes, schedule: KeySchedule) -> bytes:
         raise ValueError("data length must be a multiple of 16")
     box, shift = _INV_SBOX_BYTES, _INV_SHIFT_ROWS
     if len(data) >= PLACED_MIN_BLOCKS * BLOCK_SIZE:
-        return _chain(data, _placed_tables()[1], schedule.dec_keys, box, shift, 0, False)
+        return _chain(data, _PLACED_DEC, schedule.dec_keys, box, shift, 0, False)
     t0, t1, t2, t3 = _TD
     k0, *rounds, k10 = schedule.dec_keys
     out = []

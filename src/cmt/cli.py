@@ -25,7 +25,7 @@ EXIT_ACCESS = 3
 
 def _parse_sets(pairs) -> dict:
     values = {}
-    for pair in pairs or []:
+    for pair in pairs:
         field, sep, value = pair.partition("=")
         if not sep or not field:
             raise InvalidSchema(f"--set expects field=value, got {pair!r}")
@@ -55,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_init.add_argument("--fields", required=True, help="comma-separated field names")
 
     p_insert = sub.add_parser("insert", help="insert a row for a tenant")
-    p_insert.add_argument("--set", action="append", metavar="FIELD=VALUE")
+    p_insert.add_argument("--set", action="append", required=True, metavar="FIELD=VALUE")
 
     p_get = sub.add_parser("get", help="fetch and decrypt one row")
     p_get.add_argument("--row", type=int, required=True)
@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_update = sub.add_parser("update", help="replace all fields of a row")
     p_update.add_argument("--row", type=int, required=True)
-    p_update.add_argument("--set", action="append", metavar="FIELD=VALUE")
+    p_update.add_argument("--set", action="append", required=True, metavar="FIELD=VALUE")
 
     p_delete = sub.add_parser("delete", help="delete a row")
     p_delete.add_argument("--row", type=int, required=True)

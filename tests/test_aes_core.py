@@ -167,10 +167,9 @@ def test_placed_tables_match_oracle_tables():
     # the 128-bit state
     sbox = [sbox_oracle(a) for a in range(256)]
     inv_sbox = [sbox.index(a) for a in range(256)]
-    encrypt, decrypt = aes_core._placed_tables()
     directions = (
-        (encrypt, oracle_round_tables(sbox, MIX_MATRIX), aes_reference.shift_rows),
-        (decrypt, oracle_round_tables(inv_sbox, INV_MIX_MATRIX), aes_reference.inv_shift_rows),
+        (aes_core._PLACED_ENC, oracle_round_tables(sbox, MIX_MATRIX), aes_reference.shift_rows),
+        (aes_core._PLACED_DEC, oracle_round_tables(inv_sbox, INV_MIX_MATRIX), aes_reference.inv_shift_rows),
     )
     for placed, tables, shift in directions:
         sources = shift(list(range(16)))  # output position -> input byte

@@ -270,23 +270,21 @@ def test_every_error_class_carries_its_exit_code():
 
 
 def test_short_values_never_load_numpy(tmp_path):
-    # numpy is imported on the first use of the multi-lane kernel only, and
-    # the placed tables are built for the first long buffer only
+    # numpy is imported on the first use of the multi-lane kernel only
     script = (
         "import sys\n"
-        "from cmt import aes_core\n"
         "from cmt.cli import main\n"
         f"path = {str(tmp_path / 's.cmt')!r}\n"
         f"main(['--store', path, 'init', '--table', 't', '--fields', {FIELDS!r}])\n"
         "main(['--store', path, '--tenant', 'uni_a', 'insert', '--set', 'name=Asha',"
         " '--set', 'contact=98765', '--set', 'department=cs'])\n"
         "main(['--store', path, '--tenant', 'uni_a', 'get', '--row', '1'])\n"
-        "print('numpy' in sys.modules, aes_core._PLACED is None)\n"
+        "print('numpy' in sys.modules)\n"
     )
     env = dict(os.environ, **{MASTER_KEY_ENV: HEX_KEY})
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "False True"
+    assert result.stdout.splitlines()[-1] == "False"
 
 
 def test_one_shot_get_and_list_never_load_numpy(tmp_path):
@@ -520,6 +518,22 @@ def test_a_command_without_row_exits_2_before_the_store_is_opened(
     assert main(["--store", store_path, "--tenant", "uni_a", *command]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: ") and "--row" in err
+    assert Path(store_path).read_bytes() == before
+
+
+@pytest.mark.parametrize("command", [["insert"], ["update", "--row", "1"]], ids=lambda c: c[0])
+def test_a_command_without_set_exits_2_before_the_store_is_opened(
+    store_path, monkeypatch, capsys, command
+):
+    main(insert_args(store_path, "uni_a"))
+    with open(store_path, "ab") as fh:
+        fh.write(b'{"op":"ins","t":"uni_a","r":2,')  # a torn tail that an open would cut
+    before = Path(store_path).read_bytes()
+    monkeypatch.delenv(MASTER_KEY_ENV)  # refused before any key is loaded
+    capsys.readouterr()
+    assert main(["--store", store_path, "--tenant", "uni_a", *command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "--set" in err
     assert Path(store_path).read_bytes() == before
 
 

@@ -1,12 +1,18 @@
 """Source-level checks on the package: every module uses what it imports,
-and every private module-level definition is read somewhere in it."""
+every private module-level definition is read somewhere in it, and every
+name that README or a docstring puts in backticks exists."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import cmt
 
 PACKAGE = Path(cmt.__file__).resolve().parent
+README = Path(__file__).resolve().parents[1] / "README.md"
+# ALL_CAPS names the docs may put in backticks that no module defines
+ENVIRONMENT = {"CMT_MASTER_KEY", "PYTHONDONTWRITEBYTECODE"}
 
 
 def unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
@@ -86,3 +92,47 @@ def test_every_private_definition_is_read():
     modules = {p.name: ast.parse(p.read_text(encoding="utf-8"), str(p)) for p in PACKAGE.glob("*.py")}
     assert {"aes_core.py", "cli.py", "key_service.py", "tenant_store.py"} <= set(modules)
     assert unread_private_definitions(modules) == []
+
+
+def stale_doc_references(texts: dict[str, str], modules: dict) -> list[str]:
+    """`source: reference` of each backticked `module.name` (or
+    `cmt.module.name`) whose module is one of `modules` and has no attribute
+    `name`, and of each backticked ALL_CAPS name that no module has and
+    ENVIRONMENT does not list. A `module.py` is a file name, and fenced
+    code blocks are skipped."""
+    stale = []
+    for source, text in texts.items():
+        for span in re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", text, flags=re.S)):
+            for ref in re.finditer(r"(?<![\w./])(?:cmt\.)?([a-z_]\w*)\.(?!py\b)(\w+)", span):
+                module, name = ref.groups()
+                if module in modules and not hasattr(modules[module], name):
+                    stale.append(f"{source}: {ref.group(0)}")
+            if re.fullmatch(r"[A-Z][A-Z0-9_]*", span) and span not in ENVIRONMENT:
+                if not any(hasattr(m, span) for m in modules.values()):
+                    stale.append(f"{source}: {span}")
+    return stale
+
+
+def test_the_check_finds_a_stale_doc_reference():
+    modules = {"cmt": cmt, "m": type("m", (), {"f": 1, "LIMIT": 2})}
+    text = (
+        "`m.f(x)`, `cmt.m.g`, `m.LIMIT`, `LIMIT`, `GONE`, `CMT_MASTER_KEY`, `n.h`,"
+        " `m.py`, `src/m.z`\n```\n`m.z`\n```\n"
+    )
+    assert stale_doc_references({"doc": text}, modules) == ["doc: cmt.m.g", "doc: GONE"]
+
+
+def test_every_doc_reference_exists():
+    modules = {"cmt": cmt}
+    texts = {"README.md": README.read_text(encoding="utf-8")}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "__init__":
+            modules[path.stem] = importlib.import_module(f"cmt.{path.stem}")
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        docs = [
+            ast.get_docstring(node) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        texts[path.name] = "\n".join(filter(None, docs))
+    assert {"aes_core", "cli", "tenant_store"} <= set(modules)
+    assert stale_doc_references(texts, modules) == []
