@@ -29,10 +29,11 @@ schedule:
 - The multi-lane kernel runs the same rounds on byte-sliced states, a
   (16, n) uint8 numpy array whose row i is byte i of every lane, all lanes
   in lockstep, on the row tables. `encrypt_ecb` and `decrypt_ecb` wrap it
-  for block-aligned bytes, transposing at their edges, and `cbc_macs` steps
+  for block-aligned bytes, transposing at their edges; `cbc_macs` steps
   many CBC-MAC chains as its lanes, keeping their states byte-sliced in
-  numpy between steps. A call takes about half the time the (n, 16) states
-  it replaced took from 300 lanes on (BENCH_17.json).
+  numpy between steps, and `decrypt_cbc` decrypts every ciphertext block of
+  a batch as its lanes. A call takes about half the time the (n, 16)
+  states it replaced took from 300 lanes on (BENCH_17.json).
 
 Two batch functions run on either engine: `cbc_macs`, the one CBC-MAC
 function, and `decrypt_cbc`, which CBC-decrypts messages IV || ciphertext
@@ -42,6 +43,15 @@ with it, `cbc_macs` steps the chains as the kernel's lanes while at least
 LANE_MIN_BLOCKS of them are running, and `decrypt_cbc` decrypts on the
 kernel. `use_lanes` makes that choice once for a batch, from the same
 messages: it works out their MAC chains and decryption blocks itself.
+On the kernel, a batch costs about one Python step per message: the lane
+order, block offsets and finished tags of `cbc_macs` are numpy arrays,
+and `decrypt_cbc` picks the ciphertext blocks, XORs each with the block
+before it and joins the result in numpy, so only the split back into
+messages is a step per message. Once the kernel is loaded, `use_lanes`
+answers after its first test, which every batch with kernel work passes.
+A 300-value `scan_replay` list then took 0.86 times as long as with a
+Python step per value in each of those stages, in one process, and its
+six kernel calls are most of what is left (BENCH_22.json).
 
 The kernel wins from LANE_MIN_BLOCKS (10) blocks of work on, but it needs
 numpy, whose import costs as much as thousands of chain blocks. numpy is
@@ -62,6 +72,7 @@ cache timing; constant-time hardening is a non-goal.
 import struct
 import sys
 from collections import namedtuple
+from itertools import accumulate
 from operator import itemgetter
 
 BLOCK_SIZE = 16
@@ -387,15 +398,19 @@ def use_lanes(messages: list[bytes]) -> bool:
     message is one CBC-MAC chain, and the decryption is every block but the
     IVs. The kernel's work is the chains' lane steps (`_lane_steps`) and the
     decryption if it has LANE_MIN_BLOCKS blocks or more; a batch with none
-    runs on the chain and counts nothing toward the import."""
+    runs on the chain and counts nothing toward the import. A batch with
+    LANE_MIN_BLOCKS messages or decryption blocks always has some, so once
+    the kernel is loaded the answer needs no count."""
     global _chain_blocks  # a lost update between threads only delays the import
     blocks = sum(map(len, messages)) // BLOCK_SIZE - len(messages)
     if len(messages) < LANE_MIN_BLOCKS and blocks < LANE_MIN_BLOCKS:
         return False
+    if _LANES or "numpy" in sys.modules:
+        return True
     chains = [len(m) // BLOCK_SIZE for m in messages]
     steps = _lane_steps(sorted(chains, reverse=True))
     work = sum([min(n, steps) for n in chains]) + (blocks if blocks >= LANE_MIN_BLOCKS else 0)
-    if _LANES or "numpy" in sys.modules or max(_chain_blocks, work) >= IMPORT_BLOCKS:
+    if max(_chain_blocks, work) >= IMPORT_BLOCKS:
         return True
     _chain_blocks += work
     return False
@@ -469,16 +484,34 @@ def decrypt_ecb(data: bytes, schedule: KeySchedule) -> bytes:
 
 def decrypt_cbc(messages: list[bytes], schedule: KeySchedule, lanes: bool = False) -> list[bytes]:
     """The CBC decryption of every message IV || ciphertext, each an IV and
-    whole blocks (`crypto_codec.check_value` holds values to that); ValueError
-    if the ciphertexts do not join into whole blocks. Every ciphertext block
-    of the batch is decrypted in one call, on the kernel with `lanes` and on
-    the chain without, since no block's decryption waits on another's (NIST
-    SP 800-38A section 6.2); each is then XORed with the block before it in
-    its message."""
-    data = b"".join([m[BLOCK_SIZE:] for m in messages])
-    plain = (decrypt_ecb if lanes else decrypt_blocks)(data, schedule)
-    before = int.from_bytes(b"".join([m[:-BLOCK_SIZE] for m in messages]))
-    plain = (int.from_bytes(plain) ^ before).to_bytes(len(plain))
+    whole blocks (`crypto_codec.check_value` holds values to that);
+    ValueError if a message is shorter than an IV or the ciphertexts do not
+    join into whole blocks. Every ciphertext block of the batch is
+    decrypted in one call, on the kernel with `lanes` and on the chain
+    without, since no block's decryption waits on another's (NIST SP
+    800-38A section 6.2); each is then XORed with the block before it in
+    its message. On the kernel the messages stay one numpy buffer from the
+    join to the XOR: the blocks to decrypt are every block but the IVs, and
+    the block before each is the one an index earlier in the same buffer.
+    One message needs no index: its blocks are the buffer but its first."""
+    if messages and min(map(len, messages)) < BLOCK_SIZE:
+        raise ValueError("a message is shorter than an IV")
+    if lanes:
+        np = _lanes()[0]
+        blocks = np.frombuffer(b"".join(messages), dtype=np.uint8).reshape(-1, BLOCK_SIZE)
+        cipher, before = blocks[1:], blocks[:-1]  # each block and the one before it
+        if len(messages) > 1:  # but not the later messages' IVs
+            starts = accumulate(map(len, messages[:-1]))  # of the second message on
+            keep = np.ones(len(cipher), dtype=bool)
+            keep[np.fromiter(starts, np.intp, len(messages) - 1) // BLOCK_SIZE - 1] = False
+            index = np.flatnonzero(keep)
+            cipher, before = cipher.take(index, axis=0), before.take(index, axis=0)
+        plain = _lane_rounds(cipher.T, schedule.dec_keys, True).T
+        plain = (plain ^ before).tobytes()
+    else:
+        plain = decrypt_blocks(b"".join([m[BLOCK_SIZE:] for m in messages]), schedule)
+        before = int.from_bytes(b"".join([m[:-BLOCK_SIZE] for m in messages]))
+        plain = (int.from_bytes(plain) ^ before).to_bytes(len(plain))
     out, end = [], 0
     for m in messages:
         start, end = end, end + len(m) - BLOCK_SIZE
@@ -492,33 +525,37 @@ def cbc_macs(messages: list[bytes], schedule: KeySchedule, lanes: bool = False) 
     with one lane per message that is still running, longest messages
     first, so the running lanes are always a prefix; the rest, and all of
     it without `lanes` or with fewer than LANE_MIN_BLOCKS messages, runs on
-    the chain."""
+    the chain. The lanes' order, block offsets and finished tags are numpy
+    arrays; only the messages that outlast the lanes, fewer than
+    LANE_MIN_BLOCKS, are finished one by one."""
     steps = 0
-    if lanes:
-        order = sorted(range(len(messages)), key=lambda i: len(messages[i]), reverse=True)
-        sizes = [len(messages[i]) // BLOCK_SIZE for i in order]
+    if lanes and len(messages) >= LANE_MIN_BLOCKS:
+        np = _lanes()[0]
+        sizes = np.fromiter(map(len, messages), np.intp, len(messages)) // BLOCK_SIZE
+        firsts = np.cumsum(sizes) - sizes  # each message's first block in the join
+        order = np.argsort(-sizes, kind="stable")
+        sizes, firsts = sizes[order].tolist(), firsts[order]
         steps = _lane_steps(sizes)
     if not steps:
         return [encrypt_cbc(m, schedule, bytes(BLOCK_SIZE))[-BLOCK_SIZE:] for m in messages]
-    np = _lanes()[0]
-    tags = [b""] * len(messages)
-    blocks = np.frombuffer(b"".join([messages[i] for i in order]), dtype=np.uint8)
-    blocks = blocks.reshape(-1, BLOCK_SIZE)
-    firsts = np.cumsum([0] + sizes[:-1])
-    running = len(order)
+    blocks = np.frombuffer(b"".join(messages), dtype=np.uint8).reshape(-1, BLOCK_SIZE)
+    tags = np.empty((len(messages), BLOCK_SIZE), dtype=np.uint8)
+    running = len(messages)
     state = np.zeros((BLOCK_SIZE, running), dtype=np.uint8)  # byte-sliced
     for j in range(steps):
         ended = running
         while sizes[running - 1] == j:  # these messages' tags are their states
             running -= 1
         if running < ended:
-            done = state[:, running:ended].T.tobytes()
-            for k, i in enumerate(order[running:ended]):
-                tags[i] = done[k * BLOCK_SIZE : (k + 1) * BLOCK_SIZE]
+            tags[order[running:ended]] = state[:, running:ended].T
         step = blocks.take(firsts[:running] + j, axis=0).T
         state = _lane_rounds(state[:, :running] ^ step, schedule.enc_keys, False)
-    starts = state[:, :running].T.tobytes()
-    for k, i in enumerate(order[:running]):
-        rest, start = messages[i][steps * BLOCK_SIZE :], starts[k * BLOCK_SIZE : (k + 1) * BLOCK_SIZE]
-        tags[i] = encrypt_cbc(rest, schedule, start)[-BLOCK_SIZE:] if rest else start
+    tags[order[:running]] = state[:, :running].T
+    flat = tags.tobytes()
+    tags = [flat[i : i + BLOCK_SIZE] for i in range(0, len(flat), BLOCK_SIZE)]
+    k = 0
+    while sizes[k] > steps:  # fewer than LANE_MIN_BLOCKS messages outlast the lanes
+        i = order[k]
+        tags[i] = encrypt_cbc(messages[i][steps * BLOCK_SIZE :], schedule, tags[i])[-BLOCK_SIZE:]
+        k += 1
     return tags

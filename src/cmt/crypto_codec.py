@@ -11,12 +11,16 @@ only failure a caller ever sees for wrong keys or tampering is AuthError.
 
 `decrypt_values` verifies and decrypts a batch, such as every value a
 `list` returns: all tags are checked before any block is decrypted. It
+checks the batch against `check_value`'s length rule in one pass, and
 hands the batch's messages IV || ciphertext once to `aes_core.use_lanes`,
 which decides whether the whole batch runs on the multi-lane kernel or on
-the scalar chain; `aes_core.cbc_macs` then tags them and
-`aes_core.decrypt_cbc` decrypts them. `decrypt_value` is a batch of one.
-This module holds the value layout, the tag comparison and the padding;
-CBC, CBC-MAC and the choice of engine are `aes_core`'s.
+the scalar chain. `verify_values`, the one tag check, then tags the
+messages with `aes_core.cbc_macs` and compares the whole batch's tags at
+once; `aes_core.decrypt_cbc` decrypts them, and one more pass checks and
+strips the PKCS#7 padding of every plaintext against `_PADDING`, the
+padding each last byte calls for. `decrypt_value` is a batch of one.
+This module holds the value layout, the length rule, the tag comparison
+and the padding; CBC, CBC-MAC and the choice of engine are `aes_core`'s.
 """
 
 import os
@@ -30,6 +34,12 @@ from .errors import AuthError, FieldTooLarge
 
 BLOCK_SIZE = aes_core.BLOCK_SIZE
 MAX_FIELD_BYTES = 65536
+MIN_VALUE_BYTES = 3 * BLOCK_SIZE  # an IV, one ciphertext block and a tag
+
+# The PKCS#7 padding that a padded plaintext's last byte n calls for: n
+# bytes of value n, for n in 1..16. Any other n is invalid, and its entry is
+# one byte other than n, which no plaintext ending in n ends with.
+_PADDING = [bytes([n]) * n if 1 <= n <= BLOCK_SIZE else bytes([n ^ 1]) for n in range(256)]
 
 
 def pad(data: bytes) -> bytes:
@@ -38,19 +48,10 @@ def pad(data: bytes) -> bytes:
     return data + bytes([n]) * n
 
 
-def unpad(data: bytes) -> bytes:
-    if len(data) == 0 or len(data) % BLOCK_SIZE != 0:
-        raise ValueError("padded data must be a positive multiple of 16")
-    n = data[-1]
-    if n < 1 or n > BLOCK_SIZE or data[-n:] != bytes([n]) * n:
-        raise ValueError("invalid PKCS#7 padding")
-    return data[:-n]
-
-
 def check_value(raw: bytes) -> bytes:
     """`raw` if its length is that of a value, IV || ciphertext || tag with
     a ciphertext of one block or more; ValueError otherwise."""
-    if len(raw) < 3 * BLOCK_SIZE or len(raw) % BLOCK_SIZE != 0:
+    if len(raw) < MIN_VALUE_BYTES or len(raw) % BLOCK_SIZE != 0:
         raise ValueError(f"a value of {len(raw)} bytes is not IV || ciphertext || tag")
     return raw
 
@@ -65,24 +66,42 @@ def encrypt_value(plaintext: bytes, keys) -> bytes:
     return message + aes_core.cbc_macs([message], keys.mac_schedule)[0]
 
 
+def verify_values(values: Sequence[bytes], keys, lanes: bool) -> int | None:
+    """The index of the first of `values`, each of a length `check_value`
+    accepts, whose tag does not verify under `keys`, or None if every tag
+    does. `lanes` is `aes_core.use_lanes` of the values' messages."""
+    tags = aes_core.cbc_macs([v[:-BLOCK_SIZE] for v in values], keys.mac_schedule, lanes)
+    stored = [v[-BLOCK_SIZE:] for v in values]
+    # one constant-time comparison of the whole batch; a failure is then located
+    if compare_digest(b"".join(tags), b"".join(stored)):
+        return None
+    return list(map(compare_digest, tags, stored)).index(False)
+
+
 def decrypt_values(values: Sequence[bytes], keys) -> list[bytes]:
     """Verify every tag, then decrypt every value. A tag failure raises
     AuthError before any block of the batch is decrypted, and so does a
     value whose tag verifies but whose padding is invalid: CBC-MAC tags of
     different lengths are not independent, so a forger can build one.
-    A value of a length `check_value` refuses raises ValueError."""
-    messages = [check_value(v)[:-BLOCK_SIZE] for v in values]
+    A value of a length `check_value` refuses raises ValueError.
+
+    The length rule and the padding are each checked in one pass over the
+    batch: a padded plaintext ending in byte n must end with `_PADDING[n]`."""
+    if any([len(v) < MIN_VALUE_BYTES or len(v) % BLOCK_SIZE for v in values]):
+        for value in values:
+            check_value(value)  # raises, naming the length
+    messages = [v[:-BLOCK_SIZE] for v in values]
     # one decision: the MAC steps and the decryption may buy the kernel together
     lanes = aes_core.use_lanes(messages)
-    tags = aes_core.cbc_macs(messages, keys.mac_schedule, lanes)
-    for value, tag in zip(values, tags):
-        if not compare_digest(tag, value[-BLOCK_SIZE:]):
-            raise AuthError("authentication tag mismatch")
-    plains = aes_core.decrypt_cbc(messages, keys.enc_schedule, lanes)
-    try:
-        return list(map(unpad, plains))
-    except ValueError:
-        raise AuthError("a value whose tag verifies has invalid padding") from None
+    if verify_values(values, keys, lanes) is not None:
+        raise AuthError("authentication tag mismatch")
+    out = []
+    for plain in aes_core.decrypt_cbc(messages, keys.enc_schedule, lanes):
+        padding = _PADDING[plain[-1]]
+        if not plain.endswith(padding):
+            raise AuthError("a value whose tag verifies has invalid padding")
+        out.append(plain[: -len(padding)])
+    return out
 
 
 def decrypt_value(value: bytes, keys) -> bytes:

@@ -73,6 +73,9 @@ _NAME_RE = re.compile(r"^[a-z0-9_]{1,64}$")
 
 # json.loads' own decoder, called without its wrapper (see _decode_event)
 _raw_decode = json.JSONDecoder().raw_decode
+# one compact encoder for every line written: json.dumps builds a new
+# encoder on each call that passes separators
+_encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
 class TableSchema(namedtuple("TableSchema", "table_name field_names")):
@@ -119,7 +122,7 @@ def _utf8(plains: list[bytes]) -> list[str]:
     """Decrypted values as text. The store writes only UTF-8, so a value
     that verified and does not decode is a forgery."""
     try:
-        return [plain.decode("utf-8") for plain in plains]
+        return list(map(bytes.decode, plains))  # UTF-8, strict
     except UnicodeDecodeError:
         raise AuthError("a value whose tag verifies is not UTF-8 text") from None
 
@@ -179,7 +182,7 @@ class Store:
                 name: binascii.b2a_base64(value, newline=False).decode("ascii")
                 for name, value in zip(self.schema.field_names, values)
             }
-        line = (json.dumps(event, separators=(",", ":")) + "\n").encode("ascii")
+        line = (_encode(event) + "\n").encode("ascii")
         # not O_APPEND, and a cut torn tail leaves the position past the end
         offset = self._fh.seek(0, os.SEEK_END)
         try:
@@ -271,8 +274,7 @@ class Store:
         names = self.schema.field_names
         # zip stops at the last name before it draws on `texts`, so each row
         # takes the next len(names) texts
-        return [Record(row_id=row_id, tenant=tenant, fields=dict(zip(names, texts)))
-                for row_id, _ in rows]
+        return [Record(row_id, tenant, dict(zip(names, texts))) for row_id, _ in rows]
 
     def update(self, tenant: str, row_id: int, values: dict[str, str]) -> None:
         with self._mutex:
@@ -295,7 +297,7 @@ def create_store(path: str, schema: TableSchema, master: MasterKey | None = None
         raise AlreadyExists(f"store file already exists: {path}") from None
     try:
         _flock(fh, path)
-        _write_all(fh, (json.dumps(header, separators=(",", ":")) + "\n").encode("utf-8"))
+        _write_all(fh, (_encode(header) + "\n").encode("utf-8"))
         os.fsync(fh.fileno())
         # the new file's directory entry is durable only once its directory is
         dir_fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)

@@ -519,6 +519,22 @@ def test_decrypt_cbc_of_no_messages_and_of_misaligned_ciphertext():
                 aes_core.decrypt_cbc(bad, ks, lanes)
 
 
+@pytest.mark.parametrize("lanes", [False, True])
+@pytest.mark.parametrize("at", ["first", "middle", "last"])
+def test_decrypt_cbc_refuses_a_misaligned_message_anywhere(at, lanes):
+    # the kernel's buffer of whole messages refuses what the chain's join
+    # of ciphertexts refuses, wherever the odd message is
+    ks = aes_core.expand_key(os.urandom(16))
+    messages = [os.urandom(16 * n) for n in (2, 3, 4)]
+    bad = {"first": 0, "middle": 1, "last": 2}[at]
+    messages[bad] += b"\x00"
+    with pytest.raises(ValueError):
+        aes_core.decrypt_cbc(messages, ks, lanes)
+    messages[bad] = messages[bad][:15]  # shorter than an IV
+    with pytest.raises(ValueError):
+        aes_core.decrypt_cbc(messages, ks, lanes)
+
+
 def _unload_kernel(mp):
     mp.setattr(aes_core, "_LANES", None)
     mp.delitem(sys.modules, "numpy", raising=False)
@@ -593,6 +609,23 @@ def test_use_lanes_on_messages_matches_the_rule_on_lengths(batches):
             assert (aes_core.use_lanes(messages_of(*chains)), aes_core._chain_blocks) == expected
 
 
+@given(st.lists(st.integers(1, 300), max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_a_batch_past_the_first_test_has_kernel_work(chains):
+    # what lets `use_lanes` answer True at once once the kernel is loaded:
+    # any batch of messages (an IV and whole blocks each) with
+    # LANE_MIN_BLOCKS chains or decryption blocks gives the kernel work, so
+    # with the kernel unloaded it either buys it or counts some blocks
+    n = aes_core.LANE_MIN_BLOCKS
+    with pytest.MonkeyPatch.context() as mp:
+        _unload_kernel(mp)
+        lanes = aes_core.use_lanes(messages_of(*chains))
+        if len(chains) >= n or sum(chains) - len(chains) >= n:
+            assert lanes or aes_core._chain_blocks > 0
+        else:
+            assert (lanes, aes_core._chain_blocks) == (False, 0)
+
+
 def test_lane_rounds_keep_the_byte_sliced_shape():
     # row i of the input and of the output is byte i of every lane, also
     # for a view that is not contiguous
@@ -648,5 +681,5 @@ def test_only_aes_core_names_the_block_and_ecb_wrappers():
         if name.endswith(".py") and name != "aes_core.py":
             with open(os.path.join(package, name), encoding="utf-8") as fh:
                 source = fh.read()
-            for wrapper in ("encrypt_block", "decrypt_block", "encrypt_ecb"):
+            for wrapper in ("encrypt_block", "decrypt_block", "encrypt_ecb", "decrypt_ecb"):
                 assert wrapper not in source, (name, wrapper)

@@ -4,12 +4,13 @@ tamper detection, and the serialized-length formula."""
 import base64
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cmt import aes_core
@@ -20,7 +21,7 @@ from cmt.crypto_codec import (
     decrypt_values,
     encrypt_value,
     pad,
-    unpad,
+    verify_values,
 )
 from cmt.errors import AuthError, CorruptLog, FieldTooLarge
 from cmt.key_service import TenantKeySet
@@ -53,24 +54,36 @@ def test_pad_block_aligned_adds_full_block():
     assert pad(b"x" * 16) == b"x" * 16 + b"\x10" * 16
 
 
-def test_unpad_rejects_inconsistent_padding():
-    block = b"\x00" * 13 + b"\x03\x02\x03"
-    with pytest.raises(ValueError):
-        unpad(block)
+def padded_value(padded: bytes, keys: TenantKeySet) -> bytes:
+    """A value whose ciphertext is the CBC encryption of `padded` as it
+    stands, so its tag verifies whatever padding it holds."""
+    iv = os.urandom(16)
+    message = iv + aes_core.encrypt_cbc(padded, keys.enc_schedule, iv)
+    return message + aes_core.cbc_macs([message], keys.mac_schedule)[0]
 
 
-def test_unpad_rejects_bad_lengths():
+@pytest.mark.parametrize("lanes", [False, True])
+def test_decrypt_values_rejects_inconsistent_padding(lanes, monkeypatch):
+    monkeypatch.setattr(aes_core, "use_lanes", lambda *_: lanes)
+    keys = random_keys()
+    for last in (b"\x03\x02\x03", b"\x00", b"\x11", b"\xff", b"\x0f" + b"\x10" * 15):
+        value = padded_value(bytes(16 * 2 - len(last)) + last, keys)
+        with pytest.raises(AuthError, match="padding"):
+            decrypt_values([value] * LANE_MIN_BLOCKS, keys)
+
+
+def test_decrypt_values_rejects_bad_lengths():
     with pytest.raises(ValueError):
-        unpad(b"")
+        decrypt_values([b""], random_keys())
     with pytest.raises(ValueError):
-        unpad(b"123")
+        decrypt_values([b"123"], random_keys())
 
 
 @given(st.binary(min_size=0, max_size=200))
-def test_pad_unpad_round_trip(data):
+def test_pad_decrypt_values_round_trip(data):
     padded = pad(data)
     assert len(padded) % 16 == 0
-    assert unpad(padded) == data
+    assert decrypt_values([padded_value(padded, BATCH_KEYS)], BATCH_KEYS) == [data]
 
 
 # --- CBC against library reference ----------------------------------------
@@ -108,11 +121,12 @@ def test_cbc_decrypt_matches_library_on_both_paths(blocks, monkeypatch):
     # with the kernel loaded, below LANE_MIN_BLOCKS the per-block chain runs,
     # from it the lane kernel
     aes_core._lanes()
-    kernel_calls = spy(monkeypatch, aes_core, "decrypt_ecb")
+    rounds = spy(monkeypatch, aes_core, "_lane_rounds")
     key = os.urandom(16)
     keys = TenantKeySet(enc_key=key, mac_key=os.urandom(16))
     data = os.urandom(16 * blocks - 1)
     assert decrypt_value(library_value(data, key, keys), keys) == data
+    kernel_calls = [a for a in rounds if a[2]]  # the kernel's decryptions run backward
     assert len(kernel_calls) == (blocks >= LANE_MIN_BLOCKS)
 
 
@@ -228,14 +242,18 @@ def test_one_forged_tag_refuses_the_batch_before_any_decryption(forged, lanes, m
     values[at] = bytes(forgery)
     monkeypatch.setattr(aes_core, "use_lanes", lambda *_: lanes)
     # what each path decrypts with: the scalar chain, or the lane kernel
+    # (whose MAC steps encrypt and whose decryption runs backward)
     chain = spy(monkeypatch, aes_core, "decrypt_blocks")
-    kernel = spy(monkeypatch, aes_core, "decrypt_ecb")
+    rounds = spy(monkeypatch, aes_core, "_lane_rounds")
     with pytest.raises(AuthError):
         decrypt_values(values, BATCH_KEYS)
-    assert chain == kernel == []
+    assert chain == [a for a in rounds if a[2]] == []
+    assert verify_values(values, BATCH_KEYS, lanes) == at
     # the spies see the decryption of the same batch once every tag verifies
     values[at] = genuine
+    assert verify_values(values, BATCH_KEYS, lanes) is None
     decrypt_values(values, BATCH_KEYS)
+    kernel = [a for a in rounds if a[2]]
     assert (len(chain), len(kernel)) == ((0, 1) if lanes else (1, 0))
 
 
@@ -250,11 +268,51 @@ def test_a_verified_value_with_bad_padding_is_auth_error(lanes, monkeypatch):
     iv, ct, tag = value[:16], value[16:-16], value[-16:]
     forged = iv + ct + bytes(a ^ b for a, b in zip(iv, tag)) + ct + tag
     assert aes_core.cbc_macs([forged[:-16]], BATCH_KEYS.mac_schedule)[0] == tag
-    with pytest.raises(ValueError):
-        unpad(bytes(a ^ b for a, b in zip(pad(b"x"), tag)))
     monkeypatch.setattr(aes_core, "use_lanes", lambda *_: lanes)
     with pytest.raises(AuthError, match="padding"):
+        decrypt_values([padded_value(bytes(a ^ b for a, b in zip(pad(b"x"), tag)), BATCH_KEYS)],
+                       BATCH_KEYS)
+    with pytest.raises(AuthError, match="padding"):
         decrypt_values([forged] * LANE_MIN_BLOCKS, BATCH_KEYS)
+
+
+def length_extension(value: bytes) -> bytes:
+    """The CBC-MAC length extension of a value: its message, then IV ^ tag
+    and its ciphertext again, under its own tag, which verifies."""
+    iv, ct, tag = value[:16], value[16:-16], value[-16:]
+    return iv + ct + bytes(a ^ b for a, b in zip(iv, tag)) + ct + tag
+
+
+def pkcs7_valid(padded: bytes) -> bool:
+    n = padded[-1]
+    return 1 <= n <= 16 and padded[-n:] == bytes([n]) * n
+
+
+@given(
+    st.lists(st.binary(max_size=300), min_size=10, max_size=400, unique=True),
+    st.binary(max_size=15),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=20, deadline=None)
+def test_both_engines_agree_on_a_batch_and_refuse_a_forgery_in_it(plaintexts, short, seed):
+    # 10-400 values, so the lanes step the MACs and the kernel decrypts. The
+    # length extension of a one-block value verifies, and its last block
+    # decrypts to the padded plaintext XOR the tag, IV ^ tag coming before it
+    rng = random.Random(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "urandom", rng.randbytes)  # seeded IVs
+        values = [encrypt_value(p, BATCH_KEYS) for p in plaintexts]
+        forgery = length_extension(encrypt_value(short, BATCH_KEYS))
+    assume(not pkcs7_valid(aes_core.decrypt_cbc([forgery[-48:-16]], BATCH_KEYS.enc_schedule)[0]))
+    at = rng.randrange(len(values) + 1)
+    forged = values[:at] + [forgery] + values[at:]
+    for lanes in (True, False):
+        assert verify_values(forged, BATCH_KEYS, lanes) is None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(aes_core, "use_lanes", lambda *_: lanes)
+            assert decrypt_values(values, BATCH_KEYS) == plaintexts
+            with pytest.raises(AuthError, match="padding"):
+                decrypt_values(forged, BATCH_KEYS)
 
 
 def test_numpy_is_loaded_once_the_chain_has_paid_for_it():
