@@ -28,12 +28,12 @@ schedule:
   5.3.5): the inverse tables, rows shifted right, and pre-mixed round keys.
 - The multi-lane kernel runs the same rounds on byte-sliced states, a
   (16, n) uint8 numpy array whose row i is byte i of every lane, all lanes
-  in lockstep, on the row tables. `encrypt_ecb` and `decrypt_ecb` wrap it
-  for block-aligned bytes, transposing at their edges; `cbc_macs` steps
-  many CBC-MAC chains as its lanes, keeping their states byte-sliced in
-  numpy between steps, and `decrypt_cbc` decrypts every ciphertext block of
-  a batch as its lanes. A call takes about half the time the (n, 16)
-  states it replaced took from 300 lanes on (BENCH_17.json).
+  in lockstep, on the row tables. `encrypt_ecb` wraps it for block-aligned
+  bytes, transposing at its edges; `cbc_macs` steps many CBC-MAC chains as
+  its lanes, keeping their states byte-sliced in numpy between steps, and
+  `decrypt_cbc` decrypts every ciphertext block of a batch as its lanes.
+  A call takes about half the time the (n, 16) states it replaced took
+  from 300 lanes on (BENCH_17.json).
 
 Two batch functions run on either engine: `cbc_macs`, the one CBC-MAC
 function, and `decrypt_cbc`, which CBC-decrypts messages IV || ciphertext
@@ -302,7 +302,7 @@ def decrypt_blocks(data: bytes, schedule: KeySchedule) -> bytes:
     """Decrypt every block of a block-aligned buffer, one after another;
     ValueError for any other length. The rounds of `encrypt_cbc` with the
     inverse tables, the pre-mixed `dec_keys` and rows shifted right (row r
-    from column (c - r) % 4). Bit-identical to `decrypt_ecb`."""
+    from column (c - r) % 4)."""
     if len(data) % BLOCK_SIZE != 0:
         raise ValueError("data length must be a multiple of 16")
     box, shift = _INV_SBOX_BYTES, _INV_SHIFT_ROWS
@@ -462,24 +462,14 @@ def _lane_rounds(s, keys: tuple, backward: bool):
     return last.reshape(BLOCK_SIZE, n) ^ rk[NUM_ROUNDS]
 
 
-def _ecb(data: bytes, keys: tuple, backward: bool) -> bytes:
+def encrypt_ecb(data: bytes, schedule: KeySchedule) -> bytes:
+    """Encrypt a block-aligned buffer in ECB, all blocks in lockstep;
+    bit-identical to mapping encrypt_block over it."""
     if len(data) % BLOCK_SIZE != 0:
         raise ValueError("data length must be a multiple of 16")
     np = _lanes()[0]
     states = np.frombuffer(data, dtype=np.uint8).reshape(-1, BLOCK_SIZE).T
-    return _lane_rounds(states, keys, backward).T.tobytes()
-
-
-def encrypt_ecb(data: bytes, schedule: KeySchedule) -> bytes:
-    """Encrypt a block-aligned buffer in ECB, all blocks in lockstep;
-    bit-identical to mapping encrypt_block over it."""
-    return _ecb(data, schedule.enc_keys, backward=False)
-
-
-def decrypt_ecb(data: bytes, schedule: KeySchedule) -> bytes:
-    """Decrypt a block-aligned buffer in ECB, all blocks in lockstep;
-    bit-identical to mapping decrypt_block over it."""
-    return _ecb(data, schedule.dec_keys, backward=True)
+    return _lane_rounds(states, schedule.enc_keys, False).T.tobytes()
 
 
 def decrypt_cbc(messages: list[bytes], schedule: KeySchedule, lanes: bool = False) -> list[bytes]:

@@ -5,32 +5,41 @@ clear for addressing; every field value is encrypted under the owning
 tenant's derived keys before it touches disk, as opaque bytes whose layout
 only `crypto_codec` knows. A tenant's keys come from the master key's
 memo (`MasterKey.derived`), derived there on the first use under that
-`MasterKey` object; a handle keeps no key cache of its own. Persistence
-is an append-only JSON-lines log replayed on open, in one pass: each line
-is decoded (`json.JSONDecoder.raw_decode`, then strict base64 by
-`binascii`), checked (an insert or update carries exactly the header's
-fields), and put straight into the live row map, and a bad line is
-CorruptLog with its line number. A live row is its tenant and a tuple of
-its values in the header's field order; the field names live only in the
-schema. Each successful open leaves in `_replayed`, keyed by the file's
-inode, the bytes of the complete lines it replayed and the state they
-gave. An open starts from one state: that entry's if the file still starts
-with exactly its bytes (compared in full), else the header's, the state
-before the first event; from it, it replays the lines that follow. Each
-mutation is written and fsynced before the call returns, and an append
-that fails is cut back off the file before the error is raised; if that
-cut fails too, the handle refuses every later mutation until the store is
-reopened, as a closed handle does; such a handle still reads, but a closed
-one, whose lock is gone and whose rows may be stale, refuses reads too.
-Values must be `str`, encodable as UTF-8. A handle is one open file,
-locked by an advisory `flock` on that file itself, so the lock is the
-inode's and a symlink or hard link meets it too. The opener locks before it
-reads, refuses a file that is not a regular one (a FIFO or a device, whose
-read would block or never end), and cuts a trailing torn line (crash
-mid-write) through the same file, with a `logging` warning (on stderr
-unless logging is configured); `logging` is imported on that path only. `list` verifies and decrypts all
-of a tenant's values as one batch (`crypto_codec.decrypt_values`), `get`
-one value at a time; a value that verifies but is not UTF-8 is AuthError.
+`MasterKey` object; a handle keeps no key cache of its own.
+
+Persistence is an append-only JSON-lines log, replayed on open. An open
+is file handling around one pure function, `_replay`. `open_store` opens
+the file, locks it, refuses a file that is not a regular one (a FIFO or a
+device, whose read would block or never end) and reads it. `_replay`
+takes those bytes and returns the state they give: the bytes of the
+complete lines, their count, the schema, the live row map and the largest
+row id. It does no I/O. In one pass, each line is decoded
+(`json.JSONDecoder.raw_decode`, then strict base64 by `binascii`),
+checked (an insert or update carries exactly the header's fields) and put
+straight into the live row map; a bad line is CorruptLog with its line
+number. A trailing chunk without its newline is a torn write (a crash
+mid-write), which the state's bytes leave out. `open_store` cuts it off
+the file with a `logging` warning (on stderr unless logging is
+configured), and imports `logging` on that path only. A live row is its
+tenant and a tuple of its values in the header's field order; the field
+names live only in the schema. Each successful open leaves its state in
+`_replayed`, keyed by the file's inode. A replay starts from one state:
+that entry's if the file still starts with exactly its bytes (compared in
+full), else the header's, the state before the first event; from it, it
+replays the lines that follow. Only `_read_header` and `_replay` build a
+state, and a `Store` takes one whole.
+
+Each mutation is written and fsynced before the call returns, and an
+append that fails is cut back off the file before the error is raised; if
+that cut fails too, the handle refuses every later mutation until the
+store is reopened, as a closed handle does; such a handle still reads, but
+a closed one, whose lock is gone and whose rows may be stale, refuses
+reads too. Values must be `str`, encodable as UTF-8. A handle is one open
+file, locked by an advisory `flock` on that file itself, so the lock is
+the inode's and a symlink or hard link meets it too; the opener locks
+before it reads. `list` verifies and decrypts all of a tenant's values as
+one batch (`crypto_codec.decrypt_values`), `get` one value at a time; a
+value that verifies but is not UTF-8 is AuthError.
 
 File format (UTF-8, newline-delimited):
   line 1: {"v":1,"table":"<name>","fields":["f1",...]}
@@ -132,16 +141,15 @@ class Store:
     serialize through an internal lock. One handle per file across
     processes: `fh`, the store's one open file, carries the advisory flock
     that `create_store`/`open_store` took on it, and `close` releases the
-    lock by closing the file."""
+    lock by closing the file. `state` is the store state the handle starts
+    from (see `_replayed`); the handle takes a copy of its live rows."""
 
-    def __init__(self, path: str, schema: TableSchema, master: MasterKey | None,
-                 fh, live: dict, max_row_id: int):
+    def __init__(self, path: str, master: MasterKey | None, fh, state: tuple):
         self.path = path
-        self.schema = schema
+        _, _, self.schema, live, self._max_row_id = state
         self._master = master
         self._fh = fh
-        self._live: dict[int, tuple[str, tuple[bytes, ...]]] = live
-        self._max_row_id = max_row_id
+        self._live: dict[int, tuple[str, tuple[bytes, ...]]] = dict(live)
         self._mutex = threading.Lock()
         self._broken: str | None = None  # why a failed cut-back poisoned the handle
 
@@ -288,7 +296,8 @@ class Store:
 
 
 def create_store(path: str, schema: TableSchema, master: MasterKey | None = None) -> Store:
-    header = {"v": FORMAT_VERSION, "table": schema.table_name, "fields": list(schema.field_names)}
+    header = (_encode({"v": FORMAT_VERSION, "table": schema.table_name,
+                       "fields": list(schema.field_names)}) + "\n").encode("utf-8")
     # "x" creates the file or fails: an existing store, even one another
     # process created a moment ago, is never truncated
     try:
@@ -297,7 +306,7 @@ def create_store(path: str, schema: TableSchema, master: MasterKey | None = None
         raise AlreadyExists(f"store file already exists: {path}") from None
     try:
         _flock(fh, path)
-        _write_all(fh, (_encode(header) + "\n").encode("utf-8"))
+        _write_all(fh, header)
         os.fsync(fh.fileno())
         # the new file's directory entry is durable only once its directory is
         dir_fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
@@ -310,7 +319,7 @@ def create_store(path: str, schema: TableSchema, master: MasterKey | None = None
         with fh:
             os.unlink(path)
         raise
-    return Store(path, schema, master, fh, {}, 0)
+    return Store(path, master, fh, _read_header(path, header))
 
 
 def _decode_event(line: bytes, names: tuple) -> tuple:
@@ -353,17 +362,6 @@ def _decode_event(line: bytes, names: tuple) -> tuple:
     return tenant, row_id, values
 
 
-def open_store(path: str, master: MasterKey | None = None) -> Store:
-    fh = open(path, "r+b", buffering=0)
-    try:
-        # lock before reading: a live writer's half-written line is not torn
-        _flock(fh, path)
-        return _load(path, fh, master)
-    except BaseException:
-        fh.close()
-        raise
-
-
 def _read_header(path: str, raw: bytes) -> tuple:
     """The state before the first event of the store file `raw`: (its header
     line with the newline, 1, schema, {}, 0), in the shape of a `_replayed`
@@ -398,26 +396,25 @@ def _read_header(path: str, raw: bytes) -> tuple:
     return raw[: end + 1], 1, schema, {}, 0
 
 
-# (st_dev, st_ino) -> (done, lines, schema, live, max_row_id): what the
-# last successful open in this process replayed of that file. `done` is the
-# bytes of its complete lines (header included), `lines` their count, `live`
-# a copy of the live row map. Only what is on disk: no key, no plaintext.
-# Never updated by a mutation, never evicted. A handle and its entry share
-# no dict; they share the (tenant, values) rows, which are tuples of bytes.
+# (st_dev, st_ino) -> the state that the last successful open in this
+# process replayed of that file. A store state is (done, lines, schema,
+# live, max_row_id): `done` is the bytes of the complete lines replayed
+# (header included), `lines` their count and `live` the live row map. Only
+# `_read_header` and `_replay` build one, and `Store` copies its `live`.
+# Only what is on disk: no key, no plaintext. Never updated by a mutation,
+# never evicted. A handle and its entry share no dict; they share the
+# (tenant, values) rows, which are tuples of bytes.
 _replayed: dict = {}
 
 
-def _load(path: str, fh, master: MasterKey | None) -> Store:
-    info = os.fstat(fh.fileno())
-    # a FIFO would block the read below, and a device could feed it forever
-    if not stat.S_ISREG(info.st_mode):
-        raise StoreError(f"not a regular file: {path}")
-    raw = fh.read()
-    inode = (info.st_dev, info.st_ino)
+def _replay(path: str, raw: bytes, start: tuple | None) -> tuple:
+    """The store state of the file `path` whose bytes are `raw`, replayed
+    from `start`, a `_replayed` entry or None. The state's bytes leave out a
+    torn tail. It reads, writes and logs nothing, and changes no state it
+    was given; a bad line is CorruptLog, a bad header CorruptHeader."""
     # replay is a pure function of the file's bytes, so a file that still
     # starts with the bytes the last open replayed starts from that open's
     # state, and any other from its header's
-    start = _replayed.get(inode)
     if start is None or not raw.startswith(start[0]):
         start = _read_header(path, raw)
     done, number, schema, live, max_row_id = start
@@ -436,13 +433,31 @@ def _load(path: str, fh, master: MasterKey | None) -> Store:
             live[row_id] = (tenant, values)
         if row_id > max_row_id:
             max_row_id = row_id
-    if torn:
-        import logging  # loaded only here, so a process that never tears pays nothing
+    return raw[: len(raw) - len(torn)], number, schema, live, max_row_id
 
-        logging.getLogger(__name__).warning(
-            "truncating torn trailing write in %s (%d bytes)", path, len(torn)
-        )
-        raw = raw[: len(raw) - len(torn)]
-        fh.truncate(len(raw))
-    _replayed[inode] = (raw, number, schema, dict(live), max_row_id)
-    return Store(path, schema, master, fh, live, max_row_id)
+
+def open_store(path: str, master: MasterKey | None = None) -> Store:
+    fh = open(path, "r+b", buffering=0)
+    try:
+        # lock before reading: a live writer's half-written line is not torn
+        _flock(fh, path)
+        info = os.fstat(fh.fileno())
+        # a FIFO would block the read below, and a device could feed it forever
+        if not stat.S_ISREG(info.st_mode):
+            raise StoreError(f"not a regular file: {path}")
+        raw = fh.read()
+        inode = (info.st_dev, info.st_ino)
+        state = _replay(path, raw, _replayed.get(inode))
+        torn = len(raw) - len(state[0])
+        if torn:
+            import logging  # loaded only here, so a process that never tears pays nothing
+
+            logging.getLogger(__name__).warning(
+                "truncating torn trailing write in %s (%d bytes)", path, torn
+            )
+            fh.truncate(len(state[0]))
+        _replayed[inode] = state
+        return Store(path, master, fh, state)
+    except BaseException:
+        fh.close()
+        raise

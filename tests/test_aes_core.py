@@ -409,22 +409,28 @@ def test_encrypt_ecb_matches_scalar():
     assert aes_core.encrypt_ecb(data, ks) == scalar
 
 
-def test_decrypt_ecb_matches_scalar():
+def test_decrypt_cbc_on_the_lanes_matches_scalar():
+    # each plaintext block is the one-block decryption of its ciphertext
+    # block XORed with the block before it
     ks = aes_core.expand_key(os.urandom(16))
     for blocks in (1, 2, 7, 100):
-        data = os.urandom(16 * blocks)
-        scalar = b"".join(
-            aes_core.decrypt_block(data[i : i + 16], ks) for i in range(0, len(data), 16)
+        message = os.urandom(16 * (blocks + 1))  # IV || ciphertext
+        scalar = bytes(
+            a ^ b
+            for i in range(16, len(message), 16)
+            for a, b in zip(aes_core.decrypt_block(message[i : i + 16], ks), message[i - 16 : i])
         )
-        assert aes_core.decrypt_ecb(data, ks) == scalar
-        assert aes_core.encrypt_ecb(aes_core.decrypt_ecb(data, ks), ks) == data
+        plain = aes_core.decrypt_cbc([message], ks, True)
+        assert plain == [scalar]
+        assert aes_core.encrypt_cbc(plain[0], ks, message[:16]) == message[16:]
 
 
 def test_chain_matches_kernel():
     ks = aes_core.expand_key(os.urandom(16))
     for blocks in (1, 2, 9, 257):
         data = os.urandom(16 * blocks)
-        assert aes_core.decrypt_blocks(data, ks) == aes_core.decrypt_ecb(data, ks)
+        message = os.urandom(16) + data
+        assert aes_core.decrypt_cbc([message], ks) == aes_core.decrypt_cbc([message], ks, True)
         # CBC under a zero IV of blocks XORed with the ECB ciphertext block
         # before them is that ECB ciphertext
         ct = aes_core.encrypt_ecb(data, ks)
@@ -437,7 +443,7 @@ def test_encrypt_ecb_rejects_misaligned():
     with pytest.raises(ValueError):
         aes_core.encrypt_ecb(b"123", ks)
     with pytest.raises(ValueError):
-        aes_core.decrypt_ecb(b"123", ks)
+        aes_core.decrypt_cbc([os.urandom(16) + b"123"], ks, True)
 
 
 # --- the kernel's byte-sliced states ----------------------------------------
@@ -448,18 +454,25 @@ def test_encrypt_ecb_rejects_misaligned():
 
 @pytest.mark.parametrize("blocks", [0, 1, 3, 4, 5, 16, 17, 63, 64, 300, 4097])
 def test_ecb_matches_the_library_and_the_chain(blocks):
+    # a message of 0 blocks is only an IV, and decrypts to nothing
     key = os.urandom(16)
     ks = aes_core.expand_key(key)
     data = os.urandom(16 * blocks)
     assert aes_core.encrypt_ecb(data, ks) == aes_library_encrypt(key, data)
-    assert aes_core.decrypt_ecb(data, ks) == aes_library_decrypt(key, data)
-    assert aes_core.decrypt_ecb(data, ks) == aes_core.decrypt_blocks(data, ks)
+    message = os.urandom(16) + data
+    plain = aes_core.decrypt_cbc([message], ks, True)
+    assert plain == [library_cbc_decrypt(key, message)] == aes_core.decrypt_cbc([message], ks)
 
 
-def test_decrypt_ecb_splits_anywhere():
+def test_decrypt_cbc_on_the_lanes_splits_anywhere():
+    # a message cut at a block boundary is two messages, the second with the
+    # last block of the first as its IV; a batch is its messages one by one
     ks = aes_core.expand_key(os.urandom(16))
     a, b = os.urandom(16 * 5), os.urandom(16 * 12)
-    assert aes_core.decrypt_ecb(a + b, ks) == aes_core.decrypt_ecb(a, ks) + aes_core.decrypt_ecb(b, ks)
+    whole = aes_core.decrypt_cbc([a + b], ks, True)[0]
+    assert whole == b"".join(aes_core.decrypt_cbc([a, a[-16:] + b], ks, True))
+    assert aes_core.decrypt_cbc([a, b], ks, True) == (
+        aes_core.decrypt_cbc([a], ks, True) + aes_core.decrypt_cbc([b], ks, True))
     assert aes_core.encrypt_ecb(b + a, ks) == aes_core.encrypt_ecb(b, ks) + aes_core.encrypt_ecb(a, ks)
 
 
@@ -669,7 +682,7 @@ def test_the_codec_leaves_cbc_and_the_lane_plan_to_aes_core():
     with open(os.path.join(os.path.dirname(aes_core.__file__), "crypto_codec.py"),
               encoding="utf-8") as fh:
         source = fh.read()
-    for name in ("LANE_MIN_BLOCKS", "decrypt_ecb", "decrypt_blocks"):
+    for name in ("LANE_MIN_BLOCKS", "decrypt_blocks"):
         assert name not in source
 
 
@@ -681,5 +694,5 @@ def test_only_aes_core_names_the_block_and_ecb_wrappers():
         if name.endswith(".py") and name != "aes_core.py":
             with open(os.path.join(package, name), encoding="utf-8") as fh:
                 source = fh.read()
-            for wrapper in ("encrypt_block", "decrypt_block", "encrypt_ecb", "decrypt_ecb"):
+            for wrapper in ("encrypt_block", "decrypt_block", "encrypt_ecb"):
                 assert wrapper not in source, (name, wrapper)

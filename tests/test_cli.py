@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from cmt import errors
-from cmt.cli import main
+from cmt.cli import main, run
 from cmt.crypto_codec import MAX_FIELD_BYTES
 from cmt.key_service import MASTER_KEY_ENV, MasterKey
 from cmt.tenant_store import TableSchema, create_store, open_store
@@ -333,6 +333,19 @@ def test_selftest_passes_in_a_fresh_process(monkeypatch):
 
 def test_bad_subcommand_exit_2(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_the_console_script_exits_with_mains_code(tmp_path, monkeypatch, capsys):
+    # `cmt`, the script pyproject.toml declares, is `run`: main's code as the
+    # process's exit status; here a get without --row, before any store is made
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["cmt", "--tenant", "x", "get"])
+    with pytest.raises(SystemExit) as exc:
+        run()
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: ") and "--row" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_master_key_file_flag(store_path, tmp_path, monkeypatch, capsys):

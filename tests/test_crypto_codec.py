@@ -204,6 +204,11 @@ def test_round_trip_property(data):
 BATCH_KEYS = TenantKeySet(enc_key=b"\x0c" * 16, mac_key=b"\x0d" * 16)
 
 
+def verify(values, lanes):
+    """`verify_values` of whole values, split as `decrypt_values` splits them."""
+    return verify_values([v[:-16] for v in values], [v[-16:] for v in values], BATCH_KEYS, lanes)
+
+
 @pytest.mark.parametrize("lanes", [False, True])
 @given(st.lists(st.binary(max_size=300), max_size=40))
 @settings(max_examples=25, deadline=None)
@@ -225,7 +230,7 @@ def test_mac_chains_step_in_lockstep_from_lane_min_blocks(count, lanes, monkeypa
     monkeypatch.setattr(aes_core, "use_lanes", lambda *_: lanes)
     rounds = spy(monkeypatch, aes_core, "_lane_rounds")
     assert decrypt_values(values, BATCH_KEYS) == plaintexts
-    steps = [a for a in rounds if not a[2]]  # MAC steps encrypt; decrypt_ecb does not
+    steps = [a for a in rounds if not a[2]]  # MAC steps encrypt; the decryption does not
     assert bool(steps) == (lanes and count >= LANE_MIN_BLOCKS)
 
 
@@ -248,10 +253,10 @@ def test_one_forged_tag_refuses_the_batch_before_any_decryption(forged, lanes, m
     with pytest.raises(AuthError):
         decrypt_values(values, BATCH_KEYS)
     assert chain == [a for a in rounds if a[2]] == []
-    assert verify_values(values, BATCH_KEYS, lanes) == at
+    assert verify(values, lanes) == at
     # the spies see the decryption of the same batch once every tag verifies
     values[at] = genuine
-    assert verify_values(values, BATCH_KEYS, lanes) is None
+    assert verify(values, lanes) is None
     decrypt_values(values, BATCH_KEYS)
     kernel = [a for a in rounds if a[2]]
     assert (len(chain), len(kernel)) == ((0, 1) if lanes else (1, 0))
@@ -307,7 +312,7 @@ def test_both_engines_agree_on_a_batch_and_refuse_a_forgery_in_it(plaintexts, sh
     at = rng.randrange(len(values) + 1)
     forged = values[:at] + [forgery] + values[at:]
     for lanes in (True, False):
-        assert verify_values(forged, BATCH_KEYS, lanes) is None
+        assert verify(forged, lanes) is None
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(aes_core, "use_lanes", lambda *_: lanes)
             assert decrypt_values(values, BATCH_KEYS) == plaintexts

@@ -4,6 +4,7 @@ import base64
 import errno
 import functools
 import io
+import itertools
 import json
 import os
 import random
@@ -389,7 +390,7 @@ def test_list_matches_get_row_for_row_on_the_lanes(store, monkeypatch):
     listed = store.list("uni_a")
     assert [r.row_id for r in listed] == own
     assert listed == [store.get("uni_a", rid) for rid in own]
-    # the 36 MAC chains stepped in lockstep (MAC steps encrypt; decrypt_ecb does not)
+    # the 36 MAC chains stepped in lockstep (MAC steps encrypt; the decryption does not)
     assert [a for a in rounds if not a[2]]
 
 
@@ -822,6 +823,45 @@ def test_live_rows_are_value_tuples_in_schema_order_on_every_path(tmp_path, deco
         assert decoded == []
         assert path.read_bytes().endswith(b"\n")
         _assert_value_rows(s, path)
+
+
+_TENANTS = ("uni_a", "uni_b", "uni_c")
+_OPS = st.lists(st.tuples(st.sampled_from(["ins", "upd", "del"]), st.sampled_from(_TENANTS),
+                          st.integers(0, 20)), max_size=12)
+
+
+@given(ops=_OPS, data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_a_replay_from_any_complete_prefix_ends_as_a_full_replay(ops, data):
+    # the rule the memo relies on, at every line boundary, and the handle's
+    # apply rule against the replay's
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.cmt")
+        with create_store(path, SCHEMA, MASTER) as s:
+            for op, tenant, pick in ops:
+                rows = [r for r, (owner, _) in s._live.items() if owner == tenant]
+                if op == "ins" or not rows:
+                    s.insert(tenant, row(str(pick)))
+                elif op == "upd":
+                    s.update(tenant, rows[pick % len(rows)], row(str(pick), "u"))
+                else:
+                    s.delete(tenant, rows[pick % len(rows)])
+            with open(path, "rb") as fh:
+                raw = fh.read()
+            full = tenant_store._replay(path, raw, None)
+            assert (s._live, s._max_row_id) == full[3:]
+    ends = list(itertools.accumulate(len(line) + 1 for line in raw.split(b"\n")[:-1]))
+    assert full[:2] == (raw, len(ends))
+    for k in ends:
+        prefix = tenant_store._replay(path, raw[:k], None)
+        live = dict(prefix[3])
+        assert tenant_store._replay(path, raw, prefix) == full
+        assert prefix[3] == live  # the starting state is left as it was
+    # a cut inside a line gives the state of the complete lines before it
+    for start, end in zip(ends, ends[1:]):
+        state = tenant_store._replay(path, raw[: data.draw(st.integers(start + 1, end - 1))], None)
+        assert state == tenant_store._replay(path, raw[:start], None)
+        assert state[0] == raw[:start]
 
 
 def test_ciphertext_at_rest(tmp_path):
