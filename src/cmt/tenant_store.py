@@ -26,8 +26,11 @@ names live only in the schema. Each successful open leaves its state in
 `_replayed`, keyed by the file's inode. A replay starts from one state:
 that entry's if the file still starts with exactly its bytes (compared in
 full), else the header's, the state before the first event; from it, it
-replays the lines that follow. Only `_read_header` and `_replay` build a
-state, and a `Store` takes one whole.
+replays the lines that follow, and with no line to replay is that state
+itself. Only `_read_header` and `_replay` build a state, and a `Store`
+takes one whole: it reads the state's live row map until its first write,
+which copies the map, so no write reaches the entry and a handle that only
+reads copies nothing.
 
 Each mutation is written and fsynced before the call returns, and an
 append that fails is cut back off the file before the error is raised; if
@@ -142,14 +145,17 @@ class Store:
     processes: `fh`, the store's one open file, carries the advisory flock
     that `create_store`/`open_store` took on it, and `close` releases the
     lock by closing the file. `state` is the store state the handle starts
-    from (see `_replayed`); the handle takes a copy of its live rows."""
+    from (see `_replayed`). The handle reads the state's live row map
+    itself, and takes a copy of it at its first write (see `_commit`), so a
+    handle that only reads copies nothing."""
 
     def __init__(self, path: str, master: MasterKey | None, fh, state: tuple):
         self.path = path
         _, _, self.schema, live, self._max_row_id = state
         self._master = master
         self._fh = fh
-        self._live: dict[int, tuple[str, tuple[bytes, ...]]] = dict(live)
+        self._live: dict[int, tuple[str, tuple[bytes, ...]]] = live
+        self._state_live = live  # never written: the state's, maybe a memo entry's
         self._mutex = threading.Lock()
         self._broken: str | None = None  # why a failed cut-back poisoned the handle
 
@@ -177,7 +183,9 @@ class Store:
     def _commit(self, op: str, tenant: str, row_id: int, values=None) -> None:
         """Append one event, fsync it, then apply it to the live rows. If
         the write or the fsync fails, the file is cut back to its length
-        before the event, so the log holds no event the caller saw fail. If
+        before the event, so the log holds no event the caller saw fail, and
+        the live rows are left untouched. The first event applied replaces
+        the state's row map with the handle's own copy. If
         that cut fails too, the handle refuses every later mutation: the
         file may hold the failed event, and an append after it could reuse
         its row id or glue onto a fragment."""
@@ -202,6 +210,10 @@ class Store:
             except OSError as cut:
                 self._broken = f"a failed append ({exc}) could not be cut off the log ({cut})"
             raise
+        # by identity: a map put in `_live` since (a copy, or a probe's
+        # counting wrapper) is the handle's own
+        if self._live is self._state_live:
+            self._live = dict(self._live)
         if values is None:
             self._live.pop(row_id, None)
         else:
@@ -400,10 +412,10 @@ def _read_header(path: str, raw: bytes) -> tuple:
 # process replayed of that file. A store state is (done, lines, schema,
 # live, max_row_id): `done` is the bytes of the complete lines replayed
 # (header included), `lines` their count and `live` the live row map. Only
-# `_read_header` and `_replay` build one, and `Store` copies its `live`.
-# Only what is on disk: no key, no plaintext. Never updated by a mutation,
-# never evicted. A handle and its entry share no dict; they share the
-# (tenant, values) rows, which are tuples of bytes.
+# `_read_header` and `_replay` build one. Only what is on disk: no key, no
+# plaintext. Never updated by a mutation, never evicted. A handle shares its
+# entry's live row map until the handle's first write, which copies it, and
+# shares the (tenant, values) rows for good, which are tuples of bytes.
 _replayed: dict = {}
 
 
@@ -411,17 +423,21 @@ def _replay(path: str, raw: bytes, start: tuple | None) -> tuple:
     """The store state of the file `path` whose bytes are `raw`, replayed
     from `start`, a `_replayed` entry or None. The state's bytes leave out a
     torn tail. It reads, writes and logs nothing, and changes no state it
-    was given; a bad line is CorruptLog, a bad header CorruptHeader."""
+    was given: when no complete line follows the start, it returns the start
+    itself, else a state with a new live row map. A bad line is CorruptLog,
+    a bad header CorruptHeader."""
     # replay is a pure function of the file's bytes, so a file that still
     # starts with the bytes the last open replayed starts from that open's
     # state, and any other from its header's
     if start is None or not raw.startswith(start[0]):
         start = _read_header(path, raw)
     done, number, schema, live, max_row_id = start
-    live = dict(live)
     lines = raw[len(done):].split(b"\n")
     # a trailing chunk without its newline is a torn write: drop it
     torn = lines.pop()
+    if not lines:
+        return start
+    live = dict(live)
     for number, line in enumerate(lines, start=number + 1):
         try:
             tenant, row_id, values = _decode_event(line, schema.field_names)

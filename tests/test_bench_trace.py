@@ -49,8 +49,9 @@ def test_tracer_records_codec_spans_and_restores_the_program(tmp_path):
     assert tenant_store.decrypt_value is crypto_codec.decrypt_value
 
 
-@pytest.mark.parametrize("memo_hit", [False, True], ids=["full_replay", "memo_hit"])
-def test_row_map_probe_counts_a_list_on_an_opened_store(tmp_path, monkeypatch, memo_hit):
+@pytest.mark.parametrize("memo_hit, insert", [(False, False), (True, False), (True, True)],
+                         ids=["full_replay", "memo_hit", "memo_hit_insert"])
+def test_row_map_probe_counts_a_list_on_an_opened_store(tmp_path, monkeypatch, memo_hit, insert):
     monkeypatch.setattr(tenant_store, "_replayed", {})
     decoded = []
     decode = tenant_store._decode_event
@@ -73,14 +74,16 @@ def test_row_map_probe_counts_a_list_on_an_opened_store(tmp_path, monkeypatch, m
         tracer.on = True
         with tenant_store.open_store(path, master) as s:
             tracer.probe_rows(s)
-            assert [r.row_id for r in s.list("uni_a")] == [1, 3]
+            if insert:  # a handle's first write must keep the probe's map
+                s.insert("uni_a", {"name": "uni_a", "contact": "12345"})
+            assert [r.row_id for r in s.list("uni_a")] == ([1, 3, 4] if insert else [1, 3])
         tracer.on = False
     finally:
         tracer.remove()
     assert len(decoded) == (0 if memo_hit else 3)
     assert "tenant_store.open_store" in {span[0] for span in tracer.spans}
     # one read of the row map per live row, whoever owns it
-    assert tracer.row_lookups["tenant_store.Store.list"] == 3
+    assert tracer.row_lookups["tenant_store.Store.list"] == (4 if insert else 3)
 
 
 def _cmt_names(tree) -> tuple:

@@ -11,10 +11,12 @@ import random
 import stat
 import tempfile
 import threading
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from cmt.errors import (
     AlreadyExists,
@@ -704,6 +706,83 @@ def test_a_handles_mutations_stay_out_of_the_memo(replayed):
             (1, "a"), (2, "b"), (3, "c")]
 
 
+def _entry(path):
+    """The memo entry of the store file `path`."""
+    info = os.stat(path)
+    return tenant_store._replayed[(info.st_dev, info.st_ino)]
+
+
+def test_a_memo_hit_handle_reads_the_entrys_row_map(replayed):
+    path, _ = replayed
+    entry = _entry(path)
+    with open_store(str(path), MASTER) as s:
+        assert _entry(path) is entry  # nothing appended: the entry itself
+        assert s._live is entry[3]
+        assert [r.fields["name"] for r in s.list("uni_a")] == ["a", "b", "c"]
+        assert s.get("uni_a", 2).fields["name"] == "b"
+        assert s._live is entry[3]  # reads copy nothing
+
+
+@pytest.mark.parametrize("write", [
+    lambda s: s.insert("uni_b", row("d")),
+    lambda s: s.update("uni_a", 2, row("changed")),
+    lambda s: s.delete("uni_a", 3),
+], ids=["insert", "update", "delete"])
+def test_a_handles_first_write_copies_the_entrys_row_map(replayed, write):
+    path, before = replayed
+    entry = _entry(path)
+    rows = dict(entry[3])
+    with open_store(str(path), MASTER) as s:
+        assert s._live is entry[3]
+        write(s)
+        assert s._live is not entry[3]
+        own = s._live
+        s.insert("uni_c", row("e"))
+        assert s._live is own  # only the first write copies
+    assert entry[3] == rows and entry[0] == before
+    assert _entry(path) is entry
+
+
+def test_a_failed_first_write_copies_and_changes_nothing(replayed, monkeypatch):
+    path, before = replayed
+    entry = _entry(path)
+    rows = dict(entry[3])
+    fsync = os.fsync
+    failures = [OSError(errno.EIO, "Input/output error")]
+
+    def failing_fsync(fd):
+        if failures:
+            raise failures.pop()
+        fsync(fd)
+
+    with open_store(str(path), MASTER) as s:
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError):
+            s.delete("uni_a", 1)
+        assert s._live is entry[3] and s._max_row_id == 3
+        assert path.read_bytes() == before
+        assert s.insert("uni_a", row("d")) == 4
+        assert s._live is not entry[3]
+    assert entry[3] == rows and entry[0] == before
+
+
+def test_a_full_replay_handle_reads_the_replays_own_map(tmp_path, monkeypatch):
+    monkeypatch.setattr(tenant_store, "_replayed", {})
+    path = tmp_path / "s.cmt"
+    with create_store(str(path), SCHEMA, MASTER) as s:
+        s.insert("uni_a", row("a"))
+    with open_store(str(path), MASTER) as s:
+        assert s._live is _entry(path)[3]
+        assert sorted(s._live) == [1]
+
+
+@pytest.mark.parametrize("tail", [b"", b'{"op":"del","t":"uni_a"'], ids=["nothing", "torn"])
+def test_a_replay_with_no_line_after_its_start_returns_the_start(replayed, tail):
+    path, before = replayed
+    start = tenant_store._replay(str(path), before, None)
+    assert tenant_store._replay(str(path), before + tail, start) is start
+
+
 @pytest.mark.parametrize("marker, caught", [(b'"op":"in', CorruptLog), (b'"name":"', AuthError)])
 def test_a_flipped_byte_in_the_replayed_prefix_is_caught(replayed, marker, caught):
     path, before = replayed
@@ -862,6 +941,198 @@ def test_a_replay_from_any_complete_prefix_ends_as_a_full_replay(ops, data):
         state = tenant_store._replay(path, raw[: data.draw(st.integers(start + 1, end - 1))], None)
         assert state == tenant_store._replay(path, raw[:start], None)
         assert state[0] == raw[:start]
+
+
+class StoreAgainstAModel(RuleBasedStateMachine):
+    """`Store` driven against a dict of row id -> (tenant, name): writes and
+    reads over three tenants, reopens (a memo hit, a new inode, a cut last
+    event) and writes whose write, fsync, or fsync and cut-back fail. Only
+    the error the model names, a CmtError, may escape an operation; an
+    injected OSError is expected."""
+
+    _names = st.text(st.characters(codec="utf-8"), max_size=6)
+    _tenants = st.sampled_from(_TENANTS)
+    _picks = st.integers(0, 30)
+
+    def __init__(self):
+        super().__init__()
+        self._memo = tenant_store._replayed
+        tenant_store._replayed = {}
+        self._tmp = tempfile.TemporaryDirectory()
+        self.path = os.path.join(self._tmp.name, "s.cmt")
+        self.store = create_store(self.path, SCHEMA, MASTER)
+        self.rows = {}
+        self.max_row_id = 0
+        self.history = []  # (rows, max_row_id) before each event in the file
+        self.entry = None  # the open handle's memo entry and a copy of its rows
+        self.pending = None  # the event a poisoned handle left in the file
+
+    def teardown(self):
+        self.store.close()
+        tenant_store._replayed = self._memo
+        self._tmp.cleanup()
+
+    def _read(self):
+        with open(self.path, "rb") as fh:
+            return fh.read()
+
+    def _target(self, pick):
+        ids = sorted(self.rows) + [self.max_row_id + 1]
+        return ids[pick % len(ids)]
+
+    def _refusal(self, tenant, row_id=None):
+        """The error that a write of `row_id` by `tenant` (None: an insert)
+        must raise, or None."""
+        if row_id is not None and row_id not in self.rows:
+            return NotFound
+        if row_id is not None and self.rows[row_id][0] != tenant:
+            return IsolationDenied
+        return StoreError if self.pending else None
+
+    def _committed(self, tenant, row_id, name):
+        self.history.append((dict(self.rows), self.max_row_id))
+        if name is None:
+            del self.rows[row_id]
+        else:
+            self.rows[row_id] = (tenant, name)
+        self.max_row_id = max(self.max_row_id, row_id)
+
+    def _close(self):
+        self.store.close()
+        if self.pending:
+            self._committed(*self.pending)
+            self.pending = None
+
+    def _reopen(self):
+        self.store = open_store(self.path, MASTER)
+        full = tenant_store._replay(self.path, self._read(), None)
+        assert (self.store._live, self.store._max_row_id) == full[3:]
+        entry = _entry(self.path)
+        assert self.store._live is entry[3]
+        self.entry = entry, dict(entry[3])
+        for tenant in _TENANTS:  # every committed event survived
+            self.list_rows(tenant)
+
+    @rule(tenant=_tenants, name=_names)
+    def insert(self, tenant, name):
+        refusal = self._refusal(tenant)
+        if refusal:
+            with pytest.raises(refusal):
+                self.store.insert(tenant, row(name))
+        else:
+            row_id = self.store.insert(tenant, row(name))
+            assert row_id == self.max_row_id + 1
+            self._committed(tenant, row_id, name)
+
+    @rule(tenant=_tenants, pick=_picks, name=_names)
+    def update(self, tenant, pick, name):
+        row_id = self._target(pick)
+        refusal = self._refusal(tenant, row_id)
+        if refusal:
+            with pytest.raises(refusal):
+                self.store.update(tenant, row_id, row(name))
+        else:
+            self.store.update(tenant, row_id, row(name))
+            self._committed(tenant, row_id, name)
+
+    @rule(tenant=_tenants, pick=_picks)
+    def delete(self, tenant, pick):
+        row_id = self._target(pick)
+        refusal = self._refusal(tenant, row_id)
+        if refusal:
+            with pytest.raises(refusal):
+                self.store.delete(tenant, row_id)
+        else:
+            self.store.delete(tenant, row_id)
+            self._committed(tenant, row_id, None)
+
+    @rule(tenant=_tenants, pick=_picks)
+    def get(self, tenant, pick):
+        row_id = self._target(pick)
+        refusal = self._refusal(tenant, row_id)
+        if refusal in (NotFound, IsolationDenied):
+            with pytest.raises(refusal):
+                self.store.get(tenant, row_id)
+        else:
+            assert self.store.get(tenant, row_id).fields == row(self.rows[row_id][1])
+
+    @rule(tenant=_tenants)
+    def list_rows(self, tenant):
+        listed = [(r.row_id, r.fields) for r in self.store.list(tenant)]
+        assert listed == [(row_id, row(name)) for row_id, (owner, name)
+                          in sorted(self.rows.items()) if owner == tenant]
+        assert listed == [(row_id, self.store.get(tenant, row_id).fields) for row_id, _ in listed]
+
+    @rule()
+    def reopen(self):
+        self._close()
+        self._reopen()
+
+    @rule()
+    def reopen_a_new_inode(self):
+        self._close()
+        other = self.path + ".new"
+        with open(other, "wb") as fh:
+            fh.write(self._read())
+        os.replace(other, self.path)
+        self._reopen()
+
+    @precondition(lambda self: self.history or self.pending)
+    @rule(at=st.integers(0, 10**6))
+    def reopen_with_the_last_event_cut(self, at):
+        self._close()
+        raw = self._read()
+        start = raw.rindex(b"\n", 0, len(raw) - 1) + 1
+        os.truncate(self.path, start + 1 + at % (len(raw) - 1 - start))
+        self.rows, self.max_row_id = self.history.pop()
+        self._reopen()
+        assert self._read() == raw[:start]
+
+    @precondition(lambda self: self.pending is None)
+    @rule(fault=st.sampled_from(["write", "fsync", "fsync_and_cut"]),
+          op=st.sampled_from(["ins", "upd", "del"]), tenant=_tenants, pick=_picks, name=_names)
+    def write_that_fails(self, fault, op, tenant, pick, name):
+        owned = [r for r, (owner, _) in self.rows.items() if owner == tenant]
+        if op == "ins" or not owned:
+            row_id, write = self.max_row_id + 1, functools.partial(self.store.insert, tenant, row(name))
+        elif op == "upd":
+            row_id = owned[pick % len(owned)]
+            write = functools.partial(self.store.update, tenant, row_id, row(name))
+        else:
+            row_id, name = owned[pick % len(owned)], None
+            write = functools.partial(self.store.delete, tenant, row_id)
+        fh, live, before = self.store._fh, self.store._live, self._read()
+        failing = {"write": _FailingLog, "fsync": lambda fh: fh, "fsync_and_cut": _FailingTruncate}
+        self.store._fh = failing[fault](fh)
+        try:
+            fsync = os.fsync if fault == "write" else mock.Mock(side_effect=OSError(errno.EIO, "EIO"))
+            with mock.patch.object(os, "fsync", fsync), pytest.raises(OSError):
+                write()
+        finally:
+            self.store._fh = fh
+        assert self.store._live is live  # nothing applied, nothing copied
+        if fault == "fsync_and_cut":
+            # the whole line stayed in the file, and the handle refuses writes
+            self.pending = tenant, row_id, name
+        else:
+            assert self._read() == before
+
+    @invariant()
+    def the_handle_holds_the_models_rows(self):
+        assert {r: tenant for r, (tenant, _) in self.store._live.items()} == {
+            r: tenant for r, (tenant, _) in self.rows.items()}
+        assert self.store._max_row_id == self.max_row_id
+
+    @invariant()
+    def no_write_reaches_the_memo_entry(self):
+        if self.entry is not None:
+            entry, rows = self.entry
+            assert _entry(self.path) is entry and entry[3] == rows
+
+
+StoreAgainstAModel.TestCase.settings = settings(
+    max_examples=50, stateful_step_count=30, deadline=None)
+TestStoreAgainstAModel = StoreAgainstAModel.TestCase
 
 
 def test_ciphertext_at_rest(tmp_path):
