@@ -43,11 +43,14 @@ with it, `cbc_macs` steps the chains as the kernel's lanes while at least
 LANE_MIN_BLOCKS of them are running, and `decrypt_cbc` decrypts on the
 kernel. `use_lanes` makes that choice once for a batch, from the same
 messages: it works out their MAC chains and decryption blocks itself.
-On the kernel, a batch costs about one Python step per message: the lane
-order, block offsets and finished tags of `cbc_macs` are numpy arrays,
-and `decrypt_cbc` picks the ciphertext blocks, XORs each with the block
-before it and joins the result in numpy, so only the split back into
-messages is a step per message. Once the kernel is loaded, `use_lanes`
+On the kernel, a batch costs about one Python step per message. The lane
+order and block offsets of `cbc_macs` are numpy arrays; it keeps one
+byte-sliced state for the whole batch, steps only its running prefix (a
+lane's state is its tag once its message ends) and writes the finished
+tags into one array, in message order, after the last step. `decrypt_cbc`
+picks the ciphertext blocks, XORs each with the block before it and joins
+the result in numpy. So only the split back into messages is a step per
+message. Once the kernel is loaded, `use_lanes`
 answers after its first test, which every batch with kernel work passes.
 A 300-value `scan_replay` list then took 0.86 times as long as with a
 Python step per value in each of those stages, in one process, and its
@@ -119,12 +122,6 @@ INV_SBOX = [0] * 256
 for _i, _v in enumerate(SBOX):
     INV_SBOX[_v] = _i
 
-# spot-check against published values; catches transcription/derivation bugs
-if SBOX[0x00] != 0x63 or SBOX[0x53] != 0xED:
-    raise AssertionError("S-box self-check failed")
-if sorted(SBOX) != list(range(256)):
-    raise AssertionError("S-box is not a permutation")
-
 RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36]
 
 
@@ -160,6 +157,13 @@ def _placed(tables: tuple, shift: int) -> tuple:
 _TE = _round_tables(SBOX, (0x02, 0x01, 0x01, 0x03))  # MixColumns
 _TD = _round_tables(INV_SBOX, (0x0E, 0x09, 0x0D, 0x0B))  # InvMixColumns
 _PLACED_ENC = _placed(_TE, 1)  # rows shifted left by r
+# Placed decryption pays for its tables. Counted in one 20 s benchmark run
+# per workload (seed 1), `decrypt_blocks` ran on them 27 times in process
+# and once in each of the 36 `cmt get` children on `bulk_values`, 6 times on
+# `scan_replay` and never on `point_small`; without them `bulk_values`
+# get_ms_tail rose from 2.606 to 2.785 ms (+6.9 %, 16 alternating pairs). In
+# thread CPU a 137-block decryption took 1.07 times as long on the row
+# tables right after a child process, and 1.16 times warm.
 _PLACED_DEC = _placed(_TD, -1)  # rows shifted right by r
 
 _WORDS = struct.Struct(">4I")
@@ -220,7 +224,9 @@ def expand_key(key: bytes) -> KeySchedule:
 # column (c + r) % 4, or (c - r) % 4, of row r
 _SHIFT_ROWS = itemgetter(0, 5, 10, 15, 4, 9, 14, 3, 8, 13, 2, 7, 12, 1, 6, 11)
 _INV_SHIFT_ROWS = itemgetter(0, 13, 10, 7, 4, 1, 14, 11, 8, 5, 2, 15, 12, 9, 6, 3)
-# the S-boxes as translation tables for the final round
+# the S-boxes as translation tables for the final round. SBOX and INV_SBOX
+# stay lists beside them: `expand_key` on one `bytes` S-box per direction
+# took 7-8 % longer, indexed or with a `translate`-based SubWord.
 _SBOX_BYTES = bytes(SBOX)
 _INV_SBOX_BYTES = bytes(INV_SBOX)
 
@@ -306,7 +312,7 @@ def decrypt_blocks(data: bytes, schedule: KeySchedule) -> bytes:
     if len(data) % BLOCK_SIZE != 0:
         raise ValueError("data length must be a multiple of 16")
     box, shift = _INV_SBOX_BYTES, _INV_SHIFT_ROWS
-    if len(data) >= PLACED_MIN_BLOCKS * BLOCK_SIZE:
+    if len(data) >= PLACED_MIN_BLOCKS * BLOCK_SIZE:  # measured to pay: see _PLACED_DEC
         return _chain(data, _PLACED_DEC, schedule.dec_keys, box, shift, 0, False)
     t0, t1, t2, t3 = _TD
     k0, *rounds, k10 = schedule.dec_keys
@@ -405,7 +411,7 @@ def use_lanes(messages: list[bytes]) -> bool:
     blocks = sum(map(len, messages)) // BLOCK_SIZE - len(messages)
     if len(messages) < LANE_MIN_BLOCKS and blocks < LANE_MIN_BLOCKS:
         return False
-    if _LANES or "numpy" in sys.modules:
+    if "numpy" in sys.modules:  # `_lanes()` sets _LANES only after importing it
         return True
     chains = [len(m) // BLOCK_SIZE for m in messages]
     steps = _lane_steps(sorted(chains, reverse=True))
@@ -490,6 +496,9 @@ def decrypt_cbc(messages: list[bytes], schedule: KeySchedule, lanes: bool = Fals
         np = _lanes()[0]
         blocks = np.frombuffer(b"".join(messages), dtype=np.uint8).reshape(-1, BLOCK_SIZE)
         cipher, before = blocks[1:], blocks[:-1]  # each block and the one before it
+        # One message needs no index. Through the general path a call took
+        # 5.7-7.3 us longer at 10-257 blocks (81 alternating calls), and every
+        # `bulk_values` get decrypts one message a call once numpy is loaded.
         if len(messages) > 1:  # but not the later messages' IVs
             starts = accumulate(map(len, messages[:-1]))  # of the second message on
             keep = np.ones(len(cipher), dtype=bool)
@@ -515,9 +524,12 @@ def cbc_macs(messages: list[bytes], schedule: KeySchedule, lanes: bool = False) 
     with one lane per message that is still running, longest messages
     first, so the running lanes are always a prefix; the rest, and all of
     it without `lanes` or with fewer than LANE_MIN_BLOCKS messages, runs on
-    the chain. The lanes' order, block offsets and finished tags are numpy
-    arrays; only the messages that outlast the lanes, fewer than
-    LANE_MIN_BLOCKS, are finished one by one."""
+    the chain. The lanes' order and block offsets are numpy arrays. One
+    byte-sliced state serves the batch: each step updates its running
+    prefix, a lane that has ended keeps its tag in place, and the tags are
+    written in message order once, after the last step. Only the messages
+    that outlast the lanes, fewer than LANE_MIN_BLOCKS, are finished one by
+    one."""
     steps = 0
     if lanes and len(messages) >= LANE_MIN_BLOCKS:
         np = _lanes()[0]
@@ -529,18 +541,15 @@ def cbc_macs(messages: list[bytes], schedule: KeySchedule, lanes: bool = False) 
     if not steps:
         return [encrypt_cbc(m, schedule, bytes(BLOCK_SIZE))[-BLOCK_SIZE:] for m in messages]
     blocks = np.frombuffer(b"".join(messages), dtype=np.uint8).reshape(-1, BLOCK_SIZE)
-    tags = np.empty((len(messages), BLOCK_SIZE), dtype=np.uint8)
     running = len(messages)
     state = np.zeros((BLOCK_SIZE, running), dtype=np.uint8)  # byte-sliced
     for j in range(steps):
-        ended = running
-        while sizes[running - 1] == j:  # these messages' tags are their states
+        while sizes[running - 1] == j:  # these lanes' states are their tags
             running -= 1
-        if running < ended:
-            tags[order[running:ended]] = state[:, running:ended].T
         step = blocks.take(firsts[:running] + j, axis=0).T
-        state = _lane_rounds(state[:, :running] ^ step, schedule.enc_keys, False)
-    tags[order[:running]] = state[:, :running].T
+        state[:, :running] = _lane_rounds(state[:, :running] ^ step, schedule.enc_keys, False)
+    tags = np.empty((len(messages), BLOCK_SIZE), dtype=np.uint8)
+    tags[order] = state.T
     flat = tags.tobytes()
     tags = [flat[i : i + BLOCK_SIZE] for i in range(0, len(flat), BLOCK_SIZE)]
     k = 0

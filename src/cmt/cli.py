@@ -10,7 +10,6 @@ Decrypted data goes to stdout only; all diagnostics go to stderr.
 import argparse
 import sys
 
-from . import tenant_store
 from .errors import CmtError, InvalidSchema
 from .key_service import load_master_key
 from .tenant_store import TableSchema, create_store, open_store
@@ -35,10 +34,10 @@ def _parse_sets(pairs) -> dict:
     return values
 
 
-def _print_record(record: tenant_store.Record, schema: TableSchema) -> None:
+def _print_record(record) -> None:
     print(f"row={record.row_id}")
-    for name in schema.field_names:
-        print(f"{name}={record.fields[name]}")
+    for name, value in record.fields.items():  # in schema order
+        print(f"{name}={value}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -106,10 +105,10 @@ def main(argv=None) -> int:
                 row_id = store.insert(args.tenant, _parse_sets(args.set))
                 print(row_id)
             elif args.command == "get":
-                _print_record(store.get(args.tenant, args.row), store.schema)
+                _print_record(store.get(args.tenant, args.row))
             elif args.command == "list":
                 for record in store.list(args.tenant):
-                    _print_record(record, store.schema)
+                    _print_record(record)
             elif args.command == "update":
                 store.update(args.tenant, args.row, _parse_sets(args.set))
             elif args.command == "delete":

@@ -22,7 +22,8 @@ from .errors import InvalidTenantId, MalformedKey, MissingKey
 
 MASTER_KEY_ENV = "CMT_MASTER_KEY"
 
-_TENANT_ID_RE = re.compile(r"^[a-z0-9_-]{1,64}$")
+# used with fullmatch: "$" would also match before a final newline
+_TENANT_ID_RE = re.compile(r"[a-z0-9_-]{1,64}")
 
 _ENC_CONST = bytes([0x01]) * 16
 _MAC_CONST = bytes([0x02]) * 16
@@ -67,7 +68,7 @@ class TenantKeySet:
 
 
 def validate_tenant_id(tenant_id: str) -> str:
-    if not isinstance(tenant_id, str) or not _TENANT_ID_RE.match(tenant_id):
+    if not isinstance(tenant_id, str) or not _TENANT_ID_RE.fullmatch(tenant_id):
         raise InvalidTenantId(
             f"tenant id must match [a-z0-9_-]{{1,64}}, got {tenant_id!r}"
         )

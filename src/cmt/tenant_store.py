@@ -81,7 +81,8 @@ from .key_service import MasterKey, TenantKeySet, derive_tenant_keys, validate_t
 
 FORMAT_VERSION = 1
 
-_NAME_RE = re.compile(r"^[a-z0-9_]{1,64}$")
+# used with fullmatch: "$" would also match before a final newline
+_NAME_RE = re.compile(r"[a-z0-9_]{1,64}")
 
 # json.loads' own decoder, called without its wrapper (see _decode_event)
 _raw_decode = json.JSONDecoder().raw_decode
@@ -96,12 +97,12 @@ class TableSchema(namedtuple("TableSchema", "table_name field_names")):
     __slots__ = ()
 
     def __new__(cls, table_name: str, field_names: tuple):
-        if not _NAME_RE.match(table_name):
+        if not _NAME_RE.fullmatch(table_name):
             raise InvalidSchema(f"bad table name: {table_name!r}")
         if not 1 <= len(field_names) <= 32:
             raise InvalidSchema("schema must have 1..32 fields")
         for name in field_names:
-            if not _NAME_RE.match(name):
+            if not _NAME_RE.fullmatch(name):
                 raise InvalidSchema(f"bad field name: {name!r}")
         if len(set(field_names)) != len(field_names):
             raise InvalidSchema("duplicate field names")

@@ -483,13 +483,19 @@ def test_decrypt_cbc_on_the_lanes_splits_anywhere():
         [5] * 12,  # every lane ends at the last step
         [3],
         [1 + i % 7 for i in range(300)],
+        # five steps: a lane ends at each of the first four and one at the
+        # last, and nine messages outlast the lanes
+        list(range(1, 13)) + [40, 41],
     ],
-    ids=["lanes_end_together", "equal_lengths", "one_message", "300_messages"],
+    ids=["lanes_end_together", "equal_lengths", "one_message", "300_messages", "lanes_end_each_step"],
 )
 def test_cbc_macs_on_the_lanes_match_the_chain(sizes):
-    ks = aes_core.expand_key(os.urandom(16))
+    key = os.urandom(16)
+    ks = aes_core.expand_key(key)
     messages = [os.urandom(16 * n) for n in sizes]
-    assert aes_core.cbc_macs(messages, ks, True) == aes_core.cbc_macs(messages, ks)
+    tags = aes_core.cbc_macs(messages, ks, True)
+    assert tags == aes_core.cbc_macs(messages, ks)
+    assert tags == [library_cbc_mac(key, m) for m in messages]
 
 
 def library_cbc_mac(key: bytes, message: bytes) -> bytes:

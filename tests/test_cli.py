@@ -1,13 +1,19 @@
 """CLI tests: the Student Entry flow, exit-code contract, stream discipline."""
 
 import base64
+import contextlib
+import io
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cmt import errors
 from cmt.cli import main, run
@@ -53,6 +59,14 @@ def test_init_duplicate_fields(tmp_path):
 def test_init_refuses_an_empty_field_name(tmp_path, fields):
     path = tmp_path / "x.cmt"
     assert main(["--store", str(path), "init", "--table", "t", "--fields", fields]) == 2
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("table, fields", [("t", "name\n,contact"), ("t\n", "a")],
+                         ids=["field", "table"])
+def test_init_refuses_a_name_with_a_trailing_newline(tmp_path, table, fields):
+    path = tmp_path / "x.cmt"
+    assert main(["--store", str(path), "init", "--table", table, "--fields", fields]) == 2
     assert not path.exists()
 
 
@@ -168,6 +182,21 @@ def test_missing_tenant_exit_2(store_path):
 
 def test_invalid_tenant_exit_2(store_path):
     assert main(["--store", store_path, "--tenant", "BAD ID", "list"]) == 2
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["insert", "--set", "name=x", "--set", "contact=y", "--set", "department=z"],
+     ["list"], ["get", "--row", "1"]],
+    ids=lambda c: c[0],
+)
+def test_a_tenant_with_a_trailing_newline_exits_2_untouched(store_path, capsys, command):
+    main(insert_args(store_path, "uni_a"))
+    before = Path(store_path).read_bytes()
+    capsys.readouterr()
+    assert main(["--store", store_path, "--tenant", "uni_a\n", *command]) == 2
+    assert capsys.readouterr().out == ""
+    assert Path(store_path).read_bytes() == before
 
 
 def test_non_utf8_value_exit_2(store_path):
@@ -604,3 +633,180 @@ def test_forged_value_exit_6(store_path, kind):
     assert result.returncode == 6
     assert result.stdout == ""
     assert "Traceback" not in result.stderr
+
+
+# --- the command-line contract, fuzzed -------------------------------------------
+
+FUZZ_FIELDS = tuple(FIELDS.split(","))
+# the good store's rows: plaintext that no diagnostic may show
+FUZZ_ROWS = [("uni_a", ("sentinel-a1", "sentinel-a2", "sentinel-a3")),
+             ("uni_b", ("sentinel-b1", "sentinel-b2", "sentinel-b3"))]
+NESTED_LINE = b"[" * 100_000 + b"]" * 100_000 + b"\n"
+STORES_THAT_OPEN = ("good", "torn", "header")
+STORES = STORES_THAT_OPEN + ("missing", "empty", "corrupt", "nested_event", "nested_header",
+                             "directory", "locked")
+KEYS_THAT_LOAD = ("good", "wrong", "env")
+KEYS = KEYS_THAT_LOAD + ("missing", "short", "not_utf8", "none")
+TORN = b'{"op":"ins","t":"uni_a","r":9,'
+REQUIRED = {"init": ("--table", "--fields"), "insert": ("--tenant", "--set"),
+            "get": ("--tenant", "--row"), "list": ("--tenant",),
+            "update": ("--tenant", "--row", "--set"), "delete": ("--tenant", "--row")}
+# the documented name patterns, matched against the whole string
+TENANT_ID = re.compile(r"[a-z0-9_-]{1,64}")
+NAME = re.compile(r"[a-z0-9_]{1,64}")
+
+
+@pytest.fixture(scope="module")
+def good_store(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "s.cmt"
+    with create_store(str(path), TableSchema("student_entry", FUZZ_FIELDS),
+                      MasterKey(bytes.fromhex(HEX_KEY))) as store:
+        for tenant, values in FUZZ_ROWS:
+            store.insert(tenant, dict(zip(FUZZ_FIELDS, values)))
+    return path.read_bytes()
+
+
+# each flag's well-formed values and malformed ones; a --set "value" is a
+# list of FIELD=VALUE pairs, "\udcff" is a value with no UTF-8 encoding
+_VALUES = st.sampled_from(["v", "\udcff", "", "é", "a=b"])
+_NAME = st.sampled_from(FUZZ_FIELDS + ("student_entry",))
+_BAD_NAME = (_NAME.map("{}\n".format) | st.sampled_from(["Name", "x" * 65, "", "a-b"])
+             | st.text("az_-A\n", max_size=4))
+_TENANT = st.sampled_from(["uni_a", "uni_b"])
+_BAD_TENANT = (_TENANT.map("{}\n".format) | st.sampled_from(["UNI_A", "u" * 65, "", "a b", "-x"])
+               | st.text("ab_-B\n ", max_size=4))
+_FLAGS = {
+    "--tenant": (_TENANT, _BAD_TENANT),
+    "--table": (_NAME, _BAD_NAME),
+    "--fields": (st.lists(_NAME, min_size=1, max_size=3).map(",".join),
+                 st.lists(_NAME | _BAD_NAME, min_size=1, max_size=3).map(",".join)),
+    "--row": (st.sampled_from(["1", "2", "3"]),
+              st.sampled_from(["999", "0", "-1", "x", "1.5", "1\n"])),
+    "--set": (st.lists(_VALUES, min_size=3, max_size=3).map(
+                  lambda vs: [f"{name}={v}" for name, v in zip(FUZZ_FIELDS, vs)]),
+              st.lists(st.builds("{}={}".format, _NAME | _BAD_NAME, _VALUES)
+                       | st.sampled_from(["novalue", "=x"]), min_size=1, max_size=4)),
+}
+
+
+@st.composite
+def command_lines(draw):
+    """A well-formed command line with up to two faults, each a flag missing,
+    repeated or malformed, or a stray token."""
+    command = draw(st.sampled_from(sorted(REQUIRED)))
+    names = dict.fromkeys(("--tenant",) + REQUIRED[command])
+    flags = {flag: [draw(_FLAGS[flag][0])] for flag in names}
+    strays = []
+    faults = st.sampled_from(["missing", "missing", "repeated", "malformed", "malformed", "stray"])
+    for fault in draw(st.lists(faults, max_size=2)):
+        flag = draw(st.sampled_from(sorted(flags)))
+        if fault == "missing":
+            flags[flag] = []
+        elif fault == "repeated":
+            flags[flag].append(draw(_FLAGS[flag][0] | _FLAGS[flag][1]))
+        elif fault == "malformed":
+            flags[flag] = [draw(_FLAGS[flag][1])]
+        else:
+            strays.append(draw(st.sampled_from(["--bogus", "extra", "-h"])))
+    argv = []
+    for flag, values in flags.items():  # --tenant, a global flag, first
+        for value in values:
+            items = value if flag == "--set" else [value]
+            argv += [arg for item in items for arg in (flag, item)]
+        if flag == "--tenant":
+            argv.append(command)
+    for stray in strays:
+        argv.insert(draw(st.integers(0, len(argv))), stray)
+    return command, argv
+
+
+def _last(argv, flag):
+    """The value argparse keeps for `flag`: its last one, or None."""
+    values = [argv[i + 1] for i, arg in enumerate(argv[:-1]) if arg == flag]
+    return values[-1] if values else None
+
+
+def _put_store(path, state, good):
+    content = {"empty": b"", "header": good[: good.index(b"\n") + 1], "good": good,
+               "locked": good, "torn": good + TORN, "corrupt": good + b'{"op":"zap"}\n',
+               "nested_event": good + NESTED_LINE, "nested_header": NESTED_LINE}
+    if state == "directory":
+        path.mkdir()
+    elif state != "missing":
+        path.write_bytes(content[state])
+
+
+def _key_args(tmp, key, mp):
+    mp.delenv(MASTER_KEY_ENV, raising=False)
+    if key == "env":
+        mp.setenv(MASTER_KEY_ENV, HEX_KEY)
+    if key in ("env", "none"):
+        return []
+    path = tmp / "key"
+    content = {"good": HEX_KEY.encode(), "wrong": b"ff" * 16, "short": HEX_KEY[:30].encode(),
+               "not_utf8": b"\xff" * 32}
+    if key != "missing":
+        path.write_bytes(content[key])
+    return ["--master-key-file", str(path)]
+
+
+def _call(tmp, command, argv, store, key, good):
+    """main(argv) on a store and key of the given kinds, checked against the
+    contract's rules."""
+    shutil.rmtree(tmp)  # what an earlier call, failed or not, left
+    tmp.mkdir()
+    path = tmp / "s.cmt"
+    _put_store(path, store, good)
+    before = path.read_bytes() if path.is_file() else path.exists()
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.ExitStack() as stack:
+        full = ["--store", str(path)] + _key_args(tmp, key, mp) + argv
+        if store == "locked":
+            stack.enter_context(open_store(str(path), MasterKey(bytes.fromhex(HEX_KEY))))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(full)
+    out, err = out.getvalue(), err.getvalue()
+    after = path.read_bytes() if path.is_file() else path.exists()
+    # 1. a documented exit code, and 1 only for selftest (never drawn)
+    assert code in (0, 2, 3, 4, 5, 6), (full, code, err)
+    # 2. stderr holds error lines, argparse's usage text on exit 2, init's
+    # confirmation on exit 0 and the warning of an open that cut a torn tail
+    if code == 2 and err.startswith("usage: "):
+        # its message may echo an argument's raw newline
+        assert re.search(r"^cmt( \w+)?: error: ", err, re.M), err
+    else:
+        allowed = ("cmt: error: ", "cmt: i/o error: ", "truncating torn trailing write")
+        for line in err.splitlines():
+            assert line.startswith(allowed + (("created store ",) if code == 0 else ())), (full, err)
+    # 3. no plaintext the store holds reaches stderr
+    assert not any(value in err for _, row in FUZZ_ROWS for value in row), (full, err)
+    # 4. stdout only on success
+    assert code == 0 or out == "", (full, code, out)
+    # 5. a refused command line changes no store; an open cuts a torn tail
+    if code == 2:
+        assert after == before or (store == "torn" and after == good), (full, err)
+    if "-h" in argv:  # help exits 0 before any other check
+        return
+    # 6. a command line without a flag its command requires exits 2
+    if any(flag not in argv for flag in REQUIRED[command]):
+        assert code == 2, (full, code, err)
+    # 7. a name that does not wholly match its pattern exits 2, unless the
+    # key or the store, which are loaded first, exits 3
+    tenant, table, fields = (_last(argv, flag) for flag in ("--tenant", "--table", "--fields"))
+    if command == "init" and table is not None and fields is not None:
+        if not all(NAME.fullmatch(name) for name in [table, *fields.split(",")]):
+            assert code == 2, (full, code, err)
+    elif command != "init" and tenant is not None and not TENANT_ID.fullmatch(tenant):
+        opens = key in KEYS_THAT_LOAD and store in STORES_THAT_OPEN
+        assert code == 2 if opens else code in (2, 3), (full, code, err)
+
+
+@given(line=command_lines(), store=st.sampled_from(STORES),
+       key=st.sampled_from(KEYS_THAT_LOAD) | st.sampled_from(KEYS))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_every_command_line_keeps_the_exit_code_contract(tmp_path, good_store, line, store, key):
+    # the drawn store and key, then the same command line on a good store
+    # under a key that loads, which reaches the command itself
+    _call(tmp_path, *line, store, key, good_store)
+    _call(tmp_path, *line, "good", key if key in KEYS_THAT_LOAD else "good", good_store)

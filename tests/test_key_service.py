@@ -138,7 +138,7 @@ def test_valid_tenant_ids(tenant):
     assert validate_tenant_id(tenant) == tenant
 
 
-@pytest.mark.parametrize("tenant", ["", "UPPER", "x" * 65, "sp ace", "dot.", "ünï"])
+@pytest.mark.parametrize("tenant", ["", "UPPER", "x" * 65, "sp ace", "dot.", "ünï", "uni_a\n", "\nuni_a"])
 def test_invalid_tenant_ids(tenant):
     with pytest.raises(InvalidTenantId):
         validate_tenant_id(tenant)

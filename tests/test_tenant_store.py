@@ -67,6 +67,11 @@ def test_schema_rejects_bad_names():
         TableSchema("UPPER", ("a",))
     with pytest.raises(InvalidSchema):
         TableSchema("t", ())
+    # the whole name must match: "$" alone also matches before a final newline
+    with pytest.raises(InvalidSchema):
+        TableSchema("t", ("name\n",))
+    with pytest.raises(InvalidSchema):
+        TableSchema("t\n", ("a",))
 
 
 # --- create / open ----------------------------------------------------------
@@ -139,6 +144,7 @@ NESTED = "[" * 100_000 + "]" * 100_000
         '{"v":true,"table":"t","fields":["a"]}',  # True == 1
         '{"v":1,"table":"t","fields":{"a":1}}',  # would read as ("a",)
         '{"v":1,"table":"T","fields":["a"]}',  # InvalidSchema, exit 2, at init
+        '{"v":1,"table":"t","fields":["name\\n"]}',  # a field name with a trailing newline
         pytest.param(NESTED, id="nested_too_deep"),
     ],
 )
