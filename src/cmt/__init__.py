@@ -3,23 +3,9 @@
 Every tenant's field values are encrypted (CBC + encrypt-then-MAC) under
 keys derived from one master key before they are written to a shared,
 append-only, row-per-tenant store file.
+
+The package binds no names of its own: each public name is imported from
+the module that defines it (`cmt.tenant_store`, `cmt.key_service`,
+`cmt.crypto_codec`, `cmt.aes_core`, `cmt.errors`, `cmt.cli`), so importing
+one module loads only what that module needs.
 """
-
-from .crypto_codec import decrypt_value, encrypt_value
-from .key_service import MasterKey, TenantKeySet, derive_tenant_keys, load_master_key
-from .tenant_store import Record, TableSchema, create_store, open_store
-
-__all__ = [
-    "MasterKey",
-    "Record",
-    "TableSchema",
-    "TenantKeySet",
-    "create_store",
-    "decrypt_value",
-    "derive_tenant_keys",
-    "encrypt_value",
-    "load_master_key",
-    "open_store",
-]
-
-__version__ = "0.1.0"

@@ -2,7 +2,10 @@
 
 Exit codes are a stable contract: 0 ok, 1 selftest failure, 2 a command
 line argparse rejects, 3 an i/o error, and for a `CmtError` its
-`exit_code` (2..6, listed in `cmt.errors`).
+`exit_code` (2..6, listed in `cmt.errors`). A data command's checks run
+in this order: the command line (its tenant id and `--set` pairs too, 2),
+then the master key (3), then the store, so a refused command line loads
+no key and opens no store.
 
 Decrypted data goes to stdout only; all diagnostics go to stderr.
 """
@@ -11,7 +14,7 @@ import argparse
 import sys
 
 from .errors import CmtError, InvalidSchema
-from .key_service import load_master_key
+from .key_service import load_master_key, validate_tenant_id
 from .tenant_store import TableSchema, create_store, open_store
 
 DEFAULT_STORE = "./studententry.cmt"
@@ -96,13 +99,16 @@ def main(argv=None) -> int:
             )
             return EXIT_OK
 
-        # data commands need a key and a tenant
+        # data commands: the whole command line is checked before the key is
+        # loaded and the store opened, since an open cuts a torn tail
         if args.tenant is None:
             raise InvalidSchema("--tenant is required for this command")
+        validate_tenant_id(args.tenant)
+        values = _parse_sets(args.set) if args.command in ("insert", "update") else None
         master = load_master_key(key_file=args.master_key_file)
         with open_store(args.store, master) as store:
             if args.command == "insert":
-                row_id = store.insert(args.tenant, _parse_sets(args.set))
+                row_id = store.insert(args.tenant, values)
                 print(row_id)
             elif args.command == "get":
                 _print_record(store.get(args.tenant, args.row))
@@ -110,7 +116,7 @@ def main(argv=None) -> int:
                 for record in store.list(args.tenant):
                     _print_record(record)
             elif args.command == "update":
-                store.update(args.tenant, args.row, _parse_sets(args.set))
+                store.update(args.tenant, args.row, values)
             elif args.command == "delete":
                 store.delete(args.tenant, args.row)
         return EXIT_OK

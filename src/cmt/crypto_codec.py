@@ -25,7 +25,6 @@ and the padding; CBC, CBC-MAC and the choice of engine are `aes_core`'s.
 """
 
 import os
-from collections.abc import Sequence
 
 # hmac.compare_digest's own constant-time fallback, without loading OpenSSL
 from _operator import _compare_digest as compare_digest
@@ -78,7 +77,7 @@ def verify_values(messages: list[bytes], stored: list[bytes], keys, lanes: bool)
     return list(map(compare_digest, tags, stored)).index(False)
 
 
-def decrypt_values(values: Sequence[bytes], keys) -> list[bytes]:
+def decrypt_values(values: list[bytes], keys) -> list[bytes]:
     """Verify every tag, then decrypt every value. A tag failure raises
     AuthError before any block of the batch is decrypted, and so does a
     value whose tag verifies but whose padding is invalid: CBC-MAC tags of

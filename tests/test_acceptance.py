@@ -191,9 +191,8 @@ def test_criterion_8_torn_write_recovery(tmp_path):
 
 
 def test_criterion_9_performance_smoke(capsys):
-    lines = []
-    assert run_selftest(report=lines.append)
-    throughput = next(l for l in lines if "throughput" in l)
+    assert run_selftest()
+    throughput = next(l for l in capsys.readouterr().out.splitlines() if "throughput" in l)
     mbps = float(re.search(r"([\d.]+) MB/s", throughput).group(1))
     assert mbps >= 1.0
     report(f"PASS 9: selftest green, block encryption at {mbps:.1f} MB/s (floor 1 MB/s)")
