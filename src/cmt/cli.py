@@ -76,8 +76,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    parser = _build_parser()
     try:
-        args = _build_parser().parse_args(argv)
+        # parse_args, but naming each unrecognized argument by its repr, so
+        # a newline in one cannot start a stderr line of its own
+        args, extras = parser.parse_known_args(argv)
+        if extras:
+            parser.error("unrecognized arguments: " + " ".join(map(repr, extras)))
     except SystemExit as exc:
         # argparse already printed to stderr; only --help exits 0
         return EXIT_OK if exc.code == 0 else EXIT_USAGE

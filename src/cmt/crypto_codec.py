@@ -38,14 +38,14 @@ MIN_VALUE_BYTES = 3 * BLOCK_SIZE  # an IV, one ciphertext block and a tag
 
 # The PKCS#7 padding that a padded plaintext's last byte n calls for: n
 # bytes of value n, for n in 1..16. Any other n is invalid, and its entry is
-# one byte other than n, which no plaintext ending in n ends with.
+# one byte other than n, which no plaintext ending in n ends with. `pad`
+# appends an entry and `decrypt_values` checks against one.
 _PADDING = [bytes([n]) * n if 1 <= n <= BLOCK_SIZE else bytes([n ^ 1]) for n in range(256)]
 
 
 def pad(data: bytes) -> bytes:
-    """PKCS#7: append n bytes of value n, n in 1..16."""
-    n = BLOCK_SIZE - (len(data) % BLOCK_SIZE)
-    return data + bytes([n]) * n
+    """PKCS#7: append `_PADDING[n]`, for the n in 1..16 that makes whole blocks."""
+    return data + _PADDING[BLOCK_SIZE - len(data) % BLOCK_SIZE]
 
 
 def check_value(raw: bytes) -> bytes:

@@ -92,17 +92,19 @@ _encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
 class TableSchema(namedtuple("TableSchema", "table_name field_names")):
-    """The table's name and its field names, in order."""
+    """The table's name and its field names, in order: 1 to 32 distinct
+    fields, and every name a string that is all of `[a-z0-9_]{1,64}`;
+    InvalidSchema otherwise."""
 
     __slots__ = ()
 
     def __new__(cls, table_name: str, field_names: tuple):
-        if not _NAME_RE.fullmatch(table_name):
+        if not (isinstance(table_name, str) and _NAME_RE.fullmatch(table_name)):
             raise InvalidSchema(f"bad table name: {table_name!r}")
         if not 1 <= len(field_names) <= 32:
             raise InvalidSchema("schema must have 1..32 fields")
         for name in field_names:
-            if not _NAME_RE.fullmatch(name):
+            if not (isinstance(name, str) and _NAME_RE.fullmatch(name)):
                 raise InvalidSchema(f"bad field name: {name!r}")
         if len(set(field_names)) != len(field_names):
             raise InvalidSchema("duplicate field names")
@@ -393,13 +395,10 @@ def _read_header(path: str, raw: bytes) -> tuple:
         version, table, fields = header["v"], header["table"], header["fields"]
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise CorruptHeader(f"unparseable header in {path}: {exc}") from None
-    # json gives True for `true`, and True == 1; a string would split into letters
-    if (
-        type(version) is not int or not isinstance(table, str)
-        or not isinstance(fields, list) or not all(isinstance(f, str) for f in fields)
-    ):
-        raise CorruptHeader(f'header of {path} needs an integer "v", a string "table" '
-                            'and a list of strings "fields"')
+    # json gives True for `true`, and True == 1; a string "fields" would split
+    # into letters and a dict read as its keys. The names are TableSchema's.
+    if type(version) is not int or not isinstance(fields, list):
+        raise CorruptHeader(f'header of {path} needs an integer "v" and a list "fields"')
     try:
         schema = TableSchema(table, tuple(fields))
     except InvalidSchema as exc:  # a usage error at init, a corrupt file here

@@ -730,7 +730,7 @@ def command_lines(draw):
         elif fault == "malformed":
             flags[flag] = [draw(_FLAGS[flag][1])]
         else:
-            strays.append(draw(st.sampled_from(["--bogus", "extra", "-h"])))
+            strays.append(draw(st.sampled_from(["--bogus", "extra", "a\nb", "-h"])))
     argv = []
     for flag, values in flags.items():  # --tenant, a global flag, first
         for value in values:
@@ -795,8 +795,11 @@ def _call(tmp, command, argv, store, key, good):
     # 2. stderr holds error lines, argparse's usage text on exit 2, init's
     # confirmation on exit 0 and the warning of an open that cut a torn tail
     if code == 2 and err.startswith("usage: "):
-        # its message may echo an argument's raw newline
-        assert re.search(r"^cmt( \w+)?: error: ", err, re.M), err
+        # usage text, then argparse's one error line, which names every
+        # argument by its repr, so a newline in one starts no line of its own
+        *usage, error = err.splitlines()
+        assert all(line.startswith(("usage: ", " ")) for line in usage), (full, err)
+        assert re.match(r"cmt( \w+)?: error: ", error), (full, err)
     else:
         allowed = ("cmt: error: ", "cmt: i/o error: ", "truncating torn trailing write")
         for line in err.splitlines():

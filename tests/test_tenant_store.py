@@ -74,6 +74,13 @@ def test_schema_rejects_bad_names():
         TableSchema("t\n", ("a",))
 
 
+@pytest.mark.parametrize("table, fields", [(5, ("a",)), ("t", (5,)), ("t", ("a", None))])
+def test_schema_rejects_a_name_that_is_not_text(table, fields):
+    # a library caller's usage error, not the TypeError `re` raises
+    with pytest.raises(InvalidSchema):
+        TableSchema(table, fields)
+
+
 # --- create / open ----------------------------------------------------------
 
 def test_create_then_reopen_empty(tmp_path):
@@ -145,6 +152,8 @@ NESTED = "[" * 100_000 + "]" * 100_000
         '{"v":1,"table":"t","fields":{"a":1}}',  # would read as ("a",)
         '{"v":1,"table":"T","fields":["a"]}',  # InvalidSchema, exit 2, at init
         '{"v":1,"table":"t","fields":["name\\n"]}',  # a field name with a trailing newline
+        '{"v":1,"table":5,"fields":["a"]}',  # TableSchema's rule: names are strings
+        '{"v":1,"table":"t","fields":["a",1]}',
         pytest.param(NESTED, id="nested_too_deep"),
     ],
 )
