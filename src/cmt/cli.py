@@ -5,7 +5,10 @@ line argparse rejects, 3 an i/o error, and for a `CmtError` its
 `exit_code` (2..6, listed in `cmt.errors`). A data command's checks run
 in this order: the command line (its tenant id and `--set` pairs too, 2),
 then the master key (3), then the store, so a refused command line loads
-no key and opens no store.
+no key and opens no store. Only an `insert`, `update` or `delete` that
+reaches its write changes the store: an open warns about a torn tail on
+stderr and leaves it for the next write to cut, so a `get`, a `list` and
+a refused command leave the file byte for byte.
 
 Decrypted data goes to stdout only; all diagnostics go to stderr.
 """
@@ -105,7 +108,7 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         # data commands: the whole command line is checked before the key is
-        # loaded and the store opened, since an open cuts a torn tail
+        # loaded and the store opened, so it is refused with or without a key
         if args.tenant is None:
             raise InvalidSchema("--tenant is required for this command")
         validate_tenant_id(args.tenant)

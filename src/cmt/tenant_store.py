@@ -18,9 +18,10 @@ row id. It does no I/O. In one pass, each line is decoded
 checked (an insert or update carries exactly the header's fields) and put
 straight into the live row map; a bad line is CorruptLog with its line
 number. A trailing chunk without its newline is a torn write (a crash
-mid-write), which the state's bytes leave out. `open_store` cuts it off
+mid-write), which the state's bytes leave out. `open_store` leaves it in
 the file with a `logging` warning (on stderr unless logging is
-configured), and imports `logging` on that path only. A live row is its
+configured), and imports `logging` on that path only: an open writes
+nothing, and the handle's first write cuts the tail. A live row is its
 tenant and a tuple of its values in the header's field order; the field
 names live only in the schema. Each successful open leaves its state in
 `_replayed`, keyed by the file's inode. A replay starts from one state:
@@ -32,17 +33,18 @@ takes one whole: it reads the state's live row map until its first write,
 which copies the map, so no write reaches the entry and a handle that only
 reads copies nothing.
 
-Each mutation is written and fsynced before the call returns, and an
-append that fails is cut back off the file before the error is raised; if
-that cut fails too, the handle refuses every later mutation until the
-store is reopened, as a closed handle does; such a handle still reads, but
-a closed one, whose lock is gone and whose rows may be stale, refuses
-reads too. Values must be `str`, encodable as UTF-8. A handle is one open
-file, locked by an advisory `flock` on that file itself, so the lock is
-the inode's and a symlink or hard link meets it too; the opener locks
-before it reads. `list` verifies and decrypts all of a tenant's values as
-one batch (`crypto_codec.decrypt_values`), `get` one value at a time; a
-value that verifies but is not UTF-8 is AuthError.
+Each mutation is written and fsynced before the call returns. Bytes past
+the last event a handle knows of, a torn tail or an append that failed,
+follow one rule: the handle's next write cuts them, and an append that
+fails is cut back before the error is raised, or, if that cut fails too,
+left for the next write to cut. A closed handle, whose lock is gone and
+whose rows may be stale, refuses reads and writes. Values must be `str`,
+encodable as UTF-8. A handle is one open file, locked by an advisory
+`flock` on that file itself, so the lock is the inode's and a symlink or
+hard link meets it too; the opener locks before it reads. `list` verifies
+and decrypts all of a tenant's values as one batch
+(`crypto_codec.decrypt_values`), `get` one value at a time; a value that
+verifies but is not UTF-8 is AuthError.
 
 File format (UTF-8, newline-delimited):
   line 1: {"v":1,"table":"<name>","fields":["f1",...]}
@@ -92,15 +94,18 @@ _encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
 class TableSchema(namedtuple("TableSchema", "table_name field_names")):
-    """The table's name and its field names, in order: 1 to 32 distinct
-    fields, and every name a string that is all of `[a-z0-9_]{1,64}`;
-    InvalidSchema otherwise."""
+    """The table's name and its field names, in order: a list or tuple of 1
+    to 32 distinct fields, kept as a tuple, and every name a string that is
+    all of `[a-z0-9_]{1,64}`; InvalidSchema otherwise."""
 
     __slots__ = ()
 
     def __new__(cls, table_name: str, field_names: tuple):
         if not (isinstance(table_name, str) and _NAME_RE.fullmatch(table_name)):
             raise InvalidSchema(f"bad table name: {table_name!r}")
+        # a string would split into letters, and a dict read as its keys
+        if not isinstance(field_names, (list, tuple)):
+            raise InvalidSchema(f"fields must be a list or tuple, not {type(field_names).__name__}")
         if not 1 <= len(field_names) <= 32:
             raise InvalidSchema("schema must have 1..32 fields")
         for name in field_names:
@@ -108,7 +113,7 @@ class TableSchema(namedtuple("TableSchema", "table_name field_names")):
                 raise InvalidSchema(f"bad field name: {name!r}")
         if len(set(field_names)) != len(field_names):
             raise InvalidSchema("duplicate field names")
-        return super().__new__(cls, table_name, field_names)
+        return super().__new__(cls, table_name, tuple(field_names))
 
 
 class Record(namedtuple("Record", "row_id tenant fields")):
@@ -150,17 +155,19 @@ class Store:
     lock by closing the file. `state` is the store state the handle starts
     from (see `_replayed`). The handle reads the state's live row map
     itself, and takes a copy of it at its first write (see `_commit`), so a
-    handle that only reads copies nothing."""
+    handle that only reads copies nothing. `_end` is where the handle's
+    last event ends in the file: the length of the state's bytes, then of
+    each event it commits."""
 
     def __init__(self, path: str, master: MasterKey | None, fh, state: tuple):
         self.path = path
-        _, _, self.schema, live, self._max_row_id = state
+        done, _, self.schema, live, self._max_row_id = state
+        self._end = len(done)
         self._master = master
         self._fh = fh
         self._live: dict[int, tuple[str, tuple[bytes, ...]]] = live
         self._state_live = live  # never written: the state's, maybe a memo entry's
         self._mutex = threading.Lock()
-        self._broken: str | None = None  # why a failed cut-back poisoned the handle
 
     # -- lifecycle -----------------------------------------------------
 
@@ -184,17 +191,16 @@ class Store:
         return derived[tenant]
 
     def _commit(self, op: str, tenant: str, row_id: int, values=None) -> None:
-        """Append one event, fsync it, then apply it to the live rows. If
-        the write or the fsync fails, the file is cut back to its length
-        before the event, so the log holds no event the caller saw fail, and
-        the live rows are left untouched. The first event applied replaces
-        the state's row map with the handle's own copy. If
-        that cut fails too, the handle refuses every later mutation: the
-        file may hold the failed event, and an append after it could reuse
-        its row id or glue onto a fragment."""
+        """Append one event at `_end`, fsync it, then apply it to the live
+        rows. Bytes past `_end`, a torn tail or a failed append that could
+        not be cut back, are cut first, so the event never glues onto a
+        fragment, and a failed append's row id is free again. If the write
+        or the fsync fails, the file is cut back to `_end`, so the log holds
+        no event the caller saw fail, and the live rows are left untouched;
+        if that cut fails too, the error is raised all the same and the
+        next write cuts the bytes. The first event applied replaces the
+        state's row map with the handle's own copy."""
         self._refuse_if_closed()
-        if self._broken:
-            raise StoreError(f"{self._broken}; reopen the store: {self.path}")
         event = {"op": op, "t": tenant, "r": row_id}
         if values is not None:
             event["f"] = {
@@ -202,17 +208,22 @@ class Store:
                 for name, value in zip(self.schema.field_names, values)
             }
         line = (_encode(event) + "\n").encode("ascii")
-        # not O_APPEND, and a cut torn tail leaves the position past the end
         offset = self._fh.seek(0, os.SEEK_END)
         try:
+            # `>`, not `!=`: a file that shrank under a writer ignoring the
+            # lock takes the event at its end
+            if offset > self._end:
+                offset = self._fh.truncate(self._end)
+                self._fh.seek(offset)
             _write_all(self._fh, line)
             os.fsync(self._fh.fileno())
-        except OSError as exc:
+        except OSError:
             try:
                 self._fh.truncate(offset)
-            except OSError as cut:
-                self._broken = f"a failed append ({exc}) could not be cut off the log ({cut})"
+            except OSError:
+                pass  # the bytes stay past `_end`, for the next write to cut
             raise
+        self._end = offset + len(line)
         # by identity: a map put in `_live` since (a copy, or a probe's
         # counting wrapper) is the handle's own
         if self._live is self._state_live:
@@ -395,12 +406,11 @@ def _read_header(path: str, raw: bytes) -> tuple:
         version, table, fields = header["v"], header["table"], header["fields"]
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise CorruptHeader(f"unparseable header in {path}: {exc}") from None
-    # json gives True for `true`, and True == 1; a string "fields" would split
-    # into letters and a dict read as its keys. The names are TableSchema's.
-    if type(version) is not int or not isinstance(fields, list):
-        raise CorruptHeader(f'header of {path} needs an integer "v" and a list "fields"')
+    # json gives True for `true`, and True == 1; the rest is TableSchema's rule
+    if type(version) is not int:
+        raise CorruptHeader(f'header of {path} needs an integer "v"')
     try:
-        schema = TableSchema(table, tuple(fields))
+        schema = TableSchema(table, fields)
     except InvalidSchema as exc:  # a usage error at init, a corrupt file here
         raise CorruptHeader(f"header of {path}: {exc}") from None
     if version != FORMAT_VERSION:
@@ -469,9 +479,7 @@ def open_store(path: str, master: MasterKey | None = None) -> Store:
             import logging  # loaded only here, so a process that never tears pays nothing
 
             logging.getLogger(__name__).warning(
-                "truncating torn trailing write in %s (%d bytes)", path, torn
-            )
-            fh.truncate(len(state[0]))
+                "torn trailing write in %s (%d bytes): the next write cuts it", path, torn)
         _replayed[inode] = state
         return Store(path, master, fh, state)
     except BaseException:

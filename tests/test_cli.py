@@ -541,19 +541,28 @@ def test_master_key_file_not_utf8_exit_3(store_path, tmp_path):
     assert "Traceback" not in result.stderr
 
 
-def test_torn_tail_warns_once_on_stderr(store_path):
+def test_a_torn_tail_warns_on_every_open_until_a_write_cuts_it(store_path):
     main(insert_args(store_path, "uni_a", name="Kept"))
+    whole = Path(store_path).read_bytes()
     with open(store_path, "ab") as fh:
         fh.write(b'{"op":"ins","t":"uni_a","r":2,')  # a crash mid-append
+    torn = Path(store_path).read_bytes()
     get = ["--store", store_path, "--tenant", "uni_a", "get", "--row", "1"]
-    first = run_cmt(get)
-    assert first.returncode == 0, first.stderr
-    assert first.stdout == "row=1\nname=Kept\ncontact=C\ndepartment=D\n"
-    assert "truncating torn trailing write" in first.stderr
-    second = run_cmt(get)
-    assert second.returncode == 0, second.stderr
-    assert second.stdout == first.stdout
-    assert "truncating" not in second.stderr
+    warning = f"torn trailing write in {store_path} (30 bytes): the next write cuts it\n"
+    for _ in range(2):  # a get writes nothing, so the next open warns again
+        result = run_cmt(get)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "row=1\nname=Kept\ncontact=C\ndepartment=D\n"
+        assert result.stderr == warning
+        assert Path(store_path).read_bytes() == torn
+    inserted = run_cmt(insert_args(store_path, "uni_a", name="Next"))
+    assert (inserted.returncode, inserted.stdout, inserted.stderr) == (0, "2\n", warning)
+    # the insert cut the tail and appended its line right after the last complete one
+    data = Path(store_path).read_bytes()
+    assert data.startswith(whole) and data.endswith(b"\n")
+    assert data.count(b"\n") == whole.count(b"\n") + 1
+    after = run_cmt(get)
+    assert (after.returncode, after.stderr) == (0, "")
 
 
 @pytest.mark.parametrize(
@@ -564,7 +573,7 @@ def test_a_command_without_row_exits_2_before_the_store_is_opened(
 ):
     main(insert_args(store_path, "uni_a"))
     with open(store_path, "ab") as fh:
-        fh.write(b'{"op":"ins","t":"uni_a","r":2,')  # a torn tail that an open would cut
+        fh.write(b'{"op":"ins","t":"uni_a","r":2,')  # a torn tail that a write would cut
     before = Path(store_path).read_bytes()
     monkeypatch.delenv(MASTER_KEY_ENV)  # refused before any key is loaded
     capsys.readouterr()
@@ -580,7 +589,7 @@ def test_a_command_without_set_exits_2_before_the_store_is_opened(
 ):
     main(insert_args(store_path, "uni_a"))
     with open(store_path, "ab") as fh:
-        fh.write(b'{"op":"ins","t":"uni_a","r":2,')  # a torn tail that an open would cut
+        fh.write(b'{"op":"ins","t":"uni_a","r":2,')  # a torn tail that a write would cut
     before = Path(store_path).read_bytes()
     monkeypatch.delenv(MASTER_KEY_ENV)  # refused before any key is loaded
     capsys.readouterr()
@@ -600,7 +609,7 @@ def test_a_refused_command_line_exits_2_before_the_key_and_the_store(
 ):
     main(insert_args(store_path, "uni_a"))
     with open(store_path, "ab") as fh:
-        fh.write(b'{"op":"ins","t":"uni_a","r":2,')  # a torn tail that an open would cut
+        fh.write(b'{"op":"ins","t":"uni_a","r":2,')  # a torn tail that a write would cut
     before = Path(store_path).read_bytes()
     if not with_key:
         monkeypatch.delenv(MASTER_KEY_ENV)
@@ -793,7 +802,7 @@ def _call(tmp, command, argv, store, key, good):
     # 1. a documented exit code, and 1 only for selftest (never drawn)
     assert code in (0, 2, 3, 4, 5, 6), (full, code, err)
     # 2. stderr holds error lines, argparse's usage text on exit 2, init's
-    # confirmation on exit 0 and the warning of an open that cut a torn tail
+    # confirmation on exit 0 and the warning of an open that found a torn tail
     if code == 2 and err.startswith("usage: "):
         # usage text, then argparse's one error line, which names every
         # argument by its repr, so a newline in one starts no line of its own
@@ -801,16 +810,17 @@ def _call(tmp, command, argv, store, key, good):
         assert all(line.startswith(("usage: ", " ")) for line in usage), (full, err)
         assert re.match(r"cmt( \w+)?: error: ", error), (full, err)
     else:
-        allowed = ("cmt: error: ", "cmt: i/o error: ", "truncating torn trailing write")
+        allowed = ("cmt: error: ", "cmt: i/o error: ", "torn trailing write in ")
         for line in err.splitlines():
             assert line.startswith(allowed + (("created store ",) if code == 0 else ())), (full, err)
     # 3. no plaintext the store holds reaches stderr
     assert not any(value in err for _, row in FUZZ_ROWS for value in row), (full, err)
     # 4. stdout only on success
     assert code == 0 or out == "", (full, code, out)
-    # 5. a refused command line changes no store; an open cuts a torn tail
-    if code == 2:
-        assert after == before or (store == "torn" and after == good), (full, err)
+    # 5. a failed command, a get and a list change no store: only a write
+    # cuts a torn tail
+    if code != 0 or command in ("get", "list"):
+        assert after == before, (full, code, err)
     if "-h" in argv:  # help exits 0 before any other check
         return
     # 6. a command line without a flag its command requires exits 2

@@ -1,11 +1,13 @@
 """Record store tests: CRUD, isolation, replay, crash recovery, at-rest scan."""
 
 import base64
+import contextlib
 import errno
 import functools
 import io
 import itertools
 import json
+import logging
 import os
 import random
 import stat
@@ -81,6 +83,19 @@ def test_schema_rejects_a_name_that_is_not_text(table, fields):
         TableSchema(table, fields)
 
 
+@pytest.mark.parametrize(
+    "fields", ["ab", {"a": 1, "b": 2}, 5, iter(("a", "b"))], ids=["str", "dict", "int", "iterator"]
+)
+def test_schema_rejects_fields_that_are_not_a_list_or_tuple(fields):
+    # a string would split into letters and a dict read as its keys
+    with pytest.raises(InvalidSchema, match="must be a list or tuple"):
+        TableSchema("t", fields)
+
+
+def test_schema_keeps_a_list_of_fields_as_a_tuple():
+    assert TableSchema("t", ["a", "b"]).field_names == ("a", "b")
+
+
 # --- create / open ----------------------------------------------------------
 
 def test_create_then_reopen_empty(tmp_path):
@@ -147,9 +162,9 @@ NESTED = "[" * 100_000 + "]" * 100_000
 @pytest.mark.parametrize(
     "header",
     [
-        '{"v":1,"table":"t","fields":"ab"}',  # would split into ("a", "b")
+        '{"v":1,"table":"t","fields":"ab"}',  # TableSchema's rule: a list, not a string
         '{"v":true,"table":"t","fields":["a"]}',  # True == 1
-        '{"v":1,"table":"t","fields":{"a":1}}',  # would read as ("a",)
+        '{"v":1,"table":"t","fields":{"a":1}}',  # nor a dict
         '{"v":1,"table":"T","fields":["a"]}',  # InvalidSchema, exit 2, at init
         '{"v":1,"table":"t","fields":["name\\n"]}',  # a field name with a trailing newline
         '{"v":1,"table":5,"fields":["a"]}',  # TableSchema's rule: names are strings
@@ -597,10 +612,12 @@ class _FailingTruncate:
         return getattr(self._fh, name)
 
 
-def test_failed_rollback_refuses_every_later_mutation(tmp_path, monkeypatch):
+def test_the_next_write_cuts_an_append_whose_cut_back_failed(tmp_path, monkeypatch):
     path = str(tmp_path / "s.cmt")
     with create_store(path, SCHEMA, MASTER) as s:
         rid = s.insert("uni_a", row("kept"))
+        with open(path, "rb") as fh:
+            before = fh.read()
         fsync = os.fsync
         failures = [OSError(errno.ENOSPC, "No space left on device")]
 
@@ -610,24 +627,35 @@ def test_failed_rollback_refuses_every_later_mutation(tmp_path, monkeypatch):
             fsync(fd)
 
         monkeypatch.setattr(os, "fsync", failing_fsync)
-        s._fh = _FailingTruncate(s._fh)
+        fh, s._fh = s._fh, _FailingTruncate(s._fh)
         with pytest.raises(OSError) as failed:
             s.insert("uni_a", row("lost"))
         assert failed.value.errno == errno.ENOSPC
-        size = os.path.getsize(path)
+        # the failed event stayed in the file whole
+        with open(path, "rb") as log:
+            failed_log = log.read()
+        assert failed_log.startswith(before) and failed_log.count(b"\n") == before.count(b"\n") + 1
+        # while cutting still fails, a write raises and appends nothing
         for mutate in (
             lambda: s.insert("uni_a", row("next")),
             lambda: s.update("uni_a", rid, row("changed")),
             lambda: s.delete("uni_a", rid),
         ):
-            with pytest.raises(StoreError, match="reopen the store") as refused:
+            with pytest.raises(OSError):
                 mutate()
-            assert refused.value.exit_code == 3
-        # nothing was appended after the failed event; the handle still holds
-        # its lock, so reads still answer
-        assert os.path.getsize(path) == size
+            with open(path, "rb") as log:
+                assert log.read() == failed_log
+        # reads answer from the committed rows throughout
         assert s.get("uni_a", rid).fields["name"] == "kept"
         assert [r.fields["name"] for r in s.list("uni_a")] == ["kept"]
+        # the next write cuts the failed event and reuses its row id
+        s._fh = fh
+        assert s.insert("uni_a", row("next")) == rid + 1
+        with open(path, "rb") as log:
+            after = log.read()
+        assert after.startswith(before) and after.count(b"\n") == before.count(b"\n") + 1
+    with open_store(path, MASTER) as s:
+        assert [(r.row_id, r.fields["name"]) for r in s.list("uni_a")] == [(1, "kept"), (2, "next")]
 
 
 def test_torn_write_recovery(tmp_path):
@@ -854,7 +882,9 @@ def test_a_line_nested_too_deep_after_a_hit_is_corrupt_log(replayed, decoded):
     assert len(decoded) == 1
 
 
-def test_a_torn_tail_after_a_hit_is_cut_as_in_a_full_replay(replayed, decoded, monkeypatch, caplog):
+def test_a_torn_tail_after_a_hit_is_left_out_as_in_a_full_replay(
+    replayed, decoded, monkeypatch, caplog
+):
     path, _ = replayed
     with open_store(str(path), MASTER) as s:
         s.insert("uni_b", row("d"))
@@ -862,14 +892,19 @@ def test_a_torn_tail_after_a_hit_is_cut_as_in_a_full_replay(replayed, decoded, m
     whole = path.read_bytes()
     with open(path, "ab") as fh:
         fh.write(b'{"op":"del","t":"uni_b"')
+    torn = path.read_bytes()
     with open_store(str(path), MASTER) as s:
         assert sorted(s._live) == [2, 3, 4]
     assert len(decoded) == 2
-    assert "truncating torn trailing write" in caplog.text
-    assert path.read_bytes() == whole
+    assert "torn trailing write in" in caplog.text
+    assert path.read_bytes() == torn  # an open writes nothing
     decoded.clear()
     assert _outcome(path) == _full_replay(path, monkeypatch)
-    assert len(decoded) == 5  # none on the reopen: the memo holds the cut file
+    assert len(decoded) == 5  # none on the reopen: the memo's bytes leave the tail out
+    with open_store(str(path), MASTER) as s:
+        assert s.insert("uni_b", row("e")) == 5
+    assert path.read_bytes().startswith(whole) and path.read_bytes().endswith(b"\n")
+    assert _outcome(path) == _full_replay(path, monkeypatch)
 
 
 def _assert_value_rows(s, path):
@@ -912,9 +947,13 @@ def test_live_rows_are_value_tuples_in_schema_order_on_every_path(tmp_path, deco
         _assert_value_rows(s, path)
     with open(path, "ab") as fh:
         fh.write(b'{"op":"del","t":"uni_a","r":1')
+    torn = path.read_bytes()
     decoded.clear()
-    with open_store(str(path), MASTER) as s:  # a hit that cuts a torn tail
+    with open_store(str(path), MASTER) as s:  # a hit that leaves a torn tail out
         assert decoded == []
+        assert path.read_bytes() == torn
+        _assert_value_rows(s, path)
+        s.insert("uni_a", row("g"))  # which cuts the tail
         assert path.read_bytes().endswith(b"\n")
         _assert_value_rows(s, path)
 
@@ -958,12 +997,29 @@ def test_a_replay_from_any_complete_prefix_ends_as_a_full_replay(ops, data):
         assert state[0] == raw[:start]
 
 
+@contextlib.contextmanager
+def _warnings():
+    """The messages `tenant_store` logs inside the block."""
+    messages = []
+    handler = logging.Handler()
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger(tenant_store.__name__)
+    logger.addHandler(handler)
+    try:
+        yield messages
+    finally:
+        logger.removeHandler(handler)
+
+
 class StoreAgainstAModel(RuleBasedStateMachine):
     """`Store` driven against a dict of row id -> (tenant, name): writes and
     reads over three tenants, reopens (a memo hit, a new inode, a cut last
-    event) and writes whose write, fsync, or fsync and cut-back fail. Only
-    the error the model names, a CmtError, may escape an operation; an
-    injected OSError is expected."""
+    event, a torn chunk appended) and writes whose write, fsync, or fsync and
+    cut-back fail. `tail` is what the file holds past the handle's last
+    event: a torn chunk, or an event whose cut-back failed. An open and a
+    read leave it in the file, and the next write cuts it and appends right
+    after the last complete line. Only the error the model names, a
+    CmtError, may escape an operation; an injected OSError is expected."""
 
     _names = st.text(st.characters(codec="utf-8"), max_size=6)
     _tenants = st.sampled_from(_TENANTS)
@@ -980,7 +1036,8 @@ class StoreAgainstAModel(RuleBasedStateMachine):
         self.max_row_id = 0
         self.history = []  # (rows, max_row_id) before each event in the file
         self.entry = None  # the open handle's memo entry and a copy of its rows
-        self.pending = None  # the event a poisoned handle left in the file
+        self.tail = b""
+        self.pending = None  # the event in `tail` whose cut-back failed
 
     def teardown(self):
         self.store.close()
@@ -995,14 +1052,14 @@ class StoreAgainstAModel(RuleBasedStateMachine):
         ids = sorted(self.rows) + [self.max_row_id + 1]
         return ids[pick % len(ids)]
 
-    def _refusal(self, tenant, row_id=None):
-        """The error that a write of `row_id` by `tenant` (None: an insert)
-        must raise, or None."""
-        if row_id is not None and row_id not in self.rows:
+    def _refusal(self, tenant, row_id):
+        """The error that a write or a get of `row_id` by `tenant` must
+        raise, or None."""
+        if row_id not in self.rows:
             return NotFound
-        if row_id is not None and self.rows[row_id][0] != tenant:
+        if self.rows[row_id][0] != tenant:
             return IsolationDenied
-        return StoreError if self.pending else None
+        return None
 
     def _committed(self, tenant, row_id, name):
         self.history.append((dict(self.rows), self.max_row_id))
@@ -1012,15 +1069,38 @@ class StoreAgainstAModel(RuleBasedStateMachine):
             self.rows[row_id] = (tenant, name)
         self.max_row_id = max(self.max_row_id, row_id)
 
+    def _write(self, refusal, write, tenant, row_id, name):
+        """Call `write`, which must raise `refusal` and leave the file as it
+        was, or, with no refusal, cut `tail`, append one line and commit the
+        event (`tenant`, `row_id`, `name`). What `write` returned."""
+        before = self._read()
+        if refusal:
+            with pytest.raises(refusal):
+                write()
+            assert self._read() == before
+            return None
+        returned = write()
+        after, kept = self._read(), before[: len(before) - len(self.tail)]
+        assert after.startswith(kept) and after.count(b"\n") == kept.count(b"\n") + 1
+        assert after.endswith(b"\n")
+        self.tail, self.pending = b"", None
+        self._committed(tenant, row_id, name)
+        return returned
+
     def _close(self):
         self.store.close()
-        if self.pending:
+        if self.pending:  # an open replays the event whose cut-back failed
             self._committed(*self.pending)
-            self.pending = None
+            self.tail, self.pending = b"", None
 
     def _reopen(self):
-        self.store = open_store(self.path, MASTER)
-        full = tenant_store._replay(self.path, self._read(), None)
+        before = self._read()
+        with _warnings() as warned:
+            self.store = open_store(self.path, MASTER)
+        assert self._read() == before  # an open writes nothing
+        assert warned == ([f"torn trailing write in {self.path} ({len(self.tail)} bytes): "
+                           "the next write cuts it"] if self.tail else [])
+        full = tenant_store._replay(self.path, before, None)
         assert (self.store._live, self.store._max_row_id) == full[3:]
         entry = _entry(self.path)
         assert self.store._live is entry[3]
@@ -1030,42 +1110,27 @@ class StoreAgainstAModel(RuleBasedStateMachine):
 
     @rule(tenant=_tenants, name=_names)
     def insert(self, tenant, name):
-        refusal = self._refusal(tenant)
-        if refusal:
-            with pytest.raises(refusal):
-                self.store.insert(tenant, row(name))
-        else:
-            row_id = self.store.insert(tenant, row(name))
-            assert row_id == self.max_row_id + 1
-            self._committed(tenant, row_id, name)
+        row_id = self.max_row_id + 1
+        write = functools.partial(self.store.insert, tenant, row(name))
+        assert self._write(None, write, tenant, row_id, name) == row_id
 
     @rule(tenant=_tenants, pick=_picks, name=_names)
     def update(self, tenant, pick, name):
         row_id = self._target(pick)
-        refusal = self._refusal(tenant, row_id)
-        if refusal:
-            with pytest.raises(refusal):
-                self.store.update(tenant, row_id, row(name))
-        else:
-            self.store.update(tenant, row_id, row(name))
-            self._committed(tenant, row_id, name)
+        write = functools.partial(self.store.update, tenant, row_id, row(name))
+        self._write(self._refusal(tenant, row_id), write, tenant, row_id, name)
 
     @rule(tenant=_tenants, pick=_picks)
     def delete(self, tenant, pick):
         row_id = self._target(pick)
-        refusal = self._refusal(tenant, row_id)
-        if refusal:
-            with pytest.raises(refusal):
-                self.store.delete(tenant, row_id)
-        else:
-            self.store.delete(tenant, row_id)
-            self._committed(tenant, row_id, None)
+        write = functools.partial(self.store.delete, tenant, row_id)
+        self._write(self._refusal(tenant, row_id), write, tenant, row_id, None)
 
     @rule(tenant=_tenants, pick=_picks)
     def get(self, tenant, pick):
         row_id = self._target(pick)
         refusal = self._refusal(tenant, row_id)
-        if refusal in (NotFound, IsolationDenied):
+        if refusal:
             with pytest.raises(refusal):
                 self.store.get(tenant, row_id)
         else:
@@ -1097,13 +1162,21 @@ class StoreAgainstAModel(RuleBasedStateMachine):
     def reopen_with_the_last_event_cut(self, at):
         self._close()
         raw = self._read()
-        start = raw.rindex(b"\n", 0, len(raw) - 1) + 1
-        os.truncate(self.path, start + 1 + at % (len(raw) - 1 - start))
+        end = len(raw) - len(self.tail)  # the end of the last complete line
+        start = raw.rindex(b"\n", 0, end - 1) + 1
+        self.tail = raw[start : start + 1 + at % (end - 1 - start)]
+        os.truncate(self.path, start + len(self.tail))
         self.rows, self.max_row_id = self.history.pop()
         self._reopen()
-        assert self._read() == raw[:start]
 
-    @precondition(lambda self: self.pending is None)
+    @rule(chunk=st.binary(min_size=1, max_size=40).filter(lambda chunk: b"\n" not in chunk))
+    def reopen_with_a_torn_chunk_appended(self, chunk):
+        self._close()
+        with open(self.path, "ab") as fh:
+            fh.write(chunk)
+        self.tail += chunk
+        self._reopen()
+
     @rule(fault=st.sampled_from(["write", "fsync", "fsync_and_cut"]),
           op=st.sampled_from(["ins", "upd", "del"]), tenant=_tenants, pick=_picks, name=_names)
     def write_that_fails(self, fault, op, tenant, pick, name):
@@ -1126,11 +1199,20 @@ class StoreAgainstAModel(RuleBasedStateMachine):
         finally:
             self.store._fh = fh
         assert self.store._live is live  # nothing applied, nothing copied
-        if fault == "fsync_and_cut":
-            # the whole line stayed in the file, and the handle refuses writes
-            self.pending = tenant, row_id, name
-        else:
-            assert self._read() == before
+        after = self._read()
+        if fault != "fsync_and_cut":  # `tail` and the failed append were cut
+            assert after == before[: len(before) - len(self.tail)]
+            self.tail, self.pending = b"", None
+        elif self.tail:  # cutting `tail` failed, so nothing was appended
+            assert after == before
+        else:  # the whole line stayed in the file, for the next write to cut
+            assert after.startswith(before) and after.count(b"\n") == before.count(b"\n") + 1
+            self.tail, self.pending = after[len(before) :], (tenant, row_id, name)
+
+    @invariant()
+    def the_file_holds_the_handles_events_then_the_tail(self):
+        raw = self._read()
+        assert raw[: self.store._end].endswith(b"\n") and raw[self.store._end :] == self.tail
 
     @invariant()
     def the_handle_holds_the_models_rows(self):
