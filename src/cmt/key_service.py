@@ -89,9 +89,9 @@ def load_master_key(key_file: str = None) -> MasterKey:
             with open(key_file, "r", encoding="utf-8") as fh:
                 return _parse_hex_key(fh.read(_KEY_TEXT_MAX + 1))
         except FileNotFoundError:
-            raise MissingKey(f"master key file not found: {key_file}") from None
+            raise MissingKey(f"master key file not found: {key_file!r}") from None
         except UnicodeDecodeError:
-            raise MalformedKey(f"master key file is not 32 hex characters: {key_file}") from None
+            raise MalformedKey(f"master key file is not 32 hex characters: {key_file!r}") from None
     value = os.environ.get(MASTER_KEY_ENV)
     if value is None:
         raise MissingKey(f"set {MASTER_KEY_ENV} (32 hex chars) or pass --master-key-file")

@@ -128,7 +128,7 @@ def _flock(fh, path: str) -> None:
     try:
         fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
     except OSError:
-        raise StoreLocked(f"store is locked by another process: {path}") from None
+        raise StoreLocked(f"store is locked by another process: {path!r}") from None
 
 
 def _write_all(fh, data: bytes) -> None:
@@ -237,7 +237,7 @@ class Store:
     def _refuse_if_closed(self) -> None:
         # another handle may have written since this one let its lock go
         if self._fh.closed:
-            raise StoreError(f"the store handle is closed; reopen the store: {self.path}")
+            raise StoreError(f"the store handle is closed; reopen the store: {self.path!r}")
 
     def _live_row(self, tenant: str, row_id: int) -> tuple[bytes, ...]:
         # callers hold _mutex
@@ -329,7 +329,7 @@ def create_store(path: str, schema: TableSchema, master: MasterKey | None = None
     try:
         fh = open(path, "xb", buffering=0)
     except FileExistsError:
-        raise AlreadyExists(f"store file already exists: {path}") from None
+        raise AlreadyExists(f"store file already exists: {path!r}") from None
     try:
         _flock(fh, path)
         _write_all(fh, header)
@@ -393,26 +393,26 @@ def _read_header(path: str, raw: bytes) -> tuple:
     line with the newline, 1, schema, {}, 0), in the shape of a `_replayed`
     entry."""
     if not raw:
-        raise CorruptHeader(f"empty store file: {path}")
+        raise CorruptHeader(f"empty store file: {path!r}")
     end = raw.find(b"\n")
     if end == 0:
-        raise CorruptHeader(f"empty header line in {path}")
+        raise CorruptHeader(f"empty header line in {path!r}")
     # a header without its newline is not a torn event: truncating it as one
     # would leave an empty file that the next append makes headerless
     if end < 0:
-        raise CorruptHeader(f"header of {path} does not end in a newline")
+        raise CorruptHeader(f"header of {path!r} does not end in a newline")
     try:
         header = json.loads(raw[:end].decode("utf-8"))
         version, table, fields = header["v"], header["table"], header["fields"]
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
-        raise CorruptHeader(f"unparseable header in {path}: {exc}") from None
+        raise CorruptHeader(f"unparseable header in {path!r}: {exc}") from None
     # json gives True for `true`, and True == 1; the rest is TableSchema's rule
     if type(version) is not int:
-        raise CorruptHeader(f'header of {path} needs an integer "v"')
+        raise CorruptHeader(f'header of {path!r} needs an integer "v"')
     try:
         schema = TableSchema(table, fields)
     except InvalidSchema as exc:  # a usage error at init, a corrupt file here
-        raise CorruptHeader(f"header of {path}: {exc}") from None
+        raise CorruptHeader(f"header of {path!r}: {exc}") from None
     if version != FORMAT_VERSION:
         raise VersionMismatch(f"unsupported store version {version}")
     return raw[: end + 1], 1, schema, {}, 0
@@ -452,7 +452,7 @@ def _replay(path: str, raw: bytes, start: tuple | None) -> tuple:
         try:
             tenant, row_id, values = _decode_event(line, schema.field_names)
         except (ValueError, TypeError, RecursionError) as exc:
-            raise CorruptLog(f"corrupt event at line {number} of {path}: {exc}") from None
+            raise CorruptLog(f"corrupt event at line {number} of {path!r}: {exc}") from None
         if values is None:
             live.pop(row_id, None)
         else:
@@ -470,7 +470,7 @@ def open_store(path: str, master: MasterKey | None = None) -> Store:
         info = os.fstat(fh.fileno())
         # a FIFO would block the read below, and a device could feed it forever
         if not stat.S_ISREG(info.st_mode):
-            raise StoreError(f"not a regular file: {path}")
+            raise StoreError(f"not a regular file: {path!r}")
         raw = fh.read()
         inode = (info.st_dev, info.st_ino)
         state = _replay(path, raw, _replayed.get(inode))
@@ -479,7 +479,7 @@ def open_store(path: str, master: MasterKey | None = None) -> Store:
             import logging  # loaded only here, so a process that never tears pays nothing
 
             logging.getLogger(__name__).warning(
-                "torn trailing write in %s (%d bytes): the next write cuts it", path, torn)
+                "torn trailing write in %r (%d bytes): the next write cuts it", path, torn)
         _replayed[inode] = state
         return Store(path, master, fh, state)
     except BaseException:

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cmt import errors
-from cmt.cli import main, run
+from cmt.cli import _build_parser, _parse_plain, main, run
 from cmt.crypto_codec import MAX_FIELD_BYTES
 from cmt.key_service import MASTER_KEY_ENV, MasterKey
 from cmt.tenant_store import TableSchema, create_store, open_store
@@ -339,12 +339,15 @@ def test_one_shot_get_and_list_never_load_numpy(tmp_path):
         assert result.stdout.count("\n") >= (1 if tenant == "uni_a" else 20)
 
 
-def test_import_loads_only_what_a_command_uses():
+ARGPARSE_MODULES = ["argparse", "gettext", "locale"]
+
+
+def test_import_loads_only_what_a_command_uses(tmp_path):
     # a one-shot process pays for every module it imports; the package binds
     # no names, so the cipher alone loads no other module of it
     unused = {
         "cmt.cli": ["dataclasses", "inspect", "logging", "hashlib", "_hashlib", "numpy",
-                    "cmt.selftest", "base64"],
+                    "cmt.selftest", "base64", *ARGPARSE_MODULES],
         "cmt.aes_core": ["cmt.tenant_store", "cmt.key_service", "cmt.crypto_codec",
                          "cmt.errors", "cmt.cli", "cmt.selftest", "json", "fcntl"],
     }
@@ -353,6 +356,26 @@ def test_import_loads_only_what_a_command_uses():
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "[]", module
+    # a plainly spelled command line runs without argparse, which only a
+    # line of any other spelling loads
+    path = str(tmp_path / "s.cmt")
+    env = dict(os.environ, **{MASTER_KEY_ENV: HEX_KEY})
+    for command in (
+        ["init", "--table", "t", "--fields", FIELDS],
+        ["--tenant", "uni_a", "insert", "--set", "name=A", "--set", "contact=C", "--set", "department=D"],
+        ["--tenant", "uni_a", "get", "--row", "1"],
+        ["--tenant", "uni_a", "list"],
+    ):
+        script = (
+            "import sys\n"
+            "from cmt.cli import main\n"
+            f"code = main(['--store', {path!r}] + {command!r})\n"
+            f"print(code, [m for m in {ARGPARSE_MODULES!r} if m in sys.modules], file=sys.stderr)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert result.stderr.splitlines()[-1] == "0 []", (command, result.stderr)
+    result = subprocess.run([sys.executable, "-m", "cmt.cli", "--help"], capture_output=True, text=True)
+    assert result.returncode == 0 and result.stdout.startswith("usage: cmt "), result
 
 
 def test_selftest_passes_in_a_fresh_process(monkeypatch):
@@ -465,7 +488,7 @@ def test_a_line_nested_too_deep_exits_3_without_a_traceback(tmp_path, where):
 
 @pytest.mark.parametrize(
     "content, message",
-    [("", "empty store file: {}"), ('\n{"v":1,"table":"t","fields":["a"]}\n', "empty header line in {}")],
+    [("", "empty store file: {!r}"), ('\n{"v":1,"table":"t","fields":["a"]}\n', "empty header line in {!r}")],
     ids=["empty_file", "leading_newline"],
 )
 def test_an_empty_header_line_exits_3_with_its_own_message(tmp_path, content, message):
@@ -473,7 +496,7 @@ def test_an_empty_header_line_exits_3_with_its_own_message(tmp_path, content, me
     path.write_text(content)
     result = run_cmt(["--store", str(path), "--tenant", "uni_a", "list"])
     assert result.returncode == 3
-    assert result.stderr == f"cmt: error: {message.format(path)}\n"
+    assert result.stderr == f"cmt: error: {message.format(str(path))}\n"
 
 
 def test_a_store_that_is_not_a_regular_file_exits_3(tmp_path):
@@ -482,7 +505,7 @@ def test_a_store_that_is_not_a_regular_file_exits_3(tmp_path):
     os.mkfifo(path)
     result = run_cmt(["--store", str(path), "--tenant", "uni_a", "list"], timeout=60)
     assert result.returncode == 3
-    assert result.stderr == f"cmt: error: not a regular file: {path}\n"
+    assert result.stderr == f"cmt: error: not a regular file: {str(path)!r}\n"
     assert result.stdout == ""
 
 
@@ -548,7 +571,7 @@ def test_a_torn_tail_warns_on_every_open_until_a_write_cuts_it(store_path):
         fh.write(b'{"op":"ins","t":"uni_a","r":2,')  # a crash mid-append
     torn = Path(store_path).read_bytes()
     get = ["--store", store_path, "--tenant", "uni_a", "get", "--row", "1"]
-    warning = f"torn trailing write in {store_path} (30 bytes): the next write cuts it\n"
+    warning = f"torn trailing write in {store_path!r} (30 bytes): the next write cuts it\n"
     for _ in range(2):  # a get writes nothing, so the next open warns again
         result = run_cmt(get)
         assert result.returncode == 0, result.stderr
@@ -563,6 +586,38 @@ def test_a_torn_tail_warns_on_every_open_until_a_write_cuts_it(store_path):
     assert data.count(b"\n") == whole.count(b"\n") + 1
     after = run_cmt(get)
     assert (after.returncode, after.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("case", ["init", "torn_tail", "corrupt_log", "locked", "missing_key"])
+def test_a_path_holding_a_newline_is_named_on_one_stderr_line(tmp_path, case):
+    # every message names a path by its repr, so a newline in one cannot
+    # start a stderr line of its own
+    folder = tmp_path / "a\nb"
+    folder.mkdir()
+    store, key_file = str(folder / "s\n.cmt"), str(folder / "key\nfile")
+    args = ["--store", store, "--master-key-file", key_file]
+    if case != "missing_key":
+        Path(key_file).write_text(HEX_KEY)
+    if case == "init":
+        result = run_cmt([*args, "init", "--table", "t", "--fields", FIELDS])
+        assert (result.returncode, result.stderr) == (
+            0, f"created store {store!r}: table t (name, contact, department)\n")
+        return
+    with create_store(store, TableSchema("t", FIELDS.split(",")), MasterKey(bytes.fromhex(HEX_KEY))) as s:
+        s.insert("uni_a", {"name": "N", "contact": "C", "department": "D"})
+    expected = {
+        "torn_tail": (0, f"torn trailing write in {store!r} ({len(TORN)} bytes): the next write cuts it"),
+        "corrupt_log": (3, f"cmt: error: corrupt event at line 3 of {store!r}: unknown op 'zap'"),
+        "locked": (3, f"cmt: error: store is locked by another process: {store!r}"),
+        "missing_key": (3, f"cmt: error: master key file not found: {key_file!r}"),
+    }[case]
+    with open(store, "ab") as fh:
+        fh.write({"torn_tail": TORN, "corrupt_log": b'{"op":"zap"}\n'}.get(case, b""))
+    with contextlib.ExitStack() as stack:
+        if case == "locked":
+            stack.enter_context(open_store(store, MasterKey(bytes.fromhex(HEX_KEY))))
+        result = run_cmt([*args, "--tenant", "uni_a", "get", "--row", "1"])
+    assert (result.returncode, result.stderr) == (expected[0], expected[1] + "\n")
 
 
 @pytest.mark.parametrize(
@@ -845,3 +900,65 @@ def test_every_command_line_keeps_the_exit_code_contract(tmp_path, good_store, l
     # under a key that loads, which reaches the command itself
     _call(tmp_path, *line, store, key, good_store)
     _call(tmp_path, *line, "good", key if key in KEYS_THAT_LOAD else "good", good_store)
+
+
+# --- the plainly spelled command line, held to argparse ---------------------------
+
+# each command's options, every one required; the global options may come
+# before the command in any order and number
+PLAIN_OPTIONS = {"init": ("--table", "--fields"), "insert": ("--set",), "get": ("--row",),
+                 "list": (), "update": ("--row", "--set"), "delete": ("--row",), "selftest": ()}
+GLOBAL_OPTIONS = ("--store", "--master-key-file", "--tenant")
+# values that hold spaces, "=", newlines, non-ASCII characters or nothing,
+# or that are command names; none begins with "-"
+_PLAIN_VALUE = (st.sampled_from(["", "a b", "a=b", "=", "a\nb", "\n", "é", "\udcff",
+                                 " -x", "ünï_a", *PLAIN_OPTIONS])
+                | st.text(max_size=6).filter(lambda v: not v.startswith("-")))
+# --row values that int() accepts
+_PLAIN_ROW = st.integers(0, 10**6).map(str) | st.sampled_from([" 7 ", "1_000", "+4", "\u0663", "007"])
+
+
+@st.composite
+def plain_lines(draw):
+    """A plainly spelled command line: global options, a command, then each
+    of its options at least once, each option followed by its value."""
+    command = draw(st.sampled_from(sorted(PLAIN_OPTIONS)))
+    options = PLAIN_OPTIONS[command]
+    before = draw(st.lists(st.sampled_from(GLOBAL_OPTIONS), max_size=4))
+    repeated = draw(st.lists(st.sampled_from(options), max_size=3)) if options else []
+    after = draw(st.permutations([*options, *repeated]))
+    argv = []
+    for option in before + [command] + after:
+        argv.append(option)
+        if option != command:
+            argv.append(draw(_PLAIN_ROW if option == "--row" else _PLAIN_VALUE))
+    return argv
+
+
+def _argparse_vars(argv):
+    """vars() of what argparse parses from argv, or None if it refuses it."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(_build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@given(plain=plain_lines(), fuzzed=command_lines(), data=st.data(),
+       store=st.sampled_from([[], ["--store", "s.cmt"]]))
+@settings(max_examples=300, deadline=None)
+def test_a_plainly_spelled_line_parses_as_argparse_parses_it(plain, fuzzed, data, store):
+    # the recognizer takes every plainly spelled line; for it, for it with
+    # a token or an option and its value spliced in, and for the CLI fuzz's
+    # line, it declines or returns argparse's namespace
+    assert _parse_plain(plain) is not None, plain
+    splice = data.draw(st.sampled_from([*PLAIN_OPTIONS, "--store=x", "--ten", "--", "-h", "x"])
+                       .map(lambda token: [token])
+                       | st.tuples(st.sampled_from([*GLOBAL_OPTIONS, "--table", "--fields", "--set"]),
+                                   _PLAIN_VALUE).map(list)
+                       | st.tuples(st.just("--row"), _PLAIN_ROW).map(list))
+    at = data.draw(st.integers(0, len(plain)))
+    spliced = plain[:at] + splice + plain[at:]
+    for argv in (plain, spliced, store + fuzzed[1]):
+        args = _parse_plain(argv)
+        assert args is None or vars(args) == _argparse_vars(argv), argv

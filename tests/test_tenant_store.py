@@ -502,7 +502,7 @@ def test_a_store_path_that_is_not_a_regular_file_is_store_error(tmp_path):
     thread.join(30)
     assert not thread.is_alive(), "open_store blocked on a FIFO"
     [exc] = refused
-    assert str(exc) == f"not a regular file: {path}" and exc.exit_code == 3
+    assert str(exc) == f"not a regular file: {path!r}" and exc.exit_code == 3
 
 
 def test_operations_without_master_key(tmp_path):
@@ -1098,7 +1098,7 @@ class StoreAgainstAModel(RuleBasedStateMachine):
         with _warnings() as warned:
             self.store = open_store(self.path, MASTER)
         assert self._read() == before  # an open writes nothing
-        assert warned == ([f"torn trailing write in {self.path} ({len(self.tail)} bytes): "
+        assert warned == ([f"torn trailing write in {self.path!r} ({len(self.tail)} bytes): "
                            "the next write cuts it"] if self.tail else [])
         full = tenant_store._replay(self.path, before, None)
         assert (self.store._live, self.store._max_row_id) == full[3:]
