@@ -1,13 +1,17 @@
 """Authenticated encryption of variable-length field values.
 
-Encrypt-then-MAC over CBC: fresh random IV per value, PKCS#7 padding,
-CBC encryption under the tenant's encryption key, then a CBC-MAC tag
+Encrypt-then-MAC over CBC: fresh random IV per value, PKCS#7 padding, CBC
+encryption under the tenant's encryption key, then a CBC-MAC tag
 (`aes_core.cbc_macs`: zero IV, last block kept) over IV || ciphertext
 under the separate MAC key. A value is the bytes IV || ciphertext || tag,
-and this module alone knows that layout: `check_value` is its one length
-rule. The tag is always verified before any decryption happens, and a
-value whose tag verifies but whose padding does not is refused too, so the
-only failure a caller ever sees for wrong keys or tampering is AuthError.
+and this module alone knows that layout: `check_value` is its length rule.
+`tenant_store` spells the same rule once more, in base64, in the pattern
+that reads the log lines `cmt` writes; a test holds the two spellings
+equal on every base64 spelling of lengths 0 to 400 bytes, save "=" after
+whole quads, which strict base64 takes and `cmt` never writes. The tag is
+always verified before any decryption happens, and a value whose tag
+verifies but whose padding does not is refused too, so the only failure a
+caller ever sees for wrong keys or tampering is AuthError.
 
 `decrypt_values` verifies and decrypts a batch, such as every value a
 `list` returns: all tags are checked before any block is decrypted. It

@@ -7,31 +7,39 @@ only `crypto_codec` knows. A tenant's keys come from the master key's
 memo (`MasterKey.derived`), derived there on the first use under that
 `MasterKey` object; a handle keeps no key cache of its own.
 
-Persistence is an append-only JSON-lines log, replayed on open. An open
-is file handling around one pure function, `_replay`. `open_store` opens
-the file, locks it, refuses a file that is not a regular one (a FIFO or a
-device, whose read would block or never end) and reads it. `_replay`
-takes those bytes and returns the state they give: the bytes of the
-complete lines, their count, the schema, the live row map and the largest
-row id. It does no I/O. In one pass, each line is decoded
-(`json.JSONDecoder.raw_decode`, then strict base64 by `binascii`),
-checked (an insert or update carries exactly the header's fields) and put
-straight into the live row map; a bad line is CorruptLog with its line
-number. A trailing chunk without its newline is a torn write (a crash
-mid-write), which the state's bytes leave out. `open_store` leaves it in
-the file with a `logging` warning (on stderr unless logging is
-configured), and imports `logging` on that path only: an open writes
-nothing, and the handle's first write cuts the tail. A live row is its
-tenant and a tuple of its values in the header's field order; the field
-names live only in the schema. Each successful open leaves its state in
-`_replayed`, keyed by the file's inode. A replay starts from one state:
-that entry's if the file still starts with exactly its bytes (compared in
-full), else the header's, the state before the first event; from it, it
-replays the lines that follow, and with no line to replay is that state
-itself. Only `_read_header` and `_replay` build a state, and a `Store`
-takes one whole: it reads the state's live row map until its first write,
-which copies the map, so no write reaches the entry and a handle that only
-reads copies nothing.
+Persistence is an append-only JSON-lines log, replayed on open. An open is
+file handling around one pure function, `_replay`. `open_store` opens the
+file, locks it, refuses a file that is not a regular one (a FIFO or a
+device, whose read would block or never end) and reads it. `_replay` takes
+those bytes and returns the state they give: the bytes of the complete
+lines, their count, the schema, the live row map and the largest row id.
+It does no I/O. In one pass, each line is read by one of two readers and
+put straight into the live row map by one apply step; a bad line is
+CorruptLog with its line number. A line spelled exactly as `Store._commit`
+writes it matches one pattern, compiled once per schema in a process
+(`_event_pattern`), whose value spelling is `crypto_codec.check_value`'s
+length rule in base64. Every other line goes to `_decode_event`
+(`json.JSONDecoder.raw_decode`, then strict base64 by `binascii`, and a
+check that an insert or update carries exactly the header's fields), so
+whitespace, "ts" and escapes keep their `json.loads` meaning. Tests hold
+the pattern to the writer, to `check_value` and to `_decode_event`. A
+trailing chunk without its newline is a torn write (a crash mid-write),
+which the state's bytes leave out. `open_store` leaves it in the file with
+a `logging` warning (on stderr unless logging is configured), and imports
+`logging` on that path only: an open writes nothing, and the handle's
+first write cuts the tail. A live row is its tenant and a tuple of its
+values in the header's field order, each value kept as the base64 text of
+the log, in ASCII bytes: `get` and `list` decode only the values they
+return, right before decrypting them. The field names live only in the
+schema. Each successful open leaves its state in `_replayed`, keyed by the
+file's inode. A replay starts from one state: that entry's if the file
+still starts with exactly its bytes (compared in full), else the header's,
+the state before the first event; from it, it replays the lines that
+follow, and with no line to replay is that state itself. Only
+`_read_header` and `_replay` build a state, and a `Store` takes one whole:
+it reads the state's live row map until its first write, which copies the
+map, so no write reaches the entry and a handle that only reads copies
+nothing.
 
 Each mutation is written and fsynced before the call returns. Bytes past
 the last event a handle knows of, a torn tail or an append that failed,
@@ -57,6 +65,7 @@ File format (UTF-8, newline-delimited):
 
 import binascii
 import fcntl
+import functools
 import json
 import os
 import re
@@ -165,7 +174,7 @@ class Store:
         self._end = len(done)
         self._master = master
         self._fh = fh
-        self._live: dict[int, tuple[str, tuple[bytes, ...]]] = live
+        self._live: dict[int, tuple[str, tuple[bytes, ...]]] = live  # base64 values
         self._state_live = live  # never written: the state's, maybe a memo entry's
         self._mutex = threading.Lock()
 
@@ -199,14 +208,14 @@ class Store:
         no event the caller saw fail, and the live rows are left untouched;
         if that cut fails too, the error is raised all the same and the
         next write cuts the bytes. The first event applied replaces the
-        state's row map with the handle's own copy."""
+        state's row map with the handle's own copy. The live row keeps the
+        base64 text the line holds."""
         self._refuse_if_closed()
         event = {"op": op, "t": tenant, "r": row_id}
         if values is not None:
-            event["f"] = {
-                name: binascii.b2a_base64(value, newline=False).decode("ascii")
-                for name, value in zip(self.schema.field_names, values)
-            }
+            values = tuple([binascii.b2a_base64(value, newline=False) for value in values])
+            event["f"] = {name: value.decode("ascii")
+                          for name, value in zip(self.schema.field_names, values)}
         line = (_encode(event) + "\n").encode("ascii")
         offset = self._fh.seek(0, os.SEEK_END)
         try:
@@ -286,7 +295,7 @@ class Store:
         with self._mutex:
             values = self._live_row(tenant, row_id)
         keys = self._keys_for(tenant)
-        texts = _utf8([decrypt_value(value, keys) for value in values])
+        texts = _utf8([decrypt_value(binascii.a2b_base64(value), keys) for value in values])
         return Record(row_id=row_id, tenant=tenant,
                       fields=dict(zip(self.schema.field_names, texts)))
 
@@ -303,7 +312,7 @@ class Store:
                     rows.append((row_id, values))
         if not rows:
             return []
-        values = [value for _, row in rows for value in row]
+        values = [binascii.a2b_base64(value) for _, row in rows for value in row]
         texts = iter(_utf8(decrypt_values(values, self._keys_for(tenant))))
         names = self.schema.field_names
         # zip stops at the last name before it draws on `texts`, so each row
@@ -351,15 +360,16 @@ def create_store(path: str, schema: TableSchema, master: MasterKey | None = None
 def _decode_event(line: bytes, names: tuple) -> tuple:
     """(tenant, row_id, values) of one log line, values None for a delete,
     else a tuple of the values of exactly the header's field `names`, in
-    their order. A malformed line raises ValueError or TypeError, and one
-    nested too deep for `json`'s scanner RecursionError.
+    their order, each its base64 text in ASCII bytes. A malformed line
+    raises ValueError or TypeError, and one nested too deep for `json`'s
+    scanner RecursionError.
 
     It accepts exactly the lines `json.loads` accepts: JSON whitespace
     around the object is stripped and nothing may follow it (a BOM fails
     `raw_decode` as it fails `json.loads`). A value is decoded by the call
     `base64.b64decode(validate=True)` wraps, which refuses a non-string
     with TypeError and a non-ASCII string with ValueError, as the wrapper
-    does."""
+    does, and its length checked by `check_value`."""
     text = line.decode("utf-8").strip(" \t\r")
     event, end = _raw_decode(text)
     if end != len(text):
@@ -381,11 +391,32 @@ def _decode_event(line: bytes, names: tuple) -> tuple:
     if len(encoded) != len(names):
         raise ValueError(f'"f" holds {len(encoded)} fields, the header {len(names)}')
     try:
-        values = tuple([check_value(binascii.a2b_base64(encoded[name], strict_mode=True))
-                        for name in names])
+        for name in names:
+            check_value(binascii.a2b_base64(encoded[name], strict_mode=True))
     except KeyError as exc:
         raise ValueError(f'"f" has no field {exc}') from None
-    return tenant, row_id, values
+    # strict base64 took each value, so each is ASCII text
+    return tenant, row_id, tuple([encoded[name].encode("ascii") for name in names])
+
+
+# One value as `Store._commit` spells it: base64 whose decoded length
+# `check_value` accepts, a multiple of 16 bytes from 48 up. 48 bytes are 64
+# characters; a length 16 or 32 bytes past a multiple of 48 ends in 22
+# characters and "==" or 43 and "=".
+_VALUE = rb"((?:[A-Za-z0-9+/]{64})+(?:[A-Za-z0-9+/]{22}==|[A-Za-z0-9+/]{43}=)?)"
+
+
+@functools.cache
+def _event_pattern(names: tuple) -> re.Pattern:
+    """The event line `Store._commit` writes under a header of field
+    `names`, compiled once per process: a tenant of printable ASCII other
+    than `"` and `\\`, a row id of 1 to 16 digits, and for an insert or
+    update every field in header order. Its groups are "del" or None, the
+    tenant, the row id and each value. A line it matches is one that
+    `_decode_event` accepts, with the same tenant, row id and values."""
+    fields = b",".join(b'"%s":"%s"' % (name.encode("ascii"), _VALUE) for name in names)
+    return re.compile(rb'\{"op":"(?:ins|upd|(del))","t":"([ !#-\[\]-~]*)","r":([1-9][0-9]{0,15})'
+                      rb'(?(1)|,"f":\{' + fields + rb"\})\}")
 
 
 def _read_header(path: str, raw: bytes) -> tuple:
@@ -448,11 +479,19 @@ def _replay(path: str, raw: bytes, start: tuple | None) -> tuple:
     if not lines:
         return start
     live = dict(live)
+    names = schema.field_names
+    match = _event_pattern(names).fullmatch
     for number, line in enumerate(lines, start=number + 1):
-        try:
-            tenant, row_id, values = _decode_event(line, schema.field_names)
-        except (ValueError, TypeError, RecursionError) as exc:
-            raise CorruptLog(f"corrupt event at line {number} of {path!r}: {exc}") from None
+        event = match(line)
+        if event is None:  # any other spelling means what json.loads reads
+            try:
+                tenant, row_id, values = _decode_event(line, names)
+            except (ValueError, TypeError, RecursionError) as exc:
+                raise CorruptLog(f"corrupt event at line {number} of {path!r}: {exc}") from None
+        else:
+            groups = event.groups()
+            tenant, row_id = groups[1].decode("ascii"), int(groups[2])
+            values = None if groups[0] else groups[3:]
         if values is None:
             live.pop(row_id, None)
         else:

@@ -14,6 +14,8 @@ from cmt import crypto_codec, tenant_store
 from cmt.key_service import MasterKey
 from cmt.tenant_store import TableSchema, create_store, open_store
 
+from test_tenant_store import spy_on_replayed_lines
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACE_PY = BENCH / "trace.py"
 
@@ -53,14 +55,7 @@ def test_tracer_records_codec_spans_and_restores_the_program(tmp_path):
                          ids=["full_replay", "memo_hit", "memo_hit_insert"])
 def test_row_map_probe_counts_a_list_on_an_opened_store(tmp_path, monkeypatch, memo_hit, insert):
     monkeypatch.setattr(tenant_store, "_replayed", {})
-    decoded = []
-    decode = tenant_store._decode_event
-
-    def spy(line, names):
-        decoded.append(line)
-        return decode(line, names)
-
-    monkeypatch.setattr(tenant_store, "_decode_event", spy)
+    decoded = spy_on_replayed_lines(monkeypatch)
     path, master = str(tmp_path / "s.cmt"), MasterKey(bytes(16))
     with create_store(path, TableSchema("t", ("name", "contact")), master) as s:
         for tenant in ("uni_a", "uni_b", "uni_a"):

@@ -1,6 +1,7 @@
 """Record store tests: CRUD, isolation, replay, crash recovery, at-rest scan."""
 
 import base64
+import binascii
 import contextlib
 import errno
 import functools
@@ -13,6 +14,7 @@ import random
 import stat
 import tempfile
 import threading
+import types
 from unittest import mock
 
 import pytest
@@ -36,6 +38,7 @@ from cmt.errors import (
     VersionMismatch,
 )
 from cmt import aes_core, tenant_store
+from cmt.crypto_codec import MAX_FIELD_BYTES, check_value
 from cmt.key_service import MasterKey, derive_tenant_keys
 from cmt.tenant_store import TableSchema, create_store, open_store
 
@@ -700,18 +703,41 @@ def _full_replay(path, monkeypatch):
         return _outcome(path)
 
 
+# an event pattern that matches no line: every line goes to `_decode_event`
+_NO_PATTERN = types.SimpleNamespace(fullmatch=lambda line: None)
+
+
+def _json_replay(path, monkeypatch):
+    """`_full_replay` with every line read by `_decode_event`."""
+    with monkeypatch.context() as m:
+        m.setattr(tenant_store, "_event_pattern", lambda names: _NO_PATTERN)
+        return _full_replay(path, m)
+
+
+def spy_on_replayed_lines(monkeypatch) -> list:
+    """The lines replays read from now on. A replay tries every line it
+    reads against `_event_pattern` first, and hands only the lines the
+    pattern misses to `_decode_event`, so this counts both readers."""
+    lines = []
+    pattern = tenant_store._event_pattern
+
+    def spy(names):
+        match = pattern(names).fullmatch
+
+        def fullmatch(line):
+            lines.append(line)
+            return match(line)
+
+        return types.SimpleNamespace(fullmatch=fullmatch)
+
+    monkeypatch.setattr(tenant_store, "_event_pattern", spy)
+    return lines
+
+
 @pytest.fixture
 def decoded(monkeypatch):
-    """The lines `_decode_event` is called on."""
-    lines = []
-    decode = tenant_store._decode_event
-
-    def spy(line, names):
-        lines.append(line)
-        return decode(line, names)
-
-    monkeypatch.setattr(tenant_store, "_decode_event", spy)
-    return lines
+    """The lines replays read, through either reader."""
+    return spy_on_replayed_lines(monkeypatch)
 
 
 @pytest.fixture
@@ -908,8 +934,9 @@ def test_a_torn_tail_after_a_hit_is_left_out_as_in_a_full_replay(
 
 
 def _assert_value_rows(s, path):
-    """Every live row of `s` is (tenant, tuple of value bytes in schema
-    order), and its values are the "f" of the row's last event in the file."""
+    """Every live row of `s` is (tenant, tuple of values in schema order),
+    and its values are the base64 text, as ASCII bytes, of the "f" of the
+    row's last event in the file."""
     last = {}
     for line in path.read_bytes().split(b"\n")[1:-1]:
         event = json.loads(line)
@@ -922,7 +949,7 @@ def _assert_value_rows(s, path):
         assert [type(value) for value in values] == [bytes] * len(SCHEMA.field_names)
         event = last[row_id]
         assert tenant == event["t"]
-        assert values == tuple(base64.b64decode(event["f"][name]) for name in SCHEMA.field_names)
+        assert values == tuple(event["f"][name].encode("ascii") for name in SCHEMA.field_names)
 
 
 def test_live_rows_are_value_tuples_in_schema_order_on_every_path(tmp_path, decoded, monkeypatch):
@@ -1319,7 +1346,7 @@ def test_a_verified_value_that_is_not_utf8_is_auth_error(tmp_path):
     path = str(tmp_path / "s.cmt")
     with create_store(path, SCHEMA, MASTER) as s:
         rid = s.insert("uni_a", row("a name of two AES blocks"))
-        value = s._live[rid][1][0]  # "name", the schema's first field
+        value = base64.b64decode(s._live[rid][1][0])  # "name", the schema's first field
     iv, ct, tag = value[:16], value[16:-16], value[-16:]
     forged = iv + ct + bytes(a ^ b for a, b in zip(iv, tag)) + ct + tag
     mac_schedule = derive_tenant_keys(MASTER, "uni_a").mac_schedule
@@ -1479,6 +1506,8 @@ def test_fuzzed_log_lines_raise_only_cmt_errors(tmp_path, monkeypatch, edits, to
     outcome = _outcome(path)
     path.write_bytes(data)
     assert outcome == _full_replay(path, monkeypatch)
+    # the event pattern reads a line as `_decode_event` would, or leaves it
+    assert outcome == _json_replay(path, monkeypatch)
     monkeypatch.setattr(aes_core, "use_lanes", lambda *_: lanes)
     try:
         s = open_store(str(path), MASTER)
@@ -1502,9 +1531,30 @@ def _decoded(decode, line):
         return "refused"
 
 
+def _b64decoded(event):
+    """`event` as `_decoded` gives it, with each base64 value decoded."""
+    if event == "refused" or event[2] is None:
+        return event
+    return event[:2] + (tuple(map(base64.b64decode, event[2])),)
+
+
+def _matched(line):
+    """`_decoded` of `line` as the replay reads a line `_event_pattern`
+    matches, or None for a line it misses."""
+    event = tenant_store._event_pattern(SCHEMA.field_names).fullmatch(line)
+    if event is None:
+        return None
+    deleted, tenant, row_id, *values = event.groups()
+    return tenant.decode("ascii"), int(row_id), None if deleted else tuple(values)
+
+
 def _same_decoding(line):
+    """`_decode_event` and the reference accept `line` alike, with the same
+    decoded values, and the event pattern accepts it only if they do, with
+    the same tenant, row id and value text."""
     ours = _decoded(tenant_store._decode_event, line)
-    assert ours == _decoded(replay_reference.decode_event, line), line
+    assert _b64decoded(ours) == _decoded(replay_reference.decode_event, line), line
+    assert _matched(line) in (None, ours), line
     return ours
 
 
@@ -1560,12 +1610,35 @@ _REFUSED = {
     "field not in the header": lambda ins, b64, dele: ins.replace(b'"contact"', b'"zzz"'),
     "field missing": lambda ins, b64, dele: ins.replace(b'"name":"' + b64 + b'",', b""),
     "extra field": lambda ins, b64, dele: ins.replace(b'"f":{', b'"f":{"zzz":"' + b64 + b'",'),
+    "row id 0": lambda ins, b64, dele: ins.replace(b'"r":1,', b'"r":0,'),
+    "row id with a leading zero": lambda ins, b64, dele: ins.replace(b'"r":1,', b'"r":01,'),
+    "row id 1.0": lambda ins, b64, dele: ins.replace(b'"r":1,', b'"r":1.0,'),
+    "insert without f": lambda ins, b64, dele: ins[: ins.index(b',"f":')] + b"}",
+}
+
+# lines json reads as events, spelled other than `Store` writes them
+_RESPELLED = {
+    "escaped tenant": lambda ins, b64, dele: ins.replace(b'"t":"uni_a"', b'"t":"uni\\u005fa"'),
+    "escaped value character": lambda ins, b64, dele: ins.replace(
+        b64, b"\\u%04x" % b64[0] + b64[1:]),
+    "keys in another order": lambda ins, b64, dele: ins.replace(
+        b'{"op":"ins","t":"uni_a",', b'{"t":"uni_a","op":"ins",'),
+    "a ts field": lambda ins, b64, dele: ins.replace(b'"r":1,', b'"r":1,"ts":0,'),
+    "a 17-digit row id": lambda ins, b64, dele: ins.replace(b'"r":1,', b'"r":10000000000000000,'),
+    "a delete with f": lambda ins, b64, dele: dele[:-1] + b',"f":{}}',
 }
 
 
 @pytest.mark.parametrize("case", list(_REFUSED))
 def test_decoder_agrees_with_reference_on_refused_lines(case):
     assert _same_decoding(_REFUSED[case](*_base_lines())) == "refused"
+
+
+@pytest.mark.parametrize("case", list(_RESPELLED))
+def test_decoder_agrees_with_reference_on_respelled_lines(case):
+    line = _RESPELLED[case](*_base_lines())
+    assert _same_decoding(line) != "refused"
+    assert _matched(line) is None
 
 
 @pytest.mark.parametrize(
@@ -1577,3 +1650,87 @@ def test_decoder_agrees_with_reference_around_whitespace(before, after):
         assert _same_decoding(before + line + after) == tenant_store._decode_event(
             line, SCHEMA.field_names
         )
+
+
+# --- the event pattern against the writer and the length rule ----------------
+
+@pytest.mark.parametrize("fields", [1, 3, 32])
+def test_every_line_a_store_writes_takes_the_event_pattern(tmp_path, monkeypatch, fields):
+    # a `_commit` that drifts off the pattern would leave every replay on
+    # the slower json reader, and nothing else would show it
+    schema = TableSchema("t", [f"f{i}" for i in range(fields)])
+    names = schema.field_names
+    sizes = [0, 15, 16, 17, 47, 48]  # values of 48, 48, 64, 64, 80 and 96 bytes
+    path = tmp_path / "s.cmt"
+    written = {}
+    with create_store(str(path), schema, MASTER) as s:
+        for tenant in ("a", "t" * 64):
+            for k in range(len(sizes) + 2):
+                texts = {name: "x" * sizes[(i + k) % len(sizes)] for i, name in enumerate(names)}
+                if k == len(sizes) + 1:
+                    texts[names[0]] = "m" * MAX_FIELD_BYTES
+                row_id = s.insert(tenant, texts)
+                texts = {name: text[:-1] + "u" for name, text in texts.items()}
+                if k % 2:
+                    s.update(tenant, row_id, texts)
+                    written[row_id] = (tenant, texts)
+                else:
+                    s.delete(tenant, row_id)
+        assert {r: (t, s.get(t, r).fields) for r, (t, _) in written.items()} == written
+    lines = path.read_bytes().split(b"\n")[1:-1]
+    assert [line[7:10] for line in lines] == [b"ins", b"del", b"ins", b"upd"] * 8
+    match = tenant_store._event_pattern(names).fullmatch
+    assert [line for line in lines if match(line) is None] == []
+    outcome = _full_replay(path, monkeypatch)
+    assert sorted(outcome[0]) == sorted(written)
+    assert outcome == _json_replay(path, monkeypatch)
+
+
+def _strict_value(spelling: bytes) -> bool:
+    """Whether strict base64 decodes `spelling` to bytes `check_value` takes."""
+    try:
+        check_value(binascii.a2b_base64(spelling, strict_mode=True))
+    except ValueError:  # binascii.Error is one
+        return False
+    return True
+
+
+_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+def _spellings(n: int, rng: random.Random):
+    """The base64 of n random bytes, and spellings of it that strict base64
+    refuses or, for non-zero trailing bits, takes."""
+    good = base64.b64encode(rng.randbytes(n))
+    body = good.rstrip(b"=")
+    pad = good[len(body):]
+    yield good
+    yield body + pad[:-1]  # padding missing
+    yield good + b"="  # one "=" too many
+    yield good + b"=="
+    for at in {0, len(body) // 2, max(len(body) - 1, 0)}:
+        yield body[:at] + b"=" + body[at:] + pad  # padding inside
+        yield body[:at] + b"==" + body[at:] + pad
+        for bad in (b"-", b"_", b"*", b".", b" ", b"\n", b"\x00", b'"', b"\\", "é".encode()):
+            yield good[:at] + bad + good[at + 1 :]  # one byte outside the alphabet
+            yield good[:at] + bad + good[at:]
+    if pad:  # the last character's low bits, which pad bits, set
+        yield body[:-1] + bytes([_ALPHABET[_ALPHABET.index(body[-1]) | 1]]) + pad
+
+
+def test_the_value_pattern_is_the_length_rule_spelled_in_base64():
+    # the pattern's value spelling and `check_value`'s length rule are two
+    # spellings of one rule: a line the pattern takes must hold values the
+    # json reader would take, and each value `Store` writes must match
+    match = tenant_store._event_pattern(("f",)).fullmatch
+    rng = random.Random(30)
+    for n in range(401):
+        assert _strict_value(base64.b64encode(bytes(n))) == (n >= 48 and n % 16 == 0)
+        for spelling in _spellings(n, rng):
+            matched = match(b'{"op":"ins","t":"a","r":1,"f":{"f":"%s"}}' % spelling) is not None
+            if spelling.endswith(b"=") and len(spelling.rstrip(b"=")) % 4 == 0:
+                # strict base64 takes "=" after whole quads, which `Store`
+                # never writes: the pattern leaves such a line to json
+                assert not matched, spelling
+            else:
+                assert matched == _strict_value(spelling), spelling
