@@ -20,7 +20,9 @@ a refused command leave the file byte for byte.
 
 Decrypted data goes to stdout only; all diagnostics go to stderr, and a
 message names a path or an unrecognized argument by its `repr`, so a
-newline in one starts no stderr line of its own.
+newline in one starts no stderr line of its own. A record prints as one
+`row=` line and one `name=value` line per field, each value escaped
+(`_ESCAPES`), so that no value starts a stdout line of its own either.
 """
 
 import sys
@@ -75,10 +77,17 @@ def _parse_sets(pairs) -> dict:
     return values
 
 
+# how a value prints, so that it takes one line and no value can fake a field or
+# a record: a backslash doubled, newline as \n, carriage return as \r, and every
+# other C0 control and DEL as \xNN
+_ESCAPES = {c: f"\\x{c:02x}" for c in [*range(0x20), 0x7F]} | {
+    ord("\\"): "\\\\", ord("\n"): "\\n", ord("\r"): "\\r"}
+
+
 def _print_record(record) -> None:
     print(f"row={record.row_id}")
     for name, value in record.fields.items():  # in schema order
-        print(f"{name}={value}")
+        print(f"{name}={value.translate(_ESCAPES)}")
 
 
 def _build_parser():

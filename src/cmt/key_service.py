@@ -55,16 +55,17 @@ class MasterKey:
 
 class TenantKeySet:
     """A tenant's two keys, each expanded once, here, for every value the
-    codec encrypts or decrypts under them."""
+    codec encrypts or decrypts under them. It keeps only the two schedules,
+    whose round key 0 is the key itself (FIPS-197 section 5.2)."""
 
-    __slots__ = ("enc_key", "mac_key", "enc_schedule", "mac_schedule")
+    __slots__ = ("enc_schedule", "mac_schedule")
 
     def __init__(self, enc_key: bytes, mac_key: bytes):
-        self.enc_key, self.enc_schedule = enc_key, aes_core.expand_key(enc_key)
-        self.mac_key, self.mac_schedule = mac_key, aes_core.expand_key(mac_key)
+        self.enc_schedule = aes_core.expand_key(enc_key)
+        self.mac_schedule = aes_core.expand_key(mac_key)
 
     def __repr__(self) -> str:  # also str() and f-strings: no key material
-        return "TenantKeySet(enc_key=<redacted>, mac_key=<redacted>)"
+        return "TenantKeySet(<redacted>)"
 
 
 def validate_tenant_id(tenant_id: str) -> str:

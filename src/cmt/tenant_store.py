@@ -18,13 +18,14 @@ put straight into the live row map by one apply step; a bad line is
 CorruptLog with its line number. A line spelled exactly as `Store._commit`
 writes it matches one pattern, compiled once per schema in a process
 (`_event_pattern`), whose value spelling is `crypto_codec.check_value`'s
-length rule in base64. Every other line goes to `_decode_event`
-(`json.JSONDecoder.raw_decode`, then strict base64 by `binascii`, and a
-check that an insert or update carries exactly the header's fields), so
-whitespace, "ts" and escapes keep their `json.loads` meaning. Tests hold
-the pattern to the writer, to `check_value` and to `_decode_event`. A
-trailing chunk without its newline is a torn write (a crash mid-write),
-which the state's bytes leave out. `open_store` leaves it in the file with
+length rule in base64. Only a line spelled otherwise than `cmt` writes it
+goes to `_decode_event` (`json.loads` of the line decoded as UTF-8, then
+strict base64 by `binascii`, and a check that an insert or update carries
+exactly the header's fields), so whitespace, "ts" and escapes keep their
+`json.loads` meaning. Tests hold the pattern to the writer, to
+`check_value` and to `_decode_event`. A trailing chunk without its
+newline is a torn write (a crash mid-write), which the state's bytes
+leave out. `open_store` leaves it in the file with
 a `logging` warning (on stderr unless logging is configured), and imports
 `logging` on that path only: an open writes nothing, and the handle's
 first write cuts the tail. A live row is its tenant and a tuple of its
@@ -56,6 +57,8 @@ verifies but is not UTF-8 is AuthError.
 
 File format (UTF-8, newline-delimited):
   line 1: {"v":1,"table":"<name>","fields":["f1",...]}
+    ("v" is read first: any other integer is VersionMismatch, whatever
+    the rest of the header holds)
   then one event per line:
     {"op":"ins"|"upd"|"del","t":"<tenant>","r":<row_id>,
      "f":{"<field>":"<base64 IV||ct||tag>",...}}   (every header field; no "f" for del)
@@ -95,8 +98,6 @@ FORMAT_VERSION = 1
 # used with fullmatch: "$" would also match before a final newline
 _NAME_RE = re.compile(r"[a-z0-9_]{1,64}")
 
-# json.loads' own decoder, called without its wrapper (see _decode_event)
-_raw_decode = json.JSONDecoder().raw_decode
 # one compact encoder for every line written: json.dumps builds a new
 # encoder on each call that passes separators
 _encode = json.JSONEncoder(separators=(",", ":")).encode
@@ -364,16 +365,13 @@ def _decode_event(line: bytes, names: tuple) -> tuple:
     raises ValueError or TypeError, and one nested too deep for `json`'s
     scanner RecursionError.
 
-    It accepts exactly the lines `json.loads` accepts: JSON whitespace
-    around the object is stripped and nothing may follow it (a BOM fails
-    `raw_decode` as it fails `json.loads`). A value is decoded by the call
+    The line is decoded as UTF-8 before `json.loads` reads it: given bytes,
+    `json.loads` would also take UTF-16, UTF-32 and a UTF-8 BOM, which
+    `cmt` never writes. A value is decoded by the call
     `base64.b64decode(validate=True)` wraps, which refuses a non-string
     with TypeError and a non-ASCII string with ValueError, as the wrapper
     does, and its length checked by `check_value`."""
-    text = line.decode("utf-8").strip(" \t\r")
-    event, end = _raw_decode(text)
-    if end != len(text):
-        raise ValueError("extra data after the event")
+    event = json.loads(line.decode("utf-8"))
     if not isinstance(event, dict):
         raise ValueError("event is not a JSON object")
     op, tenant, row_id = event.get("op"), event.get("t"), event.get("r")
@@ -434,18 +432,21 @@ def _read_header(path: str, raw: bytes) -> tuple:
         raise CorruptHeader(f"header of {path!r} does not end in a newline")
     try:
         header = json.loads(raw[:end].decode("utf-8"))
-        version, table, fields = header["v"], header["table"], header["fields"]
+        version = header["v"]
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise CorruptHeader(f"unparseable header in {path!r}: {exc}") from None
-    # json gives True for `true`, and True == 1; the rest is TableSchema's rule
+    # "v" first, so a header of another version is named so whatever its
+    # shape; json gives True for `true`, and True == 1
     if type(version) is not int:
         raise CorruptHeader(f'header of {path!r} needs an integer "v"')
+    if version != FORMAT_VERSION:
+        raise VersionMismatch(
+            f"store {path!r} is format version {version}; cmt reads version {FORMAT_VERSION}")
+    # a missing "table" or "fields" reads as None, which TableSchema refuses
     try:
-        schema = TableSchema(table, fields)
+        schema = TableSchema(header.get("table"), header.get("fields"))
     except InvalidSchema as exc:  # a usage error at init, a corrupt file here
         raise CorruptHeader(f"header of {path!r}: {exc}") from None
-    if version != FORMAT_VERSION:
-        raise VersionMismatch(f"unsupported store version {version}")
     return raw[: end + 1], 1, schema, {}, 0
 
 

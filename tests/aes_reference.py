@@ -85,6 +85,12 @@ def _round_keys(schedule: KeySchedule) -> List[bytes]:
     return [k.to_bytes(16, "big") for k in schedule.enc_keys]
 
 
+def key_of(schedule: KeySchedule) -> bytes:
+    """The key `schedule` was expanded from: its round key 0 (FIPS-197
+    section 5.2)."""
+    return schedule.enc_keys[0].to_bytes(16, "big")
+
+
 def encrypt_block(block: bytes, schedule: KeySchedule) -> bytes:
     """Initial key add, 9 full rounds, final round without MixColumns."""
     round_keys = _round_keys(schedule)

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cmt import errors
-from cmt.cli import _build_parser, _parse_plain, main, run
+from cmt.cli import _ESCAPES, _build_parser, _parse_plain, main, run
 from cmt.crypto_codec import MAX_FIELD_BYTES
 from cmt.key_service import MASTER_KEY_ENV, MasterKey
 from cmt.tenant_store import TableSchema, create_store, open_store
@@ -115,6 +115,58 @@ def test_list_only_own_rows(store_path, capsys):
     assert main(["--store", store_path, "--tenant", "uni_a", "list"]) == 0
     out = capsys.readouterr().out
     assert "name=a1" in out and "name=a2" in out and "b1" not in out
+
+
+def unescape(text: str) -> str:
+    """The value that `_print_record` printed as `text`."""
+    named = {"\\": "\\", "n": "\n", "r": "\r"}
+    return re.sub(r"\\(?:([\\nr])|x([0-9a-f]{2}))",
+                  lambda m: named[m[1]] if m[1] else chr(int(m[2], 16)), text)
+
+
+def test_a_value_prints_with_its_controls_escaped(store_path, capsys):
+    main(insert_args(store_path, "uni_a", name="a\\b\nc\rd\te\x1b\x7f\u00fc"))
+    capsys.readouterr()
+    assert main(["--store", store_path, "--tenant", "uni_a", "get", "--row", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out == "row=1\nname=a\\\\b\\nc\\rd\\x09e\\x1b\\x7f\u00fc\ncontact=C\ndepartment=D\n"
+
+
+@given(st.text())
+def test_an_escaped_value_is_one_line_that_unescapes_to_itself(value):
+    printed = value.translate(_ESCAPES)
+    assert "\n" not in printed and "\r" not in printed
+    assert unescape(printed) == value
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        "hi\nrow=7\nname=fake",  # unescaped, it would print as a second record
+        "cr\rlf\n",
+        "back\\slash\\n",  # a backslash before an n is no newline
+        "\\x41",
+        "\x00\x1b[31m\t\x7f",
+        "\u00fcn\u00ef \u2713 \u2028",  # past ASCII: printed as itself
+        "",
+    ],
+)
+def test_get_and_list_print_one_line_per_field_whatever_a_value_holds(store_path, capsys, value):
+    inserted = {1: {"name": value, "contact": "C", "department": "D"},
+                2: {"name": "N", "contact": "C", "department": value}}
+    for values in inserted.values():
+        assert main(insert_args(store_path, "uni_a", **values)) == 0
+    capsys.readouterr()
+    for command, row_ids in ((["get", "--row", "1"], [1]), (["get", "--row", "2"], [2]),
+                             (["list"], [1, 2])):
+        assert main(["--store", store_path, "--tenant", "uni_a"] + command) == 0
+        lines = capsys.readouterr().out.split("\n")
+        assert lines.pop() == ""  # each line ends in a newline
+        assert len(lines) == len(row_ids) * 4  # a row= line and three fields
+        for row_id, start in zip(row_ids, range(0, len(lines), 4)):
+            assert lines[start] == f"row={row_id}"
+            printed = dict(line.split("=", 1) for line in lines[start + 1 : start + 4])
+            assert {name: unescape(text) for name, text in printed.items()} == inserted[row_id]
 
 
 # --- update / delete -------------------------------------------------------

@@ -14,6 +14,7 @@ import threading
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
+from aes_reference import key_of
 from cmt.errors import InvalidTenantId, MalformedKey, MissingKey
 from cmt.key_service import (
     MASTER_KEY_ENV,
@@ -151,16 +152,17 @@ def test_derivation_matches_oracle():
     for tenant in ("alpha", "beta", "uni_a", "a" * 64):
         keys = derive_tenant_keys(master, tenant)
         enc, mac = derive_oracle(master.key, tenant)
-        assert keys.enc_key == enc
-        assert keys.mac_key == mac
+        assert key_of(keys.enc_schedule) == enc
+        assert key_of(keys.mac_schedule) == mac
 
 
 def fields(record) -> tuple:
-    """The key bytes and schedules a key record holds: records compare by
-    identity, so tests compare these."""
+    """What a key record holds: a master's key bytes and schedule, a key
+    set's two schedules (round key 0 of each is its key). Records compare
+    by identity, so tests compare these."""
     if isinstance(record, MasterKey):
         return record.key, record.schedule
-    return record.enc_key, record.mac_key, record.enc_schedule, record.mac_schedule
+    return record.enc_schedule, record.mac_schedule
 
 
 def test_derivation_deterministic():
@@ -178,7 +180,8 @@ def test_keys_survive_copy_and_pickle():
         for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
             assert type(twin) is type(record) and twin is not record
             assert fields(twin) == fields(record)
-    assert fields(keys) == fields(TenantKeySet(keys.enc_key, keys.mac_key))
+    again = TenantKeySet(key_of(keys.enc_schedule), key_of(keys.mac_schedule))
+    assert fields(keys) == fields(again)
 
 
 def test_copy_and_pickle_of_a_master_start_with_an_empty_memo():
@@ -191,7 +194,7 @@ def test_copy_and_pickle_of_a_master_start_with_an_empty_memo():
     assert master.derived == tenants  # the original keeps its own
     data = pickle.dumps(master)
     for keys in tenants.values():
-        assert keys.enc_key not in data and keys.mac_key not in data
+        assert key_of(keys.enc_schedule) not in data and key_of(keys.mac_schedule) not in data
 
 
 def test_neither_key_record_offers_a_tuple_view():
@@ -213,47 +216,49 @@ def test_distinct_tenants_distinct_keys():
     master = MasterKey(bytes.fromhex(HEX_KEY))
     a = derive_tenant_keys(master, "alpha")
     b = derive_tenant_keys(master, "beta")
-    assert a.enc_key != b.enc_key
-    assert a.mac_key != b.mac_key
+    assert key_of(a.enc_schedule) != key_of(b.enc_schedule)
+    assert key_of(a.mac_schedule) != key_of(b.mac_schedule)
 
 
 def test_enc_and_mac_keys_differ():
     master = MasterKey(os.urandom(16))
     for tenant in ("alpha", "beta", "gamma"):
         keys = derive_tenant_keys(master, tenant)
-        assert keys.enc_key != keys.mac_key
+        assert key_of(keys.enc_schedule) != key_of(keys.mac_schedule)
 
 
 def test_no_collisions_across_many_tenants():
     master = MasterKey(os.urandom(16))
     seen = set()
     for i in range(1000):
-        seen.add(derive_tenant_keys(master, f"tenant_{i}").enc_key)
+        seen.add(key_of(derive_tenant_keys(master, f"tenant_{i}").enc_schedule))
     assert len(seen) == 1000
 
 
 def test_master_key_bit_flips_change_derivation():
     base = bytearray(os.urandom(16))
-    reference = derive_tenant_keys(MasterKey(bytes(base)), "alpha").enc_key
+    reference = key_of(derive_tenant_keys(MasterKey(bytes(base)), "alpha").enc_schedule)
     rnd = os.urandom(100)
     for r in rnd:
         bit = r % 128
         flipped = bytearray(base)
         flipped[bit // 8] ^= 1 << (bit % 8)
-        assert derive_tenant_keys(MasterKey(bytes(flipped)), "alpha").enc_key != reference
+        flipped_keys = derive_tenant_keys(MasterKey(bytes(flipped)), "alpha")
+        assert key_of(flipped_keys.enc_schedule) != reference
 
 
 def test_repr_shows_no_key_material():
     master = MasterKey(bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c"))
     keys = derive_tenant_keys(master, "alpha")
     master.derived["alpha"] = keys  # a master whose memo holds a tenant
+    enc_key, mac_key = key_of(keys.enc_schedule), key_of(keys.mac_schedule)
     secrets = [
-        (master, [master.key, keys.enc_key, keys.mac_key],
+        (master, [master.key, enc_key, mac_key],
          [master.schedule, keys.enc_schedule, keys.mac_schedule]),
         (master.schedule, [master.key], [master.schedule]),
-        (keys, [keys.enc_key, keys.mac_key], [keys.enc_schedule, keys.mac_schedule]),
-        (keys.enc_schedule, [keys.enc_key], [keys.enc_schedule]),
-        (keys.mac_schedule, [keys.mac_key], [keys.mac_schedule]),
+        (keys, [enc_key, mac_key], [keys.enc_schedule, keys.mac_schedule]),
+        (keys.enc_schedule, [enc_key], [keys.enc_schedule]),
+        (keys.mac_schedule, [mac_key], [keys.mac_schedule]),
     ]
     for record, key_bytes, schedules in secrets:
         # every key-derived value of every field: 32-bit expansion words and

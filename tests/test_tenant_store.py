@@ -22,6 +22,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+from aes_reference import key_of
 from cmt.errors import (
     AlreadyExists,
     AuthError,
@@ -150,12 +151,21 @@ def test_open_bad_header(tmp_path):
         open_store(path, MASTER)
 
 
-def test_open_version_mismatch(tmp_path):
+@pytest.mark.parametrize(
+    "header, version",
+    [
+        ('{"v":99,"table":"t","fields":["a"]}', 99),
+        ('{"v":2,"table":"t","fields":[{"n":"a"}]}', 2),  # "v" is read before the rest
+        ('{"v":2}', 2),
+    ],
+)
+def test_open_version_mismatch(tmp_path, header, version):
     path = str(tmp_path / "s.cmt")
     with open(path, "w") as fh:
-        fh.write('{"v":99,"table":"t","fields":["a"]}\n')
-    with pytest.raises(VersionMismatch):
+        fh.write(header + "\n")
+    with pytest.raises(VersionMismatch) as caught:
         open_store(path, MASTER)
+    assert str(caught.value) == f"store {path!r} is format version {version}; cmt reads version 1"
 
 
 # deeper than `json`'s scanner recurses: it raises RecursionError, not ValueError
@@ -167,6 +177,9 @@ NESTED = "[" * 100_000 + "]" * 100_000
     [
         '{"v":1,"table":"t","fields":"ab"}',  # TableSchema's rule: a list, not a string
         '{"v":true,"table":"t","fields":["a"]}',  # True == 1
+        '{"v":true}',  # nor a VersionMismatch: true is no version
+        '[{"v":2}]',  # not an object
+        '{"v":1,"fields":["a"]}',
         '{"v":1,"table":"t","fields":{"a":1}}',  # nor a dict
         '{"v":1,"table":"T","fields":["a"]}',  # InvalidSchema, exit 2, at init
         '{"v":1,"table":"t","fields":["name\\n"]}',  # a field name with a trailing newline
@@ -1320,8 +1333,9 @@ def test_the_memo_never_crosses_master_keys(tmp_path):
             s.get("uni_a", rid)
         with pytest.raises(AuthError):
             s.list("uni_a")
-    assert wrong.derived["uni_a"].enc_key != right.derived["uni_a"].enc_key
-    assert wrong.derived["uni_a"].mac_key != right.derived["uni_a"].mac_key
+    wrong_keys, right_keys = wrong.derived["uni_a"], right.derived["uni_a"]
+    assert key_of(wrong_keys.enc_schedule) != key_of(right_keys.enc_schedule)
+    assert key_of(wrong_keys.mac_schedule) != key_of(right_keys.mac_schedule)
 
 
 def test_another_master_key_object_of_the_same_key_derives_again(tmp_path, monkeypatch):
@@ -1337,7 +1351,9 @@ def test_another_master_key_object_of_the_same_key_derives_again(tmp_path, monke
     # same key, same derived keys, in a memo of each object's own
     assert list(first.derived) == list(second.derived) == ["uni_a"]
     keys, again = first.derived["uni_a"], second.derived["uni_a"]
-    assert keys is not again and (keys.enc_key, keys.mac_key) == (again.enc_key, again.mac_key)
+    assert keys is not again
+    assert key_of(keys.enc_schedule) == key_of(again.enc_schedule)
+    assert key_of(keys.mac_schedule) == key_of(again.mac_schedule)
 
 
 def test_a_verified_value_that_is_not_utf8_is_auth_error(tmp_path):
@@ -1650,6 +1666,52 @@ def test_decoder_agrees_with_reference_around_whitespace(before, after):
         assert _same_decoding(before + line + after) == tenant_store._decode_event(
             line, SCHEMA.field_names
         )
+
+
+@pytest.mark.parametrize(
+    "respell",
+    [lambda line: line.decode("ascii").encode("utf-16-le"), lambda line: b"\xef\xbb\xbf" + line],
+    ids=["utf-16-le", "utf-8_bom"],
+)
+def test_an_event_json_loads_would_read_from_bytes_is_corrupt(tmp_path, respell):
+    # the event is decoded as UTF-8 before json reads it: given the bytes,
+    # json.loads would detect UTF-16 and skip a BOM
+    path = tmp_path / "s.cmt"
+    with create_store(str(path), SCHEMA, MASTER) as s:
+        s.insert("uni_a", row("a"))
+        s.insert("uni_a", row("b"))
+    lines = path.read_bytes().split(b"\n")
+    assert json.loads(respell(lines[2])) == json.loads(lines[2])
+    lines[2] = respell(lines[2])
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(CorruptLog, match="^corrupt event at line 3 of "):
+        open_store(str(path), MASTER)
+
+
+def test_a_17_digit_row_id_that_cmt_writes_reads_back(tmp_path, monkeypatch):
+    # the event pattern takes row ids of up to 16 digits, but an insert
+    # after row 9999999999999999 writes row 10000000000000000: only the
+    # json reader keeps such a store readable
+    path = tmp_path / "s.cmt"
+    with create_store(str(path), SCHEMA, MASTER) as s:
+        s.insert("uni_a", row("a"))
+    first = path.read_bytes().split(b"\n")[1]
+    with open(path, "ab") as fh:
+        fh.write(first.replace(b'"r":1,', b'"r":9999999999999999,') + b"\n")
+    with open_store(str(path), MASTER) as s:
+        assert s.insert("uni_a", row("c")) == 10**16
+    last = path.read_bytes().split(b"\n")[-2]
+    assert last.startswith(b'{"op":"ins","t":"uni_a","r":10000000000000000,')
+    assert _matched(last) is None
+    rows = [(1, "a"), (9999999999999999, "a"), (10**16, "c")]
+    read = spy_on_replayed_lines(monkeypatch)
+    with open_store(str(path), MASTER) as s:  # a memo hit: only the new line
+        assert read == [last]
+        assert [(r.row_id, r.fields["name"]) for r in s.list("uni_a")] == rows
+    monkeypatch.setattr(tenant_store, "_replayed", {})
+    with open_store(str(path), MASTER) as s:  # a full replay
+        assert read[1:] == path.read_bytes().split(b"\n")[1:-1]
+        assert [(r.row_id, r.fields["name"]) for r in s.list("uni_a")] == rows
 
 
 # --- the event pattern against the writer and the length rule ----------------
