@@ -79,8 +79,8 @@ def _parse_sets(pairs) -> dict:
 
 # how a value prints, so that it takes one line and no value can fake a field or
 # a record: a backslash doubled, newline as \n, carriage return as \r, and every
-# other C0 control and DEL as \xNN
-_ESCAPES = {c: f"\\x{c:02x}" for c in [*range(0x20), 0x7F]} | {
+# other C0 control, DEL and every C1 control as \xNN
+_ESCAPES = {c: f"\\x{c:02x}" for c in [*range(0x20), *range(0x7F, 0xA0)]} | {
     ord("\\"): "\\\\", ord("\n"): "\\n", ord("\r"): "\\r"}
 
 

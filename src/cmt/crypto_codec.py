@@ -6,9 +6,9 @@ encryption under the tenant's encryption key, then a CBC-MAC tag
 under the separate MAC key. A value is the bytes IV || ciphertext || tag,
 and this module alone knows that layout: `check_value` is its length rule.
 `tenant_store` spells the same rule once more, in base64, in the pattern
-that reads the log lines `cmt` writes; a test holds the two spellings
-equal on every base64 spelling of lengths 0 to 400 bytes, save "=" after
-whole quads, which strict base64 takes and `cmt` never writes. The tag is
+that reads every log line; a test holds the two spellings equal on every
+base64 spelling of lengths 0 to 400 bytes, save "=" after whole quads,
+which strict base64 takes and the pattern refuses. The tag is
 always verified before any decryption happens, and a value whose tag
 verifies but whose padding does not is refused too, so the only failure a
 caller ever sees for wrong keys or tampering is AuthError.

@@ -13,17 +13,16 @@ file, locks it, refuses a file that is not a regular one (a FIFO or a
 device, whose read would block or never end) and reads it. `_replay` takes
 those bytes and returns the state they give: the bytes of the complete
 lines, their count, the schema, the live row map and the largest row id.
-It does no I/O. In one pass, each line is read by one of two readers and
-put straight into the live row map by one apply step; a bad line is
-CorruptLog with its line number. A line spelled exactly as `Store._commit`
-writes it matches one pattern, compiled once per schema in a process
-(`_event_pattern`), whose value spelling is `crypto_codec.check_value`'s
-length rule in base64. Only a line spelled otherwise than `cmt` writes it
-goes to `_decode_event` (`json.loads` of the line decoded as UTF-8, then
-strict base64 by `binascii`, and a check that an insert or update carries
-exactly the header's fields), so whitespace, "ts" and escapes keep their
-`json.loads` meaning. Tests hold the pattern to the writer, to
-`check_value` and to `_decode_event`. A trailing chunk without its
+It does no I/O. In one pass, each line is read by one rule and put
+straight into the live row map; a bad line is CorruptLog with its line
+number. The rule is one pattern, compiled once per schema in a process
+(`_event_pattern`): the event line exactly as `Store._commit` writes it,
+with `crypto_codec.check_value`'s length rule spelled in base64. A line
+spelled otherwise is read as its respelling (`_respell`): what
+`json.loads` reads in the line decoded as UTF-8, re-encoded as `cmt`
+writes it, so whitespace, key order, "ts" and escapes keep their
+`json.loads` meaning and json decides nothing else. Tests hold the
+pattern to the writer and to `check_value`. A trailing chunk without its
 newline is a torn write (a crash mid-write), which the state's bytes
 leave out. `open_store` leaves it in the file with
 a `logging` warning (on stderr unless logging is configured), and imports
@@ -63,7 +62,10 @@ File format (UTF-8, newline-delimited):
     {"op":"ins"|"upd"|"del","t":"<tenant>","r":<row_id>,
      "f":{"<field>":"<base64 IV||ct||tag>",...}}   (every header field; no "f" for del)
   Replay reads only "op", "t", "r" and "f": the "ts" (unix seconds) that
-  earlier versions wrote into every event is read and ignored.
+  earlier versions wrote into every event is read and ignored. A tenant
+  is printable ASCII other than `"` and `\\`, a row id 1 to 16 digits
+  (`Store.insert` refuses to go past them), and a value base64 without
+  "=" after whole quads.
 """
 
 import binascii
@@ -76,7 +78,7 @@ import stat
 import threading
 from collections import namedtuple
 
-from .crypto_codec import check_value, decrypt_value, decrypt_values, encrypt_value
+from .crypto_codec import decrypt_value, decrypt_values, encrypt_value
 from .errors import (
     AlreadyExists,
     AuthError,
@@ -286,6 +288,8 @@ class Store:
         with self._mutex:
             encrypted = self._encrypt_fields(tenant, values)
             row_id = self._max_row_id + 1
+            if row_id >= 10**16:  # the event pattern's row ids have at most 16 digits
+                raise StoreError(f"store {self.path!r} is full: its last row id is {row_id - 1}")
             self._commit("ins", tenant, row_id, encrypted)
         return row_id
 
@@ -358,45 +362,6 @@ def create_store(path: str, schema: TableSchema, master: MasterKey | None = None
     return Store(path, master, fh, _read_header(path, header))
 
 
-def _decode_event(line: bytes, names: tuple) -> tuple:
-    """(tenant, row_id, values) of one log line, values None for a delete,
-    else a tuple of the values of exactly the header's field `names`, in
-    their order, each its base64 text in ASCII bytes. A malformed line
-    raises ValueError or TypeError, and one nested too deep for `json`'s
-    scanner RecursionError.
-
-    The line is decoded as UTF-8 before `json.loads` reads it: given bytes,
-    `json.loads` would also take UTF-16, UTF-32 and a UTF-8 BOM, which
-    `cmt` never writes. A value is decoded by the call
-    `base64.b64decode(validate=True)` wraps, which refuses a non-string
-    with TypeError and a non-ASCII string with ValueError, as the wrapper
-    does, and its length checked by `check_value`."""
-    event = json.loads(line.decode("utf-8"))
-    if not isinstance(event, dict):
-        raise ValueError("event is not a JSON object")
-    op, tenant, row_id = event.get("op"), event.get("t"), event.get("r")
-    if op not in ("ins", "upd", "del"):
-        raise ValueError(f"unknown op {op!r}")
-    if not isinstance(tenant, str):
-        raise ValueError('"t" must be a string')
-    if type(row_id) is not int or row_id < 1:
-        raise ValueError('"r" must be a positive integer')
-    if op == "del":
-        return tenant, row_id, None
-    encoded = event.get("f")
-    if not isinstance(encoded, dict):
-        raise ValueError('"f" must map field names to base64 strings')
-    if len(encoded) != len(names):
-        raise ValueError(f'"f" holds {len(encoded)} fields, the header {len(names)}')
-    try:
-        for name in names:
-            check_value(binascii.a2b_base64(encoded[name], strict_mode=True))
-    except KeyError as exc:
-        raise ValueError(f'"f" has no field {exc}') from None
-    # strict base64 took each value, so each is ASCII text
-    return tenant, row_id, tuple([encoded[name].encode("ascii") for name in names])
-
-
 # One value as `Store._commit` spells it: base64 whose decoded length
 # `check_value` accepts, a multiple of 16 bytes from 48 up. 48 bytes are 64
 # characters; a length 16 or 32 bytes past a multiple of 48 ends in 22
@@ -410,11 +375,31 @@ def _event_pattern(names: tuple) -> re.Pattern:
     `names`, compiled once per process: a tenant of printable ASCII other
     than `"` and `\\`, a row id of 1 to 16 digits, and for an insert or
     update every field in header order. Its groups are "del" or None, the
-    tenant, the row id and each value. A line it matches is one that
-    `_decode_event` accepts, with the same tenant, row id and values."""
+    tenant, the row id and each value. It is the one rule for an event:
+    a line spelled otherwise is read as its `_respell`."""
     fields = b",".join(b'"%s":"%s"' % (name.encode("ascii"), _VALUE) for name in names)
     return re.compile(rb'\{"op":"(?:ins|upd|(del))","t":"([ !#-\[\]-~]*)","r":([1-9][0-9]{0,15})'
                       rb'(?(1)|,"f":\{' + fields + rb"\})\}")
+
+
+def _respell(line: bytes, names: tuple) -> bytes:
+    """The event that `json.loads` reads in `line`, spelled as
+    `Store._commit` writes it: "op", "t" and "r", then, unless "op" is
+    "del", "f" with the header's field `names` first, in their order. The
+    event's other keys are dropped and the other keys of "f" kept, for the
+    event pattern to refuse. A line json cannot read raises ValueError, one
+    nested too deep RecursionError, and one that is no object with those
+    keys TypeError or KeyError.
+
+    The line is decoded as UTF-8 before `json.loads` reads it: given bytes,
+    `json.loads` would also take UTF-16, UTF-32 and a UTF-8 BOM, which
+    `cmt` never writes."""
+    event = json.loads(line.decode("utf-8"))
+    respelled = {"op": event["op"], "t": event["t"], "r": event["r"]}
+    if event["op"] != "del":
+        # `**` takes only a mapping, where dict.update would take a list of pairs
+        respelled["f"] = {**dict.fromkeys(names), **event["f"]}
+    return _encode(respelled).encode("ascii")
 
 
 def _read_header(path: str, raw: bytes) -> tuple:
@@ -486,17 +471,19 @@ def _replay(path: str, raw: bytes, start: tuple | None) -> tuple:
         event = match(line)
         if event is None:  # any other spelling means what json.loads reads
             try:
-                tenant, row_id, values = _decode_event(line, names)
-            except (ValueError, TypeError, RecursionError) as exc:
+                event = match(_respell(line, names))
+            except (ValueError, RecursionError) as exc:  # no JSON
                 raise CorruptLog(f"corrupt event at line {number} of {path!r}: {exc}") from None
-        else:
-            groups = event.groups()
-            tenant, row_id = groups[1].decode("ascii"), int(groups[2])
-            values = None if groups[0] else groups[3:]
-        if values is None:
+            except (TypeError, KeyError):  # JSON, but no object with the event's keys
+                pass
+            if event is None:
+                raise CorruptLog(f"corrupt event at line {number} of {path!r}: not a well-formed event")
+        groups = event.groups()
+        row_id = int(groups[2])
+        if groups[0]:
             live.pop(row_id, None)
         else:
-            live[row_id] = (tenant, values)
+            live[row_id] = (groups[1].decode("ascii"), groups[3:])
         if row_id > max_row_id:
             max_row_id = row_id
     return raw[: len(raw) - len(torn)], number, schema, live, max_row_id

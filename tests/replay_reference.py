@@ -1,9 +1,11 @@
 """The log-line decoder of store format v1 in its first form: `json.loads`,
 then the event checks, with each value decoded by
 `base64.b64decode(validate=True)` and the set of an event's field names
-compared with the header's. The tests hold
-`tenant_store._decode_event` to it: both must accept the same lines and
-decode them to the same values.
+compared with the header's. The tests hold `tenant_store`'s replay to it:
+a line the replay reads, the reference reads alike, to the same rows. The
+replay refuses three kinds of line that the reference reads and `cmt`
+never writes: a tenant outside printable ASCII or holding `"` or `\\`, a
+value with "=" after whole quads, and a row id of more than 16 digits.
 """
 
 import base64

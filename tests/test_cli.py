@@ -125,17 +125,22 @@ def unescape(text: str) -> str:
 
 
 def test_a_value_prints_with_its_controls_escaped(store_path, capsys):
-    main(insert_args(store_path, "uni_a", name="a\\b\nc\rd\te\x1b\x7f\u00fc"))
+    main(insert_args(store_path, "uni_a", name="a\\b\nc\rd\te\x1b\x7f\x80\x85\x9b\x9f\u00a0\u00fc"))
     capsys.readouterr()
     assert main(["--store", store_path, "--tenant", "uni_a", "get", "--row", "1"]) == 0
     out = capsys.readouterr().out
-    assert out == "row=1\nname=a\\\\b\\nc\\rd\\x09e\\x1b\\x7f\u00fc\ncontact=C\ndepartment=D\n"
+    assert out == ("row=1\nname=a\\\\b\\nc\\rd\\x09e\\x1b\\x7f\\x80\\x85\\x9b\\x9f\u00a0\u00fc\n"
+                   "contact=C\ndepartment=D\n")
 
 
-@given(st.text())
+# C0 and C1 controls, DEL and the backslash, which the escape rewrites
+_CONTROLS = "".join(map(chr, [*range(0x20), *range(0x7F, 0xA0)])) + "\\"
+
+
+@given(st.text(st.characters() | st.sampled_from(_CONTROLS)))
 def test_an_escaped_value_is_one_line_that_unescapes_to_itself(value):
     printed = value.translate(_ESCAPES)
-    assert "\n" not in printed and "\r" not in printed
+    assert not set(printed) & set(_CONTROLS[:-1])  # "\n", "\r" and U+0085 among them
     assert unescape(printed) == value
 
 
@@ -147,6 +152,7 @@ def test_an_escaped_value_is_one_line_that_unescapes_to_itself(value):
         "back\\slash\\n",  # a backslash before an n is no newline
         "\\x41",
         "\x00\x1b[31m\t\x7f",
+        "\x9b31m\x85next",  # C1: the 8-bit CSI, and NEL, a line break for str.splitlines
         "\u00fcn\u00ef \u2713 \u2028",  # past ASCII: printed as itself
         "",
     ],
@@ -167,6 +173,24 @@ def test_get_and_list_print_one_line_per_field_whatever_a_value_holds(store_path
             assert lines[start] == f"row={row_id}"
             printed = dict(line.split("=", 1) for line in lines[start + 1 : start + 4])
             assert {name: unescape(text) for name, text in printed.items()} == inserted[row_id]
+
+
+def test_an_event_whose_row_id_json_cannot_print_is_corrupt_log(store_path, capsys):
+    # json reads a row id of 4,300 digits, so `list` used to print the row,
+    # and the next insert died in json's int-to-text limit with a traceback
+    main(insert_args(store_path, "uni_a"))
+    first = Path(store_path).read_bytes().split(b"\n")[1]
+    with open(store_path, "ab") as fh:
+        fh.write(first.replace(b'"r":1,', b'"r":%s,' % (b"9" * 4300)) + b"\n")
+    before = Path(store_path).read_bytes()
+    capsys.readouterr()
+    for argv in (["--store", store_path, "--tenant", "uni_a", "list"],
+                 insert_args(store_path, "uni_a", name="Next")):
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"cmt: error: corrupt event at line 3 of {store_path!r}: "
+                                  "not a well-formed event\n")
+        assert Path(store_path).read_bytes() == before
 
 
 # --- update / delete -------------------------------------------------------
@@ -659,7 +683,7 @@ def test_a_path_holding_a_newline_is_named_on_one_stderr_line(tmp_path, case):
         s.insert("uni_a", {"name": "N", "contact": "C", "department": "D"})
     expected = {
         "torn_tail": (0, f"torn trailing write in {store!r} ({len(TORN)} bytes): the next write cuts it"),
-        "corrupt_log": (3, f"cmt: error: corrupt event at line 3 of {store!r}: unknown op 'zap'"),
+        "corrupt_log": (3, f"cmt: error: corrupt event at line 3 of {store!r}: not a well-formed event"),
         "locked": (3, f"cmt: error: store is locked by another process: {store!r}"),
         "missing_key": (3, f"cmt: error: master key file not found: {key_file!r}"),
     }[case]
@@ -941,6 +965,15 @@ def _call(tmp, command, argv, store, key, good):
             assert code == 2, (full, code, err)
     elif command != "init" and tenant is not None and not TENANT_ID.fullmatch(tenant):
         assert code == 2, (full, code, err)
+    # 8. a get or a list that succeeds prints 1 + fields lines per record:
+    # a get one record, a list one per row of the tenant, of which a store
+    # that opens holds FUZZ_ROWS or, a bare header, none
+    if code == 0 and command in ("get", "list"):
+        rows = [] if store == "header" else FUZZ_ROWS
+        records = 1 if command == "get" else sum(owner == tenant for owner, _ in rows)
+        lines = out.split("\n")
+        assert lines.pop() == "" and len(lines) == records * (1 + len(FUZZ_FIELDS)), (full, out)
+        assert all(line.startswith("row=") for line in lines[:: 1 + len(FUZZ_FIELDS)]), (full, out)
 
 
 @given(line=command_lines(), store=st.sampled_from(STORES),

@@ -11,6 +11,7 @@ import json
 import logging
 import os
 import random
+import re
 import stat
 import tempfile
 import threading
@@ -716,21 +717,10 @@ def _full_replay(path, monkeypatch):
         return _outcome(path)
 
 
-# an event pattern that matches no line: every line goes to `_decode_event`
-_NO_PATTERN = types.SimpleNamespace(fullmatch=lambda line: None)
-
-
-def _json_replay(path, monkeypatch):
-    """`_full_replay` with every line read by `_decode_event`."""
-    with monkeypatch.context() as m:
-        m.setattr(tenant_store, "_event_pattern", lambda names: _NO_PATTERN)
-        return _full_replay(path, m)
-
-
 def spy_on_replayed_lines(monkeypatch) -> list:
-    """The lines replays read from now on. A replay tries every line it
-    reads against `_event_pattern` first, and hands only the lines the
-    pattern misses to `_decode_event`, so this counts both readers."""
+    """The lines replays read from now on: each line a replay tries against
+    `_event_pattern`, and a line the pattern misses once more as respelled
+    (`_respell`)."""
     lines = []
     pattern = tenant_store._event_pattern
 
@@ -748,8 +738,8 @@ def spy_on_replayed_lines(monkeypatch) -> list:
 
 
 @pytest.fixture
-def decoded(monkeypatch):
-    """The lines replays read, through either reader."""
+def lines_read(monkeypatch):
+    """The lines replays read."""
     return spy_on_replayed_lines(monkeypatch)
 
 
@@ -764,14 +754,14 @@ def replayed(tmp_path):
     return path, path.read_bytes()
 
 
-def test_a_reopen_decodes_only_the_appended_lines(replayed, decoded):
+def test_a_reopen_decodes_only_the_appended_lines(replayed, lines_read):
     path, _ = replayed
     with open_store(str(path), MASTER) as s:
         s.insert("uni_a", row("d"))
         s.insert("uni_b", row("e"))
-    assert decoded == []  # nothing was appended since the fixture's open
+    assert lines_read == []  # nothing was appended since the fixture's open
     with open_store(str(path), MASTER) as s:
-        assert decoded == path.read_bytes().split(b"\n")[4:6]
+        assert lines_read == path.read_bytes().split(b"\n")[4:6]
         assert [r.fields["name"] for r in s.list("uni_a")] == ["a", "b", "c", "d"]
         assert s.insert("uni_b", row("f")) == 6
 
@@ -877,52 +867,53 @@ def test_a_flipped_byte_in_the_replayed_prefix_is_caught(replayed, marker, caugh
             s.get("uni_a", 3)
 
 
-def test_a_file_cut_short_of_the_prefix_replays_in_full(replayed, decoded, monkeypatch):
+def test_a_file_cut_short_of_the_prefix_replays_in_full(replayed, lines_read, monkeypatch):
     path, before = replayed
     path.write_bytes(before[: before.rstrip(b"\n").rindex(b"\n") + 1])  # drop row 3
     with open_store(str(path), MASTER) as s:
         assert sorted(s._live) == [1, 2]
         assert s.insert("uni_a", row("x")) == 3
-    assert len(decoded) == 2
-    decoded.clear()
+    assert len(lines_read) == 2
+    lines_read.clear()
     assert _outcome(path) == _full_replay(path, monkeypatch)
-    assert len(decoded) == 1 + 3  # the line appended since, then a full replay
+    assert len(lines_read) == 1 + 3  # the line appended since, then a full replay
 
 
-def test_a_replaced_file_replays_in_full(replayed, decoded):
+def test_a_replaced_file_replays_in_full(replayed, lines_read):
     path, before = replayed
     other = path.with_name("other.cmt")
     other.write_bytes(before)
     os.replace(other, path)
     with open_store(str(path), MASTER) as s:
         assert sorted(s._live) == [1, 2, 3]
-    assert len(decoded) == 3
+    assert len(lines_read) == 3
 
 
-def test_a_corrupt_line_after_a_hit_names_its_line_in_the_file(replayed, decoded):
+def test_a_corrupt_line_after_a_hit_names_its_line_in_the_file(replayed, lines_read):
     path, before = replayed
     with open(path, "ab") as fh:
         fh.write(b'{"op":"del","t":"uni_a","r":3}\n{"op":"del","t":"uni_a","r":0}\n')
     with pytest.raises(CorruptLog, match="at line 6 of"):
         open_store(str(path), MASTER)
-    assert len(decoded) == 2
+    # only the two lines appended since, the last tried as written and respelled
+    assert set(lines_read) == set(path.read_bytes().split(b"\n")[4:6])
     # the failed open applied the delete to its own copy of the memo's rows
     path.write_bytes(before)
     with open_store(str(path), MASTER) as s:
         assert sorted(s._live) == [1, 2, 3]
 
 
-def test_a_line_nested_too_deep_after_a_hit_is_corrupt_log(replayed, decoded):
+def test_a_line_nested_too_deep_after_a_hit_is_corrupt_log(replayed, lines_read):
     path, _ = replayed
     with open(path, "a", encoding="ascii") as fh:
         fh.write(NESTED + "\n")
     with pytest.raises(CorruptLog, match="at line 5 of"):
         open_store(str(path), MASTER)
-    assert len(decoded) == 1
+    assert len(lines_read) == 1
 
 
 def test_a_torn_tail_after_a_hit_is_left_out_as_in_a_full_replay(
-    replayed, decoded, monkeypatch, caplog
+    replayed, lines_read, monkeypatch, caplog
 ):
     path, _ = replayed
     with open_store(str(path), MASTER) as s:
@@ -934,12 +925,12 @@ def test_a_torn_tail_after_a_hit_is_left_out_as_in_a_full_replay(
     torn = path.read_bytes()
     with open_store(str(path), MASTER) as s:
         assert sorted(s._live) == [2, 3, 4]
-    assert len(decoded) == 2
+    assert len(lines_read) == 2
     assert "torn trailing write in" in caplog.text
     assert path.read_bytes() == torn  # an open writes nothing
-    decoded.clear()
+    lines_read.clear()
     assert _outcome(path) == _full_replay(path, monkeypatch)
-    assert len(decoded) == 5  # none on the reopen: the memo's bytes leave the tail out
+    assert len(lines_read) == 5  # none on the reopen: the memo's bytes leave the tail out
     with open_store(str(path), MASTER) as s:
         assert s.insert("uni_b", row("e")) == 5
     assert path.read_bytes().startswith(whole) and path.read_bytes().endswith(b"\n")
@@ -965,7 +956,7 @@ def _assert_value_rows(s, path):
         assert values == tuple(event["f"][name].encode("ascii") for name in SCHEMA.field_names)
 
 
-def test_live_rows_are_value_tuples_in_schema_order_on_every_path(tmp_path, decoded, monkeypatch):
+def test_live_rows_are_value_tuples_in_schema_order_on_every_path(tmp_path, lines_read, monkeypatch):
     monkeypatch.setattr(tenant_store, "_replayed", {})
     path = tmp_path / "s.cmt"
     with create_store(str(path), SCHEMA, MASTER) as s:
@@ -976,21 +967,21 @@ def test_live_rows_are_value_tuples_in_schema_order_on_every_path(tmp_path, deco
         s.delete("uni_a", 3)
         _assert_value_rows(s, path)
     with open_store(str(path), MASTER) as s:  # a full replay
-        assert len(decoded) == 6
+        assert len(lines_read) == 6
         _assert_value_rows(s, path)
         s.insert("uni_b", row("f"))
         s.update("uni_b", 4, row("e2", "c3", "d3"))
         _assert_value_rows(s, path)
-    decoded.clear()
+    lines_read.clear()
     with open_store(str(path), MASTER) as s:  # a hit that replays two lines
-        assert len(decoded) == 2
+        assert len(lines_read) == 2
         _assert_value_rows(s, path)
     with open(path, "ab") as fh:
         fh.write(b'{"op":"del","t":"uni_a","r":1')
     torn = path.read_bytes()
-    decoded.clear()
+    lines_read.clear()
     with open_store(str(path), MASTER) as s:  # a hit that leaves a torn tail out
-        assert decoded == []
+        assert lines_read == []
         assert path.read_bytes() == torn
         _assert_value_rows(s, path)
         s.insert("uni_a", row("g"))  # which cuts the tail
@@ -1522,8 +1513,7 @@ def test_fuzzed_log_lines_raise_only_cmt_errors(tmp_path, monkeypatch, edits, to
     outcome = _outcome(path)
     path.write_bytes(data)
     assert outcome == _full_replay(path, monkeypatch)
-    # the event pattern reads a line as `_decode_event` would, or leaves it
-    assert outcome == _json_replay(path, monkeypatch)
+    _replays_alike(data)
     monkeypatch.setattr(aes_core, "use_lanes", lambda *_: lanes)
     try:
         s = open_store(str(path), MASTER)
@@ -1538,40 +1528,68 @@ def test_fuzzed_log_lines_raise_only_cmt_errors(tmp_path, monkeypatch, edits, to
                     pass
 
 
-# --- the log-line decoder against its reference ---------------------------------
+# --- the replay against its reference -------------------------------------------
 
-def _decoded(decode, line):
+def _replayed_rows(raw):
+    """What `_replay` makes of the store file `raw`: its live rows, each
+    value decoded from base64, and its largest row id; or CorruptLog and
+    the number of the line it names."""
     try:
-        return decode(line, SCHEMA.field_names)
-    except (ValueError, TypeError):
-        return "refused"
+        live, max_row_id = tenant_store._replay("s.cmt", raw, None)[3:]
+    except CorruptLog as exc:
+        return CorruptLog, int(re.search(r"at line (\d+) of", str(exc))[1])
+    return {r: (t, tuple(map(base64.b64decode, vs))) for r, (t, vs) in live.items()}, max_row_id
 
 
-def _b64decoded(event):
-    """`event` as `_decoded` gives it, with each base64 value decoded."""
-    if event == "refused" or event[2] is None:
-        return event
-    return event[:2] + (tuple(map(base64.b64decode, event[2])),)
+def _reference_rows(raw):
+    """`_replayed_rows` of `raw`, each line read by `replay_reference`."""
+    header, *lines = raw.split(b"\n")
+    names = tuple(json.loads(header)["fields"])
+    rows, max_row_id = {}, 0
+    for number, line in enumerate(lines[:-1], start=2):  # the last is torn or empty
+        try:
+            tenant, row_id, values = replay_reference.decode_event(line, names)
+        except (ValueError, TypeError, RecursionError):
+            return CorruptLog, number
+        if values is None:
+            rows.pop(row_id, None)
+        else:
+            rows[row_id] = (tenant, values)
+        max_row_id = max(max_row_id, row_id)
+    return rows, max_row_id
 
 
-def _matched(line):
-    """`_decoded` of `line` as the replay reads a line `_event_pattern`
-    matches, or None for a line it misses."""
-    event = tenant_store._event_pattern(SCHEMA.field_names).fullmatch(line)
-    if event is None:
-        return None
-    deleted, tenant, row_id, *values = event.groups()
-    return tenant.decode("ascii"), int(row_id), None if deleted else tuple(values)
+def _refused_kind(line):
+    """The kind of line that the reference reads and `cmt` refuses that
+    `line` is, or None: a tenant outside printable ASCII or holding `"` or
+    `\\`, a value with "=" after whole quads, or a row id of more than 16
+    digits. The reference must read `line`."""
+    replay_reference.decode_event(line, SCHEMA.field_names)
+    event = json.loads(line.decode("utf-8"))
+    tenant, values = event["t"], event["f"].values() if event["op"] != "del" else ()
+    if not (tenant.isascii() and tenant.isprintable()) or '"' in tenant or "\\" in tenant:
+        return "tenant"
+    if any(value.endswith("=") and len(value.rstrip("=")) % 4 == 0 for value in values):
+        return "padding"
+    if event["r"] >= 10**16:
+        return "row id"
+    return None
 
 
-def _same_decoding(line):
-    """`_decode_event` and the reference accept `line` alike, with the same
-    decoded values, and the event pattern accepts it only if they do, with
-    the same tenant, row id and value text."""
-    ours = _decoded(tenant_store._decode_event, line)
-    assert _b64decoded(ours) == _decoded(replay_reference.decode_event, line), line
-    assert _matched(line) in (None, ours), line
-    return ours
+def _replays_alike(raw):
+    """`_replay` reads the store file `raw` as the reference does: with the
+    same rows, or refusing the same line, or refusing a line before it that
+    the reference reads and that is of one of the three kinds."""
+    ours, theirs = _replayed_rows(raw), _reference_rows(raw)
+    if ours != theirs:
+        assert ours[0] is CorruptLog and (theirs[0] is not CorruptLog or theirs[1] > ours[1]), (
+            raw, ours, theirs)
+        assert _refused_kind(raw.split(b"\n")[ours[1] - 1]) is not None, raw
+
+
+def _one_event(line):
+    """The store file of the fuzz base's header and the one event `line`."""
+    return _fuzz_base()[0] + b"\n" + line + b"\n"
 
 
 # bytes that JSON or strict base64 treat specially, inserted anywhere
@@ -1584,10 +1602,10 @@ _INSERTS = st.tuples(
 )
 
 
-@given(edits=st.lists(st.one_of(_LINE_EDITS, _INSERTS), min_size=1, max_size=4))
-@settings(max_examples=200, deadline=None)
-def test_decoder_agrees_with_reference_on_edited_lines(edits):
-    _, events = _fuzz_base()
+def _edited_log(edits):
+    """The fuzz base's store file with `edits`, each a line edit or a token
+    inserted into a line."""
+    header, events = _fuzz_base()
     lines = list(events)
     for at, edit in edits:
         if not lines:
@@ -1598,8 +1616,65 @@ def test_decoder_agrees_with_reference_on_edited_lines(edits):
             lines[i] = lines[i][:pos] + edit[2] + lines[i][pos:]
         else:
             _edit(lines, at, edit)
+    return b"\n".join([header, *lines, b""])
+
+
+@given(edits=st.lists(st.one_of(_LINE_EDITS, _INSERTS), min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_decoder_agrees_with_reference_on_edited_lines(edits):
+    # each edited line alone: what cmt reads, the reference reads alike
+    header, *lines, _ = _edited_log(edits).split(b"\n")
     for line in lines:
-        _same_decoding(line)
+        _replays_alike(_one_event(line))
+
+
+_BLANKS = ["", " ", "\t", "\r", " \t\r "]
+
+
+def _spelled(value, rng):
+    """`value` as JSON text, spelled as `rng` draws: an object's keys in any
+    order, JSON whitespace around each token and any character of a string
+    as a \\u escape. Every character past ASCII is escaped."""
+    def blank():
+        return rng.choice(_BLANKS)
+
+    if isinstance(value, dict):
+        items = list(value.items())
+        rng.shuffle(items)
+        return "{%s}" % ",".join(f"{blank()}{_spelled(key, rng)}{blank()}:{blank()}"
+                                 f"{_spelled(item, rng)}{blank()}" for key, item in items)
+    if isinstance(value, list):
+        return "[%s]" % ",".join(blank() + _spelled(item, rng) + blank() for item in value)
+    if isinstance(value, str):
+        return '"%s"' % "".join("\\u%04x" % ord(c) if ord(c) < 0x10000 and rng.random() < 0.3
+                                else json.dumps(c)[1:-1] for c in value)
+    return json.dumps(value)
+
+
+def _respelled(line, rng):
+    """`line` with the meaning json reads in it, spelled as `_spelled`
+    draws and with a "ts" added; a line json reads as no object is left as
+    it is."""
+    try:
+        event = json.loads(line.decode("utf-8"))
+    except (ValueError, RecursionError):
+        return line
+    if not isinstance(event, dict):
+        return line
+    event["ts"] = rng.randrange(2**31)
+    return _spelled(event, rng).encode("ascii")
+
+
+@given(edits=st.lists(st.one_of(_LINE_EDITS, _INSERTS), max_size=4), seed=st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None)
+def test_a_log_respelled_line_by_line_replays_as_written(edits, seed):
+    # a log and the same log with every event line respelled: the same
+    # rows, or the same error at the same line
+    rng = random.Random(seed)
+    header, *lines, torn = _edited_log(edits).split(b"\n")
+    raw = b"\n".join([header, *lines, torn])
+    respelled = b"\n".join([header, *(_respelled(line, rng) for line in lines), torn])
+    assert _replayed_rows(respelled) == _replayed_rows(raw)
 
 
 def _base_lines():
@@ -1640,21 +1715,31 @@ _RESPELLED = {
     "keys in another order": lambda ins, b64, dele: ins.replace(
         b'{"op":"ins","t":"uni_a",', b'{"t":"uni_a","op":"ins",'),
     "a ts field": lambda ins, b64, dele: ins.replace(b'"r":1,', b'"r":1,"ts":0,'),
-    "a 17-digit row id": lambda ins, b64, dele: ins.replace(b'"r":1,', b'"r":10000000000000000,'),
     "a delete with f": lambda ins, b64, dele: dele[:-1] + b',"f":{}}',
+}
+
+# lines the reference reads and `cmt` refuses, and the kind of each
+_REFUSED_KINDS = {
+    "non-ASCII tenant": ("tenant", lambda ins, b64, dele: ins.replace(b"uni_a", "é".encode())),
+    "tenant holding a quote": ("tenant", lambda ins, b64, dele: ins.replace(b"uni_a", b'a\\"b')),
+    "value with = after whole quads": ("padding", lambda ins, b64, dele: ins.replace(b64, b64 + b"=")),
+    "a 17-digit row id": ("row id", lambda ins, b64, dele: ins.replace(
+        b'"r":1,', b'"r":10000000000000000,')),
 }
 
 
 @pytest.mark.parametrize("case", list(_REFUSED))
 def test_decoder_agrees_with_reference_on_refused_lines(case):
-    assert _same_decoding(_REFUSED[case](*_base_lines())) == "refused"
+    raw = _one_event(_REFUSED[case](*_base_lines()))
+    assert _replayed_rows(raw) == _reference_rows(raw) == (CorruptLog, 2)
 
 
 @pytest.mark.parametrize("case", list(_RESPELLED))
 def test_decoder_agrees_with_reference_on_respelled_lines(case):
     line = _RESPELLED[case](*_base_lines())
-    assert _same_decoding(line) != "refused"
-    assert _matched(line) is None
+    assert tenant_store._event_pattern(SCHEMA.field_names).fullmatch(line) is None
+    rows = _replayed_rows(_one_event(line))
+    assert rows[0] is not CorruptLog and rows == _reference_rows(_one_event(line))
 
 
 @pytest.mark.parametrize(
@@ -1663,9 +1748,19 @@ def test_decoder_agrees_with_reference_on_respelled_lines(case):
 def test_decoder_agrees_with_reference_around_whitespace(before, after):
     ins, _, dele = _base_lines()
     for line in (ins, dele):
-        assert _same_decoding(before + line + after) == tenant_store._decode_event(
-            line, SCHEMA.field_names
-        )
+        raw = _one_event(before + line + after)
+        assert _replayed_rows(raw) == _reference_rows(raw) == _replayed_rows(_one_event(line))
+
+
+@pytest.mark.parametrize("case", list(_REFUSED_KINDS))
+def test_a_line_only_the_reference_reads_is_corrupt_log(tmp_path, case):
+    kind, build = _REFUSED_KINDS[case]
+    line = build(*_base_lines())
+    assert _refused_kind(line) == kind  # which the reference reads
+    path = tmp_path / "s.cmt"
+    path.write_bytes(_one_event(line))
+    with pytest.raises(CorruptLog, match=r"^corrupt event at line 2 of .*: not a well-formed event$"):
+        open_store(str(path), MASTER)
 
 
 @pytest.mark.parametrize(
@@ -1688,29 +1783,24 @@ def test_an_event_json_loads_would_read_from_bytes_is_corrupt(tmp_path, respell)
         open_store(str(path), MASTER)
 
 
-def test_a_17_digit_row_id_that_cmt_writes_reads_back(tmp_path, monkeypatch):
-    # the event pattern takes row ids of up to 16 digits, but an insert
-    # after row 9999999999999999 writes row 10000000000000000: only the
-    # json reader keeps such a store readable
+def test_an_insert_past_the_last_16_digit_row_id_is_refused(tmp_path, monkeypatch):
+    # the event pattern takes row ids of up to 16 digits, so the insert
+    # after row 9999999999999999 is refused and writes nothing
     path = tmp_path / "s.cmt"
     with create_store(str(path), SCHEMA, MASTER) as s:
         s.insert("uni_a", row("a"))
     first = path.read_bytes().split(b"\n")[1]
     with open(path, "ab") as fh:
         fh.write(first.replace(b'"r":1,', b'"r":9999999999999999,') + b"\n")
+    before = path.read_bytes()
+    rows = [(1, "a"), (9999999999999999, "a")]
     with open_store(str(path), MASTER) as s:
-        assert s.insert("uni_a", row("c")) == 10**16
-    last = path.read_bytes().split(b"\n")[-2]
-    assert last.startswith(b'{"op":"ins","t":"uni_a","r":10000000000000000,')
-    assert _matched(last) is None
-    rows = [(1, "a"), (9999999999999999, "a"), (10**16, "c")]
-    read = spy_on_replayed_lines(monkeypatch)
-    with open_store(str(path), MASTER) as s:  # a memo hit: only the new line
-        assert read == [last]
+        with pytest.raises(StoreError, match=r"is full: its last row id is 9999999999999999$"):
+            s.insert("uni_a", row("c"))
         assert [(r.row_id, r.fields["name"]) for r in s.list("uni_a")] == rows
+    assert path.read_bytes() == before
     monkeypatch.setattr(tenant_store, "_replayed", {})
     with open_store(str(path), MASTER) as s:  # a full replay
-        assert read[1:] == path.read_bytes().split(b"\n")[1:-1]
         assert [(r.row_id, r.fields["name"]) for r in s.list("uni_a")] == rows
 
 
@@ -1718,8 +1808,8 @@ def test_a_17_digit_row_id_that_cmt_writes_reads_back(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("fields", [1, 3, 32])
 def test_every_line_a_store_writes_takes_the_event_pattern(tmp_path, monkeypatch, fields):
-    # a `_commit` that drifts off the pattern would leave every replay on
-    # the slower json reader, and nothing else would show it
+    # a `_commit` that drifts off the pattern would send every line
+    # through the slower respelling, and nothing else might show it
     schema = TableSchema("t", [f"f{i}" for i in range(fields)])
     names = schema.field_names
     sizes = [0, 15, 16, 17, 47, 48]  # values of 48, 48, 64, 64, 80 and 96 bytes
@@ -1745,7 +1835,7 @@ def test_every_line_a_store_writes_takes_the_event_pattern(tmp_path, monkeypatch
     assert [line for line in lines if match(line) is None] == []
     outcome = _full_replay(path, monkeypatch)
     assert sorted(outcome[0]) == sorted(written)
-    assert outcome == _json_replay(path, monkeypatch)
+    assert _replayed_rows(path.read_bytes()) == _reference_rows(path.read_bytes())
 
 
 def _strict_value(spelling: bytes) -> bool:
@@ -1782,8 +1872,9 @@ def _spellings(n: int, rng: random.Random):
 
 def test_the_value_pattern_is_the_length_rule_spelled_in_base64():
     # the pattern's value spelling and `check_value`'s length rule are two
-    # spellings of one rule: a line the pattern takes must hold values the
-    # json reader would take, and each value `Store` writes must match
+    # spellings of one rule: a line the pattern takes must hold values
+    # strict base64 decodes to a length `check_value` takes, and each value
+    # `Store` writes must match
     match = tenant_store._event_pattern(("f",)).fullmatch
     rng = random.Random(30)
     for n in range(401):
@@ -1792,7 +1883,7 @@ def test_the_value_pattern_is_the_length_rule_spelled_in_base64():
             matched = match(b'{"op":"ins","t":"a","r":1,"f":{"f":"%s"}}' % spelling) is not None
             if spelling.endswith(b"=") and len(spelling.rstrip(b"=")) % 4 == 0:
                 # strict base64 takes "=" after whole quads, which `Store`
-                # never writes: the pattern leaves such a line to json
+                # never writes and the pattern refuses
                 assert not matched, spelling
             else:
                 assert matched == _strict_value(spelling), spelling
