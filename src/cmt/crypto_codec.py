@@ -52,12 +52,11 @@ def pad(data: bytes) -> bytes:
     return data + _PADDING[BLOCK_SIZE - len(data) % BLOCK_SIZE]
 
 
-def check_value(raw: bytes) -> bytes:
-    """`raw` if its length is that of a value, IV || ciphertext || tag with
-    a ciphertext of one block or more; ValueError otherwise."""
+def check_value(raw: bytes) -> None:
+    """ValueError unless the length of `raw` is that of a value, IV ||
+    ciphertext || tag with a ciphertext of one block or more."""
     if len(raw) < MIN_VALUE_BYTES or len(raw) % BLOCK_SIZE != 0:
         raise ValueError(f"a value of {len(raw)} bytes is not IV || ciphertext || tag")
-    return raw
 
 
 def encrypt_value(plaintext: bytes, keys) -> bytes:

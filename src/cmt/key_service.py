@@ -22,8 +22,11 @@ from .errors import InvalidTenantId, MalformedKey, MissingKey
 
 MASTER_KEY_ENV = "CMT_MASTER_KEY"
 
-# used with fullmatch: "$" would also match before a final newline
-_TENANT_ID_RE = re.compile(r"[a-z0-9_-]{1,64}")
+# The one tenant id rule: `validate_tenant_id` and the store's event
+# pattern read it. Used with fullmatch: "$" would also match before a final
+# newline.
+TENANT_ID = r"[a-z0-9_-]{1,64}"
+_TENANT_ID_RE = re.compile(TENANT_ID)
 
 _ENC_CONST = bytes([0x01]) * 16
 _MAC_CONST = bytes([0x02]) * 16
@@ -68,12 +71,9 @@ class TenantKeySet:
         return "TenantKeySet(<redacted>)"
 
 
-def validate_tenant_id(tenant_id: str) -> str:
+def validate_tenant_id(tenant_id: str) -> None:
     if not isinstance(tenant_id, str) or not _TENANT_ID_RE.fullmatch(tenant_id):
-        raise InvalidTenantId(
-            f"tenant id must match [a-z0-9_-]{{1,64}}, got {tenant_id!r}"
-        )
-    return tenant_id
+        raise InvalidTenantId(f"tenant id must match {TENANT_ID}, got {tenant_id!r}")
 
 
 def _parse_hex_key(text: str) -> MasterKey:

@@ -17,12 +17,13 @@ It does no I/O. In one pass, each line is read by one rule and put
 straight into the live row map; a bad line is CorruptLog with its line
 number. The rule is one pattern, compiled once per schema in a process
 (`_event_pattern`): the event line exactly as `Store._commit` writes it,
-with `crypto_codec.check_value`'s length rule spelled in base64. A line
-spelled otherwise is read as its respelling (`_respell`): what
-`json.loads` reads in the line decoded as UTF-8, re-encoded as `cmt`
-writes it, so whitespace, key order, "ts" and escapes keep their
-`json.loads` meaning and json decides nothing else. Tests hold the
-pattern to the writer and to `check_value`. A trailing chunk without its
+with `validate_tenant_id`'s tenant rule and `crypto_codec.check_value`'s
+length rule spelled in base64. A line spelled otherwise is read as its
+respelling (`_respell`): what `json.loads` reads in the line decoded as
+UTF-8, re-encoded as `cmt` writes it, so whitespace, key order, "ts" and
+escapes keep their `json.loads` meaning and json decides nothing else.
+Tests hold the pattern to the writer and to `check_value`, and the replay
+to a reference reader of the format. A trailing chunk without its
 newline is a torn write (a crash mid-write), which the state's bytes
 leave out. `open_store` leaves it in the file with
 a `logging` warning (on stderr unless logging is configured), and imports
@@ -63,9 +64,9 @@ File format (UTF-8, newline-delimited):
      "f":{"<field>":"<base64 IV||ct||tag>",...}}   (every header field; no "f" for del)
   Replay reads only "op", "t", "r" and "f": the "ts" (unix seconds) that
   earlier versions wrote into every event is read and ignored. A tenant
-  is printable ASCII other than `"` and `\\`, a row id 1 to 16 digits
-  (`Store.insert` refuses to go past them), and a value base64 without
-  "=" after whole quads.
+  is one that `validate_tenant_id` takes, all of `key_service.TENANT_ID`;
+  a row id is 1 to 16 digits (`Store.insert` refuses to go past them);
+  and a value is base64 without "=" after whole quads.
 """
 
 import binascii
@@ -93,7 +94,7 @@ from .errors import (
     StoreLocked,
     VersionMismatch,
 )
-from .key_service import MasterKey, TenantKeySet, derive_tenant_keys, validate_tenant_id
+from .key_service import TENANT_ID, MasterKey, TenantKeySet, derive_tenant_keys, validate_tenant_id
 
 FORMAT_VERSION = 1
 
@@ -286,11 +287,12 @@ class Store:
     def insert(self, tenant: str, values: dict[str, str]) -> int:
         validate_tenant_id(tenant)
         with self._mutex:
-            encrypted = self._encrypt_fields(tenant, values)
             row_id = self._max_row_id + 1
-            if row_id >= 10**16:  # the event pattern's row ids have at most 16 digits
+            # the event pattern's row ids have at most 16 digits; refused
+            # before any key is derived or any value encrypted
+            if row_id >= 10**16:
                 raise StoreError(f"store {self.path!r} is full: its last row id is {row_id - 1}")
-            self._commit("ins", tenant, row_id, encrypted)
+            self._commit("ins", tenant, row_id, self._encrypt_fields(tenant, values))
         return row_id
 
     def get(self, tenant: str, row_id: int) -> Record:
@@ -372,13 +374,15 @@ _VALUE = rb"((?:[A-Za-z0-9+/]{64})+(?:[A-Za-z0-9+/]{22}==|[A-Za-z0-9+/]{43}=)?)"
 @functools.cache
 def _event_pattern(names: tuple) -> re.Pattern:
     """The event line `Store._commit` writes under a header of field
-    `names`, compiled once per process: a tenant of printable ASCII other
-    than `"` and `\\`, a row id of 1 to 16 digits, and for an insert or
-    update every field in header order. Its groups are "del" or None, the
-    tenant, the row id and each value. It is the one rule for an event:
-    a line spelled otherwise is read as its `_respell`."""
+    `names`, compiled once per process: a tenant that `validate_tenant_id`
+    takes (its rule, `key_service.TENANT_ID`), a row id of 1 to 16 digits,
+    and for an insert or update every field in header order. Its groups
+    are "del" or None, the tenant, the row id and each value. It is the
+    one rule for an event: a line spelled otherwise is read as its
+    `_respell`."""
     fields = b",".join(b'"%s":"%s"' % (name.encode("ascii"), _VALUE) for name in names)
-    return re.compile(rb'\{"op":"(?:ins|upd|(del))","t":"([ !#-\[\]-~]*)","r":([1-9][0-9]{0,15})'
+    tenant = TENANT_ID.encode("ascii")
+    return re.compile(rb'\{"op":"(?:ins|upd|(del))","t":"(' + tenant + rb')","r":([1-9][0-9]{0,15})'
                       rb'(?(1)|,"f":\{' + fields + rb"\})\}")
 
 

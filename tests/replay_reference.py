@@ -1,17 +1,21 @@
-"""The log-line decoder of store format v1 in its first form: `json.loads`,
-then the event checks, with each value decoded by
-`base64.b64decode(validate=True)` and the set of an event's field names
-compared with the header's. The tests hold `tenant_store`'s replay to it:
-a line the replay reads, the reference reads alike, to the same rows. The
-replay refuses three kinds of line that the reference reads and `cmt`
-never writes: a tenant outside printable ASCII or holding `"` or `\\`, a
-value with "=" after whole quads, and a row id of more than 16 digits.
+"""The log-line decoder of store format v1, read from README's "Store file
+format" as written: `json.loads`, then the event checks, with each value
+decoded by `base64.b64decode(validate=True)` and the set of an event's field
+names compared with the header's. It spells each rule of the format itself:
+a tenant all of `[a-z0-9_-]{1,64}`, a row id of 1 to 16 digits, and a value
+without "=" after whole quads, of a length `check_value` takes. The tests
+hold `tenant_store`'s replay to it: the two read every line alike, to the
+same rows, or refuse the same line.
 """
 
 import base64
 import json
+import re
 
 from cmt.crypto_codec import check_value
+
+# used with fullmatch: "$" would also match before a final newline
+TENANT = re.compile(r"[a-z0-9_-]{1,64}")
 
 
 def decode_event(line: bytes, names: tuple) -> tuple:
@@ -25,10 +29,10 @@ def decode_event(line: bytes, names: tuple) -> tuple:
     op, tenant, row_id = event.get("op"), event.get("t"), event.get("r")
     if op not in ("ins", "upd", "del"):
         raise ValueError(f"unknown op {op!r}")
-    if not isinstance(tenant, str):
-        raise ValueError('"t" must be a string')
-    if type(row_id) is not int or row_id < 1:
-        raise ValueError('"r" must be a positive integer')
+    if not isinstance(tenant, str) or not TENANT.fullmatch(tenant):
+        raise ValueError('"t" must be a tenant id')
+    if type(row_id) is not int or not 1 <= row_id < 10**16:
+        raise ValueError('"r" must be a row id of 1 to 16 digits')
     if op == "del":
         return tenant, row_id, None
     encoded = event.get("f")
@@ -36,9 +40,13 @@ def decode_event(line: bytes, names: tuple) -> tuple:
         raise ValueError('"f" must map field names to base64 strings')
     if set(encoded) != set(names):
         raise ValueError('"f" must hold the header\'s fields')
-    # b64decode raises TypeError for a value that is not a string
-    fields = {
-        name: check_value(base64.b64decode(b64, validate=True))
-        for name, b64 in encoded.items()
-    }
-    return tenant, row_id, tuple(fields[name] for name in names)
+    values = []
+    for name in names:
+        b64 = encoded[name]
+        # b64decode raises TypeError for a value that is not a string
+        raw = base64.b64decode(b64, validate=True)
+        if b64.endswith("=") and len(b64.rstrip("=")) % 4 == 0:
+            raise ValueError('"=" after whole quads')
+        check_value(raw)
+        values.append(raw)
+    return tenant, row_id, tuple(values)

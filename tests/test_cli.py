@@ -193,6 +193,26 @@ def test_an_event_whose_row_id_json_cannot_print_is_corrupt_log(store_path, caps
         assert Path(store_path).read_bytes() == before
 
 
+@pytest.mark.parametrize("tenant", ["", "UNI_A", "a b", "a" * 65],
+                         ids=["empty", "upper_case", "space", "65_characters"])
+def test_an_event_under_a_tenant_no_caller_can_name_is_corrupt_log(store_path, capsys, tenant):
+    # the log takes only the tenants `validate_tenant_id` takes: a copy of
+    # row 1's event under such a tenant used to take the row from its owner,
+    # so `get` exited 5 and `list` exited 0 without it
+    main(insert_args(store_path, "uni_a"))
+    first = Path(store_path).read_bytes().split(b"\n")[1]
+    with open(store_path, "ab") as fh:
+        fh.write(first.replace(b'"t":"uni_a"', b'"t":"%s"' % tenant.encode()) + b"\n")
+    before = Path(store_path).read_bytes()
+    capsys.readouterr()
+    for command in (["get", "--row", "1"], ["list"]):
+        assert main(["--store", store_path, "--tenant", "uni_a", *command]) == 3
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"cmt: error: corrupt event at line 3 of {store_path!r}: "
+                                  "not a well-formed event\n")
+        assert Path(store_path).read_bytes() == before
+
+
 # --- update / delete -------------------------------------------------------
 
 def test_update_then_get(store_path, capsys):

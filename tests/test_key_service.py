@@ -136,13 +136,15 @@ def test_master_key_length_enforced():
 
 @pytest.mark.parametrize("tenant", ["a", "uni_a", "x" * 64, "t-1_b2"])
 def test_valid_tenant_ids(tenant):
-    assert validate_tenant_id(tenant) == tenant
+    validate_tenant_id(tenant)  # raises InvalidTenantId for a bad one
 
 
 @pytest.mark.parametrize("tenant", ["", "UPPER", "x" * 65, "sp ace", "dot.", "ünï", "uni_a\n", "\nuni_a"])
 def test_invalid_tenant_ids(tenant):
-    with pytest.raises(InvalidTenantId):
+    # the message names the rule
+    with pytest.raises(InvalidTenantId) as refused:
         validate_tenant_id(tenant)
+    assert str(refused.value) == f"tenant id must match [a-z0-9_-]{{1,64}}, got {tenant!r}"
 
 
 # --- derivation ----------------------------------------------------------

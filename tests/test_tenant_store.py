@@ -31,6 +31,7 @@ from cmt.errors import (
     CorruptHeader,
     CorruptLog,
     InvalidSchema,
+    InvalidTenantId,
     IsolationDenied,
     MissingKey,
     NotFound,
@@ -41,7 +42,7 @@ from cmt.errors import (
 )
 from cmt import aes_core, tenant_store
 from cmt.crypto_codec import MAX_FIELD_BYTES, check_value
-from cmt.key_service import MasterKey, derive_tenant_keys
+from cmt.key_service import MasterKey, derive_tenant_keys, validate_tenant_id
 from cmt.tenant_store import TableSchema, create_store, open_store
 
 import replay_reference
@@ -1559,32 +1560,10 @@ def _reference_rows(raw):
     return rows, max_row_id
 
 
-def _refused_kind(line):
-    """The kind of line that the reference reads and `cmt` refuses that
-    `line` is, or None: a tenant outside printable ASCII or holding `"` or
-    `\\`, a value with "=" after whole quads, or a row id of more than 16
-    digits. The reference must read `line`."""
-    replay_reference.decode_event(line, SCHEMA.field_names)
-    event = json.loads(line.decode("utf-8"))
-    tenant, values = event["t"], event["f"].values() if event["op"] != "del" else ()
-    if not (tenant.isascii() and tenant.isprintable()) or '"' in tenant or "\\" in tenant:
-        return "tenant"
-    if any(value.endswith("=") and len(value.rstrip("=")) % 4 == 0 for value in values):
-        return "padding"
-    if event["r"] >= 10**16:
-        return "row id"
-    return None
-
-
 def _replays_alike(raw):
     """`_replay` reads the store file `raw` as the reference does: with the
-    same rows, or refusing the same line, or refusing a line before it that
-    the reference reads and that is of one of the three kinds."""
-    ours, theirs = _replayed_rows(raw), _reference_rows(raw)
-    if ours != theirs:
-        assert ours[0] is CorruptLog and (theirs[0] is not CorruptLog or theirs[1] > ours[1]), (
-            raw, ours, theirs)
-        assert _refused_kind(raw.split(b"\n")[ours[1] - 1]) is not None, raw
+    same rows, or refusing the same line."""
+    assert _replayed_rows(raw) == _reference_rows(raw), raw
 
 
 def _one_event(line):
@@ -1669,12 +1648,13 @@ def _respelled(line, rng):
 @settings(max_examples=100, deadline=None)
 def test_a_log_respelled_line_by_line_replays_as_written(edits, seed):
     # a log and the same log with every event line respelled: the same
-    # rows, or the same error at the same line
+    # rows, or the same error at the same line, as the reference reads it
     rng = random.Random(seed)
     header, *lines, torn = _edited_log(edits).split(b"\n")
     raw = b"\n".join([header, *lines, torn])
     respelled = b"\n".join([header, *(_respelled(line, rng) for line in lines), torn])
     assert _replayed_rows(respelled) == _replayed_rows(raw)
+    _replays_alike(respelled)
 
 
 def _base_lines():
@@ -1705,6 +1685,11 @@ _REFUSED = {
     "row id with a leading zero": lambda ins, b64, dele: ins.replace(b'"r":1,', b'"r":01,'),
     "row id 1.0": lambda ins, b64, dele: ins.replace(b'"r":1,', b'"r":1.0,'),
     "insert without f": lambda ins, b64, dele: ins[: ins.index(b',"f":')] + b"}",
+    # lines json reads, which earlier versions opened and no `cmt` writes
+    "non-ASCII tenant": lambda ins, b64, dele: ins.replace(b"uni_a", "é".encode()),
+    "tenant holding a quote": lambda ins, b64, dele: ins.replace(b"uni_a", b'a\\"b'),
+    "= after whole quads": lambda ins, b64, dele: ins.replace(b64, b64 + b"="),
+    "a 17-digit row id": lambda ins, b64, dele: ins.replace(b'"r":1,', b'"r":10000000000000000,'),
 }
 
 # lines json reads as events, spelled other than `Store` writes them
@@ -1716,15 +1701,6 @@ _RESPELLED = {
         b'{"op":"ins","t":"uni_a",', b'{"t":"uni_a","op":"ins",'),
     "a ts field": lambda ins, b64, dele: ins.replace(b'"r":1,', b'"r":1,"ts":0,'),
     "a delete with f": lambda ins, b64, dele: dele[:-1] + b',"f":{}}',
-}
-
-# lines the reference reads and `cmt` refuses, and the kind of each
-_REFUSED_KINDS = {
-    "non-ASCII tenant": ("tenant", lambda ins, b64, dele: ins.replace(b"uni_a", "é".encode())),
-    "tenant holding a quote": ("tenant", lambda ins, b64, dele: ins.replace(b"uni_a", b'a\\"b')),
-    "value with = after whole quads": ("padding", lambda ins, b64, dele: ins.replace(b64, b64 + b"=")),
-    "a 17-digit row id": ("row id", lambda ins, b64, dele: ins.replace(
-        b'"r":1,', b'"r":10000000000000000,')),
 }
 
 
@@ -1752,15 +1728,24 @@ def test_decoder_agrees_with_reference_around_whitespace(before, after):
         assert _replayed_rows(raw) == _reference_rows(raw) == _replayed_rows(_one_event(line))
 
 
-@pytest.mark.parametrize("case", list(_REFUSED_KINDS))
-def test_a_line_only_the_reference_reads_is_corrupt_log(tmp_path, case):
-    kind, build = _REFUSED_KINDS[case]
-    line = build(*_base_lines())
-    assert _refused_kind(line) == kind  # which the reference reads
-    path = tmp_path / "s.cmt"
-    path.write_bytes(_one_event(line))
-    with pytest.raises(CorruptLog, match=r"^corrupt event at line 2 of .*: not a well-formed event$"):
-        open_store(str(path), MASTER)
+@given(tenant=st.one_of(st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=70),
+                        st.from_regex(r"[a-z0-9_-]{0,70}", fullmatch=True)),
+       delete=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_an_event_replays_if_and_only_if_its_tenant_is_valid(tenant, delete):
+    # the event pattern reads `validate_tenant_id`'s rule: an event names
+    # only a tenant a caller can name
+    ins, _, dele = _base_lines()
+    event = json.loads(dele if delete else ins)
+    event["t"] = tenant
+    raw = _one_event(json.dumps(event, separators=(",", ":")).encode())
+    try:
+        validate_tenant_id(tenant)
+    except InvalidTenantId:
+        assert _replayed_rows(raw) == (CorruptLog, 2)
+    else:
+        assert _replayed_rows(raw)[0] is not CorruptLog
+    _replays_alike(raw)
 
 
 @pytest.mark.parametrize(
@@ -1785,7 +1770,8 @@ def test_an_event_json_loads_would_read_from_bytes_is_corrupt(tmp_path, respell)
 
 def test_an_insert_past_the_last_16_digit_row_id_is_refused(tmp_path, monkeypatch):
     # the event pattern takes row ids of up to 16 digits, so the insert
-    # after row 9999999999999999 is refused and writes nothing
+    # after row 9999999999999999 is refused, encrypts nothing and writes
+    # nothing
     path = tmp_path / "s.cmt"
     with create_store(str(path), SCHEMA, MASTER) as s:
         s.insert("uni_a", row("a"))
@@ -1794,9 +1780,14 @@ def test_an_insert_past_the_last_16_digit_row_id_is_refused(tmp_path, monkeypatc
         fh.write(first.replace(b'"r":1,', b'"r":9999999999999999,') + b"\n")
     before = path.read_bytes()
     rows = [(1, "a"), (9999999999999999, "a")]
+    encrypted = []
+    encrypt = tenant_store.encrypt_value
+    monkeypatch.setattr(tenant_store, "encrypt_value",
+                        lambda *args: encrypted.append(args) or encrypt(*args))
     with open_store(str(path), MASTER) as s:
         with pytest.raises(StoreError, match=r"is full: its last row id is 9999999999999999$"):
             s.insert("uni_a", row("c"))
+        assert encrypted == []
         assert [(r.row_id, r.fields["name"]) for r in s.list("uni_a")] == rows
     assert path.read_bytes() == before
     monkeypatch.setattr(tenant_store, "_replayed", {})
