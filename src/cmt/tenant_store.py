@@ -12,13 +12,13 @@ file handling around one pure function, `_replay`. `open_store` opens the
 file, locks it, refuses a file that is not a regular one (a FIFO or a
 device, whose read would block or never end) and reads it. `_replay` takes
 those bytes and returns the state they give: the bytes of the complete
-lines, their count, the schema, the live row map and the largest row id.
-It does no I/O. In one pass, each line is read by one rule and put
-straight into the live row map; a bad line is CorruptLog with its line
-number. The rule is one pattern, compiled once per schema in a process
-(`_event_pattern`): the event line exactly as `Store._commit` writes it,
-with `validate_tenant_id`'s tenant rule and `crypto_codec.check_value`'s
-length rule spelled in base64. A line spelled otherwise is read as its
+lines, their count, the schema, the live row map, the largest row id and
+a row index left empty for `list` to fill. It does no I/O. In one pass,
+each line is read by one rule and put straight into the live row map; a
+bad line is CorruptLog with its line number. The rule is one pattern,
+compiled once per schema in a process (`_event_pattern`): the event line
+exactly as `Store._commit` writes it, with `validate_tenant_id`'s tenant
+rule and `crypto_codec.check_value`'s length rule spelled in base64. A line spelled otherwise is read as its
 respelling (`_respell`): what `json.loads` reads in the line decoded as
 UTF-8, re-encoded as `cmt` writes it, so whitespace, key order, "ts" and
 escapes keep their `json.loads` meaning and json decides nothing else.
@@ -40,7 +40,13 @@ follow, and with no line to replay is that state itself. Only
 `_read_header` and `_replay` build a state, and a `Store` takes one whole:
 it reads the state's live row map until its first write, which copies the
 map, so no write reaches the entry and a handle that only reads copies
-nothing.
+nothing. `list` reads only the listing tenant's rows. The first `list` on
+a state fills the state's row index, each tenant's row ids in ascending
+order, in one pass over the state's row map, and every handle on that
+state reuses it. A handle keeps the ids it inserts apart, by tenant, and
+copies no index on a write: a `list` takes the tenant's ids in the index
+and then those it inserted, and skips those it deleted. The replay loop
+does no index work.
 
 Each mutation is written and fsynced before the call returns. Bytes past
 the last event a handle knows of, a torn tail or an append that failed,
@@ -77,7 +83,7 @@ import os
 import re
 import stat
 import threading
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 
 from .crypto_codec import decrypt_value, decrypt_values, encrypt_value
 from .errors import (
@@ -168,18 +174,22 @@ class Store:
     lock by closing the file. `state` is the store state the handle starts
     from (see `_replayed`). The handle reads the state's live row map
     itself, and takes a copy of it at its first write (see `_commit`), so a
-    handle that only reads copies nothing. `_end` is where the handle's
-    last event ends in the file: the length of the state's bytes, then of
-    each event it commits."""
+    handle that only reads copies nothing. It shares the state's row index,
+    which `list` fills, and keeps the row ids it inserts in `_inserted`.
+    `_end` is where the handle's last event ends in the file: the length of
+    the state's bytes, then of each event it commits."""
 
     def __init__(self, path: str, master: MasterKey | None, fh, state: tuple):
         self.path = path
-        done, _, self.schema, live, self._max_row_id = state
+        done, _, self.schema, live, self._max_row_id, self._index = state
         self._end = len(done)
         self._master = master
         self._fh = fh
         self._live: dict[int, tuple[str, tuple[bytes, ...]]] = live  # base64 values
         self._state_live = live  # never written: the state's, maybe a memo entry's
+        # row ids this handle inserted, by tenant, ascending: each insert
+        # takes the next id, past every id of the state
+        self._inserted: dict[str, list[int]] = {}
         self._mutex = threading.Lock()
 
     # -- lifecycle -----------------------------------------------------
@@ -245,6 +255,8 @@ class Store:
             self._live.pop(row_id, None)
         else:
             self._live[row_id] = (tenant, values)
+        if op == "ins":
+            self._inserted.setdefault(tenant, []).append(row_id)
         self._max_row_id = max(self._max_row_id, row_id)
 
     def _refuse_if_closed(self) -> None:
@@ -308,15 +320,26 @@ class Store:
 
     def list(self, tenant: str) -> "list[Record]":
         """The tenant's rows by row id; every value of every row is verified
-        before any is decrypted, in one batch."""
+        before any is decrypted, in one batch. It reads only the tenant's
+        rows: those of the state's row index, built at the first `list` on
+        the state, then those this handle inserted, each only if still
+        live."""
         validate_tenant_id(tenant)
         with self._mutex:
             self._refuse_if_closed()
-            rows = []
-            for row_id in sorted(self._live):
-                owner, values = self._live[row_id]
-                if owner == tenant:
-                    rows.append((row_id, values))
+            if not self._index:  # the first list on this state, on any handle
+                by_tenant = defaultdict(list)
+                for row_id, row in self._state_live.items():
+                    by_tenant[row[0]].append(row_id)
+                for row_ids in by_tenant.values():
+                    row_ids.sort()  # ascending already, unless the log was edited
+                self._index.update(by_tenant)
+            rows, live = [], self._live
+            for row_id in self._index.get(tenant, []) + self._inserted.get(tenant, []):
+                if row_id in live:  # not deleted by this handle
+                    owner, values = live[row_id]
+                    if owner == tenant:
+                        rows.append((row_id, values))
         if not rows:
             return []
         values = [binascii.a2b_base64(value) for _, row in rows for value in row]
@@ -367,8 +390,10 @@ def create_store(path: str, schema: TableSchema, master: MasterKey | None = None
 # One value as `Store._commit` spells it: base64 whose decoded length
 # `check_value` accepts, a multiple of 16 bytes from 48 up. 48 bytes are 64
 # characters; a length 16 or 32 bytes past a multiple of 48 ends in 22
-# characters and "==" or 43 and "=".
-_VALUE = rb"((?:[A-Za-z0-9+/]{64})+(?:[A-Za-z0-9+/]{22}==|[A-Za-z0-9+/]{43}=)?)"
+# characters and "==" or 43 and "=". The quantifiers are possessive: a
+# value ends at a quote and its tail is shorter than a quad run of 64, so
+# giving characters back could never make a line match.
+_VALUE = rb"((?:[A-Za-z0-9+/]{64})++(?:[A-Za-z0-9+/]{22}==|[A-Za-z0-9+/]{43}=)?+)"
 
 
 @functools.cache
@@ -408,8 +433,8 @@ def _respell(line: bytes, names: tuple) -> bytes:
 
 def _read_header(path: str, raw: bytes) -> tuple:
     """The state before the first event of the store file `raw`: (its header
-    line with the newline, 1, schema, {}, 0), in the shape of a `_replayed`
-    entry."""
+    line with the newline, 1, schema, {}, 0, {}), in the shape of a
+    `_replayed` entry."""
     if not raw:
         raise CorruptHeader(f"empty store file: {path!r}")
     end = raw.find(b"\n")
@@ -436,17 +461,19 @@ def _read_header(path: str, raw: bytes) -> tuple:
         schema = TableSchema(header.get("table"), header.get("fields"))
     except InvalidSchema as exc:  # a usage error at init, a corrupt file here
         raise CorruptHeader(f"header of {path!r}: {exc}") from None
-    return raw[: end + 1], 1, schema, {}, 0
+    return raw[: end + 1], 1, schema, {}, 0, {}
 
 
 # (st_dev, st_ino) -> the state that the last successful open in this
 # process replayed of that file. A store state is (done, lines, schema,
-# live, max_row_id): `done` is the bytes of the complete lines replayed
-# (header included), `lines` their count and `live` the live row map. Only
-# `_read_header` and `_replay` build one. Only what is on disk: no key, no
-# plaintext. Never updated by a mutation, never evicted. A handle shares its
-# entry's live row map until the handle's first write, which copies it, and
-# shares the (tenant, values) rows for good, which are tuples of bytes.
+# live, max_row_id, index): `done` is the bytes of the complete lines
+# replayed (header included), `lines` their count, `live` the live row map
+# and `index` the row ids of `live` by tenant, empty until a `list` on the
+# state fills it. Only `_read_header` and `_replay` build one. Only what is
+# on disk: no key, no plaintext. Never updated by a mutation, never evicted.
+# A handle shares its entry's live row map until the handle's first write,
+# which copies it, and shares the (tenant, values) rows and the row index
+# for good: the rows are tuples of bytes, and the index is filled once.
 _replayed: dict = {}
 
 
@@ -455,14 +482,14 @@ def _replay(path: str, raw: bytes, start: tuple | None) -> tuple:
     from `start`, a `_replayed` entry or None. The state's bytes leave out a
     torn tail. It reads, writes and logs nothing, and changes no state it
     was given: when no complete line follows the start, it returns the start
-    itself, else a state with a new live row map. A bad line is CorruptLog,
-    a bad header CorruptHeader."""
+    itself, else a state with a new live row map and an empty row index. A
+    bad line is CorruptLog, a bad header CorruptHeader."""
     # replay is a pure function of the file's bytes, so a file that still
     # starts with the bytes the last open replayed starts from that open's
     # state, and any other from its header's
     if start is None or not raw.startswith(start[0]):
         start = _read_header(path, raw)
-    done, number, schema, live, max_row_id = start
+    done, number, schema, live, max_row_id, _ = start
     lines = raw[len(done):].split(b"\n")
     # a trailing chunk without its newline is a torn write: drop it
     torn = lines.pop()
@@ -490,7 +517,7 @@ def _replay(path: str, raw: bytes, start: tuple | None) -> tuple:
             live[row_id] = (groups[1].decode("ascii"), groups[3:])
         if row_id > max_row_id:
             max_row_id = row_id
-    return raw[: len(raw) - len(torn)], number, schema, live, max_row_id
+    return raw[: len(raw) - len(torn)], number, schema, live, max_row_id, {}
 
 
 def open_store(path: str, master: MasterKey | None = None) -> Store:

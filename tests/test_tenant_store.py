@@ -1014,7 +1014,7 @@ def test_a_replay_from_any_complete_prefix_ends_as_a_full_replay(ops, data):
             with open(path, "rb") as fh:
                 raw = fh.read()
             full = tenant_store._replay(path, raw, None)
-            assert (s._live, s._max_row_id) == full[3:]
+            assert (s._live, s._max_row_id) == full[3:5]
     ends = list(itertools.accumulate(len(line) + 1 for line in raw.split(b"\n")[:-1]))
     assert full[:2] == (raw, len(ends))
     for k in ends:
@@ -1027,6 +1027,121 @@ def test_a_replay_from_any_complete_prefix_ends_as_a_full_replay(ops, data):
         state = tenant_store._replay(path, raw[: data.draw(st.integers(start + 1, end - 1))], None)
         assert state == tenant_store._replay(path, raw[:start], None)
         assert state[0] == raw[:start]
+
+
+def _lists_as_scanned(s):
+    """Each tenant's `list` against a scan of the handle's whole row map."""
+    for tenant in _TENANTS:
+        scan = [row_id for row_id in sorted(s._live) if s._live[row_id][0] == tenant]
+        listed = s.list(tenant)
+        assert [r.row_id for r in listed] == scan
+        assert [r.fields for r in listed] == [s.get(tenant, row_id).fields for row_id in scan]
+
+
+def _reopened(s, path, kind, tenant, pick):
+    """Close the handle `s` and open `path` again: as it is ("reopen"), as a
+    new inode, rewound to the bytes of its memo entry, or with an appended
+    event that names `tenant` for a row id not `tenant`'s: an "upd" with the
+    values of one of `tenant`'s rows, which moves a row of another tenant
+    or brings a deleted row back out of row-id order, or a "del"."""
+    others = [r for r in range(1, s._max_row_id + 1) if s._live.get(r, ("",))[0] != tenant]
+    donors = [values for owner, values in s._live.values() if owner == tenant]
+    s.close()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if kind == "new_inode":
+        with open(path + ".new", "wb") as fh:
+            fh.write(raw)
+        os.replace(path + ".new", path)
+    elif kind == "rewind":
+        info = os.stat(path)
+        entry = tenant_store._replayed.get((info.st_dev, info.st_ino))
+        # an entry of an earlier file whose inode number this one reuses
+        # may hold other bytes
+        if entry is not None and raw.startswith(entry[0]):
+            os.truncate(path, len(entry[0]))
+    elif kind.startswith("foreign") and others and (kind == "foreign_del" or donors):
+        event = {"op": kind[-3:], "t": tenant, "r": others[pick % len(others)]}
+        if kind == "foreign_upd":
+            values = donors[pick % len(donors)]
+            event["f"] = {name: v.decode("ascii") for name, v in zip(SCHEMA.field_names, values)}
+        with open(path, "ab") as fh:
+            fh.write(json.dumps(event, separators=(",", ":")).encode("ascii") + b"\n")
+    return open_store(path, MASTER)
+
+
+@given(steps=st.lists(st.tuples(
+    st.sampled_from(["ins", "upd", "del", "list", "reopen", "new_inode", "rewind",
+                     "foreign_upd", "foreign_del"]),
+    st.sampled_from(_TENANTS), st.integers(0, 20)), max_size=16))
+@settings(max_examples=60, deadline=None)
+def test_a_list_reads_what_a_scan_of_the_row_map_finds(steps):
+    # the row index of a state, shared by every handle on it and filled at
+    # its first list, with the rows each handle inserts or deletes since:
+    # memo hits with and without appended lines, a new inode, a memo entry
+    # rewound to after a handle wrote, and v1 events that move or delete a
+    # row of another tenant
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(tenant_store, "_replayed", {}):
+        path = os.path.join(tmp, "s.cmt")
+        s = create_store(path, SCHEMA, MASTER)
+        try:
+            for kind, tenant, pick in steps:
+                owned = [r for r in sorted(s._live) if s._live[r][0] == tenant]
+                if kind == "ins" or (kind in ("upd", "del") and not owned):
+                    s.insert(tenant, row(str(pick)))
+                elif kind == "upd":
+                    s.update(tenant, owned[pick % len(owned)], row(str(pick), "u"))
+                elif kind == "del":
+                    s.delete(tenant, owned[pick % len(owned)])
+                elif kind == "list":
+                    _lists_as_scanned(s)
+                else:
+                    s = _reopened(s, path, kind, tenant, pick)
+            _lists_as_scanned(s)
+        finally:
+            s.close()
+
+
+class _CountingRows(dict):
+    """A row map that counts its reads by key, as the benchmark's row-map
+    probe counts them."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+def _listed_reads(s, tenant):
+    """The row ids `s.list(tenant)` returns and the row-map reads it took."""
+    s._live = _CountingRows(s._live)
+    row_ids = [r.row_id for r in s.list(tenant)]
+    return row_ids, s._live.reads
+
+
+def test_a_list_reads_only_the_listing_tenants_rows(tmp_path, monkeypatch):
+    # 200 tenants of 5 rows, every row holding the values of row 1: a scan of
+    # the whole row map would read 1,000
+    monkeypatch.setattr(tenant_store, "_replayed", {})
+    path = tmp_path / "s.cmt"
+    with create_store(str(path), SCHEMA, MASTER) as s:
+        s.insert("uni_a", row("a"))
+    first = path.read_bytes().split(b"\n")[1]
+    with open(path, "ab") as fh:
+        for row_id in range(2, 1001):
+            tenant = b"uni_a" if row_id % 200 == 1 else b"t%03d" % (row_id % 200)
+            fh.write(first.replace(b'"t":"uni_a","r":1,', b'"t":"%s","r":%d,' % (tenant, row_id)) + b"\n")
+    with open_store(str(path), MASTER) as s:
+        assert _listed_reads(s, "uni_a") == ([1, 201, 401, 601, 801], 5)
+    with open_store(str(path), MASTER) as s:  # a memo hit: its index is built
+        assert s._index["uni_a"] == [1, 201, 401, 601, 801] and len(s._index) == 200
+        s.insert("uni_a", row("b"))
+        s.delete("uni_a", 201)
+        assert _listed_reads(s, "uni_a") == ([1, 401, 601, 801, 1001], 5)
+    with open_store(str(path), MASTER) as s:  # two lines appended: a new state
+        assert not s._index
+        assert _listed_reads(s, "uni_a") == ([1, 401, 601, 801, 1001], 5)
 
 
 @contextlib.contextmanager
@@ -1133,7 +1248,7 @@ class StoreAgainstAModel(RuleBasedStateMachine):
         assert warned == ([f"torn trailing write in {self.path!r} ({len(self.tail)} bytes): "
                            "the next write cuts it"] if self.tail else [])
         full = tenant_store._replay(self.path, before, None)
-        assert (self.store._live, self.store._max_row_id) == full[3:]
+        assert (self.store._live, self.store._max_row_id) == full[3:5]
         entry = _entry(self.path)
         assert self.store._live is entry[3]
         self.entry = entry, dict(entry[3])
@@ -1536,7 +1651,7 @@ def _replayed_rows(raw):
     value decoded from base64, and its largest row id; or CorruptLog and
     the number of the line it names."""
     try:
-        live, max_row_id = tenant_store._replay("s.cmt", raw, None)[3:]
+        live, max_row_id = tenant_store._replay("s.cmt", raw, None)[3:5]
     except CorruptLog as exc:
         return CorruptLog, int(re.search(r"at line (\d+) of", str(exc))[1])
     return {r: (t, tuple(map(base64.b64decode, vs))) for r, (t, vs) in live.items()}, max_row_id
