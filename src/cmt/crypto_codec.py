@@ -18,12 +18,12 @@ caller ever sees for wrong keys or tampering is AuthError.
 checks the batch against `check_value`'s length rule in one pass, and
 hands the batch's messages IV || ciphertext once to `aes_core.use_lanes`,
 which decides whether the whole batch runs on the multi-lane kernel or on
-the scalar chain. `verify_values`, the one tag check, then tags those
-messages with `aes_core.cbc_macs` and compares the whole batch's tags with
-the stored ones at once; `aes_core.decrypt_cbc` decrypts them, and one
-more pass checks and strips the PKCS#7 padding of every plaintext against
-`_PADDING`, the padding each last byte calls for. `decrypt_value` is a
-batch of one.
+the scalar chain. It then tags those messages with `aes_core.cbc_macs`
+and compares the whole batch's tags with the stored ones in one
+constant-time comparison, the package's one tag check.
+`aes_core.decrypt_cbc` decrypts them, and one more pass checks and strips
+the PKCS#7 padding of every plaintext against `_PADDING`, the padding
+each last byte calls for. `decrypt_value` is a batch of one.
 This module holds the value layout, the length rule, the tag comparison
 and the padding; CBC, CBC-MAC and the choice of engine are `aes_core`'s.
 """
@@ -69,17 +69,6 @@ def encrypt_value(plaintext: bytes, keys) -> bytes:
     return message + aes_core.cbc_macs([message], keys.mac_schedule)[0]
 
 
-def verify_values(messages: list[bytes], stored: list[bytes], keys, lanes: bool) -> int | None:
-    """The index of the first of the values' `messages` IV || ciphertext
-    whose tag under `keys` is not its `stored` tag, or None if every tag
-    verifies. `lanes` is `aes_core.use_lanes` of the messages."""
-    tags = aes_core.cbc_macs(messages, keys.mac_schedule, lanes)
-    # one constant-time comparison of the whole batch; a failure is then located
-    if compare_digest(b"".join(tags), b"".join(stored)):
-        return None
-    return list(map(compare_digest, tags, stored)).index(False)
-
-
 def decrypt_values(values: list[bytes], keys) -> list[bytes]:
     """Verify every tag, then decrypt every value. A tag failure raises
     AuthError before any block of the batch is decrypted, and so does a
@@ -95,7 +84,9 @@ def decrypt_values(values: list[bytes], keys) -> list[bytes]:
     messages = [v[:-BLOCK_SIZE] for v in values]
     # one decision: the MAC steps and the decryption may buy the kernel together
     lanes = aes_core.use_lanes(messages)
-    if verify_values(messages, [v[-BLOCK_SIZE:] for v in values], keys, lanes) is not None:
+    tags = aes_core.cbc_macs(messages, keys.mac_schedule, lanes)
+    # one constant-time comparison of the whole batch's tags
+    if not compare_digest(b"".join(tags), b"".join([v[-BLOCK_SIZE:] for v in values])):
         raise AuthError("authentication tag mismatch")
     out = []
     for plain in aes_core.decrypt_cbc(messages, keys.enc_schedule, lanes):

@@ -15,10 +15,11 @@ those bytes and returns the state they give: the bytes of the complete
 lines, their count, the schema, the live row map, the largest row id and
 a row index left empty for `list` to fill. It does no I/O. In one pass,
 each line is read by one rule and put straight into the live row map; a
-bad line is CorruptLog with its line number. The rule is one pattern,
-compiled once per schema in a process (`_event_pattern`): the event line
-exactly as `Store._commit` writes it, with `validate_tenant_id`'s tenant
-rule and `crypto_codec.check_value`'s length rule spelled in base64. A line spelled otherwise is read as its
+bad line is CorruptLog with its line number. The rule is one pattern
+(`_event_pattern`), compiled once per schema in a process through `re`'s
+cache: the event line exactly as `Store._commit` writes it, with
+`validate_tenant_id`'s tenant rule and `crypto_codec.check_value`'s
+length rule spelled in base64. A line spelled otherwise is read as its
 respelling (`_respell`): what `json.loads` reads in the line decoded as
 UTF-8, re-encoded as `cmt` writes it, so whitespace, key order, "ts" and
 escapes keep their `json.loads` meaning and json decides nothing else.
@@ -77,7 +78,6 @@ File format (UTF-8, newline-delimited):
 
 import binascii
 import fcntl
-import functools
 import json
 import os
 import re
@@ -396,10 +396,10 @@ def create_store(path: str, schema: TableSchema, master: MasterKey | None = None
 _VALUE = rb"((?:[A-Za-z0-9+/]{64})++(?:[A-Za-z0-9+/]{22}==|[A-Za-z0-9+/]{43}=)?+)"
 
 
-@functools.cache
 def _event_pattern(names: tuple) -> re.Pattern:
     """The event line `Store._commit` writes under a header of field
-    `names`, compiled once per process: a tenant that `validate_tenant_id`
+    `names`, compiled once per process through `re`'s cache, which keys
+    a compiled pattern by its bytes: a tenant that `validate_tenant_id`
     takes (its rule, `key_service.TENANT_ID`), a row id of 1 to 16 digits,
     and for an insert or update every field in header order. Its groups
     are "del" or None, the tenant, the row id and each value. It is the
@@ -499,16 +499,14 @@ def _replay(path: str, raw: bytes, start: tuple | None) -> tuple:
     names = schema.field_names
     match = _event_pattern(names).fullmatch
     for number, line in enumerate(lines, start=number + 1):
-        event = match(line)
-        if event is None:  # any other spelling means what json.loads reads
-            try:
-                event = match(_respell(line, names))
-            except (ValueError, RecursionError) as exc:  # no JSON
-                raise CorruptLog(f"corrupt event at line {number} of {path!r}: {exc}") from None
-            except (TypeError, KeyError):  # JSON, but no object with the event's keys
-                pass
-            if event is None:
-                raise CorruptLog(f"corrupt event at line {number} of {path!r}: not a well-formed event")
+        try:  # any other spelling means what json.loads reads
+            event = match(line) or match(_respell(line, names))
+        except (ValueError, RecursionError) as exc:  # no JSON
+            raise CorruptLog(f"corrupt event at line {number} of {path!r}: {exc}") from None
+        except (TypeError, KeyError):  # JSON, but no object with the event's keys
+            event = None
+        if event is None:
+            raise CorruptLog(f"corrupt event at line {number} of {path!r}: not a well-formed event")
         groups = event.groups()
         row_id = int(groups[2])
         if groups[0]:

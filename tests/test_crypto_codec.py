@@ -22,7 +22,6 @@ from cmt.crypto_codec import (
     decrypt_values,
     encrypt_value,
     pad,
-    verify_values,
 )
 from cmt.errors import AuthError, CorruptLog, FieldTooLarge
 from cmt.key_service import TenantKeySet
@@ -206,8 +205,11 @@ BATCH_KEYS = TenantKeySet(enc_key=b"\x0c" * 16, mac_key=b"\x0d" * 16)
 
 
 def verify(values, lanes):
-    """`verify_values` of whole values, split as `decrypt_values` splits them."""
-    return verify_values([v[:-16] for v in values], [v[-16:] for v in values], BATCH_KEYS, lanes)
+    """The index of the first of the whole values whose tag under
+    BATCH_KEYS is not its own, tagged as `decrypt_values` tags them, or
+    None if every tag verifies."""
+    tags = aes_core.cbc_macs([v[:-16] for v in values], BATCH_KEYS.mac_schedule, lanes)
+    return next((i for i, (tag, v) in enumerate(zip(tags, values)) if tag != v[-16:]), None)
 
 
 @pytest.mark.parametrize("lanes", [False, True])

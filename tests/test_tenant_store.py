@@ -335,6 +335,28 @@ def test_malformed_event_is_corrupt_log_with_line_number(tmp_path, event):
         open_store(path, MASTER)
 
 
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        (b'{"op":', "Expecting value: line 1 column 7 (char 6)"),  # json cannot read it
+        (b"\xff", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (b"[]", "not a well-formed event"),  # no object: TypeError
+        (b'"x"', "not a well-formed event"),
+        (b'{"op":"ins"}', "not a well-formed event"),  # no "t": KeyError
+        (b'{"op":"zap","t":"a","r":1}', "not a well-formed event"),
+        (b'{"op":"zap","t":"a","r":1,"f":{}}', "not a well-formed event"),  # respelled, missed
+    ],
+)
+def test_each_refused_line_gives_its_own_corrupt_log_message(tmp_path, monkeypatch, line, reason):
+    monkeypatch.chdir(tmp_path)
+    create_store("s.cmt", SCHEMA, MASTER).close()
+    with open("s.cmt", "ab") as fh:
+        fh.write(line + b"\n")
+    with pytest.raises(CorruptLog) as caught:
+        open_store("s.cmt", MASTER)
+    assert str(caught.value) == f"corrupt event at line 2 of 's.cmt': {reason}"
+
+
 # --- CRUD -------------------------------------------------------------------
 
 def test_insert_get_round_trip(store):
@@ -1942,6 +1964,12 @@ def test_every_line_a_store_writes_takes_the_event_pattern(tmp_path, monkeypatch
     outcome = _full_replay(path, monkeypatch)
     assert sorted(outcome[0]) == sorted(written)
     assert _replayed_rows(path.read_bytes()) == _reference_rows(path.read_bytes())
+
+
+@pytest.mark.parametrize("fields", [3, 32])
+def test_a_schemas_event_pattern_is_compiled_once(fields):
+    names = tuple(f"f{i}" for i in range(fields))
+    assert tenant_store._event_pattern(names) is tenant_store._event_pattern(names)
 
 
 def _strict_value(spelling: bytes) -> bool:
