@@ -89,9 +89,12 @@ def test_insert_prints_row_id(store_path, capsys):
 def test_get_own_row(store_path, capsys):
     main(insert_args(store_path, "uni_a", name="Alice", contact="555", department="phys"))
     capsys.readouterr()
-    assert main(["--store", store_path, "--tenant", "uni_a", "get", "--row", "1"]) == 0
-    out = capsys.readouterr().out
-    assert out == "row=1\nname=Alice\ncontact=555\ndepartment=phys\n"
+    # plainly spelled, and with "=" spellings and an abbreviation, which argparse reads
+    for argv in (["--store", store_path, "--tenant", "uni_a", "get", "--row", "1"],
+                 [f"--store={store_path}", "--ten", "uni_a", "get", "--row=1"]):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == "row=1\nname=Alice\ncontact=555\ndepartment=phys\n"
 
 
 def test_get_other_tenants_row_exit_5_silent(store_path, capsys):
@@ -265,6 +268,7 @@ def test_repeated_set_field_on_update_exit_2(store_path, capsys):
 def test_missing_master_key_exit_3(store_path, monkeypatch):
     monkeypatch.delenv(MASTER_KEY_ENV)
     assert main(insert_args(store_path, "uni_a")) == 3
+    assert main(["--store", store_path, "--tenant", "uni_a", "list"]) == 3
 
 
 def test_malformed_master_key_exit_3(store_path, monkeypatch):
@@ -470,8 +474,9 @@ def test_import_loads_only_what_a_command_uses(tmp_path):
         )
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
         assert result.stderr.splitlines()[-1] == "0 []", (command, result.stderr)
-    result = subprocess.run([sys.executable, "-m", "cmt.cli", "--help"], capture_output=True, text=True)
-    assert result.returncode == 0 and result.stdout.startswith("usage: cmt "), result
+    for argv in (["--help"], ["get", "--help"]):
+        result = subprocess.run([sys.executable, "-m", "cmt.cli", *argv], capture_output=True, text=True)
+        assert result.returncode == 0 and result.stdout.startswith("usage: cmt "), result
 
 
 def test_selftest_passes_in_a_fresh_process(monkeypatch):

@@ -1827,6 +1827,7 @@ _REFUSED = {
     "tenant holding a quote": lambda ins, b64, dele: ins.replace(b"uni_a", b'a\\"b'),
     "= after whole quads": lambda ins, b64, dele: ins.replace(b64, b64 + b"="),
     "a 17-digit row id": lambda ins, b64, dele: ins.replace(b'"r":1,', b'"r":10000000000000000,'),
+    "* in base64": lambda ins, b64, dele: ins.replace(b64, b"*" + b64),
 }
 
 # lines json reads as events, spelled other than `Store` writes them
@@ -1837,6 +1838,7 @@ _RESPELLED = {
     "keys in another order": lambda ins, b64, dele: ins.replace(
         b'{"op":"ins","t":"uni_a",', b'{"t":"uni_a","op":"ins",'),
     "a ts field": lambda ins, b64, dele: ins.replace(b'"r":1,', b'"r":1,"ts":0,'),
+    "JSON whitespace between tokens": lambda ins, b64, dele: ins.replace(b',"r":1,', b', "r": 1, '),
     "a delete with f": lambda ins, b64, dele: dele[:-1] + b',"f":{}}',
 }
 
