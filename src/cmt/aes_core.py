@@ -22,7 +22,8 @@ schedule:
   work, but its 32 tables take about 0.4 MB, five times the row tables,
   so it pays only once its tables are in cache: buffers of
   PLACED_MIN_BLOCKS (64) blocks or more run on it, shorter ones on the row
-  tables. Both table forms are built at import. The final
+  tables. The row tables are built at import, the placed tables of each
+  direction by the first buffer that runs on them. The final
   round is a fixed byte permutation and `bytes.translate` through the
   S-box. Decryption is the equivalent inverse cipher (FIPS-197 section
   5.3.5): the inverse tables, rows shifted right, and pre-mixed round keys.
@@ -156,7 +157,13 @@ def _placed(tables: tuple, shift: int) -> tuple:
 
 _TE = _round_tables(SBOX, (0x02, 0x01, 0x01, 0x03))  # MixColumns
 _TD = _round_tables(INV_SBOX, (0x0E, 0x09, 0x0D, 0x0B))  # InvMixColumns
-_PLACED_ENC = _placed(_TE, 1)  # rows shifted left by r
+# The placed tables of encryption (rows shifted left by r) and decryption
+# (rows shifted right), each built by the first buffer of PLACED_MIN_BLOCKS
+# blocks or more in its direction: a process that chains no such buffer,
+# as a `cmt get` of a short value, never builds them, and a `cmt get` of a
+# long one builds only those of decryption. Built at import they cost a
+# fresh `import cmt.cli` about 1 ms of CPU, and `cli_get_ms_p50` rose
+# 0.5 % on `point_small` and 1.4 % on `scan_replay` (BENCH_21.json).
 # Placed decryption pays for its tables. Counted in one 20 s benchmark run
 # per workload (seed 1), `decrypt_blocks` ran on them 27 times in process
 # and once in each of the 36 `cmt get` children on `bulk_values`, 6 times on
@@ -164,7 +171,8 @@ _PLACED_ENC = _placed(_TE, 1)  # rows shifted left by r
 # get_ms_tail rose from 2.606 to 2.785 ms (+6.9 %, 16 alternating pairs). In
 # thread CPU a 137-block decryption took 1.07 times as long on the row
 # tables right after a child process, and 1.16 times warm.
-_PLACED_DEC = _placed(_TD, -1)  # rows shifted right by r
+# Threads that race to build them build equal tables.
+_PLACED_ENC = _PLACED_DEC = None
 
 _WORDS = struct.Struct(">4I")
 
@@ -281,10 +289,13 @@ def encrypt_cbc(data: bytes, schedule: KeySchedule, iv: bytes) -> bytes:
     column c from row r of column (c + r) % 4 and joins the four column
     words. The final round is ShiftRows on the bytes and SubBytes by
     `bytes.translate`."""
+    global _PLACED_ENC
     if len(data) % BLOCK_SIZE != 0:
         raise ValueError("data length must be a multiple of 16")
     box, shift, c = _SBOX_BYTES, _SHIFT_ROWS, int.from_bytes(iv)
     if len(data) >= PLACED_MIN_BLOCKS * BLOCK_SIZE:
+        if _PLACED_ENC is None:
+            _PLACED_ENC = _placed(_TE, 1)
         return _chain(data, _PLACED_ENC, schedule.enc_keys, box, shift, c, True)
     t0, t1, t2, t3 = _TE
     k0, *rounds, k10 = schedule.enc_keys
@@ -309,10 +320,13 @@ def decrypt_blocks(data: bytes, schedule: KeySchedule) -> bytes:
     ValueError for any other length. The rounds of `encrypt_cbc` with the
     inverse tables, the pre-mixed `dec_keys` and rows shifted right (row r
     from column (c - r) % 4)."""
+    global _PLACED_DEC
     if len(data) % BLOCK_SIZE != 0:
         raise ValueError("data length must be a multiple of 16")
     box, shift = _INV_SBOX_BYTES, _INV_SHIFT_ROWS
     if len(data) >= PLACED_MIN_BLOCKS * BLOCK_SIZE:  # measured to pay: see _PLACED_DEC
+        if _PLACED_DEC is None:
+            _PLACED_DEC = _placed(_TD, -1)
         return _chain(data, _PLACED_DEC, schedule.dec_keys, box, shift, 0, False)
     t0, t1, t2, t3 = _TD
     k0, *rounds, k10 = schedule.dec_keys

@@ -13,16 +13,22 @@ file, locks it, refuses a file that is not a regular one (a FIFO or a
 device, whose read would block or never end) and reads it. `_replay` takes
 those bytes and returns the state they give: the bytes of the complete
 lines, their count, the schema, the live row map, the largest row id and
-a row index left empty for `list` to fill. It does no I/O. In one pass,
-each line is read by one rule and put straight into the live row map; a
-bad line is CorruptLog with its line number. The rule is one pattern
-(`_event_pattern`), compiled once per schema in a process through `re`'s
-cache: the event line exactly as `Store._commit` writes it, with
-`validate_tenant_id`'s tenant rule and `crypto_codec.check_value`'s
-length rule spelled in base64. A line spelled otherwise is read as its
-respelling (`_respell`): what `json.loads` reads in the line decoded as
-UTF-8, re-encoded as `cmt` writes it, so whitespace, key order, "ts" and
-escapes keep their `json.loads` meaning and json decides nothing else.
+a row index left empty for `list` to fill. It does no I/O. Each line is
+read by one rule, a pattern (`_event_pattern`) compiled once per schema
+in a process through `re`'s cache: the event line exactly as
+`Store._commit` writes it, newline included, with `validate_tenant_id`'s
+tenant rule and `crypto_codec.check_value`'s length rule spelled in
+base64. One `findall` of it over the log reads every line `cmt` wrote,
+and one loop puts the events straight into the live row map. If it
+matches fewer lines than the log holds, the log is read again from the
+same start one line at a time (`_line_by_line`): a line the pattern
+misses is read as its respelling (`_respell`), what `json.loads` reads in
+the line decoded as UTF-8, re-encoded as `cmt` writes it, so whitespace,
+key order, "ts" and escapes keep their `json.loads` meaning and json
+decides nothing else; a bad line is CorruptLog with its line number.
+The header `create_store` writes is read without json too, and json is
+imported only for a line or a header spelled otherwise, and by the
+first write, for the one encoder every line is written with.
 Tests hold the pattern to the writer and to `check_value`, and the replay
 to a reference reader of the format. A trailing chunk without its
 newline is a torn write (a crash mid-write), which the state's bytes
@@ -78,7 +84,7 @@ File format (UTF-8, newline-delimited):
 
 import binascii
 import fcntl
-import json
+import functools
 import os
 import re
 import stat
@@ -107,9 +113,23 @@ FORMAT_VERSION = 1
 # used with fullmatch: "$" would also match before a final newline
 _NAME_RE = re.compile(r"[a-z0-9_]{1,64}")
 
-# one compact encoder for every line written: json.dumps builds a new
-# encoder on each call that passes separators
-_encode = json.JSONEncoder(separators=(",", ":")).encode
+# The header line `create_store` writes, read without json: "v" is
+# FORMAT_VERSION and every name is all of `_NAME_RE`; its groups are the
+# table and the fields joined by '","'. A header spelled otherwise is read
+# by `json.loads`.
+_NAME = _NAME_RE.pattern.encode("ascii")
+_HEADER_RE = re.compile(rb'\{"v":%d,"table":"(%s)","fields":\["(%s(?:","%s)*)"\]\}'
+                        % (FORMAT_VERSION, _NAME, _NAME, _NAME))
+
+
+@functools.cache
+def _encoder():
+    """The one compact encoder for every line written, built on the first
+    write, so a process that only reads never imports json: json.dumps
+    builds a new encoder on each call that passes separators."""
+    import json
+
+    return json.JSONEncoder(separators=(",", ":")).encode
 
 
 class TableSchema(namedtuple("TableSchema", "table_name field_names")):
@@ -230,7 +250,7 @@ class Store:
             values = tuple([binascii.b2a_base64(value, newline=False) for value in values])
             event["f"] = {name: value.decode("ascii")
                           for name, value in zip(self.schema.field_names, values)}
-        line = (_encode(event) + "\n").encode("ascii")
+        line = (_encoder()(event) + "\n").encode("ascii")
         offset = self._fh.seek(0, os.SEEK_END)
         try:
             # `>`, not `!=`: a file that shrank under a writer ignoring the
@@ -361,8 +381,8 @@ class Store:
 
 
 def create_store(path: str, schema: TableSchema, master: MasterKey | None = None) -> Store:
-    header = (_encode({"v": FORMAT_VERSION, "table": schema.table_name,
-                       "fields": list(schema.field_names)}) + "\n").encode("utf-8")
+    header = (_encoder()({"v": FORMAT_VERSION, "table": schema.table_name,
+                          "fields": list(schema.field_names)}) + "\n").encode("utf-8")
     # "x" creates the file or fails: an existing store, even one another
     # process created a moment ago, is never truncated
     try:
@@ -401,14 +421,16 @@ def _event_pattern(names: tuple) -> re.Pattern:
     `names`, compiled once per process through `re`'s cache, which keys
     a compiled pattern by its bytes: a tenant that `validate_tenant_id`
     takes (its rule, `key_service.TENANT_ID`), a row id of 1 to 16 digits,
-    and for an insert or update every field in header order. Its groups
-    are "del" or None, the tenant, the row id and each value. It is the
-    one rule for an event: a line spelled otherwise is read as its
-    `_respell`."""
+    and for an insert or update every field in header order. It matches a
+    whole line, from its start to its newline, so one `findall` reads
+    every such line of a log, and `match` one line with its newline. Its
+    groups are "del" (None or empty bytes otherwise), the tenant, the row
+    id and each value. It is the one rule for an event: a line spelled
+    otherwise is read as its `_respell`."""
     fields = b",".join(b'"%s":"%s"' % (name.encode("ascii"), _VALUE) for name in names)
     tenant = TENANT_ID.encode("ascii")
-    return re.compile(rb'\{"op":"(?:ins|upd|(del))","t":"(' + tenant + rb')","r":([1-9][0-9]{0,15})'
-                      rb'(?(1)|,"f":\{' + fields + rb"\})\}")
+    return re.compile(rb'(?m)^\{"op":"(?:ins|upd|(del))","t":"(' + tenant + rb')","r":([1-9][0-9]{0,15})'
+                      rb'(?(1)|,"f":\{' + fields + rb"\})\}\n")
 
 
 def _respell(line: bytes, names: tuple) -> bytes:
@@ -423,12 +445,14 @@ def _respell(line: bytes, names: tuple) -> bytes:
     The line is decoded as UTF-8 before `json.loads` reads it: given bytes,
     `json.loads` would also take UTF-16, UTF-32 and a UTF-8 BOM, which
     `cmt` never writes."""
+    import json  # only a line `cmt` did not write needs it
+
     event = json.loads(line.decode("utf-8"))
     respelled = {"op": event["op"], "t": event["t"], "r": event["r"]}
     if event["op"] != "del":
         # `**` takes only a mapping, where dict.update would take a list of pairs
         respelled["f"] = {**dict.fromkeys(names), **event["f"]}
-    return _encode(respelled).encode("ascii")
+    return _encoder()(respelled).encode("ascii")
 
 
 def _read_header(path: str, raw: bytes) -> tuple:
@@ -444,21 +468,28 @@ def _read_header(path: str, raw: bytes) -> tuple:
     # would leave an empty file that the next append makes headerless
     if end < 0:
         raise CorruptHeader(f"header of {path!r} does not end in a newline")
-    try:
-        header = json.loads(raw[:end].decode("utf-8"))
-        version = header["v"]
-    except (ValueError, KeyError, TypeError, RecursionError) as exc:
-        raise CorruptHeader(f"unparseable header in {path!r}: {exc}") from None
-    # "v" first, so a header of another version is named so whatever its
-    # shape; json gives True for `true`, and True == 1
-    if type(version) is not int:
-        raise CorruptHeader(f'header of {path!r} needs an integer "v"')
-    if version != FORMAT_VERSION:
-        raise VersionMismatch(
-            f"store {path!r} is format version {version}; cmt reads version {FORMAT_VERSION}")
-    # a missing "table" or "fields" reads as None, which TableSchema refuses
-    try:
-        schema = TableSchema(header.get("table"), header.get("fields"))
+    plain = _HEADER_RE.fullmatch(raw, 0, end)
+    if plain:  # as `create_store` writes it
+        table, fields = plain[1].decode("ascii"), plain[2].decode("ascii").split('","')
+    else:
+        import json  # only a header `cmt` did not write needs it
+
+        try:
+            header = json.loads(raw[:end].decode("utf-8"))
+            version = header["v"]
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
+            raise CorruptHeader(f"unparseable header in {path!r}: {exc}") from None
+        # "v" first, so a header of another version is named so whatever its
+        # shape; json gives True for `true`, and True == 1
+        if type(version) is not int:
+            raise CorruptHeader(f'header of {path!r} needs an integer "v"')
+        if version != FORMAT_VERSION:
+            raise VersionMismatch(
+                f"store {path!r} is format version {version}; cmt reads version {FORMAT_VERSION}")
+        # a missing "table" or "fields" reads as None, which TableSchema refuses
+        table, fields = header.get("table"), header.get("fields")
+    try:  # the count and duplicates of the fields are checked here on either path
+        schema = TableSchema(table, fields)
     except InvalidSchema as exc:  # a usage error at init, a corrupt file here
         raise CorruptHeader(f"header of {path!r}: {exc}") from None
     return raw[: end + 1], 1, schema, {}, 0, {}
@@ -490,32 +521,48 @@ def _replay(path: str, raw: bytes, start: tuple | None) -> tuple:
     if start is None or not raw.startswith(start[0]):
         start = _read_header(path, raw)
     done, number, schema, live, max_row_id, _ = start
-    lines = raw[len(done):].split(b"\n")
-    # a trailing chunk without its newline is a torn write: drop it
-    torn = lines.pop()
-    if not lines:
+    # the complete lines: a trailing chunk without its newline is a torn
+    # write, left out
+    begin = len(done)
+    count = raw.count(b"\n", begin)
+    if not count:
         return start
     live = dict(live)
     names = schema.field_names
-    match = _event_pattern(names).fullmatch
+    pattern = _event_pattern(names)
+    # each match is one whole line, so as many matches as lines is every
+    # line as `Store._commit` writes it
+    events = pattern.findall(raw, begin)
+    if len(events) != count:
+        events = _line_by_line(path, raw, begin, number, pattern, names)
+    for event in events:
+        row_id = int(event[2])
+        if event[0]:
+            live.pop(row_id, None)
+        else:
+            live[row_id] = (event[1].decode("ascii"), event[3:])
+        if row_id > max_row_id:
+            max_row_id = row_id
+    return raw[: raw.rindex(b"\n") + 1], number + count, schema, live, max_row_id, {}
+
+
+def _line_by_line(path: str, raw: bytes, begin: int, number: int, pattern, names: tuple):
+    """The groups of each complete line of `raw` from `begin` on, the
+    first numbered `number + 1`, one line at a time: a line that `pattern`
+    misses is matched once more as its `_respell`, and the first line
+    that neither matches is CorruptLog naming it."""
+    lines = raw[begin:].split(b"\n")
+    lines.pop()  # the torn tail, or nothing
     for number, line in enumerate(lines, start=number + 1):
         try:  # any other spelling means what json.loads reads
-            event = match(line) or match(_respell(line, names))
+            event = pattern.match(line + b"\n") or pattern.match(_respell(line, names) + b"\n")
         except (ValueError, RecursionError) as exc:  # no JSON
             raise CorruptLog(f"corrupt event at line {number} of {path!r}: {exc}") from None
         except (TypeError, KeyError):  # JSON, but no object with the event's keys
             event = None
         if event is None:
             raise CorruptLog(f"corrupt event at line {number} of {path!r}: not a well-formed event")
-        groups = event.groups()
-        row_id = int(groups[2])
-        if groups[0]:
-            live.pop(row_id, None)
-        else:
-            live[row_id] = (groups[1].decode("ascii"), groups[3:])
-        if row_id > max_row_id:
-            max_row_id = row_id
-    return raw[: len(raw) - len(torn)], number, schema, live, max_row_id, {}
+        yield event.groups()
 
 
 def open_store(path: str, master: MasterKey | None = None) -> Store:

@@ -10,6 +10,7 @@ table-driven one in `aes_core` is then checked against.
 
 import os
 import random
+import subprocess
 import sys
 
 import pytest
@@ -167,6 +168,10 @@ def test_placed_tables_match_oracle_tables():
     # the 128-bit state
     sbox = [sbox_oracle(a) for a in range(256)]
     inv_sbox = [sbox.index(a) for a in range(256)]
+    # a buffer of PLACED_MIN_BLOCKS blocks builds each direction's tables
+    ks = aes_core.expand_key(bytes(16))
+    aes_core.encrypt_cbc(bytes(16 * aes_core.PLACED_MIN_BLOCKS), ks, bytes(16))
+    aes_core.decrypt_blocks(bytes(16 * aes_core.PLACED_MIN_BLOCKS), ks)
     directions = (
         (aes_core._PLACED_ENC, oracle_round_tables(sbox, MIX_MATRIX), aes_reference.shift_rows),
         (aes_core._PLACED_DEC, oracle_round_tables(inv_sbox, INV_MIX_MATRIX), aes_reference.inv_shift_rows),
@@ -378,6 +383,50 @@ def test_encrypt_cbc_matches_library_under_random_ivs(placed_min_blocks, monkeyp
         assert aes_core.encrypt_cbc(data, ks, iv) == ct
         dec = Cipher(algorithms.AES(key), modes.ECB()).decryptor()
         assert aes_core.decrypt_blocks(ct, ks) == dec.update(ct) + dec.finalize()
+
+
+_PLACED_BOUNDARY = """
+import os
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from cmt import aes_core
+
+key, iv = os.urandom(16), os.urandom(16)
+ks = aes_core.expand_key(key)
+def built():
+    return [aes_core._PLACED_ENC is not None, aes_core._PLACED_DEC is not None]
+
+
+steps = [built()]
+for encrypt in {order}:
+    for blocks in (63, 64, 65):
+        data = os.urandom(16 * blocks)
+        cipher = Cipher(algorithms.AES(key), modes.CBC(iv))
+        context = cipher.encryptor() if encrypt else cipher.decryptor()
+        expected = context.update(data) + context.finalize()
+        for _ in range(2):  # the first call of 64 blocks or more builds the tables
+            if encrypt:
+                out = aes_core.encrypt_cbc(data, ks, iv)
+            else:
+                out = aes_core.decrypt_cbc([iv + data], ks)[0]
+            assert out == expected, (encrypt, blocks)
+        steps.append(built())
+print(steps)
+"""
+
+
+@pytest.mark.parametrize("order", [(True, False), (False, True)], ids=["encrypt_first", "decrypt_first"])
+def test_cbc_around_the_placed_boundary_matches_the_library_in_a_fresh_process(order):
+    # 63 blocks run on the row tables; the first buffer of 64 builds its
+    # direction's placed tables, and every call after it reuses them
+    script = _PLACED_BOUNDARY.format(order=order)
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    steps, state = [[False, False]], [False, False]
+    for encrypt in order:
+        for blocks in (63, 64, 65):
+            state[0 if encrypt else 1] |= blocks >= 64
+            steps.append(list(state))
+    assert result.stdout.splitlines()[-1] == str(steps)
 
 
 def test_block_functions_reject_bad_length():

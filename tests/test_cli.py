@@ -447,7 +447,7 @@ def test_import_loads_only_what_a_command_uses(tmp_path):
     # no names, so the cipher alone loads no other module of it
     unused = {
         "cmt.cli": ["dataclasses", "inspect", "logging", "hashlib", "_hashlib", "numpy",
-                    "cmt.selftest", "base64", *ARGPARSE_MODULES],
+                    "cmt.selftest", "base64", "json", *ARGPARSE_MODULES],
         "cmt.aes_core": ["cmt.tenant_store", "cmt.key_service", "cmt.crypto_codec",
                          "cmt.errors", "cmt.cli", "cmt.selftest", "json", "fcntl"],
     }
@@ -456,24 +456,38 @@ def test_import_loads_only_what_a_command_uses(tmp_path):
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "[]", module
+    # each direction's placed tables wait for its first buffer of
+    # PLACED_MIN_BLOCKS blocks
+    script = (
+        "from cmt import aes_core\n"
+        "built = lambda: (aes_core._PLACED_ENC is not None, aes_core._PLACED_DEC is not None)\n"
+        "before = built()\n"
+        "aes_core.encrypt_cbc(bytes(16 * 64), aes_core.expand_key(bytes(16)), bytes(16))\n"
+        "print(before, built())\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.stdout.splitlines()[-1] == "(False, False) (True, False)", result.stderr
     # a plainly spelled command line runs without argparse, which only a
-    # line of any other spelling loads
+    # line of any other spelling loads; a read of a store `cmt` wrote
+    # runs without json, which a write loads for its encoder
     path = str(tmp_path / "s.cmt")
     env = dict(os.environ, **{MASTER_KEY_ENV: HEX_KEY})
-    for command in (
-        ["init", "--table", "t", "--fields", FIELDS],
-        ["--tenant", "uni_a", "insert", "--set", "name=A", "--set", "contact=C", "--set", "department=D"],
-        ["--tenant", "uni_a", "get", "--row", "1"],
-        ["--tenant", "uni_a", "list"],
+    for command, json_loaded in (
+        (["init", "--table", "t", "--fields", FIELDS], True),
+        (["--tenant", "uni_a", "insert", "--set", "name=A", "--set", "contact=C", "--set", "department=D"],
+         True),
+        (["--tenant", "uni_a", "get", "--row", "1"], False),
+        (["--tenant", "uni_a", "list"], False),
     ):
         script = (
             "import sys\n"
             "from cmt.cli import main\n"
             f"code = main(['--store', {path!r}] + {command!r})\n"
-            f"print(code, [m for m in {ARGPARSE_MODULES!r} if m in sys.modules], file=sys.stderr)\n"
+            f"print(code, [m for m in {ARGPARSE_MODULES!r} if m in sys.modules], 'json' in sys.modules,\n"
+            "      file=sys.stderr)\n"
         )
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
-        assert result.stderr.splitlines()[-1] == "0 []", (command, result.stderr)
+        assert result.stderr.splitlines()[-1] == f"0 [] {json_loaded}", (command, result.stderr)
     for argv in (["--help"], ["get", "--help"]):
         result = subprocess.run([sys.executable, "-m", "cmt.cli", *argv], capture_output=True, text=True)
         assert result.returncode == 0 and result.stdout.startswith("usage: cmt "), result
@@ -618,6 +632,18 @@ def test_values_survive_process_restart(tmp_path):
     got = run_cmt(["--store", path, "--tenant", "uni_a", "get", "--row", "1"])
     assert got.returncode == 0
     assert "name=Alice" in got.stdout
+
+
+@pytest.mark.parametrize("header", ['{"v":2,"table":"t","fields":["name"]}',
+                                    '{"v": 2, "table": "t", "fields": ["name"]}'],
+                         ids=["as_cmt_writes_it", "spaced"])
+@pytest.mark.parametrize("command", [["get", "--row", "1"], ["list"]])
+def test_a_store_of_another_version_exits_3_naming_both(tmp_path, header, command):
+    path = tmp_path / "s.cmt"
+    path.write_text(header + "\n")
+    result = run_cmt(["--store", str(path), "--tenant", "uni_a", *command])
+    assert result.returncode == 3 and result.stdout == ""
+    assert result.stderr == f"cmt: error: store {str(path)!r} is format version 2; cmt reads version 1\n"
 
 
 def test_a_log_whose_events_carry_ts_still_opens(tmp_path):

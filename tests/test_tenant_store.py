@@ -170,6 +170,52 @@ def test_open_version_mismatch(tmp_path, header, version):
     assert str(caught.value) == f"store {path!r} is format version {version}; cmt reads version 1"
 
 
+def _spaced(header: bytes) -> bytes:
+    """`header` as json.dumps spells it by default, with spaces."""
+    return json.dumps(json.loads(header)).encode()
+
+
+@pytest.mark.parametrize("table", ["t", "t" * 64])
+@pytest.mark.parametrize("fields", [["a"], ["f" * 64], [f"f{i}" for i in range(32)],
+                                    [f"{i:02d}" + "f" * 62 for i in range(32)]],
+                         ids=["1_field", "1_long_field", "32_fields", "32_long_fields"])
+def test_the_header_check_reads_every_header_create_store_writes_as_json_does(tmp_path, table, fields):
+    # the header a store is created with takes the check without json, and
+    # gives the schema json.loads reads in it, as the header's spelling
+    # with spaces, which goes through json.loads, does
+    path = tmp_path / "s.cmt"
+    schema = TableSchema(table, fields)
+    create_store(str(path), schema, MASTER).close()
+    header = path.read_bytes().split(b"\n")[0]
+    plain = tenant_store._HEADER_RE.fullmatch(header)
+    assert plain is not None
+    loaded = json.loads(header)
+    assert (plain[1].decode(), plain[2].decode().split('","')) == (loaded["table"], loaded["fields"])
+    assert tenant_store._HEADER_RE.fullmatch(_spaced(header)) is None
+    for line in (header, _spaced(header)):
+        assert tenant_store._read_header("s.cmt", line + b"\n") == (line + b"\n", 1, schema, {}, 0, {})
+
+
+@pytest.mark.parametrize(
+    "header",
+    [b'{"v": 1, "table": "t", "fields": ["a", "b"]}', b'{"table":"t","fields":["a","b"],"v":1}',
+     b'{"fields":["a","b"],"v":1,"table":"t"}', b' {"v":1,"table":"t","fields":["a","b"]}\t',
+     b'{"v":1,"table":"\\u0074","fields":["a","b"]}'],
+    ids=["spaces", "table_first", "fields_first", "around", "escaped"],
+)
+def test_a_header_spelled_otherwise_opens_lists_and_takes_a_write(tmp_path, header):
+    path = tmp_path / "s.cmt"
+    path.write_bytes(header + b"\n")
+    with open_store(str(path), MASTER) as s:
+        assert s.schema == TableSchema("t", ("a", "b"))
+        assert s.list("uni_a") == []
+        assert s.insert("uni_a", {"a": "x", "b": "y"}) == 1
+    assert path.read_bytes().startswith(header + b"\n")
+    with open_store(str(path), MASTER) as s:
+        assert s.get("uni_a", 1).fields == {"a": "x", "b": "y"}
+        assert [r.row_id for r in s.list("uni_a")] == [1]
+
+
 # deeper than `json`'s scanner recurses: it raises RecursionError, not ValueError
 NESTED = "[" * 100_000 + "]" * 100_000
 
@@ -187,6 +233,12 @@ NESTED = "[" * 100_000 + "]" * 100_000
         '{"v":1,"table":"t","fields":["name\\n"]}',  # a field name with a trailing newline
         '{"v":1,"table":5,"fields":["a"]}',  # TableSchema's rule: names are strings
         '{"v":1,"table":"t","fields":["a",1]}',
+        # the check without json leaves the count and duplicates to TableSchema
+        '{"v":1,"table":"t","fields":["a","a"]}',
+        '{"v":1,"table":"t","fields":["%s"]}' % '","'.join(f"f{i}" for i in range(33)),
+        '{"v":1,"table":"t","fields":[]}',
+        '{"v":1,"table":"","fields":["a"]}',
+        '{"v":1,"table":"t","fields":["a",""]}',
         pytest.param(NESTED, id="nested_too_deep"),
     ],
 )
@@ -741,20 +793,25 @@ def _full_replay(path, monkeypatch):
 
 
 def spy_on_replayed_lines(monkeypatch) -> list:
-    """The lines replays read from now on: each line a replay tries against
-    `_event_pattern`, and a line the pattern misses once more as respelled
-    (`_respell`)."""
+    """The lines replays read from now on: each complete line a replay's
+    one `findall` over the log reads with `_event_pattern`, and, when a
+    line misses it, each line the replay then reads one by one, as written
+    and, if the pattern misses it, once more respelled (`_respell`)."""
     lines = []
     pattern = tenant_store._event_pattern
 
     def spy(names):
-        match = pattern(names).fullmatch
+        compiled = pattern(names)
 
-        def fullmatch(line):
-            lines.append(line)
-            return match(line)
+        def findall(string, pos=0):
+            lines.extend(string[pos:].split(b"\n")[:-1])
+            return compiled.findall(string, pos)
 
-        return types.SimpleNamespace(fullmatch=fullmatch)
+        def match(line):
+            lines.append(line[:-1])  # without the newline the replay added
+            return compiled.match(line)
+
+        return types.SimpleNamespace(findall=findall, match=match)
 
     monkeypatch.setattr(tenant_store, "_event_pattern", spy)
     return lines
@@ -932,7 +989,7 @@ def test_a_line_nested_too_deep_after_a_hit_is_corrupt_log(replayed, lines_read)
         fh.write(NESTED + "\n")
     with pytest.raises(CorruptLog, match="at line 5 of"):
         open_store(str(path), MASTER)
-    assert len(lines_read) == 1
+    assert lines_read == [NESTED.encode()] * 2  # by the findall, then on its own
 
 
 def test_a_torn_tail_after_a_hit_is_left_out_as_in_a_full_replay(
@@ -1794,6 +1851,81 @@ def test_a_log_respelled_line_by_line_replays_as_written(edits, seed):
     _replays_alike(respelled)
 
 
+def _written_log(ops) -> bytes:
+    """The store file that a store writes for `ops` (see `_OPS`)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.cmt")
+        with create_store(path, SCHEMA, MASTER) as s:
+            for op, tenant, pick in ops:
+                rows = [r for r, (owner, _) in s._live.items() if owner == tenant]
+                if op == "ins" or not rows:
+                    s.insert(tenant, row(str(pick)))
+                elif op == "upd":
+                    s.update(tenant, rows[pick % len(rows)], row(str(pick), "u"))
+                else:
+                    s.delete(tenant, rows[pick % len(rows)])
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def _replay_paths(raw, line_by_line=False):
+    """A full `_replay` of `raw`: the state but its bytes, or the message of
+    its CorruptLog; and the lines it read one by one. With `line_by_line`
+    the replay's `findall` finds nothing, so it reads every line one by
+    one."""
+    pattern, one_by_one = tenant_store._event_pattern, []
+
+    def spy(names):
+        compiled = pattern(names)
+
+        def match(line):
+            one_by_one.append(line)
+            return compiled.match(line)
+
+        findall = (lambda string, pos=0: []) if line_by_line else compiled.findall
+        return types.SimpleNamespace(findall=findall, match=match)
+
+    with mock.patch.object(tenant_store, "_event_pattern", spy):
+        try:
+            outcome = tenant_store._replay("s.cmt", raw, None)[1:]
+        except CorruptLog as exc:
+            outcome = str(exc)
+    return outcome, one_by_one
+
+
+@given(ops=_OPS, drops=st.lists(st.tuples(st.integers(0, 50), st.booleans(), st.integers(0, 10**4)),
+                                max_size=4),
+       torn=st.booleans(), seed=st.integers(0, 2**32))
+@settings(max_examples=50, deadline=None)
+def test_the_findall_and_the_line_by_line_replay_read_a_log_alike(ops, drops, torn, seed):
+    # a log a store writes, with respelled lines (True) and lines cut short
+    # (False) dropped in: the replay reads it as the line-by-line path
+    # does, and as its findall path reads the log as written
+    rng = random.Random(seed)
+    header, *lines, _ = _written_log(ops).split(b"\n")
+    tail = lines[-1][: len(lines[-1]) // 2] if torn and lines else b""
+    mixed, broken = list(lines), set()
+    for at, respell, cut in drops:
+        if not lines:
+            break
+        i = at % len(lines)
+        if respell:
+            mixed[i] = _respelled(lines[i], rng)
+            broken.discard(i)
+        else:  # no prefix of an event line is a JSON object
+            mixed[i] = lines[i][: cut % len(lines[i])]
+            broken.add(i)
+    as_written, one_by_one = _replay_paths(b"\n".join([header, *lines, tail]))
+    assert one_by_one == [] and as_written[0] == len(lines) + 1
+    outcome, _ = _replay_paths(b"\n".join([header, *mixed, tail]))
+    assert outcome == _replay_paths(b"\n".join([header, *mixed, tail]), line_by_line=True)[0]
+    if broken:
+        assert isinstance(outcome, str)
+        assert outcome.startswith(f"corrupt event at line {min(broken) + 2} of 's.cmt': ")
+    else:
+        assert outcome == as_written
+
+
 def _base_lines():
     """An insert event, the base64 of its first value, and a delete event."""
     _, events = _fuzz_base()
@@ -1852,7 +1984,7 @@ def test_decoder_agrees_with_reference_on_refused_lines(case):
 @pytest.mark.parametrize("case", list(_RESPELLED))
 def test_decoder_agrees_with_reference_on_respelled_lines(case):
     line = _RESPELLED[case](*_base_lines())
-    assert tenant_store._event_pattern(SCHEMA.field_names).fullmatch(line) is None
+    assert tenant_store._event_pattern(SCHEMA.field_names).fullmatch(line + b"\n") is None
     rows = _replayed_rows(_one_event(line))
     assert rows[0] is not CorruptLog and rows == _reference_rows(_one_event(line))
 
@@ -1962,7 +2094,7 @@ def test_every_line_a_store_writes_takes_the_event_pattern(tmp_path, monkeypatch
     lines = path.read_bytes().split(b"\n")[1:-1]
     assert [line[7:10] for line in lines] == [b"ins", b"del", b"ins", b"upd"] * 8
     match = tenant_store._event_pattern(names).fullmatch
-    assert [line for line in lines if match(line) is None] == []
+    assert [line for line in lines if match(line + b"\n") is None] == []
     outcome = _full_replay(path, monkeypatch)
     assert sorted(outcome[0]) == sorted(written)
     assert _replayed_rows(path.read_bytes()) == _reference_rows(path.read_bytes())
@@ -2016,7 +2148,7 @@ def test_the_value_pattern_is_the_length_rule_spelled_in_base64():
     for n in range(401):
         assert _strict_value(base64.b64encode(bytes(n))) == (n >= 48 and n % 16 == 0)
         for spelling in _spellings(n, rng):
-            matched = match(b'{"op":"ins","t":"a","r":1,"f":{"f":"%s"}}' % spelling) is not None
+            matched = match(b'{"op":"ins","t":"a","r":1,"f":{"f":"%s"}}\n' % spelling) is not None
             if spelling.endswith(b"=") and len(spelling.rstrip(b"=")) % 4 == 0:
                 # strict base64 takes "=" after whole quads, which `Store`
                 # never writes and the pattern refuses
