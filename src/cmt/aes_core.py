@@ -3,8 +3,8 @@
 No crypto libraries: GF(2^8) arithmetic on log/antilog tables of the
 generator 3, from which the S-box (the field inverse and the affine map of
 FIPS-197 section 5.1.1) and the round tables are computed at import,
-Rijndael key expansion, and one cipher core in two engines that share a key
-schedule:
+Rijndael key expansion, and one cipher core in three engines that share a
+key schedule:
 
 - The scalar chain runs blocks one after another: `encrypt_cbc` is CBC
   encryption under an IV, `decrypt_blocks` decrypts every block of a
@@ -14,57 +14,67 @@ schedule:
   four T-tables of a direction (Daemen & Rijmen, *The Design of
   Rijndael*, section 4.2), a round unpacks the 16 bytes, builds each
   column word from four lookups, joins the words with shifts and adds the
-  round key. On the placed tables, one per state byte and
-  direction, each entry is the T-table word of the byte's row already
-  shifted to the output column that (Inv)ShiftRows sends the byte to, so
-  a round is one lookup and one XOR per byte plus the round key, and one
-  loop, `_chain`, serves both directions. The placed round does less
-  work, but its 32 tables take about 0.4 MB, five times the row tables,
-  so it pays only once its tables are in cache: buffers of
-  PLACED_MIN_BLOCKS (64) blocks or more run on it, shorter ones on the row
-  tables. The row tables are built at import, the placed tables of each
-  direction by the first buffer that runs on them. The final
-  round is a fixed byte permutation and `bytes.translate` through the
-  S-box. Decryption is the equivalent inverse cipher (FIPS-197 section
-  5.3.5): the inverse tables, rows shifted right, and pre-mixed round keys.
+  round key. On the placed tables of encryption, one per state byte, each
+  entry is the T-table word of the byte's row already shifted to the
+  output column that ShiftRows sends the byte to, so a round is one
+  lookup and one XOR per byte plus the round key. The placed round does
+  less work, but its 16 tables take about 0.2 MB, so it pays only once
+  they are in cache: CBC encryptions of PLACED_MIN_BLOCKS (64) blocks or
+  more run on it, shorter ones on the row tables. The row tables are
+  built at import, the placed tables by the first buffer that runs on
+  them. The final round is a fixed byte permutation and `bytes.translate`
+  through the S-box. Decryption is the equivalent inverse cipher
+  (FIPS-197 section 5.3.5): the inverse tables, rows shifted right, and
+  pre-mixed round keys.
+- The packed rounds run n blocks in lockstep as the lanes of one Python
+  int, 16 bytes a lane, lane-major, with no table and no import: SubBytes
+  is one `bytes.translate` of the whole int, ShiftRows seven masked
+  terms (six of them shifted), MixColumns two in-column byte rotations and
+  one masked xtime (InvMixColumns one more rotation and two more xtimes
+  before them), and a round key the key repeated in every lane. Its masks
+  are 16-byte patterns repeated n times, kept for lane counts below
+  KERNEL_MIN_LANES. A call costs about 1.7 chain blocks at 1 lane and
+  grows by about a fifth of one per lane, so it serves the narrow
+  batches: from PACKED_MIN_LANES (3) lanes on, and, once numpy is loaded,
+  below KERNEL_MIN_LANES (48).
 - The multi-lane kernel runs the same rounds on byte-sliced states, a
   (16, n) uint8 numpy array whose row i is byte i of every lane, all lanes
   in lockstep, on the row tables. `encrypt_ecb` wraps it for block-aligned
-  bytes, transposing at its edges; `cbc_macs` steps many CBC-MAC chains as
-  its lanes, keeping their states byte-sliced in numpy between steps, and
-  `decrypt_cbc` decrypts every ciphertext block of a batch as its lanes.
-  A call takes about half the time the (n, 16) states it replaced took
-  from 300 lanes on (BENCH_17.json).
+  bytes, transposing at its edges. A call costs about as much as the
+  packed rounds at 48 lanes, and half the time the (n, 16) states it
+  replaced took from 300 lanes on (BENCH_17.json).
 
-Two batch functions run on either engine: `cbc_macs`, the one CBC-MAC
-function, and `decrypt_cbc`, which CBC-decrypts messages IV || ciphertext
-with every block of the batch in one call. Without `lanes` both run on
-the chain, which is how a value is tagged and a tenant's keys derived;
-with it, `cbc_macs` steps the chains as the kernel's lanes while at least
-LANE_MIN_BLOCKS of them are running, and `decrypt_cbc` decrypts on the
-kernel. `use_lanes` makes that choice once for a batch, from the same
-messages: it works out their MAC chains and decryption blocks itself.
-On the kernel, a batch costs about one Python step per message. The lane
-order and block offsets of `cbc_macs` are numpy arrays; it keeps one
-byte-sliced state for the whole batch, steps only its running prefix (a
-lane's state is its tag once its message ends) and writes the finished
-tags into one array, in message order, after the last step. `decrypt_cbc`
-picks the ciphertext blocks, XORs each with the block before it and joins
-the result in numpy. So only the split back into messages is a step per
-message. Once the kernel is loaded, `use_lanes`
-answers after its first test, which every batch with kernel work passes.
-A 300-value `scan_replay` list then took 0.86 times as long as with a
-Python step per value in each of those stages, in one process, and its
-six kernel calls are most of what is left (BENCH_22.json).
+Two batch functions choose among them by width. `cbc_macs`, the one
+CBC-MAC function, runs one lane per message, longest first, so the
+running lanes are always a prefix: with `lanes`, on the kernel while at
+least KERNEL_MIN_LANES lanes are running, then on the packed rounds while
+at least PACKED_MIN_LANES are, and the last ones on the chain; without
+`lanes` the kernel's share runs on the packed rounds too. A batch of
+fewer than PACKED_MIN_LANES messages, such as a value's tag or a
+tenant's keys, runs on the chain alone. `decrypt_cbc` CBC-decrypts
+messages IV || ciphertext with every block of the batch in one call, on
+the engine its block count calls for. On the kernel a batch costs about
+one Python step per message: the lane order and block offsets of
+`cbc_macs` are numpy arrays, one byte-sliced state serves the batch and
+its running prefix is stepped (a lane's state is its tag once its message
+ends), and `decrypt_cbc` picks the ciphertext blocks, XORs each with the
+block before it and joins the result in numpy. When fewer than
+KERNEL_MIN_LANES chains are left, `cbc_macs` hands their states over to
+the packed rounds as one int; on them a step gathers its blocks with one
+join, and a lane that ends drops off the low end of the state.
 
-The kernel wins from LANE_MIN_BLOCKS (10) blocks of work on, but it needs
-numpy, whose import costs as much as thousands of chain blocks. numpy is
-imported on the kernel's first call only, and `use_lanes` rents before it
-buys: until numpy is loaded, work the kernel would take runs on the chain,
-and the kernel is loaded for a batch of at least IMPORT_BLOCKS (7,000) such
-blocks, or once the blocks run on the chain instead have reached that
-count. A one-shot `cmt get` or `cmt list` therefore imports numpy only if
-the work it would hand the kernel comes to IMPORT_BLOCKS blocks or more.
+`use_lanes` decides once for a batch, from the same messages, whether the
+kernel may run: numpy's import costs as much as thousands of chain blocks,
+so `use_lanes` rents before it buys. It counts the work the kernel took
+when the chain was the only other engine (the MAC steps while at least
+LANE_MIN_BLOCKS chains run, and a decryption of LANE_MIN_BLOCKS blocks or
+more), runs it on the packed rounds until numpy is loaded, and loads the
+kernel itself for a batch of at least IMPORT_BLOCKS (7,000) such blocks,
+or once the blocks rented have reached that count, whatever engine that
+batch's widths then call for. A one-shot `cmt get` or `cmt list`
+therefore imports numpy only if that count comes to IMPORT_BLOCKS blocks
+or more. Once the kernel is loaded, `use_lanes` answers after its first
+test, which every batch with kernel work passes.
 
 `expand_key` builds the round keys of both directions once, for every key.
 Input byte i of a block sits at row i % 4 of column i // 4, and a column
@@ -141,38 +151,31 @@ def _round_tables(box: list, mix: tuple) -> tuple:
     return tuple(tables)
 
 
-def _placed(tables: tuple, shift: int) -> tuple:
-    """The 16 placed tables of one direction: table i maps byte x at input
+def _placed(tables: tuple) -> tuple:
+    """The 16 placed tables of encryption: table i maps byte x at input
     position i (row r = i % 4, column i // 4) to row r's word of x, moved
-    to the column (i // 4 - shift * r) % 4 that (Inv)ShiftRows sends the
-    byte to, within the 128-bit state. The four that land in column 3 are
-    the row tables themselves."""
+    to the column (i // 4 - r) % 4 that ShiftRows sends the byte to, within
+    the 128-bit state. The four that land in column 3 are the row tables
+    themselves."""
     placed = []
     for i in range(BLOCK_SIZE):
         r = i % 4
-        left = 32 * (3 - (i // 4 - shift * r) % 4)
+        left = 32 * (3 - (i // 4 - r) % 4)
         placed.append([w << left for w in tables[r]] if left else tables[r])
     return tuple(placed)
 
 
 _TE = _round_tables(SBOX, (0x02, 0x01, 0x01, 0x03))  # MixColumns
 _TD = _round_tables(INV_SBOX, (0x0E, 0x09, 0x0D, 0x0B))  # InvMixColumns
-# The placed tables of encryption (rows shifted left by r) and decryption
-# (rows shifted right), each built by the first buffer of PLACED_MIN_BLOCKS
-# blocks or more in its direction: a process that chains no such buffer,
-# as a `cmt get` of a short value, never builds them, and a `cmt get` of a
-# long one builds only those of decryption. Built at import they cost a
-# fresh `import cmt.cli` about 1 ms of CPU, and `cli_get_ms_p50` rose
-# 0.5 % on `point_small` and 1.4 % on `scan_replay` (BENCH_21.json).
-# Placed decryption pays for its tables. Counted in one 20 s benchmark run
-# per workload (seed 1), `decrypt_blocks` ran on them 27 times in process
-# and once in each of the 36 `cmt get` children on `bulk_values`, 6 times on
-# `scan_replay` and never on `point_small`; without them `bulk_values`
-# get_ms_tail rose from 2.606 to 2.785 ms (+6.9 %, 16 alternating pairs). In
-# thread CPU a 137-block decryption took 1.07 times as long on the row
-# tables right after a child process, and 1.16 times warm.
-# Threads that race to build them build equal tables.
-_PLACED_ENC = _PLACED_DEC = None
+# The placed tables of encryption, built by the first buffer of
+# PLACED_MIN_BLOCKS blocks or more: a process that encrypts no such buffer,
+# as a `cmt get` of a short value, never builds them. Built at import they
+# cost a fresh `import cmt.cli` about 1 ms of CPU, and `cli_get_ms_p50`
+# rose 0.5 % on `point_small` and 1.4 % on `scan_replay` (BENCH_21.json).
+# Decryption has none: `decrypt_cbc` runs every buffer of PACKED_MIN_LANES
+# blocks or more on the packed rounds, so the chain only ever decrypts one
+# or two blocks. Threads that race to build them build equal tables.
+_PLACED_ENC = None
 
 _WORDS = struct.Struct(">4I")
 
@@ -239,11 +242,11 @@ _SBOX_BYTES = bytes(SBOX)
 _INV_SBOX_BYTES = bytes(INV_SBOX)
 
 
-# Buffers of at least this many blocks run on the placed tables, shorter
-# ones on the row tables. A placed round does less work, but the 32 placed
-# tables (about 0.4 MB) span five times the memory of the 8 row tables, so
-# a buffer that starts with them out of cache pays more misses before they
-# are warm. Measured in 41 alternating pairs of thread CPU time, three runs,
+# CBC encryptions of at least this many blocks run on the placed tables,
+# shorter ones on the row tables. A placed round does less work, but the 16
+# placed tables (about 0.2 MB) span five times the memory of the 4 row
+# tables, so a buffer that starts with them out of cache pays more misses
+# before they are warm. Measured in 41 alternating pairs of thread CPU time, three runs,
 # each call right after a 16 MB read that evicts L1 and L2: CBC encryption
 # and decryption on the placed tables took 1.16-1.25 times as long as on
 # the row tables at 32 blocks, 1.06-1.13 at 48, 1.01-1.05 at 64, 0.95-1.02
@@ -257,49 +260,37 @@ _INV_SBOX_BYTES = bytes(INV_SBOX)
 PLACED_MIN_BLOCKS = 64
 
 
-def _chain(data: bytes, placed: tuple, keys: tuple, box: bytes, shift, c: int, cbc: bool) -> bytes:
-    """The rounds of one direction on every block of a block-aligned buffer,
-    one after another, on the placed tables: each of the 9 table rounds
-    XORs the placed word of each of the state's 16 bytes and the round
-    key. Each block is XORed with `c` first; with `cbc`, `c` is then the
-    block's output, so the buffer is CBC-encrypted under the IV `c`."""
-    p0, p1, p2, p3, p4, p5, p6, p7, p8, p9, p10, p11, p12, p13, p14, p15 = placed
-    k0, *rounds, k10 = keys
-    out = []
-    for i in range(0, len(data), BLOCK_SIZE):
-        x = int.from_bytes(data[i : i + BLOCK_SIZE]) ^ c ^ k0
-        for k in rounds:
-            b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = x.to_bytes(16)
-            x = (
-                p0[b0] ^ p1[b1] ^ p2[b2] ^ p3[b3] ^ p4[b4] ^ p5[b5] ^ p6[b6] ^ p7[b7]
-                ^ p8[b8] ^ p9[b9] ^ p10[b10] ^ p11[b11] ^ p12[b12] ^ p13[b13] ^ p14[b14] ^ p15[b15]
-                ^ k
-            )
-        x = int.from_bytes(bytes(shift(x.to_bytes(16).translate(box)))) ^ k10
-        out.append(x)
-        if cbc:
-            c = x
-    return b"".join([x.to_bytes(16) for x in out])
-
-
 def encrypt_cbc(data: bytes, schedule: KeySchedule, iv: bytes) -> bytes:
     """CBC encryption of a block-aligned buffer under `iv`, one block after
-    another; ValueError for any other length. From PLACED_MIN_BLOCKS blocks
-    on this is `_chain`; below, each of the 9 row-table rounds builds
-    column c from row r of column (c + r) % 4 and joins the four column
-    words. The final round is ShiftRows on the bytes and SubBytes by
+    another; ValueError for any other length. Each of the 9 table rounds
+    XORs the round key and, from PLACED_MIN_BLOCKS blocks on, the placed
+    word of each of the state's 16 bytes; below, on the row tables, it
+    builds column c from row r of column (c + r) % 4 and joins the four
+    column words. The final round is ShiftRows on the bytes and SubBytes by
     `bytes.translate`."""
     global _PLACED_ENC
     if len(data) % BLOCK_SIZE != 0:
         raise ValueError("data length must be a multiple of 16")
     box, shift, c = _SBOX_BYTES, _SHIFT_ROWS, int.from_bytes(iv)
-    if len(data) >= PLACED_MIN_BLOCKS * BLOCK_SIZE:
-        if _PLACED_ENC is None:
-            _PLACED_ENC = _placed(_TE, 1)
-        return _chain(data, _PLACED_ENC, schedule.enc_keys, box, shift, c, True)
-    t0, t1, t2, t3 = _TE
     k0, *rounds, k10 = schedule.enc_keys
     out = []
+    if len(data) >= PLACED_MIN_BLOCKS * BLOCK_SIZE:
+        if _PLACED_ENC is None:
+            _PLACED_ENC = _placed(_TE)
+        p0, p1, p2, p3, p4, p5, p6, p7, p8, p9, p10, p11, p12, p13, p14, p15 = _PLACED_ENC
+        for i in range(0, len(data), BLOCK_SIZE):
+            x = int.from_bytes(data[i : i + BLOCK_SIZE]) ^ c ^ k0
+            for k in rounds:
+                b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = x.to_bytes(16)
+                x = (
+                    p0[b0] ^ p1[b1] ^ p2[b2] ^ p3[b3] ^ p4[b4] ^ p5[b5] ^ p6[b6] ^ p7[b7]
+                    ^ p8[b8] ^ p9[b9] ^ p10[b10] ^ p11[b11] ^ p12[b12] ^ p13[b13] ^ p14[b14] ^ p15[b15]
+                    ^ k
+                )
+            c = int.from_bytes(bytes(shift(x.to_bytes(16).translate(box)))) ^ k10
+            out.append(c)
+        return b"".join([x.to_bytes(16) for x in out])
+    t0, t1, t2, t3 = _TE
     for i in range(0, len(data), BLOCK_SIZE):
         x = int.from_bytes(data[i : i + BLOCK_SIZE]) ^ c ^ k0
         for k in rounds:
@@ -317,17 +308,12 @@ def encrypt_cbc(data: bytes, schedule: KeySchedule, iv: bytes) -> bytes:
 
 def decrypt_blocks(data: bytes, schedule: KeySchedule) -> bytes:
     """Decrypt every block of a block-aligned buffer, one after another;
-    ValueError for any other length. The rounds of `encrypt_cbc` with the
-    inverse tables, the pre-mixed `dec_keys` and rows shifted right (row r
-    from column (c - r) % 4)."""
-    global _PLACED_DEC
+    ValueError for any other length. The row-table rounds of `encrypt_cbc`
+    with the inverse tables, the pre-mixed `dec_keys` and rows shifted
+    right (row r from column (c - r) % 4)."""
     if len(data) % BLOCK_SIZE != 0:
         raise ValueError("data length must be a multiple of 16")
     box, shift = _INV_SBOX_BYTES, _INV_SHIFT_ROWS
-    if len(data) >= PLACED_MIN_BLOCKS * BLOCK_SIZE:  # measured to pay: see _PLACED_DEC
-        if _PLACED_DEC is None:
-            _PLACED_DEC = _placed(_TD, -1)
-        return _chain(data, _PLACED_DEC, schedule.dec_keys, box, shift, 0, False)
     t0, t1, t2, t3 = _TD
     k0, *rounds, k10 = schedule.dec_keys
     out = []
@@ -361,6 +347,118 @@ def decrypt_block(block: bytes, schedule: KeySchedule) -> bytes:
     return decrypt_blocks(_check_block(block), schedule)
 
 
+# --- packed rounds ---------------------------------------------------------
+
+# The packed rounds hold n lanes side by side in one int, their blocks
+# joined in lane order (lane 0 most significant), so each byte keeps its
+# place within its lane. A transform is a few whole-int operations under
+# masks that pick the same bytes of every lane: a mask is a 128-bit pattern
+# times `one`, the int with a 1 in the last byte of every lane.
+
+# The patterns of the masks, in the order `_packed_rounds` unpacks them,
+# written as the block's four column words (rows 0..3 of each, most
+# significant first), columns 0..3.
+_PATTERNS = (
+    0x00000000_00000000_00000000_00000001,  # 1, for `one`
+    0xFF000000_FF000000_FF000000_FF000000,  # row 0, which ShiftRows keeps
+    # rows 1..3 of encryption: the columns that ShiftRows moves left by r
+    # columns (from column r on) and right by 4 - r (before it)
+    0x00000000_00FF0000_00FF0000_00FF0000,
+    0x00FF0000_00000000_00000000_00000000,
+    0x00000000_00000000_0000FF00_0000FF00,
+    0x0000FF00_0000FF00_00000000_00000000,
+    0x00000000_00000000_00000000_000000FF,
+    0x000000FF_000000FF_000000FF_00000000,
+    # rows 1..3 of decryption: left by 4 - r (from column 4 - r on), right by r
+    0x00000000_00000000_00000000_00FF0000,
+    0x00FF0000_00FF0000_00FF0000_00000000,
+    0x00000000_00000000_0000FF00_0000FF00,
+    0x0000FF00_0000FF00_00000000_00000000,
+    0x00000000_000000FF_000000FF_000000FF,
+    0x000000FF_00000000_00000000_00000000,
+    0x00FFFFFF_00FFFFFF_00FFFFFF_00FFFFFF,  # rows 1-3
+    0x000000FF_000000FF_000000FF_000000FF,  # row 3
+    0x0000FFFF_0000FFFF_0000FFFF_0000FFFF,  # rows 2-3
+    0x80808080_80808080_80808080_80808080,  # the high bit of every byte
+)
+
+# Work of at least this many lanes runs on the packed rounds, less on the
+# chain. Measured in thread CPU time, medians of 41 alternating calls (21
+# for MACs), three runs (BENCH_39.json): `decrypt_cbc` of one message took
+# 1.60-1.79 times as long on the packed rounds as on the chain at 1 block,
+# 1.14-1.20 at 2 and 0.76-0.85 at 3; `cbc_macs` of messages of 16 blocks
+# 0.86-0.92 at 2 lanes and 0.61-0.67 at 3. Decryption, whose packed rounds
+# add InvMixColumns' first step, loses at 2 blocks, and a `get` decrypts
+# one value a call, so both start at 3: the two longest chains of a batch
+# finish on the chain.
+PACKED_MIN_LANES = 3
+
+# From this many lanes on, work runs on the kernel once numpy is loaded, and
+# on the packed rounds until then; below it, on the packed rounds. Measured
+# as PACKED_MIN_LANES is: the kernel took 0.97-1.08 times as long as the
+# packed rounds for a one-message decryption at 44 blocks, 0.90-1.10 at 48,
+# 0.88-0.90 at 52 and 0.84-0.86 at 56, and 1.19-1.24 times as long for a
+# batch of MAC steps at 44 lanes, 1.11-1.18 at 48, 1.04-1.18 at 56,
+# 0.92-1.03 at 60 and 0.83-0.92 at 64. One width serves both functions:
+# at 48 a decryption is at its crossover, and MAC steps of 48 to 63 lanes
+# pay up to about 1.2 times what the packed rounds would cost.
+KERNEL_MIN_LANES = 48
+
+_MASKS = {}  # lane count -> masks, for counts below KERNEL_MIN_LANES only
+
+
+def _masks(n: int) -> tuple:
+    """The masks of n lanes, one per pattern of _PATTERNS. Counts from
+    KERNEL_MIN_LANES on, which only a process without numpy packs, are
+    built on each call and not kept: a set for every count up to
+    IMPORT_BLOCKS would hold gigabytes, and the cache holds at most
+    KERNEL_MIN_LANES - 1 sets of under KERNEL_MIN_LANES lanes each, 0.36 MB
+    in all. Building a set takes about as long as one or two rounds."""
+    masks = _MASKS.get(n)
+    if masks is None:
+        one = int.from_bytes((bytes(15) + b"\x01") * n)
+        masks = tuple([p * one for p in _PATTERNS])
+        if n < KERNEL_MIN_LANES:
+            _MASKS[n] = masks
+    return masks
+
+
+def _packed_rounds(x: int, n: int, keys: tuple, backward: bool) -> int:
+    """The rounds of one direction on n lanes packed into `x`, all lanes in
+    lockstep. SubBytes is one `bytes.translate`; ShiftRows moves the bytes
+    of rows 1..3 by whole columns, left by 32r bits or right by 32(4 - r)
+    within the lane; MixColumns gives byte i of a column 2a_i ^ 3a_(i+1) ^
+    a_(i+2) ^ a_(i+3) as r1 ^ rot2(t) ^ xtime(t), where r1 is the column
+    rotated one byte, t = x ^ r1 and rot2 rotates by two bytes; a round key
+    is the key times `one`. Decryption is the equivalent inverse cipher on
+    `dec_keys`, rows moved right, and InvMixColumns is MixColumns after
+    x ^= xtime(xtime(x ^ rot2(x)))."""
+    one, row0, *moves, lo3, lo1, lo2, high = _masks(n)
+    size = BLOCK_SIZE * n
+    if backward:
+        box, (a1, b1, a2, b2, a3, b3), s1, s3 = _INV_SBOX_BYTES, moves[6:], 96, 32
+    else:
+        box, (a1, b1, a2, b2, a3, b3), s1, s3 = _SBOX_BYTES, moves[:6], 32, 96
+    k0, *rounds, k10 = keys
+    x ^= k0 * one
+    for k in (*rounds, None):  # the last round has no MixColumns
+        x = int.from_bytes(x.to_bytes(size).translate(box))
+        x = (x & row0 | (x & a1) << s1 | (x & b1) >> s3 | (x & a2) << 64 | (x & b2) >> 64
+             | (x & a3) << s3 | (x & b3) >> s1)
+        if k is None:
+            return x ^ k10 * one
+        if backward:
+            u = x ^ ((x & lo2) << 16 | (x >> 16) & lo2)
+            h = u & high
+            u = (u ^ h) << 1 ^ (h >> 7) * 0x1B
+            h = u & high
+            x ^= (u ^ h) << 1 ^ (h >> 7) * 0x1B
+        r1 = (x & lo3) << 8 | (x >> 24) & lo1
+        t = x ^ r1
+        h = t & high
+        x = r1 ^ ((t & lo2) << 16 | (t >> 16) & lo2) ^ (t ^ h) << 1 ^ (h >> 7) * 0x1B ^ k * one
+
+
 # --- multi-lane kernel ---------------------------------------------------
 
 # The kernel's states are byte-sliced: a (16, n) uint8 array, row i holding
@@ -372,24 +470,24 @@ def decrypt_block(block: bytes, schedule: KeySchedule) -> bytes:
 # `scan_replay`'s `list_ms_p50` fell from 2.73 to 2.08 ms (ten
 # alternating benchmark pairs; BENCH_17.json).
 
-# Work of at least this many blocks runs on the multi-lane kernel, once it
-# is loaded; below it the chain is faster. Measured on the byte-sliced
-# kernel in 61 alternating pairs of thread CPU time, three runs: CBC
-# decryption of 8 blocks took 1.15-1.17 times as long on the kernel as on
-# the chain, of 9 blocks 1.00-1.04 and of 10 blocks 0.86-0.94, and a
-# lockstep CBC-MAC step of 9 lanes 0.96-1.00 times as long as 9 chain
-# blocks, of 10 lanes 0.87-0.97 (a chain block 15-18 us, a kernel
-# decryption of 10 blocks 148-161 us): at 9 blocks the kernel only breaks
-# even, so it wins from 10 blocks on. Buffers this short run on the row
-# tables (PLACED_MIN_BLOCKS).
+# The kernel's work that `use_lanes` counts toward its numpy import: MAC
+# steps while at least this many chains run, and a decryption of this many
+# blocks or more. This was the kernel's crossover against the chain before
+# the packed rounds (61 alternating pairs of thread CPU time, three runs: a
+# CBC decryption of 9 blocks took 1.00-1.04 times as long on the kernel as
+# on the chain, of 10 blocks 0.86-0.94), and it still sets when a process
+# buys numpy, so IMPORT_BLOCKS keeps the meaning it was measured with.
 LANE_MIN_BLOCKS = 10
 
 # The kernel's numpy import, counted in chain blocks. Until numpy is loaded,
-# work the kernel would take runs on the chain; a batch this large, or any
-# batch once the blocks run that way reach this count, loads the kernel (rent
-# or buy: a process then spends at most about twice what the better choice
-# in hindsight would have cost, and a batch that alone costs the purchase
-# buys at once).
+# the kernel's work (LANE_MIN_BLOCKS) runs elsewhere, now on the packed
+# rounds; a batch this large, or any batch once the blocks run that way
+# reach this count, loads the kernel (rent or buy: against the chain a
+# process then spends at most about twice what the better choice in
+# hindsight would have cost, and a batch that alone costs the purchase buys
+# at once). The count was measured against the chain, before the packed
+# rounds made renting cheaper, and is kept so that a process buys numpy at
+# the same call as before.
 # Measured three times, each the median of 9 fresh processes that time the
 # numpy import and table build and then, in thread CPU time, the chain a
 # block on 64-block buffers (the placed tables) and the byte-sliced kernel
@@ -402,25 +500,26 @@ LANE_MIN_BLOCKS = 10
 IMPORT_BLOCKS = 7000
 
 _LANES = None  # (numpy, encrypt constants, decrypt constants), built on first use
-_chain_blocks = 0  # blocks the kernel would have taken, run on the chain instead
+_chain_blocks = 0  # blocks of the kernel's work run before numpy is loaded
 
 
 def _lane_steps(sizes: list[int]) -> int:
-    """How many steps CBC-MAC chains of `sizes` blocks, longest first, take
-    as the kernel's lanes: those while at least LANE_MIN_BLOCKS of them are
-    running."""
+    """How many steps of CBC-MAC chains of `sizes` blocks, longest first,
+    count as the kernel's work: those while at least LANE_MIN_BLOCKS of
+    them are running."""
     return sizes[LANE_MIN_BLOCKS - 1] if len(sizes) >= LANE_MIN_BLOCKS else 0
 
 
 def use_lanes(messages: list[bytes]) -> bool:
-    """Whether a batch of block-aligned messages IV || ciphertext, the list
-    that `cbc_macs` and `decrypt_cbc` then take, runs on the kernel. Each
+    """Whether the kernel may run a batch of block-aligned messages IV ||
+    ciphertext, the list that `cbc_macs` and `decrypt_cbc` then take. Each
     message is one CBC-MAC chain, and the decryption is every block but the
     IVs. The kernel's work is the chains' lane steps (`_lane_steps`) and the
-    decryption if it has LANE_MIN_BLOCKS blocks or more; a batch with none
-    runs on the chain and counts nothing toward the import. A batch with
-    LANE_MIN_BLOCKS messages or decryption blocks always has some, so once
-    the kernel is loaded the answer needs no count."""
+    decryption if it has LANE_MIN_BLOCKS blocks or more; until numpy is
+    loaded it runs on the packed rounds, and a batch with none counts
+    nothing toward the import. A batch with LANE_MIN_BLOCKS messages or
+    decryption blocks always has some, so once the kernel is loaded the
+    answer needs no count."""
     global _chain_blocks  # a lost update between threads only delays the import
     blocks = sum(map(len, messages)) // BLOCK_SIZE - len(messages)
     if len(messages) < LANE_MIN_BLOCKS and blocks < LANE_MIN_BLOCKS:
@@ -431,6 +530,7 @@ def use_lanes(messages: list[bytes]) -> bool:
     steps = _lane_steps(sorted(chains, reverse=True))
     work = sum([min(n, steps) for n in chains]) + (blocks if blocks >= LANE_MIN_BLOCKS else 0)
     if max(_chain_blocks, work) >= IMPORT_BLOCKS:
+        _lanes()  # bought here, so that no later batch counts again
         return True
     _chain_blocks += work
     return False
@@ -497,16 +597,18 @@ def decrypt_cbc(messages: list[bytes], schedule: KeySchedule, lanes: bool = Fals
     whole blocks (`crypto_codec.check_value` holds values to that);
     ValueError if a message is shorter than an IV or the ciphertexts do not
     join into whole blocks. Every ciphertext block of the batch is
-    decrypted in one call, on the kernel with `lanes` and on the chain
-    without, since no block's decryption waits on another's (NIST SP
-    800-38A section 6.2); each is then XORed with the block before it in
-    its message. On the kernel the messages stay one numpy buffer from the
-    join to the XOR: the blocks to decrypt are every block but the IVs, and
-    the block before each is the one an index earlier in the same buffer.
-    One message needs no index: its blocks are the buffer but its first."""
+    decrypted in one call, since no block's decryption waits on another's
+    (NIST SP 800-38A section 6.2): on the kernel with `lanes` from
+    KERNEL_MIN_LANES blocks on, else on the packed rounds from
+    PACKED_MIN_LANES blocks on, else on the chain. Each is then XORed with
+    the block before it in its message. On the kernel the messages stay one
+    numpy buffer from the join to the XOR: the blocks to decrypt are every
+    block but the IVs, and the block before each is the one an index
+    earlier in the same buffer. One message needs no index: its blocks are
+    the buffer but its first."""
     if messages and min(map(len, messages)) < BLOCK_SIZE:
         raise ValueError("a message is shorter than an IV")
-    if lanes:
+    if lanes and sum(map(len, messages)) // BLOCK_SIZE - len(messages) >= KERNEL_MIN_LANES:
         np = _lanes()[0]
         blocks = np.frombuffer(b"".join(messages), dtype=np.uint8).reshape(-1, BLOCK_SIZE)
         cipher, before = blocks[1:], blocks[:-1]  # each block and the one before it
@@ -522,9 +624,16 @@ def decrypt_cbc(messages: list[bytes], schedule: KeySchedule, lanes: bool = Fals
         plain = _lane_rounds(cipher.T, schedule.dec_keys, True).T
         plain = (plain ^ before).tobytes()
     else:
-        plain = decrypt_blocks(b"".join([m[BLOCK_SIZE:] for m in messages]), schedule)
-        before = int.from_bytes(b"".join([m[:-BLOCK_SIZE] for m in messages]))
-        plain = (int.from_bytes(plain) ^ before).to_bytes(len(plain))
+        cipher = b"".join([m[BLOCK_SIZE:] for m in messages])
+        n, odd = divmod(len(cipher), BLOCK_SIZE)
+        if odd:
+            raise ValueError("data length must be a multiple of 16")
+        if n >= PACKED_MIN_LANES:
+            plain = _packed_rounds(int.from_bytes(cipher), n, schedule.dec_keys, True)
+        else:
+            plain = int.from_bytes(decrypt_blocks(cipher, schedule))
+        plain ^= int.from_bytes(b"".join([m[:-BLOCK_SIZE] for m in messages]))
+        plain = plain.to_bytes(len(cipher))
     out, end = [], 0
     for m in messages:
         start, end = end, end + len(m) - BLOCK_SIZE
@@ -532,28 +641,68 @@ def decrypt_cbc(messages: list[bytes], schedule: KeySchedule, lanes: bool = Fals
     return out
 
 
+def _split(flat: bytes) -> list[bytes]:
+    return [flat[i : i + BLOCK_SIZE] for i in range(0, len(flat), BLOCK_SIZE)]
+
+
+def _packed_macs(ordered: list[bytes], j: int, state: int, schedule: KeySchedule) -> list[bytes]:
+    """The CBC-MAC tags of `ordered`, messages longest first that have all
+    run j blocks, their states packed in lane order in `state`. Each step
+    runs the lanes still running, a prefix, on the packed rounds while at
+    least PACKED_MIN_LANES are; a lane that ends drops off the low end of
+    the state with its tag. The fewer that outlast the steps finish on the
+    chain."""
+    sizes = [len(m) // BLOCK_SIZE for m in ordered]
+    running = len(ordered)
+    steps = sizes[PACKED_MIN_LANES - 1] if running >= PACKED_MIN_LANES else j
+    tags = [b""] * running
+    for j in range(j, steps):
+        ended = running
+        while sizes[running - 1] == j:  # these lanes' states are their tags
+            running -= 1
+        if running < ended:
+            bits = 8 * BLOCK_SIZE * (ended - running)
+            tags[running:ended] = _split((state & ((1 << bits) - 1)).to_bytes(bits // 8))
+            state >>= bits
+        o = BLOCK_SIZE * j
+        step = int.from_bytes(b"".join([m[o : o + BLOCK_SIZE] for m in ordered[:running]]))
+        state = _packed_rounds(state ^ step, running, schedule.enc_keys, False)
+    tags[:running] = _split(state.to_bytes(BLOCK_SIZE * running))
+    k = 0
+    while k < len(sizes) and sizes[k] > steps:  # fewer than PACKED_MIN_LANES lanes
+        tags[k] = encrypt_cbc(ordered[k][steps * BLOCK_SIZE :], schedule, tags[k])[-BLOCK_SIZE:]
+        k += 1
+    return tags
+
+
 def cbc_macs(messages: list[bytes], schedule: KeySchedule, lanes: bool = False) -> list[bytes]:
     """The CBC-MAC tag (zero IV, last block kept) of every block-aligned
-    message. With `lanes`, the first `_lane_steps` blocks run on the kernel
-    with one lane per message that is still running, longest messages
-    first, so the running lanes are always a prefix; the rest, and all of
-    it without `lanes` or with fewer than LANE_MIN_BLOCKS messages, runs on
-    the chain. The lanes' order and block offsets are numpy arrays. One
-    byte-sliced state serves the batch: each step updates its running
-    prefix, a lane that has ended keeps its tag in place, and the tags are
-    written in message order once, after the last step. Only the messages
-    that outlast the lanes, fewer than LANE_MIN_BLOCKS, are finished one by
-    one."""
-    steps = 0
-    if lanes and len(messages) >= LANE_MIN_BLOCKS:
-        np = _lanes()[0]
-        sizes = np.fromiter(map(len, messages), np.intp, len(messages)) // BLOCK_SIZE
-        firsts = np.cumsum(sizes) - sizes  # each message's first block in the join
-        order = np.argsort(-sizes, kind="stable")
-        sizes, firsts = sizes[order].tolist(), firsts[order]
-        steps = _lane_steps(sizes)
-    if not steps:
+    message, one lane per message, longest messages first, so the running
+    lanes are always a prefix. With `lanes`, the steps run on the kernel
+    while at least KERNEL_MIN_LANES lanes are running; the lanes' order and
+    block offsets are numpy arrays, one byte-sliced state serves the batch,
+    each step updates its running prefix and a lane that has ended keeps
+    its tag in place. The lanes still running then go on, as all of them
+    do without `lanes`, on the packed rounds (`_packed_macs`) while at least
+    PACKED_MIN_LANES are, and the rest on the chain; a batch of fewer
+    messages runs on the chain alone. ValueError if a message is not
+    block-aligned."""
+    if any(len(m) % BLOCK_SIZE for m in messages):
+        raise ValueError("data length must be a multiple of 16")
+    if len(messages) < PACKED_MIN_LANES:
         return [encrypt_cbc(m, schedule, bytes(BLOCK_SIZE))[-BLOCK_SIZE:] for m in messages]
+    if not lanes or len(messages) < KERNEL_MIN_LANES:
+        order = sorted(range(len(messages)), key=lambda i: len(messages[i]), reverse=True)
+        tags = [b""] * len(messages)
+        for i, tag in zip(order, _packed_macs([messages[i] for i in order], 0, 0, schedule)):
+            tags[i] = tag
+        return tags
+    np = _lanes()[0]
+    sizes = np.fromiter(map(len, messages), np.intp, len(messages)) // BLOCK_SIZE
+    firsts = np.cumsum(sizes) - sizes  # each message's first block in the join
+    order = np.argsort(-sizes, kind="stable")
+    sizes, firsts = sizes[order].tolist(), firsts[order]
+    steps = sizes[KERNEL_MIN_LANES - 1]
     blocks = np.frombuffer(b"".join(messages), dtype=np.uint8).reshape(-1, BLOCK_SIZE)
     running = len(messages)
     state = np.zeros((BLOCK_SIZE, running), dtype=np.uint8)  # byte-sliced
@@ -562,13 +711,13 @@ def cbc_macs(messages: list[bytes], schedule: KeySchedule, lanes: bool = False) 
             running -= 1
         step = blocks.take(firsts[:running] + j, axis=0).T
         state[:, :running] = _lane_rounds(state[:, :running] ^ step, schedule.enc_keys, False)
+    # fewer than KERNEL_MIN_LANES messages outlast the kernel's steps
+    outlast = sum([n > steps for n in sizes[:KERNEL_MIN_LANES]])
+    if outlast:
+        ordered = [messages[i] for i in order[:outlast].tolist()]
+        handed = int.from_bytes(state[:, :outlast].T.tobytes())
+        tags = b"".join(_packed_macs(ordered, steps, handed, schedule))
+        state[:, :outlast] = np.frombuffer(tags, dtype=np.uint8).reshape(outlast, BLOCK_SIZE).T
     tags = np.empty((len(messages), BLOCK_SIZE), dtype=np.uint8)
     tags[order] = state.T
-    flat = tags.tobytes()
-    tags = [flat[i : i + BLOCK_SIZE] for i in range(0, len(flat), BLOCK_SIZE)]
-    k = 0
-    while sizes[k] > steps:  # fewer than LANE_MIN_BLOCKS messages outlast the lanes
-        i = order[k]
-        tags[i] = encrypt_cbc(messages[i][steps * BLOCK_SIZE :], schedule, tags[i])[-BLOCK_SIZE:]
-        k += 1
-    return tags
+    return _split(tags.tobytes())

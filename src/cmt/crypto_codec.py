@@ -17,8 +17,9 @@ caller ever sees for wrong keys or tampering is AuthError.
 `list` returns: all tags are checked before any block is decrypted. It
 checks the batch against `check_value`'s length rule in one pass, and
 hands the batch's messages IV || ciphertext once to `aes_core.use_lanes`,
-which decides whether the whole batch runs on the multi-lane kernel or on
-the scalar chain. It then tags those messages with `aes_core.cbc_macs`
+which decides whether the multi-lane kernel may run the whole batch; the
+engine each step runs on is `aes_core`'s choice by width. It then tags
+those messages with `aes_core.cbc_macs`
 and compares the whole batch's tags with the stored ones in one
 constant-time comparison, the package's one tag check.
 `aes_core.decrypt_cbc` decrypts them, and one more pass checks and strips

@@ -1,8 +1,9 @@
 """Known-answer and sanity self-test suite, exposed via `cmt selftest`.
 
 Needs no store and no master key. Covers the published AES-128 vectors,
-S-box structure, codec round trips, and a loose throughput bound on the
-multi-lane kernel that CBC-decrypts stored values.
+S-box structure, codec round trips, agreement of the three engines with
+the scalar cipher, and a loose throughput bound on the multi-lane kernel
+that CBC-decrypts stored values.
 """
 
 import os
@@ -65,15 +66,28 @@ def _check_codec_round_trip() -> bool:
 
 def _check_throughput() -> bool:
     ks = aes_core.expand_key(os.urandom(16))
-    # the kernel must agree with the scalar cipher before we trust its speed:
-    # CBC-MACs and CBC decryptions of 1..19 blocks and of PLACED_MIN_BLOCKS,
-    # so the lanes end before, at and after the last lane step, and the
-    # chain runs on the row tables and on the placed tables
-    sizes = [*range(1, 2 * aes_core.LANE_MIN_BLOCKS), aes_core.PLACED_MIN_BLOCKS]
+    # every engine must agree with the scalar cipher before we trust the
+    # kernel's speed. Chains of 1..KERNEL_MIN_LANES + 2 blocks and of
+    # PLACED_MIN_BLOCKS: with `lanes` the kernel steps the MACs while
+    # KERNEL_MIN_LANES or more run, the packed rounds while PACKED_MIN_LANES
+    # or more do and the chain the last ones, one chain ending at every step
+    # before, at and after both handovers; without it the packed rounds take
+    # the kernel's steps. The batch decrypts on the kernel, and on the
+    # packed rounds without `lanes`; each message alone on the engine its
+    # block count calls for. The reference is the chain: CBC encryption, on
+    # the row tables and on the placed tables, and one-block decryptions.
+    sizes = [*range(1, aes_core.KERNEL_MIN_LANES + 3), aes_core.PLACED_MIN_BLOCKS]
     messages = [os.urandom(16 * n) for n in sizes]
-    for batch in (aes_core.cbc_macs, aes_core.decrypt_cbc):
-        if batch(messages, ks, True) != batch(messages, ks):
+    macs = [aes_core.encrypt_cbc(m, ks, bytes(16))[-16:] for m in messages]
+    plains = [
+        b"".join([aes_core.decrypt_cbc([m[i : i + 32]], ks)[0] for i in range(0, len(m) - 16, 16)])
+        for m in messages
+    ]
+    for lanes in (True, False):
+        if aes_core.cbc_macs(messages, ks, lanes) != macs or aes_core.decrypt_cbc(messages, ks, lanes) != plains:
             return False
+    if [aes_core.decrypt_cbc([m], ks, True)[0] for m in messages] != plains:
+        return False
     buf = os.urandom(THROUGHPUT_BUFFER_BYTES)  # one message: an IV, then its ciphertext
     start = time.perf_counter()
     aes_core.decrypt_cbc([buf], ks, True)

@@ -8,6 +8,7 @@ transforms are tested in `aes_reference`, the step-by-step cipher that the
 table-driven one in `aes_core` is then checked against.
 """
 
+import importlib
 import os
 import random
 import subprocess
@@ -163,25 +164,18 @@ def test_round_tables_match_oracle_tables():
 
 def test_placed_tables_match_oracle_tables():
     # table i holds the oracle word of byte i's row r = i % 4, moved to the
-    # column that ShiftRows (FIPS-197 section 5.1.2) or InvShiftRows
-    # (section 5.3.1) sends byte i to; column c is bits 96 - 32c and up of
-    # the 128-bit state
+    # column that ShiftRows (FIPS-197 section 5.1.2) sends byte i to; column
+    # c is bits 96 - 32c and up of the 128-bit state
     sbox = [sbox_oracle(a) for a in range(256)]
-    inv_sbox = [sbox.index(a) for a in range(256)]
-    # a buffer of PLACED_MIN_BLOCKS blocks builds each direction's tables
+    # a buffer of PLACED_MIN_BLOCKS blocks builds the tables
     ks = aes_core.expand_key(bytes(16))
     aes_core.encrypt_cbc(bytes(16 * aes_core.PLACED_MIN_BLOCKS), ks, bytes(16))
-    aes_core.decrypt_blocks(bytes(16 * aes_core.PLACED_MIN_BLOCKS), ks)
-    directions = (
-        (aes_core._PLACED_ENC, oracle_round_tables(sbox, MIX_MATRIX), aes_reference.shift_rows),
-        (aes_core._PLACED_DEC, oracle_round_tables(inv_sbox, INV_MIX_MATRIX), aes_reference.inv_shift_rows),
-    )
-    for placed, tables, shift in directions:
-        sources = shift(list(range(16)))  # output position -> input byte
-        assert len(placed) == 16
-        for i, table in enumerate(placed):
-            column = sources.index(i) // 4
-            assert table == [w << (96 - 32 * column) for w in tables[i % 4]]
+    placed, tables = aes_core._PLACED_ENC, oracle_round_tables(sbox, MIX_MATRIX)
+    sources = aes_reference.shift_rows(list(range(16)))  # output position -> input byte
+    assert len(placed) == 16
+    for i, table in enumerate(placed):
+        column = sources.index(i) // 4
+        assert table == [w << (96 - 32 * column) for w in tables[i % 4]]
 
 
 def test_sub_bytes_all_zero_state():
@@ -392,40 +386,37 @@ from cmt import aes_core
 
 key, iv = os.urandom(16), os.urandom(16)
 ks = aes_core.expand_key(key)
-def built():
-    return [aes_core._PLACED_ENC is not None, aes_core._PLACED_DEC is not None]
-
-
-steps = [built()]
+steps = [aes_core._PLACED_ENC is not None]
 for encrypt in {order}:
     for blocks in (63, 64, 65):
         data = os.urandom(16 * blocks)
         cipher = Cipher(algorithms.AES(key), modes.CBC(iv))
         context = cipher.encryptor() if encrypt else cipher.decryptor()
         expected = context.update(data) + context.finalize()
-        for _ in range(2):  # the first call of 64 blocks or more builds the tables
+        for _ in range(2):  # the first encryption of 64 blocks or more builds the tables
             if encrypt:
                 out = aes_core.encrypt_cbc(data, ks, iv)
             else:
                 out = aes_core.decrypt_cbc([iv + data], ks)[0]
             assert out == expected, (encrypt, blocks)
-        steps.append(built())
+        steps.append(aes_core._PLACED_ENC is not None)
 print(steps)
 """
 
 
 @pytest.mark.parametrize("order", [(True, False), (False, True)], ids=["encrypt_first", "decrypt_first"])
 def test_cbc_around_the_placed_boundary_matches_the_library_in_a_fresh_process(order):
-    # 63 blocks run on the row tables; the first buffer of 64 builds its
-    # direction's placed tables, and every call after it reuses them
+    # 63 blocks run on the row tables; the first encryption of 64 builds the
+    # placed tables, and every call after it reuses them. Decryption, on
+    # the packed rounds at these lengths, never builds them.
     script = _PLACED_BOUNDARY.format(order=order)
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    steps, state = [[False, False]], [False, False]
+    steps, built = [False], False
     for encrypt in order:
         for blocks in (63, 64, 65):
-            state[0 if encrypt else 1] |= blocks >= 64
-            steps.append(list(state))
+            built |= encrypt and blocks >= 64
+            steps.append(built)
     assert result.stdout.splitlines()[-1] == str(steps)
 
 
@@ -578,6 +569,86 @@ def test_batches_on_the_lanes_match_the_chain_and_the_library(sizes, at, seed):
     assert aes_core.decrypt_cbc(messages, ks, True) == aes_core.decrypt_cbc(messages, ks) == plains
 
 
+# --- the packed rounds -------------------------------------------------------
+# n lanes packed lane-major into one int: a lane's bytes in the wrong order,
+# or a mask that reaches into the next lane, still gives the right answer at
+# one lane, so these cover every width up to past the kernel's.
+
+WIDTHS = range(1, aes_core.KERNEL_MIN_LANES + 3)
+
+
+@pytest.mark.parametrize("n", WIDTHS)
+@given(st.binary(min_size=16, max_size=16), st.randoms(use_true_random=False))
+@settings(max_examples=3, deadline=None)
+def test_packed_rounds_match_the_library_and_the_chain(n, key, rng):
+    ks = aes_core.expand_key(key)
+    data = rng.randbytes(16 * n)
+    x = int.from_bytes(data)
+    encrypted = aes_core._packed_rounds(x, n, ks.enc_keys, False).to_bytes(16 * n)
+    assert encrypted == aes_library_encrypt(key, data)
+    assert encrypted == b"".join(
+        aes_core.encrypt_block(data[i : i + 16], ks) for i in range(0, len(data), 16))
+    decrypted = aes_core._packed_rounds(x, n, ks.dec_keys, True).to_bytes(16 * n)
+    assert decrypted == aes_library_decrypt(key, data) == aes_core.decrypt_blocks(data, ks)
+    # a one-message decryption of n blocks, on whichever engine n calls for
+    message = rng.randbytes(16) + data
+    plain = library_cbc_decrypt(key, message)
+    assert aes_core.decrypt_cbc([message], ks, True) == aes_core.decrypt_cbc([message], ks) == [plain]
+
+
+@given(
+    st.permutations(range(1, aes_core.KERNEL_MIN_LANES + 4)),
+    st.lists(st.integers(1, 80), max_size=6),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=8, deadline=None)
+def test_batches_across_both_handovers_match_the_library(sizes, extra, seed):
+    # one chain ends at every step: the kernel steps while KERNEL_MIN_LANES
+    # or more run, the packed rounds while PACKED_MIN_LANES or more do, and
+    # the chain finishes the rest; `extra` chains end anywhere
+    rng = random.Random(seed)
+    key = rng.randbytes(16)
+    ks = aes_core.expand_key(key)
+    messages = [rng.randbytes(16 * n) for n in sizes + extra]
+    macs = [library_cbc_mac(key, m) for m in messages]
+    assert aes_core.cbc_macs(messages, ks, True) == aes_core.cbc_macs(messages, ks) == macs
+    # and every narrower batch of them, down to one below PACKED_MIN_LANES
+    for width in range(aes_core.PACKED_MIN_LANES - 1, aes_core.KERNEL_MIN_LANES + 1, 7):
+        assert aes_core.cbc_macs(messages[:width], ks, True) == macs[:width]
+    plains = [library_cbc_decrypt(key, m) for m in messages]
+    assert aes_core.decrypt_cbc(messages, ks, True) == aes_core.decrypt_cbc(messages, ks) == plains
+
+
+_MASK_BOUND = """
+import sys
+from cmt import aes_core
+
+ks = aes_core.expand_key(bytes(range(16)))
+for n in [*range(2, 201), 5000]:
+    plain = bytes(range(256)) * (n // 16) + bytes(16 * n % 256)
+    cipher = aes_core.encrypt_cbc(plain, ks, bytes(16))
+    assert aes_core.decrypt_cbc([bytes(16) + cipher], ks) == [plain], n
+    if n <= 200:
+        messages = [bytes([i]) * 32 for i in range(n)]
+        macs = aes_core.cbc_macs(messages, ks)
+        assert macs == [aes_core.encrypt_cbc(m, ks, bytes(16))[-16:] for m in messages], n
+held = sum(sys.getsizeof(m) for masks in aes_core._MASKS.values() for m in masks)
+print("numpy" in sys.modules, len(aes_core._MASKS), max(aes_core._MASKS), held)
+"""
+
+
+def test_packed_masks_stay_within_their_bound_before_numpy_loads():
+    # widths 2-200 and one of 5,000 lanes in a fresh process, which never
+    # loads numpy: only widths below KERNEL_MIN_LANES keep their masks
+    result = subprocess.run([sys.executable, "-c", _MASK_BOUND], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    loaded, count, widest, held = result.stdout.split()
+    assert loaded == "False"
+    assert int(count) <= aes_core.KERNEL_MIN_LANES - 1
+    assert int(widest) < aes_core.KERNEL_MIN_LANES
+    assert int(held) < 400_000  # 18 masks of 3-47 lanes: 0.36 MB
+
+
 def test_decrypt_cbc_of_no_messages_and_of_misaligned_ciphertext():
     ks = aes_core.expand_key(os.urandom(16))
     assert aes_core.decrypt_cbc([], ks) == aes_core.decrypt_cbc([], ks, True) == []
@@ -603,10 +674,26 @@ def test_decrypt_cbc_refuses_a_misaligned_message_anywhere(at, lanes):
         aes_core.decrypt_cbc(messages, ks, lanes)
 
 
+@pytest.mark.parametrize("lanes", [False, True])
+@pytest.mark.parametrize("count", [2, aes_core.PACKED_MIN_LANES, aes_core.KERNEL_MIN_LANES])
+def test_cbc_macs_refuse_a_misaligned_message_anywhere(count, lanes):
+    # on the chain, the packed rounds and the kernel alike: a message with
+    # trailing bytes is refused, not tagged by its whole blocks
+    ks = aes_core.expand_key(os.urandom(16))
+    for bad in (0, count // 2, count - 1):
+        messages = [os.urandom(16 * (2 + i % 3)) for i in range(count)]
+        messages[bad] += b"\x00"
+        with pytest.raises(ValueError):
+            aes_core.cbc_macs(messages, ks, lanes)
+
+
 def _unload_kernel(mp):
+    numpy, load = importlib.import_module("numpy"), aes_core._lanes
     mp.setattr(aes_core, "_LANES", None)
     mp.delitem(sys.modules, "numpy", raising=False)
     mp.setattr(aes_core, "_chain_blocks", 0)
+    # loading the kernel puts numpy back, without executing it a second time
+    mp.setattr(aes_core, "_lanes", lambda: sys.modules.setdefault("numpy", numpy) and load())
 
 
 @pytest.fixture
@@ -649,16 +736,21 @@ def test_use_lanes_counts_a_batchs_kernel_work_exactly(kernel_unloaded):
     short = aes_core.IMPORT_BLOCKS - aes_core._chain_blocks
     assert aes_core.use_lanes(messages_of(short // 2 + 1, short - short // 2 + 1)) is False
     assert aes_core._chain_blocks == aes_core.IMPORT_BLOCKS
+    assert "numpy" not in sys.modules
     assert aes_core.use_lanes(messages_of(11)) is True
+    assert "numpy" in sys.modules  # bought by the batch that decided to
 
 
-def use_lanes_by_chains(chains: list[int], blocks: int, chain_blocks: int) -> tuple:
+def use_lanes_by_chains(chains: list[int], blocks: int, chain_blocks: int, loaded: bool) -> tuple:
     """The decision and the count `use_lanes` leaves, from the MAC chain
-    lengths and the decryption's block count, in a process with the kernel
-    unloaded: the rule stated on lengths, as the codec once computed them."""
+    lengths and the decryption's block count, in a process that has
+    `loaded` the kernel or not: the rule stated on lengths, as the codec
+    once computed them."""
     n = aes_core.LANE_MIN_BLOCKS
     if len(chains) < n and blocks < n:
         return False, chain_blocks
+    if loaded:
+        return True, chain_blocks
     steps = sorted(chains, reverse=True)[n - 1] if len(chains) >= n else 0
     work = sum(min(c, steps) for c in chains) + (blocks if blocks >= n else 0)
     if max(chain_blocks, work) >= aes_core.IMPORT_BLOCKS:
@@ -669,12 +761,15 @@ def use_lanes_by_chains(chains: list[int], blocks: int, chain_blocks: int) -> tu
 @given(st.lists(st.lists(st.integers(2, 300), max_size=40), min_size=1, max_size=3))
 @settings(max_examples=200, deadline=None)
 def test_use_lanes_on_messages_matches_the_rule_on_lengths(batches):
-    # batches one after another, so the count of one is the start of the next
+    # batches one after another, so the count of one is the start of the
+    # next, and the batch that buys the kernel loads it for the rest
     with pytest.MonkeyPatch.context() as mp:
         _unload_kernel(mp)
         for chains in batches:
-            expected = use_lanes_by_chains(chains, sum(chains) - len(chains), aes_core._chain_blocks)
+            loaded = "numpy" in sys.modules
+            expected = use_lanes_by_chains(chains, sum(chains) - len(chains), aes_core._chain_blocks, loaded)
             assert (aes_core.use_lanes(messages_of(*chains)), aes_core._chain_blocks) == expected
+            assert ("numpy" in sys.modules) == (loaded or expected[0])
 
 
 @given(st.lists(st.integers(1, 300), max_size=40))

@@ -456,17 +456,16 @@ def test_import_loads_only_what_a_command_uses(tmp_path):
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "[]", module
-    # each direction's placed tables wait for its first buffer of
-    # PLACED_MIN_BLOCKS blocks
+    # the placed tables wait for the first encryption of PLACED_MIN_BLOCKS
+    # blocks
     script = (
         "from cmt import aes_core\n"
-        "built = lambda: (aes_core._PLACED_ENC is not None, aes_core._PLACED_DEC is not None)\n"
-        "before = built()\n"
+        "before = aes_core._PLACED_ENC is not None\n"
         "aes_core.encrypt_cbc(bytes(16 * 64), aes_core.expand_key(bytes(16)), bytes(16))\n"
-        "print(before, built())\n"
+        "print(before, aes_core._PLACED_ENC is not None)\n"
     )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert result.stdout.splitlines()[-1] == "(False, False) (True, False)", result.stderr
+    assert result.stdout.splitlines()[-1] == "False True", result.stderr
     # a plainly spelled command line runs without argparse, which only a
     # line of any other spelling loads; a read of a store `cmt` wrote
     # runs without json, which a write loads for its encoder
@@ -570,6 +569,24 @@ def test_selftest_times_only_a_kernel_that_matches_the_scalar_cipher(monkeypatch
         return out * 0 if backward else out
 
     monkeypatch.setattr(aes_core, "_lane_rounds", zero_decryption)
+    assert main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL block-throughput" in out
+    assert "throughput:" not in out
+
+
+@pytest.mark.parametrize("broken", ["encryption", "decryption"])
+def test_selftest_fails_when_the_packed_rounds_disagree(broken, monkeypatch, capsys):
+    from cmt import aes_core
+
+    packed_rounds = aes_core._packed_rounds
+
+    def one_bit_off(x, n, keys, backward):
+        # one direction of the packed rounds flips the last bit of its output
+        out = packed_rounds(x, n, keys, backward)
+        return out ^ (backward == (broken == "decryption"))
+
+    monkeypatch.setattr(aes_core, "_packed_rounds", one_bit_off)
     assert main(["selftest"]) == 1
     out = capsys.readouterr().out
     assert "FAIL block-throughput" in out

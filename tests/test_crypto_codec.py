@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from aes_reference import key_of
 from cmt import aes_core
-from cmt.aes_core import LANE_MIN_BLOCKS
+from cmt.aes_core import KERNEL_MIN_LANES, LANE_MIN_BLOCKS, PACKED_MIN_LANES
 from cmt.crypto_codec import (
     check_value,
     decrypt_value,
@@ -116,18 +116,24 @@ def test_cbc_matches_library():
             aes_core.decrypt_blocks(misaligned, ks)
 
 
-@pytest.mark.parametrize("blocks", [1, LANE_MIN_BLOCKS - 1, LANE_MIN_BLOCKS, 257])
-def test_cbc_decrypt_matches_library_on_both_paths(blocks, monkeypatch):
-    # with the kernel loaded, below LANE_MIN_BLOCKS the per-block chain runs,
-    # from it the lane kernel
+@pytest.mark.parametrize(
+    "blocks",
+    [1, PACKED_MIN_LANES - 1, PACKED_MIN_LANES, KERNEL_MIN_LANES - 1, KERNEL_MIN_LANES, 257],
+)
+def test_cbc_decrypt_matches_library_on_every_path(blocks, monkeypatch):
+    # with the kernel loaded, below PACKED_MIN_LANES blocks the per-block
+    # chain runs, from it the packed rounds, from KERNEL_MIN_LANES the kernel
     aes_core._lanes()
     rounds = spy(monkeypatch, aes_core, "_lane_rounds")
+    packed = spy(monkeypatch, aes_core, "_packed_rounds")
     key = os.urandom(16)
     keys = TenantKeySet(enc_key=key, mac_key=os.urandom(16))
     data = os.urandom(16 * blocks - 1)
     assert decrypt_value(library_value(data, key, keys), keys) == data
     kernel_calls = [a for a in rounds if a[2]]  # the kernel's decryptions run backward
-    assert len(kernel_calls) == (blocks >= LANE_MIN_BLOCKS)
+    packed_calls = [a for a in packed if a[3]]  # and so do the packed rounds'
+    assert len(kernel_calls) == (blocks >= KERNEL_MIN_LANES)
+    assert len(packed_calls) == (PACKED_MIN_LANES <= blocks < KERNEL_MIN_LANES)
 
 
 def test_codec_uses_the_cached_key_schedules(monkeypatch):
@@ -224,24 +230,31 @@ def test_decrypt_values_equals_one_by_one(lanes, plaintexts):
 
 
 @pytest.mark.parametrize("lanes", [False, True])
-@pytest.mark.parametrize("count", [LANE_MIN_BLOCKS - 1, LANE_MIN_BLOCKS, LANE_MIN_BLOCKS + 1])
-def test_mac_chains_step_in_lockstep_from_lane_min_blocks(count, lanes, monkeypatch):
-    # lengths 0..299 B: the lanes drop out at different steps and the longest
-    # chains finish on the scalar chain
+@pytest.mark.parametrize(
+    "count",
+    [PACKED_MIN_LANES - 1, PACKED_MIN_LANES, KERNEL_MIN_LANES - 1, KERNEL_MIN_LANES, KERNEL_MIN_LANES + 1],
+)
+def test_mac_chains_step_in_lockstep_by_width(count, lanes, monkeypatch):
+    # lengths 0..299 B: the lanes drop out at different steps, pass from the
+    # kernel to the packed rounds, and the longest chains finish on the
+    # scalar chain
     plaintexts = [os.urandom((37 * i) % 300) for i in range(1, count + 1)]
     values = [encrypt_value(p, BATCH_KEYS) for p in plaintexts]
     monkeypatch.setattr(aes_core, "use_lanes", lambda *_: lanes)
     rounds = spy(monkeypatch, aes_core, "_lane_rounds")
+    packed = spy(monkeypatch, aes_core, "_packed_rounds")
     assert decrypt_values(values, BATCH_KEYS) == plaintexts
     steps = [a for a in rounds if not a[2]]  # MAC steps encrypt; the decryption does not
-    assert bool(steps) == (lanes and count >= LANE_MIN_BLOCKS)
+    assert bool(steps) == (lanes and count >= KERNEL_MIN_LANES)
+    assert bool([a for a in packed if not a[3]]) == (count >= PACKED_MIN_LANES)
 
 
 @pytest.mark.parametrize("lanes", [False, True])
 @pytest.mark.parametrize("forged", ["first", "middle", "last"])
-def test_one_forged_tag_refuses_the_batch_before_any_decryption(forged, lanes, monkeypatch):
-    # enough values for the MAC chains to step as lanes when `lanes` is set
-    count = LANE_MIN_BLOCKS + 2
+@pytest.mark.parametrize("count", [2, LANE_MIN_BLOCKS + 2, KERNEL_MIN_LANES - 1, KERNEL_MIN_LANES + 2])
+def test_one_forged_tag_refuses_the_batch_before_any_decryption(count, forged, lanes, monkeypatch):
+    # narrow batches, whose MAC chains step and whose blocks decrypt on the
+    # packed rounds, and wide ones, on the kernel when `lanes` is set
     values = [encrypt_value(os.urandom(20 * i), BATCH_KEYS) for i in range(count)]
     at = {"first": 0, "middle": count // 2, "last": count - 1}[forged]
     genuine = values[at]
@@ -249,20 +262,26 @@ def test_one_forged_tag_refuses_the_batch_before_any_decryption(forged, lanes, m
     forgery[-1] ^= 0x80  # the tag's last byte
     values[at] = bytes(forgery)
     monkeypatch.setattr(aes_core, "use_lanes", lambda *_: lanes)
-    # what each path decrypts with: the scalar chain, or the lane kernel
-    # (whose MAC steps encrypt and whose decryption runs backward)
+    # what each engine decrypts with: the scalar chain, the lane kernel and
+    # the packed rounds (whose MAC steps encrypt and whose decryption runs
+    # backward)
     chain = spy(monkeypatch, aes_core, "decrypt_blocks")
     rounds = spy(monkeypatch, aes_core, "_lane_rounds")
+    packed = spy(monkeypatch, aes_core, "_packed_rounds")
     with pytest.raises(AuthError):
         decrypt_values(values, BATCH_KEYS)
-    assert chain == [a for a in rounds if a[2]] == []
+    assert chain == [a for a in rounds if a[2]] == [a for a in packed if a[3]] == []
     assert verify(values, lanes) == at
-    # the spies see the decryption of the same batch once every tag verifies
+    # the spies see the decryption of the same batch once every tag verifies,
+    # on the one engine its block count calls for
     values[at] = genuine
     assert verify(values, lanes) is None
     decrypt_values(values, BATCH_KEYS)
-    kernel = [a for a in rounds if a[2]]
-    assert (len(chain), len(kernel)) == ((0, 1) if lanes else (1, 0))
+    blocks = sum(len(v) // 16 - 2 for v in values)
+    kernel = lanes and blocks >= KERNEL_MIN_LANES
+    assert blocks >= PACKED_MIN_LANES
+    calls = (len(chain), len([a for a in rounds if a[2]]), len([a for a in packed if a[3]]))
+    assert calls == ((0, 1, 0) if kernel else (0, 0, 1))
 
 
 @pytest.mark.parametrize("lanes", [False, True])
@@ -344,6 +363,30 @@ def test_numpy_is_loaded_once_the_chain_has_paid_for_it():
     calls, import_blocks = map(int, result.stdout.split())
     # 1,024 B pad to 65 blocks: each call before the import ran 65 on the chain
     assert calls == -(-import_blocks // 65) + 1
+
+
+def test_a_narrow_batch_that_reaches_the_import_loads_numpy():
+    # a fresh process: 400 B pad to 26 blocks, a decryption below
+    # KERNEL_MIN_LANES that runs on the packed rounds, and the call whose
+    # count reaches IMPORT_BLOCKS loads numpy though its batch is narrow
+    script = (
+        "import sys\n"
+        "from cmt.aes_core import IMPORT_BLOCKS, KERNEL_MIN_LANES\n"
+        "from cmt.crypto_codec import decrypt_value, encrypt_value\n"
+        "from cmt.key_service import TenantKeySet\n"
+        "keys = TenantKeySet(enc_key=bytes(16), mac_key=bytes(16))\n"
+        "cv = encrypt_value(bytes(400), keys)\n"
+        "assert len(cv) // 16 - 2 == 26 < KERNEL_MIN_LANES\n"
+        "calls = 0\n"
+        "while 'numpy' not in sys.modules and calls < 2 * IMPORT_BLOCKS // 26:\n"
+        "    assert decrypt_value(cv, keys) == bytes(400)\n"
+        "    calls += 1\n"
+        "print(calls, IMPORT_BLOCKS)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    calls, import_blocks = map(int, result.stdout.split())
+    assert calls == -(-import_blocks // 26) + 1
 
 
 def test_a_batch_that_costs_the_import_loads_numpy_at_once():

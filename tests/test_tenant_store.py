@@ -499,23 +499,26 @@ def test_list_survives_a_row_deleted_while_it_decrypts(store, monkeypatch):
 
 def test_list_matches_get_row_for_row_on_the_lanes(store, monkeypatch):
     monkeypatch.setattr(aes_core, "use_lanes", lambda *_: True)
-    lane_rounds = aes_core._lane_rounds
-    rounds = []
+    lane_rounds, packed_rounds = aes_core._lane_rounds, aes_core._packed_rounds
+    rounds, packed = [], []
     monkeypatch.setattr(aes_core, "_lane_rounds", lambda *a: rounds.append(a) or lane_rounds(*a))
+    monkeypatch.setattr(aes_core, "_packed_rounds", lambda *a: packed.append(a) or packed_rounds(*a))
     rng = random.Random(7)
 
     def text():
         return "".join(rng.choice("aé€😀 z") for _ in range(rng.randint(0, 90)))
 
     own = []
-    for _ in range(12):
+    for _ in range(17):
         own.append(store.insert("uni_a", row(text(), text(), text())))
         store.insert("uni_b", row(text(), text(), text()))
     listed = store.list("uni_a")
     assert [r.row_id for r in listed] == own
     assert listed == [store.get("uni_a", rid) for rid in own]
-    # the 36 MAC chains stepped in lockstep (MAC steps encrypt; the decryption does not)
+    # the 51 MAC chains stepped in lockstep on the kernel, then the last
+    # ones on the packed rounds (MAC steps encrypt; the decryption does not)
     assert [a for a in rounds if not a[2]]
+    assert [a for a in packed if not a[3]]
 
 
 def test_update_replaces_whole_row(store):
