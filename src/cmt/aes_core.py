@@ -64,17 +64,20 @@ the packed rounds as one int; on them a step gathers its blocks with one
 join, and a lane that ends drops off the low end of the state.
 
 `use_lanes` decides once for a batch, from the same messages, whether the
-kernel may run: numpy's import costs as much as thousands of chain blocks,
-so `use_lanes` rents before it buys. It counts the work the kernel took
-when the chain was the only other engine (the MAC steps while at least
-LANE_MIN_BLOCKS chains run, and a decryption of LANE_MIN_BLOCKS blocks or
-more), runs it on the packed rounds until numpy is loaded, and loads the
-kernel itself for a batch of at least IMPORT_BLOCKS (7,000) such blocks,
-or once the blocks rented have reached that count, whatever engine that
-batch's widths then call for. A one-shot `cmt get` or `cmt list`
-therefore imports numpy only if that count comes to IMPORT_BLOCKS blocks
-or more. Once the kernel is loaded, `use_lanes` answers after its first
-test, which every batch with kernel work passes.
+kernel may run: numpy's import costs as much as the kernel saves on tens
+of thousands of blocks, so `use_lanes` rents before it buys. It counts
+only the kernel's work, the blocks the kernel would run: the MAC steps
+while at least KERNEL_MIN_LANES chains run (`_lane_steps`, by which
+`cbc_macs` steps the kernel too), and a decryption of KERNEL_MIN_LANES
+blocks or more. That work runs on the packed rounds until numpy is
+loaded, and `use_lanes` loads the kernel itself for a batch of at least
+IMPORT_BLOCKS (7,000) such blocks, or once the blocks rented have reached
+that count. A batch with fewer than KERNEL_MIN_LANES messages and
+decryption blocks has no kernel work and counts nothing, so a process
+whose batches are all that narrow never imports numpy, and a one-shot
+`cmt get` or `cmt list` imports it only if its kernel work comes to
+IMPORT_BLOCKS blocks or more. Once the kernel is loaded, `use_lanes`
+answers after that first test, which every batch with kernel work passes.
 
 `expand_key` builds the round keys of both directions once, for every key.
 Input byte i of a block sits at row i % 4 of column i // 4, and a column
@@ -470,69 +473,70 @@ def _packed_rounds(x: int, n: int, keys: tuple, backward: bool) -> int:
 # `scan_replay`'s `list_ms_p50` fell from 2.73 to 2.08 ms (ten
 # alternating benchmark pairs; BENCH_17.json).
 
-# The kernel's work that `use_lanes` counts toward its numpy import: MAC
-# steps while at least this many chains run, and a decryption of this many
-# blocks or more. This was the kernel's crossover against the chain before
-# the packed rounds (61 alternating pairs of thread CPU time, three runs: a
-# CBC decryption of 9 blocks took 1.00-1.04 times as long on the kernel as
-# on the chain, of 10 blocks 0.86-0.94), and it still sets when a process
-# buys numpy, so IMPORT_BLOCKS keeps the meaning it was measured with.
-LANE_MIN_BLOCKS = 10
-
-# The kernel's numpy import, counted in chain blocks. Until numpy is loaded,
-# the kernel's work (LANE_MIN_BLOCKS) runs elsewhere, now on the packed
-# rounds; a batch this large, or any batch once the blocks run that way
-# reach this count, loads the kernel (rent or buy: against the chain a
-# process then spends at most about twice what the better choice in
-# hindsight would have cost, and a batch that alone costs the purchase buys
-# at once). The count was measured against the chain, before the packed
-# rounds made renting cheaper, and is kept so that a process buys numpy at
-# the same call as before.
-# Measured three times, each the median of 9 fresh processes that time the
-# numpy import and table build and then, in thread CPU time, the chain a
-# block on 64-block buffers (the placed tables) and the byte-sliced kernel
-# a block on 543-block buffers (a 150-row list's decryption): the import
-# 80-102 ms, the chain 15.1 us a block (9.2 in one run) and the kernel
-# 0.7-0.8 us, so the import pays for itself after 6,800-7,100 blocks
-# (9,400 in the run of the fast chain). The kernel's cost is so far below
-# the chain's that halving it barely moves the count: 7,000 stays inside
-# that range, and the three runs do not agree on another value.
+# The kernel-width work after which a process is taken to be long-lived.
+# Until numpy is loaded the kernel's work (`use_lanes`) runs on the packed
+# rounds; a batch with this many blocks of it, or any batch with kernel
+# work once the blocks rented reach this count, loads the kernel (rent or
+# buy: a batch that alone costs the purchase buys at once).
+# The count was priced as the import's break-even against the chain: three
+# runs, each the median of 9 fresh processes, put the import at 80-102 ms,
+# the chain at 15.1 us a block (9.2 in one run) and the kernel at 0.7-0.8
+# us, so the import paid for itself after 6,800-7,100 blocks.
+# Against the packed rounds the break-even lies near or beyond all the
+# kernel work a benchmark run has, and is not taken (BENCH_40.json: five
+# runs; the ranges leave out one that ran 1.8 times slower throughout, and
+# `bulk_values` in one other). numpy's import took 75-100 ms (`import
+# cmt.cli, numpy` against `import cmt.cli`, medians of 15 alternating fresh
+# processes; 62-75 ms of thread CPU in process, with the kernel's tables),
+# and a kernel-width block saved 1.0-1.9 us of thread CPU (medians of 41
+# alternating calls on the seed-1 starting stores: `bulk_values`' median
+# list decrypts 1,435 blocks in 3.1-3.7 ms packed against 0.73-0.87 ms on
+# the kernel, and `scan_replay`'s 300-value list took 1.66-1.88 ms against
+# 0.79-0.91 ms for its 837 MAC lane blocks and 1.11-1.30 against 0.36-0.42
+# ms for its 543 decryption blocks). So the import pays after about
+# 45,000-90,000 blocks (40,000-65,000 counting its thread CPU alone), while
+# a whole seed-1 20 s run has about 48,000 on `bulk_values` and 47,000 on
+# `scan_replay`. Priced there, each process would buy numpy late in its run
+# or never, and a list on the packed rounds took 1.3 times as long as on the
+# kernel on `bulk_values` and 1.9-2.0 times on `scan_replay`, past the
+# benchmark's 25 % bound on `list_ms_p50`.
 IMPORT_BLOCKS = 7000
 
 _LANES = None  # (numpy, encrypt constants, decrypt constants), built on first use
-_chain_blocks = 0  # blocks of the kernel's work run before numpy is loaded
+_rented_blocks = 0  # blocks of the kernel's work run on the packed rounds
 
 
 def _lane_steps(sizes: list[int]) -> int:
     """How many steps of CBC-MAC chains of `sizes` blocks, longest first,
-    count as the kernel's work: those while at least LANE_MIN_BLOCKS of
-    them are running."""
-    return sizes[LANE_MIN_BLOCKS - 1] if len(sizes) >= LANE_MIN_BLOCKS else 0
+    the kernel runs: those while at least KERNEL_MIN_LANES of them are
+    running."""
+    return sizes[KERNEL_MIN_LANES - 1] if len(sizes) >= KERNEL_MIN_LANES else 0
 
 
 def use_lanes(messages: list[bytes]) -> bool:
     """Whether the kernel may run a batch of block-aligned messages IV ||
     ciphertext, the list that `cbc_macs` and `decrypt_cbc` then take. Each
     message is one CBC-MAC chain, and the decryption is every block but the
-    IVs. The kernel's work is the chains' lane steps (`_lane_steps`) and the
-    decryption if it has LANE_MIN_BLOCKS blocks or more; until numpy is
-    loaded it runs on the packed rounds, and a batch with none counts
-    nothing toward the import. A batch with LANE_MIN_BLOCKS messages or
-    decryption blocks always has some, so once the kernel is loaded the
-    answer needs no count."""
-    global _chain_blocks  # a lost update between threads only delays the import
+    IVs. The kernel's work is what it would run of the batch: the chains'
+    lane steps (`_lane_steps`) and the decryption if it has
+    KERNEL_MIN_LANES blocks or more. Until numpy is loaded that work runs
+    on the packed rounds and is counted in `_rented_blocks`. A batch with
+    fewer than KERNEL_MIN_LANES messages and decryption blocks has none and
+    counts nothing, and any other batch has some, so once the kernel is
+    loaded the answer needs no count."""
+    global _rented_blocks  # a lost update between threads only delays the import
     blocks = sum(map(len, messages)) // BLOCK_SIZE - len(messages)
-    if len(messages) < LANE_MIN_BLOCKS and blocks < LANE_MIN_BLOCKS:
+    if len(messages) < KERNEL_MIN_LANES and blocks < KERNEL_MIN_LANES:
         return False
     if "numpy" in sys.modules:  # `_lanes()` sets _LANES only after importing it
         return True
     chains = [len(m) // BLOCK_SIZE for m in messages]
     steps = _lane_steps(sorted(chains, reverse=True))
-    work = sum([min(n, steps) for n in chains]) + (blocks if blocks >= LANE_MIN_BLOCKS else 0)
-    if max(_chain_blocks, work) >= IMPORT_BLOCKS:
+    work = sum([min(n, steps) for n in chains]) + (blocks if blocks >= KERNEL_MIN_LANES else 0)
+    if max(_rented_blocks, work) >= IMPORT_BLOCKS:
         _lanes()  # bought here, so that no later batch counts again
         return True
-    _chain_blocks += work
+    _rented_blocks += work
     return False
 
 
@@ -702,7 +706,7 @@ def cbc_macs(messages: list[bytes], schedule: KeySchedule, lanes: bool = False) 
     firsts = np.cumsum(sizes) - sizes  # each message's first block in the join
     order = np.argsort(-sizes, kind="stable")
     sizes, firsts = sizes[order].tolist(), firsts[order]
-    steps = sizes[KERNEL_MIN_LANES - 1]
+    steps = _lane_steps(sizes)
     blocks = np.frombuffer(b"".join(messages), dtype=np.uint8).reshape(-1, BLOCK_SIZE)
     running = len(messages)
     state = np.zeros((BLOCK_SIZE, running), dtype=np.uint8)  # byte-sliced

@@ -555,9 +555,9 @@ def library_cbc_decrypt(key: bytes, message: bytes) -> bytes:
 )
 @settings(max_examples=30, deadline=None)
 def test_batches_on_the_lanes_match_the_chain_and_the_library(sizes, at, seed):
-    # lanes end before, at and after the last lane step, or none run (fewer
-    # than LANE_MIN_BLOCKS messages); the longest message also puts the
-    # chain on the placed tables
+    # lanes end before, at and after the last packed step, or none run
+    # (fewer than PACKED_MIN_LANES messages); the longest message also puts
+    # the chain on the placed tables
     rng = random.Random(seed)
     key = rng.randbytes(16)
     ks = aes_core.expand_key(key)
@@ -691,7 +691,7 @@ def _unload_kernel(mp):
     numpy, load = importlib.import_module("numpy"), aes_core._lanes
     mp.setattr(aes_core, "_LANES", None)
     mp.delitem(sys.modules, "numpy", raising=False)
-    mp.setattr(aes_core, "_chain_blocks", 0)
+    mp.setattr(aes_core, "_rented_blocks", 0)
     # loading the kernel puts numpy back, without executing it a second time
     mp.setattr(aes_core, "_lanes", lambda: sys.modules.setdefault("numpy", numpy) and load())
 
@@ -709,35 +709,38 @@ def messages_of(*chains: int) -> list[bytes]:
 
 
 def test_use_lanes_without_kernel_work_counts_nothing(kernel_unloaded):
-    # fewer than LANE_MIN_BLOCKS messages and a decryption shorter than that:
-    # no lane step and no kernel decryption
-    for chains in ((), (2,), (10,), (2,) * 9, (3, 2, 2, 2, 2, 2, 2, 2)):
+    # fewer than KERNEL_MIN_LANES messages and a decryption shorter than
+    # that: no kernel step and no kernel decryption, though the packed rounds
+    # step 20 or 47 chains and decrypt up to 47 blocks
+    for chains in ((), (2,), (48,), (25, 24), (2,) * 20, (2,) * 47, (40, 2, 2, 2, 2, 2, 2, 2)):
         assert aes_core.use_lanes(messages_of(*chains)) is False
-        assert aes_core._chain_blocks == 0
+        assert aes_core._rented_blocks == 0
 
 
 def test_a_loaded_kernel_takes_only_kernel_work():
     aes_core._lanes()
-    assert aes_core.use_lanes(messages_of(*[2] * 9)) is False  # 9 chains, 9 blocks
-    assert aes_core.use_lanes(messages_of(300, *[2] * 8)) is True  # 9 chains, 307 blocks
-    assert aes_core.use_lanes(messages_of(11)) is True  # 1 chain, 10 blocks
-    assert aes_core.use_lanes(messages_of(*[2] * 10)) is True  # 10 chains
+    assert aes_core.use_lanes(messages_of(*[2] * 47)) is False  # 47 chains, 47 blocks
+    assert aes_core.use_lanes(messages_of(300, *[2] * 46)) is True  # 47 chains, 345 blocks
+    assert aes_core.use_lanes(messages_of(49)) is True  # 1 chain, 48 blocks
+    assert aes_core.use_lanes(messages_of(*[2] * 48)) is True  # 48 chains
 
 
 def test_use_lanes_counts_a_batchs_kernel_work_exactly(kernel_unloaded):
-    # 13 chains: the 10th longest has 5 blocks, so the lanes take 5 steps,
-    # 2 + 10 x 5 + 5 + 2 blocks; the decryption adds its 63 - 13 blocks
-    assert aes_core.use_lanes(messages_of(2, *[5] * 10, 9, 2)) is False
-    assert aes_core._chain_blocks == 59 + 50
-    # a decryption alone, of LANE_MIN_BLOCKS blocks
-    assert aes_core.use_lanes(messages_of(11)) is False
-    assert aes_core._chain_blocks == 59 + 50 + 10
-    # the blocks run on the chain reach the import, so the next batch buys it
-    short = aes_core.IMPORT_BLOCKS - aes_core._chain_blocks
+    # 51 chains: the 48th longest has 5 blocks, so the lanes take 5 steps,
+    # 2 + 48 x 5 + 5 + 2 blocks; the decryption adds its 253 - 51 blocks
+    assert aes_core.use_lanes(messages_of(2, *[5] * 48, 9, 2)) is False
+    assert aes_core._rented_blocks == 249 + 202
+    # a decryption alone, of KERNEL_MIN_LANES blocks
+    assert aes_core.use_lanes(messages_of(49)) is False
+    assert aes_core._rented_blocks == 249 + 202 + 48
+    # the blocks rented reach the import, so the next batch with kernel work
+    # buys it; a narrower batch has none and neither counts nor buys
+    short = aes_core.IMPORT_BLOCKS - aes_core._rented_blocks
     assert aes_core.use_lanes(messages_of(short // 2 + 1, short - short // 2 + 1)) is False
-    assert aes_core._chain_blocks == aes_core.IMPORT_BLOCKS
+    assert aes_core._rented_blocks == aes_core.IMPORT_BLOCKS
+    assert aes_core.use_lanes(messages_of(48)) is False
     assert "numpy" not in sys.modules
-    assert aes_core.use_lanes(messages_of(11)) is True
+    assert aes_core.use_lanes(messages_of(49)) is True
     assert "numpy" in sys.modules  # bought by the batch that decided to
 
 
@@ -746,7 +749,7 @@ def use_lanes_by_chains(chains: list[int], blocks: int, chain_blocks: int, loade
     lengths and the decryption's block count, in a process that has
     `loaded` the kernel or not: the rule stated on lengths, as the codec
     once computed them."""
-    n = aes_core.LANE_MIN_BLOCKS
+    n = aes_core.KERNEL_MIN_LANES
     if len(chains) < n and blocks < n:
         return False, chain_blocks
     if loaded:
@@ -758,7 +761,7 @@ def use_lanes_by_chains(chains: list[int], blocks: int, chain_blocks: int, loade
     return False, chain_blocks + work
 
 
-@given(st.lists(st.lists(st.integers(2, 300), max_size=40), min_size=1, max_size=3))
+@given(st.lists(st.lists(st.integers(2, 300), max_size=60), min_size=1, max_size=3))
 @settings(max_examples=200, deadline=None)
 def test_use_lanes_on_messages_matches_the_rule_on_lengths(batches):
     # batches one after another, so the count of one is the start of the
@@ -767,26 +770,48 @@ def test_use_lanes_on_messages_matches_the_rule_on_lengths(batches):
         _unload_kernel(mp)
         for chains in batches:
             loaded = "numpy" in sys.modules
-            expected = use_lanes_by_chains(chains, sum(chains) - len(chains), aes_core._chain_blocks, loaded)
-            assert (aes_core.use_lanes(messages_of(*chains)), aes_core._chain_blocks) == expected
+            expected = use_lanes_by_chains(chains, sum(chains) - len(chains), aes_core._rented_blocks, loaded)
+            assert (aes_core.use_lanes(messages_of(*chains)), aes_core._rented_blocks) == expected
             assert ("numpy" in sys.modules) == (loaded or expected[0])
 
 
-@given(st.lists(st.integers(1, 300), max_size=40))
+@given(st.lists(st.integers(1, 300), max_size=60))
 @settings(max_examples=200, deadline=None)
 def test_a_batch_past_the_first_test_has_kernel_work(chains):
     # what lets `use_lanes` answer True at once once the kernel is loaded:
     # any batch of messages (an IV and whole blocks each) with
-    # LANE_MIN_BLOCKS chains or decryption blocks gives the kernel work, so
+    # KERNEL_MIN_LANES chains or decryption blocks gives the kernel work, so
     # with the kernel unloaded it either buys it or counts some blocks
-    n = aes_core.LANE_MIN_BLOCKS
+    n = aes_core.KERNEL_MIN_LANES
     with pytest.MonkeyPatch.context() as mp:
         _unload_kernel(mp)
         lanes = aes_core.use_lanes(messages_of(*chains))
         if len(chains) >= n or sum(chains) - len(chains) >= n:
-            assert lanes or aes_core._chain_blocks > 0
+            assert lanes or aes_core._rented_blocks > 0
         else:
-            assert (lanes, aes_core._chain_blocks) == (False, 0)
+            assert (lanes, aes_core._rented_blocks) == (False, 0)
+
+
+@given(st.integers(1, 64).flatmap(lambda n: st.lists(st.integers(2, 30), min_size=n, max_size=n)))
+@settings(max_examples=60, deadline=None)
+def test_use_lanes_counts_the_blocks_the_kernel_runs(chains):
+    # batches of 1-64 messages, across KERNEL_MIN_LANES chains and
+    # decryption blocks: what `use_lanes` rents before numpy is loaded is
+    # the sum of the lanes of every kernel call once it is loaded
+    ks = aes_core.expand_key(bytes(range(16)))
+    messages = messages_of(*chains)
+    with pytest.MonkeyPatch.context() as mp:
+        _unload_kernel(mp)
+        mp.setattr(aes_core, "IMPORT_BLOCKS", sys.maxsize)  # never bought
+        assert aes_core.use_lanes(messages) is False
+        rented = aes_core._rented_blocks
+    aes_core._lanes()
+    lanes, rounds = [], aes_core._lane_rounds
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(aes_core, "_lane_rounds", lambda s, *a: lanes.append(s.shape[1]) or rounds(s, *a))
+        aes_core.cbc_macs(messages, ks, True)
+        aes_core.decrypt_cbc(messages, ks, True)
+    assert sum(lanes) == rented
 
 
 def test_lane_rounds_keep_the_byte_sliced_shape():
@@ -832,7 +857,7 @@ def test_the_codec_leaves_cbc_and_the_lane_plan_to_aes_core():
     with open(os.path.join(os.path.dirname(aes_core.__file__), "crypto_codec.py"),
               encoding="utf-8") as fh:
         source = fh.read()
-    for name in ("LANE_MIN_BLOCKS", "decrypt_blocks"):
+    for name in ("KERNEL_MIN_LANES", "PACKED_MIN_LANES", "decrypt_blocks"):
         assert name not in source
 
 

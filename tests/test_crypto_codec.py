@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from aes_reference import key_of
 from cmt import aes_core
-from cmt.aes_core import KERNEL_MIN_LANES, LANE_MIN_BLOCKS, PACKED_MIN_LANES
+from cmt.aes_core import KERNEL_MIN_LANES, PACKED_MIN_LANES
 from cmt.crypto_codec import (
     check_value,
     decrypt_value,
@@ -69,7 +69,7 @@ def test_decrypt_values_rejects_inconsistent_padding(lanes, monkeypatch):
     for last in (b"\x03\x02\x03", b"\x00", b"\x11", b"\xff", b"\x0f" + b"\x10" * 15):
         value = padded_value(bytes(16 * 2 - len(last)) + last, keys)
         with pytest.raises(AuthError, match="padding"):
-            decrypt_values([value] * LANE_MIN_BLOCKS, keys)
+            decrypt_values([value] * KERNEL_MIN_LANES, keys)
 
 
 def test_decrypt_values_rejects_bad_lengths():
@@ -141,7 +141,7 @@ def test_codec_uses_the_cached_key_schedules(monkeypatch):
     calls = []
     expand_key = aes_core.expand_key
     monkeypatch.setattr(aes_core, "expand_key", lambda key: calls.append(key) or expand_key(key))
-    for n in (0, 20, 16 * LANE_MIN_BLOCKS, 2500):
+    for n in (0, 20, 16 * KERNEL_MIN_LANES, 2500):
         p = os.urandom(n)
         assert decrypt_value(encrypt_value(p, keys), keys) == p
     assert calls == []
@@ -156,7 +156,7 @@ def library_cbc_mac(key: bytes, message: bytes) -> bytes:
 def test_cbc_mac_is_last_cbc_block():
     # a value's tag is the library's CBC-MAC of IV || ct under the MAC key
     keys = random_keys()
-    for n in (0, 20, 16 * LANE_MIN_BLOCKS):
+    for n in (0, 20, 160):
         value = encrypt_value(os.urandom(n), keys)
         assert value[-16:] == library_cbc_mac(key_of(keys.mac_schedule), value[:-16])
 
@@ -251,7 +251,7 @@ def test_mac_chains_step_in_lockstep_by_width(count, lanes, monkeypatch):
 
 @pytest.mark.parametrize("lanes", [False, True])
 @pytest.mark.parametrize("forged", ["first", "middle", "last"])
-@pytest.mark.parametrize("count", [2, LANE_MIN_BLOCKS + 2, KERNEL_MIN_LANES - 1, KERNEL_MIN_LANES + 2])
+@pytest.mark.parametrize("count", [2, 12, KERNEL_MIN_LANES - 1, KERNEL_MIN_LANES + 2])
 def test_one_forged_tag_refuses_the_batch_before_any_decryption(count, forged, lanes, monkeypatch):
     # narrow batches, whose MAC chains step and whose blocks decrypt on the
     # packed rounds, and wide ones, on the kernel when `lanes` is set
@@ -300,7 +300,7 @@ def test_a_verified_value_with_bad_padding_is_auth_error(lanes, monkeypatch):
         decrypt_values([padded_value(bytes(a ^ b for a, b in zip(pad(b"x"), tag)), BATCH_KEYS)],
                        BATCH_KEYS)
     with pytest.raises(AuthError, match="padding"):
-        decrypt_values([forged] * LANE_MIN_BLOCKS, BATCH_KEYS)
+        decrypt_values([forged] * KERNEL_MIN_LANES, BATCH_KEYS)
 
 
 def length_extension(value: bytes) -> bytes:
@@ -365,28 +365,26 @@ def test_numpy_is_loaded_once_the_chain_has_paid_for_it():
     assert calls == -(-import_blocks // 65) + 1
 
 
-def test_a_narrow_batch_that_reaches_the_import_loads_numpy():
+def test_narrow_batches_never_load_numpy():
     # a fresh process: 400 B pad to 26 blocks, a decryption below
-    # KERNEL_MIN_LANES that runs on the packed rounds, and the call whose
-    # count reaches IMPORT_BLOCKS loads numpy though its batch is narrow
+    # KERNEL_MIN_LANES that runs on the packed rounds and is no kernel work,
+    # so twice IMPORT_BLOCKS blocks of it neither count nor buy numpy
     script = (
         "import sys\n"
+        "from cmt import aes_core\n"
         "from cmt.aes_core import IMPORT_BLOCKS, KERNEL_MIN_LANES\n"
         "from cmt.crypto_codec import decrypt_value, encrypt_value\n"
         "from cmt.key_service import TenantKeySet\n"
         "keys = TenantKeySet(enc_key=bytes(16), mac_key=bytes(16))\n"
         "cv = encrypt_value(bytes(400), keys)\n"
         "assert len(cv) // 16 - 2 == 26 < KERNEL_MIN_LANES\n"
-        "calls = 0\n"
-        "while 'numpy' not in sys.modules and calls < 2 * IMPORT_BLOCKS // 26:\n"
+        "for _ in range(2 * IMPORT_BLOCKS // 26):\n"
         "    assert decrypt_value(cv, keys) == bytes(400)\n"
-        "    calls += 1\n"
-        "print(calls, IMPORT_BLOCKS)\n"
+        "print('numpy' in sys.modules, aes_core._rented_blocks)\n"
     )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    calls, import_blocks = map(int, result.stdout.split())
-    assert calls == -(-import_blocks // 26) + 1
+    assert result.stdout.split() == ["False", "0"]
 
 
 def test_a_batch_that_costs_the_import_loads_numpy_at_once():
@@ -414,26 +412,28 @@ def test_a_batch_that_costs_the_import_loads_numpy_at_once():
 
 
 def test_a_batch_decides_once_for_its_macs_and_its_decryption():
-    # a fresh process: 40 values of 2,500 B give 40 x 158 MAC lane blocks
-    # and 40 x 157 decryption blocks, each under IMPORT_BLOCKS and together
-    # over it, so the one batch buys the kernel for both
+    # a fresh process: KERNEL_MIN_LANES (48) values of 2,000 B give 48 x 127
+    # MAC lane blocks and 48 x 126 decryption blocks, each under
+    # IMPORT_BLOCKS and together over it, so the one batch buys the kernel
+    # for both
     script = (
         "import sys\n"
-        "from cmt.aes_core import IMPORT_BLOCKS\n"
+        "from cmt.aes_core import IMPORT_BLOCKS, KERNEL_MIN_LANES\n"
         "from cmt.crypto_codec import decrypt_values, encrypt_value\n"
         "from cmt.key_service import TenantKeySet\n"
         "keys = TenantKeySet(enc_key=bytes(16), mac_key=bytes(16))\n"
-        "plains = [bytes([i]) * 2500 for i in range(40)]\n"
+        "plains = [bytes([i]) * 2000 for i in range(KERNEL_MIN_LANES)]\n"
         "values = [encrypt_value(p, keys) for p in plains]\n"
-        "print(IMPORT_BLOCKS, 'numpy' in sys.modules)\n"
+        "print(IMPORT_BLOCKS, KERNEL_MIN_LANES, 'numpy' in sys.modules)\n"
         "assert decrypt_values(values, keys) == plains\n"
         "print('numpy' in sys.modules)\n"
     )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     first, after = result.stdout.splitlines()
-    import_blocks, loaded = first.split()
-    assert 40 * 157 < 40 * 158 < int(import_blocks) <= 40 * (158 + 157)
+    import_blocks, lanes, loaded = first.split()
+    assert int(lanes) == 48
+    assert 48 * 126 < 48 * 127 < int(import_blocks) <= 48 * (127 + 126)
     assert (loaded, after) == ("False", "True")
 
 
