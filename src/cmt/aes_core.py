@@ -32,17 +32,19 @@ key schedule:
   terms (six of them shifted), MixColumns two in-column byte rotations and
   one masked xtime (InvMixColumns one more rotation and two more xtimes
   before them), and a round key the key repeated in every lane. Its masks
-  are 16-byte patterns repeated n times, kept for lane counts below
-  KERNEL_MIN_LANES. A call costs about 1.7 chain blocks at 1 lane and
-  grows by about a fifth of one per lane, so it serves the narrow
-  batches: from PACKED_MIN_LANES (3) lanes on, and, once numpy is loaded,
-  below KERNEL_MIN_LANES (48).
+  are 16-byte patterns repeated n times. A call costs about 1.7 chain
+  blocks at 1 lane and grows by about a fifth of one per lane, so it
+  serves the narrow batches: from PACKED_MIN_LANES (3) lanes on, and,
+  once numpy is loaded, below KERNEL_MIN_LANES (48). Without numpy it
+  serves every width, in calls of at most PACKED_MAX_LANES (1,024) lanes,
+  so that neither its masks nor a round's temporaries grow with the batch.
 - The multi-lane kernel runs the same rounds on byte-sliced states, a
   (16, n) uint8 numpy array whose row i is byte i of every lane, all lanes
-  in lockstep, on the row tables. `encrypt_ecb` wraps it for block-aligned
-  bytes, transposing at its edges. A call costs about as much as the
-  packed rounds at 48 lanes, and half the time the (n, 16) states it
-  replaced took from 300 lanes on (BENCH_17.json).
+  in lockstep, on the row tables. It is the one part that needs numpy,
+  the optional extra `fast` of pyproject.toml. `encrypt_ecb` wraps it for
+  block-aligned bytes, transposing at its edges. A call costs about as
+  much as the packed rounds at 48 lanes, and half the time the (n, 16)
+  states it replaced took from 300 lanes on (BENCH_17.json).
 
 Two batch functions choose among them by width. `cbc_macs`, the one
 CBC-MAC function, runs one lane per message, longest first, so the
@@ -78,6 +80,9 @@ whose batches are all that narrow never imports numpy, and a one-shot
 `cmt get` or `cmt list` imports it only if its kernel work comes to
 IMPORT_BLOCKS blocks or more. Once the kernel is loaded, `use_lanes`
 answers after that first test, which every batch with kernel work passes.
+If numpy cannot be imported, the batch that would have bought it runs on
+the packed rounds, and `use_lanes` answers False for the rest of the
+process without counting or trying the import again.
 
 `expand_key` builds the round keys of both directions once, for every key.
 Input byte i of a block sits at row i % 4 of column i // 4, and a column
@@ -407,21 +412,36 @@ PACKED_MIN_LANES = 3
 # pay up to about 1.2 times what the packed rounds would cost.
 KERNEL_MIN_LANES = 48
 
-_MASKS = {}  # lane count -> masks, for counts below KERNEL_MIN_LANES only
+# A packed call runs at most this many lanes: a wider decryption runs in
+# chunks of it, and MACs of more messages in groups of it, longest first.
+# One call on every lane holds 18 masks and each round's ints as wide as
+# the whole batch: a one-message decryption in one call ran at 3.2-3.4 MB/s
+# (wall time, 4 and 16 MB) and peaked at 508 MB RSS on 16 MB. Measured in
+# thread CPU time, medians of 7-15 alternating calls, up to three runs,
+# with each width's masks kept: a 4 MB one-message decryption ran at
+# 8.0-8.1 MB/s in chunks of 256 lanes, 8.2-8.6 at 512, 8.4-8.9 at 1,024,
+# 8.6-8.8 at 2,048 and 8.7 at 4,096, and MACs of 8,192 messages of 2-8
+# blocks at 9.0, 9.3-9.4, 9.1-9.4, 8.9 and 8.4 MB/s. From 512 to 2,048
+# lanes the rate is flat; at 1,024 the kept masks take 0.3 MB.
+PACKED_MAX_LANES = 1024
+
+_MASKS = {}  # lane count -> masks, for counts below KERNEL_MIN_LANES and PACKED_MAX_LANES
 
 
 def _masks(n: int) -> tuple:
-    """The masks of n lanes, one per pattern of _PATTERNS. Counts from
-    KERNEL_MIN_LANES on, which only a process without numpy packs, are
-    built on each call and not kept: a set for every count up to
-    IMPORT_BLOCKS would hold gigabytes, and the cache holds at most
-    KERNEL_MIN_LANES - 1 sets of under KERNEL_MIN_LANES lanes each, 0.36 MB
-    in all. Building a set takes about as long as one or two rounds."""
+    """The masks of n lanes, one per pattern of _PATTERNS, for n up to
+    PACKED_MAX_LANES: no packed call runs more lanes. The sets below
+    KERNEL_MIN_LANES are kept, 0.36 MB at most, and so is the set of
+    PACKED_MAX_LANES lanes, 0.3 MB. The widths between run on the packed
+    rounds only while the kernel is not loaded, as a decryption's last
+    chunk or the steps of a MAC group whose lanes have begun to end; their
+    sets are built on each call and not kept. Building a set takes about as
+    long as one or two rounds."""
     masks = _MASKS.get(n)
     if masks is None:
         one = int.from_bytes((bytes(15) + b"\x01") * n)
         masks = tuple([p * one for p in _PATTERNS])
-        if n < KERNEL_MIN_LANES:
+        if n < KERNEL_MIN_LANES or n == PACKED_MAX_LANES:
             _MASKS[n] = masks
     return masks
 
@@ -502,7 +522,9 @@ def _packed_rounds(x: int, n: int, keys: tuple, backward: bool) -> int:
 # benchmark's 25 % bound on `list_ms_p50`.
 IMPORT_BLOCKS = 7000
 
-_LANES = None  # (numpy, encrypt constants, decrypt constants), built on first use
+# (numpy, encrypt constants, decrypt constants), built on first use; False
+# once importing numpy has failed
+_LANES = None
 _rented_blocks = 0  # blocks of the kernel's work run on the packed rounds
 
 
@@ -523,18 +545,24 @@ def use_lanes(messages: list[bytes]) -> bool:
     on the packed rounds and is counted in `_rented_blocks`. A batch with
     fewer than KERNEL_MIN_LANES messages and decryption blocks has none and
     counts nothing, and any other batch has some, so once the kernel is
-    loaded the answer needs no count."""
-    global _rented_blocks  # a lost update between threads only delays the import
+    loaded the answer needs no count. numpy counts as loaded once it is in
+    `sys.modules`, and as absent where an entry of None blocks its import.
+    If the import fails, the answer is False for good, with no count."""
+    global _LANES, _rented_blocks  # a lost update between threads only delays the import
     blocks = sum(map(len, messages)) // BLOCK_SIZE - len(messages)
-    if len(messages) < KERNEL_MIN_LANES and blocks < KERNEL_MIN_LANES:
+    if len(messages) < KERNEL_MIN_LANES and blocks < KERNEL_MIN_LANES or _LANES is False:
         return False
-    if "numpy" in sys.modules:  # `_lanes()` sets _LANES only after importing it
+    if sys.modules.get("numpy") is not None:  # `_lanes()` sets _LANES only after importing it
         return True
     chains = [len(m) // BLOCK_SIZE for m in messages]
     steps = _lane_steps(sorted(chains, reverse=True))
     work = sum([min(n, steps) for n in chains]) + (blocks if blocks >= KERNEL_MIN_LANES else 0)
     if max(_rented_blocks, work) >= IMPORT_BLOCKS:
-        _lanes()  # bought here, so that no later batch counts again
+        try:
+            _lanes()  # bought here, so that no later batch counts again
+        except ImportError:  # numpy is not installed: the packed rounds run it all
+            _LANES = False
+            return False
         return True
     _rented_blocks += work
     return False
@@ -542,7 +570,7 @@ def use_lanes(messages: list[bytes]) -> bool:
 
 def _lanes():
     global _LANES
-    if _LANES is None:
+    if not _LANES:
         import numpy as np
 
         def direction(box, tables, shift):
@@ -587,8 +615,9 @@ def _lane_rounds(s, keys: tuple, backward: bool):
 
 
 def encrypt_ecb(data: bytes, schedule: KeySchedule) -> bytes:
-    """Encrypt a block-aligned buffer in ECB, all blocks in lockstep;
-    bit-identical to mapping encrypt_block over it."""
+    """Encrypt a block-aligned buffer in ECB, all blocks in lockstep on the
+    kernel, so it needs numpy; bit-identical to mapping encrypt_block over
+    it. Its one caller is `bench/micro.py`."""
     if len(data) % BLOCK_SIZE != 0:
         raise ValueError("data length must be a multiple of 16")
     np = _lanes()[0]
@@ -604,7 +633,9 @@ def decrypt_cbc(messages: list[bytes], schedule: KeySchedule, lanes: bool = Fals
     decrypted in one call, since no block's decryption waits on another's
     (NIST SP 800-38A section 6.2): on the kernel with `lanes` from
     KERNEL_MIN_LANES blocks on, else on the packed rounds from
-    PACKED_MIN_LANES blocks on, else on the chain. Each is then XORed with
+    PACKED_MIN_LANES blocks on, in chunks of at most PACKED_MAX_LANES
+    blocks, else on the chain (as is a last chunk of fewer than
+    PACKED_MIN_LANES blocks). Each is then XORed with
     the block before it in its message. On the kernel the messages stay one
     numpy buffer from the join to the XOR: the blocks to decrypt are every
     block but the IVs, and the block before each is the one an index
@@ -629,15 +660,20 @@ def decrypt_cbc(messages: list[bytes], schedule: KeySchedule, lanes: bool = Fals
         plain = (plain ^ before).tobytes()
     else:
         cipher = b"".join([m[BLOCK_SIZE:] for m in messages])
-        n, odd = divmod(len(cipher), BLOCK_SIZE)
-        if odd:
+        if len(cipher) % BLOCK_SIZE:
             raise ValueError("data length must be a multiple of 16")
-        if n >= PACKED_MIN_LANES:
-            plain = _packed_rounds(int.from_bytes(cipher), n, schedule.dec_keys, True)
-        else:
-            plain = int.from_bytes(decrypt_blocks(cipher, schedule))
-        plain ^= int.from_bytes(b"".join([m[:-BLOCK_SIZE] for m in messages]))
-        plain = plain.to_bytes(len(cipher))
+        before = b"".join([m[:-BLOCK_SIZE] for m in messages])
+        width, plain = BLOCK_SIZE * PACKED_MAX_LANES, []
+        for i in range(0, len(cipher), width):  # at most PACKED_MAX_LANES lanes a call
+            chunk = cipher[i : i + width]
+            n = len(chunk) // BLOCK_SIZE
+            if n >= PACKED_MIN_LANES:
+                x = _packed_rounds(int.from_bytes(chunk), n, schedule.dec_keys, True)
+            else:
+                x = int.from_bytes(decrypt_blocks(chunk, schedule))
+            plain.append((x ^ int.from_bytes(before[i : i + width])).to_bytes(len(chunk)))
+        del cipher, before  # before the join: 16 MB then peaks at 79 MB RSS, not 95
+        plain = b"".join(plain)
     out, end = [], 0
     for m in messages:
         start, end = end, end + len(m) - BLOCK_SIZE
@@ -689,8 +725,9 @@ def cbc_macs(messages: list[bytes], schedule: KeySchedule, lanes: bool = False) 
     its tag in place. The lanes still running then go on, as all of them
     do without `lanes`, on the packed rounds (`_packed_macs`) while at least
     PACKED_MIN_LANES are, and the rest on the chain; a batch of fewer
-    messages runs on the chain alone. ValueError if a message is not
-    block-aligned."""
+    messages runs on the chain alone. Without `lanes`, a batch of more than
+    PACKED_MAX_LANES messages runs as groups of at most that many, longest
+    first. ValueError if a message is not block-aligned."""
     if any(len(m) % BLOCK_SIZE for m in messages):
         raise ValueError("data length must be a multiple of 16")
     if len(messages) < PACKED_MIN_LANES:
@@ -698,8 +735,10 @@ def cbc_macs(messages: list[bytes], schedule: KeySchedule, lanes: bool = False) 
     if not lanes or len(messages) < KERNEL_MIN_LANES:
         order = sorted(range(len(messages)), key=lambda i: len(messages[i]), reverse=True)
         tags = [b""] * len(messages)
-        for i, tag in zip(order, _packed_macs([messages[i] for i in order], 0, 0, schedule)):
-            tags[i] = tag
+        for g in range(0, len(order), PACKED_MAX_LANES):  # groups of at most PACKED_MAX_LANES lanes
+            group = order[g : g + PACKED_MAX_LANES]
+            for i, tag in zip(group, _packed_macs([messages[i] for i in group], 0, 0, schedule)):
+                tags[i] = tag
         return tags
     np = _lanes()[0]
     sizes = np.fromiter(map(len, messages), np.intp, len(messages)) // BLOCK_SIZE

@@ -633,20 +633,71 @@ for n in [*range(2, 201), 5000]:
         macs = aes_core.cbc_macs(messages, ks)
         assert macs == [aes_core.encrypt_cbc(m, ks, bytes(16))[-16:] for m in messages], n
 held = sum(sys.getsizeof(m) for masks in aes_core._MASKS.values() for m in masks)
-print("numpy" in sys.modules, len(aes_core._MASKS), max(aes_core._MASKS), held)
+*narrow, widest = sorted(aes_core._MASKS)
+print("numpy" in sys.modules, len(narrow), max(narrow), widest, held)
 """
 
 
 def test_packed_masks_stay_within_their_bound_before_numpy_loads():
     # widths 2-200 and one of 5,000 lanes in a fresh process, which never
-    # loads numpy: only widths below KERNEL_MIN_LANES keep their masks
+    # loads numpy: only widths below KERNEL_MIN_LANES keep their masks, and
+    # PACKED_MAX_LANES, the widest a packed call runs
     result = subprocess.run([sys.executable, "-c", _MASK_BOUND], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    loaded, count, widest, held = result.stdout.split()
+    loaded, count, widest_narrow, widest, held = result.stdout.split()
     assert loaded == "False"
     assert int(count) <= aes_core.KERNEL_MIN_LANES - 1
-    assert int(widest) < aes_core.KERNEL_MIN_LANES
-    assert int(held) < 400_000  # 18 masks of 3-47 lanes: 0.36 MB
+    assert int(widest_narrow) < aes_core.KERNEL_MIN_LANES
+    assert int(widest) == aes_core.PACKED_MAX_LANES
+    # 18 masks of 3-47 lanes, 0.36 MB, and 18 of PACKED_MAX_LANES lanes
+    assert int(held) < 400_000 + 18 * (16 * aes_core.PACKED_MAX_LANES + 100)
+
+
+CHUNK_WIDTHS = [
+    k * aes_core.PACKED_MAX_LANES + r for k in (1, 2) for r in range(-1, aes_core.PACKED_MIN_LANES + 2)
+]
+
+
+@given(st.sampled_from(CHUNK_WIDTHS), st.integers(0, 2**32 - 1))
+@settings(max_examples=12, deadline=None)
+def test_chunked_packed_work_matches_the_library(width, seed):
+    # decryptions of `width` blocks and MACs of `width` messages, one below
+    # to PACKED_MIN_LANES + 1 past one and two multiples of PACKED_MAX_LANES:
+    # a last chunk or group of fewer than PACKED_MIN_LANES lanes runs on the
+    # chain, a wider one on the packed rounds
+    rng = random.Random(seed)
+    key = rng.randbytes(16)
+    ks = aes_core.expand_key(key)
+    one = rng.randbytes(16 * (width + 1))
+    assert aes_core.decrypt_cbc([one], ks) == [library_cbc_decrypt(key, one)]
+    cuts = sorted(rng.sample(range(1, width), rng.randrange(0, 30)))
+    messages = [rng.randbytes(16 * (b - a + 1)) for a, b in zip([0, *cuts], [*cuts, width])]
+    assert aes_core.decrypt_cbc(messages, ks) == [library_cbc_decrypt(key, m) for m in messages]
+    messages = [rng.randbytes(16 * rng.randint(1, 4)) for _ in range(width)]
+    assert aes_core.cbc_macs(messages, ks) == [library_cbc_mac(key, m) for m in messages]
+
+
+_PACKED_MEMORY = """
+import os
+import tracemalloc
+from cmt import aes_core
+
+ks = aes_core.expand_key(bytes(16))
+buf = os.urandom(4 << 20)  # one message: an IV and 262,143 blocks
+tracemalloc.start()
+aes_core.decrypt_cbc([buf], ks)
+print(tracemalloc.get_traced_memory()[1] / len(buf))
+"""
+
+
+def test_a_wide_packed_decryption_allocates_a_small_multiple_of_its_input():
+    # a fresh process without numpy loaded decrypts 4 MB on the packed
+    # rounds in chunks of PACKED_MAX_LANES blocks: at its peak it holds the
+    # ciphertext, the blocks before each, the decrypted chunks and their
+    # join, 3.2 times the input (in one call it held 28.7 times)
+    result = subprocess.run([sys.executable, "-c", _PACKED_MEMORY], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert float(result.stdout) < 4
 
 
 def test_decrypt_cbc_of_no_messages_and_of_misaligned_ciphertext():

@@ -21,6 +21,7 @@ from cmt.crypto_codec import MAX_FIELD_BYTES
 from cmt.key_service import MASTER_KEY_ENV, MasterKey
 from cmt.tenant_store import TableSchema, create_store, open_store
 
+from no_numpy import CMT, run_without_numpy
 from test_key_service import a_fifo_held_open
 
 HEX_KEY = "000102030405060708090a0b0c0d0e0f"
@@ -499,6 +500,17 @@ def test_selftest_passes_in_a_fresh_process(monkeypatch):
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert "FAIL" not in result.stdout
+    assert re.search(r"throughput: [0-9.]+ MB/s over 16 MB on the multi-lane kernel\n", result.stdout)
+
+
+def test_selftest_passes_without_numpy(monkeypatch):
+    # where numpy is not installed, the throughput check times the packed
+    # rounds, and its line says so
+    monkeypatch.delenv(MASTER_KEY_ENV, raising=False)
+    result = run_without_numpy(CMT, "selftest")
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "FAIL" not in result.stdout
+    assert re.search(r"throughput: [0-9.]+ MB/s over 16 MB on the packed rounds\n", result.stdout)
 
 
 def test_bad_subcommand_exit_2(capsys):

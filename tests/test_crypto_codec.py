@@ -26,6 +26,7 @@ from cmt.crypto_codec import (
 from cmt.errors import AuthError, CorruptLog, FieldTooLarge
 from cmt.key_service import TenantKeySet
 from cmt.tenant_store import TableSchema, create_store, open_store
+from no_numpy import run_without_numpy
 
 
 def random_keys() -> TenantKeySet:
@@ -273,15 +274,17 @@ def test_one_forged_tag_refuses_the_batch_before_any_decryption(count, forged, l
     assert chain == [a for a in rounds if a[2]] == [a for a in packed if a[3]] == []
     assert verify(values, lanes) == at
     # the spies see the decryption of the same batch once every tag verifies,
-    # on the one engine its block count calls for
+    # on the one engine its block count calls for: one kernel call, or a
+    # packed call per PACKED_MAX_LANES blocks (1,381 and 1,563 blocks at 47
+    # and 50 values, whose last chunks are wide enough to pack)
     values[at] = genuine
     assert verify(values, lanes) is None
     decrypt_values(values, BATCH_KEYS)
     blocks = sum(len(v) // 16 - 2 for v in values)
     kernel = lanes and blocks >= KERNEL_MIN_LANES
-    assert blocks >= PACKED_MIN_LANES
+    assert blocks >= PACKED_MIN_LANES and blocks % aes_core.PACKED_MAX_LANES not in (1, 2)
     calls = (len(chain), len([a for a in rounds if a[2]]), len([a for a in packed if a[3]]))
-    assert calls == ((0, 1, 0) if kernel else (0, 0, 1))
+    assert calls == ((0, 1, 0) if kernel else (0, 0, -(-blocks // aes_core.PACKED_MAX_LANES)))
 
 
 @pytest.mark.parametrize("lanes", [False, True])
@@ -435,6 +438,56 @@ def test_a_batch_decides_once_for_its_macs_and_its_decryption():
     assert int(lanes) == 48
     assert 48 * 126 < 48 * 127 < int(import_blocks) <= 48 * (127 + 126)
     assert (loaded, after) == ("False", "True")
+
+
+def test_a_blocked_numpy_counts_as_absent(monkeypatch):
+    # `sys.modules["numpy"] = None` is how a program blocks an import. A
+    # 1,024 B value, 65 decryption blocks of kernel work, then decrypts on
+    # the packed rounds, and a batch of 60 values of 2,000 B, whose kernel
+    # work would buy the kernel, finds numpy missing: it runs on the packed
+    # rounds too, and from then on use_lanes answers False without counting
+    # or trying the import again
+    monkeypatch.setattr(aes_core, "_LANES", None)
+    monkeypatch.setattr(aes_core, "_rented_blocks", 0)
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    imports = spy(monkeypatch, aes_core, "_lanes")
+    keys = TenantKeySet(enc_key=bytes(16), mac_key=bytes(16))
+    assert decrypt_value(encrypt_value(bytes(1024), keys), keys) == bytes(1024)
+    assert (len(imports), aes_core._rented_blocks) == (0, 65)
+    plains = [bytes([i]) * 2000 for i in range(60)]
+    values = [encrypt_value(p, keys) for p in plains]
+    for _ in range(2):
+        assert decrypt_values(values, keys) == plains
+        assert (len(imports), aes_core._rented_blocks, aes_core._LANES) == (1, 65, False)
+
+
+def test_a_batch_that_would_buy_numpy_decrypts_where_it_is_not_installed():
+    # 60 values of 2,000 B: 60 x 127 MAC lane blocks and 60 x 126
+    # decryption blocks of kernel work, past IMPORT_BLOCKS, so with numpy the
+    # batch runs on the kernel; in a process where numpy cannot be
+    # imported, on the packed rounds, to the same plaintexts
+    keys = TenantKeySet(enc_key=bytes(range(16)), mac_key=bytes(16))
+    rng = random.Random(41)
+    plains = [rng.randbytes(2000) for _ in range(60)]
+    values = [encrypt_value(p, keys) for p in plains]
+    aes_core._lanes()
+    assert aes_core.use_lanes([v[:-16] for v in values])
+    with_numpy = decrypt_values(values, keys)
+    assert with_numpy == plains
+    script = (
+        "from cmt import aes_core\n"
+        "from cmt.crypto_codec import decrypt_values\n"
+        "from cmt.key_service import TenantKeySet\n"
+        "keys = TenantKeySet(enc_key=bytes(range(16)), mac_key=bytes(16))\n"
+        "values = [bytes.fromhex(line) for line in sys.stdin.read().split()]\n"
+        "print(b''.join(decrypt_values(values, keys)).hex())\n"
+        "print('numpy' in sys.modules, aes_core._LANES)\n"
+    )
+    result = run_without_numpy(script, input="\n".join(v.hex() for v in values))
+    assert result.returncode == 0, result.stderr
+    plain, state = result.stdout.splitlines()
+    assert bytes.fromhex(plain) == b"".join(with_numpy)
+    assert state == "False False"
 
 
 def test_empty_plaintext_sizes():

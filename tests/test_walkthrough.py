@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from no_numpy import CMT
+
 SCRIPT = Path(__file__).with_name("walkthrough.sh")
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -29,6 +31,14 @@ def run_walkthrough(tmp_path, cmt_body):
 
 def test_the_walkthrough_passes_and_leaves_nothing_in_tmpdir(tmp_path):
     result, tmp_dir = run_walkthrough(tmp_path, f'exec {shlex.quote(sys.executable)} -m cmt.cli "$@"')
+    assert result.returncode == 0, result.stderr
+    assert list(tmp_dir.iterdir()) == []
+
+
+def test_the_walkthrough_passes_without_numpy(tmp_path):
+    # the same steps with a `cmt` that cannot import numpy
+    body = f'exec {shlex.quote(sys.executable)} -c {shlex.quote(CMT)} "$@"'
+    result, tmp_dir = run_walkthrough(tmp_path, body)
     assert result.returncode == 0, result.stderr
     assert list(tmp_dir.iterdir()) == []
 
