@@ -32,7 +32,15 @@ key schedule:
   terms (six of them shifted), MixColumns two in-column byte rotations and
   one masked xtime (InvMixColumns one more rotation and two more xtimes
   before them), and a round key the key repeated in every lane. Its masks
-  are 16-byte patterns repeated n times. A call costs about 1.7 chain
+  are 16-byte patterns repeated n times. What depends only on the width
+  is done once a width, not in every call: `_masks` builds a width's
+  masks and keeps them (of the widths from KERNEL_MIN_LANES to just below
+  PACKED_MAX_LANES, the last one built), and a batch spreads its round
+  keys across the lanes (`_spread`) once for each width it runs at,
+  `_packed_macs` each time its running lanes change and `decrypt_cbc`
+  once per chunk width, so a call runs only the rounds. The spread keys
+  live in the batch's frame alone, and no key outlives its batch in the
+  module. A call costs about 1.7 chain
   blocks at 1 lane and grows by about a fifth of one per lane, so it
   serves the narrow batches: from PACKED_MIN_LANES (3) lanes on, and,
   once numpy is loaded, below KERNEL_MIN_LANES (48). Without numpy it
@@ -363,11 +371,10 @@ def decrypt_block(block: bytes, schedule: KeySchedule) -> bytes:
 # masks that pick the same bytes of every lane: a mask is a 128-bit pattern
 # times `one`, the int with a 1 in the last byte of every lane.
 
-# The patterns of the masks, in the order `_packed_rounds` unpacks them,
+# The patterns of the masks, in the order `_masks` unpacks them,
 # written as the block's four column words (rows 0..3 of each, most
 # significant first), columns 0..3.
 _PATTERNS = (
-    0x00000000_00000000_00000000_00000001,  # 1, for `one`
     0xFF000000_FF000000_FF000000_FF000000,  # row 0, which ShiftRows keeps
     # rows 1..3 of encryption: the columns that ShiftRows moves left by r
     # columns (from column r on) and right by 4 - r (before it)
@@ -377,11 +384,10 @@ _PATTERNS = (
     0x0000FF00_0000FF00_00000000_00000000,
     0x00000000_00000000_00000000_000000FF,
     0x000000FF_000000FF_000000FF_00000000,
-    # rows 1..3 of decryption: left by 4 - r (from column 4 - r on), right by r
+    # rows 1 and 3 of decryption: left by 4 - r (from column 4 - r on), right
+    # by r; row 2 moves as in encryption
     0x00000000_00000000_00000000_00FF0000,
     0x00FF0000_00FF0000_00FF0000_00000000,
-    0x00000000_00000000_0000FF00_0000FF00,
-    0x0000FF00_0000FF00_00000000_00000000,
     0x00000000_000000FF_000000FF_000000FF,
     0x000000FF_00000000_00000000_00000000,
     0x00FFFFFF_00FFFFFF_00FFFFFF_00FFFFFF,  # rows 1-3
@@ -414,7 +420,7 @@ KERNEL_MIN_LANES = 48
 
 # A packed call runs at most this many lanes: a wider decryption runs in
 # chunks of it, and MACs of more messages in groups of it, longest first.
-# One call on every lane holds 18 masks and each round's ints as wide as
+# One call on every lane holds its masks and each round's ints as wide as
 # the whole batch: a one-message decryption in one call ran at 3.2-3.4 MB/s
 # (wall time, 4 and 16 MB) and peaked at 508 MB RSS on 16 MB. Measured in
 # thread CPU time, medians of 7-15 alternating calls, up to three runs,
@@ -422,54 +428,75 @@ KERNEL_MIN_LANES = 48
 # 8.0-8.1 MB/s in chunks of 256 lanes, 8.2-8.6 at 512, 8.4-8.9 at 1,024,
 # 8.6-8.8 at 2,048 and 8.7 at 4,096, and MACs of 8,192 messages of 2-8
 # blocks at 9.0, 9.3-9.4, 9.1-9.4, 8.9 and 8.4 MB/s. From 512 to 2,048
-# lanes the rate is flat; at 1,024 the kept masks take 0.3 MB.
+# lanes the rate is flat; at 1,024 the kept masks take 0.28 MB.
 PACKED_MAX_LANES = 1024
 
 _MASKS = {}  # lane count -> masks, for counts below KERNEL_MIN_LANES and PACKED_MAX_LANES
+# the last other lane count built -> its masks; rebound whole, so a thread
+# reads the old set or the new one, and threads that race build equal sets
+_LAST_MASKS = {}
 
 
 def _masks(n: int) -> tuple:
-    """The masks of n lanes, one per pattern of _PATTERNS, for n up to
-    PACKED_MAX_LANES: no packed call runs more lanes. The sets below
-    KERNEL_MIN_LANES are kept, 0.36 MB at most, and so is the set of
-    PACKED_MAX_LANES lanes, 0.3 MB. The widths between run on the packed
-    rounds only while the kernel is not loaded, as a decryption's last
-    chunk or the steps of a MAC group whose lanes have begun to end; their
-    sets are built on each call and not kept. Building a set takes about as
+    """The constants of n lanes, for n up to PACKED_MAX_LANES (no packed
+    call runs more): `_packed_rounds`' constants of encryption and of
+    decryption, each its S-box, its two row shifts and its 11 masks in the
+    order it unpacks them (row 0, row 2 and MixColumns' masks are shared,
+    15 masks in all), then `one`. The sets below KERNEL_MIN_LANES are
+    kept, 0.32 MB at most, and so is the set of PACKED_MAX_LANES lanes,
+    0.28 MB. The widths between run on the packed rounds only while the
+    kernel is not loaded, as a decryption's last chunk or the steps of a
+    MAC group whose lanes have begun to end; the last of them built is
+    kept until another replaces it, so such a group builds each width's
+    set once, however many steps run at it. Building a set takes about as
     long as one or two rounds."""
-    masks = _MASKS.get(n)
+    global _LAST_MASKS
+    masks = _MASKS.get(n) or _LAST_MASKS.get(n)
     if masks is None:
         one = int.from_bytes((bytes(15) + b"\x01") * n)
-        masks = tuple([p * one for p in _PATTERNS])
+        # the rows' moves, left (l) and right (r), of encryption (e) and decryption (d)
+        row0, el1, er1, l2, r2, el3, er3, dl1, dr1, dl3, dr3, *mix = [p * one for p in _PATTERNS]
+        masks = ((_SBOX_BYTES, 32, 96, row0, el1, er1, l2, r2, el3, er3, *mix),
+                 (_INV_SBOX_BYTES, 96, 32, row0, dl1, dr1, l2, r2, dl3, dr3, *mix), one)
         if n < KERNEL_MIN_LANES or n == PACKED_MAX_LANES:
             _MASKS[n] = masks
+        else:
+            _LAST_MASKS = {n: masks}
     return masks
 
 
-def _packed_rounds(x: int, n: int, keys: tuple, backward: bool) -> int:
+def _spread(keys: tuple, n: int) -> list:
+    """The round keys `keys` repeated in each of n lanes, as `_packed_rounds`
+    takes them: each key times `one`. A batch spreads them once for each
+    width it runs at, not in every round of every step."""
+    one = _masks(n)[2]
+    # written out: with a comprehension, a one-message decryption of 3-47
+    # blocks (a `get`'s packed path) ran 0.2-0.6 us slower than when the
+    # rounds multiplied each key in place
+    k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10 = keys
+    return [k0 * one, k1 * one, k2 * one, k3 * one, k4 * one, k5 * one, k6 * one, k7 * one,
+            k8 * one, k9 * one, k10 * one]
+
+
+def _packed_rounds(x: int, n: int, keys: list, backward: bool) -> int:
     """The rounds of one direction on n lanes packed into `x`, all lanes in
-    lockstep. SubBytes is one `bytes.translate`; ShiftRows moves the bytes
-    of rows 1..3 by whole columns, left by 32r bits or right by 32(4 - r)
-    within the lane; MixColumns gives byte i of a column 2a_i ^ 3a_(i+1) ^
-    a_(i+2) ^ a_(i+3) as r1 ^ rot2(t) ^ xtime(t), where r1 is the column
-    rotated one byte, t = x ^ r1 and rot2 rotates by two bytes; a round key
-    is the key times `one`. Decryption is the equivalent inverse cipher on
+    lockstep, under round keys already spread across the n lanes
+    (`_spread`); the masks come from `_masks`, so a call builds nothing
+    that its width has built before. SubBytes is one `bytes.translate`;
+    ShiftRows moves the bytes of rows 1..3 by whole columns, left by 32r
+    bits or right by 32(4 - r) within the lane; MixColumns gives byte i of
+    a column 2a_i ^ 3a_(i+1) ^ a_(i+2) ^ a_(i+3) as r1 ^ rot2(t) ^
+    xtime(t), where r1 is the column rotated one byte, t = x ^ r1 and rot2
+    rotates by two bytes. Decryption is the equivalent inverse cipher on
     `dec_keys`, rows moved right, and InvMixColumns is MixColumns after
     x ^= xtime(xtime(x ^ rot2(x)))."""
-    one, row0, *moves, lo3, lo1, lo2, high = _masks(n)
+    box, s1, s3, row0, a1, b1, a2, b2, a3, b3, lo3, lo1, lo2, high = _masks(n)[backward]
     size = BLOCK_SIZE * n
-    if backward:
-        box, (a1, b1, a2, b2, a3, b3), s1, s3 = _INV_SBOX_BYTES, moves[6:], 96, 32
-    else:
-        box, (a1, b1, a2, b2, a3, b3), s1, s3 = _SBOX_BYTES, moves[:6], 32, 96
-    k0, *rounds, k10 = keys
-    x ^= k0 * one
-    for k in (*rounds, None):  # the last round has no MixColumns
+    x ^= keys[0]
+    for k in keys[1:-1]:
         x = int.from_bytes(x.to_bytes(size).translate(box))
         x = (x & row0 | (x & a1) << s1 | (x & b1) >> s3 | (x & a2) << 64 | (x & b2) >> 64
              | (x & a3) << s3 | (x & b3) >> s1)
-        if k is None:
-            return x ^ k10 * one
         if backward:
             u = x ^ ((x & lo2) << 16 | (x >> 16) & lo2)
             h = u & high
@@ -479,7 +506,10 @@ def _packed_rounds(x: int, n: int, keys: tuple, backward: bool) -> int:
         r1 = (x & lo3) << 8 | (x >> 24) & lo1
         t = x ^ r1
         h = t & high
-        x = r1 ^ ((t & lo2) << 16 | (t >> 16) & lo2) ^ (t ^ h) << 1 ^ (h >> 7) * 0x1B ^ k * one
+        x = r1 ^ ((t & lo2) << 16 | (t >> 16) & lo2) ^ (t ^ h) << 1 ^ (h >> 7) * 0x1B ^ k
+    x = int.from_bytes(x.to_bytes(size).translate(box))  # the last round has no MixColumns
+    return (x & row0 | (x & a1) << s1 | (x & b1) >> s3 | (x & a2) << 64 | (x & b2) >> 64
+            | (x & a3) << s3 | (x & b3) >> s1) ^ keys[-1]
 
 
 # --- multi-lane kernel ---------------------------------------------------
@@ -635,12 +665,13 @@ def decrypt_cbc(messages: list[bytes], schedule: KeySchedule, lanes: bool = Fals
     KERNEL_MIN_LANES blocks on, else on the packed rounds from
     PACKED_MIN_LANES blocks on, in chunks of at most PACKED_MAX_LANES
     blocks, else on the chain (as is a last chunk of fewer than
-    PACKED_MIN_LANES blocks). Each is then XORed with
-    the block before it in its message. On the kernel the messages stay one
-    numpy buffer from the join to the XOR: the blocks to decrypt are every
-    block but the IVs, and the block before each is the one an index
-    earlier in the same buffer. One message needs no index: its blocks are
-    the buffer but its first."""
+    PACKED_MIN_LANES blocks); the packed chunks spread the round keys once
+    for the full width and once for a narrower last chunk. Each is then
+    XORed with the block before it in its message. On the kernel the
+    messages stay one numpy buffer from the join to the XOR: the blocks to
+    decrypt are every block but the IVs, and the block before each is the
+    one an index earlier in the same buffer. One message needs no index:
+    its blocks are the buffer but its first."""
     if messages and min(map(len, messages)) < BLOCK_SIZE:
         raise ValueError("a message is shorter than an IV")
     if lanes and sum(map(len, messages)) // BLOCK_SIZE - len(messages) >= KERNEL_MIN_LANES:
@@ -668,7 +699,9 @@ def decrypt_cbc(messages: list[bytes], schedule: KeySchedule, lanes: bool = Fals
             chunk = cipher[i : i + width]
             n = len(chunk) // BLOCK_SIZE
             if n >= PACKED_MIN_LANES:
-                x = _packed_rounds(int.from_bytes(chunk), n, schedule.dec_keys, True)
+                # spread for the first chunk's width, and again for a narrower last chunk
+                keys = _spread(schedule.dec_keys, n) if i == 0 or n < PACKED_MAX_LANES else keys
+                x = _packed_rounds(int.from_bytes(chunk), n, keys, True)
             else:
                 x = int.from_bytes(decrypt_blocks(chunk, schedule))
             plain.append((x ^ int.from_bytes(before[i : i + width])).to_bytes(len(chunk)))
@@ -690,12 +723,12 @@ def _packed_macs(ordered: list[bytes], j: int, state: int, schedule: KeySchedule
     run j blocks, their states packed in lane order in `state`. Each step
     runs the lanes still running, a prefix, on the packed rounds while at
     least PACKED_MIN_LANES are; a lane that ends drops off the low end of
-    the state with its tag. The fewer that outlast the steps finish on the
-    chain."""
+    the state with its tag. The round keys are spread across the running
+    lanes for the first step and again only when lanes have ended. The
+    fewer that outlast the steps finish on the chain."""
     sizes = [len(m) // BLOCK_SIZE for m in ordered]
-    running = len(ordered)
-    steps = sizes[PACKED_MIN_LANES - 1] if running >= PACKED_MIN_LANES else j
-    tags = [b""] * running
+    steps = sizes[PACKED_MIN_LANES - 1] if len(ordered) >= PACKED_MIN_LANES else j
+    running, width, tags = len(ordered), 0, [b""] * len(ordered)
     for j in range(j, steps):
         ended = running
         while sizes[running - 1] == j:  # these lanes' states are their tags
@@ -706,12 +739,13 @@ def _packed_macs(ordered: list[bytes], j: int, state: int, schedule: KeySchedule
             state >>= bits
         o = BLOCK_SIZE * j
         step = int.from_bytes(b"".join([m[o : o + BLOCK_SIZE] for m in ordered[:running]]))
-        state = _packed_rounds(state ^ step, running, schedule.enc_keys, False)
+        if running != width:  # the keys are spread again only when lanes have ended
+            width, keys = running, _spread(schedule.enc_keys, running)
+        state = _packed_rounds(state ^ step, running, keys, False)
     tags[:running] = _split(state.to_bytes(BLOCK_SIZE * running))
-    k = 0
-    while k < len(sizes) and sizes[k] > steps:  # fewer than PACKED_MIN_LANES lanes
-        tags[k] = encrypt_cbc(ordered[k][steps * BLOCK_SIZE :], schedule, tags[k])[-BLOCK_SIZE:]
-        k += 1
+    for k, size in enumerate(sizes[: PACKED_MIN_LANES - 1]):  # fewer than PACKED_MIN_LANES lanes
+        if size > steps:  # this one outlasts the steps
+            tags[k] = encrypt_cbc(ordered[k][steps * BLOCK_SIZE :], schedule, tags[k])[-BLOCK_SIZE:]
     return tags
 
 

@@ -5,7 +5,9 @@ library. Covers the published AES-128 vectors, S-box structure, codec
 round trips, agreement of the engines with the scalar cipher, and a loose
 throughput bound on the CBC decryption of stored values, timed on the
 multi-lane kernel if it loads and on the packed rounds if not; the line
-that reports it names the engine.
+that reports it names the engine. The timed decryption's own output is
+checked too, at its first and last blocks and across the first boundary
+between two packed chunks, against one-block decryptions on the chain.
 """
 
 import os
@@ -93,12 +95,16 @@ def _check_throughput() -> bool:
     if [aes_core.decrypt_cbc([m], ks, lanes)[0] for m in messages] != plains:
         return False
     start = time.perf_counter()
-    aes_core.decrypt_cbc([buf], ks, lanes)
+    plain = aes_core.decrypt_cbc([buf], ks, lanes)[0]
     elapsed = time.perf_counter() - start
     mbps = THROUGHPUT_BUFFER_BYTES / (1024 * 1024) / elapsed
     engine = "the multi-lane kernel" if lanes else "the packed rounds"
     print(f"  throughput: {mbps:.1f} MB/s over {THROUGHPUT_BUFFER_BYTES // (1024 * 1024)} MB on {engine}")
-    return mbps >= THROUGHPUT_FLOOR_MBPS
+    # and the timed output itself: its first and last blocks, and both sides
+    # of the first boundary between two packed chunks, each decrypted alone
+    ends = (0, 16 * aes_core.PACKED_MAX_LANES - 16, 16 * aes_core.PACKED_MAX_LANES, len(plain) - 16)
+    right = all(aes_core.decrypt_cbc([buf[o : o + 32]], ks) == [plain[o : o + 16]] for o in ends)
+    return right and mbps >= THROUGHPUT_FLOOR_MBPS
 
 
 def run_selftest() -> bool:

@@ -584,11 +584,12 @@ def test_packed_rounds_match_the_library_and_the_chain(n, key, rng):
     ks = aes_core.expand_key(key)
     data = rng.randbytes(16 * n)
     x = int.from_bytes(data)
-    encrypted = aes_core._packed_rounds(x, n, ks.enc_keys, False).to_bytes(16 * n)
+    # the keys spread across the n lanes, as every caller hands them over
+    encrypted = aes_core._packed_rounds(x, n, aes_core._spread(ks.enc_keys, n), False).to_bytes(16 * n)
     assert encrypted == aes_library_encrypt(key, data)
     assert encrypted == b"".join(
         aes_core.encrypt_block(data[i : i + 16], ks) for i in range(0, len(data), 16))
-    decrypted = aes_core._packed_rounds(x, n, ks.dec_keys, True).to_bytes(16 * n)
+    decrypted = aes_core._packed_rounds(x, n, aes_core._spread(ks.dec_keys, n), True).to_bytes(16 * n)
     assert decrypted == aes_library_decrypt(key, data) == aes_core.decrypt_blocks(data, ks)
     # a one-message decryption of n blocks, on whichever engine n calls for
     message = rng.randbytes(16) + data
@@ -632,25 +633,40 @@ for n in [*range(2, 201), 5000]:
         messages = [bytes([i]) * 32 for i in range(n)]
         macs = aes_core.cbc_macs(messages, ks)
         assert macs == [aes_core.encrypt_cbc(m, ks, bytes(16))[-16:] for m in messages], n
-held = sum(sys.getsizeof(m) for masks in aes_core._MASKS.values() for m in masks)
+
+
+def held(sets):
+    # each mask int once: both directions' constants hold row 0 and the
+    # MixColumns masks, and `one` comes last
+    ints = {id(m): m for masks in sets for m in (*masks[0], *masks[1], masks[2]) if isinstance(m, int)}
+    return sum(map(sys.getsizeof, ints.values()))
+
+
 *narrow, widest = sorted(aes_core._MASKS)
-print("numpy" in sys.modules, len(narrow), max(narrow), widest, held)
+print("numpy" in sys.modules, len(narrow), max(narrow), widest, held(aes_core._MASKS.values()))
+print(*aes_core._LAST_MASKS, held(aes_core._LAST_MASKS.values()))
 """
 
 
 def test_packed_masks_stay_within_their_bound_before_numpy_loads():
     # widths 2-200 and one of 5,000 lanes in a fresh process, which never
     # loads numpy: only widths below KERNEL_MIN_LANES keep their masks, and
-    # PACKED_MAX_LANES, the widest a packed call runs
+    # PACKED_MAX_LANES, the widest a packed call runs; of the widths
+    # between, only the last one built
     result = subprocess.run([sys.executable, "-c", _MASK_BOUND], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    loaded, count, widest_narrow, widest, held = result.stdout.split()
+    kept, last = result.stdout.splitlines()
+    loaded, count, widest_narrow, widest, held = kept.split()
     assert loaded == "False"
     assert int(count) <= aes_core.KERNEL_MIN_LANES - 1
     assert int(widest_narrow) < aes_core.KERNEL_MIN_LANES
     assert int(widest) == aes_core.PACKED_MAX_LANES
-    # 18 masks of 3-47 lanes, 0.36 MB, and 18 of PACKED_MAX_LANES lanes
+    # at most 18 masks of 3-47 lanes, 0.36 MB, and 18 of PACKED_MAX_LANES lanes
     assert int(held) < 400_000 + 18 * (16 * aes_core.PACKED_MAX_LANES + 100)
+    # the last other width: 5,000 blocks end in a chunk of 904 lanes
+    last_width, last_held = map(int, last.split())
+    assert aes_core.KERNEL_MIN_LANES <= last_width < aes_core.PACKED_MAX_LANES
+    assert last_held < 18 * (16 * (aes_core.PACKED_MAX_LANES - 1) + 100)
 
 
 CHUNK_WIDTHS = [
@@ -675,6 +691,69 @@ def test_chunked_packed_work_matches_the_library(width, seed):
     assert aes_core.decrypt_cbc(messages, ks) == [library_cbc_decrypt(key, m) for m in messages]
     messages = [rng.randbytes(16 * rng.randint(1, 4)) for _ in range(width)]
     assert aes_core.cbc_macs(messages, ks) == [library_cbc_mac(key, m) for m in messages]
+
+
+def _spread_log(mp):
+    """Spy on the packed rounds: returns a list with one entry per
+    `_packed_macs` or `decrypt_cbc` call, the ("spread" or "run", width,
+    keys) of each `_spread` and `_packed_rounds` call made in it."""
+    log = []
+    spread, packed_rounds = aes_core._spread, aes_core._packed_rounds
+
+    def a_new_entry(f):
+        return lambda *args: log.append([]) or f(*args)
+
+    def spreading(keys, n):
+        keys = spread(keys, n)
+        log[-1].append(("spread", n, keys))
+        return keys
+
+    def running(x, n, keys, backward):
+        log[-1].append(("run", n, keys))
+        return packed_rounds(x, n, keys, backward)
+
+    for name in ("_packed_macs", "decrypt_cbc"):
+        mp.setattr(aes_core, name, a_new_entry(getattr(aes_core, name)))
+    mp.setattr(aes_core, "_spread", spreading)
+    mp.setattr(aes_core, "_packed_rounds", running)
+    return log
+
+
+@given(
+    st.integers(0, aes_core.KERNEL_MIN_LANES + 8),
+    st.lists(st.integers(1, 30), max_size=12),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_ragged_packed_batches_spread_their_keys_once_per_width(staircase, extra, lanes, seed):
+    # with PACKED_MAX_LANES at 8, MACs run in groups of 8 lanes and
+    # decryptions in chunks of 8 blocks. Chains of 1..staircase blocks end
+    # one at every step, down past PACKED_MIN_LANES, and `extra` chains end
+    # anywhere; from KERNEL_MIN_LANES messages on, `lanes` hands the MACs
+    # from the kernel to the packed rounds. Every `_packed_macs` and
+    # `decrypt_cbc` call spreads its keys once for each width it runs at,
+    # and runs each width on those keys: a step or a chunk that spread them
+    # again would fail it.
+    rng = random.Random(seed)
+    key = rng.randbytes(16)
+    ks = aes_core.expand_key(key)
+    sizes = [*range(1, staircase + 1), *extra]
+    rng.shuffle(sizes)
+    messages = [rng.randbytes(16 * n) for n in sizes]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(aes_core, "PACKED_MAX_LANES", 8)
+        log = _spread_log(mp)
+        macs = aes_core.cbc_macs(messages, ks, lanes)
+        plains = aes_core.decrypt_cbc(messages, ks, lanes)
+    assert macs == [library_cbc_mac(key, m) for m in messages]
+    assert plains == [library_cbc_decrypt(key, m) for m in messages]
+    for calls in log:
+        spread = {n: keys for kind, n, keys in calls if kind == "spread"}
+        assert len(spread) == sum(kind == "spread" for kind, _, _ in calls)
+        ran = [(n, keys) for kind, n, keys in calls if kind == "run"]
+        assert {n for n, _ in ran} == set(spread)
+        assert all(keys is spread[n] for n, keys in ran)
 
 
 _PACKED_MEMORY = """

@@ -605,6 +605,40 @@ def test_selftest_fails_when_the_packed_rounds_disagree(broken, monkeypatch, cap
     assert "throughput:" not in out
 
 
+def test_selftest_checks_the_output_of_its_timed_decryption(monkeypatch, capsys):
+    # the timed decryption runs on the packed rounds, as without numpy, in
+    # three full chunks and a narrower last one; in every decryption the
+    # full-width chunks after the first come out with every bit flipped,
+    # which only the timed one has (the agreement checks' batch has one)
+    from cmt import aes_core, selftest
+
+    decrypt_cbc, packed_rounds = aes_core.decrypt_cbc, aes_core._packed_rounds
+    full, corrupted = [0], []
+
+    def decrypting(*args):
+        full[0] = 0
+        return decrypt_cbc(*args)
+
+    def later_chunks_off(x, n, keys, backward):
+        out = packed_rounds(x, n, keys, backward)
+        if backward and n == aes_core.PACKED_MAX_LANES:
+            full[0] += 1
+            if full[0] > 1:
+                corrupted.append(n)
+                return out ^ (1 << 128 * n) - 1
+        return out
+
+    monkeypatch.setattr(aes_core, "use_lanes", lambda messages: False)
+    monkeypatch.setattr(selftest, "THROUGHPUT_BUFFER_BYTES", 4 * 16 * aes_core.PACKED_MAX_LANES)
+    monkeypatch.setattr(aes_core, "decrypt_cbc", decrypting)
+    monkeypatch.setattr(aes_core, "_packed_rounds", later_chunks_off)
+    assert main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert "on the packed rounds" in out
+    assert "FAIL block-throughput" in out
+    assert len(corrupted) == 2
+
+
 # --- restart durability (real separate processes) ------------------------------
 
 def run_cmt(args, env_key=HEX_KEY, timeout=None):
