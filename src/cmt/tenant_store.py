@@ -19,7 +19,8 @@ in a process through `re`'s cache: the event line exactly as
 `Store._commit` writes it, newline included, with `validate_tenant_id`'s
 tenant rule and `crypto_codec.check_value`'s length rule spelled in
 base64. One `findall` of it over the log reads every line `cmt` wrote,
-and one loop puts the events straight into the live row map. If it
+and one loop puts the events straight into the live row map, checking the
+format's two rules as it goes (see "File format" below). If it
 matches fewer lines than the log holds, the log is read again from the
 same start one line at a time (`_line_by_line`): a line the pattern
 misses is read as its respelling (`_respell`), what `json.loads` reads in
@@ -80,6 +81,11 @@ File format (UTF-8, newline-delimited):
   is one that `validate_tenant_id` takes, all of `key_service.TENANT_ID`;
   a row id is 1 to 16 digits (`Store.insert` refuses to go past them);
   and a value is base64 without "=" after whole quads.
+  Two rules order the events: an "ins" names a row id above every earlier
+  row id, and an "upd" or "del" names a row live under the event's tenant.
+  So a row never changes owner, and row ids enter the live row map in
+  ascending order. A line that breaks a rule is CorruptLog (exit 3) with
+  its line number, as a malformed line is.
 """
 
 import binascii
@@ -272,12 +278,12 @@ class Store:
         if self._live is self._state_live:
             self._live = dict(self._live)
         if values is None:
-            self._live.pop(row_id, None)
+            del self._live[row_id]
         else:
             self._live[row_id] = (tenant, values)
         if op == "ins":
             self._inserted.setdefault(tenant, []).append(row_id)
-        self._max_row_id = max(self._max_row_id, row_id)
+            self._max_row_id = row_id
 
     def _refuse_if_closed(self) -> None:
         # another handle may have written since this one let its lock go
@@ -348,11 +354,10 @@ class Store:
         with self._mutex:
             self._refuse_if_closed()
             if not self._index:  # the first list on this state, on any handle
+                # the replay puts row ids into the map in ascending order
                 by_tenant = defaultdict(list)
                 for row_id, row in self._state_live.items():
                     by_tenant[row[0]].append(row_id)
-                for row_ids in by_tenant.values():
-                    row_ids.sort()  # ascending already, unless the log was edited
                 self._index.update(by_tenant)
             rows, live = [], self._live
             for row_id in self._index.get(tenant, []) + self._inserted.get(tenant, []):
@@ -424,13 +429,14 @@ def _event_pattern(names: tuple) -> re.Pattern:
     and for an insert or update every field in header order. It matches a
     whole line, from its start to its newline, so one `findall` reads
     every such line of a log, and `match` one line with its newline. Its
-    groups are "del" (None or empty bytes otherwise), the tenant, the row
-    id and each value. It is the one rule for an event: a line spelled
-    otherwise is read as its `_respell`."""
+    groups are the op, "ins" or "upd" (for "del" empty bytes from
+    `findall`, None from `match`), the tenant, the row id and each value.
+    It is the one rule for an event: a line spelled otherwise is read as
+    its `_respell`."""
     fields = b",".join(b'"%s":"%s"' % (name.encode("ascii"), _VALUE) for name in names)
     tenant = TENANT_ID.encode("ascii")
-    return re.compile(rb'(?m)^\{"op":"(?:ins|upd|(del))","t":"(' + tenant + rb')","r":([1-9][0-9]{0,15})'
-                      rb'(?(1)|,"f":\{' + fields + rb"\})\}\n")
+    return re.compile(rb'(?m)^\{"op":"(?:(ins|upd)|del)","t":"(' + tenant + rb')","r":([1-9][0-9]{0,15})'
+                      rb'(?(1),"f":\{' + fields + rb"\})\}\n")
 
 
 def _respell(line: bytes, names: tuple) -> bytes:
@@ -535,15 +541,27 @@ def _replay(path: str, raw: bytes, start: tuple | None) -> tuple:
     events = pattern.findall(raw, begin)
     if len(events) != count:
         events = _line_by_line(path, raw, begin, number, pattern, names)
-    for event in events:
-        row_id = int(event[2])
-        if event[0]:
-            live.pop(row_id, None)
-        else:
-            live[row_id] = (event[1].decode("ascii"), event[3:])
-        if row_id > max_row_id:
+    # the rules of the file format: an insert names a row id above every
+    # earlier one, and an update or a delete a row live under its tenant
+    for line, event in enumerate(events, number + 1):
+        op, row_id = event[0], int(event[2])
+        if op == b"ins":
+            if row_id <= max_row_id:
+                break
             max_row_id = row_id
-    return raw[: raw.rindex(b"\n") + 1], number + count, schema, live, max_row_id, {}
+            live[row_id] = (event[1].decode("ascii"), event[3:])
+        else:
+            row = live.get(row_id)
+            if row is None or row[0] != event[1].decode("ascii"):
+                break
+            if op:
+                live[row_id] = (row[0], event[3:])
+            else:  # b"" from the findall, None from a match
+                del live[row_id]
+    else:
+        return raw[: raw.rindex(b"\n") + 1], number + count, schema, live, max_row_id, {}
+    what = "an insert not above every earlier row id" if op == b"ins" else "no live row of its tenant"
+    raise CorruptLog(f"corrupt event at line {line} of {path!r}: {what}")
 
 
 def _line_by_line(path: str, raw: bytes, begin: int, number: int, pattern, names: tuple):

@@ -6,6 +6,10 @@ a tenant all of `[a-z0-9_-]{1,64}`, a row id of 1 to 16 digits, and a value
 without "=" after whole quads, of a length `check_value` takes. The tests
 hold `tenant_store`'s replay to it: the two read every line alike, to the
 same rows, or refuse the same line.
+
+It also states the two rules by which the format orders events, in
+`apply_event`: an insert names a row id above every earlier row id, and an
+update or a delete names a row that is live under the event's tenant.
 """
 
 import base64
@@ -19,9 +23,9 @@ TENANT = re.compile(r"[a-z0-9_-]{1,64}")
 
 
 def decode_event(line: bytes, names: tuple) -> tuple:
-    """(tenant, row_id, values) of one log line, values None for a delete,
-    else a tuple of the values in the order of the header's `names`. A
-    malformed line, or one whose field names are not the header's `names`,
+    """(op, tenant, row_id, values) of one log line, values None for a
+    delete, else a tuple of the values in the order of the header's `names`.
+    A malformed line, or one whose field names are not the header's `names`,
     raises ValueError or TypeError."""
     event = json.loads(line.decode("utf-8"))
     if not isinstance(event, dict):
@@ -34,7 +38,7 @@ def decode_event(line: bytes, names: tuple) -> tuple:
     if type(row_id) is not int or not 1 <= row_id < 10**16:
         raise ValueError('"r" must be a row id of 1 to 16 digits')
     if op == "del":
-        return tenant, row_id, None
+        return op, tenant, row_id, None
     encoded = event.get("f")
     if not isinstance(encoded, dict):
         raise ValueError('"f" must map field names to base64 strings')
@@ -49,4 +53,24 @@ def decode_event(line: bytes, names: tuple) -> tuple:
             raise ValueError('"=" after whole quads')
         check_value(raw)
         values.append(raw)
-    return tenant, row_id, tuple(values)
+    return op, tenant, row_id, tuple(values)
+
+
+def apply_event(rows: dict, max_row_id: int, event: tuple) -> int:
+    """Apply the decoded `event` to `rows`, a map of row id to (tenant,
+    values), and return the largest row id inserted so far, `max_row_id`
+    before it. An insert of a row id not above `max_row_id`, or an update
+    or a delete of a row that is not in `rows` under the event's tenant,
+    raises ValueError and leaves `rows` as it was."""
+    op, tenant, row_id, values = event
+    if op == "ins":
+        if row_id <= max_row_id:
+            raise ValueError(f"insert of row {row_id} after row {max_row_id}")
+        max_row_id = row_id
+    elif rows.get(row_id, (None,))[0] != tenant:
+        raise ValueError(f"{op} of row {row_id}, which is not live under {tenant!r}")
+    if op == "del":
+        del rows[row_id]
+    else:
+        rows[row_id] = (tenant, values)
+    return max_row_id

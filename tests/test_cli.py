@@ -913,6 +913,32 @@ def test_forged_value_exit_6(store_path, kind):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("tampering", ["foreign_delete", "update_of_a_row_never_inserted",
+                                       "insert_and_update_swapped"])
+def test_an_event_cmt_never_writes_exits_3_untouched(store_path, tampering):
+    # an update or a delete of a row not live under the event's tenant. Each
+    # used to open: the foreign delete took row 1 from its owner, and the
+    # update of row 50 made a row of row 1's values
+    main(insert_args(store_path, "uni_a", name="First"))
+    update = insert_args(store_path, "uni_a", name="Second")
+    update[update.index("insert")] = "update"
+    assert main(update + ["--row", "1"]) == 0
+    header, ins, upd, _ = Path(store_path).read_bytes().split(b"\n")
+    tampered, number = {
+        "foreign_delete": ([ins, upd, b'{"op":"del","t":"zz","r":1}'], 4),
+        "update_of_a_row_never_inserted": (
+            [ins, upd, ins.replace(b'"op":"ins"', b'"op":"upd"').replace(b'"r":1,', b'"r":50,')], 4),
+        "insert_and_update_swapped": ([upd, ins], 2),
+    }[tampering]
+    Path(store_path).write_bytes(b"\n".join([header, *tampered, b""]))
+    before = Path(store_path).read_bytes()
+    for command in (["get", "--row", "1"], ["list"]):
+        result = run_cmt(["--store", store_path, "--tenant", "uni_a", *command])
+        assert (result.returncode, result.stdout, result.stderr) == (3, "", (
+            f"cmt: error: corrupt event at line {number} of {store_path!r}: no live row of its tenant\n"))
+        assert Path(store_path).read_bytes() == before
+
+
 # --- the command-line contract, fuzzed -------------------------------------------
 
 FUZZ_FIELDS = tuple(FIELDS.split(","))

@@ -1120,14 +1120,9 @@ def _lists_as_scanned(s):
         assert [r.fields for r in listed] == [s.get(tenant, row_id).fields for row_id in scan]
 
 
-def _reopened(s, path, kind, tenant, pick):
+def _reopened(s, path, kind):
     """Close the handle `s` and open `path` again: as it is ("reopen"), as a
-    new inode, rewound to the bytes of its memo entry, or with an appended
-    event that names `tenant` for a row id not `tenant`'s: an "upd" with the
-    values of one of `tenant`'s rows, which moves a row of another tenant
-    or brings a deleted row back out of row-id order, or a "del"."""
-    others = [r for r in range(1, s._max_row_id + 1) if s._live.get(r, ("",))[0] != tenant]
-    donors = [values for owner, values in s._live.values() if owner == tenant]
+    new inode, or rewound to the bytes of its memo entry."""
     s.close()
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -1142,27 +1137,18 @@ def _reopened(s, path, kind, tenant, pick):
         # may hold other bytes
         if entry is not None and raw.startswith(entry[0]):
             os.truncate(path, len(entry[0]))
-    elif kind.startswith("foreign") and others and (kind == "foreign_del" or donors):
-        event = {"op": kind[-3:], "t": tenant, "r": others[pick % len(others)]}
-        if kind == "foreign_upd":
-            values = donors[pick % len(donors)]
-            event["f"] = {name: v.decode("ascii") for name, v in zip(SCHEMA.field_names, values)}
-        with open(path, "ab") as fh:
-            fh.write(json.dumps(event, separators=(",", ":")).encode("ascii") + b"\n")
     return open_store(path, MASTER)
 
 
 @given(steps=st.lists(st.tuples(
-    st.sampled_from(["ins", "upd", "del", "list", "reopen", "new_inode", "rewind",
-                     "foreign_upd", "foreign_del"]),
+    st.sampled_from(["ins", "upd", "del", "list", "reopen", "new_inode", "rewind"]),
     st.sampled_from(_TENANTS), st.integers(0, 20)), max_size=16))
 @settings(max_examples=60, deadline=None)
 def test_a_list_reads_what_a_scan_of_the_row_map_finds(steps):
     # the row index of a state, shared by every handle on it and filled at
     # its first list, with the rows each handle inserts or deletes since:
-    # memo hits with and without appended lines, a new inode, a memo entry
-    # rewound to after a handle wrote, and v1 events that move or delete a
-    # row of another tenant
+    # memo hits with and without appended lines, a new inode, and a memo
+    # entry rewound to after a handle wrote
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(tenant_store, "_replayed", {}):
         path = os.path.join(tmp, "s.cmt")
         s = create_store(path, SCHEMA, MASTER)
@@ -1178,7 +1164,7 @@ def test_a_list_reads_what_a_scan_of_the_row_map_finds(steps):
                 elif kind == "list":
                     _lists_as_scanned(s)
                 else:
-                    s = _reopened(s, path, kind, tenant, pick)
+                    s = _reopened(s, path, kind)
             _lists_as_scanned(s)
         finally:
             s.close()
@@ -1322,6 +1308,25 @@ class StoreAgainstAModel(RuleBasedStateMachine):
             self._committed(*self.pending)
             self.tail, self.pending = b"", None
 
+    def _rule_breaking_line(self, kind, tenant, pick):
+        """A well-formed event line that breaks a rule of the format by
+        `kind`: a "del" of a row live under another tenant, an "upd" of a
+        row that was inserted and deleted, an "ins" at or below the largest
+        row id, or, when no row fits the kind, an "upd" of a row never
+        inserted."""
+        foreign = [r for r, (owner, _) in sorted(self.rows.items()) if owner != tenant]
+        deleted = [r for r in range(1, self.max_row_id + 1) if r not in self.rows]
+        event = {"op": "upd", "t": tenant, "r": self.max_row_id + 1 + pick}
+        if kind == "foreign_del" and foreign:
+            event.update(op="del", r=foreign[pick % len(foreign)])
+        elif kind == "deleted_upd" and deleted:
+            event["r"] = deleted[pick % len(deleted)]
+        elif kind == "ins_not_above" and self.max_row_id:
+            event.update(op="ins", r=1 + pick % self.max_row_id)
+        if event["op"] != "del":
+            event["f"] = {name: "A" * 64 for name in SCHEMA.field_names}  # 48 bytes each
+        return json.dumps(event, separators=(",", ":")).encode("ascii")
+
     def _reopen(self):
         before = self._read()
         with _warnings() as warned:
@@ -1404,6 +1409,35 @@ class StoreAgainstAModel(RuleBasedStateMachine):
         with open(self.path, "ab") as fh:
             fh.write(chunk)
         self.tail += chunk
+        self._reopen()
+
+    @rule(kind=st.sampled_from(["foreign_del", "never_inserted_upd", "deleted_upd", "ins_not_above"]),
+          tenant=_tenants, pick=_picks)
+    def reopen_with_a_rule_breaking_line_then_without_it(self, kind, tenant, pick):
+        # put after the last complete line, before a torn tail, in place, so
+        # that the file keeps its inode and the memo entry of an open of it
+        # is a prefix: the first open below is a memo hit
+        self._close()
+        self._reopen()
+        self.store.close()
+        raw = self._read()
+        end = len(raw) - len(self.tail)
+        line = self._rule_breaking_line(kind, tenant, pick)
+        with open(self.path, "r+b") as fh:
+            fh.seek(end)
+            fh.write(line + b"\n" + self.tail)
+        bad, number = self._read(), raw.count(b"\n", 0, end) + 1
+        refused = (f"^corrupt event at line {number} of {re.escape(repr(self.path))}: "
+                   "(an insert not above every earlier row id|no live row of its tenant)$")
+        assert bad.startswith(_entry(self.path)[0])
+        with pytest.raises(CorruptLog, match=refused):
+            open_store(self.path, MASTER)
+        with mock.patch.object(tenant_store, "_replayed", {}), pytest.raises(CorruptLog, match=refused):
+            open_store(self.path, MASTER)  # a full replay
+        assert self._read() == bad  # a refused open writes nothing
+        with open(self.path, "r+b") as fh:  # the line cut off again
+            fh.write(raw)
+            fh.truncate()
         self._reopen()
 
     @rule(fault=st.sampled_from(["write", "fsync", "fsync_and_cut"]),
@@ -1746,14 +1780,10 @@ def _reference_rows(raw):
     rows, max_row_id = {}, 0
     for number, line in enumerate(lines[:-1], start=2):  # the last is torn or empty
         try:
-            tenant, row_id, values = replay_reference.decode_event(line, names)
+            event = replay_reference.decode_event(line, names)
+            max_row_id = replay_reference.apply_event(rows, max_row_id, event)
         except (ValueError, TypeError, RecursionError):
             return CorruptLog, number
-        if values is None:
-            rows.pop(row_id, None)
-        else:
-            rows[row_id] = (tenant, values)
-        max_row_id = max(max_row_id, row_id)
     return rows, max_row_id
 
 
@@ -1763,9 +1793,9 @@ def _replays_alike(raw):
     assert _replayed_rows(raw) == _reference_rows(raw), raw
 
 
-def _one_event(line):
-    """The store file of the fuzz base's header and the one event `line`."""
-    return _fuzz_base()[0] + b"\n" + line + b"\n"
+def _one_event(*lines):
+    """The store file of the fuzz base's header and the event `lines`."""
+    return b"\n".join([_fuzz_base()[0], *lines, b""])
 
 
 # bytes that JSON or strict base64 treat specially, inserted anywhere
@@ -1798,10 +1828,13 @@ def _edited_log(edits):
 @given(edits=st.lists(st.one_of(_LINE_EDITS, _INSERTS), min_size=1, max_size=4))
 @settings(max_examples=200, deadline=None)
 def test_decoder_agrees_with_reference_on_edited_lines(edits):
-    # each edited line alone: what cmt reads, the reference reads alike
+    # each edited line alone, and after the fuzz base's events, where an
+    # update or a delete names a live row: what cmt reads, the reference
+    # reads alike
     header, *lines, _ = _edited_log(edits).split(b"\n")
     for line in lines:
         _replays_alike(_one_event(line))
+        _replays_alike(_one_event(*_fuzz_base()[1], line))
 
 
 _BLANKS = ["", " ", "\t", "\r", " \t\r "]
@@ -1930,11 +1963,13 @@ def test_the_findall_and_the_line_by_line_replay_read_a_log_alike(ops, drops, to
 
 
 def _base_lines():
-    """An insert event, the base64 of its first value, and a delete event."""
+    """An insert event, the base64 of its first value, and the delete of
+    the inserted row, as `Store` writes it."""
     _, events = _fuzz_base()
     ins = events[0]
     b64 = json.loads(ins)["f"]["name"].encode()
-    return ins, b64, next(e for e in events if b'"op":"del"' in e)
+    return ins, b64, b'{"op":"del","t":"uni_a","r":1}'
+
 
 
 _REFUSED = {
@@ -1986,10 +2021,13 @@ def test_decoder_agrees_with_reference_on_refused_lines(case):
 
 @pytest.mark.parametrize("case", list(_RESPELLED))
 def test_decoder_agrees_with_reference_on_respelled_lines(case):
-    line = _RESPELLED[case](*_base_lines())
+    ins, b64, dele = _base_lines()
+    line = _RESPELLED[case](ins, b64, dele)
     assert tenant_store._event_pattern(SCHEMA.field_names).fullmatch(line + b"\n") is None
-    rows = _replayed_rows(_one_event(line))
-    assert rows[0] is not CorruptLog and rows == _reference_rows(_one_event(line))
+    # a delete replays after the insert of its row
+    raw = _one_event(ins, line) if case == "a delete with f" else _one_event(line)
+    rows = _replayed_rows(raw)
+    assert rows[0] is not CorruptLog and rows == _reference_rows(raw)
 
 
 @pytest.mark.parametrize(
@@ -1997,9 +2035,11 @@ def test_decoder_agrees_with_reference_on_respelled_lines(case):
 )
 def test_decoder_agrees_with_reference_around_whitespace(before, after):
     ins, _, dele = _base_lines()
-    for line in (ins, dele):
-        raw = _one_event(before + line + after)
-        assert _replayed_rows(raw) == _reference_rows(raw) == _replayed_rows(_one_event(line))
+    for lines in ([ins], [ins, dele]):  # a delete replays after the insert of its row
+        raw = _one_event(*lines[:-1], before + lines[-1] + after)
+        rows = _replayed_rows(raw)
+        assert rows[0] is not CorruptLog
+        assert rows == _reference_rows(raw) == _replayed_rows(_one_event(*lines))
 
 
 @given(tenant=st.one_of(st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=70),
@@ -2008,11 +2048,15 @@ def test_decoder_agrees_with_reference_around_whitespace(before, after):
 @settings(max_examples=200, deadline=None)
 def test_an_event_replays_if_and_only_if_its_tenant_is_valid(tenant, delete):
     # the event pattern reads `validate_tenant_id`'s rule: an event names
-    # only a tenant a caller can name
+    # only a tenant a caller can name. A delete follows the insert of its
+    # row under the same tenant, which is refused first.
     ins, _, dele = _base_lines()
-    event = json.loads(dele if delete else ins)
-    event["t"] = tenant
-    raw = _one_event(json.dumps(event, separators=(",", ":")).encode())
+    lines = []
+    for line in (ins, dele) if delete else (ins,):
+        event = json.loads(line)
+        event["t"] = tenant
+        lines.append(json.dumps(event, separators=(",", ":")).encode())
+    raw = _one_event(*lines)
     try:
         validate_tenant_id(tenant)
     except InvalidTenantId:
@@ -2040,6 +2084,51 @@ def test_an_event_json_loads_would_read_from_bytes_is_corrupt(tmp_path, respell)
     path.write_bytes(b"\n".join(lines))
     with pytest.raises(CorruptLog, match="^corrupt event at line 3 of "):
         open_store(str(path), MASTER)
+
+
+@functools.cache
+def _two_rows_one_deleted():
+    """The lines of a store whose row 1 of uni_a is live and whose row 2 of
+    uni_a was deleted."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.cmt")
+        with create_store(path, SCHEMA, MASTER) as s:
+            s.insert("uni_a", row("a"))
+            s.insert("uni_a", row("b"))
+            s.delete("uni_a", 2)
+        with open(path, "rb") as fh:
+            return fh.read().split(b"\n")[:-1]
+
+
+# after `_two_rows_one_deleted`: (op, tenant, row id) of an event that breaks
+# a rule of the format, and the reason the replay gives
+_RULE_BREAKING = {
+    "delete under another tenant": (b"del", b"uni_b", 1, "no live row of its tenant"),
+    "delete of a deleted row": (b"del", b"uni_a", 2, "no live row of its tenant"),
+    "update under another tenant": (b"upd", b"uni_b", 1, "no live row of its tenant"),
+    "update of a deleted row": (b"upd", b"uni_a", 2, "no live row of its tenant"),
+    "update of a row never inserted": (b"upd", b"uni_a", 3, "no live row of its tenant"),
+    "insert of the largest row id": (b"ins", b"uni_a", 2, "an insert not above every earlier row id"),
+    "insert below the largest row id": (b"ins", b"uni_b", 1, "an insert not above every earlier row id"),
+}
+
+
+@pytest.mark.parametrize("case", list(_RULE_BREAKING))
+@pytest.mark.parametrize("ts", [False, True], ids=["as_written", "respelled"])
+def test_an_event_that_breaks_a_rule_is_corrupt_log_naming_its_line(tmp_path, monkeypatch, case, ts):
+    # the rules hold on the findall's path and, for a line spelled with a
+    # "ts", on the line-by-line path, and the reference reads them alike
+    monkeypatch.setattr(tenant_store, "_replayed", {})
+    lines = _two_rows_one_deleted()
+    op, tenant, row_id, reason = _RULE_BREAKING[case]
+    line = b'{"op":"%s","t":"%s","r":%d' % (op, tenant, row_id) + (b',"ts":0' if ts else b"")
+    line += b"}" if op == b"del" else lines[1][lines[1].index(b',"f":') :]
+    path = tmp_path / "s.cmt"
+    path.write_bytes(b"\n".join([*lines, line, b""]))
+    with pytest.raises(CorruptLog) as caught:
+        open_store(str(path), MASTER)
+    assert str(caught.value) == f"corrupt event at line 5 of {str(path)!r}: {reason}"
+    assert _replayed_rows(path.read_bytes()) == _reference_rows(path.read_bytes()) == (CorruptLog, 5)
 
 
 def test_an_insert_past_the_last_16_digit_row_id_is_refused(tmp_path, monkeypatch):
