@@ -7,7 +7,10 @@ only `crypto_codec` knows. A tenant's keys come from the master key's
 memo (`MasterKey.derived`), derived there on the first use under that
 `MasterKey` object; a handle keeps no key cache of its own.
 
-Persistence is an append-only JSON-lines log, replayed on open. An open is
+Persistence is an append-only JSON-lines log, replayed on open, with one
+spelling per line: the compact JSON that `create_store` and
+`Store._commit` write by bytes formatting, since validated names, tenant
+ids and base64 need no escaping. An open is
 file handling around one pure function, `_replay`. `open_store` opens the
 file, locks it, refuses a file that is not a regular one (a FIFO or a
 device, whose read would block or never end) and reads it. `_replay` takes
@@ -18,18 +21,15 @@ read by one rule, a pattern (`_event_pattern`) compiled once per schema
 in a process through `re`'s cache: the event line exactly as
 `Store._commit` writes it, newline included, with `validate_tenant_id`'s
 tenant rule and `crypto_codec.check_value`'s length rule spelled in
-base64. One `findall` of it over the log reads every line `cmt` wrote,
+base64. One `findall` of it over the log reads every line `cmt` writes,
 and one loop puts the events straight into the live row map, checking the
 format's two rules as it goes (see "File format" below). If it
 matches fewer lines than the log holds, the log is read again from the
 same start one line at a time (`_line_by_line`): a line the pattern
-misses is read as its respelling (`_respell`), what `json.loads` reads in
-the line decoded as UTF-8, re-encoded as `cmt` writes it, so whitespace,
-key order, "ts" and escapes keep their `json.loads` meaning and json
-decides nothing else; a bad line is CorruptLog with its line number.
-The header `create_store` writes is read without json too, and json is
-imported only for a line or a header spelled otherwise, and by the
-first write, for the one encoder every line is written with.
+misses is matched once more without the "ts" that earlier versions wrote
+after "r", the one older spelling, and the first line that still misses
+is CorruptLog with its line number. The header is read by one pattern
+too (`_HEADER_RE`), and no path imports json.
 Tests hold the pattern to the writer and to `check_value`, and the replay
 to a reference reader of the format. A trailing chunk without its
 newline is a torn write (a crash mid-write), which the state's bytes
@@ -71,16 +71,21 @@ verifies but is not UTF-8 is AuthError.
 
 File format (UTF-8, newline-delimited):
   line 1: {"v":1,"table":"<name>","fields":["f1",...]}
-    ("v" is read first: any other integer is VersionMismatch, whatever
-    the rest of the header holds)
+    (one that starts {"v":N followed by "," or "}", N an integer other
+    than 1, is VersionMismatch, whatever the rest of it holds)
   then one event per line:
     {"op":"ins"|"upd"|"del","t":"<tenant>","r":<row_id>,
      "f":{"<field>":"<base64 IV||ct||tag>",...}}   (every header field; no "f" for del)
-  Replay reads only "op", "t", "r" and "f": the "ts" (unix seconds) that
-  earlier versions wrote into every event is read and ignored. A tenant
+  Each is written as shown, with no space, the keys in this order and
+  the fields in the header's order. Earlier versions also wrote a "ts"
+  (unix seconds, a JSON integer) right after "r": replay reads such a
+  line as it reads the line without it. A tenant
   is one that `validate_tenant_id` takes, all of `key_service.TENANT_ID`;
   a row id is 1 to 16 digits (`Store.insert` refuses to go past them);
-  and a value is base64 without "=" after whole quads.
+  and a value is base64 as `binascii.b2a_base64` writes it: no "=" after
+  whole quads, and the pad bits before "=" zero.
+  Any other spelling of an event, with spaces, escapes or keys in
+  another order, is CorruptLog, and of the header CorruptHeader.
   Two rules order the events: an "ins" names a row id above every earlier
   row id, and an "upd" or "del" names a row live under the event's tenant.
   So a row never changes owner, and row ids enter the live row map in
@@ -90,7 +95,6 @@ File format (UTF-8, newline-delimited):
 
 import binascii
 import fcntl
-import functools
 import os
 import re
 import stat
@@ -119,23 +123,18 @@ FORMAT_VERSION = 1
 # used with fullmatch: "$" would also match before a final newline
 _NAME_RE = re.compile(r"[a-z0-9_]{1,64}")
 
-# The header line `create_store` writes, read without json: "v" is
-# FORMAT_VERSION and every name is all of `_NAME_RE`; its groups are the
-# table and the fields joined by '","'. A header spelled otherwise is read
-# by `json.loads`.
+# The header line `create_store` writes: "v" is FORMAT_VERSION and every
+# name is all of `_NAME_RE`; its groups are the table and the fields joined
+# by '","'. Another version is named by `_VERSION_RE`, the header's start.
 _NAME = _NAME_RE.pattern.encode("ascii")
 _HEADER_RE = re.compile(rb'\{"v":%d,"table":"(%s)","fields":\["(%s(?:","%s)*)"\]\}'
                         % (FORMAT_VERSION, _NAME, _NAME, _NAME))
+_VERSION_RE = re.compile(rb'\{"v":(-?(?:0|[1-9][0-9]*))[,}]')
 
-
-@functools.cache
-def _encoder():
-    """The one compact encoder for every line written, built on the first
-    write, so a process that only reads never imports json: json.dumps
-    builds a new encoder on each call that passes separators."""
-    import json
-
-    return json.JSONEncoder(separators=(",", ":")).encode
+# The "ts" (unix seconds) that earlier versions wrote after "r", an integer
+# as JSON spells it, up to the "," or "}" after it, so that no digit left
+# over joins the row id; group 1 is what comes before it.
+_TS_RE = re.compile(rb'(,"r":[0-9]+),"ts":-?(?:0|[1-9][0-9]*)(?=[,}])')
 
 
 class TableSchema(namedtuple("TableSchema", "table_name field_names")):
@@ -251,12 +250,14 @@ class Store:
         state's row map with the handle's own copy. The live row keeps the
         base64 text the line holds."""
         self._refuse_if_closed()
-        event = {"op": op, "t": tenant, "r": row_id}
+        # the line's compact JSON: a validated tenant, the schema's names and
+        # base64 need no escape
+        line = b'{"op":"%s","t":"%s","r":%d' % (op.encode(), tenant.encode(), row_id)
         if values is not None:
             values = tuple([binascii.b2a_base64(value, newline=False) for value in values])
-            event["f"] = {name: value.decode("ascii")
-                          for name, value in zip(self.schema.field_names, values)}
-        line = (_encoder()(event) + "\n").encode("ascii")
+            line += b',"f":{%s}' % b",".join([b'"%s":"%s"' % (name.encode(), value)
+                                              for name, value in zip(self.schema.field_names, values)])
+        line += b"}\n"
         offset = self._fh.seek(0, os.SEEK_END)
         try:
             # `>`, not `!=`: a file that shrank under a writer ignoring the
@@ -386,8 +387,8 @@ class Store:
 
 
 def create_store(path: str, schema: TableSchema, master: MasterKey | None = None) -> Store:
-    header = (_encoder()({"v": FORMAT_VERSION, "table": schema.table_name,
-                          "fields": list(schema.field_names)}) + "\n").encode("utf-8")
+    header = b'{"v":%d,"table":"%s","fields":["%s"]}\n' % (
+        FORMAT_VERSION, schema.table_name.encode(), '","'.join(schema.field_names).encode())
     # "x" creates the file or fails: an existing store, even one another
     # process created a moment ago, is never truncated
     try:
@@ -413,12 +414,15 @@ def create_store(path: str, schema: TableSchema, master: MasterKey | None = None
 
 
 # One value as `Store._commit` spells it: base64 whose decoded length
-# `check_value` accepts, a multiple of 16 bytes from 48 up. 48 bytes are 64
+# `check_value` accepts, a multiple of 16 bytes from 48 up, with zero pad
+# bits (RFC 4648 3.5), as `binascii.b2a_base64` writes it. 48 bytes are 64
 # characters; a length 16 or 32 bytes past a multiple of 48 ends in 22
-# characters and "==" or 43 and "=". The quantifiers are possessive: a
-# value ends at a quote and its tail is shorter than a quad run of 64, so
-# giving characters back could never make a line match.
-_VALUE = rb"((?:[A-Za-z0-9+/]{64})++(?:[A-Za-z0-9+/]{22}==|[A-Za-z0-9+/]{43}=)?+)"
+# characters and "==", the last of them holding 2 bits and 4 zero bits, or
+# in 43 and "=", the last holding 4 bits and 2 zero bits. The quantifiers
+# are possessive: a value ends at a quote and its tail is shorter than a
+# quad run of 64, so giving characters back could never make a line match.
+_VALUE = (rb"((?:[A-Za-z0-9+/]{64})++"
+          rb"(?:[A-Za-z0-9+/]{21}[AQgw]==|[A-Za-z0-9+/]{42}[AEIMQUYcgkosw048]=)?+)")
 
 
 def _event_pattern(names: tuple) -> re.Pattern:
@@ -431,34 +435,12 @@ def _event_pattern(names: tuple) -> re.Pattern:
     every such line of a log, and `match` one line with its newline. Its
     groups are the op, "ins" or "upd" (for "del" empty bytes from
     `findall`, None from `match`), the tenant, the row id and each value.
-    It is the one rule for an event: a line spelled otherwise is read as
-    its `_respell`."""
+    It is the one rule for an event: `_line_by_line` matches a line it
+    misses once more only without an older version's "ts"."""
     fields = b",".join(b'"%s":"%s"' % (name.encode("ascii"), _VALUE) for name in names)
     tenant = TENANT_ID.encode("ascii")
     return re.compile(rb'(?m)^\{"op":"(?:(ins|upd)|del)","t":"(' + tenant + rb')","r":([1-9][0-9]{0,15})'
                       rb'(?(1),"f":\{' + fields + rb"\})\}\n")
-
-
-def _respell(line: bytes, names: tuple) -> bytes:
-    """The event that `json.loads` reads in `line`, spelled as
-    `Store._commit` writes it: "op", "t" and "r", then, unless "op" is
-    "del", "f" with the header's field `names` first, in their order. The
-    event's other keys are dropped and the other keys of "f" kept, for the
-    event pattern to refuse. A line json cannot read raises ValueError, one
-    nested too deep RecursionError, and one that is no object with those
-    keys TypeError or KeyError.
-
-    The line is decoded as UTF-8 before `json.loads` reads it: given bytes,
-    `json.loads` would also take UTF-16, UTF-32 and a UTF-8 BOM, which
-    `cmt` never writes."""
-    import json  # only a line `cmt` did not write needs it
-
-    event = json.loads(line.decode("utf-8"))
-    respelled = {"op": event["op"], "t": event["t"], "r": event["r"]}
-    if event["op"] != "del":
-        # `**` takes only a mapping, where dict.update would take a list of pairs
-        respelled["f"] = {**dict.fromkeys(names), **event["f"]}
-    return _encoder()(respelled).encode("ascii")
 
 
 def _read_header(path: str, raw: bytes) -> tuple:
@@ -474,28 +456,16 @@ def _read_header(path: str, raw: bytes) -> tuple:
     # would leave an empty file that the next append makes headerless
     if end < 0:
         raise CorruptHeader(f"header of {path!r} does not end in a newline")
-    plain = _HEADER_RE.fullmatch(raw, 0, end)
-    if plain:  # as `create_store` writes it
-        table, fields = plain[1].decode("ascii"), plain[2].decode("ascii").split('","')
-    else:
-        import json  # only a header `cmt` did not write needs it
-
-        try:
-            header = json.loads(raw[:end].decode("utf-8"))
-            version = header["v"]
-        except (ValueError, KeyError, TypeError, RecursionError) as exc:
-            raise CorruptHeader(f"unparseable header in {path!r}: {exc}") from None
-        # "v" first, so a header of another version is named so whatever its
-        # shape; json gives True for `true`, and True == 1
-        if type(version) is not int:
-            raise CorruptHeader(f'header of {path!r} needs an integer "v"')
-        if version != FORMAT_VERSION:
-            raise VersionMismatch(
-                f"store {path!r} is format version {version}; cmt reads version {FORMAT_VERSION}")
-        # a missing "table" or "fields" reads as None, which TableSchema refuses
-        table, fields = header.get("table"), header.get("fields")
-    try:  # the count and duplicates of the fields are checked here on either path
-        schema = TableSchema(table, fields)
+    header = _HEADER_RE.fullmatch(raw, 0, end)
+    if header is None:
+        # another version is named so, whatever the rest of its header holds
+        version = _VERSION_RE.match(raw, 0, end)
+        if version and version[1] != b"%d" % FORMAT_VERSION:
+            raise VersionMismatch(f"store {path!r} is format version {version[1].decode()}; "
+                                  f"cmt reads version {FORMAT_VERSION}")
+        raise CorruptHeader(f"header of {path!r} is not one cmt writes")
+    try:  # the count and duplicates of the fields are checked here
+        schema = TableSchema(header[1].decode(), header[2].decode().split('","'))
     except InvalidSchema as exc:  # a usage error at init, a corrupt file here
         raise CorruptHeader(f"header of {path!r}: {exc}") from None
     return raw[: end + 1], 1, schema, {}, 0, {}
@@ -534,13 +504,12 @@ def _replay(path: str, raw: bytes, start: tuple | None) -> tuple:
     if not count:
         return start
     live = dict(live)
-    names = schema.field_names
-    pattern = _event_pattern(names)
+    pattern = _event_pattern(schema.field_names)
     # each match is one whole line, so as many matches as lines is every
     # line as `Store._commit` writes it
     events = pattern.findall(raw, begin)
     if len(events) != count:
-        events = _line_by_line(path, raw, begin, number, pattern, names)
+        events = _line_by_line(path, raw, begin, number, pattern)
     # the rules of the file format: an insert names a row id above every
     # earlier one, and an update or a delete a row live under its tenant
     for line, event in enumerate(events, number + 1):
@@ -564,20 +533,15 @@ def _replay(path: str, raw: bytes, start: tuple | None) -> tuple:
     raise CorruptLog(f"corrupt event at line {line} of {path!r}: {what}")
 
 
-def _line_by_line(path: str, raw: bytes, begin: int, number: int, pattern, names: tuple):
+def _line_by_line(path: str, raw: bytes, begin: int, number: int, pattern):
     """The groups of each complete line of `raw` from `begin` on, the
-    first numbered `number + 1`, one line at a time: a line that `pattern`
-    misses is matched once more as its `_respell`, and the first line
-    that neither matches is CorruptLog naming it."""
+    first numbered `number + 1`, one line at a time: each line is matched
+    to `pattern` without the "ts" after "r" that earlier versions wrote, if
+    it holds one, and the first line that misses is CorruptLog naming it."""
     lines = raw[begin:].split(b"\n")
     lines.pop()  # the torn tail, or nothing
     for number, line in enumerate(lines, start=number + 1):
-        try:  # any other spelling means what json.loads reads
-            event = pattern.match(line + b"\n") or pattern.match(_respell(line, names) + b"\n")
-        except (ValueError, RecursionError) as exc:  # no JSON
-            raise CorruptLog(f"corrupt event at line {number} of {path!r}: {exc}") from None
-        except (TypeError, KeyError):  # JSON, but no object with the event's keys
-            event = None
+        event = pattern.match(_TS_RE.sub(rb"\1", line, 1) + b"\n")
         if event is None:
             raise CorruptLog(f"corrupt event at line {number} of {path!r}: not a well-formed event")
         yield event.groups()

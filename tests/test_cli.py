@@ -330,9 +330,9 @@ def test_event_fields_other_than_the_header_exit_3(store_path, names):
     main(insert_args(store_path, "uni_a"))
     with open(store_path, encoding="ascii") as fh:
         value = json.loads(fh.read().splitlines()[1])["f"]["name"]
-    with open(store_path, "a", encoding="ascii") as fh:
-        fh.write(json.dumps({"op": "upd", "t": "uni_a", "r": 1, "ts": 0,
-                             "f": dict.fromkeys(names, value)}) + "\n")
+    with open(store_path, "a", encoding="ascii") as fh:  # as `cmt` spells a line
+        fh.write(json.dumps({"op": "upd", "t": "uni_a", "r": 1, "f": dict.fromkeys(names, value)},
+                            separators=(",", ":")) + "\n")
     for command in (["get", "--row", "1"], ["list"]):
         result = run_cmt(["--store", store_path, "--tenant", "uni_a"] + command)
         assert result.returncode == 3
@@ -468,17 +468,20 @@ def test_import_loads_only_what_a_command_uses(tmp_path):
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert result.stdout.splitlines()[-1] == "False True", result.stderr
     # a plainly spelled command line runs without argparse, which only a
-    # line of any other spelling loads; a read of a store `cmt` wrote
-    # runs without json, which a write loads for its encoder
+    # line of any other spelling loads, and no command loads json
     path = str(tmp_path / "s.cmt")
     env = dict(os.environ, **{MASTER_KEY_ENV: HEX_KEY})
-    for command, json_loaded in (
-        (["init", "--table", "t", "--fields", FIELDS], True),
-        (["--tenant", "uni_a", "insert", "--set", "name=A", "--set", "contact=C", "--set", "department=D"],
-         True),
-        (["--tenant", "uni_a", "get", "--row", "1"], False),
-        (["--tenant", "uni_a", "list"], False),
-    ):
+    values = ["--set", "name=A", "--set", "contact=C", "--set", "department=D"]
+    commands = [
+        ["init", "--table", "t", "--fields", FIELDS],
+        ["--tenant", "uni_a", "insert", *values],
+        ["--tenant", "uni_a", "insert", *values],
+        ["--tenant", "uni_a", "update", "--row", "1", *values],
+        ["--tenant", "uni_a", "delete", "--row", "2"],
+        ["--tenant", "uni_a", "get", "--row", "1"],
+        ["--tenant", "uni_a", "list"],
+    ]
+    for command in commands:
         script = (
             "import sys\n"
             "from cmt.cli import main\n"
@@ -487,7 +490,17 @@ def test_import_loads_only_what_a_command_uses(tmp_path):
             "      file=sys.stderr)\n"
         )
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
-        assert result.stderr.splitlines()[-1] == f"0 [] {json_loaded}", (command, result.stderr)
+        assert result.stderr.splitlines()[-1] == "0 [] False", (command, result.stderr)
+    # and all of them in one process, on a new store
+    os.unlink(path)
+    script = (
+        "import sys\n"
+        "from cmt.cli import main\n"
+        f"codes = [main(['--store', {path!r}] + command) for command in {commands!r}]\n"
+        "print(codes, 'json' in sys.modules, file=sys.stderr)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert result.stderr.splitlines()[-1] == f"{[0] * len(commands)} False", result.stderr
     for argv in (["--help"], ["get", "--help"]):
         result = subprocess.run([sys.executable, "-m", "cmt.cli", *argv], capture_output=True, text=True)
         assert result.returncode == 0 and result.stdout.startswith("usage: cmt "), result
@@ -652,7 +665,8 @@ def run_cmt(args, env_key=HEX_KEY, timeout=None):
 
 @pytest.mark.parametrize("where", ["header", "event"])
 def test_a_line_nested_too_deep_exits_3_without_a_traceback(tmp_path, where):
-    # json's scanner raises RecursionError on it, which is no ValueError
+    # json's scanner, which once read such a line, raised RecursionError on
+    # it, which is no ValueError
     nested = "[" * 100_000 + "]" * 100_000 + "\n"
     path = tmp_path / "s.cmt"
     header = '{"v":1,"table":"t","fields":["a"]}\n'
@@ -702,11 +716,16 @@ def test_values_survive_process_restart(tmp_path):
                          ids=["as_cmt_writes_it", "spaced"])
 @pytest.mark.parametrize("command", [["get", "--row", "1"], ["list"]])
 def test_a_store_of_another_version_exits_3_naming_both(tmp_path, header, command):
+    # a header spaced otherwise than `cmt` writes one is no header of any
+    # version
     path = tmp_path / "s.cmt"
     path.write_text(header + "\n")
     result = run_cmt(["--store", str(path), "--tenant", "uni_a", *command])
     assert result.returncode == 3 and result.stdout == ""
-    assert result.stderr == f"cmt: error: store {str(path)!r} is format version 2; cmt reads version 1\n"
+    assert result.stderr == (f"cmt: error: store {str(path)!r} is format version 2; cmt reads version 1\n"
+                             if "{\"v\":2," in header else
+                             f"cmt: error: header of {str(path)!r} is not one cmt writes\n")
+    assert path.read_text() == header + "\n"
 
 
 def test_a_log_whose_events_carry_ts_still_opens(tmp_path):
@@ -905,8 +924,8 @@ def test_forged_value_exit_6(store_path, kind):
         events = [json.loads(line) for line in fh.read().splitlines()[1:]]
     values = {e["r"]: {k: base64.b64decode(v) for k, v in e["f"].items()} for e in events}
     forged = {k: base64.b64encode(v).decode("ascii") for k, v in _forge(values, kind).items()}
-    with open(store_path, "a", encoding="ascii") as fh:
-        fh.write(json.dumps({"op": "upd", "t": "uni_a", "r": 1, "ts": 0, "f": forged}) + "\n")
+    with open(store_path, "a", encoding="ascii") as fh:  # as `cmt` spells a line
+        fh.write(json.dumps({"op": "upd", "t": "uni_a", "r": 1, "f": forged}, separators=(",", ":")) + "\n")
     result = run_cmt(["--store", store_path, "--tenant", "uni_a", "get", "--row", "1"])
     assert result.returncode == 6
     assert result.stdout == ""
@@ -936,6 +955,33 @@ def test_an_event_cmt_never_writes_exits_3_untouched(store_path, tampering):
         result = run_cmt(["--store", store_path, "--tenant", "uni_a", *command])
         assert (result.returncode, result.stdout, result.stderr) == (3, "", (
             f"cmt: error: corrupt event at line {number} of {store_path!r}: no live row of its tenant\n"))
+        assert Path(store_path).read_bytes() == before
+
+
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+@pytest.mark.parametrize("spelling", ["spaced_delete", "pad_bit_set"])
+def test_a_line_cmt_never_spells_exits_3_untouched(store_path, spelling):
+    # json reads the spaced line as the delete of row 1 by its owner, and
+    # strict base64 the value with a pad bit set as the value written: the
+    # first used to delete the row, the second to read back as written
+    main(insert_args(store_path, "uni_a", name="Tamper Target Name 01"))  # a 64-byte value
+    header, ins, _ = Path(store_path).read_bytes().split(b"\n")
+    b64 = re.search(rb'"name":"([^"]*)"', ins)[1]
+    assert len(b64) == 88 and b64.endswith(b"==")
+    bumped = b64[:-3] + bytes([_BASE64[_BASE64.index(b64[-3]) + 1]]) + b"=="
+    assert base64.b64decode(bumped) == base64.b64decode(b64) and bumped != b64
+    lines, number = {
+        "spaced_delete": ([ins, b'{"op": "del", "t": "uni_a", "r": 1}'], 3),
+        "pad_bit_set": ([ins.replace(b64, bumped)], 2),
+    }[spelling]
+    Path(store_path).write_bytes(b"\n".join([header, *lines, b""]))
+    before = Path(store_path).read_bytes()
+    for command in (["get", "--row", "1"], ["list"]):
+        result = run_cmt(["--store", store_path, "--tenant", "uni_a", *command])
+        assert (result.returncode, result.stdout, result.stderr) == (3, "", (
+            f"cmt: error: corrupt event at line {number} of {store_path!r}: not a well-formed event\n"))
         assert Path(store_path).read_bytes() == before
 
 

@@ -185,7 +185,8 @@ def test_value_length_rule(tmp_path, b64):
     path = str(tmp_path / "s.cmt")
     create_store(path, TableSchema("t", ("name",))).close()
     with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps({"op": "ins", "t": "x", "r": 1, "ts": 1, "f": {"name": b64}}) + "\n")
+        # as `cmt` spells a line, so only the value is refused
+        fh.write(json.dumps({"op": "ins", "t": "x", "r": 1, "f": {"name": b64}}, separators=(",", ":")) + "\n")
     with pytest.raises(CorruptLog, match="line 2 "):
         open_store(path)
 

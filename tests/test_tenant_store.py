@@ -5,6 +5,7 @@ import binascii
 import contextlib
 import errno
 import functools
+import hashlib
 import io
 import itertools
 import json
@@ -180,20 +181,21 @@ def _spaced(header: bytes) -> bytes:
                                     [f"{i:02d}" + "f" * 62 for i in range(32)]],
                          ids=["1_field", "1_long_field", "32_fields", "32_long_fields"])
 def test_the_header_check_reads_every_header_create_store_writes_as_json_does(tmp_path, table, fields):
-    # the header a store is created with takes the check without json, and
-    # gives the schema json.loads reads in it, as the header's spelling
-    # with spaces, which goes through json.loads, does
+    # the header a store is created with is the compact JSON of its schema,
+    # json the oracle, and the check gives the schema json.loads reads in
+    # it; the same header with spaces is refused
     path = tmp_path / "s.cmt"
     schema = TableSchema(table, fields)
     create_store(str(path), schema, MASTER).close()
     header = path.read_bytes().split(b"\n")[0]
-    plain = tenant_store._HEADER_RE.fullmatch(header)
-    assert plain is not None
     loaded = json.loads(header)
+    assert header == json.dumps(loaded, separators=(",", ":")).encode()
+    assert loaded == {"v": 1, "table": table, "fields": fields}
+    plain = tenant_store._HEADER_RE.fullmatch(header)
     assert (plain[1].decode(), plain[2].decode().split('","')) == (loaded["table"], loaded["fields"])
-    assert tenant_store._HEADER_RE.fullmatch(_spaced(header)) is None
-    for line in (header, _spaced(header)):
-        assert tenant_store._read_header("s.cmt", line + b"\n") == (line + b"\n", 1, schema, {}, 0, {})
+    assert tenant_store._read_header("s.cmt", header + b"\n") == (header + b"\n", 1, schema, {}, 0, {})
+    with pytest.raises(CorruptHeader, match="^header of 's.cmt' is not one cmt writes$"):
+        tenant_store._read_header("s.cmt", _spaced(header) + b"\n")
 
 
 @pytest.mark.parametrize(
@@ -203,20 +205,19 @@ def test_the_header_check_reads_every_header_create_store_writes_as_json_does(tm
      b'{"v":1,"table":"\\u0074","fields":["a","b"]}'],
     ids=["spaces", "table_first", "fields_first", "around", "escaped"],
 )
-def test_a_header_spelled_otherwise_opens_lists_and_takes_a_write(tmp_path, header):
+def test_a_header_spelled_otherwise_is_corrupt_header_and_left_untouched(tmp_path, header):
+    # json reads each as the header `create_store` writes for the schema
+    # ("t", ("a", "b")), but `cmt` never spells it so
     path = tmp_path / "s.cmt"
+    assert json.loads(header) == {"v": 1, "table": "t", "fields": ["a", "b"]}
     path.write_bytes(header + b"\n")
-    with open_store(str(path), MASTER) as s:
-        assert s.schema == TableSchema("t", ("a", "b"))
-        assert s.list("uni_a") == []
-        assert s.insert("uni_a", {"a": "x", "b": "y"}) == 1
-    assert path.read_bytes().startswith(header + b"\n")
-    with open_store(str(path), MASTER) as s:
-        assert s.get("uni_a", 1).fields == {"a": "x", "b": "y"}
-        assert [r.row_id for r in s.list("uni_a")] == [1]
+    with pytest.raises(CorruptHeader, match="is not one cmt writes$"):
+        open_store(str(path), MASTER)
+    assert path.read_bytes() == header + b"\n"
 
 
-# deeper than `json`'s scanner recurses: it raises RecursionError, not ValueError
+# deeper than `json`'s scanner recurses, which once made it raise
+# RecursionError, not ValueError
 NESTED = "[" * 100_000 + "]" * 100_000
 
 
@@ -233,7 +234,7 @@ NESTED = "[" * 100_000 + "]" * 100_000
         '{"v":1,"table":"t","fields":["name\\n"]}',  # a field name with a trailing newline
         '{"v":1,"table":5,"fields":["a"]}',  # TableSchema's rule: names are strings
         '{"v":1,"table":"t","fields":["a",1]}',
-        # the check without json leaves the count and duplicates to TableSchema
+        # the header pattern leaves the count and duplicates to TableSchema
         '{"v":1,"table":"t","fields":["a","a"]}',
         '{"v":1,"table":"t","fields":["%s"]}' % '","'.join(f"f{i}" for i in range(33)),
         '{"v":1,"table":"t","fields":[]}',
@@ -388,25 +389,25 @@ def test_malformed_event_is_corrupt_log_with_line_number(tmp_path, event):
 
 
 @pytest.mark.parametrize(
-    "line, reason",
+    "line",
     [
-        (b'{"op":', "Expecting value: line 1 column 7 (char 6)"),  # json cannot read it
-        (b"\xff", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
-        (b"[]", "not a well-formed event"),  # no object: TypeError
-        (b'"x"', "not a well-formed event"),
-        (b'{"op":"ins"}', "not a well-formed event"),  # no "t": KeyError
-        (b'{"op":"zap","t":"a","r":1}', "not a well-formed event"),
-        (b'{"op":"zap","t":"a","r":1,"f":{}}', "not a well-formed event"),  # respelled, missed
+        b'{"op":',  # no JSON
+        b"\xff",  # no UTF-8
+        b"[]",  # no object
+        b'"x"',
+        b'{"op":"ins"}',  # no "t"
+        b'{"op":"zap","t":"a","r":1}',
+        b'{"op":"zap","t":"a","r":1,"ts":0,"f":{}}',  # matched again without its "ts", missed
     ],
 )
-def test_each_refused_line_gives_its_own_corrupt_log_message(tmp_path, monkeypatch, line, reason):
+def test_a_refused_line_gives_the_one_corrupt_log_message(tmp_path, monkeypatch, line):
     monkeypatch.chdir(tmp_path)
     create_store("s.cmt", SCHEMA, MASTER).close()
     with open("s.cmt", "ab") as fh:
         fh.write(line + b"\n")
     with pytest.raises(CorruptLog) as caught:
         open_store("s.cmt", MASTER)
-    assert str(caught.value) == f"corrupt event at line 2 of 's.cmt': {reason}"
+    assert str(caught.value) == "corrupt event at line 2 of 's.cmt': not a well-formed event"
 
 
 # --- CRUD -------------------------------------------------------------------
@@ -798,8 +799,8 @@ def _full_replay(path, monkeypatch):
 def spy_on_replayed_lines(monkeypatch) -> list:
     """The lines replays read from now on: each complete line a replay's
     one `findall` over the log reads with `_event_pattern`, and, when a
-    line misses it, each line the replay then reads one by one, as written
-    and, if the pattern misses it, once more respelled (`_respell`)."""
+    line misses it, each line the replay then reads one by one, without
+    the "ts" of an older version."""
     lines = []
     pattern = tenant_store._event_pattern
 
@@ -978,7 +979,7 @@ def test_a_corrupt_line_after_a_hit_names_its_line_in_the_file(replayed, lines_r
         fh.write(b'{"op":"del","t":"uni_a","r":3}\n{"op":"del","t":"uni_a","r":0}\n')
     with pytest.raises(CorruptLog, match="at line 6 of"):
         open_store(str(path), MASTER)
-    # only the two lines appended since, the last tried as written and respelled
+    # only the two lines appended since, by the findall and then one by one
     assert set(lines_read) == set(path.read_bytes().split(b"\n")[4:6])
     # the failed open applied the delete to its own copy of the memo's rows
     path.write_bytes(before)
@@ -1593,8 +1594,8 @@ def test_a_verified_value_that_is_not_utf8_is_auth_error(tmp_path):
     with open(path, "rb") as fh:
         event = json.loads(fh.read().split(b"\n")[1])
     event["op"], event["f"]["name"] = "upd", base64.b64encode(forged).decode("ascii")
-    with open(path, "a", encoding="ascii") as fh:
-        fh.write(json.dumps(event) + "\n")
+    with open(path, "a", encoding="ascii") as fh:  # as `cmt` spells it, so it reaches the read
+        fh.write(json.dumps(event, separators=(",", ":")) + "\n")
     with open_store(path, MASTER) as s:
         with pytest.raises(AuthError, match="UTF-8"):
             s.get("uni_a", rid)
@@ -1709,7 +1710,8 @@ def _edit(lines, at, edit):
     elif edit[0] == "drop":
         del lines[i]
     elif edit[0] == "key":
-        # one key of a parseable event removed or given a value of another type
+        # one key of a parseable event removed or given a value of another
+        # type, spelled as `cmt` writes a line
         try:
             event = json.loads(line)
         except ValueError:
@@ -1721,7 +1723,7 @@ def _edit(lines, at, edit):
             del event[key]
         else:
             event[key] = edit[2]
-        lines[i] = json.dumps(event).encode()
+        lines[i] = json.dumps(event, separators=(",", ":")).encode()
     else:
         lines.insert(edit[1] % (len(lines) + 1), line)
 
@@ -1874,17 +1876,26 @@ def _respelled(line, rng):
     return _spelled(event, rng).encode("ascii")
 
 
+def _stamped(line, rng):
+    """`line` with a "ts" as earlier versions wrote it, right after the
+    first `"r":` and its digits, if it holds one."""
+    return re.sub(rb'("r":[0-9]+)', rb'\1,"ts":%d' % rng.randrange(2**31), line, count=1)
+
+
 @given(edits=st.lists(st.one_of(_LINE_EDITS, _INSERTS), max_size=4), seed=st.integers(0, 2**32))
 @settings(max_examples=100, deadline=None)
-def test_a_log_respelled_line_by_line_replays_as_written(edits, seed):
-    # a log and the same log with every event line respelled: the same
-    # rows, or the same error at the same line, as the reference reads it
+def test_a_log_respelled_line_by_line_replays_as_the_reference_reads_it(edits, seed):
+    # a log with every event line respelled, and with every event line
+    # given an older version's "ts": the reference reads each alike, and
+    # the "ts" changes neither the rows nor the refused line
     rng = random.Random(seed)
     header, *lines, torn = _edited_log(edits).split(b"\n")
     raw = b"\n".join([header, *lines, torn])
     respelled = b"\n".join([header, *(_respelled(line, rng) for line in lines), torn])
-    assert _replayed_rows(respelled) == _replayed_rows(raw)
+    stamped = b"\n".join([header, *(_stamped(line, rng) for line in lines), torn])
     _replays_alike(respelled)
+    _replays_alike(stamped)
+    assert _replayed_rows(stamped) == _replayed_rows(raw)
 
 
 def _written_log(ops) -> bytes:
@@ -1934,19 +1945,20 @@ def _replay_paths(raw, line_by_line=False):
        torn=st.booleans(), seed=st.integers(0, 2**32))
 @settings(max_examples=50, deadline=None)
 def test_the_findall_and_the_line_by_line_replay_read_a_log_alike(ops, drops, torn, seed):
-    # a log a store writes, with respelled lines (True) and lines cut short
-    # (False) dropped in: the replay reads it as the line-by-line path
-    # does, and as its findall path reads the log as written
+    # a log a store writes, with lines given an older version's "ts" (True)
+    # and lines cut short (False) dropped in: the replay reads it as the
+    # line-by-line path does, and as its findall path reads the log as
+    # written
     rng = random.Random(seed)
     header, *lines, _ = _written_log(ops).split(b"\n")
     tail = lines[-1][: len(lines[-1]) // 2] if torn and lines else b""
     mixed, broken = list(lines), set()
-    for at, respell, cut in drops:
+    for at, stamp, cut in drops:
         if not lines:
             break
         i = at % len(lines)
-        if respell:
-            mixed[i] = _respelled(lines[i], rng)
+        if stamp:
+            mixed[i] = _stamped(lines[i], rng)
             broken.discard(i)
         else:  # no prefix of an event line is a JSON object
             mixed[i] = lines[i][: cut % len(lines[i])]
@@ -1998,18 +2010,28 @@ _REFUSED = {
     "= after whole quads": lambda ins, b64, dele: ins.replace(b64, b64 + b"="),
     "a 17-digit row id": lambda ins, b64, dele: ins.replace(b'"r":1,', b'"r":10000000000000000,'),
     "* in base64": lambda ins, b64, dele: ins.replace(b64, b"*" + b64),
+    # 64 bytes or 80, their pad bits set: base64 that `b2a_base64` never writes
+    "pad bits before == set": lambda ins, b64, dele: ins.replace(b64, b64 + b"A" * 21 + b"B=="),
+    "pad bits before = set": lambda ins, b64, dele: ins.replace(b64, b64 + b"A" * 42 + b"B="),
 }
 
-# lines json reads as events, spelled other than `Store` writes them
+# lines json reads as an event `Store` writes, spelled otherwise
 _RESPELLED = {
     "escaped tenant": lambda ins, b64, dele: ins.replace(b'"t":"uni_a"', b'"t":"uni\\u005fa"'),
     "escaped value character": lambda ins, b64, dele: ins.replace(
         b64, b"\\u%04x" % b64[0] + b64[1:]),
     "keys in another order": lambda ins, b64, dele: ins.replace(
         b'{"op":"ins","t":"uni_a",', b'{"t":"uni_a","op":"ins",'),
-    "a ts field": lambda ins, b64, dele: ins.replace(b'"r":1,', b'"r":1,"ts":0,'),
     "JSON whitespace between tokens": lambda ins, b64, dele: ins.replace(b',"r":1,', b', "r": 1, '),
     "a delete with f": lambda ins, b64, dele: dele[:-1] + b',"f":{}}',
+    "a ts before r": lambda ins, b64, dele: ins.replace(b'"r":1,', b'"ts":0,"r":1,'),
+    "a ts after f": lambda ins, b64, dele: ins[:-1] + b',"ts":0}',
+    "two ts": lambda ins, b64, dele: ins.replace(b'"r":1,', b'"r":1,"ts":0,"ts":0,'),
+    "a ts with a space": lambda ins, b64, dele: ins.replace(b'"r":1,', b'"r":1,"ts": 0,'),
+    "a ts with a leading zero": lambda ins, b64, dele: ins.replace(b'"r":1,', b'"r":1,"ts":01,'),
+    "a float ts": lambda ins, b64, dele: ins.replace(b'"r":1,', b'"r":1,"ts":1.0,'),
+    "a true ts": lambda ins, b64, dele: ins.replace(b'"r":1,', b'"r":1,"ts":true,'),
+    "a text ts": lambda ins, b64, dele: ins.replace(b'"r":1,', b'"r":1,"ts":"0",'),
 }
 
 
@@ -2020,26 +2042,42 @@ def test_decoder_agrees_with_reference_on_refused_lines(case):
 
 
 @pytest.mark.parametrize("case", list(_RESPELLED))
-def test_decoder_agrees_with_reference_on_respelled_lines(case):
+def test_a_respelled_line_is_corrupt_log_and_left_untouched(tmp_path, case):
+    # one spelling per line: json reads each as it reads a line `cmt`
+    # writes, and the replay refuses it as the reference does
     ins, b64, dele = _base_lines()
     line = _RESPELLED[case](ins, b64, dele)
-    assert tenant_store._event_pattern(SCHEMA.field_names).fullmatch(line + b"\n") is None
-    # a delete replays after the insert of its row
-    raw = _one_event(ins, line) if case == "a delete with f" else _one_event(line)
-    rows = _replayed_rows(raw)
-    assert rows[0] is not CorruptLog and rows == _reference_rows(raw)
+    # a delete follows the insert of its row
+    lines = (ins, line) if case == "a delete with f" else (line,)
+    raw = _one_event(*lines)
+    assert _replayed_rows(raw) == _reference_rows(raw) == (CorruptLog, len(lines) + 1)
+    path = tmp_path / "s.cmt"
+    path.write_bytes(raw)
+    with pytest.raises(CorruptLog) as caught:
+        open_store(str(path), MASTER)
+    assert str(caught.value) == f"corrupt event at line {len(lines) + 1} of {str(path)!r}: not a well-formed event"
+    assert path.read_bytes() == raw
+
+
+@pytest.mark.parametrize("ts", [b"0", b"1700000000", b"-1", b"9" * 30])
+def test_an_older_versions_ts_after_r_replays_as_the_line_without_it(ts):
+    ins, _, dele = _base_lines()
+    stamped = [line.replace(b'"r":1', b'"r":1,"ts":' + ts) for line in (ins, dele)]
+    for lines in ([ins], [ins, dele]):
+        raw = _one_event(*stamped[: len(lines)])
+        assert _replayed_rows(raw)[0] is not CorruptLog
+        assert _replayed_rows(raw) == _reference_rows(raw) == _replayed_rows(_one_event(*lines))
 
 
 @pytest.mark.parametrize(
     "before, after", [(b" ", b""), (b"\t", b"\r"), (b"", b" \t"), (b" \t\r ", b"\r \t")]
 )
 def test_decoder_agrees_with_reference_around_whitespace(before, after):
+    # JSON whitespace around a line `cmt` writes: refused alike
     ins, _, dele = _base_lines()
     for lines in ([ins], [ins, dele]):  # a delete replays after the insert of its row
         raw = _one_event(*lines[:-1], before + lines[-1] + after)
-        rows = _replayed_rows(raw)
-        assert rows[0] is not CorruptLog
-        assert rows == _reference_rows(raw) == _replayed_rows(_one_event(*lines))
+        assert _replayed_rows(raw) == _reference_rows(raw) == (CorruptLog, len(lines) + 1)
 
 
 @given(tenant=st.one_of(st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=70),
@@ -2072,8 +2110,8 @@ def test_an_event_replays_if_and_only_if_its_tenant_is_valid(tenant, delete):
     ids=["utf-16-le", "utf-8_bom"],
 )
 def test_an_event_json_loads_would_read_from_bytes_is_corrupt(tmp_path, respell):
-    # the event is decoded as UTF-8 before json reads it: given the bytes,
-    # json.loads would detect UTF-16 and skip a BOM
+    # given the bytes, json.loads would detect UTF-16 and skip a BOM; the
+    # replay reads only the bytes `cmt` writes
     path = tmp_path / "s.cmt"
     with create_store(str(path), SCHEMA, MASTER) as s:
         s.insert("uni_a", row("a"))
@@ -2162,8 +2200,8 @@ def test_an_insert_past_the_last_16_digit_row_id_is_refused(tmp_path, monkeypatc
 
 @pytest.mark.parametrize("fields", [1, 3, 32])
 def test_every_line_a_store_writes_takes_the_event_pattern(tmp_path, monkeypatch, fields):
-    # a `_commit` that drifts off the pattern would send every line
-    # through the slower respelling, and nothing else might show it
+    # a `_commit` that drifts off the pattern would write lines no open
+    # reads
     schema = TableSchema("t", [f"f{i}" for i in range(fields)])
     names = schema.field_names
     sizes = [0, 15, 16, 17, 47, 48]  # values of 48, 48, 64, 64, 80 and 96 bytes
@@ -2192,6 +2230,63 @@ def test_every_line_a_store_writes_takes_the_event_pattern(tmp_path, monkeypatch
     assert _replayed_rows(path.read_bytes()) == _reference_rows(path.read_bytes())
 
 
+_WRITER_SCHEMAS = {
+    "1_field": TableSchema("t", ("a",)),
+    "32_long_names": TableSchema("t" * 64, tuple(f"{i:02d}" + "f" * 62 for i in range(32))),
+}
+
+
+def _every_kind_of_line(path: str, schema: TableSchema) -> None:
+    """Create a store of `schema` at `path` and write through one handle
+    each kind of line: inserts, updates and deletes, of empty plaintexts
+    too, under tenants holding "-" and "_", and at a 16-digit row id."""
+    names = schema.field_names
+    with create_store(path, schema, MASTER) as s:
+        for tenant in ("a-b_c", "-", "_", "t" * 64):
+            row_id = s.insert(tenant, dict.fromkeys(names, ""))
+            s.update(tenant, row_id, {name: "x" * i for i, name in enumerate(names)})
+            s.delete(tenant, row_id)
+            s.insert(tenant, dict.fromkeys(names, "é"))
+        s._max_row_id = 10**16 - 2  # the next insert takes the last 16-digit row id
+        row_id = s.insert("uni_a", dict.fromkeys(names, ""))
+        s.update("uni_a", row_id, dict.fromkeys(names, ""))
+        s.delete("uni_a", row_id)
+
+
+@pytest.mark.parametrize("schema", list(_WRITER_SCHEMAS.values()), ids=list(_WRITER_SCHEMAS))
+def test_every_line_a_store_writes_is_the_compact_json_of_what_json_reads_in_it(tmp_path, schema):
+    # the writer formats bytes; json is the oracle of the one spelling
+    path = tmp_path / "s.cmt"
+    _every_kind_of_line(str(path), schema)
+    raw = path.read_bytes()
+    lines = raw.split(b"\n")
+    assert lines.pop() == b""
+    assert [line for line in lines if line != json.dumps(json.loads(line), separators=(",", ":")).encode()] == []
+    header, *events = map(json.loads, lines)
+    assert header == {"v": 1, "table": schema.table_name, "fields": list(schema.field_names)}
+    assert [e["op"] for e in events] == ["ins", "upd", "del", "ins"] * 4 + ["ins", "upd", "del"]
+    assert events[-1]["r"] == 10**16 - 1
+    assert [list(e) for e in events] == [["op", "t", "r"] + ["f"] * (e["op"] != "del") for e in events]
+    assert all(list(e["f"]) == list(schema.field_names) for e in events if "f" in e)
+    assert _replayed_rows(raw)[0] is not CorruptLog
+    assert _replayed_rows(raw) == _reference_rows(raw)
+
+
+def test_a_store_written_with_seeded_ivs_has_the_bytes_json_spelled(tmp_path, monkeypatch):
+    # the sha256 of each store as `json.dumps(..., separators=(",", ":"))`
+    # wrote it, before the writer formatted bytes
+    monkeypatch.setattr(os, "urandom", random.Random(44).randbytes)
+    digests = {}
+    for name, schema in _WRITER_SCHEMAS.items():
+        path = tmp_path / f"{name}.cmt"
+        _every_kind_of_line(str(path), schema)
+        digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == {
+        "1_field": "fef54820d05b8ece55e6be80e70a0e601d2b152d895d5d2dc418293ae051a163",
+        "32_long_names": "f04464fa44bce8618cb9a5ad00715ac7b428689f51b97042a591b01bc0dad52d",
+    }
+
+
 @pytest.mark.parametrize("fields", [3, 32])
 def test_a_schemas_event_pattern_is_compiled_once(fields):
     names = tuple(f"f{i}" for i in range(fields))
@@ -2212,7 +2307,7 @@ _ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 
 def _spellings(n: int, rng: random.Random):
     """The base64 of n random bytes, and spellings of it that strict base64
-    refuses or, for non-zero trailing bits, takes."""
+    refuses or, for non-zero pad bits, takes."""
     good = base64.b64encode(rng.randbytes(n))
     body = good.rstrip(b"=")
     pad = good[len(body):]
@@ -2226,24 +2321,22 @@ def _spellings(n: int, rng: random.Random):
         for bad in (b"-", b"_", b"*", b".", b" ", b"\n", b"\x00", b'"', b"\\", "é".encode()):
             yield good[:at] + bad + good[at + 1 :]  # one byte outside the alphabet
             yield good[:at] + bad + good[at:]
-    if pad:  # the last character's low bits, which pad bits, set
+    if pad:  # the last character's low bit, a pad bit, set
         yield body[:-1] + bytes([_ALPHABET[_ALPHABET.index(body[-1]) | 1]]) + pad
 
 
 def test_the_value_pattern_is_the_length_rule_spelled_in_base64():
     # the pattern's value spelling and `check_value`'s length rule are two
     # spellings of one rule: a line the pattern takes must hold values
-    # strict base64 decodes to a length `check_value` takes, and each value
-    # `Store` writes must match
+    # strict base64 decodes to a length `check_value` takes, spelled as
+    # `b2a_base64` spells them, and each value `Store` writes must match
     match = tenant_store._event_pattern(("f",)).fullmatch
     rng = random.Random(30)
     for n in range(401):
         assert _strict_value(base64.b64encode(bytes(n))) == (n >= 48 and n % 16 == 0)
         for spelling in _spellings(n, rng):
             matched = match(b'{"op":"ins","t":"a","r":1,"f":{"f":"%s"}}\n' % spelling) is not None
-            if spelling.endswith(b"=") and len(spelling.rstrip(b"=")) % 4 == 0:
-                # strict base64 takes "=" after whole quads, which `Store`
-                # never writes and the pattern refuses
-                assert not matched, spelling
-            else:
-                assert matched == _strict_value(spelling), spelling
+            # strict base64 takes "=" after whole quads and pad bits set,
+            # which `Store` never writes and the pattern refuses
+            canonical = _strict_value(spelling) and base64.b64encode(base64.b64decode(spelling)) == spelling
+            assert matched == canonical, spelling
