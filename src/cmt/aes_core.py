@@ -42,10 +42,11 @@ key schedule:
   live in the batch's frame alone, and no key outlives its batch in the
   module. A call costs about 1.7 chain
   blocks at 1 lane and grows by about a fifth of one per lane, so it
-  serves the narrow batches: from PACKED_MIN_LANES (3) lanes on, and,
-  once numpy is loaded, below KERNEL_MIN_LANES (48). Without numpy it
-  serves every width, in calls of at most PACKED_MAX_LANES (1,024) lanes,
-  so that neither its masks nor a round's temporaries grow with the batch.
+  serves the narrow batches: from PACKED_MIN_LANES (3) lanes on (a
+  decryption's last chunk may be narrower), and, once numpy is loaded,
+  below KERNEL_MIN_LANES (48). Without numpy it serves every width, in
+  calls of at most PACKED_MAX_LANES (1,024) lanes, so that neither its
+  masks nor a round's temporaries grow with the batch.
 - The multi-lane kernel runs the same rounds on byte-sliced states, a
   (16, n) uint8 numpy array whose row i is byte i of every lane, all lanes
   in lockstep, on the row tables. It is the one part that needs numpy,
@@ -54,21 +55,27 @@ key schedule:
   much as the packed rounds at 48 lanes, and half the time the (n, 16)
   states it replaced took from 300 lanes on (BENCH_17.json).
 
-Two batch functions choose among them by width. `cbc_macs`, the one
-CBC-MAC function, runs one lane per message, longest first, so the
-running lanes are always a prefix: with `lanes`, on the kernel while at
-least KERNEL_MIN_LANES lanes are running, then on the packed rounds while
-at least PACKED_MIN_LANES are, and the last ones on the chain; without
-`lanes` the kernel's share runs on the packed rounds too. A batch of
-fewer than PACKED_MIN_LANES messages, such as a value's tag or a
-tenant's keys, runs on the chain alone. `decrypt_cbc` CBC-decrypts
-messages IV || ciphertext with every block of the batch in one call, on
-the engine its block count calls for. On the kernel a batch costs about
-one Python step per message: the lane order and block offsets of
-`cbc_macs` are numpy arrays, one byte-sliced state serves the batch and
-its running prefix is stepped (a lane's state is its tag once its message
-ends), and `decrypt_cbc` picks the ciphertext blocks, XORs each with the
-block before it and joins the result in numpy. When fewer than
+Two batch functions choose among them by width, and each takes its
+chain route first. `cbc_macs`, the one CBC-MAC function, runs one lane
+per message, longest first, so the running lanes are always a prefix:
+with `lanes`, on the kernel while at least KERNEL_MIN_LANES lanes are
+running, then on the packed rounds while at least PACKED_MIN_LANES are,
+and the last ones on the chain; without `lanes` the kernel's share runs
+on the packed rounds too. A batch of fewer than PACKED_MIN_LANES
+messages, such as a value's tag or a tenant's keys, runs on the chain
+alone. `decrypt_cbc` CBC-decrypts messages IV || ciphertext on one of
+three routes, each on one engine, by the batch's count of ciphertext
+blocks: a batch of fewer than PACKED_MIN_LANES blocks (a `get` of a one-
+or two-block value) on the chain, message by message; with `lanes`, from
+KERNEL_MIN_LANES blocks on, every block of the batch in one kernel call;
+any other batch on the packed rounds, in chunks of at most
+PACKED_MAX_LANES blocks. The chain decrypts only such whole batches of
+one or two blocks. On the kernel a batch costs about one Python step per
+message: the lane order and block offsets of `cbc_macs` are numpy
+arrays, one byte-sliced state serves the batch and its running prefix is
+stepped (a lane's state is its tag once its message ends), and
+`decrypt_cbc` picks the ciphertext blocks by an index, XORs each with
+the block before it and joins the result in numpy. When fewer than
 KERNEL_MIN_LANES chains are left, `cbc_macs` hands their states over to
 the packed rounds as one int; on them a step gathers its blocks with one
 join, and a lane that ends drops off the low end of the state.
@@ -188,9 +195,10 @@ _TD = _round_tables(INV_SBOX, (0x0E, 0x09, 0x0D, 0x0B))  # InvMixColumns
 # as a `cmt get` of a short value, never builds them. Built at import they
 # cost a fresh `import cmt.cli` about 1 ms of CPU, and `cli_get_ms_p50`
 # rose 0.5 % on `point_small` and 1.4 % on `scan_replay` (BENCH_21.json).
-# Decryption has none: `decrypt_cbc` runs every buffer of PACKED_MIN_LANES
-# blocks or more on the packed rounds, so the chain only ever decrypts one
-# or two blocks. Threads that race to build them build equal tables.
+# Decryption has none: `decrypt_cbc` runs every batch of PACKED_MIN_LANES
+# blocks or more on the packed rounds or the kernel, so the chain only ever
+# decrypts a whole batch of one or two blocks. Threads that race to build
+# them build equal tables.
 _PLACED_ENC = None
 
 _WORDS = struct.Struct(">4I")
@@ -403,7 +411,10 @@ _PATTERNS = (
 # 1.14-1.20 at 2 and 0.76-0.85 at 3; `cbc_macs` of messages of 16 blocks
 # 0.86-0.92 at 2 lanes and 0.61-0.67 at 3. Decryption, whose packed rounds
 # add InvMixColumns' first step, loses at 2 blocks, and a `get` decrypts
-# one value a call, so both start at 3: the two longest chains of a batch
+# one value a call, so both start at 3. `decrypt_cbc` routes a whole batch
+# of fewer blocks to the chain, before it joins anything, and runs every
+# other batch whole on the packed rounds or the kernel, a last chunk of
+# one or two blocks too; in `cbc_macs` the two longest chains of a batch
 # finish on the chain.
 PACKED_MIN_LANES = 3
 
@@ -658,52 +669,44 @@ def encrypt_ecb(data: bytes, schedule: KeySchedule) -> bytes:
 def decrypt_cbc(messages: list[bytes], schedule: KeySchedule, lanes: bool = False) -> list[bytes]:
     """The CBC decryption of every message IV || ciphertext, each an IV and
     whole blocks (`crypto_codec.check_value` holds values to that);
-    ValueError if a message is shorter than an IV or the ciphertexts do not
-    join into whole blocks. Every ciphertext block of the batch is
-    decrypted in one call, since no block's decryption waits on another's
-    (NIST SP 800-38A section 6.2): on the kernel with `lanes` from
-    KERNEL_MIN_LANES blocks on, else on the packed rounds from
-    PACKED_MIN_LANES blocks on, in chunks of at most PACKED_MAX_LANES
-    blocks, else on the chain (as is a last chunk of fewer than
-    PACKED_MIN_LANES blocks); the packed chunks spread the round keys once
-    for the full width and once for a narrower last chunk. Each is then
-    XORed with the block before it in its message. On the kernel the
-    messages stay one numpy buffer from the join to the XOR: the blocks to
-    decrypt are every block but the IVs, and the block before each is the
-    one an index earlier in the same buffer. One message needs no index:
-    its blocks are the buffer but its first."""
-    if messages and min(map(len, messages)) < BLOCK_SIZE:
-        raise ValueError("a message is shorter than an IV")
-    if lanes and sum(map(len, messages)) // BLOCK_SIZE - len(messages) >= KERNEL_MIN_LANES:
+    ValueError, before any route is taken, for any other message. No block's
+    decryption waits on another's (NIST SP 800-38A section 6.2), so the
+    route is the batch's block count, and one engine runs each route. A
+    batch of fewer than PACKED_MIN_LANES blocks, such as a `get` of a
+    one- or two-block value, runs on the chain, message by message, each
+    decrypted block XORed with the block before it in its message. Any
+    other batch is decrypted whole and then XORed with the blocks before:
+    on the kernel with `lanes` from KERNEL_MIN_LANES blocks on, where the
+    messages stay one numpy buffer from the join to the XOR, the blocks to
+    decrypt are every block but the IVs and the block before each is the
+    one an index earlier; else on the packed rounds, in chunks of at most
+    PACKED_MAX_LANES blocks, the round keys spread once for the full width
+    and once for a narrower last chunk."""
+    if any([len(m) < BLOCK_SIZE or len(m) % BLOCK_SIZE for m in messages]):
+        raise ValueError("a message is not an IV and whole blocks")
+    blocks = sum(map(len, messages)) // BLOCK_SIZE - len(messages)
+    if blocks < PACKED_MIN_LANES:
+        return [(int.from_bytes(decrypt_blocks(m[BLOCK_SIZE:], schedule)) ^ int.from_bytes(m[:-BLOCK_SIZE]))
+                .to_bytes(len(m) - BLOCK_SIZE) for m in messages]
+    if lanes and blocks >= KERNEL_MIN_LANES:
         np = _lanes()[0]
-        blocks = np.frombuffer(b"".join(messages), dtype=np.uint8).reshape(-1, BLOCK_SIZE)
-        cipher, before = blocks[1:], blocks[:-1]  # each block and the one before it
-        # One message needs no index. Through the general path a call took
-        # 5.7-7.3 us longer at 10-257 blocks (81 alternating calls), and every
-        # `bulk_values` get decrypts one message a call once numpy is loaded.
-        if len(messages) > 1:  # but not the later messages' IVs
-            starts = accumulate(map(len, messages[:-1]))  # of the second message on
-            keep = np.ones(len(cipher), dtype=bool)
-            keep[np.fromiter(starts, np.intp, len(messages) - 1) // BLOCK_SIZE - 1] = False
-            index = np.flatnonzero(keep)
-            cipher, before = cipher.take(index, axis=0), before.take(index, axis=0)
-        plain = _lane_rounds(cipher.T, schedule.dec_keys, True).T
-        plain = (plain ^ before).tobytes()
+        buf = np.frombuffer(b"".join(messages), dtype=np.uint8).reshape(-1, BLOCK_SIZE)
+        cipher = np.ones(len(buf), dtype=bool)
+        ivs = accumulate(map(len, messages[:-1]), initial=0)
+        cipher[np.fromiter(ivs, np.intp, len(messages)) // BLOCK_SIZE] = False
+        index = np.flatnonzero(cipher)
+        plain = _lane_rounds(buf.take(index, axis=0).T, schedule.dec_keys, True).T
+        plain = (plain ^ buf.take(index - 1, axis=0)).tobytes()
     else:
         cipher = b"".join([m[BLOCK_SIZE:] for m in messages])
-        if len(cipher) % BLOCK_SIZE:
-            raise ValueError("data length must be a multiple of 16")
         before = b"".join([m[:-BLOCK_SIZE] for m in messages])
         width, plain = BLOCK_SIZE * PACKED_MAX_LANES, []
         for i in range(0, len(cipher), width):  # at most PACKED_MAX_LANES lanes a call
             chunk = cipher[i : i + width]
             n = len(chunk) // BLOCK_SIZE
-            if n >= PACKED_MIN_LANES:
-                # spread for the first chunk's width, and again for a narrower last chunk
-                keys = _spread(schedule.dec_keys, n) if i == 0 or n < PACKED_MAX_LANES else keys
-                x = _packed_rounds(int.from_bytes(chunk), n, keys, True)
-            else:
-                x = int.from_bytes(decrypt_blocks(chunk, schedule))
+            # spread for the first chunk's width, and again for a narrower last chunk
+            keys = _spread(schedule.dec_keys, n) if i == 0 or n < PACKED_MAX_LANES else keys
+            x = _packed_rounds(int.from_bytes(chunk), n, keys, True)
             plain.append((x ^ int.from_bytes(before[i : i + width])).to_bytes(len(chunk)))
         del cipher, before  # before the join: 16 MB then peaks at 79 MB RSS, not 95
         plain = b"".join(plain)
@@ -762,10 +765,10 @@ def cbc_macs(messages: list[bytes], schedule: KeySchedule, lanes: bool = False) 
     messages runs on the chain alone. Without `lanes`, a batch of more than
     PACKED_MAX_LANES messages runs as groups of at most that many, longest
     first. ValueError if a message is not block-aligned."""
+    if len(messages) < PACKED_MIN_LANES:  # encrypt_cbc refuses a misaligned message itself
+        return [encrypt_cbc(m, schedule, bytes(BLOCK_SIZE))[-BLOCK_SIZE:] for m in messages]
     if any(len(m) % BLOCK_SIZE for m in messages):
         raise ValueError("data length must be a multiple of 16")
-    if len(messages) < PACKED_MIN_LANES:
-        return [encrypt_cbc(m, schedule, bytes(BLOCK_SIZE))[-BLOCK_SIZE:] for m in messages]
     if not lanes or len(messages) < KERNEL_MIN_LANES:
         order = sorted(range(len(messages)), key=lambda i: len(messages[i]), reverse=True)
         tags = [b""] * len(messages)

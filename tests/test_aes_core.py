@@ -679,7 +679,8 @@ CHUNK_WIDTHS = [
 def test_chunked_packed_work_matches_the_library(width, seed):
     # decryptions of `width` blocks and MACs of `width` messages, one below
     # to PACKED_MIN_LANES + 1 past one and two multiples of PACKED_MAX_LANES:
-    # a last chunk or group of fewer than PACKED_MIN_LANES lanes runs on the
+    # a decryption's last chunk runs on the packed rounds however narrow,
+    # and a last MAC group of fewer than PACKED_MIN_LANES lanes on the
     # chain, a wider one on the packed rounds
     rng = random.Random(seed)
     key = rng.randbytes(16)
@@ -791,8 +792,8 @@ def test_decrypt_cbc_of_no_messages_and_of_misaligned_ciphertext():
 @pytest.mark.parametrize("lanes", [False, True])
 @pytest.mark.parametrize("at", ["first", "middle", "last"])
 def test_decrypt_cbc_refuses_a_misaligned_message_anywhere(at, lanes):
-    # the kernel's buffer of whole messages refuses what the chain's join
-    # of ciphertexts refuses, wherever the odd message is
+    # every route refuses the odd message before it runs, wherever the odd
+    # message is
     ks = aes_core.expand_key(os.urandom(16))
     messages = [os.urandom(16 * n) for n in (2, 3, 4)]
     bad = {"first": 0, "middle": 1, "last": 2}[at]
@@ -805,16 +806,71 @@ def test_decrypt_cbc_refuses_a_misaligned_message_anywhere(at, lanes):
 
 
 @pytest.mark.parametrize("lanes", [False, True])
-@pytest.mark.parametrize("count", [2, aes_core.PACKED_MIN_LANES, aes_core.KERNEL_MIN_LANES])
+@pytest.mark.parametrize("count", [1, 2, aes_core.PACKED_MIN_LANES, aes_core.KERNEL_MIN_LANES])
 def test_cbc_macs_refuse_a_misaligned_message_anywhere(count, lanes):
     # on the chain, the packed rounds and the kernel alike: a message with
-    # trailing bytes is refused, not tagged by its whole blocks
+    # trailing bytes is refused, not tagged by its whole blocks. One or two
+    # messages take the chain before the length scan, and encrypt_cbc
+    # refuses the odd one with the scan's ValueError
     ks = aes_core.expand_key(os.urandom(16))
     for bad in (0, count // 2, count - 1):
         messages = [os.urandom(16 * (2 + i % 3)) for i in range(count)]
         messages[bad] += b"\x00"
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^data length must be a multiple of 16$"):
             aes_core.cbc_macs(messages, ks, lanes)
+
+
+ROUTE_BLOCKS = [0, 1, 2, 3, 47, 48, *(aes_core.PACKED_MAX_LANES + k for k in (1, 2, 3))]
+
+
+def _engines_run(mp):
+    """Spy on `decrypt_cbc`'s three engines: returns the set of those that
+    ran, "chain" (`decrypt_blocks`), "packed" (`_packed_rounds`) and
+    "kernel" (`_lane_rounds`)."""
+    ran = set()
+    for engine, name in (("chain", "decrypt_blocks"), ("packed", "_packed_rounds"), ("kernel", "_lane_rounds")):
+        f = getattr(aes_core, name)
+        mp.setattr(aes_core, name, lambda *args, f=f, engine=engine: ran.add(engine) or f(*args))
+    return ran
+
+
+@pytest.mark.parametrize("lanes", [False, True])
+@pytest.mark.parametrize("blocks", ROUTE_BLOCKS)
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=3, deadline=None)
+def test_decrypt_cbc_takes_one_route_on_one_engine(blocks, lanes, seed):
+    # a batch of `blocks` ciphertext blocks cut into up to six messages
+    # anywhere, some of them an IV alone: fewer than PACKED_MIN_LANES blocks
+    # decrypt on the chain, with `lanes` from KERNEL_MIN_LANES blocks on the
+    # kernel, and every other batch on the packed rounds, a last chunk of
+    # one to three blocks past PACKED_MAX_LANES too. Each route runs its
+    # engine alone and matches the library. The same batch with a message
+    # that is not an IV and whole blocks, or two whose odd bytes add up to a
+    # block, raises the one ValueError before any engine runs
+    rng = random.Random(seed)
+    key = rng.randbytes(16)
+    ks = aes_core.expand_key(key)
+    cuts = sorted(rng.choices(range(blocks + 1), k=rng.randrange(0, 6)))
+    messages = [rng.randbytes(16 * (b - a + 1)) for a, b in zip([0, *cuts], [*cuts, blocks])]
+    if blocks < aes_core.PACKED_MIN_LANES:
+        route = "chain"
+    else:
+        route = "kernel" if lanes and blocks >= aes_core.KERNEL_MIN_LANES else "packed"
+    with pytest.MonkeyPatch.context() as mp:
+        ran = _engines_run(mp)
+        plains = aes_core.decrypt_cbc(messages, ks, lanes)
+    assert plains == [library_cbc_decrypt(key, m) for m in messages]
+    assert ran == {route}
+    odd = rng.randint(1, 15)
+    picks = rng.sample(range(len(messages)), min(2, len(messages)))
+    messages[picks[0]] += rng.randbytes(odd)
+    if len(picks) == 2 and rng.random() < 0.5:  # the batch's length stays whole blocks
+        messages[picks[1]] += rng.randbytes(16 - odd)
+    with pytest.MonkeyPatch.context() as mp:
+        ran = _engines_run(mp)
+        with pytest.raises(ValueError, match="^a message is not an IV and whole blocks$"):
+            aes_core.decrypt_cbc(messages, ks, lanes)
+    assert ran == set()
 
 
 def _unload_kernel(mp):
