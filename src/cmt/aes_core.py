@@ -53,7 +53,9 @@ key schedule:
   the optional extra `fast` of pyproject.toml. `encrypt_ecb` wraps it for
   block-aligned bytes, transposing at its edges. A call costs about as
   much as the packed rounds at 48 lanes, and half the time the (n, 16)
-  states it replaced took from 300 lanes on (BENCH_17.json).
+  states it replaced took from 300 lanes on (BENCH_17.json). A decryption
+  runs on it, as on the packed rounds, in calls of at most
+  PACKED_MAX_LANES lanes.
 
 Two batch functions choose among them by width, and each takes its
 chain route first. `cbc_macs`, the one CBC-MAC function, runs one lane
@@ -63,19 +65,17 @@ running, then on the packed rounds while at least PACKED_MIN_LANES are,
 and the last ones on the chain; without `lanes` the kernel's share runs
 on the packed rounds too. A batch of fewer than PACKED_MIN_LANES
 messages, such as a value's tag or a tenant's keys, runs on the chain
-alone. `decrypt_cbc` CBC-decrypts messages IV || ciphertext on one of
-three routes, each on one engine, by the batch's count of ciphertext
-blocks: a batch of fewer than PACKED_MIN_LANES blocks (a `get` of a one-
-or two-block value) on the chain, message by message; with `lanes`, from
-KERNEL_MIN_LANES blocks on, every block of the batch in one kernel call;
-any other batch on the packed rounds, in chunks of at most
-PACKED_MAX_LANES blocks. The chain decrypts only such whole batches of
-one or two blocks. On the kernel a batch costs about one Python step per
-message: the lane order and block offsets of `cbc_macs` are numpy
-arrays, one byte-sliced state serves the batch and its running prefix is
-stepped (a lane's state is its tag once its message ends), and
-`decrypt_cbc` picks the ciphertext blocks by an index, XORs each with
-the block before it and joins the result in numpy. When fewer than
+alone. `decrypt_cbc` CBC-decrypts messages IV || ciphertext by the
+batch's count of ciphertext blocks: a batch of fewer than
+PACKED_MIN_LANES blocks (a `get` of a one- or two-block value) on the
+chain, message by message, and any other batch in one loop over chunks
+of at most PACKED_MAX_LANES blocks, every chunk on the kernel with
+`lanes` from KERNEL_MIN_LANES blocks on, else every chunk on the packed
+rounds. The chain decrypts only such whole batches of one or two blocks.
+On the kernel a MAC batch costs about one Python step per message: the
+lane order and block offsets of `cbc_macs` are numpy arrays, and one
+byte-sliced state serves the batch and its running prefix is stepped (a
+lane's state is its tag once its message ends). When fewer than
 KERNEL_MIN_LANES chains are left, `cbc_macs` hands their states over to
 the packed rounds as one int; on them a step gathers its blocks with one
 join, and a lane that ends drops off the low end of the state.
@@ -109,7 +109,6 @@ cache timing; constant-time hardening is a non-goal.
 import struct
 import sys
 from collections import namedtuple
-from itertools import accumulate
 from operator import itemgetter
 
 BLOCK_SIZE = 16
@@ -429,17 +428,25 @@ PACKED_MIN_LANES = 3
 # pay up to about 1.2 times what the packed rounds would cost.
 KERNEL_MIN_LANES = 48
 
-# A packed call runs at most this many lanes: a wider decryption runs in
-# chunks of it, and MACs of more messages in groups of it, longest first.
-# One call on every lane holds its masks and each round's ints as wide as
-# the whole batch: a one-message decryption in one call ran at 3.2-3.4 MB/s
-# (wall time, 4 and 16 MB) and peaked at 508 MB RSS on 16 MB. Measured in
-# thread CPU time, medians of 7-15 alternating calls, up to three runs,
-# with each width's masks kept: a 4 MB one-message decryption ran at
+# A packed call, and a kernel call of a decryption, runs at most this many
+# lanes: a wider decryption runs in chunks of it on either engine, and MACs
+# of more messages on the packed rounds in groups of it, longest first.
+# One packed call on every lane holds its masks and each round's ints as
+# wide as the whole batch: a one-message decryption in one call ran at
+# 3.2-3.4 MB/s (wall time, 4 and 16 MB) and peaked at 508 MB RSS on 16 MB.
+# Measured in thread CPU time, medians of 7-15 alternating calls, up to
+# three runs, with each width's masks kept: a 4 MB one-message decryption ran at
 # 8.0-8.1 MB/s in chunks of 256 lanes, 8.2-8.6 at 512, 8.4-8.9 at 1,024,
 # 8.6-8.8 at 2,048 and 8.7 at 4,096, and MACs of 8,192 messages of 2-8
 # blocks at 9.0, 9.3-9.4, 9.1-9.4, 8.9 and 8.4 MB/s. From 512 to 2,048
-# lanes the rate is flat; at 1,024 the kept masks take 0.28 MB.
+# lanes the rate is flat; at 1,024 the kept masks take 0.28 MB. One kernel
+# call on every block of a 4 MB one-message decryption peaked at 13.6 times
+# its input (tracemalloc) and ran at 0.45-0.54 us a block; in chunks of
+# 1,024 it peaks at 3.1 times and ran at 0.43-0.48 (thread CPU, medians of
+# 7 alternating calls, six runs), and `cmt list` of a 9.7 MB store peaks
+# at 81.5 MB RSS, not 167.5. A batch just past one chunk pays a second
+# call's fixed cost: 1,469 blocks in 7 messages took 1.13-1.19 times as
+# long (BENCH_46.json).
 PACKED_MAX_LANES = 1024
 
 _MASKS = {}  # lane count -> masks, for counts below KERNEL_MIN_LANES and PACKED_MAX_LANES
@@ -675,41 +682,37 @@ def decrypt_cbc(messages: list[bytes], schedule: KeySchedule, lanes: bool = Fals
     batch of fewer than PACKED_MIN_LANES blocks, such as a `get` of a
     one- or two-block value, runs on the chain, message by message, each
     decrypted block XORed with the block before it in its message. Any
-    other batch is decrypted whole and then XORed with the blocks before:
-    on the kernel with `lanes` from KERNEL_MIN_LANES blocks on, where the
-    messages stay one numpy buffer from the join to the XOR, the blocks to
-    decrypt are every block but the IVs and the block before each is the
-    one an index earlier; else on the packed rounds, in chunks of at most
-    PACKED_MAX_LANES blocks, the round keys spread once for the full width
-    and once for a narrower last chunk."""
+    other batch joins its ciphertext blocks and, beside them, the block
+    before each, and runs one loop over chunks of at most PACKED_MAX_LANES
+    blocks, each decrypted and XORed with the blocks before it: every chunk
+    on the kernel with `lanes` from KERNEL_MIN_LANES blocks on, the XOR in
+    numpy, else every chunk on the packed rounds, the round keys spread once
+    for the full width and once for a narrower last chunk."""
     if any([len(m) < BLOCK_SIZE or len(m) % BLOCK_SIZE for m in messages]):
         raise ValueError("a message is not an IV and whole blocks")
     blocks = sum(map(len, messages)) // BLOCK_SIZE - len(messages)
     if blocks < PACKED_MIN_LANES:
         return [(int.from_bytes(decrypt_blocks(m[BLOCK_SIZE:], schedule)) ^ int.from_bytes(m[:-BLOCK_SIZE]))
                 .to_bytes(len(m) - BLOCK_SIZE) for m in messages]
-    if lanes and blocks >= KERNEL_MIN_LANES:
-        np = _lanes()[0]
-        buf = np.frombuffer(b"".join(messages), dtype=np.uint8).reshape(-1, BLOCK_SIZE)
-        cipher = np.ones(len(buf), dtype=bool)
-        ivs = accumulate(map(len, messages[:-1]), initial=0)
-        cipher[np.fromiter(ivs, np.intp, len(messages)) // BLOCK_SIZE] = False
-        index = np.flatnonzero(cipher)
-        plain = _lane_rounds(buf.take(index, axis=0).T, schedule.dec_keys, True).T
-        plain = (plain ^ buf.take(index - 1, axis=0)).tobytes()
-    else:
-        cipher = b"".join([m[BLOCK_SIZE:] for m in messages])
-        before = b"".join([m[:-BLOCK_SIZE] for m in messages])
-        width, plain = BLOCK_SIZE * PACKED_MAX_LANES, []
-        for i in range(0, len(cipher), width):  # at most PACKED_MAX_LANES lanes a call
-            chunk = cipher[i : i + width]
-            n = len(chunk) // BLOCK_SIZE
+    np = _lanes()[0] if lanes and blocks >= KERNEL_MIN_LANES else None  # None: the packed rounds
+    cipher = b"".join([m[BLOCK_SIZE:] for m in messages])
+    before = b"".join([m[:-BLOCK_SIZE] for m in messages])
+    width, plain = BLOCK_SIZE * PACKED_MAX_LANES, []
+    for i in range(0, len(cipher), width):  # at most PACKED_MAX_LANES lanes a call
+        chunk = cipher[i : i + width]
+        n = len(chunk) // BLOCK_SIZE
+        if np is not None:
+            x = _lane_rounds(np.frombuffer(chunk, np.uint8).reshape(n, BLOCK_SIZE).T, schedule.dec_keys, True)
+            plain.append((x.T ^ np.frombuffer(before, np.uint8, len(chunk), i).reshape(n, BLOCK_SIZE)).tobytes())
+        else:
             # spread for the first chunk's width, and again for a narrower last chunk
             keys = _spread(schedule.dec_keys, n) if i == 0 or n < PACKED_MAX_LANES else keys
             x = _packed_rounds(int.from_bytes(chunk), n, keys, True)
             plain.append((x ^ int.from_bytes(before[i : i + width])).to_bytes(len(chunk)))
-        del cipher, before  # before the join: 16 MB then peaks at 79 MB RSS, not 95
-        plain = b"".join(plain)
+    # dropped before the join: 16 MB then peaks at 78 MB RSS on the packed
+    # rounds and 91 MB on the kernel, not 94 and 107
+    del cipher, before
+    plain = b"".join(plain)
     out, end = [], 0
     for m in messages:
         start, end = end, end + len(m) - BLOCK_SIZE

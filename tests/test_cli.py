@@ -440,6 +440,49 @@ def test_one_shot_get_and_list_never_load_numpy(tmp_path):
         assert result.stdout.count("\n") >= (1 if tenant == "uni_a" else 20)
 
 
+# Runs `python -c SCRIPT ARGS...` with its output discarded and prints its
+# exit code and peak RSS in KB. A process's ru_maxrss starts from the RSS of
+# the process it was spawned from, so the script runs under this launcher,
+# a `python -S` smaller than any `cmt` child, not straight from pytest.
+_PEAK_RSS = """\
+import os, sys
+devnull = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+pid = os.posix_spawn(sys.executable, [sys.executable, "-c", *sys.argv[1:]], os.environ, file_actions=devnull)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.parametrize("numpy", [True, False], ids=["numpy", "no_numpy"])
+def test_a_list_peaks_at_a_small_multiple_of_the_store_above_a_bare_process(tmp_path, numpy):
+    # a 3.6 MB store of 110 rows of three 8,000-byte values: one row
+    # encrypted through the library, its line appended again under each
+    # next row id, as valid a log as 110 inserts. Its `cmt list` peaked at
+    # 6.0 times the file above a bare process that imports the same modules
+    # with the kernel, and at 5.5-5.6 times on the packed rounds; when the
+    # kernel decrypted the whole batch in one call, at 15.3 times
+    if numpy:
+        pytest.importorskip("numpy")
+    path = tmp_path / "s.cmt"
+    with create_store(str(path), TableSchema("t", FIELDS.split(",")), MasterKey(bytes.fromhex(HEX_KEY))) as s:
+        s.insert("uni_a", dict.fromkeys(FIELDS.split(","), "v" * 8000))
+    _, line = path.read_bytes().splitlines(keepends=True)
+    with open(path, "ab") as f:
+        f.writelines([line.replace(b'"r":1,', b'"r":%d,' % r, 1) for r in range(2, 111)])
+    blocked = "" if numpy else "import sys; sys.modules['numpy'] = None\n"
+    scripts = (blocked + "import cmt.cli" + ("; import numpy" if numpy else ""),
+               blocked + "from cmt.cli import run; run()")
+    env = dict(os.environ, **{MASTER_KEY_ENV: HEX_KEY})
+    peaks = []
+    for script, args in zip(scripts, ([], ["--store", str(path), "--tenant", "uni_a", "list"])):
+        result = subprocess.run([sys.executable, "-S", "-c", _PEAK_RSS, script, *args],
+                                capture_output=True, text=True, env=env)
+        code, peak = map(int, result.stdout.split())
+        assert code == 0, result.stderr
+        peaks.append(peak * 1024)
+    assert (peaks[1] - peaks[0]) / path.stat().st_size < 8
+
+
 ARGPARSE_MODULES = ["argparse", "gettext", "locale"]
 
 
@@ -618,36 +661,43 @@ def test_selftest_fails_when_the_packed_rounds_disagree(broken, monkeypatch, cap
     assert "throughput:" not in out
 
 
-def test_selftest_checks_the_output_of_its_timed_decryption(monkeypatch, capsys):
-    # the timed decryption runs on the packed rounds, as without numpy, in
-    # three full chunks and a narrower last one; in every decryption the
-    # full-width chunks after the first come out with every bit flipped,
-    # which only the timed one has (the agreement checks' batch has one)
+@pytest.mark.parametrize("engine", ["the packed rounds", "the multi-lane kernel"])
+def test_selftest_checks_the_output_of_its_timed_decryption(engine, monkeypatch, capsys):
+    # the timed decryption runs on the packed rounds, as without numpy, or
+    # on the kernel, in three full chunks and a narrower last one; in every
+    # decryption the full-width chunks after the first come out with every
+    # bit flipped, which only the timed one has (the agreement checks'
+    # batch has one)
     from cmt import aes_core, selftest
 
-    decrypt_cbc, packed_rounds = aes_core.decrypt_cbc, aes_core._packed_rounds
+    lanes = engine == "the multi-lane kernel"
+    if lanes:
+        pytest.importorskip("numpy")
+    name = "_lane_rounds" if lanes else "_packed_rounds"
+    decrypt_cbc, rounds = aes_core.decrypt_cbc, getattr(aes_core, name)
     full, corrupted = [0], []
 
     def decrypting(*args):
         full[0] = 0
         return decrypt_cbc(*args)
 
-    def later_chunks_off(x, n, keys, backward):
-        out = packed_rounds(x, n, keys, backward)
+    def later_chunks_off(*args):
+        out, backward = rounds(*args), args[-1]
+        n = args[0].shape[1] if lanes else args[1]
         if backward and n == aes_core.PACKED_MAX_LANES:
             full[0] += 1
             if full[0] > 1:
                 corrupted.append(n)
-                return out ^ (1 << 128 * n) - 1
+                return ~out if lanes else out ^ (1 << 128 * n) - 1
         return out
 
-    monkeypatch.setattr(aes_core, "use_lanes", lambda messages: False)
+    monkeypatch.setattr(aes_core, "use_lanes", lambda messages: lanes)
     monkeypatch.setattr(selftest, "THROUGHPUT_BUFFER_BYTES", 4 * 16 * aes_core.PACKED_MAX_LANES)
     monkeypatch.setattr(aes_core, "decrypt_cbc", decrypting)
-    monkeypatch.setattr(aes_core, "_packed_rounds", later_chunks_off)
+    monkeypatch.setattr(aes_core, name, later_chunks_off)
     assert main(["selftest"]) == 1
     out = capsys.readouterr().out
-    assert "on the packed rounds" in out
+    assert f"on {engine}" in out
     assert "FAIL block-throughput" in out
     assert len(corrupted) == 2
 

@@ -275,17 +275,17 @@ def test_one_forged_tag_refuses_the_batch_before_any_decryption(count, forged, l
     assert chain == [a for a in rounds if a[2]] == [a for a in packed if a[3]] == []
     assert verify(values, lanes) == at
     # the spies see the decryption of the same batch once every tag verifies,
-    # on the one engine its block count calls for: one kernel call, or a
-    # packed call per PACKED_MAX_LANES blocks (1,381 and 1,563 blocks at 47
-    # and 50 values, whose last chunks are wide enough to pack)
+    # on the one engine its block count calls for, in a call per
+    # PACKED_MAX_LANES blocks on either engine (1,381 and 1,563 blocks at 47
+    # and 50 values, two calls each)
     values[at] = genuine
     assert verify(values, lanes) is None
     decrypt_values(values, BATCH_KEYS)
     blocks = sum(len(v) // 16 - 2 for v in values)
-    kernel = lanes and blocks >= KERNEL_MIN_LANES
+    chunks = -(-blocks // aes_core.PACKED_MAX_LANES)
     assert blocks >= PACKED_MIN_LANES and blocks % aes_core.PACKED_MAX_LANES not in (1, 2)
     calls = (len(chain), len([a for a in rounds if a[2]]), len([a for a in packed if a[3]]))
-    assert calls == ((0, 1, 0) if kernel else (0, 0, -(-blocks // aes_core.PACKED_MAX_LANES)))
+    assert calls == ((0, chunks, 0) if lanes and blocks >= KERNEL_MIN_LANES else (0, 0, chunks))
 
 
 @pytest.mark.parametrize("lanes", [False, True])

@@ -939,6 +939,15 @@ def test_a_replay_with_no_line_after_its_start_returns_the_start(replayed, tail)
     assert tenant_store._replay(str(path), before + tail, start) is start
 
 
+def test_a_replay_with_no_torn_tail_holds_the_bytes_it_was_given(replayed):
+    # the state's bytes cut at the last newline are a full-length slice, the
+    # read bytes object itself: an open holds the file once, not a copy
+    path, raw = replayed
+    assert tenant_store._replay(str(path), raw, None)[0] is raw
+    torn = raw + b'{"op":"del"'
+    assert tenant_store._replay(str(path), torn, None)[0] == raw
+
+
 @pytest.mark.parametrize("marker, caught", [(b'"op":"in', CorruptLog), (b'"name":"', AuthError)])
 def test_a_flipped_byte_in_the_replayed_prefix_is_caught(replayed, marker, caught):
     path, before = replayed
