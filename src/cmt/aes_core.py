@@ -28,11 +28,19 @@ key schedule:
   pre-mixed round keys.
 - The packed rounds run n blocks in lockstep as the lanes of one Python
   int, 16 bytes a lane, lane-major, with no table and no import: SubBytes
-  is one `bytes.translate` of the whole int, ShiftRows seven masked
-  terms (six of them shifted), MixColumns two in-column byte rotations and
-  one masked xtime (InvMixColumns one more rotation and two more xtimes
-  before them), and a round key the key repeated in every lane. Its masks
-  are 16-byte patterns repeated n times. What depends only on the width
+  is one `bytes.translate` of the whole int, and ShiftRows moves no byte.
+  The state's layout cycles instead, as in fixslicing (Adomnicai &
+  Peyrin, TCHES 2021): in layout L the byte of row r, column c lies at
+  column (c + L*r) % 4, so ShiftRows takes the state from layout L to
+  L + 1 and InvShiftRows to L - 1, round i runs in layout i % 4 (-i % 4
+  backward) on round keys built in their rounds' layouts
+  (`enc_layout`, `dec_layout`), and one move of three masked terms takes
+  the last round's layout 2 back to layout 0. MixColumns is two in-column
+  byte rotations of the round's layout, by one row and by two (two or
+  four masked terms each), and one masked xtime (InvMixColumns one more
+  two-row rotation and two more xtimes before them), and a round key is
+  the key repeated in every lane. Its masks are 16-byte patterns repeated
+  n times. What depends only on the width
   is done once a width, not in every call: `_masks` builds a width's
   masks and keeps them (of the widths from KERNEL_MIN_LANES to just below
   PACKED_MAX_LANES, the last one built), and a batch spreads its round
@@ -40,9 +48,10 @@ key schedule:
   `_packed_macs` each time its running lanes change and `decrypt_cbc`
   once per chunk width, so a call runs only the rounds. The spread keys
   live in the batch's frame alone, and no key outlives its batch in the
-  module. A call costs about 1.7 chain
-  blocks at 1 lane and grows by about a fifth of one per lane, so it
-  serves the narrow batches: from PACKED_MIN_LANES (3) lanes on (a
+  module. A call costs about one chain
+  block at 1 lane in encryption and 1.4 in decryption, and grows by
+  about a tenth of one per lane (an eighth), so it serves the narrow
+  batches: from PACKED_MIN_LANES (3) lanes on (a
   decryption's last chunk may be narrower), and, once numpy is loaded,
   below KERNEL_MIN_LANES (48). Without numpy it serves every width, in
   calls of at most PACKED_MAX_LANES (1,024) lanes, so that neither its
@@ -99,7 +108,8 @@ If numpy cannot be imported, the batch that would have bought it runs on
 the packed rounds, and `use_lanes` answers False for the rest of the
 process without counting or trying the import again.
 
-`expand_key` builds the round keys of both directions once, for every key.
+`expand_key` builds the round keys of both directions, and the packed
+rounds' copies of them in their rounds' layouts, once for every key.
 Input byte i of a block sits at row i % 4 of column i // 4, and a column
 word is its four bytes read big-endian. The placed tables, the row tables
 and the S-boxes are indexed by secret bytes, so the cipher leaks through
@@ -203,14 +213,17 @@ _PLACED_ENC = None
 _WORDS = struct.Struct(">4I")
 
 
-class KeySchedule(namedtuple("KeySchedule", "enc_keys dec_keys")):
+class KeySchedule(namedtuple("KeySchedule", "enc_keys dec_keys enc_layout dec_layout")):
     """An AES-128 key expanded once.
 
     `enc_keys` are the 11 round keys as 128-bit ints, the block's bytes
     read big-endian: round key r is words 4r..4r+3 of the key expansion,
     most significant first. `dec_keys` are the 11 round keys of the
     equivalent inverse cipher, in the order decryption uses them, with
-    InvMixColumns applied to rounds 1..9.
+    InvMixColumns applied to rounds 1..9. `enc_layout` and `dec_layout`
+    are the same keys as the packed rounds add them: round i's key in
+    round i's layout (`_packed_rounds`), i % 4 forward and -i % 4
+    backward, and the last key, added after the move back, in layout 0.
     """
 
     __slots__ = ()
@@ -251,13 +264,25 @@ def expand_key(key: bytes) -> KeySchedule:
     for i in range(4 * NUM_ROUNDS - 4, 0, -4):
         w0, w1, w2, w3 = map(_inv_mix_word, words[i : i + 4])
         dec.append(w0 << 96 | w1 << 64 | w2 << 32 | w3)
-    return KeySchedule(tuple(enc), tuple(dec + enc[:1]))
+    dec += enc[:1]
+    return KeySchedule(tuple(enc), tuple(dec), _in_layouts(enc, 1), _in_layouts(dec, -1))
+
+
+def _in_layouts(keys: list, step: int) -> tuple:
+    """Round key i moved to layout i * step % 4, the last one left in layout 0."""
+    moved = [int.from_bytes(bytes(_LAYOUTS[i * step % 4](k.to_bytes(16)))) if i % 4 else k
+             for i, k in enumerate(keys[:-1])]
+    return (*moved, keys[-1])
 
 
 # ShiftRows and InvShiftRows of a 16-byte state: byte 4c + r comes from
 # column (c + r) % 4, or (c - r) % 4, of row r
 _SHIFT_ROWS = itemgetter(0, 5, 10, 15, 4, 9, 14, 3, 8, 13, 2, 7, 12, 1, 6, 11)
 _INV_SHIFT_ROWS = itemgetter(0, 13, 10, 7, 4, 1, 14, 11, 8, 5, 2, 15, 12, 9, 6, 3)
+# a block in layouts 1..3 of the packed rounds: byte 4c + r comes from
+# column (c - L*r) % 4 of row r, so layout 1 is InvShiftRows and 3 ShiftRows;
+# layout 0 is the block itself
+_LAYOUTS = (None, _INV_SHIFT_ROWS, itemgetter(0, 9, 2, 11, 4, 13, 6, 15, 8, 1, 10, 3, 12, 5, 14, 7), _SHIFT_ROWS)
 # the S-boxes as translation tables for the final round. SBOX and INV_SBOX
 # stay lists beside them: `expand_key` on one `bytes` S-box per direction
 # took 7-8 % longer, indexed or with a `translate`-based SubWord.
@@ -378,54 +403,70 @@ def decrypt_block(block: bytes, schedule: KeySchedule) -> bytes:
 # masks that pick the same bytes of every lane: a mask is a 128-bit pattern
 # times `one`, the int with a 1 in the last byte of every lane.
 
-# The patterns of the masks, in the order `_masks` unpacks them,
-# written as the block's four column words (rows 0..3 of each, most
-# significant first), columns 0..3.
-_PATTERNS = (
-    0xFF000000_FF000000_FF000000_FF000000,  # row 0, which ShiftRows keeps
-    # rows 1..3 of encryption: the columns that ShiftRows moves left by r
-    # columns (from column r on) and right by 4 - r (before it)
-    0x00000000_00FF0000_00FF0000_00FF0000,
-    0x00FF0000_00000000_00000000_00000000,
-    0x00000000_00000000_0000FF00_0000FF00,
-    0x0000FF00_0000FF00_00000000_00000000,
-    0x00000000_00000000_00000000_000000FF,
-    0x000000FF_000000FF_000000FF_00000000,
-    # rows 1 and 3 of decryption: left by 4 - r (from column 4 - r on), right
-    # by r; row 2 moves as in encryption
-    0x00000000_00000000_00000000_00FF0000,
-    0x00FF0000_00FF0000_00FF0000_00000000,
-    0x00000000_000000FF_000000FF_000000FF,
-    0x000000FF_00000000_00000000_00000000,
-    0x00FFFFFF_00FFFFFF_00FFFFFF_00FFFFFF,  # rows 1-3
-    0x000000FF_000000FF_000000FF_000000FF,  # row 3
-    0x0000FFFF_0000FFFF_0000FFFF_0000FFFF,  # rows 2-3
-    0x80808080_80808080_80808080_80808080,  # the high bit of every byte
+# The rounds move no byte for ShiftRows: they relabel the state instead. In
+# layout L the byte of row r, column c lies at column (c + L*r) % 4, so
+# layout 0 is FIPS-197's order, ShiftRows takes the state from layout L to
+# L + 1 and InvShiftRows to L - 1, and MixColumns finds the bytes of a
+# column where the round's layout puts them. The moves below do that, each
+# a tuple of terms, a term the pattern of the bytes it takes from every
+# lane, written as the block's four column words (rows 0..3 of each, most
+# significant first), columns 0..3. A move's terms shift left and right in
+# turn, by the bits given beside it; a one-row rotation gives row r the
+# byte of row r + 1 of the same column, wherever its layout puts it.
+_MOVES = (
+    # one row up in layout 0: left 8, right 24
+    (0x00FFFFFF_00FFFFFF_00FFFFFF_00FFFFFF, 0xFF000000_FF000000_FF000000_FF000000),
+    # in layout 1: left 40, right 88, left 8, right 120
+    (0x00000000_00FFFFFF_00FFFFFF_00FFFFFF, 0x00FFFFFF_00000000_00000000_00000000,
+     0x00000000_FF000000_FF000000_FF000000, 0xFF000000_00000000_00000000_00000000),
+    # in layout 2: left 72, right 56, left 40, right 88
+    (0x00000000_00000000_00FFFFFF_00FFFFFF, 0x00FFFFFF_00FFFFFF_00000000_00000000,
+     0x00000000_00000000_FF000000_FF000000, 0xFF000000_FF000000_00000000_00000000),
+    # in layout 3: left 104, right 24, left 72, right 56
+    (0x00000000_00000000_00000000_00FFFFFF, 0x00FFFFFF_00FFFFFF_00FFFFFF_00000000,
+     0x00000000_00000000_00000000_FF000000, 0xFF000000_FF000000_FF000000_00000000),
+    # two rows up in layouts 0 and 2: left 16, right 16
+    (0x0000FFFF_0000FFFF_0000FFFF_0000FFFF, 0xFFFF0000_FFFF0000_FFFF0000_FFFF0000),
+    # in layouts 1 and 3: left 80, right 48, left 48, right 80
+    (0x00000000_00000000_0000FFFF_0000FFFF, 0x0000FFFF_0000FFFF_00000000_00000000,
+     0x00000000_00000000_FFFF0000_FFFF0000, 0xFFFF0000_FFFF0000_00000000_00000000),
+    # from layout 2, where the last round leaves the state, to layout 0:
+    # rows 0 and 2 stay, rows 1 and 3 move left 64 and right 64
+    (0xFF00FF00_FF00FF00_FF00FF00_FF00FF00, 0x00000000_00000000_00FF00FF_00FF00FF,
+     0x00FF00FF_00FF00FF_00000000_00000000),
 )
 
 # Work of at least this many lanes runs on the packed rounds, less on the
 # chain. Measured in thread CPU time, medians of 41 alternating calls (21
-# for MACs), three runs (BENCH_39.json): `decrypt_cbc` of one message took
-# 1.60-1.79 times as long on the packed rounds as on the chain at 1 block,
-# 1.14-1.20 at 2 and 0.76-0.85 at 3; `cbc_macs` of messages of 16 blocks
-# 0.86-0.92 at 2 lanes and 0.61-0.67 at 3. Decryption, whose packed rounds
-# add InvMixColumns' first step, loses at 2 blocks, and a `get` decrypts
-# one value a call, so both start at 3. `decrypt_cbc` routes a whole batch
-# of fewer blocks to the chain, before it joins anything, and runs every
-# other batch whole on the packed rounds or the kernel, a last chunk of
-# one or two blocks too; in `cbc_macs` the two longest chains of a batch
-# finish on the chain.
+# for MACs), three runs (BENCH_47.json): `decrypt_cbc` of one message took
+# 1.75-1.80 times as long on the packed rounds as on the chain at 1 block,
+# 1.09-1.14 at 2 and 0.82-0.89 at 3; `cbc_macs` of messages of 16 blocks
+# 0.72-0.74 at 2 lanes and 0.52-0.56 at 3 (on the rounds that moved bytes
+# for ShiftRows, 1.18-1.21, 0.87-0.91, 0.89-0.97 and 0.65-0.68).
+# Decryption, whose packed rounds add InvMixColumns' first step, still
+# loses at 2 blocks, and a `get` decrypts one value a call, so both start
+# at 3, though MAC steps would now gain at 2. `decrypt_cbc` routes a whole
+# batch of fewer blocks to the chain, before it joins anything, and runs
+# every other batch whole on the packed rounds or the kernel, a last chunk
+# of one or two blocks too; in `cbc_macs` the two longest chains of a
+# batch finish on the chain.
 PACKED_MIN_LANES = 3
 
 # From this many lanes on, work runs on the kernel once numpy is loaded, and
 # on the packed rounds until then; below it, on the packed rounds. Measured
-# as PACKED_MIN_LANES is: the kernel took 0.97-1.08 times as long as the
-# packed rounds for a one-message decryption at 44 blocks, 0.90-1.10 at 48,
-# 0.88-0.90 at 52 and 0.84-0.86 at 56, and 1.19-1.24 times as long for a
-# batch of MAC steps at 44 lanes, 1.11-1.18 at 48, 1.04-1.18 at 56,
-# 0.92-1.03 at 60 and 0.83-0.92 at 64. One width serves both functions:
-# at 48 a decryption is at its crossover, and MAC steps of 48 to 63 lanes
-# pay up to about 1.2 times what the packed rounds would cost.
+# as PACKED_MIN_LANES is: the kernel took 1.03-1.05 times as long as the
+# packed rounds for a one-message decryption at 44 blocks, 0.97-0.98 at
+# 48, 0.92-0.94 at 52, 0.88-0.91 at 56 and 0.71-0.73 at 64, and 1.62-1.74
+# times as long for a batch of MAC steps at 44 lanes, 1.51-1.76 at 48,
+# 1.49-1.57 at 56, 1.23-1.40 at 60, 1.08-1.22 at 64 and 1.12-1.34 at 72.
+# Since the packed rounds stopped moving bytes for ShiftRows, a
+# decryption's crossover lies at 46-54 lanes over six runs (near 46
+# before), and MAC steps' past 72 (near 64 before). The width stays at 48
+# until benchmark pairs at a wider one show no metric worse: listing every
+# tenant and getting every row of the benchmark's seed-1 starting stores
+# made one kernel call of 48-55 lanes in 64. One width serves both
+# functions: at 48 a decryption is near its crossover, and MAC steps of 48
+# to 72 lanes pay up to about 1.7 times what the packed rounds would cost.
 KERNEL_MIN_LANES = 48
 
 # A packed call, and a kernel call of a decryption, runs at most this many
@@ -439,10 +480,10 @@ KERNEL_MIN_LANES = 48
 # 8.0-8.1 MB/s in chunks of 256 lanes, 8.2-8.6 at 512, 8.4-8.9 at 1,024,
 # 8.6-8.8 at 2,048 and 8.7 at 4,096, and MACs of 8,192 messages of 2-8
 # blocks at 9.0, 9.3-9.4, 9.1-9.4, 8.9 and 8.4 MB/s. From 512 to 2,048
-# lanes the rate is flat; at 1,024 the kept masks take 0.28 MB. One kernel
-# call on every block of a 4 MB one-message decryption peaked at 13.6 times
-# its input (tracemalloc) and ran at 0.45-0.54 us a block; in chunks of
-# 1,024 it peaks at 3.1 times and ran at 0.43-0.48 (thread CPU, medians of
+# lanes the rate is flat; at 1,024 the kept masks take 0.44 MB (0.28 MB
+# when these rates were measured). One kernel call on every block of a 4
+# MB one-message decryption peaked at 13.6 times its input (tracemalloc)
+# and ran at 0.45-0.54 us a block; in chunks of 1,024 it peaks at 3.1 times and ran at 0.43-0.48 (thread CPU, medians of
 # 7 alternating calls, six runs), and `cmt list` of a 9.7 MB store peaks
 # at 81.5 MB RSS, not 167.5. A batch just past one chunk pays a second
 # call's fixed cost: 1,469 blocks in 7 messages took 1.13-1.19 times as
@@ -458,24 +499,28 @@ _LAST_MASKS = {}
 def _masks(n: int) -> tuple:
     """The constants of n lanes, for n up to PACKED_MAX_LANES (no packed
     call runs more): `_packed_rounds`' constants of encryption and of
-    decryption, each its S-box, its two row shifts and its 11 masks in the
-    order it unpacks them (row 0, row 2 and MixColumns' masks are shared,
-    15 masks in all), then `one`. The sets below KERNEL_MIN_LANES are
-    kept, 0.32 MB at most, and so is the set of PACKED_MAX_LANES lanes,
-    0.28 MB. The widths between run on the packed rounds only while the
+    decryption, each its S-box, the shifts of its first and third round of
+    a cycle and its 24 masks in the order it unpacks them (the `_MOVES`
+    patterns and the high bit of every byte, each multiplied once and
+    shared by both directions), then `one`. The sets below KERNEL_MIN_LANES
+    are kept, 0.51 MB at most, and so is the set of PACKED_MAX_LANES lanes,
+    0.44 MB. The widths between run on the packed rounds only while the
     kernel is not loaded, as a decryption's last chunk or the steps of a
     MAC group whose lanes have begun to end; the last of them built is
     kept until another replaces it, so such a group builds each width's
     set once, however many steps run at it. Building a set takes about as
-    long as one or two rounds."""
+    long as three rounds; the `_MOVES` patterns are written out, since
+    deriving them from the layout rule took about 120 us, 17 times a
+    build at 3 lanes."""
     global _LAST_MASKS
     masks = _MASKS.get(n) or _LAST_MASKS.get(n)
     if masks is None:
         one = int.from_bytes((bytes(15) + b"\x01") * n)
-        # the rows' moves, left (l) and right (r), of encryption (e) and decryption (d)
-        row0, el1, er1, l2, r2, el3, er3, dl1, dr1, dl3, dr3, *mix = [p * one for p in _PATTERNS]
-        masks = ((_SBOX_BYTES, 32, 96, row0, el1, er1, l2, r2, el3, er3, *mix),
-                 (_INV_SBOX_BYTES, 96, 32, row0, dl1, dr1, l2, r2, dl3, dr3, *mix), one)
+        l0, l1, l2, l3, even, odd, last = [[p * one for p in move] for move in _MOVES]
+        rest = (*l0, *odd, *even, *last, 0x80808080_80808080_80808080_80808080 * one)
+        # forward a cycle runs layouts 1, 2, 3, 0, backward 3, 2, 1, 0
+        masks = ((_SBOX_BYTES, 40, 88, 8, 120, 104, 24, 72, 56, *l1, *l2, *l3, *rest),
+                 (_INV_SBOX_BYTES, 104, 24, 72, 56, 40, 88, 8, 120, *l3, *l2, *l1, *rest), one)
         if n < KERNEL_MIN_LANES or n == PACKED_MAX_LANES:
             _MASKS[n] = masks
         else:
@@ -498,36 +543,69 @@ def _spread(keys: tuple, n: int) -> list:
 
 def _packed_rounds(x: int, n: int, keys: list, backward: bool) -> int:
     """The rounds of one direction on n lanes packed into `x`, all lanes in
-    lockstep, under round keys already spread across the n lanes
-    (`_spread`); the masks come from `_masks`, so a call builds nothing
-    that its width has built before. SubBytes is one `bytes.translate`;
-    ShiftRows moves the bytes of rows 1..3 by whole columns, left by 32r
-    bits or right by 32(4 - r) within the lane; MixColumns gives byte i of
-    a column 2a_i ^ 3a_(i+1) ^ a_(i+2) ^ a_(i+3) as r1 ^ rot2(t) ^
-    xtime(t), where r1 is the column rotated one byte, t = x ^ r1 and rot2
-    rotates by two bytes. Decryption is the equivalent inverse cipher on
-    `dec_keys`, rows moved right, and InvMixColumns is MixColumns after
-    x ^= xtime(xtime(x ^ rot2(x)))."""
-    box, s1, s3, row0, a1, b1, a2, b2, a3, b3, lo3, lo1, lo2, high = _masks(n)[backward]
-    size = BLOCK_SIZE * n
+    lockstep, under round keys in their rounds' layouts (`enc_layout` or
+    `dec_layout`) already spread across the n lanes (`_spread`); the masks
+    come from `_masks`, so a call builds nothing that its width has built
+    before. SubBytes is one `bytes.translate`, and (Inv)ShiftRows moves no
+    byte: round i leaves the state in layout i % 4 (-i % 4 backward), and
+    one cycle of the four layouts is written out, run for rounds 1-4 and
+    5-8 and begun for round 9 (a loop over the layouts' constants, each
+    move padded to four terms, took 1.05-1.13 times as long). MixColumns
+    gives byte i of a column 2a_i ^ 3a_(i+1) ^ a_(i+2) ^ a_(i+3) as
+    r1 ^ rot2(t) ^ xtime(t), where r1 rotates the column one row up,
+    t = x ^ r1 and rot2 rotates by two rows, each by its layout's `_MOVES`. Decryption is the equivalent
+    inverse cipher, and InvMixColumns is MixColumns after
+    x ^= xtime(xtime(x ^ rot2(x))). The last round leaves layout 2, which
+    one move of three terms takes back to layout 0."""
+    (box, s1, s2, s3, s4, u1, u2, u3, u4, a1, a2, a3, a4, b1, b2, b3, b4, c1, c2, c3, c4, d1, d2,
+     o1, o2, o3, o4, e1, e2, keep, m1, m2, high) = _masks(n)[backward]
+    # int.from_bytes looked up once, not in every round: a call at 3-16
+    # lanes took 0.95-0.98 of the time
+    size, from_bytes = BLOCK_SIZE * n, int.from_bytes
     x ^= keys[0]
-    for k in keys[1:-1]:
-        x = int.from_bytes(x.to_bytes(size).translate(box))
-        x = (x & row0 | (x & a1) << s1 | (x & b1) >> s3 | (x & a2) << 64 | (x & b2) >> 64
-             | (x & a3) << s3 | (x & b3) >> s1)
+    for i in (1, 5, 9):
+        # layout 1 (3 backward)
+        x = from_bytes(x.to_bytes(size).translate(box))
         if backward:
-            u = x ^ ((x & lo2) << 16 | (x >> 16) & lo2)
-            h = u & high
-            u = (u ^ h) << 1 ^ (h >> 7) * 0x1B
-            h = u & high
-            x ^= (u ^ h) << 1 ^ (h >> 7) * 0x1B
-        r1 = (x & lo3) << 8 | (x >> 24) & lo1
-        t = x ^ r1
-        h = t & high
-        x = r1 ^ ((t & lo2) << 16 | (t >> 16) & lo2) ^ (t ^ h) << 1 ^ (h >> 7) * 0x1B ^ k
-    x = int.from_bytes(x.to_bytes(size).translate(box))  # the last round has no MixColumns
-    return (x & row0 | (x & a1) << s1 | (x & b1) >> s3 | (x & a2) << 64 | (x & b2) >> 64
-            | (x & a3) << s3 | (x & b3) >> s1) ^ keys[-1]
+            u = x ^ ((x & o1) << 80 | (x & o2) >> 48 | (x & o3) << 48 | (x & o4) >> 80)
+            u = (u ^ (h := u & high)) << 1 ^ (h >> 7) * 0x1B
+            x ^= (u ^ (h := u & high)) << 1 ^ (h >> 7) * 0x1B
+        r = (x & a1) << s1 | (x & a2) >> s2 | (x & a3) << s3 | (x & a4) >> s4
+        t = x ^ r
+        x = (r ^ ((t & o1) << 80 | (t & o2) >> 48 | (t & o3) << 48 | (t & o4) >> 80)
+             ^ (t ^ (h := t & high)) << 1 ^ (h >> 7) * 0x1B ^ keys[i])
+        if i == 9:
+            break
+        # layout 2
+        x = from_bytes(x.to_bytes(size).translate(box))
+        if backward:
+            u = x ^ ((x & e1) << 16 | (x & e2) >> 16)
+            u = (u ^ (h := u & high)) << 1 ^ (h >> 7) * 0x1B
+            x ^= (u ^ (h := u & high)) << 1 ^ (h >> 7) * 0x1B
+        r = (x & b1) << 72 | (x & b2) >> 56 | (x & b3) << 40 | (x & b4) >> 88
+        t = x ^ r
+        x = r ^ ((t & e1) << 16 | (t & e2) >> 16) ^ (t ^ (h := t & high)) << 1 ^ (h >> 7) * 0x1B ^ keys[i + 1]
+        # layout 3 (1 backward)
+        x = from_bytes(x.to_bytes(size).translate(box))
+        if backward:
+            u = x ^ ((x & o1) << 80 | (x & o2) >> 48 | (x & o3) << 48 | (x & o4) >> 80)
+            u = (u ^ (h := u & high)) << 1 ^ (h >> 7) * 0x1B
+            x ^= (u ^ (h := u & high)) << 1 ^ (h >> 7) * 0x1B
+        r = (x & c1) << u1 | (x & c2) >> u2 | (x & c3) << u3 | (x & c4) >> u4
+        t = x ^ r
+        x = (r ^ ((t & o1) << 80 | (t & o2) >> 48 | (t & o3) << 48 | (t & o4) >> 80)
+             ^ (t ^ (h := t & high)) << 1 ^ (h >> 7) * 0x1B ^ keys[i + 2])
+        # layout 0
+        x = from_bytes(x.to_bytes(size).translate(box))
+        if backward:
+            u = x ^ ((x & e1) << 16 | (x & e2) >> 16)
+            u = (u ^ (h := u & high)) << 1 ^ (h >> 7) * 0x1B
+            x ^= (u ^ (h := u & high)) << 1 ^ (h >> 7) * 0x1B
+        r = (x & d1) << 8 | (x & d2) >> 24
+        t = x ^ r
+        x = r ^ ((t & e1) << 16 | (t & e2) >> 16) ^ (t ^ (h := t & high)) << 1 ^ (h >> 7) * 0x1B ^ keys[i + 3]
+    x = from_bytes(x.to_bytes(size).translate(box))  # the last round has no MixColumns
+    return (x & keep | (x & m1) << 64 | (x & m2) >> 64) ^ keys[10]
 
 
 # --- multi-lane kernel ---------------------------------------------------
@@ -556,18 +634,19 @@ def _packed_rounds(x: int, n: int, keys: list, backward: bool) -> int:
 # `bulk_values` in one other). numpy's import took 75-100 ms (`import
 # cmt.cli, numpy` against `import cmt.cli`, medians of 15 alternating fresh
 # processes; 62-75 ms of thread CPU in process, with the kernel's tables),
-# and a kernel-width block saved 1.0-1.9 us of thread CPU (medians of 41
-# alternating calls on the seed-1 starting stores: `bulk_values`' median
-# list decrypts 1,435 blocks in 3.1-3.7 ms packed against 0.73-0.87 ms on
-# the kernel, and `scan_replay`'s 300-value list took 1.66-1.88 ms against
-# 0.79-0.91 ms for its 837 MAC lane blocks and 1.11-1.30 against 0.36-0.42
-# ms for its 543 decryption blocks). So the import pays after about
-# 45,000-90,000 blocks (40,000-65,000 counting its thread CPU alone), while
-# a whole seed-1 20 s run has about 48,000 on `bulk_values` and 47,000 on
-# `scan_replay`. Priced there, each process would buy numpy late in its run
-# or never, and a list on the packed rounds took 1.3 times as long as on the
-# kernel on `bulk_values` and 1.9-2.0 times on `scan_replay`, past the
-# benchmark's 25 % bound on `list_ms_p50`.
+# and a kernel-width block saved 0.8-1.25 us of thread CPU (medians of 41
+# alternating calls on the seed-1 starting stores, three runs, BENCH_47.json:
+# `bulk_values`' median list decrypts 1,435 blocks in 2.5-2.7 ms packed
+# against 0.79-0.90 ms on the kernel, and `scan_replay`'s 300-value list
+# took 1.53-1.61 ms against 0.87-0.93 ms for its 843 MAC lane blocks and
+# 1.02-1.06 against 0.42-0.45 ms for its 543 decryption blocks). So the
+# import pays after about 60,000-125,000 blocks (50,000-95,000 counting its
+# thread CPU alone), while a whole seed-1 20 s run has about 48,000 on
+# `bulk_values` and 47,000 on `scan_replay`. Priced there, each process
+# would buy numpy late in its run or never, and a list's MACs and
+# decryption on the packed rounds took 1.2-1.3 times as long as with the
+# kernel on `bulk_values` and 1.9-2.0 times on `scan_replay`, near or past
+# the benchmark's 25 % bound on `list_ms_p50`.
 IMPORT_BLOCKS = 7000
 
 # (numpy, encrypt constants, decrypt constants), built on first use; False
@@ -706,7 +785,7 @@ def decrypt_cbc(messages: list[bytes], schedule: KeySchedule, lanes: bool = Fals
             plain.append((x.T ^ np.frombuffer(before, np.uint8, len(chunk), i).reshape(n, BLOCK_SIZE)).tobytes())
         else:
             # spread for the first chunk's width, and again for a narrower last chunk
-            keys = _spread(schedule.dec_keys, n) if i == 0 or n < PACKED_MAX_LANES else keys
+            keys = _spread(schedule.dec_layout, n) if i == 0 or n < PACKED_MAX_LANES else keys
             x = _packed_rounds(int.from_bytes(chunk), n, keys, True)
             plain.append((x ^ int.from_bytes(before[i : i + width])).to_bytes(len(chunk)))
     # dropped before the join: 16 MB then peaks at 78 MB RSS on the packed
@@ -746,7 +825,7 @@ def _packed_macs(ordered: list[bytes], j: int, state: int, schedule: KeySchedule
         o = BLOCK_SIZE * j
         step = int.from_bytes(b"".join([m[o : o + BLOCK_SIZE] for m in ordered[:running]]))
         if running != width:  # the keys are spread again only when lanes have ended
-            width, keys = running, _spread(schedule.enc_keys, running)
+            width, keys = running, _spread(schedule.enc_layout, running)
         state = _packed_rounds(state ^ step, running, keys, False)
     tags[:running] = _split(state.to_bytes(BLOCK_SIZE * running))
     for k, size in enumerate(sizes[: PACKED_MIN_LANES - 1]):  # fewer than PACKED_MIN_LANES lanes
